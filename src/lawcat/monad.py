@@ -120,15 +120,12 @@ class PowersetMonad(FiniteMonad):
         return 1 << n
 
     def tmap(self, f, n_src, n_tgt):
-        out = []
-        for mask in range(1 << n_src):
-            img = 0
-            m = mask
-            while m:
-                b = (m & -m).bit_length() - 1
-                img |= 1 << f[b]
-                m &= m - 1
-            out.append(img)
+        # Doubling: the masks in [2^b, 2^(b+1)) are the masks below 2^b
+        # with bit b added, so their images gain f(b).
+        out = [0]
+        for b in range(n_src):
+            bit = 1 << f[b]
+            out += [img | bit for img in out]
         return tuple(out)
 
     def unit_map(self, n):
@@ -138,15 +135,9 @@ class PowersetMonad(FiniteMonad):
         tn = self.size(n)
         if self.size(tn) > HARD_CARRIER_CAP:
             raise BudgetExceeded("powerset multiplication table", self.size(tn), HARD_CARRIER_CAP)
-        out = []
-        for fam in range(1 << tn):
-            u = 0
-            m = fam
-            while m:
-                b = (m & -m).bit_length() - 1
-                u |= b
-                m &= m - 1
-            out.append(u)
+        out = [0]
+        for b in range(tn):
+            out += [u | b for u in out]
         return tuple(out)
 
     def labels(self, n, base):

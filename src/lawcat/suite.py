@@ -43,7 +43,7 @@ _EXT_CACHE = {}
 
 
 def _ext(monad_name, quantale_name, max_enum=DEFAULT_MAX_ENUM):
-    key = (monad_name, quantale_name)
+    key = (monad_name, quantale_name, max_enum)
     if key not in _EXT_CACHE:
         _EXT_CACHE[key] = LaxExtension(
             builtin_monads()[monad_name], builtin(quantale_name), max_enum
@@ -145,11 +145,11 @@ def item_v_complete(max_enum=DEFAULT_MAX_ENUM):
     details = {}
     ok = True
     for name in ACCEPT_QUANTALES:
-        rep = certify_v_complete(_ext("id", name), max_enum)
+        rep = certify_v_complete(_ext("id", name, max_enum), max_enum)
         details[f"id/{name}"] = rep["certified"]
         ok = ok and rep["certified"]
     for name in ("2", "c3"):
-        rep = certify_v_complete(_ext("ultra", name), max_enum)
+        rep = certify_v_complete(_ext("ultra", name, max_enum), max_enum)
         details[f"ultra/{name}"] = rep["certified"]
         ok = ok and rep["certified"]
     return {"ok": ok, "certified": details}
@@ -158,7 +158,7 @@ def item_v_complete(max_enum=DEFAULT_MAX_ENUM):
 def item_ord_complete(max_enum=DEFAULT_MAX_ENUM):
     preorders = enumerate_preorders(4)
     count_ok = len(preorders) == 355
-    ext = _ext("id", "2")
+    ext = _ext("id", "2", max_enum)
     all_complete = True
     for p in preorders:
         cat = TVCategory(ext, p.n, VMatrix(ext.q, p.n, p.n, [
@@ -190,7 +190,7 @@ def item_extension_laws(max_enum=DEFAULT_MAX_ENUM):
     per_combo = 34
     for mname in ("id", "powerset", "ultra"):
         for qname in ("2", "c3"):
-            ext = _ext(mname, qname)
+            ext = _ext(mname, qname, max_enum)
             laws = check_extension_laws(ext, samples=per_combo)
             summary = {key: laws[key]["ok"] for key in "abcdefg"}
             summary["f_applicable"] = laws["f"]["applicable"]
@@ -205,7 +205,7 @@ def item_xi_algebra(max_enum=DEFAULT_MAX_ENUM):
     ok = True
     for mname in ("id", "powerset", "ultra"):
         for qname in SMALL_QUANTALES:
-            ext = _ext(mname, qname)
+            ext = _ext(mname, qname, max_enum)
             em = check_xi(ext, max_enum)["ok"]
             functor = check_xi_functor(ext)["ok"]
             compat = check_xi_compat(ext, samples=8)
@@ -230,7 +230,7 @@ def item_hom_xi(max_enum=DEFAULT_MAX_ENUM):
     ok = True
     for mname in ("id", "powerset", "ultra"):
         for qname in SMALL_QUANTALES:
-            ext = _ext(mname, qname)
+            ext = _ext(mname, qname, max_enum)
             cat = hom_xi_category(ext, max_enum, validate=False)
             verdict = check_tvcategory(ext, cat.n, cat.a, max_enum)
             details[f"{mname}/{qname}"] = verdict["ok"]
@@ -242,7 +242,7 @@ def item_yoneda_tv(max_enum=DEFAULT_MAX_ENUM):
     details = {}
     ok = True
     for mname, qname in (("id", "2"), ("id", "c3"), ("ultra", "2")):
-        ext = _ext(mname, qname)
+        ext = _ext(mname, qname, max_enum)
         count = 0
         for n in (1, 2):
             for cat in all_tvcategories(ext, n, max_enum):
@@ -267,7 +267,7 @@ def item_sober(max_enum=DEFAULT_MAX_ENUM):
 
 
 def item_approach(max_enum=DEFAULT_MAX_ENUM):
-    ext = _ext("ultra", "plus3")
+    ext = _ext("ultra", "plus3", max_enum)
     total = 0
     ok = True
     for n in (1, 2):

@@ -6,6 +6,7 @@ import pytest
 from lawcat.errors import GateUnavailable
 from lawcat.laxext import (
     LaxExtension,
+    _threshold_extend,
     check_embeds_maps,
     check_extension_laws,
     check_xi,
@@ -13,6 +14,7 @@ from lawcat.laxext import (
     check_xi_functor,
 )
 from lawcat.quantale import Quantale, builtin, validate_quantale
+from lawcat.tvcat import hom_xi_category
 from lawcat.vmatrix import VMatrix
 
 PAIRS = [(m, q) for m in ("id", "powerset", "ultra") for q in ("2", "c3", "plus3", "pset2")]
@@ -82,6 +84,15 @@ def test_extension_laws(ext_factory, mname, qname):
     assert laws["ok"], {k: laws[k] for k in "abcdefg"}
     assert laws["f"]["applicable"] == ext.q.is_meet_tensor()
     assert laws["m_natural"]
+    assert laws["e"]["skipped"] == 0
+
+
+def test_law_e_budget_skips_withhold_m_natural(monads, quantales):
+    ext = LaxExtension(monads["powerset"], quantales["c3"], max_enum=100)
+    laws = check_extension_laws(ext, samples=34)
+    assert laws["e"]["checked"] == 28
+    assert laws["e"]["skipped"] == 6
+    assert not laws["m_natural"]
 
 
 @pytest.mark.parametrize("mname,qname", PAIRS)
@@ -173,3 +184,43 @@ def test_memoization_returns_identical_object(ext_factory):
     ext = ext_factory("powerset", "2")
     r = VMatrix(ext.q, 2, 2, ((0, 1), (1, 0)))
     assert ext.extend(r) is ext.extend(VMatrix(ext.q, 2, 2, ((0, 1), (1, 0))))
+
+
+def _with_duplicates(rng, q, rows, cols):
+    # copy a row and a column onto others, so both quotients are proper
+    data = [[rng.randrange(q.n) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        data[rng.randrange(1, rows)] = list(data[0])
+    if cols > 1:
+        j = rng.randrange(1, cols)
+        for row in data:
+            row[j] = row[0]
+    return VMatrix(q, rows, cols, data)
+
+
+@pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
+@pytest.mark.parametrize("qname", ["2", "c3", "c4", "plus3", "pset2"])
+def test_reduced_extension_matches_threshold_loop(monads, quantales, mname, qname):
+    monad, q = monads[mname], quantales[qname]
+    ext = LaxExtension(monad, q)
+    rng = random.Random(f"{mname}/{qname}")
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1)] + [
+        (rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(40)
+    ]
+    with_duplicates = 0
+    for rows, cols in shapes:
+        for m in (rand_matrix(rng, q, rows, cols), _with_duplicates(rng, q, rows, cols)):
+            with_duplicates += len(set(m.data)) < rows or len(set(zip(*m.data))) < cols
+            assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
+    assert with_duplicates > 0
+
+
+def test_reduced_extension_of_hom_xi_structure(monads, quantales):
+    monad, q = monads["powerset"], quantales["pset2"]
+    ext = LaxExtension(monad, q)
+    a = hom_xi_category(ext, validate=False).a
+    assert (a.rows, a.cols) == (16, 4)
+    ta = ext.extend(a)
+    assert (ta.rows, ta.cols) == (65536, 16)
+    assert ta == _threshold_extend(monad, q, a)
+    assert len({id(row) for row in ta.data}) == 16

@@ -142,3 +142,41 @@ def test_identity_and_ultra_extension_is_the_relation_itself():
 def test_powerset_budget_guard():
     with pytest.raises(BudgetExceeded):
         builtin_monad("powerset").mult_map(5)
+
+
+def _tmap_per_bit(f, n_src):
+    out = []
+    for mask in range(1 << n_src):
+        img = 0
+        for b in range(n_src):
+            if mask & (1 << b):
+                img |= 1 << f[b]
+        out.append(img)
+    return tuple(out)
+
+
+def _mult_map_per_bit(n):
+    out = []
+    for fam in range(1 << (1 << n)):
+        u = 0
+        for b in range(1 << n):
+            if fam & (1 << b):
+                u |= b
+        out.append(u)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n_src", range(13))
+def test_powerset_tmap_matches_per_bit_reference(n_src):
+    p = builtin_monad("powerset")
+    rng = random.Random(n_src)
+    for n_tgt in (1, 3, 12):
+        f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
+        assert p.tmap(f, n_src, n_tgt) == _tmap_per_bit(f, n_src)
+
+
+def test_powerset_mult_map_matches_per_bit_reference():
+    # n = 4 is the largest carrier whose table T(T(n)) fits the hard cap
+    p = builtin_monad("powerset")
+    for n in range(5):
+        assert p.mult_map(n) == _mult_map_per_bit(n)
