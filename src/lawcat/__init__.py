@@ -1,9 +1,10 @@
 """Exact finite-scale workbench for quantale-enriched categories.
 
-Builds and validates quantales, matrices over them, enriched and
-monad-enriched categories, lax extensions, module adjunctions, and
-decides completeness together with its order-theoretic, topological
-and quasi-uniform readings, all by exhaustive search on finite data.
+Builds and validates quantales, matrices over them, (T,V)-categories
+(V-categories being the case T = identity), lax extensions and module
+adjunctions, and decides completeness together with its order-theoretic,
+topological and quasi-uniform readings, all by exhaustive search on
+finite data.
 """
 
 from .errors import (

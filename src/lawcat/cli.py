@@ -12,7 +12,6 @@ import json
 import sys
 
 from .completeness import certify_v_complete, decide_lawvere_complete
-from .enriched import VCategory, check_vcategory, yoneda_eval
 from .errors import GateUnavailable, LawcatError, ParseError
 from .fileio import Workspace, load_file
 from .instances import sober_vs_lawvere, space_from_preorder, weakly_sober
@@ -36,11 +35,8 @@ def _emit(report, fmt, input_block):
     return report
 
 
-def _category_from_file(kind, parsed, workspace, max_enum):
+def _category_from_file(parsed, workspace, max_enum):
     q, n, matrix = parsed.resolve(workspace)
-    if kind == "vcat":
-        ext = LaxExtension(builtin_monad("id"), q, max_enum)
-        return TVCategory(ext, n, matrix, name=parsed.name)
     ext = LaxExtension(builtin_monad(parsed.monad_name), q, max_enum)
     return TVCategory(ext, n, matrix, name=parsed.name)
 
@@ -51,8 +47,8 @@ class InvalidObject(Exception):
         self.verdict = verdict
 
 
-def _validated_category(kind, payload, workspace, max_enum):
-    cat = _category_from_file(kind, payload, workspace, max_enum)
+def _validated_category(payload, workspace, max_enum):
+    cat = _category_from_file(payload, workspace, max_enum)
     verdict = check_tvcategory(cat.ext, cat.n, cat.a, max_enum)
     if not verdict["ok"]:
         raise InvalidObject(verdict)
@@ -68,11 +64,8 @@ def cmd_check(args):
         _emit({"kind": kind, "name": payload.name, **verdict}, args.format, input_block)
         return 0 if verdict["ok"] else 1
     if kind in ("vcat", "tvcat"):
-        cat = _category_from_file(kind, payload, workspace, args.max_enum)
-        if kind == "vcat":
-            verdict = check_vcategory(cat.q, cat.a)
-        else:
-            verdict = check_tvcategory(cat.ext, cat.n, cat.a, args.max_enum)
+        cat = _category_from_file(payload, workspace, args.max_enum)
+        verdict = check_tvcategory(cat.ext, cat.n, cat.a, args.max_enum)
         _emit({"kind": kind, "name": payload.name, **verdict}, args.format, input_block)
         return 0 if verdict["ok"] else 1
     if kind == "space":
@@ -117,7 +110,7 @@ def cmd_complete(args):
     workspace = Workspace()
     kind, payload = load_file(args.path)
     if kind in ("vcat", "tvcat"):
-        cat = _validated_category(kind, payload, workspace, args.max_enum)
+        cat = _validated_category(payload, workspace, args.max_enum)
         rep = decide_lawvere_complete(cat, args.max_enum, oracle=args.oracle)
         out = {
             "kind": kind,
@@ -194,26 +187,23 @@ def cmd_yoneda(args):
     kind, payload = load_file(args.path)
     if kind not in ("vcat", "tvcat"):
         raise ParseError(args.path, 1, "yoneda expects a category file")
-    cat = _validated_category(kind, payload, workspace, args.max_enum)
-    if kind == "vcat":
-        vcat = VCategory(cat.q, cat.n, cat.a)
-        rep = yoneda_eval(vcat, args.max_enum)
-        _emit({"kind": kind, "name": payload.name, **rep}, args.format,
-              {"command": "yoneda", "path": args.path})
-        return 0 if rep["ok"] else 1
+    cat = _validated_category(payload, workspace, args.max_enum)
     rep = tv_yoneda(cat, args.max_enum)
-    out = {
-        "kind": kind,
-        "name": payload.name,
-        "ok": rep["ok"],
-        "bound_inequality": rep["bound_inequality"],
-        "equivalence": rep["equivalence"],
-        "presheaf_count": rep["presheaf_count"],
-        "restricted_carrier_size": len(rep["hat_carrier"]),
-        "fully_faithful": rep["fully_faithful"],
-    }
+    out = {"kind": kind, "name": payload.name}
+    if kind == "vcat":
+        # Over the identity monad the presheaves are the restricted carrier.
+        out.update(ok=rep["ok"] and rep["fully_faithful"], presheaf_count=len(rep["hat_carrier"]))
+    else:
+        out.update(
+            ok=rep["ok"],
+            bound_inequality=rep["bound_inequality"],
+            equivalence=rep["equivalence"],
+            presheaf_count=rep["presheaf_count"],
+            restricted_carrier_size=len(rep["hat_carrier"]),
+            fully_faithful=rep["fully_faithful"],
+        )
     _emit(out, args.format, {"command": "yoneda", "path": args.path})
-    return 0 if rep["ok"] else 1
+    return 0 if out["ok"] else 1
 
 
 def cmd_dual(args):
@@ -221,7 +211,7 @@ def cmd_dual(args):
     kind, payload = load_file(args.path)
     if kind not in ("vcat", "tvcat"):
         raise ParseError(args.path, 1, "dual expects a category file")
-    cat = _validated_category(kind, payload, workspace, args.max_enum)
+    cat = _validated_category(payload, workspace, args.max_enum)
     dual = dual_tvcategory(cat, args.max_enum)
     monad = cat.monad
     row_labels = monad.labels(dual.n, monad.labels(cat.n, payload.labels))

@@ -10,27 +10,29 @@ reference enumeration kept for cross-checking.
 from __future__ import annotations
 
 import itertools
+import weakref
 
-from .errors import BudgetExceeded, GateUnavailable
+from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
 from .monad import monad_capabilities
 from .tvcat import (
     TVCategory,
     check_tvfunctor,
     hom_xi_category,
     kleisli_compose,
+    kleisli_table,
     unit_tvcategory,
 )
 from .vmatrix import VMatrix
 
-DEFAULT_MAX_ENUM = 10_000_000
 
-_MONAD_CAPS = {}
+# Keyed on the monad object (held weakly): two monads may share a name.
+_MONAD_CAPS = weakref.WeakKeyDictionary()
 
 
 def _caps(monad):
-    if monad.name not in _MONAD_CAPS:
-        _MONAD_CAPS[monad.name] = monad_capabilities(monad)
-    return _MONAD_CAPS[monad.name]
+    if monad not in _MONAD_CAPS:
+        _MONAD_CAPS[monad] = monad_capabilities(monad)
+    return _MONAD_CAPS[monad]
 
 
 def completeness_gate(ext):
@@ -58,19 +60,6 @@ class AdjointPair:
 
     def __repr__(self):
         return f"AdjointPair(rep={self.representative})"
-
-
-def _psi_kleisli_parts(x):
-    """Shared precomputation: (Ta . m-transpose) as a plain matrix."""
-    ext = x.ext
-    ta = ext.extend(x.a)
-    fibers = ext.mult_fibers(x.n)
-    tn = ext.monad.size(x.n)
-    q = ext.q
-    return [
-        [q.join_all(ta.data[big][t] for big in fibers[s]) for t in range(tn)]
-        for s in range(tn)
-    ]
 
 
 def _phi_max_for(x, tpsi):
@@ -145,7 +134,7 @@ def enumerate_adjoint_pairs(x, max_enum=DEFAULT_MAX_ENUM, oracle=False, allow_un
     psi_count = q.n ** tn
     if psi_count > max_enum:
         raise BudgetExceeded("psi space", psi_count, max_enum)
-    kc = _psi_kleisli_parts(x)
+    kc = kleisli_table(x)
 
     pairs = []
     if not oracle:
@@ -257,7 +246,7 @@ def certify_v_complete(ext, max_enum=DEFAULT_MAX_ENUM, oracle=False):
     vcat = hom_xi_category(ext, max_enum)
     xi = ext.xi()
     tn = monad.size(q.n)
-    kc = _psi_kleisli_parts(vcat)
+    kc = kleisli_table(vcat)
     precond_ok = all(
         kc[s][t] == q.hom(xi[s], xi[t]) for s in range(tn) for t in range(tn)
     )

@@ -1,219 +1,19 @@
-"""V-categories, V-functors, V-bimodules and the derived constructions.
+"""V-categories are the (T,V)-categories of tvcat over the identity monad.
 
-A V-category is a square matrix a with unit below every diagonal entry
-and a(x,y) (x) a(y,z) <= a(x,z).  Bimodules are matrices compatible with
-the structures on both sides; functors are maps that do not decrease
-structure.  The module also builds duals, tensors, exponentials and the
-hom structure on the quantale itself, and evaluates the presheaf
-evaluation identity d(a(-,x), f) = f(x).
+Only two names live here, because perfbench/tracer.py traces them under
+this module: all_vcategories, and check_vbimodule, which is
+tvcat.check_tvbimodule.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import BudgetExceeded
-from .quantale import same_quantale
-from .vmatrix import VMatrix, mcompose
-
-DEFAULT_MAX_ENUM = 10_000_000
-
-
-class VCategory:
-    """A carrier size together with a validated square structure matrix."""
-
-    def __init__(self, q, n, a, name=""):
-        same_quantale(q, a.q)
-        if a.rows != n or a.cols != n:
-            raise ValueError("structure matrix must be square over the carrier")
-        self.q = q
-        self.n = n
-        self.a = a
-        self.name = name
-
-    def __repr__(self):
-        return f"VCategory({self.name or self.n} over {self.q.name})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VCategory)
-            and self.q is other.q
-            and self.n == other.n
-            and self.a == other.a
-        )
-
-    def __hash__(self):
-        return hash((id(self.q), self.n, self.a.data))
-
-
-def check_vcategory(q, a):
-    """Reflexivity and transitivity of a square matrix, with witnesses."""
-    for x in range(a.rows):
-        if not q.le(q.unit, a.data[x][x]):
-            return {"ok": False, "law": "reflexivity", "witness": (x,)}
-    for x in range(a.rows):
-        for y in range(a.rows):
-            t_xy = a.data[x][y]
-            if t_xy == q.bottom:
-                continue
-            for z in range(a.rows):
-                if not q.le(q.tens(t_xy, a.data[y][z]), a.data[x][z]):
-                    return {"ok": False, "law": "transitivity", "witness": (x, y, z)}
-    return {"ok": True}
-
-
-def vcategory(q, n, a, name=""):
-    verdict = check_vcategory(q, a)
-    if not verdict["ok"]:
-        raise ValueError(f"not a V-category: {verdict}")
-    return VCategory(q, n, a, name)
-
-
-def discrete_vcategory(q, n):
-    return vcategory(q, n, VMatrix.identity(q, n), name=f"discrete{n}")
-
-
-def hom_vcategory(q):
-    """The quantale as a category over itself, structured by residuation."""
-    return vcategory(q, q.n, VMatrix(q, q.n, q.n, q.hom_t), name="V-hom")
-
-
-def check_vfunctor(f, x, y):
-    """a(p,p') <= b(f(p),f(p')) for all pairs."""
-    for p in range(x.n):
-        for p2 in range(x.n):
-            if not x.q.le(x.a.data[p][p2], y.a.data[f[p]][f[p2]]):
-                return {"ok": False, "witness": (p, p2)}
-    return {"ok": True}
-
-
-def check_vbimodule(psi, x, y):
-    """Direct bimodule laws and the functor reading, with their agreement.
-
-    psi: X -|-> Y is a bimodule when psi.a <= psi and b.psi <= psi; this is
-    re-derived as functoriality of psi out of the tensor of the dual of X
-    with Y into the hom structure, and the two verdicts are compared.
-    """
-    q = x.q
-    direct = mcompose(psi, x.a).le(psi) and mcompose(y.a, psi).le(psi)
-    functor = True
-    for p in range(x.n):
-        for yy in range(y.n):
-            for p2 in range(x.n):
-                for y2 in range(y.n):
-                    lhs = q.tens(x.a.data[p2][p], y.a.data[yy][y2])
-                    if not q.le(lhs, q.hom(psi.data[p][yy], psi.data[p2][y2])):
-                        functor = False
-    return {"direct": direct, "functor": functor, "agree": direct == functor, "ok": direct}
-
-
-def induced_bimodules(f, x, y):
-    """The pair b.f and f-transpose.b of a functor, with its adjunction certificate."""
-    fun = check_vfunctor(f, x, y)
-    if not fun["ok"]:
-        raise ValueError(f"not a V-functor: {fun}")
-    q = x.q
-    lower = VMatrix(q, x.n, y.n, tuple(tuple(y.a.data[f[p]][yy] for yy in range(y.n)) for p in range(x.n)))
-    upper = VMatrix(q, y.n, x.n, tuple(tuple(y.a.data[yy][f[p]] for p in range(x.n)) for yy in range(y.n)))
-    lower_bim = check_vbimodule(lower, x, y)["ok"]
-    upper_bim = check_vbimodule(upper, y, x)["ok"]
-    unit_ok = x.a.le(mcompose(upper, lower))
-    counit_ok = mcompose(lower, upper).le(y.a)
-    return {
-        "lower": lower,
-        "upper": upper,
-        "certificate": {
-            "lower_bimodule": lower_bim,
-            "upper_bimodule": upper_bim,
-            "unit": unit_ok,
-            "counit": counit_ok,
-            "ok": lower_bim and upper_bim and unit_ok and counit_ok,
-        },
-    }
-
-
-def dual_vcategory(x):
-    return vcategory(x.q, x.n, x.a.transpose(), name=f"{x.name}^op")
-
-
-def tensor_vcategory(x, y):
-    q = x.q
-    same_quantale(q, y.q)
-    n = x.n * y.n
-    data = [
-        [
-            q.tens(x.a.data[p][p2], y.a.data[u][u2])
-            for p2 in range(x.n)
-            for u2 in range(y.n)
-        ]
-        for p in range(x.n)
-        for u in range(y.n)
-    ]
-    return vcategory(q, n, VMatrix(q, n, n, data), name=f"{x.name}(x){y.name}")
-
-
-def all_vfunctors(x, y, max_enum=DEFAULT_MAX_ENUM):
-    """All maps carrier-to-carrier passing the functor check, in lex order."""
-    total = y.n ** x.n
-    if total > max_enum:
-        raise BudgetExceeded("functor space", total, max_enum)
-    out = []
-    for f in itertools.product(range(y.n), repeat=x.n):
-        if check_vfunctor(f, x, y)["ok"]:
-            out.append(f)
-    return out
-
-
-def exponential_vcategory(x, y, max_enum=DEFAULT_MAX_ENUM):
-    """Function space: functor carrier with pointwise-meet structure."""
-    q = x.q
-    funcs = all_vfunctors(x, y, max_enum)
-    n = len(funcs)
-    data = [
-        [q.meet_all(y.a.data[f[p]][g[p]] for p in range(x.n)) for g in funcs]
-        for f in funcs
-    ]
-    cat = vcategory(q, n, VMatrix(q, n, n, data), name=f"{y.name}^{x.name}")
-    return cat, funcs
+from .errors import DEFAULT_MAX_ENUM
+from .laxext import LaxExtension
+from .monad import builtin_monad
+from .tvcat import all_tvcategories
+from .tvcat import check_tvbimodule as check_vbimodule  # noqa: F401
 
 
 def all_vcategories(q, n, max_enum=DEFAULT_MAX_ENUM):
-    """Every V-category structure on an n-element carrier."""
-    total = q.n ** (n * n)
-    if total > max_enum:
-        raise BudgetExceeded("structure space", total, max_enum)
-    out = []
-    for flat in itertools.product(range(q.n), repeat=n * n):
-        a = VMatrix(q, n, n, tuple(flat[i * n : (i + 1) * n] for i in range(n)))
-        if check_vcategory(q, a)["ok"]:
-            out.append(VCategory(q, n, a))
-    return out
-
-
-def yoneda_eval(x, max_enum=DEFAULT_MAX_ENUM):
-    """Evaluation identity for presheaves: d(a(-,p), f) = f(p).
-
-    Builds the exponential over the dual of x, checks that p |-> a(-,p)
-    lands in it and is a functor, and that the displayed equality holds for
-    every p and every presheaf in the exponential carrier.
-    """
-    q = x.q
-    xop = dual_vcategory(x)
-    homv = hom_vcategory(q)
-    expo, funcs = exponential_vcategory(xop, homv, max_enum)
-    index = {f: i for i, f in enumerate(funcs)}
-    y_map = []
-    for p in range(x.n):
-        col = tuple(x.a.data[r][p] for r in range(x.n))
-        if col not in index:
-            return {"ok": False, "law": "yoneda-column-not-presheaf", "witness": p}
-        y_map.append(index[col])
-    fun = check_vfunctor(tuple(y_map), x, expo)
-    if not fun["ok"]:
-        return {"ok": False, "law": "yoneda-not-functor", "witness": fun["witness"]}
-    for p in range(x.n):
-        for i, f in enumerate(funcs):
-            d = expo.a.data[y_map[p]][i]
-            if d != f[p]:
-                return {"ok": False, "law": "yoneda-eval", "witness": (p, f)}
-    return {"ok": True, "presheaf_count": len(funcs)}
+    """Every V-category on n points, over the quantale object q."""
+    return all_tvcategories(LaxExtension(builtin_monad("id"), q, max_enum), n, max_enum)

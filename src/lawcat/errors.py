@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default enumeration budget."""
+
+# Default cap on the candidates one exhaustive enumeration may visit.
+DEFAULT_MAX_ENUM = 10_000_000
 
 
 class LawcatError(Exception):

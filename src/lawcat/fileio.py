@@ -135,8 +135,7 @@ def _parse_matrix_lines(path, items, row_index, col_index, q):
 
 
 class ParsedCategory:
-    def __init__(self, kind, name, quantale_name, monad_name, labels, items, path):
-        self.kind = kind
+    def __init__(self, name, quantale_name, monad_name, labels, items, path):
         self.name = name
         self.quantale_name = quantale_name
         self.monad_name = monad_name
@@ -145,18 +144,13 @@ class ParsedCategory:
         self.path = path
 
     def resolve(self, workspace):
-        """Build the structure matrix against a quantale (and monad) table."""
+        """Build the structure matrix against a quantale and monad table."""
         q = workspace.quantale(self.quantale_name, self.path)
         n = len(self.labels)
         col_index = {lab: i for i, lab in enumerate(self.labels)}
-        if self.kind == "vcat":
-            row_index = col_index
-            rows = n
-        else:
-            monad = builtin_monad(self.monad_name)
-            t_labels = monad.labels(n, self.labels)
-            row_index = {lab: i for i, lab in enumerate(t_labels)}
-            rows = monad.size(n)
+        monad = builtin_monad(self.monad_name)
+        row_index = {lab: i for i, lab in enumerate(monad.labels(n, self.labels))}
+        rows = monad.size(n)
         entries = _parse_matrix_lines(self.path, self.items, row_index, col_index, q)
         data = [[q.bottom] * n for _ in range(rows)]
         for (r, c), v in entries.items():
@@ -174,13 +168,13 @@ def parse_category_text(text, path="<string>"):
             if words[0] == "vcat":
                 if len(words) != 4 or words[2] != "over":
                     raise ParseError(path, lineno, "expected 'vcat <name> over <quantale>'")
-                header = ("vcat", words[1], words[3], None)
+                header = (words[1], words[3], "id")
             elif words[0] == "tvcat":
                 if len(words) != 6 or words[2] != "over" or words[4] != "monad":
                     raise ParseError(
                         path, lineno, "expected 'tvcat <name> over <quantale> monad <name>'"
                     )
-                header = ("tvcat", words[1], words[3], words[5])
+                header = (words[1], words[3], words[5])
             else:
                 raise ParseError(path, lineno, f"unknown header {words[0]!r}")
             continue
@@ -193,8 +187,7 @@ def parse_category_text(text, path="<string>"):
         raise ParseError(path, 1, "empty category file")
     if labels is None:
         raise ParseError(path, 1, "missing 'elements:' line")
-    kind, name, qname, mname = header
-    return ParsedCategory(kind, name, qname, mname, labels, items, path)
+    return ParsedCategory(*header, labels, items, path)
 
 
 def parse_space_text(text, path="<string>"):

@@ -12,10 +12,8 @@ from __future__ import annotations
 import random
 import zlib
 
-from .errors import BudgetExceeded, GateUnavailable
+from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map
-
-DEFAULT_MAX_ENUM = 10_000_000
 
 
 class LaxExtension:

@@ -75,30 +75,15 @@ class IdentityMonad(FiniteMonad):
         return tuple(base)
 
 
-class UltrafilterMonad(FiniteMonad):
+class UltrafilterMonad(IdentityMonad):
     """Ultrafilters on a finite set: all principal, indexed by their point.
 
-    Index arithmetic coincides with the identity monad, but each element
+    Index arithmetic is that of the identity monad, but each element
     carries its filter-family semantics through `family`, which returns
     the up-closed, intersection-closed, prime collection of subsets.
     """
 
     name = "ultra"
-
-    def size(self, n):
-        return n
-
-    def tmap(self, f, n_src, n_tgt):
-        return tuple(f)
-
-    def unit_map(self, n):
-        return tuple(range(n))
-
-    def mult_map(self, n):
-        return tuple(range(n))
-
-    def labels(self, n, base):
-        return tuple(base)
 
     def family(self, n, i):
         """The principal ultrafilter at i as a frozenset of frozensets."""
@@ -287,6 +272,23 @@ def _weak_pullback_cover(monad, f, g, nx, ny, nz):
     return None
 
 
+def m_square_gap(monad, f, nx, ny):
+    """Where the naturality square of m at f fails to be a weak pullback.
+
+    Returns the first (alpha, beta) with m(alpha) = Tf(beta) that is not
+    (TTf(s), m(s)) for any s in TT(nx), or None when the square is one.
+    """
+    tf = monad.tmap(f, nx, ny)
+    ttf = monad.tmap(tf, monad.size(nx), monad.size(ny))
+    mu_x, mu_y = monad.mult_map(nx), monad.mult_map(ny)
+    achieved = {(ttf[s], mu_x[s]) for s in range(monad.size(monad.size(nx)))}
+    for alpha in range(monad.size(monad.size(ny))):
+        for beta in range(monad.size(nx)):
+            if mu_y[alpha] == tf[beta] and (alpha, beta) not in achieved:
+                return alpha, beta
+    return None
+
+
 def check_bc(monad, max_n=3):
     """Empirical Beck-Chevalley report for the functor and for m.
 
@@ -309,32 +311,20 @@ def check_bc(monad, max_n=3):
         if not functor_ok:
             break
 
-    m_ok = True
     m_witness = None
     for nx, ny in itertools.product(range(max_n + 1), repeat=2):
-        tnx, tny = monad.size(nx), monad.size(ny)
-        mu_x, mu_y = monad.mult_map(nx), monad.mult_map(ny)
         for f in _all_functions(nx, ny):
-            tf = monad.tmap(f, nx, ny)
-            ttf = monad.tmap(tf, tnx, tny)
-            achieved = {(ttf[s], mu_x[s]) for s in range(monad.size(tnx))}
-            for alpha in range(monad.size(tny)):
-                for beta in range(tnx):
-                    if mu_y[alpha] == tf[beta] and (alpha, beta) not in achieved:
-                        m_ok = False
-                        m_witness = (nx, ny, f, alpha, beta)
-                        break
-                if not m_ok:
-                    break
-            if not m_ok:
+            gap = m_square_gap(monad, f, nx, ny)
+            if gap is not None:
+                m_witness = (nx, ny, f, *gap)
                 break
-        if not m_ok:
+        if m_witness is not None:
             break
 
     return {
         "functor_bc": functor_ok,
         "functor_witness": functor_witness,
-        "m_bc": m_ok,
+        "m_bc": m_witness is None,
         "m_witness": m_witness,
         "max_n": max_n,
     }

@@ -13,8 +13,8 @@ import json
 import random
 
 from .completeness import certify_v_complete, decide_lawvere_complete, ord_section_extract
-from .enriched import all_vcategories, check_vbimodule, yoneda_eval
-from .errors import BudgetExceeded
+from .enriched import all_vcategories
+from .errors import DEFAULT_MAX_ENUM, BudgetExceeded
 from .instances import (
     approach_surrogate,
     enumerate_preorders,
@@ -32,12 +32,18 @@ from .quniform import (
     neighbourhood_pair,
     validate_quniformity,
 )
-from .tvcat import TVCategory, all_tvcategories, check_tvcategory, hom_xi_category, yoneda
+from .tvcat import (
+    TVCategory,
+    all_tvcategories,
+    check_tvbimodule,
+    check_tvcategory,
+    hom_xi_category,
+    yoneda,
+)
 from .vmatrix import VMatrix, check_order_reversal, left_adjoint_map_criterion
 
 ACCEPT_QUANTALES = ("2", "c3", "c4", "plus3", "plus4", "pset1", "pset2")
 SMALL_QUANTALES = ("2", "c3", "c4", "plus2", "plus3", "pset1", "pset2")
-DEFAULT_MAX_ENUM = 10_000_000
 
 _EXT_CACHE = {}
 
@@ -106,18 +112,25 @@ def item_bimodule_functor(max_enum=DEFAULT_MAX_ENUM):
     target = 500
     names = list(ACCEPT_QUANTALES)
     disagreements = []
+    cats = {}
+
+    def categories(q, n):
+        if (q.name, n) not in cats:
+            cats[q.name, n] = all_vcategories(q, n, max_enum)
+        return cats[q.name, n]
+
     while agreements + len(disagreements) < target:
         q = builtin(names[rng.randrange(len(names))])
         nx = rng.randrange(1, 3)
         ny = rng.randrange(1, 3)
-        cats_x = all_vcategories(q, nx, max_enum)
-        cats_y = all_vcategories(q, ny, max_enum)
+        cats_x = categories(q, nx)
+        cats_y = categories(q, ny)
         x = cats_x[rng.randrange(len(cats_x))]
         y = cats_y[rng.randrange(len(cats_y))]
         psi = VMatrix(
             q, nx, ny, tuple(tuple(rng.randrange(q.n) for _ in range(ny)) for _ in range(nx))
         )
-        verdict = check_vbimodule(psi, x, y)
+        verdict = check_tvbimodule(psi, x, y, max_enum)
         if verdict["agree"]:
             agreements += 1
         else:
@@ -133,8 +146,8 @@ def item_yoneda_v(max_enum=DEFAULT_MAX_ENUM):
         total = 0
         for n in (1, 2):
             for cat in all_vcategories(q, n, max_enum):
-                rep = yoneda_eval(cat, max_enum)
-                if not rep["ok"]:
+                rep = yoneda(cat, max_enum)
+                if not (rep["ok"] and rep["fully_faithful"]):
                     ok = False
                 total += 1
         counts[name] = total

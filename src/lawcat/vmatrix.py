@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, DimensionMismatch
 from .quantale import same_quantale, tensor_complement_scan
-
-DEFAULT_MAX_ENUM = 10_000_000
 
 
 class VMatrix:

@@ -5,6 +5,7 @@ boolean verdict; the only tolerances are the per-criterion runtime
 budgets, which are asserted as hard bounds.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -12,6 +13,9 @@ import time
 import pytest
 
 from lawcat import suite as battery
+
+# SHA-256 of `lawcat suite --format json` (10,185 bytes).
+SUITE_SHA256 = "4739003eab58108b990f8321001ee17a0c9697f4ec7a7d1f82ff6a25c60edaf8"
 
 
 def _run(name, fn, budget_seconds):
@@ -127,3 +131,5 @@ def test_criterion_15_suite_determinism():
     print(f"[{status}] determinism: byte-identical={identical} elapsed={elapsed:.2f}s")
     assert identical
     assert runs[0].strip().endswith(b"}")
+    # the suite bytes are pinned: a change to them must update this digest
+    assert hashlib.sha256(runs[0]).hexdigest() == SUITE_SHA256

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 
@@ -153,3 +154,13 @@ def test_quantale_resolution_by_sibling_file(tmp_path):
 def test_unknown_quantale_reference(tmp_path, capsys):
     (tmp_path / "c.vcat").write_text("vcat c over nowhere\nelements: x\nm[x,x] = 1\n")
     assert main(["check", str(tmp_path / "c.vcat")]) == 2
+
+
+def test_check_and_yoneda_name_the_same_law(capsys):
+    assert main(["check", path("notcat.vcat"), "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["law"], rep["witness"]) == ("transitivity", [0, 1, 2])
+    assert main(["yoneda", path("notcat.vcat"), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    verdict = ast.literal_eval(err.split("invalid object: ", 1)[1])
+    assert (verdict["law"], list(verdict["witness"])) == ("transitivity", [0, 1, 2])

@@ -268,3 +268,19 @@ def test_uneven_fibers_section(ext_factory):
     ext = ext_factory("id", "2")
     g = ord_section_extract(ext, (0, 1, 1, 1), 4, 2)
     assert g[0] == 0 and g[1] in (1, 2, 3)
+
+
+def test_gate_is_keyed_on_the_monad_not_its_name(ext_factory):
+    # a powerset monad that borrows the name "id" must not inherit T1=1
+    from lawcat.completeness import completeness_gate
+    from lawcat.laxext import LaxExtension
+    from lawcat.monad import PowersetMonad, monad_capabilities
+
+    class Fake(PowersetMonad):
+        name = "id"
+
+    assert completeness_gate(ext_factory("id", "2")) == "T1=1"
+    fake = Fake()
+    caps = monad_capabilities(fake)
+    assert not caps["t1_is_one"] and caps["m_bc"]
+    assert completeness_gate(LaxExtension(fake, builtin("2"))) == "m-BC"

@@ -5,13 +5,13 @@ import pytest
 
 from lawcat.errors import GateUnavailable
 from lawcat.laxext import LaxExtension
+from lawcat.monad import m_square_gap
 from lawcat.quantale import builtin
 from lawcat.tvcat import (
     algebra_compose,
     all_tvcategories,
     check_evaluation_functor,
     check_exponential_maximality,
-    check_square_bc,
     check_tv_adjunction,
     check_tvbimodule,
     check_tvcategory,
@@ -104,7 +104,7 @@ def test_ultra_two_structures_are_preorders(ext_factory):
     q = ext.q
     bad = VMatrix(q, 3, 3, ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
     verdict = check_tvcategory(ext, 3, bad)
-    assert not verdict["ok"] and verdict["law"] == "associativity"
+    assert not verdict["ok"] and verdict["law"] == "transitivity"
 
 
 @pytest.mark.parametrize("mname,qname", [("id", "c3"), ("ultra", "2"), ("powerset", "2")])
@@ -254,10 +254,7 @@ def test_hom_xi_reduces_to_hom_for_identity_monad(ext_factory):
 def test_algebra_compose_equivalence_exhaustive(ext_factory):
     # identity monad: every unital associative map against every structure
     ext = ext_factory("id", "2")
-    q = ext.q
-    from lawcat.enriched import all_vcategories
-
-    for vcat in all_vcategories(q, 2):
+    for vcat in all_tvcategories(ext, 2):
         for alpha in itertools.product(range(2), repeat=2):
             if any(alpha[x] != x for x in range(2)):
                 continue
@@ -404,4 +401,4 @@ def test_yoneda0_gates(ext_factory):
 def test_square_bc_for_ultra_maps(ext_factory):
     ext = ext_factory("ultra", "2")
     for f in itertools.product(range(2), repeat=3):
-        assert check_square_bc(ext, f, 3, 2)
+        assert m_square_gap(ext.monad, f, 3, 2) is None
