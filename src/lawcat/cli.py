@@ -350,10 +350,16 @@ def cmd_complete_quniform(args):
     return 0 if rep["lawvere"] and rep["agree"] else 1
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    # Built once per process and reused; parse_args leaves it unchanged.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -62,26 +62,6 @@ class AdjointPair:
         return f"AdjointPair(rep={self.representative})"
 
 
-def _phi_max_for(x, tpsi):
-    """Largest phi with phi * psi <= a, from the residual bound."""
-    ext = x.ext
-    q = ext.q
-    monad = ext.monad
-    t1 = monad.size(1)
-    mu = ext.mult_map(x.n)
-    ttn = monad.size(monad.size(x.n))
-    data = []
-    for z in range(t1):
-        row = []
-        for p in range(x.n):
-            acc = q.top
-            for big in range(ttn):
-                acc = q.meet(acc, q.hom(tpsi.data[big][z], x.a.data[mu[big]][p]))
-            row.append(acc)
-        data.append(tuple(row))
-    return VMatrix(q, t1, x.n, tuple(data))
-
-
 def _pair_is_adjoint(x, phi, psi, pcat):
     ext = x.ext
     unit_ok = pcat.a.le(kleisli_compose(ext, psi, phi, 1))
@@ -113,11 +93,126 @@ def _is_psi_bimodule(x, psi, pcat, kc=None):
     ).le(psi)
 
 
+def _kc_closed_psis(q, kc, tn):
+    """Every psi with kc[s][t] (x) psi[t] <= psi[s] for all s, t.
+
+    Backtracking over the coordinates in order: a value is rejected as soon
+    as the constraint fails against itself or an assigned coordinate, in
+    either direction.  The result is in itertools.product order.
+    """
+    tens, leq = q.tensor, q.leq
+    values = range(q.n)
+    psi = [q.bottom] * tn
+    out = []
+
+    def assign(i):
+        if i == tn:
+            out.append(tuple(psi))
+            return
+        kc_i = kc[i]
+        for v in values:
+            if not leq[tens[kc_i[i]][v]][v]:
+                continue
+            for j in range(i):
+                w = psi[j]
+                if not (leq[tens[kc_i[j]][w]][v] and leq[tens[kc[j][i]][v]][w]):
+                    break
+            else:
+                psi[i] = v
+                assign(i + 1)
+
+    assign(0)
+    return out
+
+
+def _pruned_pairs(x, kc, pcat):
+    """The adjoint pairs of enumerate_adjoint_pairs, unsorted, on plain tuples.
+
+    Walks only the psi satisfying the kc half of the psi-module law.  At each
+    of them it checks the unit-category half of that law, resolves phi from
+    the residual bound, and checks the unit, the counit and both phi-module
+    laws, stopping at the first violated cell.  The unit, which rejects most
+    candidates, goes first.  An inequality (join of terms) <= bound is tested
+    term by term; the unit, a lower bound, joins its terms.
+    """
+    ext = x.ext
+    q = ext.q
+    monad = ext.monad
+    n = x.n
+    tn = monad.size(n)
+    t1 = monad.size(1)
+    tens, leq, meet_t, hom_t = q.tensor, q.leq, q.meet_t, q.hom_t
+    a = x.a.data
+    # The one-point category's structure is bottom off the image of e, and a
+    # term with a bottom factor is bottom: only these entries add to a join.
+    pa = [(t, row[0]) for t, row in enumerate(pcat.a.data) if row[0] != q.bottom]
+    kcp = kleisli_table(pcat)
+    fib_n = ext.mult_fibers(n)
+    fib_1 = ext.mult_fibers(1)
+    # a(m(big), p) for every p, as columns over T(T(n))
+    a_mu = [tuple(a[s][p] for s in ext.mult_map(n)) for p in range(n)]
+    pairs = []
+    for flat in _kc_closed_psis(q, kc, tn):
+        psi = VMatrix(q, tn, 1, tuple((v,) for v in flat))
+        tpsi = ext.extend(psi).data
+        if not all(
+            leq[tens[tpsi[big][t]][c]][flat[s]]
+            for s in range(tn)
+            for big in fib_n[s]
+            for t, c in pa
+        ):
+            continue
+        phi_rows = []
+        for z in range(t1):
+            col = [row[z] for row in tpsi]
+            row = []
+            for a_p in a_mu:
+                acc = q.top
+                for u, w in zip(col, a_p):
+                    acc = meet_t[acc][hom_t[u][w]]
+                row.append(acc)
+            phi_rows.append(tuple(row))
+        phi = VMatrix(q, t1, n, phi_rows)
+        tphi = ext.extend(phi).data
+        if (
+            all(
+                leq[c][
+                    q.join_all(
+                        tens[u][w] for big in fib_1[s] for u, w in zip(tphi[big], flat)
+                    )
+                ]
+                for s, c in pa
+            )
+            and all(
+                leq[tens[u][phi_rows[t][z]]][a_s[z]]
+                for s, a_s in enumerate(a)
+                for big in fib_n[s]
+                for t, u in enumerate(tpsi[big])
+                for z in range(n)
+            )
+            and all(
+                leq[tens[kcp[s][t]][phi_rows[t][z]]][phi_rows[s][z]]
+                for s in range(t1)
+                for t in range(t1)
+                for z in range(n)
+            )
+            and all(
+                leq[tens[u][a[t][z]]][phi_rows[s][z]]
+                for s in range(t1)
+                for big in fib_1[s]
+                for t, u in enumerate(tphi[big])
+                for z in range(n)
+            )
+        ):
+            pairs.append(AdjointPair(phi, psi))
+    return pairs
+
+
 def enumerate_adjoint_pairs(x, max_enum=DEFAULT_MAX_ENUM, oracle=False, allow_ungated=False):
     """All adjoint module pairs from the one-point category into x.
 
-    The pruned path walks the psi space, keeps the modules, resolves the
-    unique left-adjoint candidate for each and verifies the pair; with
+    The pruned path backtracks over the psi space, resolves the unique
+    left-adjoint candidate for each module and verifies the pair; with
     oracle=True both sides are enumerated independently and crossed.
     Without a reduction gate the enumeration itself is still meaningful
     (callers must label verdicts accordingly) but is refused by default.
@@ -138,17 +233,7 @@ def enumerate_adjoint_pairs(x, max_enum=DEFAULT_MAX_ENUM, oracle=False, allow_un
 
     pairs = []
     if not oracle:
-        for flat in itertools.product(range(q.n), repeat=tn):
-            psi = VMatrix(q, tn, 1, tuple((v,) for v in flat))
-            if not _is_psi_bimodule(x, psi, pcat, kc):
-                continue
-            tpsi = ext.extend(psi)
-            phi = _phi_max_for(x, tpsi)
-            if not _is_phi_bimodule(x, phi, pcat):
-                continue
-            if not _pair_is_adjoint(x, phi, psi, pcat):
-                continue
-            pairs.append(AdjointPair(phi, psi))
+        pairs = _pruned_pairs(x, kc, pcat)
     else:
         phi_count = q.n ** (t1 * x.n)
         if phi_count * psi_count > max_enum:

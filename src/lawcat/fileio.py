@@ -11,7 +11,7 @@ import os
 
 from .errors import ParseError
 from .instances import FinitePreorder
-from .monad import builtin_monad
+from .monad import builtin_monad, builtin_monads
 from .quantale import Quantale, builtin_quantales, validate_quantale
 from .quniform import QuasiUniformity
 from .vmatrix import VMatrix
@@ -174,6 +174,8 @@ def parse_category_text(text, path="<string>"):
                     raise ParseError(
                         path, lineno, "expected 'tvcat <name> over <quantale> monad <name>'"
                     )
+                if words[5] not in builtin_monads():
+                    raise ParseError(path, lineno, f"unknown monad {words[5]!r}")
                 header = (words[1], words[3], words[5])
             else:
                 raise ParseError(path, lineno, f"unknown header {words[0]!r}")

@@ -13,6 +13,7 @@ import random
 import zlib
 
 from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
+from .monad import IdentityMonad
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map
 
 
@@ -68,16 +69,20 @@ class LaxExtension:
         quotient by the row and column classes is extended and read back
         through T of the class maps.  This is exact because the extension
         commutes with maps: T(r.q) = T(r).Tq and T(c°.r) = (Tc)°.T(r)
-        (laws (a) and (b) of check_extension_laws).
+        (laws (a) and (b) of check_extension_laws).  Over the identity
+        monad (and so the ultrafilter monad) the threshold loop rebuilds m
+        cell by cell, so m itself is returned and not memoized.
         """
-        key = (m.rows, m.cols, m.data)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         trows = self.monad.size(m.rows)
         tcols = self.monad.size(m.cols)
         if trows * tcols > self.max_enum:
             raise BudgetExceeded("extended matrix size", trows * tcols, self.max_enum)
+        if isinstance(self.monad, IdentityMonad):
+            return m
+        key = (m.rows, m.cols, m.data)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         if (trows > m.rows or tcols > m.cols) and (
             len(set(m.data)) < m.rows or len(set(_columns(m))) < m.cols
         ):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from lawcat import cli
 from lawcat.cli import main
 from lawcat.errors import ParseError
 from lawcat.fileio import (
@@ -164,3 +165,38 @@ def test_check_and_yoneda_name_the_same_law(capsys):
     err = capsys.readouterr().err
     verdict = ast.literal_eval(err.split("invalid object: ", 1)[1])
     assert (verdict["law"], list(verdict["witness"])) == ("transitivity", [0, 1, 2])
+
+
+def _run(argv, capsys, fresh):
+    if fresh:
+        cli._PARSER = None
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    jobs = [
+        ["check", path("chain2u.tvcat"), "--format", "json"],
+        ["complete", path("disc2pset.vcat"), "--format", "json"],
+        ["complete", path("chain2.vcat"), "--oracle"],
+        ["suite", "--only", "quantale-laws", "yoneda-v", "--format", "json"],
+        ["check", path("notcat.vcat")],
+    ]
+    fresh = [_run(argv, capsys, fresh=True) for argv in jobs]
+    parser = cli._PARSER
+    reused = [_run(argv, capsys, fresh=False) for argv in jobs]
+    assert cli._PARSER is parser
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 0, 1]
+    assert main(["--help"]) == 0
+    assert main(["complete", "--help"]) == 0
+    assert main(["check", path("chain2u.tvcat")]) == 0
+    assert cli._PARSER is parser
+
+
+def test_unknown_monad_is_a_parse_error(tmp_path, capsys):
+    target = tmp_path / "c.tvcat"
+    target.write_text("tvcat c over 2 monad foo\nelements: a\nm[a,a] = 1\n")
+    assert main(["check", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {target}:1: unknown monad 'foo'")

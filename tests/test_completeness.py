@@ -10,7 +10,7 @@ from lawcat.completeness import (
     representative_for,
     uniqueness_of_adjoints,
 )
-from lawcat.errors import GateUnavailable
+from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.quantale import builtin
 from lawcat.tvcat import TVCategory, all_tvcategories, discrete_tvcategory, hom_xi_category
 from lawcat.vmatrix import VMatrix
@@ -284,3 +284,59 @@ def test_gate_is_keyed_on_the_monad_not_its_name(ext_factory):
     caps = monad_capabilities(fake)
     assert not caps["t1_is_one"] and caps["m_bc"]
     assert completeness_gate(LaxExtension(fake, builtin("2"))) == "m-BC"
+
+
+# Every structure of each setting, small enough for the oracle's pair space.
+ORACLE_SETTINGS = [
+    ("id", "2", 1),
+    ("id", "2", 2),
+    ("id", "2", 3),
+    ("id", "plus3", 2),
+    ("id", "pset2", 2),
+    ("ultra", "c3", 2),
+    ("powerset", "2", 1),
+    ("powerset", "2", 2),
+    ("powerset", "c3", 1),
+]
+
+
+@pytest.mark.parametrize("mname,qname,n", ORACLE_SETTINGS)
+def test_pruned_kernel_matches_oracle_on_every_structure(ext_factory, mname, qname, n):
+    ext = ext_factory(mname, qname)
+    cats = all_tvcategories(ext, n)
+    assert cats
+    for cat in cats:
+        pruned = enumerate_adjoint_pairs(cat)
+        reference = enumerate_adjoint_pairs(cat, oracle=True)
+        assert [p.key() for p in pruned] == [p.key() for p in reference], cat.a.data
+
+
+@pytest.mark.parametrize(
+    "mname,qname,n",
+    [("id", "2", 3), ("id", "c3", 2), ("ultra", "plus3", 2), ("powerset", "2", 1), ("powerset", "c3", 1)],
+)
+def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname, n):
+    # structures failing the category axioms too: there the phi-module laws
+    # reject pairs that the unit inequality alone would keep
+    ext = ext_factory(mname, qname)
+    q = ext.q
+    tn = ext.monad.size(n)
+    for flat in itertools.product(range(q.n), repeat=tn * n):
+        x = TVCategory(ext, n, VMatrix(q, tn, n, [flat[i * n : (i + 1) * n] for i in range(tn)]))
+        pruned = enumerate_adjoint_pairs(x)
+        reference = enumerate_adjoint_pairs(x, oracle=True)
+        assert [p.key() for p in pruned] == [p.key() for p in reference], flat
+
+
+@pytest.mark.parametrize(
+    "mname,qname,n", [("id", "2", 3), ("id", "c3", 2), ("ultra", "plus3", 2), ("powerset", "2", 2)]
+)
+def test_psi_budget_edge(ext_factory, mname, qname, n):
+    ext = ext_factory(mname, qname)
+    cat = discrete_tvcategory(ext, n)
+    psi_count = ext.q.n ** ext.monad.size(n)
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_adjoint_pairs(cat, max_enum=psi_count - 1)
+    assert (err.value.what, err.value.needed) == ("psi space", psi_count)
+    pairs = enumerate_adjoint_pairs(cat, max_enum=psi_count)
+    assert [p.key() for p in pairs] == [p.key() for p in enumerate_adjoint_pairs(cat)]

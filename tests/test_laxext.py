@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lawcat.errors import GateUnavailable
+from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import (
     LaxExtension,
     _threshold_extend,
@@ -224,3 +224,21 @@ def test_reduced_extension_of_hom_xi_structure(monads, quantales):
     assert (ta.rows, ta.cols) == (65536, 16)
     assert ta == _threshold_extend(monad, q, a)
     assert len({id(row) for row in ta.data}) == 16
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra"])
+@pytest.mark.parametrize("qname", ["2", "c3", "plus3", "pset2"])
+def test_identity_extension_returns_the_matrix(monads, quantales, mname, qname):
+    monad, q = monads[mname], quantales[qname]
+    ext = LaxExtension(monad, q)
+    rng = random.Random(f"identity/{mname}/{qname}")
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(30)]
+    for rows, cols in shapes:
+        m = rand_matrix(rng, q, rows, cols)
+        assert ext.extend(m) is m
+        assert m == _threshold_extend(monad, q, m), m.data
+    assert not ext._memo
+    tight = LaxExtension(monad, q, max_enum=6)
+    assert tight.extend(rand_matrix(rng, q, 2, 3)).rows == 2
+    with pytest.raises(BudgetExceeded):
+        tight.extend(rand_matrix(rng, q, 7, 1))
