@@ -49,7 +49,7 @@ class InvalidObject(Exception):
 
 def _validated_category(payload, workspace, max_enum):
     cat = _category_from_file(payload, workspace, max_enum)
-    verdict = check_tvcategory(cat.ext, cat.n, cat.a, max_enum)
+    verdict = check_tvcategory(cat.ext, cat.n, cat.a)
     if not verdict["ok"]:
         raise InvalidObject(verdict)
     return cat
@@ -65,7 +65,7 @@ def cmd_check(args):
         return 0 if verdict["ok"] else 1
     if kind in ("vcat", "tvcat"):
         cat = _category_from_file(payload, workspace, args.max_enum)
-        verdict = check_tvcategory(cat.ext, cat.n, cat.a, args.max_enum)
+        verdict = check_tvcategory(cat.ext, cat.n, cat.a)
         _emit({"kind": kind, "name": payload.name, **verdict}, args.format, input_block)
         return 0 if verdict["ok"] else 1
     if kind == "space":
@@ -98,7 +98,7 @@ def cmd_complete(args):
         if args.builtin != "v-hom":
             raise ParseError("<args>", 0, f"unknown builtin target {args.builtin!r}")
         ext = LaxExtension(builtin_monad(args.monad), _builtin_quantale(args.quantale), args.max_enum)
-        rep = certify_v_complete(ext, args.max_enum, oracle=args.oracle)
+        rep = certify_v_complete(ext, oracle=args.oracle)
         _emit(
             {"target": f"(V,hom_xi) over {args.quantale} monad {args.monad}", **rep},
             args.format,
@@ -111,7 +111,7 @@ def cmd_complete(args):
     kind, payload = load_file(args.path)
     if kind in ("vcat", "tvcat"):
         cat = _validated_category(payload, workspace, args.max_enum)
-        rep = decide_lawvere_complete(cat, args.max_enum, oracle=args.oracle)
+        rep = decide_lawvere_complete(cat, oracle=args.oracle)
         out = {
             "kind": kind,
             "name": payload.name,
@@ -128,7 +128,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(space_from_preorder(order))
+        rep = sober_vs_lawvere(space_from_preorder(order), args.max_enum)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -164,7 +164,7 @@ def cmd_sober(args):
     name, labels, order = payload
     space = space_from_preorder(order)
     rep = weakly_sober(space)
-    agreement = sober_vs_lawvere(space)
+    agreement = sober_vs_lawvere(space, args.max_enum)
     out = {
         "name": name,
         "weakly_sober": rep["weakly_sober"],
@@ -188,7 +188,7 @@ def cmd_yoneda(args):
     if kind not in ("vcat", "tvcat"):
         raise ParseError(args.path, 1, "yoneda expects a category file")
     cat = _validated_category(payload, workspace, args.max_enum)
-    rep = tv_yoneda(cat, args.max_enum)
+    rep = tv_yoneda(cat)
     out = {"kind": kind, "name": payload.name}
     if kind == "vcat":
         # Over the identity monad the presheaves are the restricted carrier.
@@ -212,7 +212,7 @@ def cmd_dual(args):
     if kind not in ("vcat", "tvcat"):
         raise ParseError(args.path, 1, "dual expects a category file")
     cat = _validated_category(payload, workspace, args.max_enum)
-    dual = dual_tvcategory(cat, args.max_enum)
+    dual = dual_tvcategory(cat)
     monad = cat.monad
     row_labels = monad.labels(dual.n, monad.labels(cat.n, payload.labels))
     col_labels = monad.labels(cat.n, payload.labels)

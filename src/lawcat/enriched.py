@@ -16,4 +16,4 @@ from .tvcat import check_tvbimodule as check_vbimodule  # noqa: F401
 
 def all_vcategories(q, n, max_enum=DEFAULT_MAX_ENUM):
     """Every V-category on n points, over the quantale object q."""
-    return all_tvcategories(LaxExtension(builtin_monad("id"), q, max_enum), n, max_enum)
+    return all_tvcategories(LaxExtension(builtin_monad("id"), q, max_enum), n)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 
-from .completeness import _is_phi_bimodule, decide_lawvere_complete
-from .errors import GateUnavailable
+from .completeness import decide_lawvere_complete
+from .errors import DEFAULT_MAX_ENUM, GateUnavailable
 from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import builtin
-from .tvcat import TVCategory, check_tvfunctor, hom_xi_category, unit_tvcategory
+from .tvcat import TVCategory, check_tvfunctor, hom_xi_category, is_tvbimodule, unit_tvcategory
 from .vmatrix import VMatrix
 
 
@@ -194,9 +194,9 @@ def weakly_sober(space):
     return {"weakly_sober": sober, "irreducible": details, "closed_count": len(closed)}
 
 
-def sober_vs_lawvere(space):
+def sober_vs_lawvere(space, max_enum=DEFAULT_MAX_ENUM):
     """Both sides of the space-level equivalence, computed independently."""
-    ext = LaxExtension(builtin_monad("ultra"), builtin("2"))
+    ext = LaxExtension(builtin_monad("ultra"), builtin("2"), max_enum)
     cat = tvcategory_from_space(ext, space)
     sober = weakly_sober(space)["weakly_sober"]
     lawvere = decide_lawvere_complete(cat)["complete"]
@@ -376,7 +376,7 @@ def approach_surrogate(cat):
     analysis_complete = True
     for row in itertools.product(range(q.n), repeat=cat.n):
         phi = VMatrix(q, 1, cat.n, (row,))
-        bim = _is_phi_bimodule(cat, phi, pcat)
+        bim = is_tvbimodule(phi, pcat, cat)
         functor = check_tvfunctor(row, cat, vxi)["ok"]
         vs = variable_set_from_row(q, cat.n, row)
         closed = is_closed_varset(cat, vs)

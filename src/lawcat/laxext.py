@@ -22,7 +22,8 @@ class LaxExtension:
 
     Construction refuses inadmissible combinations: the threshold-span
     formula only defines an extension when the unit is the top element
-    or T of the empty set is empty.
+    or T of the empty set is empty.  max_enum is the one budget of every
+    enumeration built on this extension.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -183,7 +184,7 @@ def _classes(vectors):
     return classes, [classes.index(c) for c in range(len(ids))]
 
 
-def check_xi(ext, max_enum=DEFAULT_MAX_ENUM):
+def check_xi(ext):
     """Eilenberg-Moore laws for xi, plus its link with the extended element matrix.
 
     Verifies xi . e_V = id on V, xi . m_V = xi . T(xi) on T^2(V), and that
@@ -200,8 +201,8 @@ def check_xi(ext, max_enum=DEFAULT_MAX_ENUM):
         if xi[ext.unit_map(n)[u]] != u:
             return {"ok": False, "law": "xi-unit", "witness": q.labels[u]}
     ttn = monad.size(tn)
-    if ttn > max_enum:
-        raise BudgetExceeded("T^2 of quantale carrier", ttn, max_enum)
+    if ttn > ext.max_enum:
+        raise BudgetExceeded("T^2 of quantale carrier", ttn, ext.max_enum)
     mu = ext.mult_map(n)
     txi = monad.tmap(xi, tn, n)
     for big in range(ttn):
@@ -243,7 +244,7 @@ def _pair_index(nx, ny):
     return idx
 
 
-def check_xi_compat(ext, samples=20, seed=0, max_enum=DEFAULT_MAX_ENUM):
+def check_xi_compat(ext, samples=20, seed=0):
     """Compatibility of xi with the tensor, the unit and the extension.
 
     Checks, with witnesses: xi(T k) dominates k on T1; the tensor-algebra
@@ -267,8 +268,8 @@ def check_xi_compat(ext, samples=20, seed=0, max_enum=DEFAULT_MAX_ENUM):
 
     nn = n * n
     tnn = monad.size(nn)
-    if tnn > max_enum:
-        raise BudgetExceeded("T of V x V", tnn, max_enum)
+    if tnn > ext.max_enum:
+        raise BudgetExceeded("T of V x V", tnn, ext.max_enum)
     idx = _pair_index(n, n)
     pi1 = tuple(u for u in range(n) for _ in range(n))
     pi2 = tuple(v for _ in range(n) for v in range(n))

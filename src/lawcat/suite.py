@@ -130,7 +130,7 @@ def item_bimodule_functor(max_enum=DEFAULT_MAX_ENUM):
         psi = VMatrix(
             q, nx, ny, tuple(tuple(rng.randrange(q.n) for _ in range(ny)) for _ in range(nx))
         )
-        verdict = check_tvbimodule(psi, x, y, max_enum)
+        verdict = check_tvbimodule(psi, x, y)
         if verdict["agree"]:
             agreements += 1
         else:
@@ -146,7 +146,7 @@ def item_yoneda_v(max_enum=DEFAULT_MAX_ENUM):
         total = 0
         for n in (1, 2):
             for cat in all_vcategories(q, n, max_enum):
-                rep = yoneda(cat, max_enum)
+                rep = yoneda(cat)
                 if not (rep["ok"] and rep["fully_faithful"]):
                     ok = False
                 total += 1
@@ -158,11 +158,11 @@ def item_v_complete(max_enum=DEFAULT_MAX_ENUM):
     details = {}
     ok = True
     for name in ACCEPT_QUANTALES:
-        rep = certify_v_complete(_ext("id", name, max_enum), max_enum)
+        rep = certify_v_complete(_ext("id", name, max_enum))
         details[f"id/{name}"] = rep["certified"]
         ok = ok and rep["certified"]
     for name in ("2", "c3"):
-        rep = certify_v_complete(_ext("ultra", name, max_enum), max_enum)
+        rep = certify_v_complete(_ext("ultra", name, max_enum))
         details[f"ultra/{name}"] = rep["certified"]
         ok = ok and rep["certified"]
     return {"ok": ok, "certified": details}
@@ -178,7 +178,7 @@ def item_ord_complete(max_enum=DEFAULT_MAX_ENUM):
             [ext.q.unit if p.leq[x][y] else ext.q.bottom for y in range(p.n)]
             for x in range(p.n)
         ]))
-        if not decide_lawvere_complete(cat, max_enum)["complete"]:
+        if not decide_lawvere_complete(cat)["complete"]:
             all_complete = False
             break
     sections = 0
@@ -219,7 +219,7 @@ def item_xi_algebra(max_enum=DEFAULT_MAX_ENUM):
     for mname in ("id", "powerset", "ultra"):
         for qname in SMALL_QUANTALES:
             ext = _ext(mname, qname, max_enum)
-            em = check_xi(ext, max_enum)["ok"]
+            em = check_xi(ext)["ok"]
             functor = check_xi_functor(ext)["ok"]
             compat = check_xi_compat(ext, samples=8)
             flag_matches = compat["tensor_strict"] == ext.capabilities()["tensor_strict"]
@@ -244,8 +244,8 @@ def item_hom_xi(max_enum=DEFAULT_MAX_ENUM):
     for mname in ("id", "powerset", "ultra"):
         for qname in SMALL_QUANTALES:
             ext = _ext(mname, qname, max_enum)
-            cat = hom_xi_category(ext, max_enum, validate=False)
-            verdict = check_tvcategory(ext, cat.n, cat.a, max_enum)
+            cat = hom_xi_category(ext, validate=False)
+            verdict = check_tvcategory(ext, cat.n, cat.a)
             details[f"{mname}/{qname}"] = verdict["ok"]
             ok = ok and verdict["ok"]
     return {"ok": ok, "per_combo": details}
@@ -258,8 +258,8 @@ def item_yoneda_tv(max_enum=DEFAULT_MAX_ENUM):
         ext = _ext(mname, qname, max_enum)
         count = 0
         for n in (1, 2):
-            for cat in all_tvcategories(ext, n, max_enum):
-                rep = yoneda(cat, max_enum)
+            for cat in all_tvcategories(ext, n):
+                rep = yoneda(cat)
                 if not (rep["ok"] and rep["fully_faithful"]):
                     ok = False
                 count += 1
@@ -272,7 +272,7 @@ def item_sober(max_enum=DEFAULT_MAX_ENUM):
     ok = True
     for n in (1, 2, 3, 4):
         for p in enumerate_preorders(n):
-            rep = sober_vs_lawvere(space_from_preorder(p))
+            rep = sober_vs_lawvere(space_from_preorder(p), max_enum)
             if not (rep["agree"] and rep["weakly_sober"] and rep["lawvere"]):
                 ok = False
             total += 1
@@ -284,7 +284,7 @@ def item_approach(max_enum=DEFAULT_MAX_ENUM):
     total = 0
     ok = True
     for n in (1, 2):
-        for cat in all_tvcategories(ext, n, max_enum):
+        for cat in all_tvcategories(ext, n):
             rep = approach_surrogate(cat)
             if not rep["equivalence"]:
                 ok = False

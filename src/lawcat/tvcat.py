@@ -3,15 +3,15 @@
 Covers the axiom checker, Kleisli composition, functors and the induced
 module pair, bimodules with the double-functor characterization, duals,
 tensors, the canonical structure on the quantale, exponentials and both
-Yoneda morphisms.  Conditional constructions consult machine-checked
-capability flags instead of assuming hypotheses.
+Yoneda morphisms.  Conditional constructions check their hypotheses
+instead of assuming them.  Every budget is the extension's max_enum.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
+from .errors import BudgetExceeded, GateUnavailable
 from .monad import m_square_gap
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map, select_cols
 
@@ -53,7 +53,7 @@ class TVCategory:
         return hash((id(self.ext), self.n, self.a.data))
 
 
-def check_tvcategory(ext, n, a, max_enum=DEFAULT_MAX_ENUM):
+def check_tvcategory(ext, n, a):
     """Reflexivity and transitivity (lax unit and associativity) with witnesses.
 
     (R): k <= a(e(x), x) for every x.  (T): Ta(s, t) (x) a(t, x) <= a(m(s), x)
@@ -68,8 +68,8 @@ def check_tvcategory(ext, n, a, max_enum=DEFAULT_MAX_ENUM):
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     tn = monad.size(n)
     ttn = monad.size(tn)
-    if ttn * tn > max_enum:
-        raise BudgetExceeded("associativity sweep", ttn * tn, max_enum)
+    if ttn * tn > ext.max_enum:
+        raise BudgetExceeded("associativity sweep", ttn * tn, ext.max_enum)
     ta = ext.extend(a)
     mu = ext.mult_map(n)
     bot = q.bottom
@@ -98,8 +98,8 @@ def check_tvcategory(ext, n, a, max_enum=DEFAULT_MAX_ENUM):
     return {"ok": True}
 
 
-def tvcategory(ext, n, a, name="", max_enum=DEFAULT_MAX_ENUM):
-    verdict = check_tvcategory(ext, n, a, max_enum)
+def tvcategory(ext, n, a, name=""):
+    verdict = check_tvcategory(ext, n, a)
     if not verdict["ok"]:
         raise ValueError(f"not a (T,V)-category: {verdict}")
     return TVCategory(ext, n, a, name)
@@ -116,14 +116,14 @@ def discrete_tvcategory(ext, n):
     return TVCategory(ext, n, VMatrix(q, tn, n, data), name=f"discrete{n}")
 
 
-def em_algebra_category(ext, n, max_enum=DEFAULT_MAX_ENUM):
+def em_algebra_category(ext, n):
     """The free algebra on n points as a category: carrier T(n), structure m."""
     key = ("em", n)
     if key not in ext.cache:
         tn = ext.monad.size(n)
         ttn = ext.monad.size(tn)
         m_emb = VMatrix.from_map(ext.q, ext.mult_map(n), ttn, tn)
-        ext.cache[key] = tvcategory(ext, tn, m_emb, name=f"|{n}|", max_enum=max_enum)
+        ext.cache[key] = tvcategory(ext, tn, m_emb, name=f"|{n}|")
     return ext.cache[key]
 
 
@@ -132,13 +132,13 @@ def unit_tvcategory(ext):
     return discrete_tvcategory(ext, 1)
 
 
-def algebra_as_category(ext, alpha, n, max_enum=DEFAULT_MAX_ENUM):
+def algebra_as_category(ext, alpha, n):
     """An algebra map embedded as a structure: unit exactly on its graph."""
     a = VMatrix.from_map(ext.q, alpha, ext.monad.size(n), n)
-    return tvcategory(ext, n, a, name="algebra", max_enum=max_enum)
+    return tvcategory(ext, n, a, name="algebra")
 
 
-def hom_xi_category(ext, max_enum=DEFAULT_MAX_ENUM, validate=True):
+def hom_xi_category(ext, validate=True):
     """The quantale itself, structured by residuation after the algebra map."""
     key = ("homxi", validate)
     if key not in ext.cache:
@@ -148,7 +148,7 @@ def hom_xi_category(ext, max_enum=DEFAULT_MAX_ENUM, validate=True):
         data = tuple(tuple(q.hom(xi[s], v) for v in range(q.n)) for s in range(tn))
         a = VMatrix(q, tn, q.n, data)
         if validate:
-            ext.cache[key] = tvcategory(ext, q.n, a, name="V-hom-xi", max_enum=max_enum)
+            ext.cache[key] = tvcategory(ext, q.n, a, name="V-hom-xi")
         else:
             ext.cache[key] = TVCategory(ext, q.n, a, name="V-hom-xi")
     return ext.cache[key]
@@ -240,7 +240,7 @@ def functor_module_equivalence(f, x, y):
     }
 
 
-def dual_tvcategory(x, max_enum=DEFAULT_MAX_ENUM):
+def dual_tvcategory(x):
     """Dual category on carrier TX via the algebra and forgetful round trip."""
     ext = x.ext
     key = ("dual", x.n, x.a.data)
@@ -255,19 +255,18 @@ def dual_tvcategory(x, max_enum=DEFAULT_MAX_ENUM):
     return ext.cache[key]
 
 
-def tensor_tvcat(x, y, validate=False, max_enum=DEFAULT_MAX_ENUM):
+def tensor_tvcat(x, y):
     """Pointwise tensor structure on the product carrier.
 
     Validity of the result is conditional on strictness of the algebra map
-    against the tensor; with validate=True an invalid result raises and
-    names that gate.
+    against the tensor (the tensor_strict capability); it is not checked here.
     """
     ext = x.ext
     q = ext.q
     monad = ext.monad
     n = x.n * y.n
-    if monad.size(n) * n > max_enum:
-        raise BudgetExceeded("tensor carrier", monad.size(n) * n, max_enum)
+    if monad.size(n) * n > ext.max_enum:
+        raise BudgetExceeded("tensor carrier", monad.size(n) * n, ext.max_enum)
     pix = tuple(p for p in range(x.n) for _ in range(y.n))
     piy = tuple(u for _ in range(x.n) for u in range(y.n))
     tpix = monad.tmap(pix, n, x.n)
@@ -280,19 +279,10 @@ def tensor_tvcat(x, y, validate=False, max_enum=DEFAULT_MAX_ENUM):
         )
         for w in range(monad.size(n))
     )
-    cand = TVCategory(ext, n, VMatrix(q, monad.size(n), n, data), name=f"{x.name}(x){y.name}")
-    if validate:
-        verdict = check_tvcategory(ext, n, cand.a, max_enum)
-        if not verdict["ok"]:
-            strict = ext.capabilities()["tensor_strict"]
-            raise GateUnavailable(
-                "tensor-strict",
-                f"tensor structure fails {verdict['law']} and strictness flag is {strict}",
-            )
-    return cand
+    return TVCategory(ext, n, VMatrix(q, monad.size(n), n, data), name=f"{x.name}(x){y.name}")
 
 
-def algebra_compose(ext, a0, alpha, n, max_enum=DEFAULT_MAX_ENUM):
+def algebra_compose(ext, a0, alpha, n):
     """Composite of a plain square structure with an algebra map, both ways.
 
     Returns the structure a0 . alpha together with the equivalence data:
@@ -309,7 +299,7 @@ def algebra_compose(ext, a0, alpha, n, max_enum=DEFAULT_MAX_ENUM):
     if any(alpha[talpha[s]] != alpha[mu[s]] for s in range(monad.size(monad.size(n)))):
         raise ValueError("alpha is not associative")
     composite = precompose_map(a0, alpha, monad.size(n))
-    is_structure = check_tvcategory(ext, n, composite, max_enum)["ok"]
+    is_structure = check_tvcategory(ext, n, composite)["ok"]
     ta0 = ext.extend(a0)
     alpha_functor = all(
         q.le(ta0.data[s][t], a0.data[alpha[s]][alpha[t]])
@@ -324,42 +314,38 @@ def algebra_compose(ext, a0, alpha, n, max_enum=DEFAULT_MAX_ENUM):
     }
 
 
-def check_tvbimodule(psi, x, y, max_enum=DEFAULT_MAX_ENUM):
+def check_tvbimodule(psi, x, y):
     """Direct module laws against the double-functor characterization.
 
     The direct verdict uses Kleisli composition.  The second route reads
     psi as a map on T(X) x Y and asks for functoriality both out of the
     free-algebra tensor and out of the dual tensor, into the canonical
-    structure on the quantale; agreement is recorded and gated on the
-    strictness of the multiplication for this extension.
+    structure on the quantale.  Agreement is recorded, not enforced: the
+    characterization holds when the extension has the m_natural capability.
     """
     ext = x.ext
     monad = ext.monad
-    q = ext.q
     direct = is_tvbimodule(psi, x, y)
-
-    gate = ext.capabilities()["m_natural"]
-    v_cat = hom_xi_category(ext, max_enum, validate=False)
-    xbar = em_algebra_category(ext, x.n, max_enum)
-    xop = dual_tvcategory(x, max_enum)
+    v_cat = hom_xi_category(ext, validate=False)
+    xbar = em_algebra_category(ext, x.n)
+    xop = dual_tvcategory(x)
     psi_map = tuple(
         psi.data[s][yy] for s in range(monad.size(x.n)) for yy in range(y.n)
     )
     via = True
     for source in (xbar, xop):
-        prod = tensor_tvcat(source, y, validate=False, max_enum=max_enum)
+        prod = tensor_tvcat(source, y)
         if not check_tvfunctor(psi_map, prod, v_cat)["ok"]:
             via = False
     return {
         "direct": direct,
         "via_functors": via,
         "agree": direct == via,
-        "m_natural_gate": gate,
         "ok": direct,
     }
 
 
-def whisker_checks(f, x, y, phi, psi, z, max_enum=DEFAULT_MAX_ENUM):
+def whisker_checks(f, x, y, phi, psi, z):
     """Whiskering of modules along a functor, with the collapsed forms.
 
     phi: Y -|-> Z and psi: Z -|-> Y are modules; the whiskered composites
@@ -394,22 +380,22 @@ def check_tv_adjunction(ext, phi, psi, x, y):
     return {"unit": unit, "counit": counit, "is_adjoint": unit and counit}
 
 
-def all_tvcategories(ext, n, max_enum=DEFAULT_MAX_ENUM):
+def all_tvcategories(ext, n):
     """Every structure on an n-point carrier passing both axioms."""
     q = ext.q
     tn = ext.monad.size(n)
     total = q.n ** (tn * n)
-    if total > max_enum:
-        raise BudgetExceeded("structure space", total, max_enum)
+    if total > ext.max_enum:
+        raise BudgetExceeded("structure space", total, ext.max_enum)
     out = []
     for flat in itertools.product(range(q.n), repeat=tn * n):
         a = VMatrix(q, tn, n, tuple(flat[i * n : (i + 1) * n] for i in range(tn)))
-        if check_tvcategory(ext, n, a, max_enum)["ok"]:
+        if check_tvcategory(ext, n, a)["ok"]:
             out.append(TVCategory(ext, n, a))
     return out
 
 
-def exponentiable(x, max_enum=DEFAULT_MAX_ENUM):
+def exponentiable(x):
     """The function-space precondition: a . Ta = a . m as matrices."""
     ext = x.ext
     ta = ext.extend(x.a)
@@ -439,7 +425,7 @@ class Exponential:
         return self.carrier.index(tuple(h))
 
 
-def exponential_tvcat(x, y, max_enum=DEFAULT_MAX_ENUM):
+def exponential_tvcat(x, y):
     """Build Y^X: carrier of functorial maps, structure by the evaluation bound.
 
     Requires the precondition a . Ta = a . m on the base.  The structure
@@ -451,13 +437,13 @@ def exponential_tvcat(x, y, max_enum=DEFAULT_MAX_ENUM):
     ext = x.ext
     q = ext.q
     monad = ext.monad
-    if not exponentiable(x, max_enum):
+    if not exponentiable(x):
         raise GateUnavailable("exponentiable", "base fails a.Ta = a.m")
     pcat = unit_tvcategory(ext)
-    xp = tensor_tvcat(x, pcat, validate=False, max_enum=max_enum)
+    xp = tensor_tvcat(x, pcat)
     total = y.n ** x.n
-    if total > max_enum:
-        raise BudgetExceeded("function space", total, max_enum)
+    if total > ext.max_enum:
+        raise BudgetExceeded("function space", total, ext.max_enum)
     funcs = [
         h
         for h in itertools.product(range(y.n), repeat=x.n)
@@ -465,8 +451,8 @@ def exponential_tvcat(x, y, max_enum=DEFAULT_MAX_ENUM):
     ]
     nf = len(funcs)
     npair = x.n * nf
-    if monad.size(npair) * nf > max_enum:
-        raise BudgetExceeded("exponential structure sweep", monad.size(npair) * nf, max_enum)
+    if monad.size(npair) * nf > ext.max_enum:
+        raise BudgetExceeded("exponential structure sweep", monad.size(npair) * nf, ext.max_enum)
     pix = tuple(p for p in range(x.n) for _ in range(nf))
     pif = tuple(i for _ in range(x.n) for i in range(nf))
     ev = tuple(funcs[i][p] for p in range(x.n) for i in range(nf))
@@ -491,16 +477,16 @@ def exponential_tvcat(x, y, max_enum=DEFAULT_MAX_ENUM):
     return Exponential(x, y, funcs, structure, not all(seen))
 
 
-def check_evaluation_functor(expo, max_enum=DEFAULT_MAX_ENUM):
+def check_evaluation_functor(expo):
     """Evaluation out of base (x) exponential is a functor into the target."""
     x, y = expo.base, expo.target
     fcat = expo.category()
-    prod = tensor_tvcat(x, fcat, validate=False, max_enum=max_enum)
+    prod = tensor_tvcat(x, fcat)
     ev_map = tuple(expo.carrier[i][p] for p in range(x.n) for i in range(expo.n))
     return check_tvfunctor(ev_map, prod, y)
 
 
-def check_exponential_maximality(expo, max_enum=DEFAULT_MAX_ENUM):
+def check_exponential_maximality(expo):
     """Bump perturbation: raising any structure entry breaks evaluation."""
     x, y = expo.base, expo.target
     q = x.q
@@ -515,29 +501,29 @@ def check_exponential_maximality(expo, max_enum=DEFAULT_MAX_ENUM):
                     cand = Exponential(
                         x, y, expo.carrier, VMatrix(q, expo.structure.rows, expo.n, bumped), False
                     )
-                    if check_evaluation_functor(cand, max_enum)["ok"]:
+                    if check_evaluation_functor(cand)["ok"]:
                         return {"ok": False, "witness": (s, i, q.labels[v])}
     return {"ok": True}
 
 
-def oracle_largest_structure(expo, max_enum=DEFAULT_MAX_ENUM):
+def oracle_largest_structure(expo):
     """Full search for the largest evaluation-preserving structure (tiny only)."""
     x, y = expo.base, expo.target
     q = x.q
     rows, cols = expo.structure.rows, expo.n
     total = q.n ** (rows * cols)
-    if total > max_enum:
-        raise BudgetExceeded("largest-structure search", total, max_enum)
+    if total > x.ext.max_enum:
+        raise BudgetExceeded("largest-structure search", total, x.ext.max_enum)
     best = VMatrix.constant(q, rows, cols, q.bottom)
     for flat in itertools.product(range(q.n), repeat=rows * cols):
         cand_m = VMatrix(q, rows, cols, tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)))
         cand = Exponential(x, y, expo.carrier, cand_m, False)
-        if check_evaluation_functor(cand, max_enum)["ok"]:
+        if check_evaluation_functor(cand)["ok"]:
             best = best.join(cand_m)
     return best
 
 
-def yoneda(x, max_enum=DEFAULT_MAX_ENUM):
+def yoneda(x):
     """Yoneda data into the presheaf space over the free algebra.
 
     Builds V^{|X|}, the map p |-> a(-, p), and returns: the bound
@@ -551,9 +537,9 @@ def yoneda(x, max_enum=DEFAULT_MAX_ENUM):
     q = ext.q
     monad = ext.monad
     tn = monad.size(x.n)
-    xbar = em_algebra_category(ext, x.n, max_enum)
-    v_cat = hom_xi_category(ext, max_enum, validate=False)
-    expo = exponential_tvcat(xbar, v_cat, max_enum)
+    xbar = em_algebra_category(ext, x.n)
+    v_cat = hom_xi_category(ext, validate=False)
+    expo = exponential_tvcat(xbar, v_cat)
     index = {h: i for i, h in enumerate(expo.carrier)}
     y_map = []
     for p in range(x.n):
@@ -578,7 +564,7 @@ def yoneda(x, max_enum=DEFAULT_MAX_ENUM):
             if row[i] != expected:
                 oracle_ok = False
 
-    xop = dual_tvcategory(x, max_enum)
+    xop = dual_tvcategory(x)
     equivalence_ok = True
     hat = []
     for i, phi in enumerate(expo.carrier):
@@ -612,7 +598,7 @@ def yoneda(x, max_enum=DEFAULT_MAX_ENUM):
     }
 
 
-def yoneda0(x, max_enum=DEFAULT_MAX_ENUM):
+def yoneda0(x):
     """Second Yoneda morphism, into presheaves over the dual.
 
     Gated on Te . e = m-transpose . e; reports the lower bound everywhere
@@ -634,9 +620,9 @@ def yoneda0(x, max_enum=DEFAULT_MAX_ENUM):
     )
     if not pre_ok:
         return {"ok": None, "precondition": False}
-    xop = dual_tvcategory(x, max_enum)
-    v_cat = hom_xi_category(ext, max_enum, validate=False)
-    expo = exponential_tvcat(xop, v_cat, max_enum)
+    xop = dual_tvcategory(x)
+    v_cat = hom_xi_category(ext, validate=False)
+    expo = exponential_tvcat(xop, v_cat)
     index = {h: i for i, h in enumerate(expo.carrier)}
     cols = [tuple(x.a.data[s][p] for s in range(tn)) for p in range(x.n)]
     if any(c not in index for c in cols):

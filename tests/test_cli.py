@@ -110,6 +110,17 @@ def test_suite_budget_skip_and_strict(capsys):
     assert main(["suite", "--only", "ord-complete", "--max-enum", "10", "--strict"]) == 1
 
 
+@pytest.mark.parametrize("command", ["sober", "complete"])
+def test_space_commands_honour_the_budget(capsys, command):
+    assert main([command, path("sierpinski.space"), "--max-enum", "1"]) == 2
+    assert "psi space" in capsys.readouterr().err
+
+
+def test_suite_sober_honours_the_budget(capsys):
+    assert main(["suite", "--only", "sober", "--max-enum", "1"]) == 0
+    assert "SKIP sober" in capsys.readouterr().out
+
+
 def test_powerset_monad_category_file(capsys):
     assert main(["check", path("pair2p.tvcat")]) == 0
     capsys.readouterr()

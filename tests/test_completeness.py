@@ -11,6 +11,7 @@ from lawcat.completeness import (
     uniqueness_of_adjoints,
 )
 from lawcat.errors import BudgetExceeded, GateUnavailable
+from lawcat.laxext import LaxExtension
 from lawcat.quantale import builtin
 from lawcat.tvcat import TVCategory, all_tvcategories, discrete_tvcategory, hom_xi_category
 from lawcat.vmatrix import VMatrix
@@ -333,10 +334,22 @@ def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname,
 )
 def test_psi_budget_edge(ext_factory, mname, qname, n):
     ext = ext_factory(mname, qname)
-    cat = discrete_tvcategory(ext, n)
     psi_count = ext.q.n ** ext.monad.size(n)
+
+    def pairs_at(budget):
+        tight = LaxExtension(ext.monad, ext.q, budget)
+        return enumerate_adjoint_pairs(discrete_tvcategory(tight, n))
+
     with pytest.raises(BudgetExceeded) as err:
-        enumerate_adjoint_pairs(cat, max_enum=psi_count - 1)
+        pairs_at(psi_count - 1)
     assert (err.value.what, err.value.needed) == ("psi space", psi_count)
-    pairs = enumerate_adjoint_pairs(cat, max_enum=psi_count)
-    assert [p.key() for p in pairs] == [p.key() for p in enumerate_adjoint_pairs(cat)]
+    # The same budget bounds the extension of the structure, T(T(n)) x T(n)
+    # cells, which binds first where it outgrows the psi space.
+    cells = {("id", "2", 3): 9, ("powerset", "2", 2): 64}.get((mname, qname, n))
+    if cells is not None:
+        with pytest.raises(BudgetExceeded) as err:
+            pairs_at(psi_count)
+        assert (err.value.what, err.value.needed) == ("extended matrix size", cells)
+    else:
+        expected = enumerate_adjoint_pairs(discrete_tvcategory(ext, n))
+        assert [p.key() for p in pairs_at(psi_count)] == [p.key() for p in expected]

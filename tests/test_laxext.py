@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -242,3 +243,25 @@ def test_identity_extension_returns_the_matrix(monads, quantales, mname, qname):
     assert tight.extend(rand_matrix(rng, q, 2, 3)).rows == 2
     with pytest.raises(BudgetExceeded):
         tight.extend(rand_matrix(rng, q, 7, 1))
+
+
+def test_the_extension_is_the_only_budget_holder():
+    # Every (T,V) check reads ext.max_enum; a second budget parameter could
+    # disagree with the one the extension enforces in extend.
+    import lawcat.completeness
+    import lawcat.laxext
+    import lawcat.tvcat
+
+    holders = []
+    for module in (lawcat.tvcat, lawcat.completeness, lawcat.laxext):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()]
+            else:
+                members = [(name, obj)]
+            for label, fn in members:
+                if inspect.isfunction(fn) and "max_enum" in inspect.signature(fn).parameters:
+                    holders.append(f"{module.__name__}.{label}")
+    assert holders == ["lawcat.laxext.LaxExtension.__init__"]
