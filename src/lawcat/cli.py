@@ -14,7 +14,7 @@ import sys
 from .completeness import certify_v_complete, decide_lawvere_complete
 from .errors import GateUnavailable, LawcatError, ParseError
 from .fileio import Workspace, load_file
-from .instances import sober_vs_lawvere, space_from_preorder, weakly_sober
+from .instances import sober_vs_lawvere, space_from_preorder, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import validate_quantale
@@ -128,7 +128,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(space_from_preorder(order), args.max_enum)
+        rep = sober_vs_lawvere(space_from_preorder(order), args.max_enum, args.oracle)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -164,7 +164,7 @@ def cmd_sober(args):
     name, labels, order = payload
     space = space_from_preorder(order)
     rep = weakly_sober(space)
-    agreement = sober_vs_lawvere(space, args.max_enum)
+    lawvere = space_lawvere_complete(space, args.max_enum, args.oracle)
     out = {
         "name": name,
         "weakly_sober": rep["weakly_sober"],
@@ -175,11 +175,11 @@ def cmd_sober(args):
             }
             for d in rep["irreducible"]
         ],
-        "lawvere": agreement["lawvere"],
-        "agree": agreement["agree"],
+        "lawvere": lawvere,
+        "agree": rep["weakly_sober"] == lawvere,
     }
     _emit(out, args.format, {"command": "sober", "path": args.path})
-    return 0 if rep["weakly_sober"] and agreement["agree"] else 1
+    return 0 if rep["weakly_sober"] and out["agree"] else 1
 
 
 def cmd_yoneda(args):

@@ -101,11 +101,12 @@ def _pruned_pairs(x, kc, pcat):
 
     Walks only the psi satisfying the kc half of the psi-module law.  At each
     of them it checks the unit-category half of that law, resolves phi from
-    the residual bound, and checks the unit and both phi-module laws,
-    stopping at the first violated cell.  The unit, which rejects most
-    candidates, goes first.  An inequality (join of terms) <= bound is tested
-    term by term; the unit, a lower bound, joins its terms.  The counit
-    phi * psi <= a holds by construction: each of its terms is
+    the residual bound, and checks the unit and both phi-module laws.  Each
+    check is a loop over an index list fixed before the walk and stops at the
+    first violated cell.  The unit, which rejects most candidates, goes first.
+    An inequality (join of terms) <= bound is tested term by term; the unit,
+    a lower bound, joins its terms only until the join reaches it.  The
+    counit phi * psi <= a holds by construction: each of its terms is
     u (x) phi[t][z] with u = Tpsi[big][t], and phi[t][z] is a meet that
     includes hom(u, a[m(big)][z]), so the term is at most
     u (x) hom(u, a[m(big)][z]) <= a[m(big)][z].
@@ -116,63 +117,82 @@ def _pruned_pairs(x, kc, pcat):
     n = x.n
     tn = monad.size(n)
     t1 = monad.size(1)
-    tens, leq, meet_t, hom_t = q.tensor, q.leq, q.meet_t, q.hom_t
+    tens, leq, join_t, meet_t, hom_t = q.tensor, q.leq, q.join_t, q.meet_t, q.hom_t
+    bot, top = q.bottom, q.top
     a = x.a.data
     # The one-point category's structure is bottom off the image of e, and a
     # term with a bottom factor is bottom: only these entries add to a join.
-    pa = [(t, row[0]) for t, row in enumerate(pcat.a.data) if row[0] != q.bottom]
+    pa = [(t, row[0]) for t, row in enumerate(pcat.a.data) if row[0] != bot]
     kcp = kleisli_table(pcat)
     fib_n = ext.mult_fibers(n)
     fib_1 = ext.mult_fibers(1)
     # a(m(big), p) for every p, as columns over T(T(n))
     a_mu = [tuple(a[s][p] for s in ext.mult_map(n)) for p in range(n)]
-    pairs = []
-    for flat in _kc_closed_psis(q, kc, tn):
-        psi = VMatrix(q, tn, 1, tuple((v,) for v in flat))
+    # psi law, unit-category half: Tpsi[big][t] (x) c <= psi[s], big over m^-1(s)
+    psi_unit = [
+        (big, t, tuple(tens[u][c] for u in range(q.n)), s)
+        for s in range(tn)
+        for big in fib_n[s]
+        for t, c in pa
+    ]
+    # unit: c <= V_{big in m^-1(s)} V_t Tphi[big][t] (x) psi[t]
+    phi_unit = [(leq[c], fib_1[s]) for s, c in pa]
+    # phi law, unit-category half: kcp[s][t] (x) phi[t] <= phi[s]
+    phi_kcp = [(tens[kcp[s][t]], s, t) for s in range(t1) for t in range(t1) if kcp[s][t] != bot]
+    # phi law, a side: Tphi[big][t] (x) a[t] <= phi[s], big over m^-1(s)
+    phi_a = [(s, big) for s in range(t1) for big in fib_1[s]]
+
+    def pair_at(flat):
+        psi = VMatrix.trusted(q, tn, 1, tuple([(v,) for v in flat]))
         tpsi = ext.extend(psi).data
-        if not all(
-            leq[tens[tpsi[big][t]][c]][flat[s]]
-            for s in range(tn)
-            for big in fib_n[s]
-            for t, c in pa
-        ):
-            continue
+        for big, t, tens_c, s in psi_unit:
+            if not leq[tens_c[tpsi[big][t]]][flat[s]]:
+                return None
         phi_rows = []
         for z in range(t1):
             col = [row[z] for row in tpsi]
             row = []
             for a_p in a_mu:
-                acc = q.top
+                acc = top
                 for u, w in zip(col, a_p):
                     acc = meet_t[acc][hom_t[u][w]]
                 row.append(acc)
             phi_rows.append(tuple(row))
-        phi = VMatrix(q, t1, n, phi_rows)
+        phi_rows = tuple(phi_rows)
+        phi = VMatrix.trusted(q, t1, n, phi_rows)
         tphi = ext.extend(phi).data
-        if (
-            all(
-                leq[c][
-                    q.join_all(
-                        tens[u][w] for big in fib_1[s] for u, w in zip(tphi[big], flat)
-                    )
-                ]
-                for s, c in pa
-            )
-            and all(
-                leq[tens[kcp[s][t]][phi_rows[t][z]]][phi_rows[s][z]]
-                for s in range(t1)
-                for t in range(t1)
-                for z in range(n)
-            )
-            and all(
-                leq[tens[u][a[t][z]]][phi_rows[s][z]]
-                for s in range(t1)
-                for big in fib_1[s]
-                for t, u in enumerate(tphi[big])
-                for z in range(n)
-            )
-        ):
-            pairs.append(AdjointPair(phi, psi))
+        for leq_c, bigs in phi_unit:
+            acc = bot
+            for big in bigs:
+                for u, w in zip(tphi[big], flat):
+                    acc = join_t[acc][tens[u][w]]
+                    if leq_c[acc]:
+                        break
+                else:
+                    continue
+                break
+            else:
+                return None
+        for tens_k, s, t in phi_kcp:
+            for w, v in zip(phi_rows[t], phi_rows[s]):
+                if not leq[tens_k[w]][v]:
+                    return None
+        for s, big in phi_a:
+            phi_s = phi_rows[s]
+            for t, u in enumerate(tphi[big]):
+                if u == bot:
+                    continue
+                tens_u = tens[u]
+                for w, v in zip(a[t], phi_s):
+                    if not leq[tens_u[w]][v]:
+                        return None
+        return AdjointPair(phi, psi)
+
+    pairs = []
+    for flat in _kc_closed_psis(q, kc, tn):
+        pair = pair_at(flat)
+        if pair is not None:
+            pairs.append(pair)
     return pairs
 
 

@@ -194,12 +194,17 @@ def weakly_sober(space):
     return {"weakly_sober": sober, "irreducible": details, "closed_count": len(closed)}
 
 
-def sober_vs_lawvere(space, max_enum=DEFAULT_MAX_ENUM):
-    """Both sides of the space-level equivalence, computed independently."""
+def space_lawvere_complete(space, max_enum=DEFAULT_MAX_ENUM, oracle=False):
+    """Lawvere completeness of the space read as an (ultrafilter, 2)-category."""
     ext = LaxExtension(builtin_monad("ultra"), builtin("2"), max_enum)
     cat = tvcategory_from_space(ext, space)
+    return decide_lawvere_complete(cat, oracle)["complete"]
+
+
+def sober_vs_lawvere(space, max_enum=DEFAULT_MAX_ENUM, oracle=False):
+    """Both sides of the space-level equivalence, computed independently."""
     sober = weakly_sober(space)["weakly_sober"]
-    lawvere = decide_lawvere_complete(cat)["complete"]
+    lawvere = space_lawvere_complete(space, max_enum, oracle)
     return {"weakly_sober": sober, "lawvere": lawvere, "agree": sober == lawvere}
 
 

@@ -97,13 +97,15 @@ class LaxExtension:
         monad, q = self.monad, self.q
         rq, row_reps = _classes(m.data)
         cq, col_reps = _classes(_columns(m))
-        small = VMatrix(
+        small = VMatrix.trusted(
             q,
             len(row_reps),
             len(col_reps),
-            [[m.data[i][j] for j in col_reps] for i in row_reps],
+            tuple(tuple([m.data[i][j] for j in col_reps]) for i in row_reps),
         )
-        rows = _threshold_extend(monad, q, small).data
+        # Through extend, so that the quotient, which many matrices share
+        # (a psi column has at most |V| distinct entries), is memoized too.
+        rows = self.extend(small).data
         # A side without duplicates has the identity as class map: skip it.
         # Otherwise each row of the quotient's extension is re-indexed once
         # and shared by every row in its T(rq) class.
@@ -112,7 +114,7 @@ class LaxExtension:
             rows = [tuple([row[b] for b in tcq]) for row in rows]
         if small.rows < m.rows:
             rows = [rows[a] for a in monad.tmap(rq, m.rows, small.rows)]
-        return VMatrix(q, trows, tcols, rows)
+        return VMatrix.trusted(q, trows, tcols, tuple(rows))
 
     def capabilities(self):
         """Machine-checked gates consumed by conditional results.
@@ -169,7 +171,7 @@ def _threshold_extend(monad, q, m):
         ]
         for (i, j) in monad.extend_relation(pairs, m.rows, m.cols):
             out[i][j] = q.join_t[out[i][j]][v]
-    return VMatrix(q, trows, tcols, out)
+    return VMatrix.trusted(q, trows, tcols, tuple(map(tuple, out)))
 
 
 def _columns(m):

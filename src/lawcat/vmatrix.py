@@ -24,6 +24,20 @@ class VMatrix:
         if len(self.data) != rows or any(len(r) != cols for r in self.data):
             raise DimensionMismatch(f"declared {rows}x{cols}, got ragged data")
 
+    @classmethod
+    def trusted(cls, q, rows, cols, data):
+        """A matrix on data that is already a rows x cols tuple of tuples.
+
+        Nothing is copied or checked: for internal callers that build the
+        rows themselves.  Data from a file or a user goes through VMatrix().
+        """
+        m = object.__new__(cls)
+        m.q = q
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
     def __eq__(self, other):
         return (
             isinstance(other, VMatrix)

@@ -139,6 +139,46 @@ def test_oracle_flag_reproduces_pruned_verdict(capsys):
     assert pruned["complete"] == reference["complete"]
 
 
+@pytest.mark.parametrize(
+    "command,name",
+    [("complete", "chain2.vcat"), ("complete", "sierpinski.space"), ("sober", "sierpinski.space")],
+)
+def test_oracle_enumerates_the_pair_space(capsys, command, name):
+    # On two points the oracle crosses 4 psi with 4 phi candidates; the
+    # pruned path needs only the 4 psi.
+    assert main([command, path(name), "--max-enum", "4"]) == 0
+    assert main([command, path(name), "--oracle", "--max-enum", "4"]) == 2
+    assert "pair space: needs 16 candidates, budget is 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sober", "complete"])
+def test_space_oracle_reproduces_pruned_verdict(capsys, command):
+    reports = []
+    for extra in ([], ["--oracle"]):
+        code = main([command, path("sierpinski.space"), "--format", "json", *extra])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["input"].pop("oracle", bool(extra)) == bool(extra)
+        reports.append((code, rep))
+    assert reports[0] == reports[1]
+    assert reports[0][1]["lawvere"] and reports[0][1]["agree"]
+
+
+def test_sober_decides_weak_sobriety_once(monkeypatch, capsys):
+    import lawcat.instances
+
+    calls = []
+    original = lawcat.instances.weakly_sober
+
+    def counted(space):
+        calls.append(space)
+        return original(space)
+
+    monkeypatch.setattr(cli, "weakly_sober", counted)
+    monkeypatch.setattr(lawcat.instances, "weakly_sober", counted)
+    assert main(["sober", path("sierpinski.space")]) == 0
+    assert len(calls) == 1
+
+
 def test_complete_refuses_invalid_object(capsys):
     assert main(["complete", path("notcat.vcat")]) == 1
     assert "invalid object" in capsys.readouterr().err

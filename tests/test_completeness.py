@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,14 @@ from lawcat.completeness import (
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import LaxExtension
 from lawcat.quantale import builtin
-from lawcat.tvcat import TVCategory, all_tvcategories, discrete_tvcategory, hom_xi_category
+from lawcat.tvcat import (
+    TVCategory,
+    all_tvcategories,
+    check_tvcategory,
+    discrete_tvcategory,
+    hom_xi_category,
+    unit_tvcategory,
+)
 from lawcat.vmatrix import VMatrix
 
 
@@ -327,6 +335,53 @@ def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname,
         pruned = enumerate_adjoint_pairs(x)
         reference = enumerate_adjoint_pairs(x, oracle=True)
         assert [p.key() for p in pruned] == [p.key() for p in reference], flat
+
+
+def closed_structure(rng, q, n):
+    """A random reflexive matrix closed under V-composition: a V-category."""
+    density = rng.choice((0.2, 0.4, 0.6))
+    a = [
+        [q.unit if x == y else (rng.randrange(q.n) if rng.random() < density else q.bottom) for y in range(n)]
+        for x in range(n)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in itertools.product(range(n), repeat=3):
+            v = q.join(a[x][z], q.tens(a[x][y], a[y][z]))
+            if v != a[x][z]:
+                a[x][z] = v
+                changed = True
+    return a
+
+
+# Settings too large to sweep whole: a seeded sample of 15 structures each.
+SAMPLED_SETTINGS = [("id", "plus3", 3), ("id", "c4", 3), ("ultra", "c3", 3), ("powerset", "c3", 2)]
+
+
+@pytest.mark.parametrize("mname,qname,n", SAMPLED_SETTINGS)
+def test_pruned_kernel_matches_oracle_on_sampled_structures(ext_factory, mname, qname, n):
+    ext = ext_factory(mname, qname)
+    q = ext.q
+    rng = random.Random(f"{mname}/{qname}/{n}")
+    if mname == "powerset":
+        cats = rng.sample(all_tvcategories(ext, n), 15)
+    else:
+        # over finite sets the ultrafilter monad is the identity
+        cats = [TVCategory(ext, n, VMatrix(q, n, n, closed_structure(rng, q, n))) for _ in range(15)]
+    for cat in cats:
+        assert check_tvcategory(ext, n, cat.a)["ok"], cat.a.data
+        pruned = decide_lawvere_complete(cat)
+        reference = decide_lawvere_complete(cat, oracle=True)
+        assert [p.key() for p in pruned["pairs"]] == [p.key() for p in reference["pairs"]], cat.a.data
+        assert pruned["representatives"] == reference["representatives"]
+
+
+def test_unit_category_is_built_once_per_extension(ext_factory):
+    ext = ext_factory("powerset", "c3")
+    pcat = unit_tvcategory(ext)
+    assert unit_tvcategory(ext) is pcat
+    assert pcat == discrete_tvcategory(ext, 1)
 
 
 @pytest.mark.parametrize(

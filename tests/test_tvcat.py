@@ -4,8 +4,8 @@ import random
 import pytest
 
 from lawcat.errors import GateUnavailable
-from lawcat.laxext import LaxExtension
-from lawcat.monad import m_square_gap
+from lawcat.laxext import LaxExtension, _threshold_extend
+from lawcat.monad import PowersetMonad, m_square_gap
 from lawcat.quantale import builtin
 from lawcat.tvcat import (
     algebra_compose,
@@ -35,6 +35,54 @@ from lawcat.tvcat import (
     TVCategory,
 )
 from lawcat.vmatrix import VMatrix, mcompose
+
+
+def direct_tvcategory_verdict(ext, n, a):
+    """Both axioms cell by cell, on the unreduced extension (no shared rows)."""
+    q = ext.q
+    e = ext.unit_map(n)
+    for x in range(n):
+        if not q.le(q.unit, a.data[e[x]][x]):
+            return {"ok": False, "law": "reflexivity", "witness": (x,)}
+    ta = _threshold_extend(ext.monad, q, a)
+    mu = ext.mult_map(n)
+    for s in range(ta.rows):
+        for t in range(ta.cols):
+            for x in range(n):
+                if not q.le(q.tens(ta.data[s][t], a.data[t][x]), a.data[mu[s]][x]):
+                    return {"ok": False, "law": "transitivity", "witness": (s, t, x)}
+    return {"ok": True}
+
+
+@pytest.mark.parametrize("qname,sample", [("2", None), ("c3", 400)])
+def test_check_tvcategory_matches_direct_loop_over_powerset(qname, sample):
+    # A fresh extension per matrix: the memoized, quotient-extended Ta shares
+    # its row objects between duplicate rows, which the checker scans once.
+    q = builtin(qname)
+    monad = PowersetMonad()
+    n = 2
+    tn = monad.size(n)
+    flats = list(itertools.product(range(q.n), repeat=tn * n))
+    if sample is not None:
+        flats = random.Random(qname).sample(flats, sample)
+    e = monad.unit_map(n)
+    laws = set()
+    shared = 0
+    for i, flat in enumerate(flats):
+        ext = LaxExtension(monad, q)
+        rows = [list(flat[r * n : (r + 1) * n]) for r in range(tn)]
+        if i % 4:
+            # most matrices made reflexive, so that transitivity is reached
+            for x in range(n):
+                rows[e[x]][x] = q.unit
+        a = VMatrix(q, tn, n, rows)
+        verdict = check_tvcategory(ext, n, a)
+        assert verdict == direct_tvcategory_verdict(ext, n, a), rows
+        laws.add(verdict.get("law"))
+        ta = ext.extend(a)
+        shared += len({id(row) for row in ta.data}) < ta.rows
+    assert laws == {None, "reflexivity", "transitivity"}
+    assert shared
 
 
 def rand_structure(rng, ext, n):

@@ -210,3 +210,34 @@ def test_cross_quantale_and_shape_errors():
         mcompose(a, b)
     with pytest.raises(DimensionMismatch):
         mcompose(a, VMatrix.constant(q2, 2, 3, 0))
+
+
+def test_validation_stays_at_the_boundary(monkeypatch):
+    import os
+
+    from lawcat.errors import ParseError
+    from lawcat.fileio import Workspace, load_file, parse_category_text
+
+    q = builtin("c3")
+    with pytest.raises(DimensionMismatch):
+        VMatrix(q, 2, 2, ((0, 1), (1,)))
+    with pytest.raises(DimensionMismatch):
+        VMatrix(q, 2, 2, [[0, 1]])
+    # the trusted constructor takes its tuples as they are
+    data = ((0, 1), (1, 2))
+    m = VMatrix.trusted(q, 2, 2, data)
+    assert m.data is data and m == VMatrix(q, 2, 2, [[0, 1], [1, 2]])
+
+    def refuse(cls, *args):
+        raise AssertionError("trusted constructor used at the file boundary")
+
+    monkeypatch.setattr(VMatrix, "trusted", classmethod(refuse))
+    data_dir = os.path.join(os.path.dirname(__file__), "data")
+    for name in ("chain2.vcat", "disc2pset.vcat", "notcat.vcat", "chain2u.tvcat", "pair2p.tvcat"):
+        kind, parsed = load_file(os.path.join(data_dir, name))
+        _, n, matrix = parsed.resolve(Workspace())
+        assert matrix.cols == n
+    for entry in ("m[a] = 1", "m[a,zz] = 1", "m[a,b] = 7"):
+        parsed = parse_category_text(f"vcat bad over 2\nelements: a b\n{entry}\n")
+        with pytest.raises(ParseError):
+            parsed.resolve(Workspace())
