@@ -17,8 +17,8 @@ from .fileio import Workspace, load_file
 from .instances import sober_vs_lawvere, space_from_preorder, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
-from .quantale import validate_quantale
-from .quniform import decide_cauchy_complete, decide_lawvere_q, lax_algebra_bridge, validate_quniformity
+from .quantale import builtin, validate_quantale
+from .quniform import decide_lawvere_q, lax_algebra_bridge, validate_quniformity
 from .suite import DEFAULT_MAX_ENUM, run_suite, suite_json
 from .tvcat import TVCategory, check_tvcategory, dual_tvcategory, yoneda as tv_yoneda
 
@@ -97,7 +97,7 @@ def cmd_complete(args):
     if args.builtin:
         if args.builtin != "v-hom":
             raise ParseError("<args>", 0, f"unknown builtin target {args.builtin!r}")
-        ext = LaxExtension(builtin_monad(args.monad), _builtin_quantale(args.quantale), args.max_enum)
+        ext = LaxExtension(builtin_monad(args.monad), builtin(args.quantale), args.max_enum)
         rep = certify_v_complete(ext, oracle=args.oracle)
         _emit(
             {"target": f"(V,hom_xi) over {args.quantale} monad {args.monad}", **rep},
@@ -145,12 +145,6 @@ def cmd_complete(args):
         _emit(out, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     raise ParseError(args.path, 1, f"cannot run completeness on a {kind} file")
-
-
-def _builtin_quantale(name):
-    from .quantale import builtin
-
-    return builtin(name)
 
 
 def _labeled(q, matrix):
@@ -338,13 +332,12 @@ def cmd_complete_quniform(args):
         _emit({"name": name, **verdict}, args.format, {"command": "quniform complete", "path": args.path})
         return 1
     rep = decide_lawvere_q(uniformity)
-    cauchy = decide_cauchy_complete(uniformity)
     out = {
         "name": name,
         "lawvere": rep["lawvere"],
-        "cauchy": cauchy["complete"],
+        "cauchy": rep["cauchy"],
         "agree": rep["agree"],
-        "minimal_pairs_are_neighbourhoods": cauchy["minimal_are_neighbourhoods"],
+        "minimal_pairs_are_neighbourhoods": rep["minimal_are_neighbourhoods"],
     }
     _emit(out, args.format, {"command": "quniform complete", "path": args.path})
     return 0 if rep["lawvere"] and rep["agree"] else 1

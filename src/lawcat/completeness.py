@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 
-from .errors import BudgetExceeded, GateUnavailable
+from .errors import GateUnavailable
 from .monad import monad_capabilities
 from .tvcat import (
     TVCategory,
@@ -38,11 +38,14 @@ def _caps(monad):
 
 
 def completeness_gate(ext):
-    """Which hypothesis legitimizes the one-point reduction, if any."""
-    caps = _caps(ext.monad)
-    if caps["t1_is_one"]:
+    """Which hypothesis legitimizes the one-point reduction, if any.
+
+    T1 = 1 is read off the monad exactly; only without it is the sampled
+    Beck-Chevalley sweep of monad_capabilities run.
+    """
+    if ext.monad.size(1) == 1:
         return "T1=1"
-    if caps["m_bc"]:
+    if _caps(ext.monad)["m_bc"]:
         return "m-BC"
     return None
 
@@ -196,28 +199,23 @@ def _pruned_pairs(x, kc, pcat):
     return pairs
 
 
-def enumerate_adjoint_pairs(x, oracle=False, allow_ungated=False):
+def enumerate_adjoint_pairs(x, oracle=False):
     """All adjoint module pairs from the one-point category into x.
 
     The pruned path backtracks over the psi space, resolves the unique
     left-adjoint candidate for each module and verifies the pair; with
     oracle=True both sides are enumerated independently and crossed.
-    Without a reduction gate the enumeration itself is still meaningful
-    (callers must label verdicts accordingly) but is refused by default.
+    The enumeration is meaningful with or without a reduction gate; the
+    caller labels the verdict by completeness_gate.
     """
-    gate = completeness_gate(x.ext)
-    if gate is None and not allow_ungated:
-        raise GateUnavailable("T1=1 or m-BC", f"monad {x.ext.monad.name}")
     ext = x.ext
     q = ext.q
     monad = ext.monad
     tn = monad.size(x.n)
     t1 = monad.size(1)
     pcat = unit_tvcategory(ext)
-    budget = ext.max_enum
     psi_count = q.n ** tn
-    if psi_count > budget:
-        raise BudgetExceeded("psi space", psi_count, budget)
+    ext.check_budget("psi space", psi_count)
     # Built on both paths: its extension is the next budget check either way.
     kc = kleisli_table(x)
 
@@ -225,10 +223,9 @@ def enumerate_adjoint_pairs(x, oracle=False, allow_ungated=False):
         pairs = _pruned_pairs(x, kc, pcat)
     else:
         phi_count = q.n ** (t1 * x.n)
-        if phi_count * psi_count > budget:
-            raise BudgetExceeded("pair space", phi_count * psi_count, budget)
-        psis = [psi for psi in all_matrices(q, tn, 1, budget) if is_tvbimodule(psi, x, pcat)]
-        phis = [phi for phi in all_matrices(q, t1, x.n, budget) if is_tvbimodule(phi, pcat, x)]
+        ext.check_budget("pair space", phi_count * psi_count)
+        psis = [psi for psi in all_matrices(q, tn, 1, ext.max_enum) if is_tvbimodule(psi, x, pcat)]
+        phis = [phi for phi in all_matrices(q, t1, x.n, ext.max_enum) if is_tvbimodule(phi, pcat, x)]
         pairs = [
             AdjointPair(phi, psi)
             for psi in psis
@@ -266,7 +263,7 @@ def decide_lawvere_complete(x, oracle=False):
     witnesses first for reproducibility.
     """
     gate = completeness_gate(x.ext)
-    pairs = enumerate_adjoint_pairs(x, oracle, allow_ungated=True)
+    pairs = enumerate_adjoint_pairs(x, oracle)
     non_rep = []
     reps = []
     for pair in pairs:

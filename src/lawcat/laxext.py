@@ -18,12 +18,15 @@ from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map
 
 
 class LaxExtension:
-    """A monad/quantale pair with memoized matrix extension and xi.
+    """A monad/quantale pair and the one owner of everything derived from it.
 
     Construction refuses inadmissible combinations: the threshold-span
     formula only defines an extension when the unit is the top element
-    or T of the empty set is empty.  max_enum is the one budget of every
-    enumeration built on this extension.
+    or T of the empty set is empty.  extend memoizes on the matrix data;
+    every other derived value (unit and multiplication tables, xi,
+    capabilities, derived categories) is kept in cache through cached.
+    max_enum is the one budget of every enumeration built on this
+    extension, enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -36,32 +39,39 @@ class LaxExtension:
         self.q = q
         self.max_enum = max_enum
         self._memo = {}
-        self._xi = None
-        self._unit_maps = {}
-        self._mult_maps = {}
-        self._mult_fibers = {}
-        self._caps = None
         self.cache = {}
 
+    def cached(self, key, build):
+        """The value under key, built by build() on the first request.
+
+        build must not return None, which marks a missing entry.
+        """
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = build()
+        return value
+
+    def check_budget(self, what, needed):
+        """Refuse an enumeration of needed candidates above the budget."""
+        if needed > self.max_enum:
+            raise BudgetExceeded(what, needed, self.max_enum)
+
     def unit_map(self, n):
-        if n not in self._unit_maps:
-            self._unit_maps[n] = self.monad.unit_map(n)
-        return self._unit_maps[n]
+        return self.cached(("unit_map", n), lambda: self.monad.unit_map(n))
 
     def mult_map(self, n):
-        if n not in self._mult_maps:
-            self._mult_maps[n] = self.monad.mult_map(n)
-        return self._mult_maps[n]
+        return self.cached(("mult_map", n), lambda: self.monad.mult_map(n))
 
     def mult_fibers(self, n):
         """Preimage lists of the multiplication, indexed by T(n)."""
-        if n not in self._mult_fibers:
-            mu = self.mult_map(n)
+
+        def build():
             fibers = [[] for _ in range(self.monad.size(n))]
-            for big, small in enumerate(mu):
+            for big, small in enumerate(self.mult_map(n)):
                 fibers[small].append(big)
-            self._mult_fibers[n] = tuple(tuple(f) for f in fibers)
-        return self._mult_fibers[n]
+            return tuple(tuple(f) for f in fibers)
+
+        return self.cached(("mult_fibers", n), build)
 
     def extend(self, m):
         """Extension T(m): T(rows) -|-> T(cols) of a matrix m.
@@ -76,8 +86,7 @@ class LaxExtension:
         """
         trows = self.monad.size(m.rows)
         tcols = self.monad.size(m.cols)
-        if trows * tcols > self.max_enum:
-            raise BudgetExceeded("extended matrix size", trows * tcols, self.max_enum)
+        self.check_budget("extended matrix size", trows * tcols)
         if isinstance(self.monad, IdentityMonad):
             return m
         key = (m.rows, m.cols, m.data)
@@ -124,21 +133,23 @@ class LaxExtension:
         multiplication law sampled over generated matrices, and is False
         when the budget skipped a sample.
         """
-        if self._caps is None:
-            compat = check_xi_compat(self, samples=8)
-            laws = check_extension_laws(self, samples=12)
-            self._caps = {
-                "t1_is_one": self.monad.size(1) == 1,
-                "t_empty_is_empty": self.monad.size(0) == 0,
-                "tensor_strict": compat["tensor_strict"],
-                "m_natural": laws["m_natural"],
-            }
-        return self._caps
+        return self.cached(("capabilities",), self._build_capabilities)
+
+    def _build_capabilities(self):
+        compat = check_xi_compat(self, samples=8)
+        laws = check_extension_laws(self, samples=12)
+        return {
+            "t1_is_one": self.monad.size(1) == 1,
+            "t_empty_is_empty": self.monad.size(0) == 0,
+            "tensor_strict": compat["tensor_strict"],
+            "m_natural": laws["m_natural"],
+        }
 
     def xi(self):
         """Algebra table on the quantale carrier: xi(s) = V{v | s in T(up v)}."""
-        if self._xi is not None:
-            return self._xi
+        return self.cached(("xi",), self._build_xi)
+
+    def _build_xi(self):
         q = self.q
         tn = self.monad.size(q.n)
         acc = [q.bottom] * tn
@@ -148,8 +159,7 @@ class LaxExtension:
             for z in range(self.monad.size(len(up))):
                 s = incl[z]
                 acc[s] = q.join_t[acc[s]][v]
-        self._xi = tuple(acc)
-        return self._xi
+        return tuple(acc)
 
 
 def _threshold_extend(monad, q, m):
@@ -203,8 +213,7 @@ def check_xi(ext):
         if xi[ext.unit_map(n)[u]] != u:
             return {"ok": False, "law": "xi-unit", "witness": q.labels[u]}
     ttn = monad.size(tn)
-    if ttn > ext.max_enum:
-        raise BudgetExceeded("T^2 of quantale carrier", ttn, ext.max_enum)
+    ext.check_budget("T^2 of quantale carrier", ttn)
     mu = ext.mult_map(n)
     txi = monad.tmap(xi, tn, n)
     for big in range(ttn):
@@ -239,13 +248,6 @@ def check_xi_functor(ext):
     return {"ok": not bad, "failures": bad}
 
 
-def _pair_index(nx, ny):
-    def idx(x, y):
-        return x * ny + y
-
-    return idx
-
-
 def check_xi_compat(ext, samples=20, seed=0):
     """Compatibility of xi with the tensor, the unit and the extension.
 
@@ -270,9 +272,7 @@ def check_xi_compat(ext, samples=20, seed=0):
 
     nn = n * n
     tnn = monad.size(nn)
-    if tnn > ext.max_enum:
-        raise BudgetExceeded("T of V x V", tnn, ext.max_enum)
-    idx = _pair_index(n, n)
+    ext.check_budget("T of V x V", tnn)
     pi1 = tuple(u for u in range(n) for _ in range(n))
     pi2 = tuple(v for _ in range(n) for v in range(n))
     tens_map = tuple(q.tensor[u][v] for u in range(n) for v in range(n))
@@ -318,7 +318,6 @@ def check_xi_compat(ext, samples=20, seed=0):
             q, nx, ny, tuple(tuple(rng.randrange(n) for _ in range(ny)) for _ in range(nx))
         )
         tr = ext.extend(r)
-        pidx = _pair_index(nx, ny)
         pix = tuple(x for x in range(nx) for _ in range(ny))
         piy = tuple(y for _ in range(nx) for y in range(ny))
         r_map = tuple(r.data[x][y] for x in range(nx) for y in range(ny))

@@ -290,21 +290,21 @@ def point_induced_module(u, x0):
 
 
 def decide_lawvere_q(u):
-    """Point-representability of every adjoint module pair, with the bridge.
+    """Point-representability of every adjoint module pair.
 
     Returns the module-side verdict, the Cauchy-side verdict computed
-    independently, and their agreement.
+    independently (with its minimal-pair form), and their agreement.
+    The bimodule/filter bridge is a separate check: bimodule_filter_bridge.
     """
     mods = adjoint_module_pairs(u)
     induced = {point_induced_module(u, x0).key() for x0 in range(u.n)}
     lawvere = all(m.key() in induced for m in mods)
-    cauchy = decide_cauchy_complete(u)["complete"]
-    bridge = bimodule_filter_bridge(u)
+    cauchy = decide_cauchy_complete(u)
     return {
         "lawvere": lawvere,
-        "cauchy": cauchy,
-        "agree": lawvere == cauchy,
-        "bridge": bridge,
+        "cauchy": cauchy["complete"],
+        "minimal_are_neighbourhoods": cauchy["minimal_are_neighbourhoods"],
+        "agree": lawvere == cauchy["complete"],
         "pair_count": len(mods),
     }
 

@@ -26,6 +26,7 @@ from .monad import builtin_monads
 from .quantale import builtin, builtin_quantales, validate_quantale
 from .quniform import (
     all_quniformities,
+    bimodule_filter_bridge,
     cauchy_machinery,
     curated_three_point,
     decide_lawvere_q,
@@ -45,16 +46,9 @@ from .vmatrix import VMatrix, check_order_reversal, left_adjoint_map_criterion
 ACCEPT_QUANTALES = ("2", "c3", "c4", "plus3", "plus4", "pset1", "pset2")
 SMALL_QUANTALES = ("2", "c3", "c4", "plus2", "plus3", "pset1", "pset2")
 
-_EXT_CACHE = {}
-
 
 def _ext(monad_name, quantale_name, max_enum=DEFAULT_MAX_ENUM):
-    key = (monad_name, quantale_name, max_enum)
-    if key not in _EXT_CACHE:
-        _EXT_CACHE[key] = LaxExtension(
-            builtin_monads()[monad_name], builtin(quantale_name), max_enum
-        )
-    return _EXT_CACHE[key]
+    return LaxExtension(builtin_monads()[monad_name], builtin(quantale_name), max_enum)
 
 
 def item_quantale_laws(max_enum=DEFAULT_MAX_ENUM):
@@ -300,8 +294,8 @@ def item_quniform(max_enum=DEFAULT_MAX_ENUM):
         if not validate_quniformity(u)["ok"]:
             ok = False
             continue
-        rep = decide_lawvere_q(u)
-        if not (rep["agree"] and rep["bridge"]["bijection"] and rep["bridge"]["forward"]):
+        bridge = bimodule_filter_bridge(u)
+        if not (decide_lawvere_q(u)["agree"] and bridge["bijection"] and bridge["forward"]):
             ok = False
         for x0 in range(u.n):
             machinery = cauchy_machinery(u, neighbourhood_pair(u, x0))
@@ -344,12 +338,11 @@ def run_items(only=None, max_enum=DEFAULT_MAX_ENUM):
     return items
 
 
-def run_suite(only=None, max_enum=DEFAULT_MAX_ENUM, with_determinism=True):
-    """Run the battery; the determinism item reruns the quick items afresh."""
+def run_suite(only=None, max_enum=DEFAULT_MAX_ENUM):
+    """Run the battery; the determinism item reruns the quick items twice."""
     items = run_items(only, max_enum)
-    if with_determinism and (only is None or "determinism" in only):
+    if only is None or "determinism" in only:
         first = json.dumps(run_items(QUICK_ITEMS, max_enum), sort_keys=True)
-        _EXT_CACHE.clear()
         second = json.dumps(run_items(QUICK_ITEMS, max_enum), sort_keys=True)
         items.append(
             {"id": "determinism", "ok": first == second, "bytes_compared": len(first)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceeded, GateUnavailable
+from .errors import GateUnavailable
 from .monad import m_square_gap
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map, select_cols
 
@@ -34,9 +34,6 @@ class TVCategory:
     @property
     def monad(self):
         return self.ext.monad
-
-    def ta(self):
-        return self.ext.extend(self.a)
 
     def __repr__(self):
         return f"TVCategory({self.name or self.n}, {self.monad.name}/{self.q.name})"
@@ -71,8 +68,7 @@ def check_tvcategory(ext, n, a):
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     tn = monad.size(n)
     ttn = monad.size(tn)
-    if ttn * tn > ext.max_enum:
-        raise BudgetExceeded("associativity sweep", ttn * tn, ext.max_enum)
+    ext.check_budget("associativity sweep", ttn * tn)
     ta = ext.extend(a)
     mu = ext.mult_map(n)
     bot = q.bottom
@@ -122,21 +118,19 @@ def discrete_tvcategory(ext, n):
 
 def em_algebra_category(ext, n):
     """The free algebra on n points as a category: carrier T(n), structure m."""
-    key = ("em", n)
-    if key not in ext.cache:
+
+    def build():
         tn = ext.monad.size(n)
         ttn = ext.monad.size(tn)
         m_emb = VMatrix.from_map(ext.q, ext.mult_map(n), ttn, tn)
-        ext.cache[key] = tvcategory(ext, tn, m_emb, name=f"|{n}|")
-    return ext.cache[key]
+        return tvcategory(ext, tn, m_emb, name=f"|{n}|")
+
+    return ext.cached(("em", n), build)
 
 
 def unit_tvcategory(ext):
     """The one-point category: unit on the image of e, bottom elsewhere."""
-    key = ("unit",)
-    if key not in ext.cache:
-        ext.cache[key] = discrete_tvcategory(ext, 1)
-    return ext.cache[key]
+    return ext.cached(("unit",), lambda: discrete_tvcategory(ext, 1))
 
 
 def algebra_as_category(ext, alpha, n):
@@ -147,18 +141,16 @@ def algebra_as_category(ext, alpha, n):
 
 def hom_xi_category(ext, validate=True):
     """The quantale itself, structured by residuation after the algebra map."""
-    key = ("homxi", validate)
-    if key not in ext.cache:
+
+    def build():
         q = ext.q
         xi = ext.xi()
         tn = ext.monad.size(q.n)
         data = tuple(tuple(q.hom(xi[s], v) for v in range(q.n)) for s in range(tn))
-        a = VMatrix(q, tn, q.n, data)
-        if validate:
-            ext.cache[key] = tvcategory(ext, q.n, a, name="V-hom-xi")
-        else:
-            ext.cache[key] = TVCategory(ext, q.n, a, name="V-hom-xi")
-    return ext.cache[key]
+        make = tvcategory if validate else TVCategory
+        return make(ext, q.n, VMatrix(q, tn, q.n, data), name="V-hom-xi")
+
+    return ext.cached(("homxi", validate), build)
 
 
 def kleisli_compose(ext, b, a, n_src):
@@ -250,16 +242,15 @@ def functor_module_equivalence(f, x, y):
 def dual_tvcategory(x):
     """Dual category on carrier TX via the algebra and forgetful round trip."""
     ext = x.ext
-    key = ("dual", x.n, x.a.data)
-    if key not in ext.cache:
-        monad = ext.monad
-        tn = monad.size(x.n)
+
+    def build():
+        tn = ext.monad.size(x.n)
         ta = ext.extend(x.a)
         c = postcompose_map(ext.mult_map(x.n), tn, ta.transpose())
-        tc = ext.extend(c)
-        a_op = select_cols(tc, ext.unit_map(tn))
-        ext.cache[key] = TVCategory(ext, tn, a_op, name=f"{x.name or x.n}^op")
-    return ext.cache[key]
+        a_op = select_cols(ext.extend(c), ext.unit_map(tn))
+        return TVCategory(ext, tn, a_op, name=f"{x.name or x.n}^op")
+
+    return ext.cached(("dual", x.n, x.a.data), build)
 
 
 def tensor_tvcat(x, y):
@@ -272,8 +263,7 @@ def tensor_tvcat(x, y):
     q = ext.q
     monad = ext.monad
     n = x.n * y.n
-    if monad.size(n) * n > ext.max_enum:
-        raise BudgetExceeded("tensor carrier", monad.size(n) * n, ext.max_enum)
+    ext.check_budget("tensor carrier", monad.size(n) * n)
     pix = tuple(p for p in range(x.n) for _ in range(y.n))
     piy = tuple(u for _ in range(x.n) for u in range(y.n))
     tpix = monad.tmap(pix, n, x.n)
@@ -391,9 +381,7 @@ def all_tvcategories(ext, n):
     """Every structure on an n-point carrier passing both axioms."""
     q = ext.q
     tn = ext.monad.size(n)
-    total = q.n ** (tn * n)
-    if total > ext.max_enum:
-        raise BudgetExceeded("structure space", total, ext.max_enum)
+    ext.check_budget("structure space", q.n ** (tn * n))
     out = []
     for flat in itertools.product(range(q.n), repeat=tn * n):
         a = VMatrix(q, tn, n, tuple(flat[i * n : (i + 1) * n] for i in range(tn)))
@@ -448,9 +436,7 @@ def exponential_tvcat(x, y):
         raise GateUnavailable("exponentiable", "base fails a.Ta = a.m")
     pcat = unit_tvcategory(ext)
     xp = tensor_tvcat(x, pcat)
-    total = y.n ** x.n
-    if total > ext.max_enum:
-        raise BudgetExceeded("function space", total, ext.max_enum)
+    ext.check_budget("function space", y.n ** x.n)
     funcs = [
         h
         for h in itertools.product(range(y.n), repeat=x.n)
@@ -458,8 +444,7 @@ def exponential_tvcat(x, y):
     ]
     nf = len(funcs)
     npair = x.n * nf
-    if monad.size(npair) * nf > ext.max_enum:
-        raise BudgetExceeded("exponential structure sweep", monad.size(npair) * nf, ext.max_enum)
+    ext.check_budget("exponential structure sweep", monad.size(npair) * nf)
     pix = tuple(p for p in range(x.n) for _ in range(nf))
     pif = tuple(i for _ in range(x.n) for i in range(nf))
     ev = tuple(funcs[i][p] for p in range(x.n) for i in range(nf))
@@ -518,9 +503,7 @@ def oracle_largest_structure(expo):
     x, y = expo.base, expo.target
     q = x.q
     rows, cols = expo.structure.rows, expo.n
-    total = q.n ** (rows * cols)
-    if total > x.ext.max_enum:
-        raise BudgetExceeded("largest-structure search", total, x.ext.max_enum)
+    x.ext.check_budget("largest-structure search", q.n ** (rows * cols))
     best = VMatrix.constant(q, rows, cols, q.bottom)
     for flat in itertools.product(range(q.n), repeat=rows * cols):
         cand_m = VMatrix(q, rows, cols, tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)))

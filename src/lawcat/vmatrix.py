@@ -53,9 +53,6 @@ class VMatrix:
     def __repr__(self):
         return f"VMatrix({self.rows}x{self.cols} over {self.q.name})"
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def transpose(self):
         return VMatrix(
             self.q,
@@ -123,9 +120,6 @@ class VMatrix:
             if any(v not in (k, bot) for v in row):
                 return False
         return True
-
-    def as_map(self):
-        return tuple(row.index(self.q.unit) for row in self.data)
 
 
 def mcompose(outer, inner):

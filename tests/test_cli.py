@@ -179,6 +179,22 @@ def test_sober_decides_weak_sobriety_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_quniform_complete_decides_cauchy_completeness_once(monkeypatch, capsys):
+    import lawcat.quniform
+
+    calls = []
+    original = lawcat.quniform.decide_cauchy_complete
+
+    def counted(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(cli, "decide_cauchy_complete", counted, raising=False)
+    monkeypatch.setattr(lawcat.quniform, "decide_cauchy_complete", counted)
+    assert main(["quniform", "complete", path("pre3.quniform")]) == 0
+    assert len(calls) == 1
+
+
 def test_complete_refuses_invalid_object(capsys):
     assert main(["complete", path("notcat.vcat")]) == 1
     assert "invalid object" in capsys.readouterr().err

@@ -295,6 +295,26 @@ def test_gate_is_keyed_on_the_monad_not_its_name(ext_factory):
     assert completeness_gate(LaxExtension(fake, builtin("2"))) == "m-BC"
 
 
+def test_bc_sweep_size_is_derived_from_the_monad_not_its_name():
+    from lawcat.monad import PowersetMonad, monad_capabilities
+
+    class Fake(PowersetMonad):
+        name = "id"
+
+    assert monad_capabilities(Fake())["bc_max_n"] == 2
+
+
+def test_t1_gate_runs_no_beck_chevalley_sweep():
+    from lawcat.completeness import _MONAD_CAPS
+    from lawcat.monad import IdentityMonad
+
+    monad = IdentityMonad()
+    ext = LaxExtension(monad, builtin("2"))
+    rep = decide_lawvere_complete(preorder_category(ext, [[1, 1], [0, 1]]))
+    assert rep["gate"] == "T1=1" and rep["complete"]
+    assert monad not in _MONAD_CAPS
+
+
 # Every structure of each setting, small enough for the oracle's pair space.
 ORACLE_SETTINGS = [
     ("id", "2", 1),

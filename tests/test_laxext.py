@@ -265,3 +265,95 @@ def test_the_extension_is_the_only_budget_holder():
                 if inspect.isfunction(fn) and "max_enum" in inspect.signature(fn).parameters:
                     holders.append(f"{module.__name__}.{label}")
     assert holders == ["lawcat.laxext.LaxExtension.__init__"]
+
+
+def _budget_sites():
+    """(what, needed, run) for every budget check on the extension.
+
+    run(budget) builds a fresh extension with that budget and makes the
+    call; at needed - 1 the named check is the first to refuse, at needed
+    the whole call goes through.
+    """
+    from lawcat.completeness import enumerate_adjoint_pairs
+    from lawcat.monad import builtin_monad
+    from lawcat.tvcat import (
+        TVCategory,
+        all_tvcategories,
+        check_tvcategory,
+        discrete_tvcategory,
+        exponential_tvcat,
+        oracle_largest_structure,
+        tensor_tvcat,
+    )
+
+    def ext(mname, budget):
+        return LaxExtension(builtin_monad(mname), builtin("2"), budget)
+
+    def cat(e, rows):
+        return TVCategory(e, len(rows), VMatrix(e.q, len(rows), len(rows), rows))
+
+    def chain(budget):
+        return cat(ext("id", budget), ((1, 1), (0, 1)))
+
+    def sweep(budget):
+        x = discrete_tvcategory(ext("powerset", budget), 1)
+        return check_tvcategory(x.ext, 1, x.a)
+
+    def square(budget):
+        x = discrete_tvcategory(ext("id", budget), 2)
+        return tensor_tvcat(x, x)
+
+    def exponential(budget, x_rows, y_n):
+        e = ext("id", budget)
+        return exponential_tvcat(cat(e, x_rows), discrete_tvcategory(e, y_n))
+
+    return [
+        ("extended matrix size", 16, lambda b: ext("powerset", b).extend(chain(b).a)),
+        ("T^2 of quantale carrier", 16, lambda b: check_xi(ext("powerset", b))),
+        ("T of V x V", 16, lambda b: check_xi_compat(ext("powerset", b))),
+        ("associativity sweep", 8, sweep),
+        ("tensor carrier", 16, square),
+        ("structure space", 16, lambda b: all_tvcategories(ext("id", b), 2)),
+        # indiscrete 3 points into discrete 3 points: 27 maps, 3 functors
+        ("function space", 27, lambda b: exponential(b, ((1, 1, 1),) * 3, 3)),
+        # discrete 2 points into discrete 2 points: all 4 maps are functors
+        ("exponential structure sweep", 32, lambda b: exponential(b, ((1, 0), (0, 1)), 2)),
+        ("largest-structure search", 16, lambda b: oracle_largest_structure(exponential(b, ((1,),), 2))),
+        ("psi space", 4, lambda b: enumerate_adjoint_pairs(chain(b))),
+        ("pair space", 16, lambda b: enumerate_adjoint_pairs(chain(b), oracle=True)),
+    ]
+
+
+BUDGET_SITES = _budget_sites()
+
+
+@pytest.mark.parametrize("what,needed,run", BUDGET_SITES, ids=[site[0] for site in BUDGET_SITES])
+def test_budget_refuses_exactly_above_needed(what, needed, run):
+    with pytest.raises(BudgetExceeded) as info:
+        run(needed - 1)
+    assert (info.value.what, info.value.needed, info.value.budget) == (what, needed, needed - 1)
+    run(needed)
+
+
+def test_derived_state_is_built_once_in_the_extension_cache():
+    from lawcat.monad import PowersetMonad
+    from lawcat.tvcat import discrete_tvcategory, dual_tvcategory, em_algebra_category, unit_tvcategory
+
+    ext = LaxExtension(PowersetMonad(), builtin("2"))
+    x = discrete_tvcategory(ext, 2)
+    derived = [
+        lambda: ext.unit_map(2),
+        lambda: ext.mult_map(2),
+        lambda: ext.mult_fibers(2),
+        ext.xi,
+        ext.capabilities,
+        lambda: ext.extend(x.a),
+        lambda: em_algebra_category(ext, 1),
+        lambda: unit_tvcategory(ext),
+        lambda: hom_xi_category(ext),
+        lambda: hom_xi_category(ext, validate=False),
+        lambda: dual_tvcategory(x),
+    ]
+    for build in derived:
+        assert build() is build()
+    assert sorted(vars(ext)) == ["_memo", "cache", "max_enum", "monad", "q"]
