@@ -23,10 +23,10 @@ class LaxExtension:
     Construction refuses inadmissible combinations: the threshold-span
     formula only defines an extension when the unit is the top element
     or T of the empty set is empty.  extend memoizes on the matrix data;
-    every other derived value (unit and multiplication tables, xi,
-    capabilities, derived categories) is kept in cache through cached.
-    max_enum is the one budget of every enumeration built on this
-    extension, enforced by check_budget.
+    every other derived value (unit and multiplication tables, xi, its
+    compatibility report, capabilities, derived categories) is kept in
+    cache through cached.  max_enum is the one budget of every
+    enumeration built on this extension, enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -135,8 +135,12 @@ class LaxExtension:
         """
         return self.cached(("capabilities",), self._build_capabilities)
 
+    def xi_compat(self):
+        """check_xi_compat at 8 samples, the report the capabilities read."""
+        return self.cached(("xi_compat", 8), lambda: check_xi_compat(self, samples=8))
+
     def _build_capabilities(self):
-        compat = check_xi_compat(self, samples=8)
+        compat = self.xi_compat()
         laws = check_extension_laws(self, samples=12)
         return {
             "t1_is_one": self.monad.size(1) == 1,

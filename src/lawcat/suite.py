@@ -21,7 +21,7 @@ from .instances import (
     sober_vs_lawvere,
     space_from_preorder,
 )
-from .laxext import LaxExtension, check_extension_laws, check_xi, check_xi_compat, check_xi_functor
+from .laxext import LaxExtension, check_extension_laws, check_xi, check_xi_functor
 from .monad import builtin_monads
 from .quantale import builtin, builtin_quantales, validate_quantale
 from .quniform import (
@@ -215,7 +215,7 @@ def item_xi_algebra(max_enum=DEFAULT_MAX_ENUM):
             ext = _ext(mname, qname, max_enum)
             em = check_xi(ext)["ok"]
             functor = check_xi_functor(ext)["ok"]
-            compat = check_xi_compat(ext, samples=8)
+            compat = ext.xi_compat()
             flag_matches = compat["tensor_strict"] == ext.capabilities()["tensor_strict"]
             entry = {
                 "em_laws": em,

@@ -181,7 +181,7 @@ def kleisli_compose(ext, b, a, n_src):
                     if v != bot:
                         row[z] = join_t[row[z]][v]
         out.append(tuple(row))
-    return VMatrix(q, tn, b.cols, tuple(out))
+    return VMatrix.trusted(q, tn, b.cols, tuple(out))
 
 
 def kleisli_table(x):

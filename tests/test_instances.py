@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from lawcat.errors import GateUnavailable
 from lawcat.instances import (
     FinitePreorder,
+    FiniteSpace,
     VariableSet,
     approach_surrogate,
     companion_varset,
@@ -31,6 +33,74 @@ def test_preorder_counts():
     assert len(enumerate_preorders(1)) == 1
     assert len(enumerate_preorders(2)) == 4
     assert len(enumerate_preorders(3)) == 29
+
+
+def filter_preorders(n):
+    """Reference enumerator: every reflexive relation in mask order, filtered."""
+    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+    out = []
+    for mask in range(1 << len(offdiag)):
+        leq = [[x == y for y in range(n)] for x in range(n)]
+        for i, (x, y) in enumerate(offdiag):
+            if mask & (1 << i):
+                leq[x][y] = True
+        p = FinitePreorder(n, leq)
+        if p.is_valid():
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_backtracking_preorders_match_the_filter(n):
+    assert enumerate_preorders(n) == filter_preorders(n)
+
+
+def test_five_point_preorder_count():
+    preorders = enumerate_preorders(5)
+    assert len(preorders) == 6942
+    assert len(set(preorders)) == 6942
+    assert all(p.is_valid() for p in preorders)
+
+
+def reference_closed_sets(space):
+    """Down-sets as sorted tuples, by a membership test on each subset."""
+    out = []
+    for mask in range(1 << space.n):
+        pts = [x for x in range(space.n) if mask & (1 << x)]
+        if all(not space.order.leq[y][x] or y in pts for x in pts for y in range(space.n)):
+            out.append(tuple(pts))
+    return out
+
+
+def reference_weakly_sober(space):
+    """Set algebra over every pair of closed sets."""
+    closed = reference_closed_sets(space)
+    closed_sets = [set(c) for c in closed]
+    details = []
+    sober = True
+    for c in closed:
+        cs = set(c)
+        if not cs:
+            continue
+        if any(a < cs and b < cs and a | b == cs for a in closed_sets for b in closed_sets):
+            continue
+        generic = tuple(x for x in c if set(space.closure((x,))) == cs)
+        if not generic:
+            sober = False
+        details.append({"closed_set": c, "generic_points": generic})
+    return {"weakly_sober": sober, "irreducible": details, "closed_count": len(closed)}
+
+
+def test_bitmask_sobriety_matches_set_reference():
+    rng = random.Random(8)
+    offdiag = [(x, y) for x in range(5) for y in range(5) if x != y]
+    seeded = [
+        FinitePreorder.from_pairs(5, rng.sample(offdiag, rng.randrange(10))) for _ in range(200)
+    ]
+    for p in [p for n in range(5) for p in enumerate_preorders(n)] + seeded:
+        space = FiniteSpace(p)
+        assert space.closed_sets() == reference_closed_sets(space)
+        assert weakly_sober(space) == reference_weakly_sober(space)
 
 
 def test_preorder_closure():

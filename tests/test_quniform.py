@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from lawcat.quniform import (
     neighbourhood_pair,
     point_induced_module,
     preorder_quniformity,
+    rel_compose,
     validate_quniformity,
 )
 
@@ -72,6 +74,51 @@ def test_lax_algebra_bridge_and_entourage_count():
     rep = lax_algebra_bridge(discrete_quniformity(2))
     assert rep["ok"]
     assert rep["entourage_count"] == 4
+
+
+def materialised_bridge(u):
+    """Reference bridge: both laws searched over every listed entourage."""
+    ents = u.entourages()
+    for a in ents:
+        for x in range(u.n):
+            if (x, x) not in a:
+                return {"ok": False, "law": "unit", "witness": (sorted(a), x)}
+    for a in ents:
+        if not any(rel_compose(b, b) <= a for b in ents):
+            return {"ok": False, "law": "composition", "witness": sorted(a)}
+    return {"ok": True, "entourage_count": len(ents)}
+
+
+def seeded_bases(count, seed):
+    """Random bases on at most 3 points, half of them reflexive."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randrange(1, 4)
+        density = rng.choice((0.2, 0.5, 0.8))
+        base = []
+        for _ in range(rng.randrange(1, 3)):
+            rel = {(x, y) for x in range(n) for y in range(n) if rng.random() < density}
+            if i % 2:
+                rel |= {(x, x) for x in range(n)}
+            base.append(frozenset(rel))
+        out.append(QuasiUniformity(n, base))
+    return out
+
+
+def test_lax_algebra_bridge_matches_materialised_search():
+    laws = set()
+    for u in all_quniformities(2) + curated_three_point() + seeded_bases(300, 5):
+        rep = lax_algebra_bridge(u)
+        assert rep == materialised_bridge(u), sorted(u.w)
+        laws.add(rep.get("law", "ok"))
+    assert laws == {"ok", "unit", "composition"}
+
+
+def test_lax_algebra_bridge_counts_entourages_without_listing_them():
+    assert lax_algebra_bridge(discrete_quniformity(4)) == {"ok": True, "entourage_count": 2**12}
+    assert lax_algebra_bridge(discrete_quniformity(5)) == {"ok": True, "entourage_count": 2**20}
+    assert lax_algebra_bridge(indiscrete_quniformity(5)) == {"ok": True, "entourage_count": 1}
 
 
 def test_lax_morphisms_match_uniform_continuity():

@@ -1,6 +1,26 @@
-from lawcat.suite import _ext
+import sys
+
+import lawcat.laxext
+from lawcat.suite import _ext, item_xi_algebra
 
 
 def test_extension_cache_honours_budget():
     assert _ext("powerset", "c3").max_enum != 100
     assert _ext("powerset", "c3", 100).max_enum == 100
+
+
+def test_xi_algebra_checks_each_extension_once(monkeypatch):
+    calls = []
+    original = lawcat.laxext.check_xi_compat
+
+    def counted(ext, *args, **kwargs):
+        calls.append(ext)
+        return original(ext, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lawcat") and getattr(module, "check_xi_compat", None) is original:
+            monkeypatch.setattr(module, "check_xi_compat", counted)
+    rep = item_xi_algebra()
+    assert len(rep["per_combo"]) == 21
+    assert len(calls) == 21
+    assert len({id(ext) for ext in calls}) == 21

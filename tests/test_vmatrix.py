@@ -5,6 +5,7 @@ import pytest
 
 from lawcat.errors import DimensionMismatch, QuantaleMismatch
 from lawcat.quantale import builtin
+from lawcat.suite import ACCEPT_QUANTALES
 from lawcat.vmatrix import (
     VMatrix,
     all_matrices,
@@ -13,7 +14,10 @@ from lawcat.vmatrix import (
     is_left_adjoint,
     left_adjoint_map_criterion,
     mcompose,
+    postcompose_map,
+    precompose_map,
     right_adjoint_candidate,
+    select_cols,
 )
 
 
@@ -152,6 +156,58 @@ def test_right_adjoint_candidate_matches_full_scan():
             assert partners[0] == right_adjoint_candidate(r)
         else:
             assert cand is None
+
+
+def reference_right_adjoint(r):
+    """Largest s with r.s <= 1_Y, through the quantale's method calls."""
+    q = r.q
+    data = []
+    for y in range(r.cols):
+        row = []
+        for x in range(r.rows):
+            acc = q.top
+            for z in range(r.cols):
+                acc = q.meet(acc, q.hom(r.data[x][z], q.unit if y == z else q.bottom))
+            row.append(acc)
+        data.append(row)
+    return VMatrix(q, r.cols, r.rows, data)
+
+
+def reference_is_left_adjoint(r):
+    s = reference_right_adjoint(r)
+    sr = mcompose(s, r)
+    return s if all(r.q.le(r.q.unit, sr.data[x][x]) for x in range(r.rows)) else None
+
+
+@pytest.mark.parametrize("name", ACCEPT_QUANTALES)
+def test_adjoint_kernel_matches_mcompose_reference(name):
+    q = builtin(name)
+    for rows, cols in itertools.product((1, 2), repeat=2):
+        for r in all_matrices(q, rows, cols):
+            assert r == VMatrix(q, rows, cols, r.data)
+            assert right_adjoint_candidate(r) == reference_right_adjoint(r)
+            assert is_left_adjoint(r) == reference_is_left_adjoint(r)
+
+
+def test_trusted_builders_return_valid_matrices():
+    rng = random.Random(11)
+    q = builtin("c4")
+    for _ in range(50):
+        nx, ny, nz = (rng.randrange(1, 4) for _ in range(3))
+        r, s = rand_matrix(rng, q, nx, ny), rand_matrix(rng, q, ny, nz)
+        f = tuple(rng.randrange(nx) for _ in range(nz))
+        g = tuple(rng.randrange(nz) for _ in range(ny))
+        h = tuple(rng.randrange(ny) for _ in range(nz))
+        built = [
+            (mcompose(s, r), (nx, nz)),
+            (precompose_map(r, f, nz), (nz, ny)),
+            (postcompose_map(g, nz, r), (nx, nz)),
+            (select_cols(r, h), (nx, nz)),
+        ]
+        for m, shape in built:
+            assert (m.rows, m.cols) == shape
+            assert m == VMatrix(q, m.rows, m.cols, m.data)
+            assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
 
 
 @pytest.mark.parametrize(
