@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 
 from .errors import GateUnavailable
-from .monad import monad_capabilities
+from .monad import IdentityMonad, monad_capabilities
 from .tvcat import (
     TVCategory,
     check_tv_adjunction,
@@ -102,11 +102,17 @@ def _kc_closed_psis(q, kc, tn):
 def _pruned_pairs(x, kc, pcat):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted, on plain tuples.
 
-    Walks only the psi satisfying the kc half of the psi-module law.  At each
-    of them it checks the unit-category half of that law, resolves phi from
-    the residual bound, and checks the unit and both phi-module laws.  Each
-    check is a loop over an index list fixed before the walk and stops at the
-    first violated cell.  The unit, which rejects most candidates, goes first.
+    Walks only the psi satisfying the kc half of the psi-module law.  Each
+    of them is extended on its tuple by LaxExtension.extend_column, through
+    the inclusion column of its values (over the identity monad psi is its
+    own extension), and becomes a VMatrix only in a kept pair.  Every psi
+    has one shape, so the budget check that extend would make on each is
+    made once, before the walk (which always yields the bottom psi).  At
+    each psi the kernel checks the unit-category half of the psi law,
+    resolves phi from the residual bound, and checks the unit and both
+    phi-module laws.  Each check is a loop over an index list fixed before
+    the walk and stops at the first violated cell.  The unit, which rejects
+    most candidates, goes first.
     An inequality (join of terms) <= bound is tested term by term; the unit,
     a lower bound, joins its terms only until the join reaches it.  The
     counit phi * psi <= a holds by construction: each of its terms is
@@ -145,9 +151,12 @@ def _pruned_pairs(x, kc, pcat):
     # phi law, a side: Tphi[big][t] (x) a[t] <= phi[s], big over m^-1(s)
     phi_a = [(s, big) for s in range(t1) for big in fib_1[s]]
 
+    identity = isinstance(monad, IdentityMonad)
+    extend_column = ext.extend_column
+
     def pair_at(flat):
-        psi = VMatrix.trusted(q, tn, 1, tuple([(v,) for v in flat]))
-        tpsi = ext.extend(psi).data
+        psi_rows = tuple([(v,) for v in flat])
+        tpsi = psi_rows if identity else extend_column(flat)
         for big, t, tens_c, s in psi_unit:
             if not leq[tens_c[tpsi[big][t]]][flat[s]]:
                 return None
@@ -189,8 +198,9 @@ def _pruned_pairs(x, kc, pcat):
                 for w, v in zip(a[t], phi_s):
                     if not leq[tens_u[w]][v]:
                         return None
-        return AdjointPair(phi, psi)
+        return AdjointPair(phi, VMatrix.trusted(q, tn, 1, psi_rows))
 
+    ext.check_budget("extended matrix size", tn * t1)
     pairs = []
     for flat in _kc_closed_psis(q, kc, tn):
         pair = pair_at(flat)
@@ -236,23 +246,31 @@ def enumerate_adjoint_pairs(x, oracle=False):
     return pairs
 
 
-def representative_for(x, pair):
-    """The point, if any, whose induced module pair reproduces this one exactly."""
+def representables(x):
+    """The representing point of each representable pair, keyed as AdjointPair.key.
+
+    The points are taken in order.  Point p induces the pair with
+    psi = a(-, p) and phi = a(Tp(-), -); a key keeps the first p that
+    induces it and is a functor from the one-point category.
+    """
     ext = x.ext
-    q = ext.q
     monad = ext.monad
+    a = x.a.data
     t1 = monad.size(1)
     tn = monad.size(x.n)
     pcat = unit_tvcategory(ext)
+    index = {}
     for p in range(x.n):
         tf = monad.tmap((p,), 1, x.n)
-        phi_rep = tuple(tuple(x.a.data[tf[z]][c] for c in range(x.n)) for z in range(t1))
-        psi_rep = tuple((x.a.data[s][p],) for s in range(tn))
-        if phi_rep == pair.phi.data and psi_rep == pair.psi.data:
-            if not check_tvfunctor((p,), pcat, x)["ok"]:
-                continue
-            return p
-    return None
+        key = (tuple([(a[s][p],) for s in range(tn)]), tuple([tuple(a[tf[z]]) for z in range(t1)]))
+        if key not in index and check_tvfunctor((p,), pcat, x)["ok"]:
+            index[key] = p
+    return index
+
+
+def representative_for(x, pair):
+    """The point, if any, whose induced module pair reproduces this one exactly."""
+    return representables(x).get(pair.key())
 
 
 def decide_lawvere_complete(x, oracle=False):
@@ -264,10 +282,11 @@ def decide_lawvere_complete(x, oracle=False):
     """
     gate = completeness_gate(x.ext)
     pairs = enumerate_adjoint_pairs(x, oracle)
+    index = representables(x)
     non_rep = []
     reps = []
     for pair in pairs:
-        rep = representative_for(x, pair)
+        rep = index.get(pair.key())
         pair.representative = rep
         if rep is None:
             non_rep.append(pair)

@@ -22,11 +22,13 @@ class LaxExtension:
 
     Construction refuses inadmissible combinations: the threshold-span
     formula only defines an extension when the unit is the top element
-    or T of the empty set is empty.  extend memoizes on the matrix data;
-    every other derived value (unit and multiplication tables, xi, its
-    compatibility report, capabilities, derived categories) is kept in
-    cache through cached.  max_enum is the one budget of every
-    enumeration built on this extension, enforced by check_budget.
+    or T of the empty set is empty.  extend memoizes on the matrix data
+    (matrices of two or more columns, over a monad other than the
+    identity); every other derived value (unit and multiplication tables,
+    xi, its compatibility report, capabilities, derived categories, the
+    extended inclusion columns) is kept in cache through cached.  max_enum
+    is the one budget of every enumeration built on this extension,
+    enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -76,19 +78,25 @@ class LaxExtension:
     def extend(self, m):
         """Extension T(m): T(rows) -|-> T(cols) of a matrix m.
 
-        When the carrier grows and m has duplicate rows or columns, the
-        quotient by the row and column classes is extended and read back
-        through T of the class maps.  This is exact because the extension
-        commutes with maps: T(r.q) = T(r).Tq and T(c°.r) = (Tc)°.T(r)
-        (laws (a) and (b) of check_extension_laws).  Over the identity
-        monad (and so the ultrafilter monad) the threshold loop rebuilds m
-        cell by cell, so m itself is returned and not memoized.
+        Over the identity monad (and so the ultrafilter monad) the threshold
+        loop rebuilds m cell by cell, so m itself is returned and not
+        memoized.  A one-column matrix is extended by extend_column, through
+        the inclusion column of its values, and is not memoized either.
+        Otherwise, when the carrier grows and m has duplicate rows or
+        columns, the quotient by the row and column classes is extended and
+        read back through T of the class maps.  Both are exact because the
+        extension commutes with maps: T(r.q) = T(r).Tq and
+        T(c°.r) = (Tc)°.T(r) (laws (a) and (b) of check_extension_laws).
         """
         trows = self.monad.size(m.rows)
         tcols = self.monad.size(m.cols)
         self.check_budget("extended matrix size", trows * tcols)
         if isinstance(self.monad, IdentityMonad):
             return m
+        if m.cols == 1:
+            return VMatrix.trusted(
+                self.q, trows, tcols, self.extend_column([row[0] for row in m.data])
+            )
         key = (m.rows, m.cols, m.data)
         hit = self._memo.get(key)
         if hit is not None:
@@ -102,6 +110,37 @@ class LaxExtension:
         self._memo[key] = result
         return result
 
+    def extend_column(self, column):
+        """Rows of T(psi) for the one-column matrix psi with these entries.
+
+        Let S be the set of values in the column, c the class map sending a
+        row to the position of its value in S, and i_S: S -|-> 1 the
+        inclusion column (entry v at v).  Then psi = i_S.c, so
+        T(psi) = T(i_S).Tc by law (b) with a map factor.  T(i_S) and the
+        position table are built once per S, under ("column", mask) in the
+        cache, with mask the bitmask of S over V; a call is one tmap and a
+        gather.  T(i_S) has T(|S|).T(1) cells, no more than T(psi) since
+        |S| <= rows, so it takes no budget check of its own.  This method is
+        exact over every monad, but it makes neither the budget check nor
+        the identity short-circuit of extend: a caller that skips extend
+        makes them itself.
+        """
+        mask = 0
+        for v in column:
+            mask |= 1 << v
+        size, rows, pos = self.cached(("column", mask), lambda: self._inclusion_column(mask))
+        tc = self.monad.tmap([pos[v] for v in column], len(column), size)
+        return tuple([rows[b] for b in tc])
+
+    def _inclusion_column(self, mask):
+        q = self.q
+        values = [v for v in range(q.n) if mask >> v & 1]
+        pos = [0] * q.n
+        for i, v in enumerate(values):
+            pos[v] = i
+        incl = VMatrix.trusted(q, len(values), 1, tuple([(v,) for v in values]))
+        return len(values), _threshold_extend(self.monad, q, incl).data, pos
+
     def _extend_quotient(self, m, trows, tcols):
         monad, q = self.monad, self.q
         rq, row_reps = _classes(m.data)
@@ -112,8 +151,8 @@ class LaxExtension:
             len(col_reps),
             tuple(tuple([m.data[i][j] for j in col_reps]) for i in row_reps),
         )
-        # Through extend, so that the quotient, which many matrices share
-        # (a psi column has at most |V| distinct entries), is memoized too.
+        # Through extend, so that the quotient, which many matrices share,
+        # is memoized too (or, when it has one column, cached by its values).
         rows = self.extend(small).data
         # A side without duplicates has the identity as class map: skip it.
         # Otherwise each row of the quotient's extension is re-indexed once
@@ -283,13 +322,16 @@ def check_xi_compat(ext, samples=20, seed=0):
     tpi1 = monad.tmap(pi1, nn, n)
     tpi2 = monad.tmap(pi2, nn, n)
     ttens = monad.tmap(tens_map, nn, n)
+    tens, leq = q.tensor, q.leq
     tensor_le = True
     tensor_strict = True
-    for w in range(tnn):
-        lhs = q.tens(xi[tpi1[w]], xi[tpi2[w]])
-        rhs = xi[ttens[w]]
-        if not q.le(lhs, rhs):
-            tensor_le = False
+    for s1, s2, st in zip(tpi1, tpi2, ttens):
+        lhs = tens[xi[s1]][xi[s2]]
+        rhs = xi[st]
+        if not leq[lhs][rhs]:
+            # lhs != rhs as well, and neither flag can come back.
+            tensor_le = tensor_strict = False
+            break
         if lhs != rhs:
             tensor_strict = False
     report["tensor_inequality"] = tensor_le

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from lawcat.completeness import (
+    AdjointPair,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
     ord_section_extract,
+    representables,
     representative_for,
     uniqueness_of_adjoints,
 )
@@ -18,6 +20,7 @@ from lawcat.tvcat import (
     TVCategory,
     all_tvcategories,
     check_tvcategory,
+    check_tvfunctor,
     discrete_tvcategory,
     hom_xi_category,
     unit_tvcategory,
@@ -338,6 +341,73 @@ def test_pruned_kernel_matches_oracle_on_every_structure(ext_factory, mname, qna
         pruned = enumerate_adjoint_pairs(cat)
         reference = enumerate_adjoint_pairs(cat, oracle=True)
         assert [p.key() for p in pruned] == [p.key() for p in reference], cat.a.data
+
+
+def representative_by_scan(x, pair):
+    """Reference for the representables index: a scan over the points."""
+    ext = x.ext
+    monad = ext.monad
+    t1 = monad.size(1)
+    tn = monad.size(x.n)
+    pcat = unit_tvcategory(ext)
+    for p in range(x.n):
+        tf = monad.tmap((p,), 1, x.n)
+        phi_rep = tuple(tuple(x.a.data[tf[z]][c] for c in range(x.n)) for z in range(t1))
+        psi_rep = tuple((x.a.data[s][p],) for s in range(tn))
+        if phi_rep == pair.phi.data and psi_rep == pair.psi.data:
+            if not check_tvfunctor((p,), pcat, x)["ok"]:
+                continue
+            return p
+    return None
+
+
+@pytest.mark.parametrize("mname,qname,n", ORACLE_SETTINGS)
+def test_representables_index_matches_point_scan(ext_factory, mname, qname, n):
+    ext = ext_factory(mname, qname)
+    pairs = 0
+    for cat in all_tvcategories(ext, n):
+        index = representables(cat)
+        verdict = decide_lawvere_complete(cat)
+        for pair in verdict["pairs"]:
+            rep = representative_by_scan(cat, pair)
+            assert index.get(pair.key()) == pair.representative == rep, cat.a.data
+            pairs += 1
+    assert pairs
+
+
+@pytest.mark.parametrize("mname,qname,n", [("id", "2", 2), ("ultra", "c3", 2), ("powerset", "2", 1)])
+def test_representables_index_skips_points_that_are_not_functors(ext_factory, mname, qname, n):
+    # On every matrix, categories or not, each point's own induced pair is
+    # looked up; where the point fails check_tvfunctor (a(p, p) below k
+    # over id) the index and the scan must both answer None.
+    ext = ext_factory(mname, qname)
+    q = ext.q
+    monad = ext.monad
+    tn = monad.size(n)
+    pcat = unit_tvcategory(ext)
+    failing = 0
+    for flat in itertools.product(range(q.n), repeat=tn * n):
+        x = TVCategory(ext, n, VMatrix(q, tn, n, [flat[i * n : (i + 1) * n] for i in range(tn)]))
+        index = representables(x)
+        for p in range(n):
+            tf = monad.tmap((p,), 1, n)
+            phi = VMatrix(q, monad.size(1), n, [x.a.data[tf[z]] for z in range(monad.size(1))])
+            psi = VMatrix(q, tn, 1, [(x.a.data[s][p],) for s in range(tn)])
+            pair = AdjointPair(phi, psi)
+            assert index.get(pair.key()) == representative_by_scan(x, pair), flat
+            failing += not check_tvfunctor((p,), pcat, x)["ok"]
+    assert failing
+
+
+def test_psi_extensions_stay_out_of_the_memo(monads, quantales):
+    ext = LaxExtension(monads["powerset"], quantales["c3"])
+    cats = all_tvcategories(ext, 2)
+    for cat in cats[:: max(1, len(cats) // 20)]:
+        decide_lawvere_complete(cat)
+    assert ext._memo
+    assert not [key for key in ext._memo if key[1] == 1]
+    columns = [key for key in ext.cache if key[0] == "column"]
+    assert 0 < len(columns) <= 2**ext.q.n
 
 
 @pytest.mark.parametrize(

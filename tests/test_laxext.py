@@ -14,7 +14,7 @@ from lawcat.laxext import (
     check_xi_compat,
     check_xi_functor,
 )
-from lawcat.quantale import Quantale, builtin, validate_quantale
+from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quantale
 from lawcat.tvcat import hom_xi_category
 from lawcat.vmatrix import VMatrix
 
@@ -144,6 +144,35 @@ def test_xi_compat_report(ext_factory, mname, qname):
     assert all(rep["hom_xi_inequality"].values())
 
 
+def _tensor_flags_by_scan(ext):
+    """Reference for check_xi_compat's tensor flags: every element of T(V x V)."""
+    q, monad, xi = ext.q, ext.monad, ext.xi()
+    n = q.n
+    tpi1 = monad.tmap(tuple(u for u in range(n) for _ in range(n)), n * n, n)
+    tpi2 = monad.tmap(tuple(v for _ in range(n) for v in range(n)), n * n, n)
+    ttens = monad.tmap(tuple(q.tens(u, v) for u in range(n) for v in range(n)), n * n, n)
+    pairs = [(q.tens(xi[tpi1[w]], xi[tpi2[w]]), xi[ttens[w]]) for w in range(monad.size(n * n))]
+    return all(q.le(lhs, rhs) for lhs, rhs in pairs), all(lhs == rhs for lhs, rhs in pairs)
+
+
+@pytest.mark.parametrize("mname,qname", PAIRS)
+def test_xi_compat_tensor_flags_match_full_scan(monads, quantales, mname, qname):
+    ext = LaxExtension(monads[mname], quantales[qname])
+    report = check_xi_compat(ext, samples=1)
+    assert (report["tensor_inequality"], report["tensor_strict"]) == _tensor_flags_by_scan(ext)
+
+
+def test_xi_compat_tensor_flags_after_an_early_stop(monads, quantales):
+    # A table that breaks the inequality, so the loop stops early: over
+    # pset2 two nonempty disjoint sets meet in bottom, sent below top.
+    q = quantales["pset2"]
+    broken = LaxExtension(monads["id"], q)
+    broken.cache[("xi",)] = tuple(q.bottom if v == q.bottom else q.top for v in range(q.n))
+    report = check_xi_compat(broken, samples=1)
+    assert (report["tensor_inequality"], report["tensor_strict"]) == _tensor_flags_by_scan(broken)
+    assert not report["tensor_inequality"]
+
+
 def test_tensor_strictness_fails_exactly_for_powerset_plus_chain(ext_factory):
     flags = {}
     for mname, qname in PAIRS:
@@ -225,6 +254,49 @@ def test_reduced_extension_of_hom_xi_structure(monads, quantales):
     assert (ta.rows, ta.cols) == (65536, 16)
     assert ta == _threshold_extend(monad, q, a)
     assert len({id(row) for row in ta.data}) == 16
+
+
+def _column_quantales():
+    from test_random_lattices import SEEDS, downset_quantale
+
+    return list(builtin_quantales().values()) + [downset_quantale(seed) for seed in SEEDS]
+
+
+@pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
+def test_column_extension_matches_threshold_loop(monads, mname):
+    # every one-column matrix with at most 4 rows, over every built-in
+    # quantale and the generated down-set lattices
+    monad = monads[mname]
+    checked = 0
+    for q in _column_quantales():
+        ext = LaxExtension(monad, q)
+        for rows in range(5):
+            for column in itertools.product(range(q.n), repeat=rows):
+                m = VMatrix(q, rows, 1, [(v,) for v in column])
+                reference = _threshold_extend(monad, q, m)
+                assert ext.extend(m) == reference, (q.name, column)
+                assert ext.extend_column(column) == reference.data, (q.name, column)
+                checked += 1
+        assert not ext._memo
+        assert sum(key[0] == "column" for key in ext.cache) <= 2**q.n
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
+def test_column_extension_budget_edge(monads, mname):
+    # the column case makes extend's one budget check, on T(rows).T(1)
+    monad, q = monads[mname], builtin("c3")
+    for rows in range(5):
+        m = VMatrix(q, rows, 1, [(v % q.n,) for v in range(rows)])
+        needed = monad.size(rows) * monad.size(1)
+        with pytest.raises(BudgetExceeded) as info:
+            LaxExtension(monad, q, needed - 1).extend(m)
+        assert (info.value.what, info.value.needed, info.value.budget) == (
+            "extended matrix size",
+            needed,
+            needed - 1,
+        )
+        assert LaxExtension(monad, q, needed).extend(m) == _threshold_extend(monad, q, m)
 
 
 @pytest.mark.parametrize("mname", ["id", "ultra"])
