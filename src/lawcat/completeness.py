@@ -102,12 +102,114 @@ def _kc_closed_psis(q, kc, tn):
 def _pruned_pairs(x, kc, pcat):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted, on plain tuples.
 
+    Every psi has one shape, so the budget check that extend would make on
+    each is made once, before the walk (which always yields the bottom psi).
+    Over the identity monad (and so the ultrafilter monad) with at least one
+    point the walk is _identity_pairs; otherwise, and as its reference in
+    the tests, it is _pairs_by_extension.
+    """
+    ext = x.ext
+    ext.check_budget("extended matrix size", ext.monad.size(x.n) * ext.monad.size(1))
+    if x.n and isinstance(ext.monad, IdentityMonad):
+        return _identity_pairs(x, kc, pcat.a.data[0][0])
+    return _pairs_by_extension(x, kc, pcat)
+
+
+def _identity_pairs(x, kc, c):
+    """The adjoint pairs over the identity monad: psi walked with phi carried.
+
+    Here T(n) = n, T1 = 1, every extension is the matrix itself and the
+    one-point category is the 1 x 1 matrix (c), with c = k.  phi is the
+    residual bound phi[p] = meet_t hom(psi[t], a[t][p]); the walk assigns psi
+    as _kc_closed_psis does (with the same kc checks) and carries its prefix
+    meets phi_i[p] = phi_{i-1}[p] meet hom(psi[i], a[i][p]) down each branch.
+
+    The unit c <= V_x phi[x] (x) psi[x] is the cut.  After psi[i] is
+    assigned, let U = V_{x<=i} phi_i[x] (x) psi[x] v V_{x>i} phi_i[x] (x) top.
+    Every leaf below has phi[x] <= phi_i[x] (phi only meets in more terms)
+    and psi[x] <= top, so, (x) and joins being monotone, its unit join is at
+    most U: when c <= U fails, no leaf of the branch meets the unit, and the
+    branch is cut.  At the last coordinate U is the unit join itself, so
+    every leaf meets the unit.
+
+    Of the module laws only the a side of the phi law is left to check at
+    a leaf, phi[t] (x) a[t][p] <= phi[p].  The unit-category halves of both
+    laws read k (x) v <= v (pcat's Kleisli table is (k)): the quantale unit
+    law k (x) v = v, which validate_quantale enforces on every loaded
+    quantale and the quantale-laws suite item checks on the built-ins.  The
+    counit holds by construction of phi, as in _pairs_by_extension.
+    """
+    q = x.ext.q
+    n = x.n
+    tens, leq, join_t, meet_t, hom_t = q.tensor, q.leq, q.join_t, q.meet_t, q.hom_t
+    bot, top = q.bottom, q.top
+    a = x.a.data
+    leq_c = leq[c]
+    values = range(q.n)
+    tens_top = [tens[u][top] for u in values]
+    # hom(v, a[i][p]) over p, for each coordinate i and value v
+    homs = [[tuple([hom_t[v][w] for w in a[i]]) for v in values] for i in range(n)]
+    last = n - 1
+    psi = [bot] * n
+    pairs = []
+
+    def leaf(phi):
+        for t, u in enumerate(phi):
+            if u == bot:
+                continue
+            tens_u = tens[u]
+            for w, v in zip(a[t], phi):
+                if not leq[tens_u[w]][v]:
+                    return
+        pairs.append(
+            AdjointPair(
+                VMatrix.trusted(q, 1, n, (phi,)),
+                VMatrix.trusted(q, n, 1, tuple([(v,) for v in psi])),
+            )
+        )
+
+    def assign(i, prefix):
+        kc_i = kc[i]
+        homs_i = homs[i]
+        for v in values:
+            if not leq[tens[kc_i[i]][v]][v]:
+                continue
+            for j in range(i):
+                w = psi[j]
+                if not (leq[tens[kc_i[j]][w]][v] and leq[tens[kc[j][i]][v]][w]):
+                    break
+            else:
+                psi[i] = v
+                phi = tuple([meet_t[f][h] for f, h in zip(prefix, homs_i[v])])
+                acc = bot
+                for u, w in zip(phi, psi[: i + 1]):
+                    acc = join_t[acc][tens[u][w]]
+                    if leq_c[acc]:
+                        break
+                else:
+                    for u in phi[i + 1 :]:
+                        acc = join_t[acc][tens_top[u]]
+                        if leq_c[acc]:
+                            break
+                    else:
+                        continue
+                if i == last:
+                    leaf(phi)
+                else:
+                    assign(i + 1, phi)
+
+    assign(0, (top,) * n)
+    return pairs
+
+
+def _pairs_by_extension(x, kc, pcat):
+    """The adjoint pairs over any monad, unsorted, through the extension of phi.
+
     Walks only the psi satisfying the kc half of the psi-module law.  Each
     of them is extended on its tuple by LaxExtension.extend_column, through
-    the inclusion column of its values (over the identity monad psi is its
-    own extension), and becomes a VMatrix only in a kept pair.  Every psi
-    has one shape, so the budget check that extend would make on each is
-    made once, before the walk (which always yields the bottom psi).  At
+    the inclusion column of its values, and becomes a VMatrix only in a kept
+    pair.  The caller
+    makes the budget check that extend would make on each psi.  At
     each psi the kernel checks the unit-category half of the psi law,
     resolves phi from the residual bound, and checks the unit and both
     phi-module laws.  Each check is a loop over an index list fixed before
@@ -151,12 +253,11 @@ def _pruned_pairs(x, kc, pcat):
     # phi law, a side: Tphi[big][t] (x) a[t] <= phi[s], big over m^-1(s)
     phi_a = [(s, big) for s in range(t1) for big in fib_1[s]]
 
-    identity = isinstance(monad, IdentityMonad)
     extend_column = ext.extend_column
 
     def pair_at(flat):
         psi_rows = tuple([(v,) for v in flat])
-        tpsi = psi_rows if identity else extend_column(flat)
+        tpsi = extend_column(flat)
         for big, t, tens_c, s in psi_unit:
             if not leq[tens_c[tpsi[big][t]]][flat[s]]:
                 return None
@@ -200,7 +301,6 @@ def _pruned_pairs(x, kc, pcat):
                         return None
         return AdjointPair(phi, VMatrix.trusted(q, tn, 1, psi_rows))
 
-    ext.check_budget("extended matrix size", tn * t1)
     pairs = []
     for flat in _kc_closed_psis(q, kc, tn):
         pair = pair_at(flat)

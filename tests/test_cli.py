@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -267,3 +269,58 @@ def test_unknown_monad_is_a_parse_error(tmp_path, capsys):
     target.write_text("tvcat c over 2 monad foo\nelements: a\nm[a,a] = 1\n")
     assert main(["check", str(target)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {target}:1: unknown monad 'foo'")
+
+
+# SHA-256 of the exit codes and stdout of `lawcat complete` and `lawcat sober`
+# (--format json) over the files written by _pinned_verdict_jobs, in order.
+VERDICT_SHA256 = {
+    "complete": "2f41e6f67d75c8ac6c0453dab82fa12d4489e4668bf05d6db61146d56cb58561",
+    "sober": "36efafeda8ed50526771bfd4a9deae82858981e9801c24a122ba84cef21ab0d8",
+}
+
+
+def _pinned_verdict_jobs():
+    """Seeded inputs as (command, file name, text): closed 3-point
+    structures of id/plus3, id/c4, ultra/c3 and id/pset2 (the one class with
+    incomplete ones) for `complete`, and 5-point spaces for `sober`."""
+    from test_completeness import closed_structure
+
+    from lawcat.instances import FinitePreorder
+    from lawcat.quantale import builtin
+
+    rng = random.Random("pinned-verdicts")
+    jobs = []
+    for mname, qname in (("id", "plus3"), ("id", "c4"), ("ultra", "c3"), ("id", "pset2")):
+        q = builtin(qname)
+        kind, head = ("vcat", "") if mname == "id" else ("tvcat", f" monad {mname}")
+        for i in range(15):
+            name = f"{mname}{qname}{i:02d}"
+            lines = [f"{kind} {name} over {qname}{head}", "elements: a b c"]
+            for r, row in enumerate(closed_structure(rng, q, 3)):
+                cells = [(c, v) for c, v in enumerate(row) if v != q.bottom]
+                lines += [f"m[{'abc'[r]},{'abc'[c]}] = {q.labels[v]}" for c, v in cells]
+            jobs.append(("complete", f"{name}.{kind}", "\n".join(lines) + "\n"))
+    offdiag = [(x, y) for x in range(5) for y in range(5) if x != y]
+    for i in range(40):
+        order = FinitePreorder.from_pairs(5, rng.sample(offdiag, rng.randrange(7)))
+        pairs = " ".join(f"{'abcde'[x]}<={'abcde'[y]}" for x, y in offdiag if order.leq[x][y])
+        lines = [f"space s{i:02d}", "elements: a b c d e"] + ([f"order: {pairs}"] if pairs else [])
+        jobs.append(("sober", f"s{i:02d}.space", "\n".join(lines) + "\n"))
+    return jobs
+
+
+def test_complete_and_sober_verdict_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # Relative paths keep tmp_path out of the reports' input blocks.
+    monkeypatch.chdir(tmp_path)
+    digests = {command: hashlib.sha256() for command in VERDICT_SHA256}
+    codes = {command: set() for command in VERDICT_SHA256}
+    for command, name, text in _pinned_verdict_jobs():
+        (tmp_path / name).write_text(text)
+        code = main([command, name, "--format", "json"])
+        out = capsys.readouterr().out
+        json.loads(out)
+        codes[command].add(code)
+        digests[command].update(f"{code}\n{out}".encode())
+    # the inputs reach both verdicts of complete
+    assert codes == {"complete": {0, 1}, "sober": {0}}
+    assert {command: d.hexdigest() for command, d in digests.items()} == VERDICT_SHA256

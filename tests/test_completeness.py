@@ -5,6 +5,7 @@ import pytest
 
 from lawcat.completeness import (
     AdjointPair,
+    _pairs_by_extension,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
@@ -15,7 +16,8 @@ from lawcat.completeness import (
 )
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import LaxExtension
-from lawcat.quantale import builtin
+from lawcat.monad import builtin_monad
+from lawcat.quantale import Quantale, builtin, validate_quantale
 from lawcat.tvcat import (
     TVCategory,
     all_tvcategories,
@@ -23,6 +25,7 @@ from lawcat.tvcat import (
     check_tvfunctor,
     discrete_tvcategory,
     hom_xi_category,
+    kleisli_table,
     unit_tvcategory,
 )
 from lawcat.vmatrix import VMatrix
@@ -410,21 +413,70 @@ def test_psi_extensions_stay_out_of_the_memo(monads, quantales):
     assert 0 < len(columns) <= 2**ext.q.n
 
 
+def cyclic_quantale(m):
+    """Subsets of Z/m under Minkowski sum: its unit {0} is neither top nor bottom."""
+    size = 1 << m
+    leq = [[a & b == a for b in range(size)] for a in range(size)]
+
+    def add(a, b):
+        out = 0
+        for i in range(m):
+            for j in range(m):
+                if a >> i & b >> j & 1:
+                    out |= 1 << (i + j) % m
+        return out
+
+    tensor = [[add(a, b) for b in range(size)] for a in range(size)]
+    labels = ["{" + ",".join(str(i) for i in range(m) if a >> i & 1) + "}" for a in range(size)]
+    q = Quantale(f"cyclic{m}", labels, leq, tensor, unit=1)
+    assert validate_quantale(q)["ok"] and q.unit not in (q.top, q.bottom)
+    return q
+
+
 @pytest.mark.parametrize(
     "mname,qname,n",
-    [("id", "2", 3), ("id", "c3", 2), ("ultra", "plus3", 2), ("powerset", "2", 1), ("powerset", "c3", 1)],
+    [("id", "2", n) for n in (0, 1, 2, 3)]
+    + [("id", "c3", n) for n in (0, 1, 2)]
+    + [("ultra", "plus3", n) for n in (0, 1, 2)]
+    + [("id", "cyclic2", n) for n in (0, 1, 2)]
+    + [("powerset", "2", 1), ("powerset", "c3", 1)],
 )
 def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname, n):
     # structures failing the category axioms too: there the phi-module laws
-    # reject pairs that the unit inequality alone would keep
-    ext = ext_factory(mname, qname)
+    # reject pairs that the unit inequality alone would keep.  Over the
+    # identity monad the pruned path is the identity walk, and the
+    # extension-based kernel, its reference, must agree with both.
+    if qname == "cyclic2":
+        ext = LaxExtension(builtin_monad(mname), cyclic_quantale(2))
+    else:
+        ext = ext_factory(mname, qname)
     q = ext.q
     tn = ext.monad.size(n)
+    pcat = unit_tvcategory(ext)
     for flat in itertools.product(range(q.n), repeat=tn * n):
         x = TVCategory(ext, n, VMatrix(q, tn, n, [flat[i * n : (i + 1) * n] for i in range(tn)]))
-        pruned = enumerate_adjoint_pairs(x)
-        reference = enumerate_adjoint_pairs(x, oracle=True)
-        assert [p.key() for p in pruned] == [p.key() for p in reference], flat
+        pruned = [p.key() for p in enumerate_adjoint_pairs(x)]
+        assert pruned == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], flat
+        if mname != "powerset":
+            generic = sorted(p.key() for p in _pairs_by_extension(x, kleisli_table(x), pcat))
+            assert generic == pruned, flat
+
+
+@pytest.mark.parametrize("mname,qname,n", [("id", "plus3", 3), ("ultra", "2", 5)])
+def test_identity_walk_extends_only_the_structure(monads, quantales, mname, qname, n):
+    # The walk reads phi and psi as their own extensions: the one extend
+    # call is kleisli_table's, on the structure itself.
+    rng = random.Random(f"walk/{mname}/{qname}/{n}")
+    q = quantales[qname]
+    for _ in range(5):
+        ext = LaxExtension(monads[mname], q)
+        x = TVCategory(ext, n, VMatrix(q, n, n, closed_structure(rng, q, n)))
+        calls = []
+        extend, extend_column = ext.extend, ext.extend_column
+        ext.extend = lambda m: calls.append(("extend", m)) or extend(m)
+        ext.extend_column = lambda col: calls.append(("extend_column", col)) or extend_column(col)
+        assert enumerate_adjoint_pairs(x)
+        assert calls == [("extend", x.a)]
 
 
 def closed_structure(rng, q, n):
@@ -446,7 +498,13 @@ def closed_structure(rng, q, n):
 
 
 # Settings too large to sweep whole: a seeded sample of 15 structures each.
-SAMPLED_SETTINGS = [("id", "plus3", 3), ("id", "c4", 3), ("ultra", "c3", 3), ("powerset", "c3", 2)]
+SAMPLED_SETTINGS = [
+    ("id", "plus3", 3),
+    ("id", "c4", 3),
+    ("ultra", "c3", 3),
+    ("ultra", "2", 5),
+    ("powerset", "c3", 2),
+]
 
 
 @pytest.mark.parametrize("mname,qname,n", SAMPLED_SETTINGS)
