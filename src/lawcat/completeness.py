@@ -67,108 +67,121 @@ class AdjointPair:
         return f"AdjointPair(rep={self.representative})"
 
 
-def _kc_closed_psis(q, kc, tn):
-    """Every psi with kc[s][t] (x) psi[t] <= psi[s] for all s, t.
-
-    Backtracking over the coordinates in order: a value is rejected as soon
-    as the constraint fails against itself or an assigned coordinate, in
-    either direction.  The result is in itertools.product order.
-    """
-    tens, leq = q.tensor, q.leq
-    values = range(q.n)
-    psi = [q.bottom] * tn
-    out = []
-
-    def assign(i):
-        if i == tn:
-            out.append(tuple(psi))
-            return
-        kc_i = kc[i]
-        for v in values:
-            if not leq[tens[kc_i[i]][v]][v]:
-                continue
-            for j in range(i):
-                w = psi[j]
-                if not (leq[tens[kc_i[j]][w]][v] and leq[tens[kc[j][i]][v]][w]):
-                    break
-            else:
-                psi[i] = v
-                assign(i + 1)
-
-    assign(0)
-    return out
-
-
 def _pruned_pairs(x, kc, pcat):
-    """The adjoint pairs of enumerate_adjoint_pairs, unsorted, on plain tuples.
+    """The adjoint pairs of enumerate_adjoint_pairs, unsorted: one psi walk
+    with phi carried, over every monad and every n.
 
     Every psi has one shape, so the budget check that extend would make on
-    each is made once, before the walk (which always yields the bottom psi).
-    Over the identity monad (and so the ultrafilter monad) with at least one
-    point the walk is _identity_pairs; otherwise, and as its reference in
-    the tests, it is _pairs_by_extension.
+    each is made once, before the walk.  The walk assigns psi over T(n)
+    coordinate by coordinate and rejects a value as soon as the kc half of
+    the psi-module law, kc[s][t] (x) psi[t] <= psi[s], fails against itself
+    or an assigned coordinate, in either direction.  Down each branch it
+    carries phi_E[p] = meet_{t<=i} hom(psi[t], a[t][p]).
+
+    The cut.  Let e1 = e_1(0), the point of T(1) that the one-point category
+    pcat marks with c = k.  A pair's phi is the residual bound
+    phi[z][p] = meet_big hom(Tpsi[big][z], a[m(big)][p]), and the unit asks
+    c <= V_{big in m^-1(e1)} V_t Tphi[big][t] (x) psi[t].  At big = e(t)
+    the unit law of the extension (law (d)) gives psi[t] <= Tpsi[e(t)][e1],
+    and hom is antitone in its first argument, so phi <= phi_hi, the T(1) x n
+    matrix with phi_E in row e1 and top elsewhere.  By monotonicity of the
+    extension (law (c)) Tphi <= T(phi_hi), and psi lies below psi with top
+    in every unassigned coordinate; (x) and joins are monotone.  So with R
+    the rows m^-1(e1) of T(phi_hi),
+    U = V_{row in R} (V_{t<i} row[t] (x) psi[t] v V_{t>=i} row[t] (x) top)
+    bounds the unit join of every leaf below the node, and the node is cut
+    when c <= U fails.  Over the identity monad (and so the ultrafilter
+    monad) the extension is the matrix itself and R = (phi_E,); there phi_E
+    is phi and U at a leaf is the unit join.  Elsewhere R is extended once
+    per phi_E, memoized for this call only.
+
+    At a leaf over the identity monad only the a side of the phi law,
+    phi[t] (x) a[t][p] <= phi[p], is left to check.  The unit-category
+    halves of both module laws read k (x) v <= v (pcat's Kleisli table is
+    (k)): the quantale unit law, which validate_quantale enforces.  Over
+    any other monad the leaf runs the exact per-psi check of _pair_check,
+    unit-category halves included: they have never rejected a candidate
+    that passed the rest, but that is evidence, not a proof.
     """
     ext = x.ext
-    ext.check_budget("extended matrix size", ext.monad.size(x.n) * ext.monad.size(1))
-    if x.n and isinstance(ext.monad, IdentityMonad):
-        return _identity_pairs(x, kc, pcat.a.data[0][0])
-    return _pairs_by_extension(x, kc, pcat)
-
-
-def _identity_pairs(x, kc, c):
-    """The adjoint pairs over the identity monad: psi walked with phi carried.
-
-    Here T(n) = n, T1 = 1, every extension is the matrix itself and the
-    one-point category is the 1 x 1 matrix (c), with c = k.  phi is the
-    residual bound phi[p] = meet_t hom(psi[t], a[t][p]); the walk assigns psi
-    as _kc_closed_psis does (with the same kc checks) and carries its prefix
-    meets phi_i[p] = phi_{i-1}[p] meet hom(psi[i], a[i][p]) down each branch.
-
-    The unit c <= V_x phi[x] (x) psi[x] is the cut.  After psi[i] is
-    assigned, let U = V_{x<=i} phi_i[x] (x) psi[x] v V_{x>i} phi_i[x] (x) top.
-    Every leaf below has phi[x] <= phi_i[x] (phi only meets in more terms)
-    and psi[x] <= top, so, (x) and joins being monotone, its unit join is at
-    most U: when c <= U fails, no leaf of the branch meets the unit, and the
-    branch is cut.  At the last coordinate U is the unit join itself, so
-    every leaf meets the unit.
-
-    Of the module laws only the a side of the phi law is left to check at
-    a leaf, phi[t] (x) a[t][p] <= phi[p].  The unit-category halves of both
-    laws read k (x) v <= v (pcat's Kleisli table is (k)): the quantale unit
-    law k (x) v = v, which validate_quantale enforces on every loaded
-    quantale and the quantale-laws suite item checks on the built-ins.  The
-    counit holds by construction of phi, as in _pairs_by_extension.
-    """
-    q = x.ext.q
+    q = ext.q
+    monad = ext.monad
     n = x.n
+    tn = monad.size(n)
+    t1 = monad.size(1)
+    ext.check_budget("extended matrix size", tn * t1)
     tens, leq, join_t, meet_t, hom_t = q.tensor, q.leq, q.join_t, q.meet_t, q.hom_t
     bot, top = q.bottom, q.top
     a = x.a.data
-    leq_c = leq[c]
+    e1 = ext.unit_map(1)[0]
+    leq_c = leq[pcat.a.data[e1][0]]
     values = range(q.n)
     tens_top = [tens[u][top] for u in values]
-    # hom(v, a[i][p]) over p, for each coordinate i and value v
-    homs = [[tuple([hom_t[v][w] for w in a[i]]) for v in values] for i in range(n)]
-    last = n - 1
-    psi = [bot] * n
+    # hom(v, a[t][p]) over p, for each coordinate t and value v
+    homs = [[tuple([hom_t[v][w] for w in a[t]]) for v in values] for t in range(tn)]
+    psi = [bot] * tn
     pairs = []
 
-    def leaf(phi):
-        for t, u in enumerate(phi):
-            if u == bot:
-                continue
-            tens_u = tens[u]
-            for w, v in zip(a[t], phi):
-                if not leq[tens_u[w]][v]:
-                    return
-        pairs.append(
-            AdjointPair(
-                VMatrix.trusted(q, 1, n, (phi,)),
-                VMatrix.trusted(q, n, 1, tuple([(v,) for v in psi])),
-            )
-        )
+    if isinstance(monad, IdentityMonad):
 
-    def assign(i, prefix):
+        def bound_rows(phi):
+            return (phi,)
+
+        def leaf(phi):
+            for t, u in enumerate(phi):
+                if u == bot:
+                    continue
+                tens_u = tens[u]
+                for w, v in zip(a[t], phi):
+                    if not leq[tens_u[w]][v]:
+                        return
+            pairs.append(
+                AdjointPair(
+                    VMatrix.trusted(q, 1, n, (phi,)),
+                    VMatrix.trusted(q, n, 1, tuple([(v,) for v in psi])),
+                )
+            )
+
+    else:
+        bigs = ext.mult_fibers(1)[e1]
+        tops = (top,) * n
+        rows_by_phi = {}
+
+        def bound_rows(phi):
+            rows = rows_by_phi.get(phi)
+            if rows is None:
+                hi = tuple([phi if z == e1 else tops for z in range(t1)])
+                tphi = ext.extend(VMatrix.trusted(q, t1, n, hi)).data
+                rows = rows_by_phi[phi] = tuple([tphi[big] for big in bigs])
+            return rows
+
+        pair_at = _pair_check(x, pcat)
+
+        def leaf(phi):
+            pair = pair_at(tuple(psi))
+            if pair is not None:
+                pairs.append(pair)
+
+    def meets(phi, i):
+        # c <= U, psi[:i] assigned
+        acc = bot
+        for row in bound_rows(phi):
+            for u, w in zip(row, psi[:i]):
+                acc = join_t[acc][tens[u][w]]
+                if leq_c[acc]:
+                    return True
+            for u in row[i:]:
+                acc = join_t[acc][tens_top[u]]
+                if leq_c[acc]:
+                    return True
+        return leq_c[acc]
+
+    def walk(i, phi):
+        if not meets(phi, i):
+            return
+        if i == tn:
+            leaf(phi)
+            return
         kc_i = kc[i]
         homs_i = homs[i]
         for v in values:
@@ -180,46 +193,26 @@ def _identity_pairs(x, kc, c):
                     break
             else:
                 psi[i] = v
-                phi = tuple([meet_t[f][h] for f, h in zip(prefix, homs_i[v])])
-                acc = bot
-                for u, w in zip(phi, psi[: i + 1]):
-                    acc = join_t[acc][tens[u][w]]
-                    if leq_c[acc]:
-                        break
-                else:
-                    for u in phi[i + 1 :]:
-                        acc = join_t[acc][tens_top[u]]
-                        if leq_c[acc]:
-                            break
-                    else:
-                        continue
-                if i == last:
-                    leaf(phi)
-                else:
-                    assign(i + 1, phi)
+                walk(i + 1, tuple([meet_t[f][h] for f, h in zip(phi, homs_i[v])]))
 
-    assign(0, (top,) * n)
+    walk(0, (top,) * n)
     return pairs
 
 
-def _pairs_by_extension(x, kc, pcat):
-    """The adjoint pairs over any monad, unsorted, through the extension of phi.
+def _pair_check(x, pcat):
+    """The exact check of one psi over any monad: its pair, or None.
 
-    Walks only the psi satisfying the kc half of the psi-module law.  Each
-    of them is extended on its tuple by LaxExtension.extend_column, through
-    the inclusion column of its values, and becomes a VMatrix only in a kept
-    pair.  The caller
-    makes the budget check that extend would make on each psi.  At
-    each psi the kernel checks the unit-category half of the psi law,
-    resolves phi from the residual bound, and checks the unit and both
-    phi-module laws.  Each check is a loop over an index list fixed before
-    the walk and stops at the first violated cell.  The unit, which rejects
-    most candidates, goes first.
-    An inequality (join of terms) <= bound is tested term by term; the unit,
-    a lower bound, joins its terms only until the join reaches it.  The
-    counit phi * psi <= a holds by construction: each of its terms is
-    u (x) phi[t][z] with u = Tpsi[big][t], and phi[t][z] is a meet that
-    includes hom(u, a[m(big)][z]), so the term is at most
+    The returned function takes psi as a tuple over T(n) that satisfies the
+    kc half of the psi-module law.  It extends psi by
+    LaxExtension.extend_column, through the inclusion column of its values,
+    checks the unit-category half of the psi law, resolves phi from the
+    residual bound, extends phi, and checks the unit and both phi-module
+    laws.  Each check is a loop over an index list fixed here and stops at
+    the first violated cell; the unit joins its terms only until the join
+    reaches its bound.  The caller makes the budget check that extend would
+    make on psi.  The counit phi * psi <= a holds by construction: each of
+    its terms is u (x) phi[t][z] with u = Tpsi[big][t], and phi[t][z] is a
+    meet that includes hom(u, a[m(big)][z]), so the term is at most
     u (x) hom(u, a[m(big)][z]) <= a[m(big)][z].
     """
     ext = x.ext
@@ -252,11 +245,9 @@ def _pairs_by_extension(x, kc, pcat):
     phi_kcp = [(tens[kcp[s][t]], s, t) for s in range(t1) for t in range(t1) if kcp[s][t] != bot]
     # phi law, a side: Tphi[big][t] (x) a[t] <= phi[s], big over m^-1(s)
     phi_a = [(s, big) for s in range(t1) for big in fib_1[s]]
-
     extend_column = ext.extend_column
 
     def pair_at(flat):
-        psi_rows = tuple([(v,) for v in flat])
         tpsi = extend_column(flat)
         for big, t, tens_c, s in psi_unit:
             if not leq[tens_c[tpsi[big][t]]][flat[s]]:
@@ -299,14 +290,9 @@ def _pairs_by_extension(x, kc, pcat):
                 for w, v in zip(a[t], phi_s):
                     if not leq[tens_u[w]][v]:
                         return None
-        return AdjointPair(phi, VMatrix.trusted(q, tn, 1, psi_rows))
+        return AdjointPair(phi, VMatrix.trusted(q, tn, 1, tuple([(v,) for v in flat])))
 
-    pairs = []
-    for flat in _kc_closed_psis(q, kc, tn):
-        pair = pair_at(flat)
-        if pair is not None:
-            pairs.append(pair)
-    return pairs
+    return pair_at
 
 
 def enumerate_adjoint_pairs(x, oracle=False):

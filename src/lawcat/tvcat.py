@@ -185,16 +185,22 @@ def kleisli_compose(ext, b, a, n_src):
 
 
 def kleisli_table(x):
-    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x."""
+    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x.
+
+    Row s joins the rows of Ta over the fibre of m at s; a one-element
+    fibre (every fibre over the identity monad) is that row itself.
+    """
     ext = x.ext
     q = ext.q
-    ta = ext.extend(x.a)
-    fibers = ext.mult_fibers(x.n)
+    ta = ext.extend(x.a).data
     tn = ext.monad.size(x.n)
-    return [
-        [q.join_all(ta.data[big][t] for big in fibers[s]) for t in range(tn)]
-        for s in range(tn)
-    ]
+    table = []
+    for fiber in ext.mult_fibers(x.n):
+        if len(fiber) == 1:
+            table.append(ta[fiber[0]])
+        else:
+            table.append(tuple([q.join_all(ta[big][t] for big in fiber) for t in range(tn)]))
+    return table
 
 
 def check_tvfunctor(f, x, y):
@@ -318,7 +324,8 @@ def check_tvbimodule(psi, x, y):
     psi as a map on T(X) x Y and asks for functoriality both out of the
     free-algebra tensor and out of the dual tensor, into the canonical
     structure on the quantale.  Agreement is recorded, not enforced: the
-    characterization holds when the extension has the m_natural capability.
+    characterization holds when the multiplication is natural, the equality
+    case of law (e) that check_extension_laws samples as m_natural.
     """
     ext = x.ext
     monad = ext.monad

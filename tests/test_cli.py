@@ -324,3 +324,45 @@ def test_complete_and_sober_verdict_bytes_are_pinned(tmp_path, monkeypatch, caps
     # the inputs reach both verdicts of complete
     assert codes == {"complete": {0, 1}, "sober": {0}}
     assert {command: d.hexdigest() for command, d in digests.items()} == VERDICT_SHA256
+
+
+# SHA-256 of the exit codes and stdout of `lawcat complete --format json`
+# over the files written by _pinned_powerset_jobs, in order.
+POWERSET_VERDICT_SHA256 = "a3df06be294790a2134f7192d58ed4da0b2f40edad52a3e06a78c60c3cb4ddac"
+
+
+def _pinned_powerset_jobs():
+    """Every powerset category on 2 points over c3 (121, 7 incomplete) and
+    over 2 (21, 1 incomplete), as (file name, text)."""
+    from lawcat.laxext import LaxExtension
+    from lawcat.monad import builtin_monad
+    from lawcat.quantale import builtin
+    from lawcat.tvcat import all_tvcategories
+
+    monad = builtin_monad("powerset")
+    rows = monad.labels(2, "ab")
+    jobs = []
+    for qname in ("c3", "2"):
+        q = builtin(qname)
+        for i, cat in enumerate(all_tvcategories(LaxExtension(monad, q), 2)):
+            name = f"powerset{qname}{i:03d}"
+            lines = [f"tvcat {name} over {qname} monad powerset", "elements: a b"]
+            for r, row in enumerate(cat.a.data):
+                lines += [f"m[{rows[r]},{'ab'[c]}] = {q.labels[v]}" for c, v in enumerate(row) if v != q.bottom]
+            jobs.append((f"{name}.tvcat", "\n".join(lines) + "\n"))
+    return jobs
+
+
+def test_powerset_complete_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    codes = set()
+    for name, text in _pinned_powerset_jobs():
+        (tmp_path / name).write_text(text)
+        code = main(["complete", name, "--format", "json"])
+        out = capsys.readouterr().out
+        json.loads(out)
+        codes.add(code)
+        digest.update(f"{code}\n{out}".encode())
+    assert codes == {0, 1}
+    assert digest.hexdigest() == POWERSET_VERDICT_SHA256

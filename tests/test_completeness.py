@@ -5,7 +5,7 @@ import pytest
 
 from lawcat.completeness import (
     AdjointPair,
-    _pairs_by_extension,
+    _pair_check,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
@@ -433,33 +433,81 @@ def cyclic_quantale(m):
     return q
 
 
+def kc_closed_psis(q, kc, tn):
+    """Every psi with kc[s][t] (x) psi[t] <= psi[s] for all s, t, in
+    itertools.product order: the walk's psi space without its cut."""
+    return [
+        psi
+        for psi in itertools.product(range(q.n), repeat=tn)
+        if all(q.leq[q.tensor[kc[s][t]][psi[t]]][psi[s]] for s in range(tn) for t in range(tn))
+    ]
+
+
+def pairs_by_extension(x, kc, pcat):
+    """Reference for the pruned walk: the exact per-psi check on every
+    kc-closed psi, so that it differs from the walk only in the cut."""
+    pair_at = _pair_check(x, pcat)
+    found = [pair_at(psi) for psi in kc_closed_psis(x.ext.q, kc, x.ext.monad.size(x.n))]
+    return [pair for pair in found if pair is not None]
+
+
+def all_structures(ext, n):
+    """Every T(n) x n matrix over ext, categories or not."""
+    q = ext.q
+    tn = ext.monad.size(n)
+    for flat in itertools.product(range(q.n), repeat=tn * n):
+        yield TVCategory(ext, n, VMatrix(q, tn, n, [flat[i * n : (i + 1) * n] for i in range(tn)]))
+
+
 @pytest.mark.parametrize(
     "mname,qname,n",
     [("id", "2", n) for n in (0, 1, 2, 3)]
     + [("id", "c3", n) for n in (0, 1, 2)]
     + [("ultra", "plus3", n) for n in (0, 1, 2)]
     + [("id", "cyclic2", n) for n in (0, 1, 2)]
-    + [("powerset", "2", 1), ("powerset", "c3", 1)],
+    + [("powerset", "2", n) for n in (0, 1, 2)]
+    + [("powerset", "c3", n) for n in (0, 1)],
 )
 def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname, n):
     # structures failing the category axioms too: there the phi-module laws
-    # reject pairs that the unit inequality alone would keep.  Over the
-    # identity monad the pruned path is the identity walk, and the
-    # extension-based kernel, its reference, must agree with both.
+    # reject pairs that the unit inequality alone would keep.  The reference
+    # without the cut must agree with both.
     if qname == "cyclic2":
         ext = LaxExtension(builtin_monad(mname), cyclic_quantale(2))
     else:
         ext = ext_factory(mname, qname)
-    q = ext.q
-    tn = ext.monad.size(n)
     pcat = unit_tvcategory(ext)
-    for flat in itertools.product(range(q.n), repeat=tn * n):
-        x = TVCategory(ext, n, VMatrix(q, tn, n, [flat[i * n : (i + 1) * n] for i in range(tn)]))
+    for x in all_structures(ext, n):
         pruned = [p.key() for p in enumerate_adjoint_pairs(x)]
-        assert pruned == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], flat
-        if mname != "powerset":
-            generic = sorted(p.key() for p in _pairs_by_extension(x, kleisli_table(x), pcat))
-            assert generic == pruned, flat
+        assert pruned == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+        reference = sorted(p.key() for p in pairs_by_extension(x, kleisli_table(x), pcat))
+        assert reference == pruned, x.a.data
+
+
+@pytest.mark.parametrize("qname", ["2", "c3", "plus2", "pset1"])
+def test_powerset_walk_matches_reference_on_hom_xi(ext_factory, qname):
+    ext = ext_factory("powerset", qname)
+    x = hom_xi_category(ext)
+    reference = sorted(p.key() for p in pairs_by_extension(x, kleisli_table(x), unit_tvcategory(ext)))
+    assert [p.key() for p in enumerate_adjoint_pairs(x)] == reference
+
+
+def test_powerset_walk_on_every_c3_category(monads, quantales):
+    # On every powerset/c3 category on 2 points the walk finds the pairs of
+    # the reference without the cut, and, the cut coming before a psi is
+    # extended, runs extend_column fewer times than there are kc-closed psis
+    # (the reference runs it once for each).
+    ext = LaxExtension(monads["powerset"], quantales["c3"])
+    pcat = unit_tvcategory(ext)
+    calls = []
+    extend_column = ext.extend_column
+    ext.extend_column = lambda col: calls.append(col) or extend_column(col)
+    for x in all_tvcategories(ext, 2):
+        kc = kleisli_table(x)
+        reference = sorted(p.key() for p in pairs_by_extension(x, kc, pcat))
+        del calls[:]
+        assert [p.key() for p in enumerate_adjoint_pairs(x)] == reference, x.a.data
+        assert len(calls) < len(kc_closed_psis(ext.q, kc, 4)), x.a.data
 
 
 @pytest.mark.parametrize("mname,qname,n", [("id", "plus3", 3), ("ultra", "2", 5)])
@@ -533,7 +581,9 @@ def test_unit_category_is_built_once_per_extension(ext_factory):
 
 
 @pytest.mark.parametrize(
-    "mname,qname,n", [("id", "2", 3), ("id", "c3", 2), ("ultra", "plus3", 2), ("powerset", "2", 2)]
+    "mname,qname,n",
+    [("id", "2", 3), ("id", "c3", 2), ("ultra", "plus3", 2), ("powerset", "2", 2)]
+    + [("powerset", qname, n) for qname in ("2", "c3") for n in (0, 1)],
 )
 def test_psi_budget_edge(ext_factory, mname, qname, n):
     ext = ext_factory(mname, qname)
@@ -547,8 +597,16 @@ def test_psi_budget_edge(ext_factory, mname, qname, n):
         pairs_at(psi_count - 1)
     assert (err.value.what, err.value.needed) == ("psi space", psi_count)
     # The same budget bounds the extension of the structure, T(T(n)) x T(n)
-    # cells, which binds first where it outgrows the psi space.
-    cells = {("id", "2", 3): 9, ("powerset", "2", 2): 64}.get((mname, qname, n))
+    # cells, which binds first where it outgrows the psi space; over powerset
+    # at 0 points the extension of the one-point category, T(T(1)) x T(1)
+    # cells, binds first.
+    cells = {
+        ("id", "2", 3): 9,
+        ("powerset", "2", 2): 64,
+        ("powerset", "2", 1): 8,
+        ("powerset", "2", 0): 8,
+        ("powerset", "c3", 0): 8,
+    }.get((mname, qname, n))
     if cells is not None:
         with pytest.raises(BudgetExceeded) as err:
             pairs_at(psi_count)

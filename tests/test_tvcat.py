@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lawcat.errors import GateUnavailable
-from lawcat.laxext import LaxExtension, _threshold_extend
+from lawcat.laxext import LaxExtension, _threshold_extend, check_extension_laws
 from lawcat.monad import PowersetMonad, m_square_gap
 from lawcat.quantale import builtin
 from lawcat.tvcat import (
@@ -25,6 +25,7 @@ from lawcat.tvcat import (
     hom_xi_category,
     induced_modules,
     kleisli_compose,
+    kleisli_table,
     oracle_largest_structure,
     tensor_tvcat,
     tvcategory,
@@ -117,7 +118,7 @@ def test_kleisli_associativity_both_bounds(ext_factory):
     for mname, qname in (("powerset", "2"), ("powerset", "plus3"), ("ultra", "plus3")):
         ext = ext_factory(mname, qname)
         rng = random.Random(14)
-        caps = ext.capabilities()
+        m_natural = check_extension_laws(ext, samples=12)["m_natural"]
         strict_functor = ext.q.is_meet_tensor()
         for _ in range(10):
             a = rand_structure(rng, ext, 2)
@@ -127,8 +128,22 @@ def test_kleisli_associativity_both_bounds(ext_factory):
             right = kleisli_compose(ext, kleisli_compose(ext, c, b, 2), a, 2)
             if strict_functor:
                 assert left.le(right)
-            if caps["m_natural"]:
+            if m_natural:
                 assert right.le(left)
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+@pytest.mark.parametrize("qname", ["2", "c3"])
+def test_kleisli_table_matches_the_join_formula(ext_factory, mname, qname):
+    ext = ext_factory(mname, qname)
+    q = ext.q
+    for n in (0, 1, 2):
+        tn = ext.monad.size(n)
+        fibers = [[big for big, s in enumerate(ext.mult_map(n)) if s == small] for small in range(tn)]
+        for x in all_tvcategories(ext, n):
+            ta = ext.extend(x.a).data
+            joined = [[q.join_all(ta[big][t] for big in fibers[s]) for t in range(tn)] for s in range(tn)]
+            assert [list(row) for row in kleisli_table(x)] == joined, x.a.data
 
 
 def test_discrete_structure_is_category(ext_factory):
@@ -218,7 +233,7 @@ def test_whiskering_collapse_and_modules(ext_factory):
 def test_bimodule_double_functor_characterization(ext_factory):
     for mname, qname, rounds in (("ultra", "2", 40), ("id", "c3", 40), ("powerset", "2", 8)):
         ext = ext_factory(mname, qname)
-        m_natural = ext.capabilities()["m_natural"]
+        m_natural = check_extension_laws(ext, samples=12)["m_natural"]
         cats = all_tvcategories(ext, 2)
         rng = random.Random(16)
         for _ in range(rounds):
