@@ -14,12 +14,12 @@ import weakref
 from .errors import GateUnavailable
 from .monad import IdentityMonad, monad_capabilities
 from .tvcat import (
-    TVCategory,
     check_tv_adjunction,
     check_tvfunctor,
     hom_xi_category,
     is_tvbimodule,
     kleisli_table,
+    order_tvcategory,
     unit_tvcategory,
 )
 # Unused here: the perfbench tracer tests wrap this direct import by name.
@@ -466,19 +466,6 @@ def certify_v_complete(ext, oracle=False):
     }
 
 
-def kernel_preorder_category(ext, f, n_src):
-    """Source of a surjection with the kernel equivalence as structure."""
-    q = ext.q
-    tn = ext.monad.size(n_src)
-    e = ext.unit_map(n_src)
-    data = [[q.bottom] * n_src for _ in range(tn)]
-    for p in range(n_src):
-        for p2 in range(n_src):
-            if f[p] == f[p2]:
-                data[e[p]][p2] = q.unit
-    return TVCategory(ext, n_src, VMatrix(q, tn, n_src, data), name="kernel")
-
-
 def ord_section_extract(ext, f, n_src, n_tgt):
     """Build a section of a surjection by representing its fiber pairs.
 
@@ -494,7 +481,8 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     if image != set(range(n_tgt)):
         raise ValueError("map is not surjective")
     q = ext.q
-    x = kernel_preorder_category(ext, f, n_src)
+    kernel = [[f[p] == f[p2] for p2 in range(n_src)] for p in range(n_src)]
+    x = order_tvcategory(ext, kernel, name="kernel")
     g = []
     for y in range(n_tgt):
         phi = VMatrix(q, 1, n_src, (tuple(q.unit if f[p] == y else q.bottom for p in range(n_src)),))

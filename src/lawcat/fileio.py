@@ -79,19 +79,8 @@ def parse_quantale_text(text, path="<string>"):
         return index[lab]
 
     n = len(labels)
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for lineno, a, b in order_pairs:
-        leq[resolve(lineno, a)][resolve(lineno, b)] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            leq[i][k] = True
-                            changed = True
+    pairs = [(resolve(lineno, a), resolve(lineno, b)) for lineno, a, b in order_pairs]
+    leq = FinitePreorder.from_pairs(n, pairs).leq
     tensor = [[None] * n for _ in range(n)]
     for (a, b), (lineno, c) in tensor_entries.items():
         i, j = resolve(lineno, a), resolve(lineno, b)

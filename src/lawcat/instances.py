@@ -20,7 +20,14 @@ from .errors import DEFAULT_MAX_ENUM, GateUnavailable
 from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import builtin
-from .tvcat import TVCategory, check_tvfunctor, hom_xi_category, is_tvbimodule, unit_tvcategory
+from .tvcat import (
+    TVCategory,
+    check_tvfunctor,
+    hom_xi_category,
+    is_tvbimodule,
+    order_tvcategory,
+    unit_tvcategory,
+)
 from .vmatrix import VMatrix
 
 
@@ -153,11 +160,8 @@ def tvcategory_from_space(ext, space):
     n = space.n
     if ext.monad.size(n) != n:
         raise GateUnavailable("principal carriers", "space bridge needs TX = X")
-    data = tuple(
-        tuple(ext.q.unit if space.order.leq[y][x] else ext.q.bottom for y in range(n))
-        for x in range(n)
-    )
-    return TVCategory(ext, n, VMatrix(ext.q, n, n, data), name="space")
+    leq = space.order.leq
+    return order_tvcategory(ext, [[leq[y][x] for y in range(n)] for x in range(n)], name="space")
 
 
 def space_from_tvcategory(cat):

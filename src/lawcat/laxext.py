@@ -25,10 +25,10 @@ class LaxExtension:
     or T of the empty set is empty.  extend memoizes on the matrix data
     (matrices of two or more columns, over a monad other than the
     identity); every other derived value (unit and multiplication tables,
-    xi, its compatibility report, capabilities, derived categories, the
-    extended inclusion columns) is kept in cache through cached.  max_enum
-    is the one budget of every enumeration built on this extension,
-    enforced by check_budget.
+    T of product projections, xi, its compatibility report, capabilities,
+    derived categories, the extended inclusion columns) is kept in cache
+    through cached.  max_enum is the one budget of every enumeration built
+    on this extension, enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -74,6 +74,20 @@ class LaxExtension:
             return tuple(tuple(f) for f in fibers)
 
         return self.cached(("mult_fibers", n), build)
+
+    def projections(self, nx, ny):
+        """T of the two projections of the product carrier nx x ny.
+
+        The product is indexed row-major, (x, y) at x * ny + y.
+        """
+
+        def build():
+            pix = tuple(x for x in range(nx) for _ in range(ny))
+            piy = tuple(y for _ in range(nx) for y in range(ny))
+            monad = self.monad
+            return monad.tmap(pix, nx * ny, nx), monad.tmap(piy, nx * ny, ny)
+
+        return self.cached(("projections", nx, ny), build)
 
     def extend(self, m):
         """Extension T(m): T(rows) -|-> T(cols) of a matrix m.
@@ -312,11 +326,8 @@ def check_xi_compat(ext, samples=20, seed=0):
     nn = n * n
     tnn = monad.size(nn)
     ext.check_budget("T of V x V", tnn)
-    pi1 = tuple(u for u in range(n) for _ in range(n))
-    pi2 = tuple(v for _ in range(n) for v in range(n))
     tens_map = tuple(q.tensor[u][v] for u in range(n) for v in range(n))
-    tpi1 = monad.tmap(pi1, nn, n)
-    tpi2 = monad.tmap(pi2, nn, n)
+    tpi1, tpi2 = ext.projections(n, n)
     ttens = monad.tmap(tens_map, nn, n)
     tens, leq = q.tensor, q.leq
     tensor_le = True
@@ -356,15 +367,10 @@ def check_xi_compat(ext, samples=20, seed=0):
     for _ in range(samples):
         nx = rng.randrange(1, 3)
         ny = rng.randrange(1, 3)
-        r = VMatrix(
-            q, nx, ny, tuple(tuple(rng.randrange(n) for _ in range(ny)) for _ in range(nx))
-        )
+        r = _random_matrix(rng, q, nx, ny)
         tr = ext.extend(r)
-        pix = tuple(x for x in range(nx) for _ in range(ny))
-        piy = tuple(y for _ in range(nx) for y in range(ny))
         r_map = tuple(r.data[x][y] for x in range(nx) for y in range(ny))
-        tpix = monad.tmap(pix, nx * ny, nx)
-        tpiy = monad.tmap(piy, nx * ny, ny)
+        tpix, tpiy = ext.projections(nx, ny)
         tor = monad.tmap(r_map, nx * ny, n)
         joined = [[q.bottom] * tr.cols for _ in range(tr.rows)]
         for w in range(monad.size(nx * ny)):

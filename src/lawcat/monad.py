@@ -330,12 +330,11 @@ def check_bc(monad, max_n=3):
     }
 
 
-def monad_capabilities(monad, bc_max_n=None):
+def monad_capabilities(monad):
     """Capability flags consumed by the conditional theorems downstream."""
-    if bc_max_n is None:
-        # A monad that keeps 3 points at 3 is swept to n = 3; a growing
-        # one (powerset) only to n = 2, where its squares stay enumerable.
-        bc_max_n = 3 if monad.size(3) == 3 else 2
+    # A monad that keeps 3 points at 3 is swept to n = 3; a growing one
+    # (powerset) only to n = 2, where its squares stay enumerable.
+    bc_max_n = 3 if monad.size(3) == 3 else 2
     bc = check_bc(monad, bc_max_n)
     return {
         "t1_is_one": monad.size(1) == 1,

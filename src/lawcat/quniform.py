@@ -180,23 +180,23 @@ def converges_to(u, fp):
     return out
 
 
-def coarser_pairs(fp):
-    """Every filter pair contained in this one (larger minima)."""
-    n = fp.n
-    rest_l = [x for x in range(n) if x not in fp.left]
-    rest_r = [x for x in range(n) if x not in fp.right]
-    for ml in range(1 << len(rest_l)):
-        left = fp.left | {rest_l[i] for i in range(len(rest_l)) if ml & (1 << i)}
-        for mr in range(1 << len(rest_r)):
-            right = fp.right | {rest_r[i] for i in range(len(rest_r)) if mr & (1 << i)}
-            if (left, right) != (fp.left, fp.right):
-                yield FilterPair(n, left, right)
-
-
 def is_minimal_cauchy(u, fp):
+    """Cauchy, and no strictly coarser pair (larger minima) is Cauchy.
+
+    Being Cauchy is inherited by finer pairs: a smaller rectangle inside w
+    stays inside w.  A coarser Cauchy pair (L, R) contains the one-point
+    extension of fp by any point of L or R outside fp's minima, which is
+    then Cauchy too.  So it suffices to try the pairs that add one point to
+    one side.
+    """
     if not is_cauchy(u, fp):
         return False
-    return all(not is_cauchy(u, coarser) for coarser in coarser_pairs(fp))
+    w = u.w
+    left_ext = (x for x in range(u.n) if x not in fp.left)
+    if any(all((x, y) in w for y in fp.right) for x in left_ext):
+        return False
+    right_ext = (y for y in range(u.n) if y not in fp.right)
+    return not any(all((x, y) in w for x in fp.left) for y in right_ext)
 
 
 def neighbourhood_pair(u, x0):
@@ -238,16 +238,15 @@ def decide_cauchy_complete(u):
             if not converges_to(u, fp):
                 all_converge = False
     nbhd = {neighbourhood_pair(u, x0) for x0 in range(u.n)}
-    minimal_are_nbhd = True
-    for fp in pairs:
-        if is_minimal_cauchy(u, fp) and fp not in nbhd:
-            minimal_are_nbhd = False
+    minimal = [fp for fp in pairs if is_minimal_cauchy(u, fp)]
+    minimal_are_nbhd = all(fp in nbhd for fp in minimal)
     if all_converge != minimal_are_nbhd:
         raise AssertionError("the two completeness forms disagree; machinery bug")
     return {
         "complete": all_converge,
         "cauchy_pairs": cauchy_count,
         "minimal_are_neighbourhoods": minimal_are_nbhd,
+        "minimal_pairs": [fp.key() for fp in minimal],
     }
 
 
@@ -296,20 +295,6 @@ def adjoint_module_pairs(u):
     return out
 
 
-def bimodule_filter_bridge(u):
-    """Bijection between adjoint module pairs and minimal Cauchy filter pairs."""
-    mods = adjoint_module_pairs(u)
-    from_mods = {m.filter_pair() for m in mods}
-    minimal = {fp for fp in all_filter_pairs(u.n) if is_minimal_cauchy(u, fp)}
-    forward_ok = all(is_minimal_cauchy(u, m.filter_pair()) for m in mods)
-    return {
-        "forward": forward_ok,
-        "bijection": from_mods == minimal,
-        "module_pairs": len(mods),
-        "minimal_cauchy_pairs": len(minimal),
-    }
-
-
 def point_induced_module(u, x0):
     """The pair cut out by the map picking x0: structure after and before it."""
     return RelFilterModule(u, u.nbhd_right(x0), u.nbhd_left(x0))
@@ -319,19 +304,26 @@ def decide_lawvere_q(u):
     """Point-representability of every adjoint module pair.
 
     Returns the module-side verdict, the Cauchy-side verdict computed
-    independently (with its minimal-pair form), and their agreement.
-    The bimodule/filter bridge is a separate check: bimodule_filter_bridge.
+    independently (with its minimal-pair form), and their agreement.  It
+    also reports the bimodule/filter bridge between the two sides: forward,
+    every module pair's filter pair is minimal Cauchy; bijection, the
+    module pairs give exactly the minimal Cauchy pairs.
     """
     mods = adjoint_module_pairs(u)
     induced = {point_induced_module(u, x0).key() for x0 in range(u.n)}
     lawvere = all(m.key() in induced for m in mods)
     cauchy = decide_cauchy_complete(u)
+    minimal = set(cauchy["minimal_pairs"])
+    from_mods = {m.filter_pair().key() for m in mods}
     return {
         "lawvere": lawvere,
         "cauchy": cauchy["complete"],
         "minimal_are_neighbourhoods": cauchy["minimal_are_neighbourhoods"],
         "agree": lawvere == cauchy["complete"],
         "pair_count": len(mods),
+        "forward": from_mods <= minimal,
+        "bijection": from_mods == minimal,
+        "minimal_cauchy_pairs": len(minimal),
     }
 
 

@@ -13,7 +13,7 @@ import itertools
 
 from .errors import GateUnavailable
 from .monad import m_square_gap
-from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map, select_cols
+from .vmatrix import VMatrix, all_matrices, mcompose, postcompose_map, precompose_map, select_cols
 
 
 class TVCategory:
@@ -105,15 +105,24 @@ def tvcategory(ext, n, a, name=""):
     return TVCategory(ext, n, a, name)
 
 
-def discrete_tvcategory(ext, n):
-    """Structure transpose of the unit: the free reflexive structure."""
+def order_tvcategory(ext, leq, name=""):
+    """A preorder as a structure: k at (e(x), y) when leq[x][y], bottom elsewhere."""
     q = ext.q
+    n = len(leq)
     e = ext.unit_map(n)
     tn = ext.monad.size(n)
-    data = tuple(
-        tuple(q.unit if e[x] == s else q.bottom for x in range(n)) for s in range(tn)
-    )
-    return TVCategory(ext, n, VMatrix(q, tn, n, data), name=f"discrete{n}")
+    data = [[q.bottom] * n for _ in range(tn)]
+    for x in range(n):
+        for y in range(n):
+            if leq[x][y]:
+                data[e[x]][y] = q.unit
+    return TVCategory(ext, n, VMatrix(q, tn, n, data), name=name)
+
+
+def discrete_tvcategory(ext, n):
+    """Structure transpose of the unit: the free reflexive structure."""
+    leq = [[x == y for y in range(n)] for x in range(n)]
+    return order_tvcategory(ext, leq, name=f"discrete{n}")
 
 
 def em_algebra_category(ext, n):
@@ -270,10 +279,7 @@ def tensor_tvcat(x, y):
     monad = ext.monad
     n = x.n * y.n
     ext.check_budget("tensor carrier", monad.size(n) * n)
-    pix = tuple(p for p in range(x.n) for _ in range(y.n))
-    piy = tuple(u for _ in range(x.n) for u in range(y.n))
-    tpix = monad.tmap(pix, n, x.n)
-    tpiy = monad.tmap(piy, n, y.n)
+    tpix, tpiy = ext.projections(x.n, y.n)
     data = tuple(
         tuple(
             q.tens(x.a.data[tpix[w]][p], y.a.data[tpiy[w]][u])
@@ -389,12 +395,11 @@ def all_tvcategories(ext, n):
     q = ext.q
     tn = ext.monad.size(n)
     ext.check_budget("structure space", q.n ** (tn * n))
-    out = []
-    for flat in itertools.product(range(q.n), repeat=tn * n):
-        a = VMatrix(q, tn, n, tuple(flat[i * n : (i + 1) * n] for i in range(tn)))
-        if check_tvcategory(ext, n, a)["ok"]:
-            out.append(TVCategory(ext, n, a))
-    return out
+    return [
+        TVCategory(ext, n, a)
+        for a in all_matrices(q, tn, n, ext.max_enum)
+        if check_tvcategory(ext, n, a)["ok"]
+    ]
 
 
 def exponentiable(x):
@@ -423,9 +428,6 @@ class Exponential:
     def category(self):
         return TVCategory(self.base.ext, self.n, self.structure, name="expo")
 
-    def index(self, h):
-        return self.carrier.index(tuple(h))
-
 
 def exponential_tvcat(x, y):
     """Build Y^X: carrier of functorial maps, structure by the evaluation bound.
@@ -452,11 +454,8 @@ def exponential_tvcat(x, y):
     nf = len(funcs)
     npair = x.n * nf
     ext.check_budget("exponential structure sweep", monad.size(npair) * nf)
-    pix = tuple(p for p in range(x.n) for _ in range(nf))
-    pif = tuple(i for _ in range(x.n) for i in range(nf))
+    tpix, tpif = ext.projections(x.n, nf)
     ev = tuple(funcs[i][p] for p in range(x.n) for i in range(nf))
-    tpix = monad.tmap(pix, npair, x.n)
-    tpif = monad.tmap(pif, npair, nf)
     tev = monad.tmap(ev, npair, y.n)
     rows = monad.size(nf)
     bound = [[q.top] * nf for _ in range(rows)]
@@ -512,8 +511,7 @@ def oracle_largest_structure(expo):
     rows, cols = expo.structure.rows, expo.n
     x.ext.check_budget("largest-structure search", q.n ** (rows * cols))
     best = VMatrix.constant(q, rows, cols, q.bottom)
-    for flat in itertools.product(range(q.n), repeat=rows * cols):
-        cand_m = VMatrix(q, rows, cols, tuple(flat[i * cols : (i + 1) * cols] for i in range(rows)))
+    for cand_m in all_matrices(q, rows, cols, x.ext.max_enum):
         cand = Exponential(x, y, expo.carrier, cand_m, False)
         if check_evaluation_functor(cand)["ok"]:
             best = best.join(cand_m)

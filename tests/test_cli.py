@@ -45,6 +45,16 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 3
 
 
+def test_quantale_order_is_closed_and_labels_resolve_in_file_order():
+    tensor = "tensor: a*a=a a*b=a a*c=a b*b=b b*c=b c*c=c\n"
+    q = parse_quantale_text("quantale x\nelements: a b c\norder: b<=c a<=b\nunit: c\n" + tensor)
+    assert q.leq == ((True, True, True), (False, True, True), (False, False, True))
+    text = "quantale x\nelements: a b c\norder: a<=b\norder: b<=zz\norder: yy<=a\nunit: c\n"
+    with pytest.raises(ParseError) as err:
+        parse_quantale_text(text + tensor, "f")
+    assert err.value.line == 4 and "'zz'" in str(err.value)
+
+
 def test_missing_tensor_entries_rejected():
     with pytest.raises(ParseError):
         parse_quantale_text("quantale x\nelements: a b\nunit: b\ntensor: a*a=a\n", "f")
@@ -366,3 +376,44 @@ def test_powerset_complete_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         digest.update(f"{code}\n{out}".encode())
     assert codes == {0, 1}
     assert digest.hexdigest() == POWERSET_VERDICT_SHA256
+
+
+# SHA-256 of the exit code, stdout and stderr of every command form below, in
+# order, on every file in tests/data (in the data directory, by bare name),
+# in both formats, then of `complete --builtin v-hom` over each monad and the
+# quantales 2 and c3 (json).
+CLI_SHA256 = "524620a63a12e1d37c1d874b57bbce2490e0754177ea7447738cdcacddb81f44"
+
+_FILE_FORMS = (
+    ["check"],
+    ["complete"],
+    ["complete", "--oracle"],
+    ["sober"],
+    ["yoneda"],
+    ["dual"],
+    ["extend", "--monad", "id"],
+    ["extend", "--monad", "powerset"],
+    ["extend", "--monad", "ultra"],
+    ["quniform", "check"],
+    ["quniform", "complete"],
+)
+
+
+def _pinned_cli_jobs():
+    for name in sorted(os.listdir(DATA)):
+        for form in _FILE_FORMS:
+            for fmt in ("text", "json"):
+                yield [*form, name, "--format", fmt]
+    for qname in ("2", "c3"):
+        for monad in ("id", "powerset", "ultra"):
+            yield ["complete", "--builtin", "v-hom", "--quantale", qname, "--monad", monad, "--format", "json"]
+
+
+def test_cli_bytes_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    digest = hashlib.sha256()
+    for argv in _pinned_cli_jobs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{argv}\n{code}\n{captured.out}\n{captured.err}\n".encode())
+    assert digest.hexdigest() == CLI_SHA256

@@ -429,3 +429,22 @@ def test_derived_state_is_built_once_in_the_extension_cache():
     for build in derived:
         assert build() is build()
     assert sorted(vars(ext)) == ["_memo", "cache", "max_enum", "monad", "q"]
+
+
+def _site_projections(monad, nx, ny):
+    """Reference: pix and piy as tensor_tvcat, exponential_tvcat and
+    check_xi_compat each built them before they read ext.projections."""
+    pix = tuple(p for p in range(nx) for _ in range(ny))
+    piy = tuple(u for _ in range(nx) for u in range(ny))
+    return monad.tmap(pix, nx * ny, nx), monad.tmap(piy, nx * ny, ny)
+
+
+@pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
+def test_projections_match_the_per_site_tables(monads, quantales, mname):
+    ext = LaxExtension(monads[mname], quantales["2"])
+    shapes = list(itertools.product(range(4), repeat=2))
+    for nx, ny in shapes:
+        assert ext.projections(nx, ny) == _site_projections(ext.monad, nx, ny)
+        assert ext.projections(nx, ny) is ext.projections(nx, ny)
+    keys = [key for key in ext.cache if key[0] == "projections"]
+    assert sorted(keys) == [("projections", nx, ny) for nx, ny in shapes]

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from lawcat.instances import FinitePreorder
+import lawcat.quniform
+from lawcat import suite
+from lawcat.instances import FinitePreorder, enumerate_preorders
 from lawcat.quniform import (
     FilterPair,
     QuasiUniformity,
     adjoint_module_pairs,
     all_filter_pairs,
     all_quniformities,
-    bimodule_filter_bridge,
     cauchy_machinery,
     check_lax_morphism,
     check_uniform_continuity,
@@ -20,6 +21,7 @@ from lawcat.quniform import (
     discrete_quniformity,
     indiscrete_quniformity,
     is_cauchy,
+    is_minimal_cauchy,
     lax_algebra_bridge,
     neighbourhood_pair,
     point_induced_module,
@@ -159,6 +161,85 @@ def test_non_intersecting_pair_rejected_at_construction():
         FilterPair(2, set(), {0})
 
 
+def coarser_pairs(fp):
+    """Reference: every filter pair contained in this one (larger minima)."""
+    n = fp.n
+    rest_l = [x for x in range(n) if x not in fp.left]
+    rest_r = [x for x in range(n) if x not in fp.right]
+    for ml in range(1 << len(rest_l)):
+        left = fp.left | {rest_l[i] for i in range(len(rest_l)) if ml & (1 << i)}
+        for mr in range(1 << len(rest_r)):
+            right = fp.right | {rest_r[i] for i in range(len(rest_r)) if mr & (1 << i)}
+            if (left, right) != (fp.left, fp.right):
+                yield FilterPair(n, left, right)
+
+
+def searched_minimal_cauchy(u, fp):
+    """Reference minimality: no coarser pair at all is Cauchy."""
+    if not is_cauchy(u, fp):
+        return False
+    return all(not is_cauchy(u, coarser) for coarser in coarser_pairs(fp))
+
+
+def reference_bridge(u):
+    """Bijection between adjoint module pairs and minimal Cauchy filter pairs,
+    with minimality by the full search over coarser pairs."""
+    mods = adjoint_module_pairs(u)
+    from_mods = {m.filter_pair() for m in mods}
+    minimal = {fp for fp in all_filter_pairs(u.n) if searched_minimal_cauchy(u, fp)}
+    forward_ok = all(searched_minimal_cauchy(u, m.filter_pair()) for m in mods)
+    return {
+        "forward": forward_ok,
+        "bijection": from_mods == minimal,
+        "module_pairs": len(mods),
+        "minimal_cauchy_pairs": len(minimal),
+    }
+
+
+def suite_uniformities():
+    return all_quniformities(2) + curated_three_point()
+
+
+def preorder_bases(max_n):
+    return [preorder_quniformity(p) for n in range(1, max_n + 1) for p in enumerate_preorders(n)]
+
+
+def test_minimality_by_one_point_extension_matches_the_full_search():
+    checked = minimal = 0
+    for u in suite_uniformities() + preorder_bases(4):
+        for fp in all_filter_pairs(u.n):
+            expected = searched_minimal_cauchy(u, fp)
+            assert is_minimal_cauchy(u, fp) == expected, (sorted(u.w), fp)
+            checked += 1
+            minimal += expected
+    assert checked == 63588 and 0 < minimal < checked
+
+
+def test_decide_lawvere_q_reports_the_reference_bridge():
+    bijections = set()
+    for u in suite_uniformities() + preorder_bases(3):
+        rep = decide_lawvere_q(u)
+        bridge = reference_bridge(u)
+        assert rep["pair_count"] == bridge["module_pairs"]
+        for key in ("forward", "bijection", "minimal_cauchy_pairs"):
+            assert rep[key] == bridge[key], (sorted(u.w), key)
+        bijections.add(rep["bijection"])
+    assert bijections == {True}
+
+
+def test_item_quniform_enumerates_module_pairs_once_per_uniformity(monkeypatch):
+    calls = []
+    original = lawcat.quniform.adjoint_module_pairs
+
+    def counted(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(lawcat.quniform, "adjoint_module_pairs", counted)
+    assert suite.item_quniform() == {"ok": True, "uniformities": 13}
+    assert len(calls) == 13
+
+
 def test_complete_discrete_and_indiscrete():
     for u in (discrete_quniformity(2), indiscrete_quniformity(3)):
         rep = decide_cauchy_complete(u)
@@ -170,18 +251,17 @@ def test_all_two_point_uniformities_complete_and_bridge():
     assert len(us) == 4
     for u in us:
         assert decide_cauchy_complete(u)["complete"]
-        bridge = bimodule_filter_bridge(u)
-        assert bridge["forward"] and bridge["bijection"]
         rep = decide_lawvere_q(u)
+        assert rep["forward"] and rep["bijection"]
         assert rep["agree"] and rep["lawvere"]
 
 
 def test_curated_three_point_sweep():
     for u in curated_three_point():
         assert validate_quniformity(u)["ok"]
-        bridge = bimodule_filter_bridge(u)
-        assert bridge["forward"] and bridge["bijection"]
-        assert decide_lawvere_q(u)["agree"]
+        rep = decide_lawvere_q(u)
+        assert rep["forward"] and rep["bijection"]
+        assert rep["agree"]
 
 
 def test_point_induced_pair_maps_to_neighbourhood_filter():
@@ -194,8 +274,8 @@ def test_point_induced_pair_maps_to_neighbourhood_filter():
 
 def test_filter_pair_count_matches_module_pairs():
     for u in all_quniformities(2) + curated_three_point():
-        bridge = bimodule_filter_bridge(u)
-        assert bridge["module_pairs"] == bridge["minimal_cauchy_pairs"]
+        rep = decide_lawvere_q(u)
+        assert rep["pair_count"] == rep["minimal_cauchy_pairs"]
 
 
 def test_adjunction_inequalities_decompose_into_filter_and_cauchy():

@@ -467,3 +467,88 @@ def test_square_bc_for_ultra_maps(ext_factory):
     ext = ext_factory("ultra", "2")
     for f in itertools.product(range(2), repeat=3):
         assert m_square_gap(ext.monad, f, 3, 2) is None
+
+
+# References: the four preorder-to-structure constructions as they were
+# written before order_tvcategory owned them.
+
+
+def _discrete_reference(ext, n):
+    q = ext.q
+    e = ext.unit_map(n)
+    tn = ext.monad.size(n)
+    data = tuple(
+        tuple(q.unit if e[x] == s else q.bottom for x in range(n)) for s in range(tn)
+    )
+    return TVCategory(ext, n, VMatrix(q, tn, n, data), name=f"discrete{n}")
+
+
+def _kernel_reference(ext, f, n_src):
+    q = ext.q
+    tn = ext.monad.size(n_src)
+    e = ext.unit_map(n_src)
+    data = [[q.bottom] * n_src for _ in range(tn)]
+    for p in range(n_src):
+        for p2 in range(n_src):
+            if f[p] == f[p2]:
+                data[e[p]][p2] = q.unit
+    return TVCategory(ext, n_src, VMatrix(q, tn, n_src, data), name="kernel")
+
+
+def _space_reference(ext, order):
+    n = order.n
+    if ext.monad.size(n) != n:
+        raise GateUnavailable("principal carriers", "space bridge needs TX = X")
+    data = tuple(
+        tuple(ext.q.unit if order.leq[y][x] else ext.q.bottom for y in range(n))
+        for x in range(n)
+    )
+    return TVCategory(ext, n, VMatrix(ext.q, n, n, data), name="space")
+
+
+def _suite_reference(ext, p):
+    return TVCategory(ext, p.n, VMatrix(ext.q, p.n, p.n, [
+        [ext.q.unit if p.leq[x][y] else ext.q.bottom for y in range(p.n)]
+        for x in range(p.n)
+    ]))
+
+
+def _same(cat, ref):
+    return (cat.ext, cat.n, cat.a, cat.name) == (ref.ext, ref.n, ref.a, ref.name)
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+@pytest.mark.parametrize("qname", ["2", "c3"])
+def test_order_tvcategory_matches_the_four_constructions(ext_factory, mname, qname):
+    from lawcat.completeness import ord_section_extract
+    from lawcat.instances import FinitePreorder, FiniteSpace, enumerate_preorders, tvcategory_from_space
+    from lawcat.tvcat import order_tvcategory
+
+    ext = ext_factory(mname, qname)
+    compared = {"discrete": 0, "kernel": 0, "space": 0, "suite": 0}
+    for n in range(4):
+        assert _same(discrete_tvcategory(ext, n), _discrete_reference(ext, n))
+        compared["discrete"] += 1
+        for p in enumerate_preorders(n):
+            leq = p.leq
+            if all(leq[x][y] == leq[y][x] for x in range(n) for y in range(n)):
+                # an equivalence: the kernel of its class map
+                f = [next(c for c in range(n) if leq[x][c]) for x in range(n)]
+                assert _same(order_tvcategory(ext, leq, name="kernel"), _kernel_reference(ext, f, n))
+                compared["kernel"] += 1
+            transposed = [[leq[y][x] for y in range(n)] for x in range(n)]
+            space = FiniteSpace(FinitePreorder(n, transposed))
+            if ext.monad.size(n) != n:
+                with pytest.raises(GateUnavailable):
+                    tvcategory_from_space(ext, space)
+                with pytest.raises(GateUnavailable):
+                    _space_reference(ext, space.order)
+                continue
+            assert _same(tvcategory_from_space(ext, space), _space_reference(ext, space.order))
+            assert _same(order_tvcategory(ext, leq), _suite_reference(ext, p))
+            compared["space"] += 1
+            compared["suite"] += 1
+    assert compared["discrete"] == 4 and compared["kernel"] == 1 + 1 + 2 + 5
+    assert compared["space"] == (0 if mname == "powerset" else 1 + 1 + 4 + 29)
+    if mname == "id":
+        assert ord_section_extract(ext, (0, 1, 1, 0), 4, 2) == (0, 1)
