@@ -133,6 +133,9 @@ def cmd_complete(args):
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
         name, labels, uniformity = payload
+        verdict = validate_quniformity(uniformity)
+        if not verdict["ok"]:
+            raise InvalidObject(verdict)
         rep = decide_lawvere_q(uniformity)
         out = {
             "kind": kind,

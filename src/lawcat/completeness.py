@@ -71,12 +71,11 @@ def _pruned_pairs(x, kc, pcat):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted: one psi walk
     with phi carried, over every monad and every n.
 
-    Every psi has one shape, so the budget check that extend would make on
-    each is made once, before the walk.  The walk assigns psi over T(n)
-    coordinate by coordinate and rejects a value as soon as the kc half of
-    the psi-module law, kc[s][t] (x) psi[t] <= psi[s], fails against itself
-    or an assigned coordinate, in either direction.  Down each branch it
-    carries phi_E[p] = meet_{t<=i} hom(psi[t], a[t][p]).
+    The walk assigns psi over T(n) coordinate by coordinate and rejects a
+    value as soon as the kc half of the psi-module law,
+    kc[s][t] (x) psi[t] <= psi[s], fails against itself or an assigned
+    coordinate, in either direction.  Down each branch it carries
+    phi_E[p] = meet_{t<=i} hom(psi[t], a[t][p]).
 
     The cut.  Let e1 = e_1(0), the point of T(1) that the one-point category
     pcat marks with c = k.  A pair's phi is the residual bound
@@ -96,12 +95,13 @@ def _pruned_pairs(x, kc, pcat):
     per phi_E, memoized for this call only.
 
     At a leaf over the identity monad only the a side of the phi law,
-    phi[t] (x) a[t][p] <= phi[p], is left to check.  The unit-category
+    phi[t] (x) a[t][p] <= phi[p], is left to check: the unit-category
     halves of both module laws read k (x) v <= v (pcat's Kleisli table is
-    (k)): the quantale unit law, which validate_quantale enforces.  Over
+    (k)), the quantale unit law, which validate_quantale enforces.  Over
     any other monad the leaf runs the exact per-psi check of _pair_check,
-    unit-category halves included: they have never rejected a candidate
-    that passed the rest, but that is evidence, not a proof.
+    which proves the unit-category phi law away.  Its unit-category psi
+    law has never rejected a candidate that passed the rest, but
+    kc-closure alone does not imply it, and no proof drops it yet.
     """
     ext = x.ext
     q = ext.q
@@ -109,7 +109,6 @@ def _pruned_pairs(x, kc, pcat):
     n = x.n
     tn = monad.size(n)
     t1 = monad.size(1)
-    ext.check_budget("extended matrix size", tn * t1)
     tens, leq, join_t, meet_t, hom_t = q.tensor, q.leq, q.join_t, q.meet_t, q.hom_t
     bot, top = q.bottom, q.top
     a = x.a.data
@@ -203,17 +202,24 @@ def _pair_check(x, pcat):
     """The exact check of one psi over any monad: its pair, or None.
 
     The returned function takes psi as a tuple over T(n) that satisfies the
-    kc half of the psi-module law.  It extends psi by
-    LaxExtension.extend_column, through the inclusion column of its values,
-    checks the unit-category half of the psi law, resolves phi from the
-    residual bound, extends phi, and checks the unit and both phi-module
-    laws.  Each check is a loop over an index list fixed here and stops at
-    the first violated cell; the unit joins its terms only until the join
-    reaches its bound.  The caller makes the budget check that extend would
-    make on psi.  The counit phi * psi <= a holds by construction: each of
-    its terms is u (x) phi[t][z] with u = Tpsi[big][t], and phi[t][z] is a
-    meet that includes hom(u, a[m(big)][z]), so the term is at most
-    u (x) hom(u, a[m(big)][z]) <= a[m(big)][z].
+    kc half of the psi-module law.  It extends psi, checks the
+    unit-category half of the psi law, resolves phi from the residual
+    bound, extends phi, and checks the unit and the a half of the phi law.
+    Each check is a loop over an index list fixed here and stops at the
+    first violated cell; the unit joins its terms only until the join
+    reaches its bound.
+
+    Two laws hold by construction and are not checked.  The counit
+    phi * psi <= a: each of its terms is u (x) phi[t][z] with
+    u = Tpsi[big][t], and phi[t][z] is a meet that includes
+    hom(u, a[m(big)][z]), so the term is at most
+    u (x) hom(u, a[m(big)][z]) <= a[m(big)][z].  The unit-category half of
+    the phi law, kcp[s][t] (x) phi[t] <= phi[s] with kcp the Kleisli table
+    of pcat: pcat's structure is c = k.e_1°, and the constructor's gate
+    (k = top or T(empty) = empty) makes its threshold extension
+    Tc = k.(Te_1)°.  So kcp[s][t] = V_{m(big)=s} Tc[big][t] is k when
+    s = t (m.Te_1 = id) and bottom otherwise, and the law reads
+    k (x) v <= v, the quantale's unit law.
     """
     ext = x.ext
     q = ext.q
@@ -227,7 +233,6 @@ def _pair_check(x, pcat):
     # The one-point category's structure is bottom off the image of e, and a
     # term with a bottom factor is bottom: only these entries add to a join.
     pa = [(t, row[0]) for t, row in enumerate(pcat.a.data) if row[0] != bot]
-    kcp = kleisli_table(pcat)
     fib_n = ext.mult_fibers(n)
     fib_1 = ext.mult_fibers(1)
     # a(m(big), p) for every p, as columns over T(T(n))
@@ -241,14 +246,12 @@ def _pair_check(x, pcat):
     ]
     # unit: c <= V_{big in m^-1(s)} V_t Tphi[big][t] (x) psi[t]
     phi_unit = [(leq[c], fib_1[s]) for s, c in pa]
-    # phi law, unit-category half: kcp[s][t] (x) phi[t] <= phi[s]
-    phi_kcp = [(tens[kcp[s][t]], s, t) for s in range(t1) for t in range(t1) if kcp[s][t] != bot]
     # phi law, a side: Tphi[big][t] (x) a[t] <= phi[s], big over m^-1(s)
     phi_a = [(s, big) for s in range(t1) for big in fib_1[s]]
-    extend_column = ext.extend_column
 
     def pair_at(flat):
-        tpsi = extend_column(flat)
+        psi = VMatrix.trusted(q, tn, 1, tuple([(v,) for v in flat]))
+        tpsi = ext.extend(psi).data
         for big, t, tens_c, s in psi_unit:
             if not leq[tens_c[tpsi[big][t]]][flat[s]]:
                 return None
@@ -262,8 +265,7 @@ def _pair_check(x, pcat):
                     acc = meet_t[acc][hom_t[u][w]]
                 row.append(acc)
             phi_rows.append(tuple(row))
-        phi_rows = tuple(phi_rows)
-        phi = VMatrix.trusted(q, t1, n, phi_rows)
+        phi = VMatrix.trusted(q, t1, n, tuple(phi_rows))
         tphi = ext.extend(phi).data
         for leq_c, bigs in phi_unit:
             acc = bot
@@ -277,10 +279,6 @@ def _pair_check(x, pcat):
                 break
             else:
                 return None
-        for tens_k, s, t in phi_kcp:
-            for w, v in zip(phi_rows[t], phi_rows[s]):
-                if not leq[tens_k[w]][v]:
-                    return None
         for s, big in phi_a:
             phi_s = phi_rows[s]
             for t, u in enumerate(tphi[big]):
@@ -290,7 +288,7 @@ def _pair_check(x, pcat):
                 for w, v in zip(a[t], phi_s):
                     if not leq[tens_u[w]][v]:
                         return None
-        return AdjointPair(phi, VMatrix.trusted(q, tn, 1, tuple([(v,) for v in flat])))
+        return AdjointPair(phi, psi)
 
     return pair_at
 

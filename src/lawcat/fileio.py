@@ -284,7 +284,7 @@ class Workspace:
         raise ParseError(referring_path, 1, f"unknown quantale {name!r}")
 
 
-def load_file(path, workspace=None):
+def load_file(path):
     """Parse one file into (kind, payload); categories stay unresolved."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()

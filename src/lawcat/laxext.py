@@ -22,13 +22,13 @@ class LaxExtension:
 
     Construction refuses inadmissible combinations: the threshold-span
     formula only defines an extension when the unit is the top element
-    or T of the empty set is empty.  extend memoizes on the matrix data
-    (matrices of two or more columns, over a monad other than the
-    identity); every other derived value (unit and multiplication tables,
-    T of product projections, xi, its compatibility report, capabilities,
-    derived categories, the extended inclusion columns) is kept in cache
-    through cached.  max_enum is the one budget of every enumeration built
-    on this extension, enforced by check_budget.
+    or T of the empty set is empty.  extend memoizes, over a monad other
+    than the identity, the extension of each matrix's quotient and of
+    each matrix with two or more columns; every other derived value
+    (unit and multiplication tables, T of product projections, xi, its
+    compatibility report, capabilities, derived categories) is kept in
+    cache through cached.  max_enum is the one budget of every
+    enumeration built on this extension, enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -93,90 +93,49 @@ class LaxExtension:
         """Extension T(m): T(rows) -|-> T(cols) of a matrix m.
 
         Over the identity monad (and so the ultrafilter monad) the threshold
-        loop rebuilds m cell by cell, so m itself is returned and not
-        memoized.  A one-column matrix is extended by extend_column, through
-        the inclusion column of its values, and is not memoized either.
-        Otherwise, when the carrier grows and m has duplicate rows or
-        columns, the quotient by the row and column classes is extended and
-        read back through T of the class maps.  Both are exact because the
-        extension commutes with maps: T(r.q) = T(r).Tq and
-        T(c°.r) = (Tc)°.T(r) (laws (a) and (b) of check_extension_laws).
+        loop rebuilds m cell by cell, so m itself is returned.  Otherwise m
+        is reduced to its quotient, the distinct rows in sorted order
+        restricted to the distinct columns in sorted order, which is
+        extended by the threshold loop, memoized under its shape and data,
+        and read back through T of each class map that is not the identity.
+        This is exact because the extension commutes with maps:
+        T(r.q) = T(r).Tq and T(c°.r) = (Tc)°.T(r) (laws (a) and (b) of
+        check_extension_laws).  A one-column quotient is the inclusion
+        column of a value set, at most 2^|V| entries; a matrix with two or
+        more columns is also memoized under its own data, so that a repeat
+        costs one lookup.
         """
         trows = self.monad.size(m.rows)
         tcols = self.monad.size(m.cols)
         self.check_budget("extended matrix size", trows * tcols)
         if isinstance(self.monad, IdentityMonad):
             return m
-        if m.cols == 1:
-            return VMatrix.trusted(
-                self.q, trows, tcols, self.extend_column([row[0] for row in m.data])
-            )
-        key = (m.rows, m.cols, m.data)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if (trows > m.rows or tcols > m.cols) and (
-            len(set(m.data)) < m.rows or len(set(_columns(m))) < m.cols
-        ):
-            result = self._extend_quotient(m, trows, tcols)
-        else:
-            result = _threshold_extend(self.monad, self.q, m)
-        self._memo[key] = result
+        memo = self._memo
+        if m.cols != 1:
+            key = (m.rows, m.cols, m.data)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        rows, rq = _classes(m.data)
+        cols, cq = _classes(tuple(zip(*rows)) if rows else ((),) * m.cols)
+        qkey = (len(rows), len(cols), tuple(zip(*cols)) if cols else ((),) * len(rows))
+        result = memo.get(qkey)
+        if result is None:
+            small = VMatrix.trusted(self.q, *qkey)
+            result = memo[qkey] = _threshold_extend(self.monad, self.q, small)
+        if rq is not None or cq is not None:
+            # Each row of the quotient's extension is re-indexed once and
+            # shared by every row in its T(rq) class.
+            out = result.data
+            if cq is not None:
+                tcq = self.monad.tmap(cq, m.cols, len(cols))
+                out = [tuple([row[b] for b in tcq]) for row in out]
+            if rq is not None:
+                out = [out[a] for a in self.monad.tmap(rq, m.rows, len(rows))]
+            result = VMatrix.trusted(self.q, trows, tcols, tuple(out))
+        if m.cols != 1:
+            memo[key] = result
         return result
-
-    def extend_column(self, column):
-        """Rows of T(psi) for the one-column matrix psi with these entries.
-
-        Let S be the set of values in the column, c the class map sending a
-        row to the position of its value in S, and i_S: S -|-> 1 the
-        inclusion column (entry v at v).  Then psi = i_S.c, so
-        T(psi) = T(i_S).Tc by law (b) with a map factor.  T(i_S) and the
-        position table are built once per S, under ("column", mask) in the
-        cache, with mask the bitmask of S over V; a call is one tmap and a
-        gather.  T(i_S) has T(|S|).T(1) cells, no more than T(psi) since
-        |S| <= rows, so it takes no budget check of its own.  This method is
-        exact over every monad, but it makes neither the budget check nor
-        the identity short-circuit of extend: a caller that skips extend
-        makes them itself.
-        """
-        mask = 0
-        for v in column:
-            mask |= 1 << v
-        size, rows, pos = self.cached(("column", mask), lambda: self._inclusion_column(mask))
-        tc = self.monad.tmap([pos[v] for v in column], len(column), size)
-        return tuple([rows[b] for b in tc])
-
-    def _inclusion_column(self, mask):
-        q = self.q
-        values = [v for v in range(q.n) if mask >> v & 1]
-        pos = [0] * q.n
-        for i, v in enumerate(values):
-            pos[v] = i
-        incl = VMatrix.trusted(q, len(values), 1, tuple([(v,) for v in values]))
-        return len(values), _threshold_extend(self.monad, q, incl).data, pos
-
-    def _extend_quotient(self, m, trows, tcols):
-        monad, q = self.monad, self.q
-        rq, row_reps = _classes(m.data)
-        cq, col_reps = _classes(_columns(m))
-        small = VMatrix.trusted(
-            q,
-            len(row_reps),
-            len(col_reps),
-            tuple(tuple([m.data[i][j] for j in col_reps]) for i in row_reps),
-        )
-        # Through extend, so that the quotient, which many matrices share,
-        # is memoized too (or, when it has one column, cached by its values).
-        rows = self.extend(small).data
-        # A side without duplicates has the identity as class map: skip it.
-        # Otherwise each row of the quotient's extension is re-indexed once
-        # and shared by every row in its T(rq) class.
-        if small.cols < m.cols:
-            tcq = monad.tmap(cq, m.cols, small.cols)
-            rows = [tuple([row[b] for b in tcq]) for row in rows]
-        if small.rows < m.rows:
-            rows = [rows[a] for a in monad.tmap(rq, m.rows, small.rows)]
-        return VMatrix.trusted(q, trows, tcols, tuple(rows))
 
     def capabilities(self):
         """Machine-checked gates consumed by conditional results.
@@ -237,16 +196,14 @@ def _threshold_extend(monad, q, m):
     return VMatrix.trusted(q, trows, tcols, tuple(map(tuple, out)))
 
 
-def _columns(m):
-    return tuple(zip(*m.data)) if m.rows else ((),) * m.cols
-
-
 def _classes(vectors):
-    """Class of each vector under equality, numbered by first appearance,
-    and the index of the first member of each class."""
-    ids = {}
-    classes = tuple([ids.setdefault(v, len(ids)) for v in vectors])
-    return classes, [classes.index(c) for c in range(len(ids))]
+    """The distinct vectors in sorted order, and the class map sending each
+    vector to its position among them, or None when that is the identity."""
+    reps = tuple(sorted(set(vectors)))
+    if reps == vectors:
+        return reps, None
+    pos = {v: i for i, v in enumerate(reps)}
+    return reps, [pos[v] for v in vectors]
 
 
 def check_xi(ext):

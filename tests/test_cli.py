@@ -212,6 +212,17 @@ def test_complete_refuses_invalid_object(capsys):
     assert "invalid object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_complete_refuses_invalid_quniformity(tmp_path, capsys, oracle):
+    # p->q without q->q: the base is not reflexive, as quniform check says
+    bad = tmp_path / "bad.quniform"
+    bad.write_text("quniform bad\nelements: p q\nrel: p->p p->q\n")
+    assert main(["complete", str(bad), *oracle]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid object: {'ok': False, 'law': 'reflexivity', 'witness': (0, 1)}\n"
+
+
 def test_usage_error_exit_code():
     assert main(["nope"]) == 2
     assert main(["complete"]) == 2

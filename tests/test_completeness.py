@@ -16,8 +16,8 @@ from lawcat.completeness import (
 )
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import LaxExtension
-from lawcat.monad import builtin_monad
-from lawcat.quantale import Quantale, builtin, validate_quantale
+from lawcat.monad import builtin_monad, builtin_monads
+from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quantale
 from lawcat.tvcat import (
     TVCategory,
     all_tvcategories,
@@ -249,7 +249,7 @@ def test_hom_xi_complete_matches_certificate(ext_factory):
 
 def test_section_extraction_identity():
     from lawcat.laxext import LaxExtension
-    from lawcat.monad import builtin_monad
+    from lawcat.monad import builtin_monad, builtin_monads
 
     ext = LaxExtension(builtin_monad("id"), builtin("2"))
     assert ord_section_extract(ext, (0, 1, 2), 3, 3) == (0, 1, 2)
@@ -403,14 +403,22 @@ def test_representables_index_skips_points_that_are_not_functors(ext_factory, mn
 
 
 def test_psi_extensions_stay_out_of_the_memo(monads, quantales):
+    # psi is extended through its quotient, the sorted column of its values:
+    # one memo entry per value set, and none under psi's own data.
     ext = LaxExtension(monads["powerset"], quantales["c3"])
+    psis = []
+    extend = ext.extend
+    ext.extend = lambda m: (m.cols == 1 and psis.append(m.data)) or extend(m)
     cats = all_tvcategories(ext, 2)
     for cat in cats[:: max(1, len(cats) // 20)]:
         decide_lawvere_complete(cat)
-    assert ext._memo
-    assert not [key for key in ext._memo if key[1] == 1]
-    columns = [key for key in ext.cache if key[0] == "column"]
+    columns = [key for key in ext._memo if key[1] == 1]
     assert 0 < len(columns) <= 2**ext.q.n
+    for _, _, data in columns:
+        assert list(data) == sorted(set(data)), data
+    unsorted = [data for data in psis if list(data) != sorted(set(data))]
+    assert unsorted
+    assert not [data for data in unsorted if (len(data), 1, data) in ext._memo]
 
 
 def cyclic_quantale(m):
@@ -495,13 +503,13 @@ def test_powerset_walk_matches_reference_on_hom_xi(ext_factory, qname):
 def test_powerset_walk_on_every_c3_category(monads, quantales):
     # On every powerset/c3 category on 2 points the walk finds the pairs of
     # the reference without the cut, and, the cut coming before a psi is
-    # extended, runs extend_column fewer times than there are kc-closed psis
-    # (the reference runs it once for each).
+    # extended, extends fewer one-column matrices than there are kc-closed
+    # psis (the reference extends each).
     ext = LaxExtension(monads["powerset"], quantales["c3"])
     pcat = unit_tvcategory(ext)
     calls = []
-    extend_column = ext.extend_column
-    ext.extend_column = lambda col: calls.append(col) or extend_column(col)
+    extend = ext.extend
+    ext.extend = lambda m: (m.cols == 1 and calls.append(m)) or extend(m)
     for x in all_tvcategories(ext, 2):
         kc = kleisli_table(x)
         reference = sorted(p.key() for p in pairs_by_extension(x, kc, pcat))
@@ -520,11 +528,35 @@ def test_identity_walk_extends_only_the_structure(monads, quantales, mname, qnam
         ext = LaxExtension(monads[mname], q)
         x = TVCategory(ext, n, VMatrix(q, n, n, closed_structure(rng, q, n)))
         calls = []
-        extend, extend_column = ext.extend, ext.extend_column
-        ext.extend = lambda m: calls.append(("extend", m)) or extend(m)
-        ext.extend_column = lambda col: calls.append(("extend_column", col)) or extend_column(col)
+        extend = ext.extend
+        ext.extend = lambda m: calls.append(m) or extend(m)
         assert enumerate_adjoint_pairs(x)
-        assert calls == [("extend", x.a)]
+        assert calls == [x.a]
+
+
+def test_unit_category_kleisli_table_is_k_on_the_diagonal():
+    # The unit-category phi law that _pair_check no longer checks reads
+    # k (x) v <= v exactly when this table is k on the diagonal and bottom
+    # elsewhere: over every built-in monad and every quantale it accepts.
+    from test_random_lattices import SEEDS, downset_quantale
+
+    quantales = (
+        list(builtin_quantales().values())
+        + [downset_quantale(seed) for seed in SEEDS]
+        + [cyclic_quantale(m) for m in (2, 3)]
+    )
+    checked = 0
+    for monad in builtin_monads().values():
+        for q in quantales:
+            try:
+                ext = LaxExtension(monad, q)
+            except GateUnavailable:
+                continue
+            t1 = monad.size(1)
+            expected = [[q.unit if s == t else q.bottom for t in range(t1)] for s in range(t1)]
+            assert [list(row) for row in kleisli_table(unit_tvcategory(ext))] == expected, (monad.name, q.name)
+            checked += 1
+    assert checked == 67
 
 
 def closed_structure(rng, q, n):
@@ -598,14 +630,14 @@ def test_psi_budget_edge(ext_factory, mname, qname, n):
     assert (err.value.what, err.value.needed) == ("psi space", psi_count)
     # The same budget bounds the extension of the structure, T(T(n)) x T(n)
     # cells, which binds first where it outgrows the psi space; over powerset
-    # at 0 points the extension of the one-point category, T(T(1)) x T(1)
-    # cells, binds first.
+    # at 0 points the walk's first extension, of the T(1) x 0 bound on phi,
+    # T(T(1)) x T(0) cells, binds first.
     cells = {
         ("id", "2", 3): 9,
         ("powerset", "2", 2): 64,
         ("powerset", "2", 1): 8,
-        ("powerset", "2", 0): 8,
-        ("powerset", "c3", 0): 8,
+        ("powerset", "2", 0): 4,
+        ("powerset", "c3", 0): 4,
     }.get((mname, qname, n))
     if cells is not None:
         with pytest.raises(BudgetExceeded) as err:

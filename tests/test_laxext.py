@@ -228,21 +228,39 @@ def _with_duplicates(rng, q, rows, cols):
     return VMatrix(q, rows, cols, data)
 
 
+def _duplicate_free_unsorted(rng, q, rows, cols):
+    """A matrix with distinct rows and distinct columns, not both in sorted
+    order, so that a class map is a permutation; None if none was drawn."""
+    for _ in range(100):
+        m = rand_matrix(rng, q, rows, cols)
+        r, c = list(m.data), list(zip(*m.data))
+        if len(set(r)) == rows and len(set(c)) == cols and (r != sorted(r) or c != sorted(c)):
+            return m
+    return None
+
+
 @pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
 @pytest.mark.parametrize("qname", ["2", "c3", "c4", "plus3", "pset2"])
 def test_reduced_extension_matches_threshold_loop(monads, quantales, mname, qname):
     monad, q = monads[mname], quantales[qname]
     ext = LaxExtension(monad, q)
     rng = random.Random(f"{mname}/{qname}")
-    shapes = [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1)] + [
-        (rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(40)
-    ]
-    with_duplicates = 0
+    empty = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
+    shapes = empty + [(1, 4), (4, 1)] + [(rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(40)]
+    with_duplicates = permuted = 0
     for rows, cols in shapes:
-        for m in (rand_matrix(rng, q, rows, cols), _with_duplicates(rng, q, rows, cols)):
+        drawn = (
+            rand_matrix(rng, q, rows, cols),
+            _with_duplicates(rng, q, rows, cols),
+            _duplicate_free_unsorted(rng, q, rows, cols),
+        )
+        permuted += drawn[2] is not None
+        for m in drawn:
+            if m is None:
+                continue
             with_duplicates += len(set(m.data)) < rows or len(set(zip(*m.data))) < cols
             assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
-    assert with_duplicates > 0
+    assert with_duplicates > 0 and permuted > 10
 
 
 def test_reduced_extension_of_hom_xi_structure(monads, quantales):
@@ -273,18 +291,18 @@ def test_column_extension_matches_threshold_loop(monads, mname):
         for rows in range(5):
             for column in itertools.product(range(q.n), repeat=rows):
                 m = VMatrix(q, rows, 1, [(v,) for v in column])
-                reference = _threshold_extend(monad, q, m)
-                assert ext.extend(m) == reference, (q.name, column)
-                assert ext.extend_column(column) == reference.data, (q.name, column)
+                assert ext.extend(m) == _threshold_extend(monad, q, m), (q.name, column)
                 checked += 1
-        assert not ext._memo
-        assert sum(key[0] == "column" for key in ext.cache) <= 2**q.n
+        # the memo holds only the quotients: sorted value columns
+        for _, cols, data in ext._memo:
+            assert cols == 1 and list(data) == sorted(set(data)), data
+        assert len(ext._memo) <= 2**q.n
     assert checked > 10_000
 
 
 @pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
 def test_column_extension_budget_edge(monads, mname):
-    # the column case makes extend's one budget check, on T(rows).T(1)
+    # a one-column matrix makes extend's one budget check, on T(rows).T(1)
     monad, q = monads[mname], builtin("c3")
     for rows in range(5):
         m = VMatrix(q, rows, 1, [(v % q.n,) for v in range(rows)])
