@@ -249,7 +249,7 @@ def test_hom_xi_complete_matches_certificate(ext_factory):
 
 def test_section_extraction_identity():
     from lawcat.laxext import LaxExtension
-    from lawcat.monad import builtin_monad, builtin_monads
+    from lawcat.monad import builtin_monad
 
     ext = LaxExtension(builtin_monad("id"), builtin("2"))
     assert ord_section_extract(ext, (0, 1, 2), 3, 3) == (0, 1, 2)
