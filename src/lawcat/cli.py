@@ -1,14 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 for a passing verdict, 1 for a failing one, 2 for usage or
-parse errors.  JSON output is deterministic (sorted keys, no timing) so
-reports can be diffed and re-run.
+Exit codes: 0 for a passing verdict, 1 for a failing one, 2 for usage,
+parse or input errors.  JSON output is deterministic (sorted keys, no
+timing; one writer, `suite.report_json`) so reports can be diffed and re-run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .completeness import certify_v_complete, decide_lawvere_complete
@@ -19,14 +18,14 @@ from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import builtin, validate_quantale
 from .quniform import decide_lawvere_q, lax_algebra_bridge, validate_quniformity
-from .suite import DEFAULT_MAX_ENUM, run_suite, suite_json
+from .suite import DEFAULT_MAX_ENUM, report_json, run_suite, suite_json
 from .tvcat import TVCategory, check_tvcategory, dual_tvcategory, yoneda as tv_yoneda
 
 
 def _emit(report, fmt, input_block):
     report = {"input": input_block, **report}
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(report_json(report))
     else:
         for key, value in report.items():
             if key == "input":
@@ -316,6 +315,7 @@ def build_parser():
     p = sub.add_parser("suite", parents=[common], help="run the acceptance battery")
     p.add_argument("--only", nargs="*")
     p.set_defaults(fn=cmd_suite)
+    parser.commands = sub.choices
     return parser
 
 
@@ -349,13 +349,33 @@ def cmd_complete_quniform(args):
 _PARSER = None
 
 
-def main(argv=None):
-    # Built once per process and reused; parse_args leaves it unchanged.
+def _parse_args(argv):
+    """The namespace `_PARSER.parse_args(argv)` returns, parsed once.
+
+    The top-level parser would parse the command line and then hand the
+    rest to the subcommand's parser, which parses it again.  When argv[0]
+    names a subcommand, its parser alone does the work.  Everything else it
+    cannot place (no command, an unknown one, a leading option, leftover
+    arguments) goes to the top-level parser, so its usage and error text
+    stay the same.
+    """
+    # Built once per process and reused; parsing leaves it unchanged.
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        return _PARSER.parse_args(argv)
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None):
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -370,9 +390,6 @@ def main(argv=None):
         print(f"gate failure: {exc}", file=sys.stderr)
         return 1
     except LawcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

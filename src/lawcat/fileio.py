@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ParseError
+from .errors import LawcatError, ParseError
 from .instances import FinitePreorder
 from .monad import builtin_monad, builtin_monads
 from .quantale import Quantale, builtin_quantales, validate_quantale
@@ -274,8 +274,7 @@ class Workspace:
             return self.quantales[name]
         sibling = os.path.join(os.path.dirname(os.path.abspath(referring_path)), name + ".quantale")
         if os.path.exists(sibling):
-            with open(sibling, encoding="utf-8") as handle:
-                q = parse_quantale_text(handle.read(), sibling)
+            q = parse_quantale_text(_read_text(sibling), sibling)
             verdict = validate_quantale(q)
             if not verdict["ok"]:
                 raise ParseError(sibling, 1, f"quantale fails validation: {verdict}")
@@ -284,10 +283,25 @@ class Workspace:
         raise ParseError(referring_path, 1, f"unknown quantale {name!r}")
 
 
+def _read_text(path):
+    """The text of a UTF-8 file.  A path that cannot be read (missing, a
+    directory) is a LawcatError with the OSError's text, which names the
+    path; bytes that are not UTF-8 are a ParseError at their line."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise LawcatError(str(exc)) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_file(path):
     """Parse one file into (kind, payload); categories stay unresolved."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     kind = sniff_kind(text, path)
     if kind == "quantale":
         return kind, parse_quantale_text(text, path)

@@ -139,12 +139,23 @@ def _down_masks(order):
 
 
 def _closed_masks(down):
-    """Bitmasks of the down-sets, in increasing order."""
-    return [
-        mask
-        for mask in range(1 << len(down))
-        if all(down[x] & ~mask == 0 for x in range(len(down)) if mask >> x & 1)
-    ]
+    """Bitmasks of the down-sets, in increasing order.
+
+    A mask is closed when the down-set of each of its points stays inside
+    it; its set bits are walked from the lowest, stopping at the first
+    point whose down-set leaves the mask.
+    """
+    closed = []
+    for mask in range(1 << len(down)):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if down[low.bit_length() - 1] & ~mask:
+                break
+            rest ^= low
+        else:
+            closed.append(mask)
+    return closed
 
 
 def _points(mask):
@@ -201,16 +212,26 @@ def weakly_sober(space):
     whole set.  The space is weakly sober when every irreducible closed
     set has a generic point (not necessarily unique).  Closed sets are
     bitmasks; the closure of x is the mask of the points below it.
+
+    c is reducible exactly when the union of all its proper closed subsets
+    is c.  One way is clear.  For the other, take a fewest proper closed
+    subsets a1, ..., ak whose union is c: k >= 2, since each is proper, and
+    closed sets are closed under finite unions, so c = a1 | (a2 | ... | ak)
+    with the second set closed and, by minimality, proper.  The masks come
+    in increasing order, so the proper subsets of c come before it.
     """
     down = _down_masks(space.order)
     closed = _closed_masks(down)
     details = []
     sober = True
-    for c in closed:
+    for i, c in enumerate(closed):
         if not c:
             continue
-        proper = [a for a in closed if a & ~c == 0 and a != c]
-        if any(a | b == c for a in proper for b in proper):
+        below = 0
+        for a in closed[:i]:
+            if a & ~c == 0:
+                below |= a
+        if below == c:
             continue
         generic = tuple(x for x in _points(c) if down[x] == c)
         if not generic:

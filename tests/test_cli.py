@@ -232,6 +232,29 @@ def test_unknown_file(capsys):
     assert main(["check", path("missing.quantale")]) == 2
 
 
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+@pytest.mark.parametrize("where", ["file", "sibling-quantale"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, bad, where):
+    # a path that is a directory, or bytes that are not UTF-8, name the path
+    # and exit 2 like a missing file, for the file itself and its quantale
+    target = tmp_path / ("myq.quantale" if where == "sibling-quantale" else "s.space")
+    if bad == "directory":
+        target.mkdir()
+    else:
+        target.write_bytes(b"quantale myq\nelements: a \xff\n")
+    if where == "sibling-quantale":
+        (tmp_path / "c.vcat").write_text("vcat c over myq\nelements: x\nm[x,x] = b\n")
+        argv = ["check", str(tmp_path / "c.vcat")]
+    else:
+        argv = ["check", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    if bad == "not-utf8":
+        assert captured.err == f"error: {target}:2: not UTF-8 text (invalid start byte at byte 25)\n"
+
+
 def test_quantale_resolution_by_sibling_file(tmp_path):
     (tmp_path / "myq.quantale").write_text(
         "quantale myq\nelements: a b\norder: a<=b\nunit: b\ntensor: a*a=a a*b=a b*b=b\n"
@@ -420,7 +443,31 @@ def _pinned_cli_jobs():
             yield ["complete", "--builtin", "v-hom", "--quantale", qname, "--monad", monad, "--format", "json"]
 
 
+def test_parse_args_matches_the_top_level_parser():
+    # the subcommand's own parser gives the namespace the two-stage parse gives
+    reference = cli.build_parser()
+    forms = [
+        *_pinned_cli_jobs(),
+        ["suite", "--only", "sober", "quniform", "--max-enum", "5", "--strict"],
+        ["complete", "--", "chain2.vcat"],
+        ["quniform", "check", "pre3.quniform", "--oracle"],
+    ]
+    for argv in forms:
+        assert cli._parse_args(list(argv)) == reference.parse_args(argv)
+
+
 def test_cli_bytes_are_pinned(monkeypatch, capsys):
+    # every JSON report is also checked against json.dumps, its reference
+    written = []
+    original = cli.report_json
+
+    def checked(obj):
+        text = original(obj)
+        assert text == json.dumps(obj, sort_keys=True, indent=2)
+        written.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "report_json", checked)
     monkeypatch.chdir(DATA)
     digest = hashlib.sha256()
     for argv in _pinned_cli_jobs():
@@ -428,3 +475,39 @@ def test_cli_bytes_are_pinned(monkeypatch, capsys):
         captured = capsys.readouterr()
         digest.update(f"{argv}\n{code}\n{captured.out}\n{captured.err}\n".encode())
     assert digest.hexdigest() == CLI_SHA256
+    assert len(written) >= 50
+
+
+# SHA-256 of the exit code, stdout and stderr of every usage form below, in
+# order, each run with a fresh parser and then with the reused one, in the data
+# directory at 80 columns: argparse's usage, help and error text.
+USAGE_SHA256 = "ac9a31b14f21028f9ceefe50dba799f153ab9ae60dbcfa7167262617e7d3fe92"
+
+_USAGE_FORMS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["nope"],
+    ["check"],
+    ["check", "-h"],
+    ["complete", "-h"],
+    ["suite", "--only"],
+    ["complete", "a", "b"],
+    ["complete", "--bogus"],
+    ["complete", "--monad", "bogus"],
+    ["complete", "--max-enum", "x"],
+    ["--format", "json", "check", "sierpinski.space"],
+    ["complete", "--", "sierpinski.space"],
+    ["sober", "sierpinski.space", "extra"],
+)
+
+
+def test_usage_bytes_are_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for fresh in (True, False):
+        for argv in _USAGE_FORMS:
+            code, out, err = _run(argv, capsys, fresh)
+            digest.update(f"{argv}\n{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == USAGE_SHA256

@@ -1,4 +1,7 @@
+import json
 import sys
+
+import pytest
 
 import lawcat.laxext
 from lawcat.suite import _ext, item_xi_algebra
@@ -47,3 +50,35 @@ def test_determinism_reruns_the_quick_items_once(monkeypatch):
     report = suite.run_suite(only={"determinism"})
     assert [it["id"] for it in report["items"]] == ["determinism"] and report["ok"]
     assert len(calls) == 2
+
+
+def test_report_json_matches_json_dumps():
+    from lawcat.suite import report_json, run_suite
+
+    values = [
+        run_suite(),
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [{}, [[]], {"d": ()}]},
+        ("x", (1, ("y",)), []),
+        {"é": "ü€", "\x00\n\t\"\\": ["\x1f", " ", "😀", ""], "": "/"},
+        [True, 1, False, 0, {"t": True, "o": 1, "f": False, "z": 0}],
+        [-1, -(2**70), 2**64, 2**64 + 1, 0],
+        None,
+        {"n": None, "l": [None, None]},
+        "plain",
+        7,
+    ]
+    for value in values:
+        assert report_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {1, 2}, object(), [0.0], {"k": {"s": frozenset()}}, {1: "a"}, {("a",): 1}]
+)
+def test_report_json_refuses_other_types(value):
+    from lawcat.suite import report_json
+
+    with pytest.raises(TypeError):
+        report_json(value)
