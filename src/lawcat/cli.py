@@ -18,7 +18,7 @@ from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import builtin, validate_quantale
 from .quniform import decide_lawvere_q, lax_algebra_bridge, validate_quniformity
-from .suite import DEFAULT_MAX_ENUM, report_json, run_suite, suite_json
+from .suite import DEFAULT_MAX_ENUM, ITEM_IDS, report_json, run_suite, suite_json
 from .tvcat import TVCategory, check_tvcategory, dual_tvcategory, yoneda as tv_yoneda
 
 
@@ -251,6 +251,9 @@ def cmd_extend(args):
 
 def cmd_suite(args):
     only = set(args.only) if args.only else None
+    if only and not only.issubset(ITEM_IDS):
+        unknown = ", ".join(map(repr, sorted(only.difference(ITEM_IDS))))
+        raise ParseError("<args>", 0, f"unknown suite item {unknown}; have {', '.join(ITEM_IDS)}")
     report = run_suite(only=only, max_enum=args.max_enum)
     if args.format == "json":
         sys.stdout.write(suite_json(report))
@@ -313,7 +316,7 @@ def build_parser():
     p.set_defaults(fn=cmd_quniform)
 
     p = sub.add_parser("suite", parents=[common], help="run the acceptance battery")
-    p.add_argument("--only", nargs="*")
+    p.add_argument("--only", nargs="+")
     p.set_defaults(fn=cmd_suite)
     parser.commands = sub.choices
     return parser

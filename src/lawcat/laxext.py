@@ -16,6 +16,9 @@ from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
 from .monad import IdentityMonad
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map
 
+# Entries kept in one extend memo; beyond it the oldest entry is evicted.
+MEMO_CAP = 4096
+
 
 class LaxExtension:
     """A monad/quantale pair and the one owner of everything derived from it.
@@ -24,11 +27,16 @@ class LaxExtension:
     formula only defines an extension when the unit is the top element
     or T of the empty set is empty.  extend memoizes, over a monad other
     than the identity, the extension of each matrix's quotient and of
-    each matrix with two or more columns; every other derived value
-    (unit and multiplication tables, T of product projections, xi, its
-    compatibility report, capabilities, derived categories) is kept in
-    cache through cached.  max_enum is the one budget of every
-    enumeration built on this extension, enforced by check_budget.
+    each matrix with two or more columns.  That memo is the quantale's
+    q.extension_memos[monad]: T(m) depends only on the monad, the
+    quantale's tables and m, so every extension of the same pair shares
+    it, it holds at most MEMO_CAP entries, and it is freed with the
+    quantale.  Every other derived value (unit and multiplication
+    tables, T of product projections, xi, its compatibility report,
+    capabilities, derived categories) is kept in this instance's cache
+    through cached, since some of them hold the extension or were built
+    under its budget.  max_enum is the one budget of every enumeration
+    built on this extension, enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -40,7 +48,7 @@ class LaxExtension:
         self.monad = monad
         self.q = q
         self.max_enum = max_enum
-        self._memo = {}
+        self._memo = q.extension_memos.setdefault(monad, {})
         self.cache = {}
 
     def cached(self, key, build):
@@ -122,7 +130,8 @@ class LaxExtension:
         result = memo.get(qkey)
         if result is None:
             small = VMatrix.trusted(self.q, *qkey)
-            result = memo[qkey] = _threshold_extend(self.monad, self.q, small)
+            result = _threshold_extend(self.monad, self.q, small)
+            _remember(memo, qkey, result)
         if rq is not None or cq is not None:
             # Each row of the quotient's extension is re-indexed once and
             # shared by every row in its T(rq) class.
@@ -133,8 +142,8 @@ class LaxExtension:
             if rq is not None:
                 out = [out[a] for a in self.monad.tmap(rq, m.rows, len(rows))]
             result = VMatrix.trusted(self.q, trows, tcols, tuple(out))
-        if m.cols != 1:
-            memo[key] = result
+            if m.cols != 1:
+                _remember(memo, key, result)
         return result
 
     def capabilities(self):
@@ -194,6 +203,21 @@ def _threshold_extend(monad, q, m):
         for (i, j) in monad.extend_relation(pairs, m.rows, m.cols):
             out[i][j] = q.join_t[out[i][j]][v]
     return VMatrix.trusted(q, trows, tcols, tuple(map(tuple, out)))
+
+
+def _remember(memo, key, value):
+    """Store value under key, first evicting the oldest entries at MEMO_CAP.
+
+    Threads that store at once can each pass the size test, leaving the
+    memo a few entries over the cap until the next store.
+    """
+    while len(memo) >= MEMO_CAP:
+        try:
+            del memo[next(iter(memo))]
+        except (KeyError, RuntimeError, StopIteration):
+            # Another thread changed the memo first; look again.
+            continue
+    memo[key] = value
 
 
 def _classes(vectors):

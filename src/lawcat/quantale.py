@@ -33,6 +33,9 @@ class Quantale:
         self.hom_t = None
         self.bottom = None
         self.top = None
+        # The extend memo of each monad, shared by every LaxExtension of
+        # this quantale (laxext.LaxExtension).
+        self.extension_memos = {}
 
     @property
     def n(self):

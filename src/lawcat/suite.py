@@ -317,6 +317,8 @@ REGISTRY = (
 )
 
 QUICK_ITEMS = ("quantale-laws", "left-adjoint-maps", "yoneda-v", "sober")
+# Every name `run_suite(only=...)` can select, in report order.
+ITEM_IDS = tuple(name for name, _ in REGISTRY) + ("determinism",)
 
 
 def run_items(only=None, max_enum=DEFAULT_MAX_ENUM):

@@ -2,7 +2,7 @@ import pytest
 
 from lawcat.laxext import LaxExtension
 from lawcat.monad import builtin_monads
-from lawcat.quantale import builtin_quantales
+from lawcat.quantale import builtin_quantales, validate_quantale
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +13,19 @@ def quantales():
 @pytest.fixture(scope="session")
 def monads():
     return builtin_monads()
+
+
+@pytest.fixture(scope="session")
+def validated_copy():
+    """A fresh validated copy of a quantale: the same tables, and extend
+    memos of its own (empty), apart from every other extension's."""
+
+    def copy(q):
+        fresh = type(q)(q.name, q.labels, q.leq, q.tensor, q.unit, q.numeric)
+        assert validate_quantale(fresh)["ok"]
+        return fresh
+
+    return copy
 
 
 _EXT_CACHE = {}

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lawcat import cli
+from lawcat import cli, suite
 from lawcat.cli import main
 from lawcat.errors import ParseError
 from lawcat.fileio import (
@@ -112,6 +112,22 @@ def test_suite_only_subset(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert [it["id"] for it in rep["items"]] == ["quantale-laws"]
     assert rep["ok"]
+
+
+def test_suite_only_refuses_an_unknown_item(capsys):
+    assert main(["suite", "--only", "sober", "quantale-lawz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: <args>:0: unknown suite item 'quantale-lawz'; have ")
+    for name in suite.ITEM_IDS:
+        assert name in captured.err
+
+
+def test_suite_only_needs_a_name(capsys):
+    assert main(["suite", "--only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --only: expected at least one argument" in captured.err
 
 
 def test_suite_budget_skip_and_strict(capsys):
@@ -481,7 +497,7 @@ def test_cli_bytes_are_pinned(monkeypatch, capsys):
 # SHA-256 of the exit code, stdout and stderr of every usage form below, in
 # order, each run with a fresh parser and then with the reused one, in the data
 # directory at 80 columns: argparse's usage, help and error text.
-USAGE_SHA256 = "ac9a31b14f21028f9ceefe50dba799f153ab9ae60dbcfa7167262617e7d3fe92"
+USAGE_SHA256 = "6b82c7a9399f89fef41fcc7c0980a7f97a6f983965de000ab527953e3bc20ff4"
 
 _USAGE_FORMS = (
     [],

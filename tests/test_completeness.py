@@ -402,10 +402,11 @@ def test_representables_index_skips_points_that_are_not_functors(ext_factory, mn
     assert failing
 
 
-def test_psi_extensions_stay_out_of_the_memo(monads, quantales):
+def test_psi_extensions_stay_out_of_the_memo(monads, quantales, validated_copy):
     # psi is extended through its quotient, the sorted column of its values:
-    # one memo entry per value set, and none under psi's own data.
-    ext = LaxExtension(monads["powerset"], quantales["c3"])
+    # one memo entry per value set, and none under psi's own data.  A fresh
+    # copy of c3 keeps other extensions' entries out of the memo.
+    ext = LaxExtension(monads["powerset"], validated_copy(quantales["c3"]))
     psis = []
     extend = ext.extend
     ext.extend = lambda m: (m.cols == 1 and psis.append(m.data)) or extend(m)

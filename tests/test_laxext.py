@@ -1,12 +1,18 @@
+import gc
 import inspect
 import itertools
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
+from lawcat import laxext
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import (
     LaxExtension,
+    _remember,
     _threshold_extend,
     check_embeds_maps,
     check_extension_laws,
@@ -216,6 +222,151 @@ def test_memoization_returns_identical_object(ext_factory):
     assert ext.extend(r) is ext.extend(VMatrix(ext.q, 2, 2, ((0, 1), (1, 0))))
 
 
+def test_extensions_of_one_pair_share_the_memo(monads, quantales, validated_copy):
+    # the memo belongs to the quantale, one per monad; cache stays per instance
+    powerset = monads["powerset"]
+    q = validated_copy(quantales["c3"])
+    first, second = LaxExtension(powerset, q), LaxExtension(powerset, q, max_enum=64)
+    assert first._memo is second._memo is q.extension_memos[powerset]
+    assert first.cache is not second.cache
+    for data in (((2, 0), (0, 1)), ((0, 1), (1, 2)), ((0,), (2,))):
+        m = VMatrix(q, len(data), len(data[0]), data)
+        assert second.extend(VMatrix(q, m.rows, m.cols, data)) is first.extend(m)
+    # over the ultrafilter monad the memo is never written
+    assert LaxExtension(monads["ultra"], q).extend(m) is m
+    assert not q.extension_memos[monads["ultra"]]
+
+
+def test_a_validated_copy_has_a_memo_of_its_own(monads, quantales, validated_copy):
+    powerset = monads["powerset"]
+    q = quantales["c3"]
+    copy = validated_copy(q)
+    assert copy.extension_memos == {}
+    data = ((1, 0), (0, 2))
+    ours = LaxExtension(powerset, copy).extend(VMatrix(copy, 2, 2, data))
+    assert copy.extension_memos[powerset] is not q.extension_memos.get(powerset)
+    theirs = LaxExtension(powerset, q).extend(VMatrix(q, 2, 2, data))
+    assert ours is not theirs and ours.data == theirs.data
+    assert ours.q is copy and theirs.q is q
+
+
+def test_the_memo_is_freed_with_its_quantale(monads, quantales, validated_copy):
+    # quantale -> memo -> VMatrix -> quantale is a cycle that gc collects
+    q = validated_copy(quantales["c3"])
+    ext = LaxExtension(monads["powerset"], q)
+    ext.extend(VMatrix(q, 2, 2, ((2, 0), (0, 1))))
+    assert q.extension_memos[monads["powerset"]]
+    alive = weakref.ref(q)
+    del q, ext
+    gc.collect()
+    assert alive() is None
+
+
+def test_the_memo_is_bounded(monads, quantales, validated_copy, monkeypatch):
+    monkeypatch.setattr(laxext, "MEMO_CAP", 3)
+    monad = monads["powerset"]
+    q = validated_copy(quantales["c3"])
+    ext = LaxExtension(monad, q)
+    rng = random.Random("memo-cap")
+    stored = []
+    for _ in range(200):
+        m = rand_matrix(rng, q, rng.randrange(1, 4), rng.randrange(1, 4))
+        before = list(ext._memo)
+        assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
+        assert len(ext._memo) <= 3
+        stored += [key for key in ext._memo if key not in before]
+    # the oldest entries went first: what is left is the last stored
+    assert len(stored) > 3 and list(ext._memo) == stored[-len(ext._memo):]
+
+
+def test_eviction_survives_a_concurrent_eviction(monkeypatch):
+    class Raced(dict):
+        # the first delete finds its key already gone, as when another
+        # thread evicted the same oldest entry first
+        raced = False
+
+        def __delitem__(self, key):
+            super().__delitem__(key)
+            if not self.raced:
+                self.raced = True
+                raise KeyError(key)
+
+    monkeypatch.setattr(laxext, "MEMO_CAP", 3)
+    memo = Raced(a=1, b=2, c=3)
+    _remember(memo, "d", 4)
+    assert memo.raced and dict(memo) == {"b": 2, "c": 3, "d": 4}
+
+
+def test_threads_share_one_bounded_memo(monads, quantales, validated_copy, monkeypatch):
+    # more threads than cores extend over one small memo with frequent
+    # switches, so stores and evictions interleave; every result must stay
+    # exact and no thread may raise
+    monkeypatch.setattr(laxext, "MEMO_CAP", 4)
+    monad = monads["powerset"]
+    q = validated_copy(quantales["c3"])
+    errors, checked = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        ext = LaxExtension(monad, q)
+        try:
+            for _ in range(1000):
+                m = rand_matrix(rng, q, rng.randrange(1, 4), rng.randrange(1, 3))
+                assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
+                checked.append(1)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(f"race/{i}",)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(checked) == 6 * 1000
+    assert len(q.extension_memos[monad]) <= 4 + len(threads)
+
+
+def _warm_budget_sites():
+    from lawcat.completeness import enumerate_adjoint_pairs
+    from lawcat.tvcat import discrete_tvcategory
+
+    # powerset on c3: T(2) x T(2) cells, 3^T(2) psis, T(T(3)) x T(3) cells,
+    # T(3 x 3) elements
+    return [
+        ("extended matrix size", 16, lambda e: e.extend(VMatrix(e.q, 2, 2, ((2, 0), (1, 2))))),
+        ("psi space", 81, lambda e: enumerate_adjoint_pairs(discrete_tvcategory(e, 2))),
+        ("associativity sweep", 2048, lambda e: hom_xi_category(e, validate=True)),
+        ("T of V x V", 512, lambda e: e.xi_compat()),
+    ]
+
+
+WARM_BUDGET_SITES = _warm_budget_sites()
+
+
+@pytest.mark.parametrize("what,needed,run", WARM_BUDGET_SITES, ids=[s[0] for s in WARM_BUDGET_SITES])
+def test_a_warm_memo_refuses_as_a_cold_one(monads, quantales, validated_copy, what, needed, run):
+    # the budget is checked before any memo lookup, so a tight extension
+    # refuses exactly as before once a default-budget one filled the memo
+    powerset = monads["powerset"]
+    refusals = []
+    for warmed in (False, True):
+        q = validated_copy(quantales["c3"])
+        if warmed:
+            run(LaxExtension(powerset, q))
+            assert q.extension_memos[powerset]
+        with pytest.raises(BudgetExceeded) as info:
+            run(LaxExtension(powerset, q, needed - 1))
+        refusals.append((info.value.what, info.value.needed, info.value.budget))
+        run(LaxExtension(powerset, q, needed))
+    assert refusals == [(what, needed, needed - 1)] * 2
+
+
 def _with_duplicates(rng, q, rows, cols):
     # copy a row and a column onto others, so both quotients are proper
     data = [[rng.randrange(q.n) for _ in range(cols)] for _ in range(rows)]
@@ -281,12 +432,13 @@ def _column_quantales():
 
 
 @pytest.mark.parametrize("mname", ["id", "powerset", "ultra"])
-def test_column_extension_matches_threshold_loop(monads, mname):
+def test_column_extension_matches_threshold_loop(monads, validated_copy, mname):
     # every one-column matrix with at most 4 rows, over every built-in
-    # quantale and the generated down-set lattices
+    # quantale and the generated down-set lattices; each over a fresh copy,
+    # so that the memo holds this test's extensions only
     monad = monads[mname]
     checked = 0
-    for q in _column_quantales():
+    for q in map(validated_copy, _column_quantales()):
         ext = LaxExtension(monad, q)
         for rows in range(5):
             for column in itertools.product(range(q.n), repeat=rows):
