@@ -10,14 +10,17 @@ algebra structure xi on the quantale carrier, xi(s) = V{v | s in T(up v)}.
 from __future__ import annotations
 
 import random
+import threading
 import zlib
 
 from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
 from .monad import IdentityMonad
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map
 
-# Entries kept in one extend memo; beyond it the oldest entry is evicted.
-MEMO_CAP = 4096
+# Cells (rows x columns, summed over the entries) one extend memo may hold.
+# A store past it evicts the oldest entries first; an extension larger than
+# the whole budget is not stored.
+MEMO_CELLS = 1 << 15
 
 
 class LaxExtension:
@@ -30,7 +33,7 @@ class LaxExtension:
     each matrix with two or more columns.  That memo is the quantale's
     q.extension_memos[monad]: T(m) depends only on the monad, the
     quantale's tables and m, so every extension of the same pair shares
-    it, it holds at most MEMO_CAP entries, and it is freed with the
+    it, it holds at most MEMO_CELLS cells, and it is freed with the
     quantale.  Every other derived value (unit and multiplication
     tables, T of product projections, xi, its compatibility report,
     capabilities, derived categories) is kept in this instance's cache
@@ -48,7 +51,7 @@ class LaxExtension:
         self.monad = monad
         self.q = q
         self.max_enum = max_enum
-        self._memo = q.extension_memos.setdefault(monad, {})
+        self._memo = q.extension_memos.setdefault(monad, _Memo())
         self.cache = {}
 
     def cached(self, key, build):
@@ -131,7 +134,7 @@ class LaxExtension:
         if result is None:
             small = VMatrix.trusted(self.q, *qkey)
             result = _threshold_extend(self.monad, self.q, small)
-            _remember(memo, qkey, result)
+            memo.remember(qkey, result)
         if rq is not None or cq is not None:
             # Each row of the quotient's extension is re-indexed once and
             # shared by every row in its T(rq) class.
@@ -143,7 +146,7 @@ class LaxExtension:
                 out = [out[a] for a in self.monad.tmap(rq, m.rows, len(rows))]
             result = VMatrix.trusted(self.q, trows, tcols, tuple(out))
             if m.cols != 1:
-                _remember(memo, key, result)
+                memo.remember(key, result)
         return result
 
     def capabilities(self):
@@ -205,19 +208,30 @@ def _threshold_extend(monad, q, m):
     return VMatrix.trusted(q, trows, tcols, tuple(map(tuple, out)))
 
 
-def _remember(memo, key, value):
-    """Store value under key, first evicting the oldest entries at MEMO_CAP.
+class _Memo(dict):
+    """An extend memo: extensions by key, with the cells they hold.
 
-    Threads that store at once can each pass the size test, leaving the
-    memo a few entries over the cap until the next store.
+    Lookups are plain dict reads; stores go through remember, which keeps
+    cells within MEMO_CELLS under its lock.
     """
-    while len(memo) >= MEMO_CAP:
-        try:
-            del memo[next(iter(memo))]
-        except (KeyError, RuntimeError, StopIteration):
-            # Another thread changed the memo first; look again.
-            continue
-    memo[key] = value
+
+    def __init__(self):
+        super().__init__()
+        self.cells = 0
+        self.lock = threading.Lock()
+
+    def remember(self, key, value):
+        size = value.rows * value.cols
+        if size > MEMO_CELLS:
+            return
+        with self.lock:
+            if key in self:
+                return
+            while self.cells + size > MEMO_CELLS:
+                old = self.pop(next(iter(self)))
+                self.cells -= old.rows * old.cols
+            self[key] = value
+            self.cells += size
 
 
 def _classes(vectors):

@@ -2,7 +2,6 @@ import gc
 import inspect
 import itertools
 import random
-import sys
 import threading
 import weakref
 
@@ -12,7 +11,6 @@ from lawcat import laxext
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import (
     LaxExtension,
-    _remember,
     _threshold_extend,
     check_embeds_maps,
     check_extension_laws,
@@ -262,46 +260,50 @@ def test_the_memo_is_freed_with_its_quantale(monads, quantales, validated_copy):
     assert alive() is None
 
 
-def test_the_memo_is_bounded(monads, quantales, validated_copy, monkeypatch):
-    monkeypatch.setattr(laxext, "MEMO_CAP", 3)
+def _memo_cells(memo):
+    return sum(value.rows * value.cols for value in memo.values())
+
+
+def test_the_memo_is_bounded_in_cells(monads, quantales, validated_copy, monkeypatch):
+    monkeypatch.setattr(laxext, "MEMO_CELLS", 200)
     monad = monads["powerset"]
     q = validated_copy(quantales["c3"])
     ext = LaxExtension(monad, q)
-    rng = random.Random("memo-cap")
+    rng = random.Random("memo-cells")
     stored = []
     for _ in range(200):
-        m = rand_matrix(rng, q, rng.randrange(1, 4), rng.randrange(1, 4))
+        m = rand_matrix(rng, q, rng.randrange(1, 5), rng.randrange(1, 4))
         before = list(ext._memo)
         assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
-        assert len(ext._memo) <= 3
+        assert ext._memo.cells == _memo_cells(ext._memo) <= 200
         stored += [key for key in ext._memo if key not in before]
     # the oldest entries went first: what is left is the last stored
-    assert len(stored) > 3 and list(ext._memo) == stored[-len(ext._memo):]
+    assert len(stored) > len(ext._memo) and list(ext._memo) == stored[-len(ext._memo):]
 
 
-def test_eviction_survives_a_concurrent_eviction(monkeypatch):
-    class Raced(dict):
-        # the first delete finds its key already gone, as when another
-        # thread evicted the same oldest entry first
-        raced = False
-
-        def __delitem__(self, key):
-            super().__delitem__(key)
-            if not self.raced:
-                self.raced = True
-                raise KeyError(key)
-
-    monkeypatch.setattr(laxext, "MEMO_CAP", 3)
-    memo = Raced(a=1, b=2, c=3)
-    _remember(memo, "d", 4)
-    assert memo.raced and dict(memo) == {"b": 2, "c": 3, "d": 4}
+def test_large_extensions_stay_out_of_a_builtin_memo(monads, quantales):
+    # over a built-in quantale, which lives as long as the process, the
+    # memo retains at most MEMO_CELLS cells however large the extensions
+    monad = monads["powerset"]
+    q = quantales["c4"]
+    ext = LaxExtension(monad, q)
+    memo = ext._memo
+    rng = random.Random("memo-large")
+    # extensions of 512 x 128, 256 x 128 (the whole budget), then 64 x 64
+    # to 256 x 64 cells
+    for rows, cols in ((9, 7), (8, 7), (6, 6), (7, 6), (6, 7), (8, 6), (6, 8)):
+        m = rand_matrix(rng, q, rows, cols)
+        assert ext.extend(m) == _threshold_extend(monad, q, m)
+        assert memo.cells == _memo_cells(memo) <= laxext.MEMO_CELLS
+    # the largest was never stored, and the one that filled the budget was
+    # evicted by the later ones
+    assert max(value.rows * value.cols for value in memo.values()) < laxext.MEMO_CELLS
 
 
 def test_threads_share_one_bounded_memo(monads, quantales, validated_copy, monkeypatch):
-    # more threads than cores extend over one small memo with frequent
-    # switches, so stores and evictions interleave; every result must stay
-    # exact and no thread may raise
-    monkeypatch.setattr(laxext, "MEMO_CAP", 4)
+    # threads extending over one small memo get exact results, and the
+    # memo's count of cells stays exact and within the budget
+    monkeypatch.setattr(laxext, "MEMO_CELLS", 100)
     monad = monads["powerset"]
     q = validated_copy(quantales["c3"])
     errors, checked = [], []
@@ -310,26 +312,22 @@ def test_threads_share_one_bounded_memo(monads, quantales, validated_copy, monke
         rng = random.Random(seed)
         ext = LaxExtension(monad, q)
         try:
-            for _ in range(1000):
+            for _ in range(500):
                 m = rand_matrix(rng, q, rng.randrange(1, 4), rng.randrange(1, 3))
                 assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
                 checked.append(1)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(f"race/{i}",)) for i in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=work, args=(f"race/{i}",)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
-    assert not errors and len(checked) == 6 * 1000
-    assert len(q.extension_memos[monad]) <= 4 + len(threads)
+    assert not errors and len(checked) == 4 * 500
+    memo = q.extension_memos[monad]
+    assert memo.cells == _memo_cells(memo) <= 100
 
 
 def _warm_budget_sites():
