@@ -13,7 +13,7 @@ import sys
 from .completeness import certify_v_complete, decide_lawvere_complete
 from .errors import GateUnavailable, LawcatError, ParseError
 from .fileio import Workspace, load_file
-from .instances import sober_vs_lawvere, space_from_preorder, space_lawvere_complete, weakly_sober
+from .instances import FiniteSpace, sober_vs_lawvere, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import builtin, validate_quantale
@@ -69,7 +69,7 @@ def cmd_check(args):
         return 0 if verdict["ok"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = weakly_sober(space_from_preorder(order))
+        rep = weakly_sober(FiniteSpace(order))
         verdict = {"kind": kind, "name": name, "ok": True, "weakly_sober": rep["weakly_sober"]}
         _emit(verdict, args.format, input_block)
         return 0
@@ -127,7 +127,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(space_from_preorder(order), args.max_enum, args.oracle)
+        rep = sober_vs_lawvere(FiniteSpace(order), args.max_enum, args.oracle)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -158,7 +158,7 @@ def cmd_sober(args):
     if kind != "space":
         raise ParseError(args.path, 1, "sober expects a space file")
     name, labels, order = payload
-    space = space_from_preorder(order)
+    space = FiniteSpace(order)
     rep = weakly_sober(space)
     lawvere = space_lawvere_complete(space, args.max_enum, args.oracle)
     out = {

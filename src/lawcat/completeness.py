@@ -387,18 +387,6 @@ def decide_lawvere_complete(x, oracle=False):
     }
 
 
-def uniqueness_of_adjoints(pairs):
-    """Adjoints determine each other: no side occurs with two partners."""
-    by_psi = {}
-    by_phi = {}
-    for pair in pairs:
-        if by_psi.setdefault(pair.psi.data, pair.phi.data) != pair.phi.data:
-            return False
-        if by_phi.setdefault(pair.phi.data, pair.psi.data) != pair.psi.data:
-            return False
-    return True
-
-
 def certify_v_complete(ext, oracle=False):
     """Completeness certificate for the quantale with its canonical structure.
 

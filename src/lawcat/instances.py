@@ -21,7 +21,6 @@ from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import builtin
 from .tvcat import (
-    TVCategory,
     check_tvfunctor,
     hom_xi_category,
     is_tvbimodule,
@@ -46,16 +45,6 @@ class FinitePreorder:
 
     def __repr__(self):
         return f"FinitePreorder({self.n})"
-
-    def is_valid(self):
-        ok_refl = all(self.leq[x][x] for x in range(self.n))
-        ok_trans = all(
-            not (self.leq[x][y] and self.leq[y][z]) or self.leq[x][z]
-            for x in range(self.n)
-            for y in range(self.n)
-            for z in range(self.n)
-        )
-        return ok_refl and ok_trans
 
     @staticmethod
     def from_pairs(n, pairs):
@@ -123,15 +112,6 @@ class FiniteSpace:
         """Down-sets of the specialization order, as sorted tuples."""
         return [_points(mask) for mask in _closed_masks(_down_masks(self.order))]
 
-    def open_sets(self):
-        full = set(range(self.n))
-        return [tuple(sorted(full - set(c))) for c in self.closed_sets()]
-
-    def closure(self, pts):
-        return tuple(
-            sorted(y for y in range(self.n) if any(self.order.leq[y][x] for x in pts))
-        )
-
 
 def _down_masks(order):
     """Bitmask of the points below x, for each point x."""
@@ -162,10 +142,6 @@ def _points(mask):
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
-def space_from_preorder(p):
-    return FiniteSpace(p)
-
-
 def tvcategory_from_space(ext, space):
     """Convergence structure: the principal filter at x reaches y when y is below x."""
     n = space.n
@@ -173,35 +149,6 @@ def tvcategory_from_space(ext, space):
         raise GateUnavailable("principal carriers", "space bridge needs TX = X")
     leq = space.order.leq
     return order_tvcategory(ext, [[leq[y][x] for y in range(n)] for x in range(n)], name="space")
-
-
-def space_from_tvcategory(cat):
-    # rows index the converging point, columns the limit: u below v iff v -> u
-    n = cat.n
-    k = cat.q.unit
-    order = FinitePreorder(
-        n, tuple(tuple(cat.a.data[v][u] == k for v in range(n)) for u in range(n))
-    )
-    return FiniteSpace(order)
-
-
-def preorder_roundtrip(p):
-    """Preorder -> space -> structure -> space -> preorder, with verdicts."""
-    ultra = builtin_monad("ultra")
-    ext = LaxExtension(ultra, builtin("2"))
-    space = space_from_preorder(p)
-    cat = tvcategory_from_space(ext, space)
-    back = space_from_tvcategory(cat)
-    id_ext = LaxExtension(builtin_monad("id"), builtin("2"))
-    as_order_cat = TVCategory(id_ext, p.n, VMatrix(id_ext.q, p.n, p.n, cat.a.data))
-    ultra_verdict = decide_lawvere_complete(cat)["complete"]
-    order_verdict = decide_lawvere_complete(as_order_cat)["complete"]
-    return {
-        "roundtrip_identity": back.order == p,
-        "ultra_complete": ultra_verdict,
-        "order_complete": order_verdict,
-        "verdicts_agree": ultra_verdict == order_verdict,
-    }
 
 
 def weakly_sober(space):
@@ -301,21 +248,6 @@ def variable_set_from_row(q, n, row):
         for v in range(q.n)
     }
     return VariableSet(q, n, levels)
-
-
-def row_from_variable_set(vs):
-    """Numerically least level containing each point."""
-    q = vs.q
-    order = sorted(range(q.n), key=lambda v: (q.numeric[v] is None, q.numeric[v]))
-    row = []
-    for x in range(vs.n):
-        val = None
-        for v in order:
-            if x in vs.levels[v]:
-                val = v
-                break
-        row.append(val)
-    return tuple(row)
 
 
 def point_distance(cat, pts, x):

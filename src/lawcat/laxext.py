@@ -34,11 +34,15 @@ class LaxExtension:
     q.extension_memos[monad]: T(m) depends only on the monad, the
     quantale's tables and m, so every extension of the same pair shares
     it, it holds at most MEMO_CELLS cells, and it is freed with the
-    quantale.  Every other derived value (unit and multiplication
-    tables, T of product projections, xi, its compatibility report,
-    capabilities, derived categories) is kept in this instance's cache
-    through cached, since some of them hold the extension or were built
-    under its budget.  max_enum is the one budget of every enumeration
+    quantale.  Sharing pays in a process that decides many structures
+    over one (T, V), each with an extension of its own: the suite, a
+    library sweep, perfbench's loop over cli.main.  A one-file
+    `lawcat complete FILE` starts with an empty memo and gains nothing.
+    Every other derived value (unit and multiplication tables, T of
+    product projections, xi, its compatibility report, capabilities,
+    derived categories) is kept in this instance's cache through
+    cached, since some of them hold the extension or were built under
+    its budget.  max_enum is the one budget of every enumeration
     built on this extension, enforced by check_budget.
     """
 
@@ -114,7 +118,10 @@ class LaxExtension:
         check_extension_laws).  A one-column quotient is the inclusion
         column of a value set, at most 2^|V| entries; a matrix with two or
         more columns is also memoized under its own data, so that a repeat
-        costs one lookup.
+        costs one lookup.  That second entry pays for itself: a file's
+        structure is extended by check_tvcategory and again by
+        kleisli_table, and its own-data entry answers the second call
+        without a quotient or a re-index.
         """
         trows = self.monad.size(m.rows)
         tcols = self.monad.size(m.cols)
@@ -469,19 +476,3 @@ def check_extension_laws(ext, samples=25, seed=None, size=2):
     laws["m_natural"] = m_natural and laws["e"]["skipped"] == 0
     laws["ok"] = all(laws[key]["ok"] for key in "abcdefg")
     return laws
-
-
-def check_embeds_maps(ext, samples=20, seed=1, size=3):
-    """extend(from_map f) equals from_map(Tf) on random functions."""
-    q = ext.q
-    monad = ext.monad
-    rng = random.Random(seed)
-    for _ in range(samples):
-        nx = rng.randrange(1, size + 1)
-        ny = rng.randrange(1, size + 1)
-        f = tuple(rng.randrange(ny) for _ in range(nx))
-        lhs = ext.extend(VMatrix.from_map(q, f, nx, ny))
-        rhs = VMatrix.from_map(q, monad.tmap(f, nx, ny), monad.size(nx), monad.size(ny))
-        if lhs != rhs:
-            return {"ok": False, "witness": f}
-    return {"ok": True}

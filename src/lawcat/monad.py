@@ -158,11 +158,6 @@ class PowersetMonad(FiniteMonad):
         return frozenset(out)
 
 
-def span_extend_relation(monad, pairs, nx, ny):
-    """Reference span extension that always enumerates T(graph)."""
-    return FiniteMonad.extend_relation(monad, pairs, nx, ny)
-
-
 _MONADS = None
 
 
@@ -182,76 +177,6 @@ def builtin_monad(name):
 
 def _all_functions(n_src, n_tgt):
     return itertools.product(range(n_tgt), repeat=n_src)
-
-
-def check_functor_laws(monad, max_n=3):
-    """T(id) = id and T(g.f) = T(g).T(f) for all functions on small sets."""
-    for n in range(max_n + 1):
-        ident = tuple(range(n))
-        if monad.tmap(ident, n, n) != tuple(range(monad.size(n))):
-            return {"ok": False, "law": "functor-identity", "witness": n}
-    for n, m, p in itertools.product(range(max_n + 1), repeat=3):
-        for f in _all_functions(n, m):
-            tf = monad.tmap(f, n, m)
-            for g in _all_functions(m, p):
-                tg = monad.tmap(g, m, p)
-                gf = tuple(g[f[x]] for x in range(n))
-                if monad.tmap(gf, n, p) != tuple(tg[tf[i]] for i in range(monad.size(n))):
-                    return {"ok": False, "law": "functor-composition", "witness": (n, m, p, f, g)}
-    return {"ok": True}
-
-
-def check_naturality(monad, max_n=3):
-    """e and m are natural for the plain functor on all small functions."""
-    for n, m in itertools.product(range(max_n + 1), repeat=2):
-        e_n, e_m = monad.unit_map(n), monad.unit_map(m)
-        mu_n, mu_m = monad.mult_map(n), monad.mult_map(m)
-        for f in _all_functions(n, m):
-            tf = monad.tmap(f, n, m)
-            if tuple(tf[e_n[x]] for x in range(n)) != tuple(e_m[f[x]] for x in range(n)):
-                return {"ok": False, "law": "unit-naturality", "witness": (n, m, f)}
-            ttf = monad.tmap(tf, monad.size(n), monad.size(m))
-            lhs = tuple(tf[mu_n[i]] for i in range(monad.size(monad.size(n))))
-            rhs = tuple(mu_m[ttf[i]] for i in range(monad.size(monad.size(n))))
-            if lhs != rhs:
-                return {"ok": False, "law": "mult-naturality", "witness": (n, m, f)}
-    return {"ok": True}
-
-
-def check_monad_laws(monad, max_n=3, max_enum=HARD_CARRIER_CAP):
-    """Unit and associativity laws, pointwise on enumerated carriers.
-
-    Unit laws run for |X| <= max_n; the associativity square needs T^3(X)
-    and is checked for every |X| <= max_n whose triple carrier fits the
-    budget (the sizes actually checked are reported).
-    """
-    assoc_checked = []
-    for n in range(max_n + 1):
-        tn = monad.size(n)
-        e = monad.unit_map(n)
-        te = monad.tmap(e, n, tn)
-        mu = monad.mult_map(n)
-        for i in range(tn):
-            if mu[te[i]] != i:
-                return {"ok": False, "law": "mult-after-Te", "witness": (n, i)}
-        e_t = monad.unit_map(tn)
-        for i in range(tn):
-            if mu[e_t[i]] != i:
-                return {"ok": False, "law": "mult-after-eT", "witness": (n, i)}
-        ttn = monad.size(tn)
-        try:
-            tttn = monad.size(ttn)
-        except BudgetExceeded:
-            continue
-        if tttn > max_enum:
-            continue
-        mu_t = monad.mult_map(tn)
-        tmu = monad.tmap(mu, ttn, tn)
-        for i in range(tttn):
-            if mu[tmu[i]] != mu[mu_t[i]]:
-                return {"ok": False, "law": "mult-associativity", "witness": (n, i)}
-        assoc_checked.append(n)
-    return {"ok": True, "associativity_checked_sizes": assoc_checked}
 
 
 def _weak_pullback_cover(monad, f, g, nx, ny, nz):
@@ -343,45 +268,3 @@ def monad_capabilities(monad):
         "m_bc": bc["m_bc"],
         "bc_max_n": bc_max_n,
     }
-
-
-def enumerate_filter_families(n):
-    """All ultrafilters on {0..n-1} found by scanning every family of subsets.
-
-    Oracle used to confirm that ultrafilters on a finite set are exactly the
-    principal ones: a family qualifies when it is a proper filter (upward
-    closed, closed under intersection, without the empty set) that is prime
-    in the strong sense of containing A or its complement for every A.
-    """
-    subsets = [frozenset(b for b in range(n) if m & (1 << b)) for m in range(1 << n)]
-    found = []
-    for fam_mask in range(1 << len(subsets)):
-        fam = [subsets[i] for i in range(len(subsets)) if fam_mask & (1 << i)]
-        famset = set(fam)
-        if not fam or frozenset() in famset:
-            continue
-        ok = True
-        for a in fam:
-            for b in subsets:
-                if a <= b and b not in famset:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for a in fam:
-                for b in fam:
-                    if a & b not in famset:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            full = frozenset(range(n))
-            for a in subsets:
-                if (a in famset) == (full - a in famset):
-                    ok = False
-                    break
-        if ok:
-            found.append(frozenset(famset))
-    return found

@@ -65,25 +65,20 @@ def validate_quniformity(u):
         for x in range(u.n):
             if (x, x) not in r:
                 return {"ok": False, "law": "reflexivity", "witness": (i, x)}
-    closure = [u.base[0]]
-    for r in u.base[1:]:
-        closure += [c & r for c in closure] + [r]
+    # the intersections of nonempty subfamilies of the base, each kept
+    # once, in order of first occurrence: set() of this list fills its
+    # table as set() of the list with repeats would, so the set iterates,
+    # and names its witness, in the same order
+    closure, seen = [], set()
+    for r in u.base:
+        for c in [c & r for c in closure] + [r]:
+            if c not in seen:
+                seen.add(c)
+                closure.append(c)
     closure = set(closure)
     for r in closure:
         if not any(rel_compose(v, v) <= r for v in closure):
             return {"ok": False, "law": "square-root", "witness": sorted(r)}
-    return {"ok": True}
-
-
-def check_uniform_continuity(f, u, v):
-    """For each target base relation, some source base intersection works."""
-    src_cands = [u.w]
-    for b in v.base:
-        ok = any(
-            all((f[x], f[y]) in b for (x, y) in cand) for cand in src_cands + u.base
-        )
-        if not ok:
-            return {"ok": False, "witness": sorted(b)}
     return {"ok": True}
 
 
@@ -128,17 +123,6 @@ def _first_entourage_missing(u, missing):
     top, last = max(u.w), max(missing)
     pairs = ((x, y) for x in range(u.n) for y in range(u.n))
     return frozenset(p for p in pairs if p <= top and p != last)
-
-
-def check_lax_morphism(f, u, v):
-    """f . a <= b . f for a witness a per b, phrased with relation composites."""
-    graph = frozenset((x, f[x]) for x in range(u.n))
-    for b in v.base + [v.w]:
-        b_after_f = rel_compose(graph, b)
-        ok = any(rel_compose(a, graph) <= b_after_f for a in u.base + [u.w])
-        if not ok:
-            return {"ok": False, "witness": sorted(b)}
-    return {"ok": True}
 
 
 class FilterPair:
@@ -344,21 +328,6 @@ def all_quniformities(n):
             seen.add(u.w)
             out.append(u)
     return out
-
-
-def discrete_quniformity(n):
-    return QuasiUniformity(n, [frozenset((x, x) for x in range(n))])
-
-
-def indiscrete_quniformity(n):
-    return QuasiUniformity(n, [frozenset((x, y) for x in range(n) for y in range(n))])
-
-
-def preorder_quniformity(p):
-    pairs = frozenset(
-        (x, y) for x in range(p.n) for y in range(p.n) if p.leq[x][y]
-    )
-    return QuasiUniformity(p.n, [pairs])
 
 
 def curated_three_point():

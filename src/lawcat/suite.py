@@ -16,12 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .completeness import certify_v_complete, decide_lawvere_complete, ord_section_extract
 from .enriched import all_vcategories
 from .errors import DEFAULT_MAX_ENUM, BudgetExceeded
-from .instances import (
-    approach_surrogate,
-    enumerate_preorders,
-    sober_vs_lawvere,
-    space_from_preorder,
-)
+from .instances import FiniteSpace, approach_surrogate, enumerate_preorders, sober_vs_lawvere
 from .laxext import LaxExtension, _random_matrix, check_extension_laws, check_xi, check_xi_functor
 from .monad import builtin_monads
 from .quantale import builtin, builtin_quantales, validate_quantale
@@ -260,7 +255,7 @@ def item_sober(max_enum=DEFAULT_MAX_ENUM):
     ok = True
     for n in (1, 2, 3, 4):
         for p in enumerate_preorders(n):
-            rep = sober_vs_lawvere(space_from_preorder(p), max_enum)
+            rep = sober_vs_lawvere(FiniteSpace(p), max_enum)
             if not (rep["agree"] and rep["weakly_sober"] and rep["lawvere"]):
                 ok = False
             total += 1

@@ -1,10 +1,10 @@
 """Monad-enriched categories: structures a: TX -|-> X and their calculus.
 
-Covers the axiom checker, Kleisli composition, functors and the induced
-module pair, bimodules with the double-functor characterization, duals,
-tensors, the canonical structure on the quantale, exponentials and both
-Yoneda morphisms.  Conditional constructions check their hypotheses
-instead of assuming them.  Every budget is the extension's max_enum.
+Covers the axiom checker, Kleisli composition, functors, bimodules with
+the double-functor characterization, duals, tensors, the canonical
+structure on the quantale, exponentials and the Yoneda morphism.
+Conditional constructions check their hypotheses instead of assuming
+them.  Every budget is the extension's max_enum.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import GateUnavailable
-from .monad import m_square_gap
 from .vmatrix import VMatrix, all_matrices, mcompose, postcompose_map, precompose_map, select_cols
 
 
@@ -142,12 +141,6 @@ def unit_tvcategory(ext):
     return ext.cached(("unit",), lambda: discrete_tvcategory(ext, 1))
 
 
-def algebra_as_category(ext, alpha, n):
-    """An algebra map embedded as a structure: unit exactly on its graph."""
-    a = VMatrix.from_map(ext.q, alpha, ext.monad.size(n), n)
-    return tvcategory(ext, n, a, name="algebra")
-
-
 def hom_xi_category(ext, validate=True):
     """The quantale itself, structured by residuation after the algebra map."""
 
@@ -223,35 +216,12 @@ def check_tvfunctor(f, x, y):
     return {"ok": True}
 
 
-def induced_modules(f, x, y):
-    """The module pair of a map: lower = b . Tf, upper = f-transpose . b."""
-    ext = x.ext
-    tf = ext.monad.tmap(f, x.n, y.n)
-    lower = precompose_map(y.a, tf, ext.monad.size(x.n))
-    upper = select_cols(y.a, f)
-    return lower, upper
-
-
 def is_tvbimodule(psi, x, y):
     """Direct laws: psi * a <= psi and b * psi <= psi."""
     ext = x.ext
     left = kleisli_compose(ext, psi, x.a, x.n)
     right = kleisli_compose(ext, y.a, psi, x.n)
     return left.le(psi) and right.le(psi)
-
-
-def functor_module_equivalence(f, x, y):
-    """The three readings of one map: functor, lower module, upper module."""
-    fun = check_tvfunctor(f, x, y)["ok"]
-    lower, upper = induced_modules(f, x, y)
-    low_ok = is_tvbimodule(lower, x, y)
-    up_ok = is_tvbimodule(upper, y, x)
-    return {
-        "functor": fun,
-        "lower_bimodule": low_ok,
-        "upper_bimodule": up_ok,
-        "all_agree": fun == low_ok == up_ok,
-    }
 
 
 def dual_tvcategory(x):
@@ -291,38 +261,6 @@ def tensor_tvcat(x, y):
     return TVCategory(ext, n, VMatrix(q, monad.size(n), n, data), name=f"{x.name}(x){y.name}")
 
 
-def algebra_compose(ext, a0, alpha, n):
-    """Composite of a plain square structure with an algebra map, both ways.
-
-    Returns the structure a0 . alpha together with the equivalence data:
-    it is a valid enriched structure exactly when alpha respects the
-    extended matrix, and both sides are computed independently.
-    """
-    q = ext.q
-    monad = ext.monad
-    e = ext.unit_map(n)
-    mu = ext.mult_map(n)
-    if any(alpha[e[p]] != p for p in range(n)):
-        raise ValueError("alpha is not unital")
-    talpha = monad.tmap(alpha, monad.size(n), n)
-    if any(alpha[talpha[s]] != alpha[mu[s]] for s in range(monad.size(monad.size(n)))):
-        raise ValueError("alpha is not associative")
-    composite = precompose_map(a0, alpha, monad.size(n))
-    is_structure = check_tvcategory(ext, n, composite)["ok"]
-    ta0 = ext.extend(a0)
-    alpha_functor = all(
-        q.le(ta0.data[s][t], a0.data[alpha[s]][alpha[t]])
-        for s in range(monad.size(n))
-        for t in range(monad.size(n))
-    )
-    return {
-        "structure": composite,
-        "is_tvcategory": is_structure,
-        "alpha_is_functor": alpha_functor,
-        "agree": is_structure == alpha_functor,
-    }
-
-
 def check_tvbimodule(psi, x, y):
     """Direct module laws against the double-functor characterization.
 
@@ -353,31 +291,6 @@ def check_tvbimodule(psi, x, y):
         "agree": direct == via,
         "ok": direct,
     }
-
-
-def whisker_checks(f, x, y, phi, psi, z):
-    """Whiskering of modules along a functor, with the collapsed forms.
-
-    phi: Y -|-> Z and psi: Z -|-> Y are modules; the whiskered composites
-    must equal phi . Tf and f-transpose . psi, stay modules, and form an
-    adjoint pair whenever (phi, psi) does and the m-square at f is a weak
-    pullback (or T1 = 1 at the unit carrier).
-    """
-    ext = x.ext
-    monad = ext.monad
-    tf = monad.tmap(f, x.n, y.n)
-    w_lower = kleisli_compose(ext, phi, induced_modules(f, x, y)[0], x.n)
-    collapsed_lower = precompose_map(phi, tf, monad.size(x.n))
-    w_upper = kleisli_compose(ext, induced_modules(f, x, y)[1], psi, z.n)
-    collapsed_upper = select_cols(psi, f)
-    report = {
-        "lower_collapses": w_lower == collapsed_lower,
-        "upper_collapses": w_upper == collapsed_upper,
-        "lower_is_module": is_tvbimodule(collapsed_lower, x, z),
-        "upper_is_module": is_tvbimodule(collapsed_upper, z, x),
-        "square_bc": m_square_gap(monad, f, x.n, y.n) is None,
-    }
-    return report
 
 
 def check_tv_adjunction(ext, phi, psi, x, y):
@@ -475,49 +388,6 @@ def exponential_tvcat(x, y):
     return Exponential(x, y, funcs, structure, not all(seen))
 
 
-def check_evaluation_functor(expo):
-    """Evaluation out of base (x) exponential is a functor into the target."""
-    x, y = expo.base, expo.target
-    fcat = expo.category()
-    prod = tensor_tvcat(x, fcat)
-    ev_map = tuple(expo.carrier[i][p] for p in range(x.n) for i in range(expo.n))
-    return check_tvfunctor(ev_map, prod, y)
-
-
-def check_exponential_maximality(expo):
-    """Bump perturbation: raising any structure entry breaks evaluation."""
-    x, y = expo.base, expo.target
-    q = x.q
-    base_data = [list(r) for r in expo.structure.data]
-    for s in range(expo.structure.rows):
-        for i in range(expo.n):
-            cur = base_data[s][i]
-            for v in range(q.n):
-                if v != cur and q.le(cur, v):
-                    bumped = [list(r) for r in base_data]
-                    bumped[s][i] = v
-                    cand = Exponential(
-                        x, y, expo.carrier, VMatrix(q, expo.structure.rows, expo.n, bumped), False
-                    )
-                    if check_evaluation_functor(cand)["ok"]:
-                        return {"ok": False, "witness": (s, i, q.labels[v])}
-    return {"ok": True}
-
-
-def oracle_largest_structure(expo):
-    """Full search for the largest evaluation-preserving structure (tiny only)."""
-    x, y = expo.base, expo.target
-    q = x.q
-    rows, cols = expo.structure.rows, expo.n
-    x.ext.check_budget("largest-structure search", q.n ** (rows * cols))
-    best = VMatrix.constant(q, rows, cols, q.bottom)
-    for cand_m in all_matrices(q, rows, cols, x.ext.max_enum):
-        cand = Exponential(x, y, expo.carrier, cand_m, False)
-        if check_evaluation_functor(cand)["ok"]:
-            best = best.join(cand_m)
-    return best
-
-
 def yoneda(x):
     """Yoneda data into the presheaf space over the free algebra.
 
@@ -590,59 +460,4 @@ def yoneda(x):
         "presheaf_count": expo.n,
         "fully_faithful": ff_ok,
         "empty_fiber_seen": expo.empty_fiber_seen,
-    }
-
-
-def yoneda0(x):
-    """Second Yoneda morphism, into presheaves over the dual.
-
-    Gated on Te . e = m-transpose . e; reports the lower bound everywhere
-    and the upper bound at those s whose extended structure is reflexive
-    at the unit image.
-    """
-    ext = x.ext
-    q = ext.q
-    monad = ext.monad
-    tn = monad.size(x.n)
-    e = ext.unit_map(x.n)
-    e_t = ext.unit_map(tn)
-    te = monad.tmap(e, x.n, tn)
-    mu = ext.mult_map(x.n)
-    pre_ok = all(
-        (mu[big] == e[p]) == (te[e[p]] == big)
-        for p in range(x.n)
-        for big in range(monad.size(tn))
-    )
-    if not pre_ok:
-        return {"ok": None, "precondition": False}
-    xop = dual_tvcategory(x)
-    v_cat = hom_xi_category(ext, validate=False)
-    expo = exponential_tvcat(xop, v_cat)
-    index = {h: i for i, h in enumerate(expo.carrier)}
-    cols = [tuple(x.a.data[s][p] for s in range(tn)) for p in range(x.n)]
-    if any(c not in index for c in cols):
-        return {"ok": False, "precondition": True, "law": "column-not-presheaf"}
-    y0 = [index[c] for c in cols]
-    ty0 = monad.tmap(tuple(y0), x.n, expo.n)
-    ta = ext.extend(x.a)
-    lower_ok = True
-    upper_ok = True
-    gated = 0
-    for s in range(tn):
-        row = expo.structure.data[ty0[s]]
-        for i, phi in enumerate(expo.carrier):
-            if not q.le(phi[s], row[i]):
-                lower_ok = False
-        if q.le(q.unit, ta.data[e_t[s]][s]):
-            gated += 1
-            for i, phi in enumerate(expo.carrier):
-                if not q.le(row[i], phi[s]):
-                    upper_ok = False
-    return {
-        "ok": lower_ok and upper_ok,
-        "precondition": True,
-        "lower": lower_ok,
-        "upper_at_gated": upper_ok,
-        "gated_points": gated,
-        "presheaf_count": expo.n,
     }

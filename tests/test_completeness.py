@@ -12,7 +12,6 @@ from lawcat.completeness import (
     ord_section_extract,
     representables,
     representative_for,
-    uniqueness_of_adjoints,
 )
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import LaxExtension
@@ -29,6 +28,18 @@ from lawcat.tvcat import (
     unit_tvcategory,
 )
 from lawcat.vmatrix import VMatrix
+
+
+def uniqueness_of_adjoints(pairs):
+    """Adjoints determine each other: no side occurs with two partners."""
+    by_psi = {}
+    by_phi = {}
+    for pair in pairs:
+        if by_psi.setdefault(pair.psi.data, pair.phi.data) != pair.phi.data:
+            return False
+        if by_phi.setdefault(pair.phi.data, pair.psi.data) != pair.psi.data:
+            return False
+    return True
 
 
 def preorder_category(ext, leq_rows):
@@ -121,12 +132,12 @@ def test_pair_count_equals_irreducible_closed_sets(ext_factory):
     # the space-side count of irreducible closed sets matches the number
     # of adjoint pairs of the convergence structure, point by point
     ext = ext_factory("ultra", "2")
-    from lawcat.instances import enumerate_preorders, space_from_preorder, tvcategory_from_space
+    from lawcat.instances import FiniteSpace, enumerate_preorders, tvcategory_from_space
     from lawcat.instances import weakly_sober
 
     for n in (1, 2, 3):
         for p in enumerate_preorders(n):
-            space = space_from_preorder(p)
+            space = FiniteSpace(p)
             cat = tvcategory_from_space(ext, space)
             pairs = enumerate_adjoint_pairs(cat)
             sober = weakly_sober(space)

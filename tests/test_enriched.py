@@ -13,7 +13,6 @@ import pytest
 from lawcat.enriched import all_vcategories
 from lawcat.quantale import builtin, builtin_quantales
 from lawcat.tvcat import (
-    check_evaluation_functor,
     check_tv_adjunction,
     check_tvbimodule,
     check_tvcategory,
@@ -21,7 +20,6 @@ from lawcat.tvcat import (
     dual_tvcategory,
     exponential_tvcat,
     hom_xi_category,
-    induced_modules,
     is_tvbimodule,
     kleisli_compose,
     tensor_tvcat,
@@ -30,6 +28,8 @@ from lawcat.tvcat import (
     yoneda,
 )
 from lawcat.vmatrix import VMatrix
+
+from support import check_evaluation_functor, induced_modules
 
 
 def rand_matrix(rng, q, rows, cols):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lawcat.completeness import decide_lawvere_complete
 from lawcat.errors import GateUnavailable
 from lawcat.instances import (
     FinitePreorder,
@@ -14,19 +15,85 @@ from lawcat.instances import (
     is_closed_varset,
     is_irreducible_varset,
     point_distance,
-    preorder_roundtrip,
     representable_varset,
-    row_from_variable_set,
     sober_vs_lawvere,
-    space_from_preorder,
-    space_from_tvcategory,
     tvcategory_from_space,
     variable_set_from_row,
     weakly_sober,
 )
+from lawcat.laxext import LaxExtension
+from lawcat.monad import builtin_monad
 from lawcat.quantale import builtin
-from lawcat.tvcat import all_tvcategories
+from lawcat.tvcat import TVCategory, all_tvcategories
 from lawcat.vmatrix import VMatrix
+
+
+def is_valid(p):
+    """Reflexivity and transitivity of a preorder's table, cell by cell."""
+    ok_refl = all(p.leq[x][x] for x in range(p.n))
+    ok_trans = all(
+        not (p.leq[x][y] and p.leq[y][z]) or p.leq[x][z]
+        for x in range(p.n)
+        for y in range(p.n)
+        for z in range(p.n)
+    )
+    return ok_refl and ok_trans
+
+
+def closure(space, pts):
+    """The points below some point of pts in the specialization order."""
+    return tuple(
+        sorted(y for y in range(space.n) if any(space.order.leq[y][x] for x in pts))
+    )
+
+
+def open_sets(space):
+    full = set(range(space.n))
+    return [tuple(sorted(full - set(c))) for c in space.closed_sets()]
+
+
+def space_from_tvcategory(cat):
+    # rows index the converging point, columns the limit: u below v iff v -> u
+    n = cat.n
+    k = cat.q.unit
+    order = FinitePreorder(
+        n, tuple(tuple(cat.a.data[v][u] == k for v in range(n)) for u in range(n))
+    )
+    return FiniteSpace(order)
+
+
+def preorder_roundtrip(p):
+    """Preorder -> space -> structure -> space -> preorder, with verdicts."""
+    ultra = builtin_monad("ultra")
+    ext = LaxExtension(ultra, builtin("2"))
+    space = FiniteSpace(p)
+    cat = tvcategory_from_space(ext, space)
+    back = space_from_tvcategory(cat)
+    id_ext = LaxExtension(builtin_monad("id"), builtin("2"))
+    as_order_cat = TVCategory(id_ext, p.n, VMatrix(id_ext.q, p.n, p.n, cat.a.data))
+    ultra_verdict = decide_lawvere_complete(cat)["complete"]
+    order_verdict = decide_lawvere_complete(as_order_cat)["complete"]
+    return {
+        "roundtrip_identity": back.order == p,
+        "ultra_complete": ultra_verdict,
+        "order_complete": order_verdict,
+        "verdicts_agree": ultra_verdict == order_verdict,
+    }
+
+
+def row_from_variable_set(vs):
+    """Numerically least level containing each point."""
+    q = vs.q
+    order = sorted(range(q.n), key=lambda v: (q.numeric[v] is None, q.numeric[v]))
+    row = []
+    for x in range(vs.n):
+        val = None
+        for v in order:
+            if x in vs.levels[v]:
+                val = v
+                break
+        row.append(val)
+    return tuple(row)
 
 
 def test_preorder_counts():
@@ -45,7 +112,7 @@ def filter_preorders(n):
             if mask & (1 << i):
                 leq[x][y] = True
         p = FinitePreorder(n, leq)
-        if p.is_valid():
+        if is_valid(p):
             out.append(p)
     return out
 
@@ -59,7 +126,7 @@ def test_five_point_preorder_count():
     preorders = enumerate_preorders(5)
     assert len(preorders) == 6942
     assert len(set(preorders)) == 6942
-    assert all(p.is_valid() for p in preorders)
+    assert all(is_valid(p) for p in preorders)
 
 
 def reference_closed_sets(space):
@@ -84,7 +151,7 @@ def reference_weakly_sober(space):
             continue
         if any(a < cs and b < cs and a | b == cs for a in closed_sets for b in closed_sets):
             continue
-        generic = tuple(x for x in c if set(space.closure((x,))) == cs)
+        generic = tuple(x for x in c if set(closure(space, (x,))) == cs)
         if not generic:
             sober = False
         details.append({"closed_set": c, "generic_points": generic})
@@ -106,20 +173,20 @@ def test_bitmask_sobriety_matches_set_reference():
 def test_preorder_closure():
     p = FinitePreorder.from_pairs(3, [(0, 1), (1, 2)])
     assert p.leq[0][2]
-    assert p.is_valid()
+    assert is_valid(p)
 
 
 def test_discrete_preorder_gives_discrete_space():
     p = FinitePreorder.from_pairs(2, [])
-    space = space_from_preorder(p)
+    space = FiniteSpace(p)
     assert len(space.closed_sets()) == 4
 
 
 def test_two_chain_gives_sierpinski():
     p = FinitePreorder.from_pairs(2, [(0, 1)])
-    space = space_from_preorder(p)
+    space = FiniteSpace(p)
     assert space.closed_sets() == [(), (0,), (0, 1)]
-    assert len(space.open_sets()) == 3
+    assert len(open_sets(space)) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -134,7 +201,7 @@ def test_roundtrip_bijective(n):
 
 
 def test_sierpinski_weakly_sober():
-    space = space_from_preorder(FinitePreorder.from_pairs(2, [(0, 1)]))
+    space = FiniteSpace(FinitePreorder.from_pairs(2, [(0, 1)]))
     rep = weakly_sober(space)
     assert rep["weakly_sober"]
     assert len(rep["irreducible"]) == 2
@@ -142,7 +209,7 @@ def test_sierpinski_weakly_sober():
 
 
 def test_indiscrete_has_non_unique_generic_point():
-    space = space_from_preorder(FinitePreorder.from_pairs(2, [(0, 1), (1, 0)]))
+    space = FiniteSpace(FinitePreorder.from_pairs(2, [(0, 1), (1, 0)]))
     rep = weakly_sober(space)
     assert rep["weakly_sober"]
     assert rep["irreducible"][0]["generic_points"] == (0, 1)
@@ -151,14 +218,14 @@ def test_indiscrete_has_non_unique_generic_point():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sober_agrees_with_completeness(n):
     for p in enumerate_preorders(n):
-        rep = sober_vs_lawvere(space_from_preorder(p))
+        rep = sober_vs_lawvere(FiniteSpace(p))
         assert rep["agree"] and rep["weakly_sober"]
 
 
 def test_space_category_space_roundtrip(ext_factory):
     ext = ext_factory("ultra", "2")
     for p in enumerate_preorders(3)[:10]:
-        space = space_from_preorder(p)
+        space = FiniteSpace(p)
         cat = tvcategory_from_space(ext, space)
         assert space_from_tvcategory(cat).order == p
 

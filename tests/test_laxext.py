@@ -12,7 +12,6 @@ from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import (
     LaxExtension,
     _threshold_extend,
-    check_embeds_maps,
     check_extension_laws,
     check_xi,
     check_xi_compat,
@@ -21,6 +20,8 @@ from lawcat.laxext import (
 from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quantale
 from lawcat.tvcat import hom_xi_category
 from lawcat.vmatrix import VMatrix
+
+from support import check_embeds_maps, oracle_largest_structure
 
 PAIRS = [(m, q) for m in ("id", "powerset", "ultra") for q in ("2", "c3", "plus3", "pset2")]
 
@@ -522,7 +523,6 @@ def _budget_sites():
         check_tvcategory,
         discrete_tvcategory,
         exponential_tvcat,
-        oracle_largest_structure,
         tensor_tvcat,
     )
 

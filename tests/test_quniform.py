@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -13,22 +14,55 @@ from lawcat.quniform import (
     all_filter_pairs,
     all_quniformities,
     cauchy_machinery,
-    check_lax_morphism,
-    check_uniform_continuity,
     curated_three_point,
     decide_cauchy_complete,
     decide_lawvere_q,
-    discrete_quniformity,
-    indiscrete_quniformity,
     is_cauchy,
     is_minimal_cauchy,
     lax_algebra_bridge,
     neighbourhood_pair,
     point_induced_module,
-    preorder_quniformity,
     rel_compose,
     validate_quniformity,
 )
+
+
+def discrete_quniformity(n):
+    return QuasiUniformity(n, [frozenset((x, x) for x in range(n))])
+
+
+def indiscrete_quniformity(n):
+    return QuasiUniformity(n, [frozenset((x, y) for x in range(n) for y in range(n))])
+
+
+def preorder_quniformity(p):
+    pairs = frozenset(
+        (x, y) for x in range(p.n) for y in range(p.n) if p.leq[x][y]
+    )
+    return QuasiUniformity(p.n, [pairs])
+
+
+def check_uniform_continuity(f, u, v):
+    """For each target base relation, some source base intersection works."""
+    src_cands = [u.w]
+    for b in v.base:
+        ok = any(
+            all((f[x], f[y]) in b for (x, y) in cand) for cand in src_cands + u.base
+        )
+        if not ok:
+            return {"ok": False, "witness": sorted(b)}
+    return {"ok": True}
+
+
+def check_lax_morphism(f, u, v):
+    """f . a <= b . f for a witness a per b, phrased with relation composites."""
+    graph = frozenset((x, f[x]) for x in range(u.n))
+    for b in v.base + [v.w]:
+        b_after_f = rel_compose(graph, b)
+        ok = any(rel_compose(a, graph) <= b_after_f for a in u.base + [u.w])
+        if not ok:
+            return {"ok": False, "witness": sorted(b)}
+    return {"ok": True}
 
 
 def test_discrete_and_indiscrete_validate():
@@ -47,6 +81,49 @@ def test_missing_square_root_rejected():
     u = QuasiUniformity(3, [frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)})])
     rep = validate_quniformity(u)
     assert not rep["ok"] and rep["law"] == "square-root"
+
+
+def reference_validate_quniformity(u):
+    """The intersection closure as a list with every repeat, 2^k long for k base relations."""
+    if not u.base:
+        return {"ok": False, "law": "empty-base", "witness": None}
+    for i, r in enumerate(u.base):
+        for x in range(u.n):
+            if (x, x) not in r:
+                return {"ok": False, "law": "reflexivity", "witness": (i, x)}
+    closure = [u.base[0]]
+    for r in u.base[1:]:
+        closure += [c & r for c in closure] + [r]
+    closure = set(closure)
+    for r in closure:
+        if not any(rel_compose(v, v) <= r for v in closure):
+            return {"ok": False, "law": "square-root", "witness": sorted(r)}
+    return {"ok": True}
+
+
+def test_repeated_base_relations_validate_quickly():
+    full = frozenset((x, y) for x in range(3) for y in range(3))
+    start = time.perf_counter()
+    assert validate_quniformity(QuasiUniformity(3, [full] * 40)) == {"ok": True}
+    assert time.perf_counter() - start < 0.5
+
+
+def test_intersection_closure_matches_the_repeated_list():
+    rng = random.Random(1601)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randrange(2, 4)
+        diag = [(x, x) for x in range(n)]
+        offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+        pool = [
+            frozenset(diag + rng.sample(offdiag, rng.randrange(len(offdiag) + 1)))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        u = QuasiUniformity(n, [rng.choice(pool) for _ in range(rng.randrange(1, 10))])
+        rep = validate_quniformity(u)
+        assert rep == reference_validate_quniformity(u)
+        verdicts.add(rep["ok"])
+    assert verdicts == {True, False}
 
 
 def test_preorder_base_passes_by_transitivity():

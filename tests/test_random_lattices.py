@@ -16,7 +16,6 @@ from lawcat.completeness import certify_v_complete, decide_lawvere_complete
 from lawcat.enriched import all_vcategories
 from lawcat.laxext import (
     LaxExtension,
-    check_embeds_maps,
     check_extension_laws,
     check_xi,
     check_xi_compat,
@@ -25,6 +24,8 @@ from lawcat.laxext import (
 from lawcat.monad import builtin_monad
 from lawcat.quantale import Quantale, validate_quantale
 from lawcat.tvcat import check_tvcategory, hom_xi_category
+
+from support import check_embeds_maps
 
 
 def downset_quantale(seed):

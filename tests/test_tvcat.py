@@ -8,10 +8,8 @@ from lawcat.laxext import LaxExtension, _threshold_extend, check_extension_laws
 from lawcat.monad import PowersetMonad, m_square_gap
 from lawcat.quantale import builtin
 from lawcat.tvcat import (
-    algebra_compose,
+    Exponential,
     all_tvcategories,
-    check_evaluation_functor,
-    check_exponential_maximality,
     check_tv_adjunction,
     check_tvbimodule,
     check_tvcategory,
@@ -21,21 +19,165 @@ from lawcat.tvcat import (
     em_algebra_category,
     exponential_tvcat,
     exponentiable,
-    functor_module_equivalence,
     hom_xi_category,
-    induced_modules,
+    is_tvbimodule,
     kleisli_compose,
     kleisli_table,
-    oracle_largest_structure,
     tensor_tvcat,
     tvcategory,
     unit_tvcategory,
-    whisker_checks,
     yoneda,
-    yoneda0,
     TVCategory,
 )
-from lawcat.vmatrix import VMatrix, mcompose
+from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
+
+from support import check_evaluation_functor, induced_modules, oracle_largest_structure
+
+
+def functor_module_equivalence(f, x, y):
+    """The three readings of one map: functor, lower module, upper module."""
+    fun = check_tvfunctor(f, x, y)["ok"]
+    lower, upper = induced_modules(f, x, y)
+    low_ok = is_tvbimodule(lower, x, y)
+    up_ok = is_tvbimodule(upper, y, x)
+    return {
+        "functor": fun,
+        "lower_bimodule": low_ok,
+        "upper_bimodule": up_ok,
+        "all_agree": fun == low_ok == up_ok,
+    }
+
+
+def algebra_compose(ext, a0, alpha, n):
+    """Composite of a plain square structure with an algebra map, both ways.
+
+    Returns the structure a0 . alpha together with the equivalence data:
+    it is a valid enriched structure exactly when alpha respects the
+    extended matrix, and both sides are computed independently.
+    """
+    q = ext.q
+    monad = ext.monad
+    e = ext.unit_map(n)
+    mu = ext.mult_map(n)
+    if any(alpha[e[p]] != p for p in range(n)):
+        raise ValueError("alpha is not unital")
+    talpha = monad.tmap(alpha, monad.size(n), n)
+    if any(alpha[talpha[s]] != alpha[mu[s]] for s in range(monad.size(monad.size(n)))):
+        raise ValueError("alpha is not associative")
+    composite = precompose_map(a0, alpha, monad.size(n))
+    is_structure = check_tvcategory(ext, n, composite)["ok"]
+    ta0 = ext.extend(a0)
+    alpha_functor = all(
+        q.le(ta0.data[s][t], a0.data[alpha[s]][alpha[t]])
+        for s in range(monad.size(n))
+        for t in range(monad.size(n))
+    )
+    return {
+        "structure": composite,
+        "is_tvcategory": is_structure,
+        "alpha_is_functor": alpha_functor,
+        "agree": is_structure == alpha_functor,
+    }
+
+
+def whisker_checks(f, x, y, phi, psi, z):
+    """Whiskering of modules along a functor, with the collapsed forms.
+
+    phi: Y -|-> Z and psi: Z -|-> Y are modules; the whiskered composites
+    must equal phi . Tf and f-transpose . psi, stay modules, and form an
+    adjoint pair whenever (phi, psi) does and the m-square at f is a weak
+    pullback (or T1 = 1 at the unit carrier).
+    """
+    ext = x.ext
+    monad = ext.monad
+    tf = monad.tmap(f, x.n, y.n)
+    w_lower = kleisli_compose(ext, phi, induced_modules(f, x, y)[0], x.n)
+    collapsed_lower = precompose_map(phi, tf, monad.size(x.n))
+    w_upper = kleisli_compose(ext, induced_modules(f, x, y)[1], psi, z.n)
+    collapsed_upper = select_cols(psi, f)
+    report = {
+        "lower_collapses": w_lower == collapsed_lower,
+        "upper_collapses": w_upper == collapsed_upper,
+        "lower_is_module": is_tvbimodule(collapsed_lower, x, z),
+        "upper_is_module": is_tvbimodule(collapsed_upper, z, x),
+        "square_bc": m_square_gap(monad, f, x.n, y.n) is None,
+    }
+    return report
+
+
+def check_exponential_maximality(expo):
+    """Bump perturbation: raising any structure entry breaks evaluation."""
+    x, y = expo.base, expo.target
+    q = x.q
+    base_data = [list(r) for r in expo.structure.data]
+    for s in range(expo.structure.rows):
+        for i in range(expo.n):
+            cur = base_data[s][i]
+            for v in range(q.n):
+                if v != cur and q.le(cur, v):
+                    bumped = [list(r) for r in base_data]
+                    bumped[s][i] = v
+                    cand = Exponential(
+                        x, y, expo.carrier, VMatrix(q, expo.structure.rows, expo.n, bumped), False
+                    )
+                    if check_evaluation_functor(cand)["ok"]:
+                        return {"ok": False, "witness": (s, i, q.labels[v])}
+    return {"ok": True}
+
+
+def yoneda0(x):
+    """Second Yoneda morphism, into presheaves over the dual.
+
+    Gated on Te . e = m-transpose . e; reports the lower bound everywhere
+    and the upper bound at those s whose extended structure is reflexive
+    at the unit image.
+    """
+    ext = x.ext
+    q = ext.q
+    monad = ext.monad
+    tn = monad.size(x.n)
+    e = ext.unit_map(x.n)
+    e_t = ext.unit_map(tn)
+    te = monad.tmap(e, x.n, tn)
+    mu = ext.mult_map(x.n)
+    pre_ok = all(
+        (mu[big] == e[p]) == (te[e[p]] == big)
+        for p in range(x.n)
+        for big in range(monad.size(tn))
+    )
+    if not pre_ok:
+        return {"ok": None, "precondition": False}
+    xop = dual_tvcategory(x)
+    v_cat = hom_xi_category(ext, validate=False)
+    expo = exponential_tvcat(xop, v_cat)
+    index = {h: i for i, h in enumerate(expo.carrier)}
+    cols = [tuple(x.a.data[s][p] for s in range(tn)) for p in range(x.n)]
+    if any(c not in index for c in cols):
+        return {"ok": False, "precondition": True, "law": "column-not-presheaf"}
+    y0 = [index[c] for c in cols]
+    ty0 = monad.tmap(tuple(y0), x.n, expo.n)
+    ta = ext.extend(x.a)
+    lower_ok = True
+    upper_ok = True
+    gated = 0
+    for s in range(tn):
+        row = expo.structure.data[ty0[s]]
+        for i, phi in enumerate(expo.carrier):
+            if not q.le(phi[s], row[i]):
+                lower_ok = False
+        if q.le(q.unit, ta.data[e_t[s]][s]):
+            gated += 1
+            for i, phi in enumerate(expo.carrier):
+                if not q.le(row[i], phi[s]):
+                    upper_ok = False
+    return {
+        "ok": lower_ok and upper_ok,
+        "precondition": True,
+        "lower": lower_ok,
+        "upper_at_gated": upper_ok,
+        "gated_points": gated,
+        "presheaf_count": expo.n,
+    }
 
 
 def direct_tvcategory_verdict(ext, n, a):
@@ -213,8 +355,6 @@ def test_whiskering_collapse_and_modules(ext_factory):
                         continue
                     phi = rand_structure(rng, ext, 2)
                     psi = rand_structure(rng, ext, 2)
-                    from lawcat.tvcat import is_tvbimodule
-
                     if not (is_tvbimodule(phi, y, z) and is_tvbimodule(psi, z, y)):
                         continue
                     rep = whisker_checks(f, x, y, phi, psi, z)
@@ -222,8 +362,6 @@ def test_whiskering_collapse_and_modules(ext_factory):
                     assert rep["lower_is_module"] and rep["upper_is_module"]
                     if rep["square_bc"] and check_tv_adjunction(ext, phi, psi, z, y)["is_adjoint"]:
                         w_lower, _ = induced_modules(f, x, y)
-                        from lawcat.vmatrix import precompose_map, select_cols
-
                         tf = ext.monad.tmap(f, 2, 2)
                         low = precompose_map(phi, tf, ext.monad.size(2))
                         up = select_cols(psi, f)
@@ -255,12 +393,12 @@ def test_subset_indicators_as_modules_match_closedness(ext_factory):
     # point pick out their specialization-up-closed counterparts
     ext = ext_factory("ultra", "2")
     q = ext.q
-    from lawcat.instances import FinitePreorder, space_from_preorder, tvcategory_from_space
+    from lawcat.instances import FinitePreorder, FiniteSpace, tvcategory_from_space
     from lawcat.tvcat import is_tvbimodule
 
     for pairs in ([(0, 1)], [], [(0, 1), (1, 0)], [(1, 0)]):
         order = FinitePreorder.from_pairs(2, pairs)
-        space = space_from_preorder(order)
+        space = FiniteSpace(order)
         cat = tvcategory_from_space(ext, space)
         point = unit_tvcategory(ext)
         closed = {tuple(sorted(c)) for c in space.closed_sets()}
@@ -327,15 +465,15 @@ def test_algebra_compose_equivalence_exhaustive(ext_factory):
 
 
 def test_algebras_embed_as_categories(ext_factory):
-    # any unital associative algebra map gives a valid structure
-    from lawcat.tvcat import algebra_as_category
-
+    # any unital associative algebra map gives a valid structure: unit
+    # exactly on its graph
     ext = ext_factory("powerset", "c3")
     alpha = tuple(max((x for x in range(2) if mask & (1 << x)), default=0) for mask in range(4))
-    cat = algebra_as_category(ext, alpha, 2)
+    cat = tvcategory(ext, 2, VMatrix.from_map(ext.q, alpha, ext.monad.size(2), 2))
     assert check_tvcategory(ext, 2, cat.a)["ok"]
     em = em_algebra_category(ext, 2)
-    assert algebra_as_category(ext, ext.mult_map(2), em.n).a == em.a
+    mult = VMatrix.from_map(ext.q, ext.mult_map(2), ext.monad.size(em.n), em.n)
+    assert tvcategory(ext, em.n, mult).a == em.a
 
 
 def test_algebra_compose_powerset_join_algebra(ext_factory):
