@@ -36,6 +36,24 @@ class FiniteMonad:
     def labels(self, n, base):
         raise NotImplementedError
 
+    def mult_image(self, g, n, k):
+        """The distinct pairs (m_n(s), T(g)(s)) for s in T(T(n)), g: T(n) -> k.
+
+        A check that reads each s only through these two maps is decided
+        on this set.  This default zips the two full tables; it is the
+        reference that every override must equal as a set.
+        """
+        return frozenset(zip(self.mult_map(n), self.tmap(g, self.size(n), k)))
+
+    def tmap_image(self, maps, n):
+        """The distinct tuples (T(f)(w) for (f, k) in maps) for w in T(n).
+
+        Each f: n -> k is an index table with its target size k.  This
+        default zips the full tables; it is the reference that every
+        override must equal as a set.
+        """
+        return frozenset(zip(*(self.tmap(f, n, k) for f, k in maps)))
+
     def extend_relation(self, pairs, nx, ny):
         """Span extension of a plain relation: T of the graph set, projected.
 
@@ -125,6 +143,36 @@ class PowersetMonad(FiniteMonad):
             out += [u | b for u in out]
         return tuple(out)
 
+    def mult_image(self, g, n, k):
+        """The pairs (m(s), T(g)(s)) as a union closure.
+
+        Every s in T(T(n)) is the union of its singletons {A}, and both m
+        (union) and T(g) (direct image) send unions to unions.  So the
+        pairs are the unions of the pairs (A, {g(A)}), the empty union
+        (0, 0) included: at most 2^(n+k) of them, where the tables have
+        2^(2^n) entries.  A pair is packed into one int, T(g)(s) above
+        bit n.
+        """
+        packed = _union_closure(a | 1 << (g[a] + n) for a in range(1 << n))
+        low = (1 << n) - 1
+        return frozenset((p & low, p >> n) for p in packed)
+
+    def tmap_image(self, maps, n):
+        """The tuples (T(f)(w))_f as a union closure.
+
+        Every w in T(n) is the union of its singletons {x}, and each T(f)
+        sends unions to unions, so the tuples are the unions of the
+        tuples ({f(x)})_f, the empty union included.  A tuple is packed
+        into one int, the mask of each map above the widths of the maps
+        before it.
+        """
+        offsets = list(itertools.accumulate((k for _, k in maps), initial=0))
+        packed = _union_closure(
+            sum(1 << (f[x] + off) for (f, _), off in zip(maps, offsets)) for x in range(n)
+        )
+        fields = [(off, (1 << k) - 1) for (_, k), off in zip(maps, offsets)]
+        return frozenset(tuple(p >> off & mask for off, mask in fields) for p in packed)
+
     def labels(self, n, base):
         return tuple(
             "{" + ",".join(base[b] for b in range(n) if mask & (1 << b)) + "}"
@@ -156,6 +204,16 @@ class PowersetMonad(FiniteMonad):
                 if (a & ~pre_of[b]) == 0 and (b & ~sa) == 0:
                     out.append((a, b))
         return frozenset(out)
+
+
+def _union_closure(gens):
+    """Every union of finitely many of the bitmasks gens, 0 included."""
+    out = {0}
+    for g in gens:
+        # out is closed under union, so a member adds nothing new.
+        if g not in out:
+            out |= {p | g for p in out}
+    return out
 
 
 _MONADS = None

@@ -76,8 +76,9 @@ def validate_quniformity(u):
                 seen.add(c)
                 closure.append(c)
     closure = set(closure)
+    squares = [rel_compose(v, v) for v in closure]
     for r in closure:
-        if not any(rel_compose(v, v) <= r for v in closure):
+        if not any(square <= r for square in squares):
             return {"ok": False, "law": "square-root", "witness": sorted(r)}
     return {"ok": True}
 

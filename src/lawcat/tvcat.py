@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import GateUnavailable
+from .laxext import _classes
 from .vmatrix import VMatrix, all_matrices, mcompose, postcompose_map, precompose_map, select_cols
 
 
@@ -53,11 +54,17 @@ def check_tvcategory(ext, n, a):
     """Reflexivity and transitivity (lax unit and associativity) with witnesses.
 
     (R): k <= a(e(x), x) for every x.  (T): Ta(s, t) (x) a(t, x) <= a(m(s), x)
-    for every s in T(T(n)), t in T(n), x.  The loop over x depends only on
-    (m(s), Ta(s, t), t), so each such cell is checked once, when a non-bottom
-    entry of Ta first reads it; and a row object of Ta (the extension shares
-    rows between duplicates) is scanned once per m(s).  A skipped row or cell
-    equals one that passed, so the first failure found is the first in order.
+    for every s in T(T(n)), t in T(n), x.  Let a' be the k distinct rows of a
+    in sorted order and rq: T(n) -> k the class map, so a = a'.rq and, by
+    law (a) of check_extension_laws, row s of Ta is row T(rq)(s) of Ta'.  So
+    (T) reads s only through the pair (m(s), T(rq)(s)), and it is decided on
+    monad.mult_image(rq, n, k), the distinct such pairs, against the T(k)
+    rows of Ta' instead of the T(T(n)) rows of Ta, each cell once
+    (_first_failure).  A violated cell settles the verdict;
+    _transitivity_scan, the s-ordered reference, then names the first
+    failing (s, t, x).  Where T(n) x T(k) is no smaller than T(T(n)), as
+    over the identity monad or when the rows of a are distinct, the image
+    cannot be smaller than T(T(n)) and the scan runs alone.
     """
     q = ext.q
     monad = ext.monad
@@ -68,33 +75,54 @@ def check_tvcategory(ext, n, a):
     tn = monad.size(n)
     ttn = monad.size(tn)
     ext.check_budget("associativity sweep", ttn * tn)
-    ta = ext.extend(a)
+    rows, rq = _classes(a.data)
+    if tn * monad.size(len(rows)) >= ttn:
+        # The image has at most |T(n)| |T(k)| pairs, no fewer than the
+        # rows the scan reads, and the scan also names the witness.
+        return _transitivity_scan(ext, n, a)
+    ta = ext.extend(VMatrix.trusted(q, len(rows), n, rows)).data
+    image = monad.mult_image(rq, n, len(rows))
+    if _first_failure(q, a, tn, ((None, t, ta[r]) for t, r in image)) is None:
+        return {"ok": True}
+    return _transitivity_scan(ext, n, a)
+
+
+def _transitivity_scan(ext, n, a):
+    """(T) over every s in T(T(n)) in order: the reference and witness finder."""
     mu = ext.mult_map(n)
+    reads = zip(range(len(mu)), mu, ext.extend(a).data)
+    failure = _first_failure(ext.q, a, ext.monad.size(n), reads)
+    if failure is None:
+        return {"ok": True}
+    return {"ok": False, "law": "transitivity", "witness": failure}
+
+
+def _first_failure(q, a, tn, reads):
+    """The first (s, t, x) with Ta(s, t) (x) a(t, x) not below a(m(s), x).
+
+    reads yields (s, m(s), row s of Ta).  The loop over x depends only on
+    (m(s), Ta(s, t), t), so each such cell is checked once, when a
+    non-bottom entry first reads it; a skipped cell equals one that
+    passed, so the first failure found is the first in the order of reads.
+    """
     bot = q.bottom
     tens = q.tensor
     leq = q.leq
     # checked[t][u][s2]: u (x) a(s2, -) stays below row t of a
     checked = [None] * tn
-    scanned = set()
-    for s in range(ttn):
-        t = mu[s]
-        row = ta.data[s]
-        if (t, id(row)) in scanned:
-            continue
-        scanned.add((t, id(row)))
+    for s, t, row in reads:
         checked_t = checked[t]
         if checked_t is None:
             checked_t = checked[t] = [[False] * tn for _ in range(q.n)]
-        for s2 in range(tn):
-            u = row[s2]
+        a_t = a.data[t]
+        for s2, u in enumerate(row):
             if u != bot and not checked_t[u][s2]:
-                a_t = a.data[t]
                 tens_u = tens[u]
                 for x, w in enumerate(a.data[s2]):
                     if not leq[tens_u[w]][a_t[x]]:
-                        return {"ok": False, "law": "transitivity", "witness": (s, s2, x)}
+                        return (s, s2, x)
                 checked_t[u][s2] = True
-    return {"ok": True}
+    return None
 
 
 def tvcategory(ext, n, a, name=""):

@@ -7,7 +7,7 @@ checks that only the tests call, so they live here.  The
 
 import random
 
-from lawcat.tvcat import Exponential, check_tvfunctor, tensor_tvcat
+from lawcat.tvcat import Exponential
 from lawcat.vmatrix import VMatrix, all_matrices, precompose_map, select_cols
 
 
@@ -21,12 +21,57 @@ def induced_modules(f, x, y):
 
 
 def check_evaluation_functor(expo):
-    """Evaluation out of base (x) exponential is a functor into the target."""
+    """Evaluation out of base (x) exponential is a functor into the target.
+
+    This is check_tvfunctor(ev, tensor_tvcat(x, expo.category()), y) on
+    plain tuples, with the same budget charge and witness.  Its cells,
+    a(T pi_x w, p) (x) f(T pi_f w, i) <= b(T ev w, ev(p, i)) for w in
+    T(x (x) expo) and each point (p, i), depend on the structure f only
+    through the entry f(T pi_f w, i).  So _evaluation_cells tabulates, once
+    per base, target and carrier, which values each cell admits, and which
+    values each entry of f may take; a candidate f is then checked entry by
+    entry, and only a failing one is walked cell by cell, in order, for the
+    first violated cell.
+    """
     x, y = expo.base, expo.target
-    fcat = expo.category()
-    prod = tensor_tvcat(x, fcat)
-    ev_map = tuple(expo.carrier[i][p] for p in range(x.n) for i in range(expo.n))
-    return check_tvfunctor(ev_map, prod, y)
+    ext = x.ext
+    npair = x.n * expo.n
+    ext.check_budget("tensor carrier", ext.monad.size(npair) * npair)
+    key = ("evaluation cells", x.n, x.a.data, y.n, y.a.data, tuple(expo.carrier))
+    cells, admits = ext.cached(key, lambda: _evaluation_cells(expo))
+    f = expo.structure.data
+    for ok_row, f_row in zip(admits, f):
+        for ok, v in zip(ok_row, f_row):
+            if not ok[v]:
+                for w, point, row, i, passes in cells:
+                    if not passes[f[row][i]]:
+                        return {"ok": False, "witness": (w, point)}
+    return {"ok": True}
+
+
+def _evaluation_cells(expo):
+    """The cells of check_evaluation_functor in order, as (w, point, row, i,
+    ok) with ok[v] true when f(row, i) = v passes the cell, and per entry of
+    f the values that pass every cell reading it."""
+    x, y = expo.base, expo.target
+    ext = x.ext
+    q = ext.q
+    nf = expo.n
+    npair = x.n * nf
+    tpix, tpif = ext.projections(x.n, nf)
+    ev = tuple(expo.carrier[i][p] for p in range(x.n) for i in range(nf))
+    tev = ext.monad.tmap(ev, npair, y.n)
+    admits = [[(True,) * q.n for _ in range(nf)] for _ in range(ext.monad.size(nf))]
+    cells = []
+    for w, (sx, row, st) in enumerate(zip(tpix, tpif, tev)):
+        for p in range(x.n):
+            av = x.a.data[sx][p]
+            for i in range(nf):
+                bv = y.a.data[st][ev[p * nf + i]]
+                ok = tuple(q.leq[q.tensor[av][v]][bv] for v in range(q.n))
+                cells.append((w, p * nf + i, row, i, ok))
+                admits[row][i] = tuple(map(min, admits[row][i], ok))
+    return cells, admits
 
 
 def oracle_largest_structure(expo):

@@ -17,6 +17,7 @@ from lawcat.laxext import (
     check_xi_compat,
     check_xi_functor,
 )
+from lawcat.monad import PowersetMonad
 from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quantale
 from lawcat.tvcat import hom_xi_category
 from lawcat.vmatrix import VMatrix
@@ -616,3 +617,69 @@ def test_projections_match_the_per_site_tables(monads, quantales, mname):
         assert ext.projections(nx, ny) is ext.projections(nx, ny)
     keys = [key for key in ext.cache if key[0] == "projections"]
     assert sorted(keys) == [("projections", nx, ny) for nx, ny in shapes]
+
+
+@pytest.mark.parametrize("qname", ["2", "c3", "c4", "plus3"])
+def test_check_xi_names_the_reference_witness(qname):
+    # xi changed at one non-singleton s keeps the unit law and breaks the
+    # multiplication law (at {s} at the latest); the image decides that,
+    # and the witness is the first failing element of T^2(V) in order.
+    q = builtin(qname)
+    monad = PowersetMonad()
+    good = LaxExtension(monad, q).xi()
+    tn = monad.size(q.n)
+    mu = monad.mult_map(q.n)
+    singletons = set(monad.unit_map(q.n))
+    rng = random.Random(qname)
+    for _ in range(6):
+        bad = list(good)
+        s = rng.choice([s for s in range(tn) if s not in singletons])
+        bad[s] = rng.choice([v for v in range(q.n) if v != good[s]])
+        ext = LaxExtension(monad, q)
+        ext.cache[("xi",)] = tuple(bad)
+        txi = monad.tmap(bad, tn, q.n)
+        first = next(big for big in range(len(mu)) if bad[mu[big]] != bad[txi[big]])
+        assert check_xi(ext) == {"ok": False, "law": "xi-mult", "witness": first}
+    assert check_xi(LaxExtension(monad, q)) == {"ok": True}
+
+
+def reference_tensor_flags(ext):
+    """The tensor-algebra flags over every w in T(V x V), from the full tables."""
+    q = ext.q
+    n = q.n
+    xi = ext.xi()
+    tens_map = tuple(q.tensor[u][v] for u in range(n) for v in range(n))
+    tpi1, tpi2 = ext.projections(n, n)
+    ttens = ext.monad.tmap(tens_map, n * n, n)
+    sides = [(q.tensor[xi[s1]][xi[s2]], xi[st]) for s1, s2, st in zip(tpi1, tpi2, ttens)]
+    return {
+        "tensor_inequality": all(q.leq[lhs][rhs] for lhs, rhs in sides),
+        "tensor_strict": all(lhs == rhs for lhs, rhs in sides),
+    }
+
+
+@pytest.mark.parametrize("mname", ["powerset", "id", "ultra"])
+def test_tensor_flags_match_the_full_tables(monads, mname):
+    # The built-in xi tables, and tables changed off the singletons, which
+    # reach every combination of the two flags over powerset.
+    monad = monads[mname]
+    flags = set()
+    rng = random.Random(mname)
+    for qname in ("2", "c3", "c4", "plus2", "plus3", "pset2"):
+        q = builtin(qname)
+        good = LaxExtension(monad, q).xi()
+        singletons = set(monad.unit_map(q.n))
+        for trial in range(8):
+            ext = LaxExtension(monad, q)
+            if trial:
+                bad = list(good)
+                for s in range(len(bad)):
+                    if s not in singletons and rng.random() < 0.3:
+                        bad[s] = rng.randrange(q.n)
+                ext.cache[("xi",)] = tuple(bad)
+            report = check_xi_compat(ext, samples=0)
+            expected = reference_tensor_flags(ext)
+            assert {key: report[key] for key in expected} == expected, (qname, ext.xi())
+            flags.add(tuple(expected.values()))
+    if mname == "powerset":
+        assert flags == {(True, True), (True, False), (False, False)}

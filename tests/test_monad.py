@@ -289,3 +289,49 @@ def test_powerset_mult_map_matches_per_bit_reference():
     p = builtin_monad("powerset")
     for n in range(5):
         assert p.mult_map(n) == _mult_map_per_bit(n)
+
+
+def zip_mult_image(monad, g, n, k):
+    """The pairs (m(s), T(g)(s)) read off the full tables, one per s."""
+    return set(zip(monad.mult_map(n), monad.tmap(g, monad.size(n), k)))
+
+
+def zip_tmap_image(monad, maps, n):
+    return set(zip(*(monad.tmap(f, n, k) for f, k in maps)))
+
+
+@pytest.mark.parametrize("name", ["powerset", "id", "ultra"])
+def test_mult_image_matches_the_full_tables(name):
+    monad = builtin_monad(name)
+    checked = 0
+    for n in range(4):
+        tn = monad.size(n)
+        for k in range(4):
+            for g in itertools.product(range(k), repeat=tn):
+                assert monad.mult_image(g, n, k) == zip_mult_image(monad, g, n, k), (n, k, g)
+                checked += 1
+    assert checked > (6561 if name == "powerset" else 27)
+
+
+@pytest.mark.parametrize("name", ["powerset", "id", "ultra"])
+def test_tmap_image_matches_the_full_tables(name):
+    monad = builtin_monad(name)
+    rng = random.Random(name)
+    for _ in range(300):
+        n = rng.randrange(7)
+        maps = []
+        for _ in range(rng.randrange(1, 4)):
+            k = rng.randrange(1, 5)
+            maps.append((tuple(rng.randrange(k) for _ in range(n)), k))
+        assert monad.tmap_image(maps, n) == zip_tmap_image(monad, maps, n), maps
+
+
+def test_powerset_images_stay_small_where_the_tables_do_not():
+    p = builtin_monad("powerset")
+    g = tuple(bin(a).count("1") % 4 for a in range(16))
+    assert len(p.mult_image(g, 4, 4)) <= 1 << 8 < p.size(16)
+    pi1 = tuple(u for u in range(4) for _ in range(4))
+    pi2 = tuple(v for _ in range(4) for v in range(4))
+    image = p.tmap_image(((pi1, 4), (pi2, 4)), 16)
+    # (A, B) with A and B both empty or both nonempty
+    assert len(image) == 1 + 15 * 15

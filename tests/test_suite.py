@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import lawcat.laxext
-from lawcat.suite import _ext, item_xi_algebra
+from lawcat.monad import PowersetMonad
+from lawcat.suite import _ext, item_hom_xi, item_xi_algebra
 
 
 def test_extension_cache_honours_budget():
@@ -27,6 +28,25 @@ def test_xi_algebra_checks_each_extension_once(monkeypatch):
     assert len(rep["per_combo"]) == 21
     assert len(calls) == 21
     assert len({id(ext) for ext in calls}) == 21
+
+
+def test_xi_items_build_no_table_over_a_double_powerset(monkeypatch):
+    # T(T(V)) and T(V x V) have 2^16 elements for |V| = 4; the two items
+    # decide their laws on images and build no table of that length.
+    lengths = {"tmap": [], "mult_map": []}
+    for name, seen in lengths.items():
+        original = getattr(PowersetMonad, name)
+
+        def recorded(self, *args, _original=original, _seen=seen):
+            table = _original(self, *args)
+            _seen.append(len(table))
+            return table
+
+        monkeypatch.setattr(PowersetMonad, name, recorded)
+    assert item_hom_xi()["ok"]
+    assert item_xi_algebra()["ok"]
+    assert lengths["tmap"]
+    assert max(lengths["tmap"] + lengths["mult_map"]) < 1 << 16
 
 
 def test_determinism_reruns_the_quick_items_once(monkeypatch):

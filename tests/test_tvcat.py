@@ -5,7 +5,7 @@ import pytest
 
 from lawcat.errors import GateUnavailable
 from lawcat.laxext import LaxExtension, _threshold_extend, check_extension_laws
-from lawcat.monad import PowersetMonad, m_square_gap
+from lawcat.monad import PowersetMonad, builtin_monad, m_square_gap
 from lawcat.quantale import builtin
 from lawcat.tvcat import (
     Exponential,
@@ -28,6 +28,7 @@ from lawcat.tvcat import (
     unit_tvcategory,
     yoneda,
     TVCategory,
+    _transitivity_scan,
 )
 from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
 
@@ -195,6 +196,46 @@ def direct_tvcategory_verdict(ext, n, a):
                 if not q.le(q.tens(ta.data[s][t], a.data[t][x]), a.data[mu[s]][x]):
                     return {"ok": False, "law": "transitivity", "witness": (s, t, x)}
     return {"ok": True}
+
+
+@pytest.mark.parametrize(
+    "mname,qname,n",
+    [
+        ("powerset", "2", 2),
+        ("powerset", "plus3", 2),
+        ("powerset", "c3", 2),
+        ("powerset", "c4", 2),
+        ("id", "c3", 3),
+        ("id", "pset2", 3),
+        ("ultra", "2", 3),
+        ("ultra", "c4", 3),
+    ],
+)
+def test_check_tvcategory_witness_matches_the_reference_scan(mname, qname, n):
+    # The image sweep decides the verdict; the s-ordered scan names the
+    # witness.  Entries come from a few values, mostly top, so that rows
+    # repeat (a proper row quotient) and some structures pass.
+    q = builtin(qname)
+    monad = builtin_monad(mname)
+    tn = monad.size(n)
+    e = monad.unit_map(n)
+    rng = random.Random(f"{mname}/{qname}/{n}")
+    laws = []
+    for i in range(300):
+        ext = LaxExtension(monad, q)
+        values = [q.top] * 3 + rng.sample(range(q.n), rng.randrange(1, q.n + 1))
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(tn)]
+        if i % 4:
+            for x in range(n):
+                rows[e[x]][x] = q.unit
+        a = VMatrix(q, tn, n, rows)
+        verdict = check_tvcategory(ext, n, a)
+        assert verdict == direct_tvcategory_verdict(ext, n, a), rows
+        if verdict.get("law") != "reflexivity":
+            assert verdict == _transitivity_scan(ext, n, a), rows
+        laws.append((verdict.get("law"), len(set(map(tuple, rows))) < tn))
+    assert {None, "reflexivity", "transitivity"} <= {law for law, _ in laws}
+    assert ("transitivity", True) in laws and (None, True) in laws
 
 
 @pytest.mark.parametrize("qname,sample", [("2", None), ("c3", 400)])
@@ -500,6 +541,34 @@ def test_exponential_precondition_on_free_algebras(ext_factory):
     for mname in ("id", "ultra", "powerset"):
         ext = ext_factory(mname, "2")
         assert exponentiable(em_algebra_category(ext, 2))
+
+
+def test_evaluation_check_matches_the_functor_check_on_the_tensor(ext_factory):
+    # The reference builds the tensor category and checks evaluation as a
+    # functor out of it: same verdict, same witness.
+    verdicts = set()
+    for mname, qname in (("ultra", "2"), ("id", "c3"), ("powerset", "2")):
+        ext = ext_factory(mname, qname)
+        q = ext.q
+        cats = all_tvcategories(ext, 2)
+        rng = random.Random(f"{mname}/{qname}")
+        bases = [x for x in cats if exponentiable(x)]
+        for x, y in itertools.islice(itertools.product(bases, cats), 12):
+            expo = exponential_tvcat(x, y)
+            ev = tuple(expo.carrier[i][p] for p in range(x.n) for i in range(expo.n))
+            rows, cols = expo.structure.rows, expo.n
+            for trial in range(20):
+                cand = expo.structure
+                if trial:
+                    cand = VMatrix(
+                        q, rows, cols,
+                        [[rng.randrange(q.n) for _ in range(cols)] for _ in range(rows)],
+                    )
+                cand = Exponential(x, y, expo.carrier, cand, False)
+                reference = check_tvfunctor(ev, tensor_tvcat(x, cand.category()), y)
+                assert check_evaluation_functor(cand) == reference
+                verdicts.add(reference["ok"])
+    assert verdicts == {True, False}
 
 
 def test_exponential_matches_oracle_largest_structure(ext_factory):
