@@ -78,7 +78,7 @@ class VMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("join needs equal shapes")
         jt = self.q.join_t
-        return VMatrix(
+        return VMatrix.trusted(
             self.q,
             self.rows,
             self.cols,

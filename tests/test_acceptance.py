@@ -6,6 +6,7 @@ budgets, which are asserted as hard bounds.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -115,6 +116,9 @@ def test_criterion_14_quniform_bridge():
 
 
 def test_criterion_15_suite_determinism():
+    # The child imports the lawcat that this process imported.
+    src = os.path.dirname(os.path.dirname(battery.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     start = time.time()
     runs = []
     for _ in range(2):
@@ -122,6 +126,7 @@ def test_criterion_15_suite_determinism():
             [sys.executable, "-m", "lawcat.cli", "suite", "--format", "json"],
             capture_output=True,
             check=False,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stdout.decode()[-2000:]
         runs.append(proc.stdout)

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
 
 import pytest
 
+from lawcat import completeness
 from lawcat.completeness import (
     AdjointPair,
+    _generic_pairs,
     _pair_check,
+    _pruned_pairs,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
@@ -14,6 +18,14 @@ from lawcat.completeness import (
     representative_for,
 )
 from lawcat.errors import BudgetExceeded, GateUnavailable
+from lawcat.fileio import parse_quantale_text
+from lawcat.instances import (
+    FinitePreorder,
+    FiniteSpace,
+    enumerate_preorders,
+    tvcategory_from_space,
+    weakly_sober,
+)
 from lawcat.laxext import LaxExtension
 from lawcat.monad import builtin_monad, builtin_monads
 from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quantale
@@ -25,9 +37,12 @@ from lawcat.tvcat import (
     discrete_tvcategory,
     hom_xi_category,
     kleisli_table,
+    order_tvcategory,
     unit_tvcategory,
 )
 from lawcat.vmatrix import VMatrix
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def uniqueness_of_adjoints(pairs):
@@ -91,8 +106,6 @@ def test_order_pairs_characterization_all_small_preorders(ext_factory):
     # (up-set, down-set) pairs, and every intersection point represents
     ext = ext_factory("id", "2")
     q = ext.q
-    from lawcat.instances import enumerate_preorders
-
     for n in (1, 2, 3):
         for p in enumerate_preorders(n):
             cat = preorder_category(ext, p.leq)
@@ -132,9 +145,6 @@ def test_pair_count_equals_irreducible_closed_sets(ext_factory):
     # the space-side count of irreducible closed sets matches the number
     # of adjoint pairs of the convergence structure, point by point
     ext = ext_factory("ultra", "2")
-    from lawcat.instances import FiniteSpace, enumerate_preorders, tvcategory_from_space
-    from lawcat.instances import weakly_sober
-
     for n in (1, 2, 3):
         for p in enumerate_preorders(n):
             space = FiniteSpace(p)
@@ -174,8 +184,6 @@ def test_point_category_pairs_are_representable(ext_factory):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_all_preorders_complete(ext_factory, n):
     ext = ext_factory("id", "2")
-    from lawcat.instances import enumerate_preorders
-
     for p in enumerate_preorders(n):
         cat = preorder_category(ext, p.leq)
         verdict = decide_lawvere_complete(cat)
@@ -658,3 +666,67 @@ def test_psi_budget_edge(ext_factory, mname, qname, n):
     else:
         expected = enumerate_adjoint_pairs(discrete_tvcategory(ext, n))
         assert [p.key() for p in pairs_at(psi_count)] == [p.key() for p in expected]
+
+
+def two_element_quantale(name):
+    """A two-element quantale: tests/data/two.quantale, or the same chain
+    with top listed first, so that top is index 0 and bottom index 1."""
+    if name == "two.quantale":
+        with open(os.path.join(DATA, name)) as fh:
+            q = parse_quantale_text(fh.read(), name)
+    else:
+        q = parse_quantale_text("quantale top0\nelements: t f\norder: f<=t\nunit: t\ntensor: f*f=f f*t=f t*t=t\n")
+    assert validate_quantale(q)["ok"] and q.n == 2
+    return q
+
+
+def assert_bitmask_kernel_matches(x):
+    # The bitmask kernel against the generic walk, called directly, and
+    # against the oracle's independent crossing of both sides.
+    kc = kleisli_table(x)
+    pcat = unit_tvcategory(x.ext)
+    kernel = sorted(p.key() for p in _pruned_pairs(x, kc, pcat))
+    assert kernel == sorted(p.key() for p in _generic_pairs(x, kc, pcat)), x.a.data
+    assert kernel == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+    return len(kernel)
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra"])
+@pytest.mark.parametrize("qname", ["2", "pset1", "two.quantale", "top0"])
+def test_bitmask_kernel_matches_generic_walk_on_every_matrix(monads, quantales, mname, qname):
+    # Every two-valued matrix on n <= 3 points, categories or not.
+    q = quantales[qname] if qname in quantales else two_element_quantale(qname)
+    ext = LaxExtension(monads[mname], q)
+    assert sum(assert_bitmask_kernel_matches(x) for n in range(4) for x in all_structures(ext, n))
+
+
+def test_bitmask_kernel_matches_generic_walk_on_preorders(ext_factory):
+    ext = ext_factory("id", "2")
+    preorders = enumerate_preorders(4)
+    assert len(preorders) == 355
+    for p in preorders:
+        assert assert_bitmask_kernel_matches(order_tvcategory(ext, p.leq))
+
+
+def test_bitmask_kernel_matches_generic_walk_on_spaces(ext_factory):
+    ext = ext_factory("ultra", "2")
+    rng = random.Random("bitmask/spaces")
+    for _ in range(200):
+        pairs = [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(7))]
+        space = FiniteSpace(FinitePreorder.from_pairs(5, pairs))
+        assert assert_bitmask_kernel_matches(tvcategory_from_space(ext, space))
+
+
+@pytest.mark.parametrize(
+    "mname,qname,generic",
+    [("id", "2", False), ("ultra", "2", False), ("powerset", "2", True), ("id", "c3", True)],
+)
+def test_generic_walk_runs_only_off_the_bitmask_kernel(monkeypatch, ext_factory, mname, qname, generic):
+    calls = []
+    walk = completeness._generic_pairs
+    monkeypatch.setattr(completeness, "_generic_pairs", lambda *args: calls.append(args) or walk(*args))
+    ext = ext_factory(mname, qname)
+    for n in (1, 2):
+        for x in all_tvcategories(ext, n):
+            enumerate_adjoint_pairs(x)
+    assert bool(calls) == generic

@@ -238,11 +238,13 @@ def test_trusted_builders_return_valid_matrices():
         f = tuple(rng.randrange(nx) for _ in range(nz))
         g = tuple(rng.randrange(nz) for _ in range(ny))
         h = tuple(rng.randrange(ny) for _ in range(nz))
+        r2 = rand_matrix(rng, q, nx, ny)
         built = [
             (mcompose(s, r), (nx, nz)),
             (precompose_map(r, f, nz), (nz, ny)),
             (postcompose_map(g, nz, r), (nx, nz)),
             (select_cols(r, h), (nx, nz)),
+            (r.join(r2), (nx, ny)),
         ]
         for m, shape in built:
             assert (m.rows, m.cols) == shape
