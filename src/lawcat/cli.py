@@ -40,6 +40,11 @@ def _category_from_file(parsed, workspace, max_enum):
     return TVCategory(ext, n, matrix, name=parsed.name)
 
 
+def _space_extension(max_enum):
+    """The (ultrafilter, 2) extension a space is read over."""
+    return LaxExtension(builtin_monad("ultra"), builtin("2"), max_enum)
+
+
 class InvalidObject(Exception):
     def __init__(self, verdict):
         super().__init__(str(verdict))
@@ -127,7 +132,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(FiniteSpace(order), args.max_enum, args.oracle)
+        rep = sober_vs_lawvere(_space_extension(args.max_enum), FiniteSpace(order), args.oracle)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -160,7 +165,7 @@ def cmd_sober(args):
     name, labels, order = payload
     space = FiniteSpace(order)
     rep = weakly_sober(space)
-    lawvere = space_lawvere_complete(space, args.max_enum, args.oracle)
+    lawvere = space_lawvere_complete(_space_extension(args.max_enum), space, args.oracle)
     out = {
         "name": name,
         "weakly_sober": rep["weakly_sober"],

@@ -16,10 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .completeness import decide_lawvere_complete
-from .errors import DEFAULT_MAX_ENUM, GateUnavailable
-from .laxext import LaxExtension
-from .monad import builtin_monad
-from .quantale import builtin
+from .errors import GateUnavailable
 from .tvcat import (
     check_tvfunctor,
     hom_xi_category,
@@ -187,17 +184,19 @@ def weakly_sober(space):
     return {"weakly_sober": sober, "irreducible": details, "closed_count": len(closed)}
 
 
-def space_lawvere_complete(space, max_enum=DEFAULT_MAX_ENUM, oracle=False):
-    """Lawvere completeness of the space read as an (ultrafilter, 2)-category."""
-    ext = LaxExtension(builtin_monad("ultra"), builtin("2"), max_enum)
+def space_lawvere_complete(ext, space, oracle=False):
+    """Lawvere completeness of the space read as an (ultrafilter, 2)-category.
+
+    ext is the caller's (ultrafilter, 2) extension, shared by its spaces.
+    """
     cat = tvcategory_from_space(ext, space)
     return decide_lawvere_complete(cat, oracle)["complete"]
 
 
-def sober_vs_lawvere(space, max_enum=DEFAULT_MAX_ENUM, oracle=False):
+def sober_vs_lawvere(ext, space, oracle=False):
     """Both sides of the space-level equivalence, computed independently."""
     sober = weakly_sober(space)["weakly_sober"]
-    lawvere = space_lawvere_complete(space, max_enum, oracle)
+    lawvere = space_lawvere_complete(ext, space, oracle)
     return {"weakly_sober": sober, "lawvere": lawvere, "agree": sober == lawvere}
 
 
@@ -263,11 +262,10 @@ def is_closed_varset(cat, vs):
     """d(A_u, x) <= v forces x into the level at u + v, for all u, v, x."""
     q = cat.q
     for u in range(q.n):
-        for v in range(q.n):
-            uv = q.tens(u, v)
-            for x in range(cat.n):
-                d = point_distance(cat, vs.levels[u], x)
-                if _num_le(d, _num(q, v)) and x not in vs.levels[uv]:
+        for x in range(cat.n):
+            d = point_distance(cat, vs.levels[u], x)
+            for v in range(q.n):
+                if _num_le(d, _num(q, v)) and x not in vs.levels[q.tens(u, v)]:
                     return False
     return True
 

@@ -251,11 +251,12 @@ def item_yoneda_tv(max_enum=DEFAULT_MAX_ENUM):
 
 
 def item_sober(max_enum=DEFAULT_MAX_ENUM):
+    ext = _ext("ultra", "2", max_enum)
     total = 0
     ok = True
     for n in (1, 2, 3, 4):
         for p in enumerate_preorders(n):
-            rep = sober_vs_lawvere(FiniteSpace(p), max_enum)
+            rep = sober_vs_lawvere(ext, FiniteSpace(p))
             if not (rep["agree"] and rep["weakly_sober"] and rep["lawvere"]):
                 ok = False
             total += 1

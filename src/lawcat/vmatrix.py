@@ -214,42 +214,70 @@ def is_left_adjoint(r):
     return s
 
 
-def all_matrices(q, rows, cols, max_enum=DEFAULT_MAX_ENUM):
-    """Yield every rows x cols matrix over q, in lexicographic entry order."""
+def _charge_matrix_space(q, rows, cols, max_enum):
+    """Refuse a sweep of all rows x cols matrices over q above the budget."""
     count = q.n ** (rows * cols)
     if count > max_enum:
         raise BudgetExceeded(f"matrix space {rows}x{cols} over {q.name}", count, max_enum)
+
+
+def all_matrices(q, rows, cols, max_enum=DEFAULT_MAX_ENUM):
+    """Yield every rows x cols matrix over q, in lexicographic entry order."""
+    _charge_matrix_space(q, rows, cols, max_enum)
     for flat in itertools.product(range(q.n), repeat=rows * cols):
         yield VMatrix.trusted(
             q, rows, cols, tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
         )
 
 
+def _left_adjoint_rows(q, ny):
+    """(row, s-column) of every 1 x ny left adjoint over q, in lexicographic order."""
+    good = []
+    for row in itertools.product(range(q.n), repeat=ny):
+        s = is_left_adjoint(VMatrix.trusted(q, 1, ny, (row,)))
+        if s is not None:
+            good.append((row, tuple(v for (v,) in s.data)))
+    return good
+
+
 def left_adjoint_map_criterion(q, bound=2, max_enum=DEFAULT_MAX_ENUM):
-    """Compare the algebraic map criterion with brute-forced left adjoints.
+    """Compare the algebraic map criterion with every left adjoint matrix.
 
     (a) evaluates the two hypotheses via the complement scan; (b) finds all
     left adjoint matrices r: X -|-> Y with |X|,|Y| <= bound and tests each
     for being an embedded function; (c) asserts (a) iff (b) on that range.
     The collected adjunctions are returned so order-reversal (adjoint pairs
     reverse the pointwise order) can be checked on the same sweep.
+
+    Left adjointness is row-local.  The candidate s(y, x) = meet_z
+    hom(r(x, z), k if z = y else bottom) reads only row x of r, and the
+    test at x, k <= V_y r(x, y) (x) s(y, x), reads only row x of r and
+    column x of s.  So r is a left adjoint iff each of its rows is one as
+    a 1 x ny matrix, and column x of its right adjoint is that row's.  The
+    left adjoints of a shape are then the products of left adjoint rows,
+    which row-major lexicographic order lists in `all_matrices` order.
+    Each shape still charges its whole matrix space, q.n^(nx*ny), against
+    max_enum before it is listed.
     """
     scan = tensor_complement_scan(q)
     hypotheses = scan["hypotheses_hold"]
     non_maps = []
     adjunctions = []
     total_left = 0
+    rows_of_width = {}
     for nx in range(1, bound + 1):
         for ny in range(1, bound + 1):
+            _charge_matrix_space(q, nx, ny, max_enum)
+            if ny not in rows_of_width:
+                rows_of_width[ny] = _left_adjoint_rows(q, ny)
             shape_adj = []
-            for r in all_matrices(q, nx, ny, max_enum):
-                s = is_left_adjoint(r)
-                if s is None:
-                    continue
-                total_left += 1
+            for rows in itertools.product(rows_of_width[ny], repeat=nx):
+                r = VMatrix.trusted(q, nx, ny, tuple(row for row, _ in rows))
+                s = VMatrix.trusted(q, ny, nx, tuple(zip(*(col for _, col in rows))))
                 shape_adj.append((r, s))
                 if not r.is_map():
                     non_maps.append(r)
+            total_left += len(shape_adj)
             adjunctions.append(((nx, ny), shape_adj))
     all_maps = not non_maps
     return {

@@ -216,9 +216,10 @@ def test_indiscrete_has_non_unique_generic_point():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_sober_agrees_with_completeness(n):
+def test_sober_agrees_with_completeness(ext_factory, n):
+    ext = ext_factory("ultra", "2")
     for p in enumerate_preorders(n):
-        rep = sober_vs_lawvere(FiniteSpace(p))
+        rep = sober_vs_lawvere(ext, FiniteSpace(p))
         assert rep["agree"] and rep["weakly_sober"]
 
 

@@ -1,10 +1,18 @@
 import itertools
+import os
 import random
 
 import pytest
 
-from lawcat.errors import DimensionMismatch, QuantaleMismatch
-from lawcat.quantale import builtin, same_quantale
+from lawcat.errors import DEFAULT_MAX_ENUM, BudgetExceeded, DimensionMismatch, QuantaleMismatch
+from lawcat.fileio import parse_quantale_text
+from lawcat.quantale import (
+    builtin,
+    builtin_quantales,
+    same_quantale,
+    tensor_complement_scan,
+    validate_quantale,
+)
 from lawcat.suite import ACCEPT_QUANTALES
 from lawcat.vmatrix import (
     VMatrix,
@@ -268,6 +276,116 @@ def test_left_adjoint_map_criterion(name, expect_hyp):
             if w.rows == 1 and w.cols == 2
         ]
         assert ["{a}", "{b}"] in rows
+
+
+def reference_map_criterion(q, bound, max_enum=DEFAULT_MAX_ENUM):
+    """The sweep as a filter: every matrix of each shape through is_left_adjoint."""
+    non_maps = []
+    adjunctions = []
+    total_left = 0
+    for nx in range(1, bound + 1):
+        for ny in range(1, bound + 1):
+            shape_adj = []
+            for r in all_matrices(q, nx, ny, max_enum):
+                s = is_left_adjoint(r)
+                if s is not None:
+                    shape_adj.append((r, s))
+                    if not r.is_map():
+                        non_maps.append(r)
+            total_left += len(shape_adj)
+            adjunctions.append(((nx, ny), shape_adj))
+    return {
+        "hypotheses_hold": tensor_complement_scan(q)["hypotheses_hold"],
+        "left_adjoint_count": total_left,
+        "non_map_witnesses": non_maps,
+        "adjunctions": adjunctions,
+    }
+
+
+def group_quantale():
+    """Z/3 with a bottom and a top adjoined, tensor the group sum.
+
+    g1 and g2 are inverse units, so the right adjoint of the row (g1) is
+    (g2): unlike over the built-ins, s is not the transpose of r.
+    """
+    labels = ("bot", "g0", "g1", "g2", "top")
+
+    def tens(a, b):
+        if "bot" in (a, b):
+            return "bot"
+        if "top" in (a, b):
+            return "top"
+        return f"g{(int(a[1]) + int(b[1])) % 3}"
+
+    q = parse_quantale_text(
+        "quantale z3\n"
+        f"elements: {' '.join(labels)}\n"
+        "order: bot<=g0 bot<=g1 bot<=g2 g0<=top g1<=top g2<=top\n"
+        "unit: g0\n"
+        f"tensor: {' '.join(f'{a}*{b}={tens(a, b)}' for a in labels for b in labels)}\n"
+    )
+    assert validate_quantale(q)["ok"]
+    return q
+
+
+def _sweep_cases():
+    """(quantale, bound): every built-in at 2, `2` at 3, two.quantale and z3 at 2."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "two.quantale")) as fh:
+        two = parse_quantale_text(fh.read(), "two.quantale")
+    assert validate_quantale(two)["ok"]
+    cases = [(q, 2) for _, q in sorted(builtin_quantales().items())]
+    return cases + [(builtin("2"), 3), (two, 2), (group_quantale(), 2)]
+
+
+SWEEP_CASES = _sweep_cases()
+SWEEP_IDS = [f"{q.name}-{bound}" for q, bound in SWEEP_CASES]
+
+
+def _assert_tuples(matrix):
+    assert type(matrix.data) is tuple and all(type(row) is tuple for row in matrix.data)
+
+
+@pytest.mark.parametrize("q,bound", SWEEP_CASES, ids=SWEEP_IDS)
+def test_row_sweep_matches_the_filter(q, bound):
+    report = left_adjoint_map_criterion(q, bound)
+    expected = reference_map_criterion(q, bound)
+    for key in ("hypotheses_hold", "left_adjoint_count", "non_map_witnesses", "adjunctions"):
+        assert report[key] == expected[key], key
+    for _, pairs in report["adjunctions"]:
+        for r, s in pairs:
+            _assert_tuples(r)
+            _assert_tuples(s)
+    assert report["left_adjoint_count"] == sum(len(pairs) for _, pairs in report["adjunctions"])
+
+
+@pytest.mark.parametrize("name", ["c3", "pset2", "z3"])
+def test_left_adjointness_is_row_local(name):
+    q = group_quantale() if name == "z3" else builtin(name)
+    for r in all_matrices(q, 2, 2):
+        row_adjoints = [is_left_adjoint(VMatrix(q, 1, 2, (row,))) for row in r.data]
+        s = is_left_adjoint(r)
+        assert (s is not None) == all(t is not None for t in row_adjoints), r.data
+        if s is not None:
+            for x, t in enumerate(row_adjoints):
+                assert tuple(s.data[y][x] for y in range(2)) == tuple(v for (v,) in t.data)
+
+
+def _sweep_outcome(sweep, q, bound, max_enum):
+    try:
+        report = sweep(q, bound, max_enum)
+    except BudgetExceeded as err:
+        return ("refused", str(err))
+    return ("ran", report["left_adjoint_count"], report["adjunctions"])
+
+
+@pytest.mark.parametrize("q,bound", SWEEP_CASES, ids=SWEEP_IDS)
+def test_row_sweep_charges_the_budget_like_the_filter(q, bound):
+    sizes = sorted({q.n ** (nx * ny) for nx in range(1, bound + 1) for ny in range(1, bound + 1)})
+    for size in sizes:
+        for max_enum in (size - 1, size):
+            outcome = _sweep_outcome(left_adjoint_map_criterion, q, bound, max_enum)
+            assert outcome == _sweep_outcome(reference_map_criterion, q, bound, max_enum), max_enum
+            assert outcome[0] == ("refused" if max_enum < sizes[-1] else "ran")
 
 
 def test_order_reversal_on_generated_adjunctions():
