@@ -12,7 +12,7 @@ import sys
 
 from .completeness import certify_v_complete, decide_lawvere_complete
 from .errors import GateUnavailable, LawcatError, ParseError
-from .fileio import Workspace, load_file
+from .fileio import load_file, matrix_lines
 from .instances import FiniteSpace, sober_vs_lawvere, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
@@ -34,8 +34,8 @@ def _emit(report, fmt, input_block):
     return report
 
 
-def _category_from_file(parsed, workspace, max_enum):
-    q, n, matrix = parsed.resolve(workspace)
+def _category_from_file(parsed, max_enum):
+    q, n, matrix = parsed.resolve()
     ext = LaxExtension(builtin_monad(parsed.monad_name), q, max_enum)
     return TVCategory(ext, n, matrix, name=parsed.name)
 
@@ -51,8 +51,8 @@ class InvalidObject(Exception):
         self.verdict = verdict
 
 
-def _validated_category(payload, workspace, max_enum):
-    cat = _category_from_file(payload, workspace, max_enum)
+def _validated_category(payload, max_enum):
+    cat = _category_from_file(payload, max_enum)
     verdict = check_tvcategory(cat.ext, cat.n, cat.a)
     if not verdict["ok"]:
         raise InvalidObject(verdict)
@@ -60,7 +60,6 @@ def _validated_category(payload, workspace, max_enum):
 
 
 def cmd_check(args):
-    workspace = Workspace()
     kind, payload = load_file(args.path)
     input_block = {"command": "check", "path": args.path}
     if kind == "quantale":
@@ -68,7 +67,7 @@ def cmd_check(args):
         _emit({"kind": kind, "name": payload.name, **verdict}, args.format, input_block)
         return 0 if verdict["ok"] else 1
     if kind in ("vcat", "tvcat"):
-        cat = _category_from_file(payload, workspace, args.max_enum)
+        cat = _category_from_file(payload, args.max_enum)
         verdict = check_tvcategory(cat.ext, cat.n, cat.a)
         _emit({"kind": kind, "name": payload.name, **verdict}, args.format, input_block)
         return 0 if verdict["ok"] else 1
@@ -111,10 +110,9 @@ def cmd_complete(args):
         return 0 if rep["certified"] else 1
     if args.path is None:
         raise ParseError("<args>", 0, "complete needs a file or --builtin")
-    workspace = Workspace()
     kind, payload = load_file(args.path)
     if kind in ("vcat", "tvcat"):
-        cat = _validated_category(payload, workspace, args.max_enum)
+        cat = _validated_category(payload, args.max_enum)
         rep = decide_lawvere_complete(cat, oracle=args.oracle)
         out = {
             "kind": kind,
@@ -184,11 +182,10 @@ def cmd_sober(args):
 
 
 def cmd_yoneda(args):
-    workspace = Workspace()
     kind, payload = load_file(args.path)
     if kind not in ("vcat", "tvcat"):
         raise ParseError(args.path, 1, "yoneda expects a category file")
-    cat = _validated_category(payload, workspace, args.max_enum)
+    cat = _validated_category(payload, args.max_enum)
     rep = tv_yoneda(cat)
     out = {"kind": kind, "name": payload.name}
     if kind == "vcat":
@@ -208,21 +205,14 @@ def cmd_yoneda(args):
 
 
 def cmd_dual(args):
-    workspace = Workspace()
     kind, payload = load_file(args.path)
     if kind not in ("vcat", "tvcat"):
         raise ParseError(args.path, 1, "dual expects a category file")
-    cat = _validated_category(payload, workspace, args.max_enum)
+    cat = _validated_category(payload, args.max_enum)
     dual = dual_tvcategory(cat)
     monad = cat.monad
-    row_labels = monad.labels(dual.n, monad.labels(cat.n, payload.labels))
     col_labels = monad.labels(cat.n, payload.labels)
-    entries = []
-    for s in range(dual.a.rows):
-        for t in range(dual.a.cols):
-            v = dual.a.data[s][t]
-            if v != cat.q.bottom:
-                entries.append(f"m[{row_labels[s]},{col_labels[t]}] = {cat.q.labels[v]}")
+    entries = matrix_lines(dual.a, monad.labels(dual.n, col_labels), col_labels)
     _emit(
         {"kind": kind, "name": payload.name, "carrier": list(col_labels), "entries": entries},
         args.format,
@@ -232,20 +222,13 @@ def cmd_dual(args):
 
 
 def cmd_extend(args):
-    workspace = Workspace()
     kind, payload = load_file(args.path)
     if kind != "vcat":
         raise ParseError(args.path, 1, "extend expects a vcat file")
-    q, n, matrix = payload.resolve(workspace)
+    q, n, matrix = payload.resolve()
     ext = LaxExtension(builtin_monad(args.monad), q, args.max_enum)
-    extended = ext.extend(matrix)
     labels = builtin_monad(args.monad).labels(n, payload.labels)
-    entries = []
-    for s in range(extended.rows):
-        for t in range(extended.cols):
-            v = extended.data[s][t]
-            if v != q.bottom:
-                entries.append(f"m[{labels[s]},{labels[t]}] = {q.labels[v]}")
+    entries = matrix_lines(ext.extend(matrix), labels, labels)
     _emit(
         {"kind": kind, "name": payload.name, "monad": args.monad, "entries": entries},
         args.format,

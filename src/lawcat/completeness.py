@@ -462,16 +462,11 @@ def certify_v_complete(ext, oracle=False):
     xi = ext.xi()
     tn = monad.size(q.n)
     kc = kleisli_table(vcat)
-    precond_ok = all(
-        kc[s][t] == q.hom(xi[s], xi[t]) for s in range(tn) for t in range(tn)
+    witness = next(
+        ((s, t) for s in range(tn) for t in range(tn) if kc[s][t] != q.hom(xi[s], xi[t])),
+        None,
     )
-    if not precond_ok:
-        witness = next(
-            (s, t)
-            for s in range(tn)
-            for t in range(tn)
-            if kc[s][t] != q.hom(xi[s], xi[t])
-        )
+    if witness is not None:
         return {"certified": False, "precondition": False, "witness": witness}
 
     verdict = decide_lawvere_complete(vcat, oracle)

@@ -1,8 +1,10 @@
-"""Plain-text object formats and their parser.
+"""Plain-text object formats: their readers, the matrix entry writer, and
+the quantale a category file names.
 
 One object per file, hand-authorable, diffable.  The first word of the
 first non-comment line names the kind: quantale, vcat, tvcat, space or
-quniform.  Errors carry the offending line number.
+quniform.  Errors carry the offending line number; a definition given
+twice with different values is an error at the later line.
 """
 
 from __future__ import annotations
@@ -32,43 +34,85 @@ def _check_labels(path, lineno, labels):
             raise ParseError(path, lineno, f"label {lab!r} uses a reserved character")
 
 
+def _define(path, lineno, what, old, new):
+    """`new`, unless a different value was defined before it."""
+    if old is not None and old != new:
+        raise ParseError(path, lineno, f"conflicting {what}")
+    return new
+
+
+def _named(kind):
+    """The header reader of a `<kind> <name>` file."""
+
+    def header(path, lineno, words):
+        if len(words) != 2 or words[0] != kind:
+            raise ParseError(path, lineno, f"expected header '{kind} <name>'")
+        return words[1]
+
+    return header
+
+
+def _read_lines(text, path, header, handlers, empty=None, others=None):
+    """Walk one file's lines in order, raising each line's errors before
+    reading the next; returns (header, labels).
+
+    The first line goes to `header(path, lineno, words)`, `elements:` lines
+    give the labels, and any other line goes to the handler of the first
+    prefix in `handlers` it starts with, with the rest of the line.  A line
+    no handler takes is appended to `others`, if given, or is unrecognized.
+    `empty`, if given, is the error for a file without lines.
+    """
+    head = labels = None
+    for lineno, line in _lines(text):
+        if head is None:
+            head = header(path, lineno, line.split())
+        elif line.startswith("elements:"):
+            new = tuple(line[len("elements:") :].split())
+            _check_labels(path, lineno, new)
+            labels = _define(path, lineno, "'elements:' lines", labels, new)
+        else:
+            for prefix, handle in handlers.items():
+                if line.startswith(prefix):
+                    handle(lineno, line[len(prefix) :])
+                    break
+            else:
+                if others is None:
+                    raise ParseError(path, lineno, f"unrecognized line {line!r}")
+                others.append((lineno, line))
+    if head is None and empty:
+        raise ParseError(path, 1, empty)
+    if labels is None:
+        raise ParseError(path, 1, "missing 'elements:' line")
+    return head, labels
+
+
 def parse_quantale_text(text, path="<string>"):
-    name = None
-    labels = None
     order_pairs = []
     unit_label = None
     tensor_entries = {}
-    for lineno, line in _lines(text):
-        if name is None:
-            words = line.split()
-            if len(words) != 2 or words[0] != "quantale":
-                raise ParseError(path, lineno, "expected header 'quantale <name>'")
-            name = words[1]
-            continue
-        if line.startswith("elements:"):
-            labels = tuple(line[len("elements:") :].split())
-            _check_labels(path, lineno, labels)
-        elif line.startswith("order:"):
-            for tok in line[len("order:") :].split():
-                if "<=" not in tok:
-                    raise ParseError(path, lineno, f"bad order pair {tok!r}, want a<=b")
-                a, b = tok.split("<=", 1)
-                order_pairs.append((lineno, a, b))
-        elif line.startswith("unit:"):
-            unit_label = line[len("unit:") :].strip()
-        elif line.startswith("tensor:"):
-            for tok in line[len("tensor:") :].split():
-                if "*" not in tok or "=" not in tok:
-                    raise ParseError(path, lineno, f"bad tensor entry {tok!r}, want a*b=c")
-                lhs, c = tok.split("=", 1)
-                a, b = lhs.split("*", 1)
-                tensor_entries[(a, b)] = (lineno, c)
-        else:
-            raise ParseError(path, lineno, f"unrecognized line {line!r}")
-    if name is None:
-        raise ParseError(path, 1, "empty quantale file")
-    if labels is None:
-        raise ParseError(path, 1, "missing 'elements:' line")
+
+    def read_order(lineno, rest):
+        for tok in rest.split():
+            if "<=" not in tok:
+                raise ParseError(path, lineno, f"bad order pair {tok!r}, want a<=b")
+            order_pairs.append((lineno, *tok.split("<=", 1)))
+
+    def read_unit(lineno, rest):
+        nonlocal unit_label
+        unit_label = _define(path, lineno, "'unit:' lines", unit_label, rest.strip())
+
+    def read_tensor(lineno, rest):
+        for tok in rest.split():
+            if "*" not in tok or "=" not in tok:
+                raise ParseError(path, lineno, f"bad tensor entry {tok!r}, want a*b=c")
+            lhs, c = tok.split("=", 1)
+            a, b = lhs.split("*", 1)
+            old = tensor_entries.get((a, b), (None, None))[1]
+            c = _define(path, lineno, f"tensor entries for {a}*{b}", old, c)
+            tensor_entries[(a, b)] = (lineno, c)
+
+    handlers = {"order:": read_order, "unit:": read_unit, "tensor:": read_tensor}
+    name, labels = _read_lines(text, path, _named("quantale"), handlers, "empty quantale file")
     if unit_label is None:
         raise ParseError(path, 1, "missing 'unit:' line")
     index = {lab: i for i, lab in enumerate(labels)}
@@ -119,8 +163,22 @@ def _parse_matrix_lines(path, items, row_index, col_index, q):
             raise ParseError(path, lineno, f"undefined column label {c!r}")
         if val not in q.labels:
             raise ParseError(path, lineno, f"undefined value label {val!r}")
-        entries[(row_index[r], col_index[c])] = q.labels.index(val)
+        v = q.labels.index(val)
+        if entries.setdefault((row_index[r], col_index[c]), v) != v:
+            raise ParseError(path, lineno, f"conflicting matrix entries for m[{r},{c}]")
     return entries
+
+
+def matrix_lines(matrix, row_labels, col_labels):
+    """The `m[r,c] = v` lines of a matrix's entries above bottom, row by row:
+    what `_parse_matrix_lines` reads back."""
+    q = matrix.q
+    return [
+        f"m[{row_labels[r]},{col_labels[c]}] = {q.labels[v]}"
+        for r, row in enumerate(matrix.data)
+        for c, v in enumerate(row)
+        if v != q.bottom
+    ]
 
 
 class ParsedCategory:
@@ -132,9 +190,22 @@ class ParsedCategory:
         self.items = items
         self.path = path
 
-    def resolve(self, workspace):
-        """Build the structure matrix against a quantale and monad table."""
-        q = workspace.quantale(self.quantale_name, self.path)
+    def resolve(self):
+        """Build the structure matrix over the quantale and monad it names.
+
+        The quantale is a built-in, or else the validated sibling
+        `<name>.quantale` in the file's directory.
+        """
+        name = self.quantale_name
+        q = builtin_quantales().get(name)
+        if q is None:
+            sibling = os.path.join(os.path.dirname(os.path.abspath(self.path)), name + ".quantale")
+            if not os.path.exists(sibling):
+                raise ParseError(self.path, 1, f"unknown quantale {name!r}")
+            q = parse_quantale_text(_read_text(sibling), sibling)
+            verdict = validate_quantale(q)
+            if not verdict["ok"]:
+                raise ParseError(sibling, 1, f"quantale fails validation: {verdict}")
         n = len(self.labels)
         col_index = {lab: i for i, lab in enumerate(self.labels)}
         monad = builtin_monad(self.monad_name)
@@ -147,64 +218,36 @@ class ParsedCategory:
         return q, n, VMatrix(q, rows, n, data)
 
 
+def _category_header(path, lineno, words):
+    if words[0] == "vcat":
+        if len(words) != 4 or words[2] != "over":
+            raise ParseError(path, lineno, "expected 'vcat <name> over <quantale>'")
+        return words[1], words[3], "id"
+    if words[0] == "tvcat":
+        if len(words) != 6 or words[2] != "over" or words[4] != "monad":
+            raise ParseError(path, lineno, "expected 'tvcat <name> over <quantale> monad <name>'")
+        if words[5] not in builtin_monads():
+            raise ParseError(path, lineno, f"unknown monad {words[5]!r}")
+        return words[1], words[3], words[5]
+    raise ParseError(path, lineno, f"unknown header {words[0]!r}")
+
+
 def parse_category_text(text, path="<string>"):
-    header = None
-    labels = None
-    items = []
-    for lineno, line in _lines(text):
-        if header is None:
-            words = line.split()
-            if words[0] == "vcat":
-                if len(words) != 4 or words[2] != "over":
-                    raise ParseError(path, lineno, "expected 'vcat <name> over <quantale>'")
-                header = (words[1], words[3], "id")
-            elif words[0] == "tvcat":
-                if len(words) != 6 or words[2] != "over" or words[4] != "monad":
-                    raise ParseError(
-                        path, lineno, "expected 'tvcat <name> over <quantale> monad <name>'"
-                    )
-                if words[5] not in builtin_monads():
-                    raise ParseError(path, lineno, f"unknown monad {words[5]!r}")
-                header = (words[1], words[3], words[5])
-            else:
-                raise ParseError(path, lineno, f"unknown header {words[0]!r}")
-            continue
-        if line.startswith("elements:"):
-            labels = tuple(line[len("elements:") :].split())
-            _check_labels(path, lineno, labels)
-        else:
-            items.append((lineno, line))
-    if header is None:
-        raise ParseError(path, 1, "empty category file")
-    if labels is None:
-        raise ParseError(path, 1, "missing 'elements:' line")
+    items = []  # the matrix entry lines, read when the category is resolved
+    header, labels = _read_lines(text, path, _category_header, {}, "empty category file", items)
     return ParsedCategory(*header, labels, items, path)
 
 
 def parse_space_text(text, path="<string>"):
-    name = None
-    labels = None
     pairs = []
-    for lineno, line in _lines(text):
-        if name is None:
-            words = line.split()
-            if len(words) != 2 or words[0] != "space":
-                raise ParseError(path, lineno, "expected header 'space <name>'")
-            name = words[1]
-            continue
-        if line.startswith("elements:"):
-            labels = tuple(line[len("elements:") :].split())
-            _check_labels(path, lineno, labels)
-        elif line.startswith("order:"):
-            for tok in line[len("order:") :].split():
-                if "<=" not in tok:
-                    raise ParseError(path, lineno, f"bad specialization pair {tok!r}")
-                a, b = tok.split("<=", 1)
-                pairs.append((lineno, a, b))
-        else:
-            raise ParseError(path, lineno, f"unrecognized line {line!r}")
-    if labels is None:
-        raise ParseError(path, 1, "missing 'elements:' line")
+
+    def read_order(lineno, rest):
+        for tok in rest.split():
+            if "<=" not in tok:
+                raise ParseError(path, lineno, f"bad specialization pair {tok!r}")
+            pairs.append((lineno, *tok.split("<=", 1)))
+
+    name, labels = _read_lines(text, path, _named("space"), {"order:": read_order})
     index = {lab: i for i, lab in enumerate(labels)}
     resolved = []
     for lineno, a, b in pairs:
@@ -215,25 +258,9 @@ def parse_space_text(text, path="<string>"):
 
 
 def parse_quniform_text(text, path="<string>"):
-    name = None
-    labels = None
     rels = []
-    for lineno, line in _lines(text):
-        if name is None:
-            words = line.split()
-            if len(words) != 2 or words[0] != "quniform":
-                raise ParseError(path, lineno, "expected header 'quniform <name>'")
-            name = words[1]
-            continue
-        if line.startswith("elements:"):
-            labels = tuple(line[len("elements:") :].split())
-            _check_labels(path, lineno, labels)
-        elif line.startswith("rel:"):
-            rels.append((lineno, line[len("rel:") :].split()))
-        else:
-            raise ParseError(path, lineno, f"unrecognized line {line!r}")
-    if labels is None:
-        raise ParseError(path, 1, "missing 'elements:' line")
+    handlers = {"rel:": lambda lineno, rest: rels.append((lineno, rest.split()))}
+    name, labels = _read_lines(text, path, _named("quniform"), handlers)
     if not rels:
         raise ParseError(path, 1, "missing 'rel:' lines")
     index = {lab: i for i, lab in enumerate(labels)}
@@ -251,36 +278,13 @@ def parse_quniform_text(text, path="<string>"):
     return name, labels, QuasiUniformity(len(labels), base)
 
 
-KINDS = ("quantale", "vcat", "tvcat", "space", "quniform")
-
-
-def sniff_kind(text, path="<string>"):
-    for lineno, line in _lines(text):
-        word = line.split()[0]
-        if word in KINDS:
-            return word
-        raise ParseError(path, lineno, f"unknown object kind {word!r}")
-    raise ParseError(path, 1, "empty file")
-
-
-class Workspace:
-    """Quantale resolution: built-ins plus sibling .quantale files."""
-
-    def __init__(self):
-        self.quantales = dict(builtin_quantales())
-
-    def quantale(self, name, referring_path):
-        if name in self.quantales:
-            return self.quantales[name]
-        sibling = os.path.join(os.path.dirname(os.path.abspath(referring_path)), name + ".quantale")
-        if os.path.exists(sibling):
-            q = parse_quantale_text(_read_text(sibling), sibling)
-            verdict = validate_quantale(q)
-            if not verdict["ok"]:
-                raise ParseError(sibling, 1, f"quantale fails validation: {verdict}")
-            self.quantales[name] = q
-            return q
-        raise ParseError(referring_path, 1, f"unknown quantale {name!r}")
+READERS = {
+    "quantale": parse_quantale_text,
+    "vcat": parse_category_text,
+    "tvcat": parse_category_text,
+    "space": parse_space_text,
+    "quniform": parse_quniform_text,
+}
 
 
 def _read_text(path):
@@ -302,11 +306,9 @@ def _read_text(path):
 def load_file(path):
     """Parse one file into (kind, payload); categories stay unresolved."""
     text = _read_text(path)
-    kind = sniff_kind(text, path)
-    if kind == "quantale":
-        return kind, parse_quantale_text(text, path)
-    if kind in ("vcat", "tvcat"):
-        return kind, parse_category_text(text, path)
-    if kind == "space":
-        return kind, parse_space_text(text, path)
-    return kind, parse_quniform_text(text, path)
+    for lineno, line in _lines(text):
+        kind = line.split()[0]
+        if kind not in READERS:
+            raise ParseError(path, lineno, f"unknown object kind {kind!r}")
+        return kind, READERS[kind](text, path)
+    raise ParseError(path, 1, "empty file")

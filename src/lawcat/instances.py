@@ -352,7 +352,6 @@ def approach_surrogate(cat):
         for pair in verdict["pairs"]
     }
 
-    rows_checked = 0
     mismatches = []
     analysis_complete = True
     for row in itertools.product(range(q.n), repeat=cat.n):
@@ -364,7 +363,6 @@ def approach_surrogate(cat):
         if not (bim == functor == closed):
             mismatches.append({"row": row, "bimodule": bim, "functor": functor, "closed": closed})
         if bim:
-            rows_checked += 1
             has_adjoint = row in adjoint_phis
             irr = is_irreducible_varset(cat, vs)
             if has_adjoint != irr:
@@ -379,7 +377,6 @@ def approach_surrogate(cat):
                     analysis_complete = False
     agree = not mismatches
     return {
-        "rows_with_modules": rows_checked,
         "mismatches": mismatches,
         "analysis_complete": analysis_complete,
         "lawvere_complete": verdict["complete"],

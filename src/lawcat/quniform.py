@@ -215,13 +215,7 @@ def decide_cauchy_complete(u):
     filter pair is a neighbourhood pair.
     """
     pairs = all_filter_pairs(u.n)
-    all_converge = True
-    cauchy_count = 0
-    for fp in pairs:
-        if is_cauchy(u, fp):
-            cauchy_count += 1
-            if not converges_to(u, fp):
-                all_converge = False
+    all_converge = all(converges_to(u, fp) for fp in pairs if is_cauchy(u, fp))
     nbhd = {neighbourhood_pair(u, x0) for x0 in range(u.n)}
     minimal = [fp for fp in pairs if is_minimal_cauchy(u, fp)]
     minimal_are_nbhd = all(fp in nbhd for fp in minimal)
@@ -229,7 +223,6 @@ def decide_cauchy_complete(u):
         raise AssertionError("the two completeness forms disagree; machinery bug")
     return {
         "complete": all_converge,
-        "cauchy_pairs": cauchy_count,
         "minimal_are_neighbourhoods": minimal_are_nbhd,
         "minimal_pairs": [fp.key() for fp in minimal],
     }

@@ -439,7 +439,7 @@ def yoneda(x):
         col = tuple(x.a.data[s][p] for s in range(tn))
         if col not in index:
             return {"ok": False, "law": "yoneda-column-not-in-carrier", "witness": p}
-    y_map = [index[tuple(x.a.data[s][p] for s in range(tn))] for p in range(x.n)]
+        y_map.append(index[col])
     fcat = expo.category()
     y_funct = check_tvfunctor(tuple(y_map), x, fcat)
     ty = monad.tmap(tuple(y_map), x.n, expo.n)

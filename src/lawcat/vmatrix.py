@@ -259,8 +259,7 @@ def left_adjoint_map_criterion(q, bound=2, max_enum=DEFAULT_MAX_ENUM):
     Each shape still charges its whole matrix space, q.n^(nx*ny), against
     max_enum before it is listed.
     """
-    scan = tensor_complement_scan(q)
-    hypotheses = scan["hypotheses_hold"]
+    hypotheses = tensor_complement_scan(q)["hypotheses_hold"]
     non_maps = []
     adjunctions = []
     total_left = 0
@@ -287,7 +286,6 @@ def left_adjoint_map_criterion(q, bound=2, max_enum=DEFAULT_MAX_ENUM):
         "left_adjoint_count": total_left,
         "non_map_witnesses": non_maps,
         "adjunctions": adjunctions,
-        "scan": scan,
     }
 
 

@@ -432,7 +432,7 @@ def test_validation_stays_at_the_boundary(monkeypatch):
     import os
 
     from lawcat.errors import ParseError
-    from lawcat.fileio import Workspace, load_file, parse_category_text
+    from lawcat.fileio import load_file, parse_category_text
 
     q = builtin("c3")
     with pytest.raises(DimensionMismatch):
@@ -451,9 +451,9 @@ def test_validation_stays_at_the_boundary(monkeypatch):
     data_dir = os.path.join(os.path.dirname(__file__), "data")
     for name in ("chain2.vcat", "disc2pset.vcat", "notcat.vcat", "chain2u.tvcat", "pair2p.tvcat"):
         kind, parsed = load_file(os.path.join(data_dir, name))
-        _, n, matrix = parsed.resolve(Workspace())
+        _, n, matrix = parsed.resolve()
         assert matrix.cols == n
     for entry in ("m[a] = 1", "m[a,zz] = 1", "m[a,b] = 7"):
         parsed = parse_category_text(f"vcat bad over 2\nelements: a b\n{entry}\n")
         with pytest.raises(ParseError):
-            parsed.resolve(Workspace())
+            parsed.resolve()
