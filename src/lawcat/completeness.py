@@ -2,9 +2,9 @@
 
 An adjoint pair on (X, a) is a left module phi from the one-point
 category with right adjoint psi; the category is complete when every
-such pair is induced by a point.  The enumerator resolves phi from psi
-through the residual bound (adjoints are unique), with an unpruned
-reference enumeration kept for cross-checking.
+such pair is induced by a point.  Outside a theorem's reach the
+enumerator resolves phi from psi through the residual bound (adjoints
+are unique), with an unpruned reference enumeration kept for checking.
 """
 
 from __future__ import annotations
@@ -67,58 +67,54 @@ class AdjointPair:
         return f"AdjointPair(rep={self.representative})"
 
 
-def _pruned_pairs(x, kc, pcat):
-    """The adjoint pairs of enumerate_adjoint_pairs, unsorted.
-
-    Over a two-element quantale and an identity-sized monad (the identity
-    and ultrafilter monads, where kc = a) the walk of _generic_pairs runs
-    on bitmasks; everywhere else it is _generic_pairs itself, which is the
-    tested reference of this kernel.  A two-element quantale is Boolean:
-    (x) preserves the empty join, so bottom absorbs; k (x) top = top, so k
-    is top; so (x) is the meet and hom(u, w) is (not u) or w.  psi is the
-    mask P of its top coordinates and phi a mask.  The unit bound U is top
-    iff phi meets P or an unassigned coordinate.  psi[i] = bottom is barred
-    by an assigned top j with kc[i][j] = top, psi[i] = top by an assigned
-    bottom j with kc[j][i] = top, and psi[i] = top meets phi with row i of
-    a.  A leaf keeps the pair iff every t in phi has its row of a inside
-    phi, the a side of the phi law.
-    """
-    ext = x.ext
-    q = ext.q
-    if q.n != 2 or not isinstance(ext.monad, IdentityMonad):
-        return _generic_pairs(x, kc, pcat)
-    n = x.n
+def _pairs_are_representables(x):
+    """Whether the theorem of _pruned_pairs applies to x."""
+    q = x.ext.q
     top = q.top
-    arow = [sum([1 << p for p, v in enumerate(row) if v == top]) for row in x.a.data]
-    succ = [sum([1 << j for j, v in enumerate(row) if v == top]) for row in kc]
-    pred = [sum([1 << j for j, v in enumerate(col) if v == top]) for col in zip(*kc)]
-    full = (1 << n) - 1
-    cells = (q.bottom, top)
-    cols = ((q.bottom,), (top,))
-    pairs = []
+    if not isinstance(x.ext.monad, IdentityMonad) or q.unit != top:
+        return False
+    # top is join-irreducible iff not the join of all others (none: top != bottom)
+    if q.join_all([u for u in range(q.n) if u != top]) == top:
+        return False
+    tens, leq = q.tensor, q.leq
+    a = x.a.data
+    # reflexive, k = top <= a(p, p), and transitive, a(p, r) (x) a(r, s) <= a(p, s)
+    for p, row in enumerate(a):
+        if row[p] != top:
+            return False
+        for u, mid in zip(row, a):
+            tens_u = tens[u]
+            for w, v in zip(mid, row):
+                if not leq[tens_u[w]][v]:
+                    return False
+    return True
 
-    def walk(i, psi, phi):
-        # psi: the top coordinates among 0..i-1
-        if not phi & (psi | full >> i << i):
-            return
-        if i == n:
-            for t in range(n):
-                if phi >> t & 1 and arow[t] & ~phi:
-                    return
-            pairs.append(
-                AdjointPair(
-                    VMatrix.trusted(q, 1, n, (tuple([cells[phi >> p & 1] for p in range(n)]),)),
-                    VMatrix.trusted(q, n, 1, tuple([cols[psi >> t & 1] for t in range(n)])),
-                )
-            )
-            return
-        if not psi & succ[i]:
-            walk(i + 1, psi, phi)
-        if not pred[i] & ~psi & ((1 << i) - 1):
-            walk(i + 1, psi | 1 << i, phi & arow[i])
 
-    walk(0, 0, full)
-    return pairs
+def _pruned_pairs(x, kc, pcat):
+    """The adjoint pairs of enumerate_adjoint_pairs, unsorted: by a theorem
+    where it applies, else by the walk of _generic_pairs.
+
+    The theorem.  Over an identity-sized monad (id, ultra: T1 = 1, kc = a)
+    and an integral V (k = top) whose top is join-irreducible and not
+    bottom, the pairs of a category are its representables, each with its
+    point; reflexivity and transitivity make (a(p, -), a(-, p)) a pair.
+    Conversely, for a pair (phi, psi):
+    - the unit top = k <= V_p phi(p) (x) psi(p) is a finite join, so some
+      phi(p) (x) psi(p) = top, and as u (x) w <= u (x) top = u,
+      phi(p) = psi(p) = top;
+    - the module laws give psi(s) >= a(s, p) (x) psi(p) = a(s, p), phi alike;
+    - the counit gives psi(s) = psi(s) (x) phi(p) <= a(s, p), phi alike.
+    Over a one-element V the empty category's empty pair is not
+    represented; on a non-category a representable need not be a pair.
+    """
+    if not _pairs_are_representables(x):
+        return _generic_pairs(x, kc, pcat)
+    q = x.ext.q
+    n = x.n
+    return [
+        AdjointPair(VMatrix.trusted(q, 1, n, phi), VMatrix.trusted(q, n, 1, psi), p)
+        for (psi, phi), p in representables(x).items()
+    ]
 
 
 def _generic_pairs(x, kc, pcat):
@@ -355,11 +351,11 @@ def _pair_check(x, pcat):
 def enumerate_adjoint_pairs(x, oracle=False):
     """All adjoint module pairs from the one-point category into x.
 
-    The pruned path backtracks over the psi space, resolves the unique
-    left-adjoint candidate for each module and verifies the pair; with
-    oracle=True both sides are enumerated independently and crossed.
-    The enumeration is meaningful with or without a reduction gate; the
-    caller labels the verdict by completeness_gate.
+    The pruned path (_pruned_pairs) and, with oracle=True, the independent
+    crossing of both sides each first charge the psi space and extend the
+    structure, so that a budget refuses alike on both.  The enumeration is
+    meaningful with or without a reduction gate; the caller labels the
+    verdict by completeness_gate.
     """
     ext = x.ext
     q = ext.q
@@ -425,16 +421,13 @@ def decide_lawvere_complete(x, oracle=False):
     """
     gate = completeness_gate(x.ext)
     pairs = enumerate_adjoint_pairs(x, oracle)
-    index = representables(x)
-    non_rep = []
-    reps = []
-    for pair in pairs:
-        rep = index.get(pair.key())
-        pair.representative = rep
-        if rep is None:
-            non_rep.append(pair)
-        else:
-            reps.append(rep)
+    # Pairs from the theorem path of _pruned_pairs carry their representative.
+    if any(pair.representative is None for pair in pairs):
+        index = representables(x)
+        for pair in pairs:
+            pair.representative = index.get(pair.key())
+    non_rep = [pair for pair in pairs if pair.representative is None]
+    reps = [pair.representative for pair in pairs if pair.representative is not None]
     return {
         "complete": not non_rep,
         "gate": gate,

@@ -62,8 +62,8 @@ def _map_criterion_sweeps(max_enum):
     return sweeps
 
 
-def item_left_adjoint_maps(max_enum=DEFAULT_MAX_ENUM):
-    sweeps = _map_criterion_sweeps(max_enum)
+def item_left_adjoint_maps(max_enum=DEFAULT_MAX_ENUM, sweeps=None):
+    sweeps = sweeps or _map_criterion_sweeps(max_enum)
     details = {}
     ok = True
     for name, rep in sweeps.items():
@@ -84,8 +84,8 @@ def item_left_adjoint_maps(max_enum=DEFAULT_MAX_ENUM):
     return {"ok": ok, "per_quantale": details, "singleton_complement_row": example_row}
 
 
-def item_adjoint_order(max_enum=DEFAULT_MAX_ENUM):
-    sweeps = _map_criterion_sweeps(max_enum)
+def item_adjoint_order(max_enum=DEFAULT_MAX_ENUM, sweeps=None):
+    sweeps = sweeps or _map_criterion_sweeps(max_enum)
     details = {}
     ok = True
     for name, rep in sweeps.items():
@@ -312,6 +312,7 @@ REGISTRY = (
     ("quniform", item_quniform),
 )
 
+SWEEP_ITEMS = ("left-adjoint-maps", "adjoint-order")
 QUICK_ITEMS = ("quantale-laws", "left-adjoint-maps", "yoneda-v", "sober")
 # Every name `run_suite(only=...)` can select, in report order.
 ITEM_IDS = tuple(name for name, _ in REGISTRY) + ("determinism",)
@@ -319,11 +320,16 @@ ITEM_IDS = tuple(name for name, _ in REGISTRY) + ("determinism",)
 
 def run_items(only=None, max_enum=DEFAULT_MAX_ENUM):
     items = []
+    sweeps = None  # one map-criterion sweep per call, for both items that read it
     for name, fn in REGISTRY:
         if only and name not in only:
             continue
         try:
-            result = fn(max_enum)
+            if name in SWEEP_ITEMS:
+                sweeps = sweeps or _map_criterion_sweeps(max_enum)
+                result = fn(max_enum, sweeps)
+            else:
+                result = fn(max_enum)
         except BudgetExceeded as exc:
             result = {"ok": None, "skipped": True, "reason": str(exc)}
         items.append({"id": name, **result})

@@ -7,6 +7,8 @@ checks that only the tests call, so they live here.  The
 
 import random
 
+from lawcat.fileio import parse_quantale_text
+from lawcat.quantale import validate_quantale
 from lawcat.tvcat import Exponential
 from lawcat.vmatrix import VMatrix, all_matrices, precompose_map, select_cols
 
@@ -102,3 +104,29 @@ def check_embeds_maps(ext, samples=20, seed=1, size=3):
         if lhs != rhs:
             return {"ok": False, "witness": f}
     return {"ok": True}
+
+
+def group_quantale():
+    """Z/3 with a bottom and a top adjoined, tensor the group sum.
+
+    g1 and g2 are inverse units, so the right adjoint of the row (g1) is
+    (g2): unlike over the built-ins, s is not the transpose of r.
+    """
+    labels = ("bot", "g0", "g1", "g2", "top")
+
+    def tens(a, b):
+        if "bot" in (a, b):
+            return "bot"
+        if "top" in (a, b):
+            return "top"
+        return f"g{(int(a[1]) + int(b[1])) % 3}"
+
+    q = parse_quantale_text(
+        "quantale z3\n"
+        f"elements: {' '.join(labels)}\n"
+        "order: bot<=g0 bot<=g1 bot<=g2 g0<=top g1<=top g2<=top\n"
+        "unit: g0\n"
+        f"tensor: {' '.join(f'{a}*{b}={tens(a, b)}' for a in labels for b in labels)}\n"
+    )
+    assert validate_quantale(q)["ok"]
+    return q

@@ -9,7 +9,6 @@ from lawcat.completeness import (
     AdjointPair,
     _generic_pairs,
     _pair_check,
-    _pruned_pairs,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
@@ -41,6 +40,8 @@ from lawcat.tvcat import (
     unit_tvcategory,
 )
 from lawcat.vmatrix import VMatrix
+
+from support import group_quantale
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -680,53 +681,182 @@ def two_element_quantale(name):
     return q
 
 
-def assert_bitmask_kernel_matches(x):
-    # The bitmask kernel against the generic walk, called directly, and
-    # against the oracle's independent crossing of both sides.
-    kc = kleisli_table(x)
-    pcat = unit_tvcategory(x.ext)
-    kernel = sorted(p.key() for p in _pruned_pairs(x, kc, pcat))
-    assert kernel == sorted(p.key() for p in _generic_pairs(x, kc, pcat)), x.a.data
-    assert kernel == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
-    return len(kernel)
+def assert_theorem_path_matches(x):
+    # enumerate_adjoint_pairs, on the theorem path wherever it applies,
+    # against the walk, called directly, and against the oracle's
+    # independent crossing of both sides.
+    got = [p.key() for p in enumerate_adjoint_pairs(x)]
+    walk = _generic_pairs(x, kleisli_table(x), unit_tvcategory(x.ext))
+    assert got == sorted(p.key() for p in walk), x.a.data
+    assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+    return len(got)
 
 
 @pytest.mark.parametrize("mname", ["id", "ultra"])
 @pytest.mark.parametrize("qname", ["2", "pset1", "two.quantale", "top0"])
-def test_bitmask_kernel_matches_generic_walk_on_every_matrix(monads, quantales, mname, qname):
+def test_theorem_path_matches_walk_on_two_valued_matrices(monads, quantales, mname, qname):
     # Every two-valued matrix on n <= 3 points, categories or not.
     q = quantales[qname] if qname in quantales else two_element_quantale(qname)
     ext = LaxExtension(monads[mname], q)
-    assert sum(assert_bitmask_kernel_matches(x) for n in range(4) for x in all_structures(ext, n))
+    assert sum(assert_theorem_path_matches(x) for n in range(4) for x in all_structures(ext, n))
 
 
-def test_bitmask_kernel_matches_generic_walk_on_preorders(ext_factory):
+def test_theorem_path_matches_walk_on_preorders(ext_factory):
     ext = ext_factory("id", "2")
     preorders = enumerate_preorders(4)
     assert len(preorders) == 355
     for p in preorders:
-        assert assert_bitmask_kernel_matches(order_tvcategory(ext, p.leq))
+        assert assert_theorem_path_matches(order_tvcategory(ext, p.leq))
 
 
-def test_bitmask_kernel_matches_generic_walk_on_spaces(ext_factory):
+def test_theorem_path_matches_walk_on_spaces(ext_factory):
     ext = ext_factory("ultra", "2")
     rng = random.Random("bitmask/spaces")
     for _ in range(200):
         pairs = [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(7))]
         space = FiniteSpace(FinitePreorder.from_pairs(5, pairs))
-        assert assert_bitmask_kernel_matches(tvcategory_from_space(ext, space))
+        assert assert_theorem_path_matches(tvcategory_from_space(ext, space))
+
+
+# The built-ins whose unit is a join-irreducible top.
+JOIN_PRIME_UNITS = ("2", "c3", "c4", "plus2", "plus3", "pset1")
+
+
+def top_diagonal_categories(ext, n):
+    """The categories on n points over an identity-sized monad and a V with
+    k = top: the matrices with top on the diagonal (k <= a(p, p)) that
+    check_tvcategory accepts, |V|^(n(n-1)) candidates, not |V|^(n^2)."""
+    q = ext.q
+    off = [(p, r) for p in range(n) for r in range(n) if p != r]
+    cats = []
+    for flat in itertools.product(range(q.n), repeat=len(off)):
+        data = [[q.top] * n for _ in range(n)]
+        for (p, r), v in zip(off, flat):
+            data[p][r] = v
+        a = VMatrix(q, n, n, data)
+        if check_tvcategory(ext, n, a)["ok"]:
+            cats.append(TVCategory(ext, n, a))
+    return cats
+
+
+def test_theorem_path_matches_walk_on_every_small_category(ext_factory):
+    # Every id and ultra category on 1 to 3 points over the join-prime
+    # units: all take the theorem path, which equals the walk, and at
+    # n <= 2 the oracle; every pair found has its representative.
+    count = 0
+    for mname in ("id", "ultra"):
+        for qname in JOIN_PRIME_UNITS:
+            ext = ext_factory(mname, qname)
+            pcat = unit_tvcategory(ext)
+            for n in (1, 2, 3):
+                cats = top_diagonal_categories(ext, n)
+                if n <= 2:
+                    assert sorted(x.a.data for x in cats) == sorted(x.a.data for x in all_tvcategories(ext, n))
+                for x in cats:
+                    assert completeness._pairs_are_representables(x), (mname, qname, x.a.data)
+                    pairs = enumerate_adjoint_pairs(x)
+                    got = [p.key() for p in pairs]
+                    assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), pcat)), x.a.data
+                    if n <= 2:
+                        assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+                    index = representables(x)
+                    assert [p.representative for p in pairs] == [index[key] for key in got]
+                count += len(cats)
+    assert count == 5630
+
+
+def sum_chain():
+    """-inf < 0 < inf under addition: top is join-irreducible, but the unit
+    0 is below it."""
+    q = Quantale(
+        "sum3",
+        ("-inf", "0", "inf"),
+        [[u <= w for w in range(3)] for u in range(3)],
+        [[0 if 0 in (u, w) else min(2, u + w - 1) for w in range(3)] for u in range(3)],
+        unit=1,
+    )
+    assert validate_quantale(q)["ok"]
+    return q
+
+
+def product_quantale(q1, q2):
+    """The product of two quantales, ordered and multiplied coordinatewise."""
+    els = [(u1, u2) for u1 in range(q1.n) for u2 in range(q2.n)]
+    q = Quantale(
+        f"{q1.name}x{q2.name}",
+        [f"{q1.labels[u1]}|{q2.labels[u2]}" for u1, u2 in els],
+        [[q1.leq[u1][w1] and q2.leq[u2][w2] for w1, w2 in els] for u1, u2 in els],
+        [[els.index((q1.tensor[u1][w1], q2.tensor[u2][w2])) for w1, w2 in els] for u1, u2 in els],
+        unit=els.index((q1.unit, q2.unit)),
+    )
+    assert validate_quantale(q)["ok"]
+    return q
+
+
+def trivial_quantale():
+    """The one-element quantale.  It satisfies every law, but
+    validate_quantale refuses it, so its hom table is filled here."""
+    q = Quantale("one", ("*",), ((True,),), ((0,),), 0)
+    assert validate_quantale(q)["law"] == "trivial-quantale"
+    q.hom_t = ((0,),)
+    return q
+
+
+THEOREM_CASES = {
+    "zmod2": lambda: cyclic_quantale(2),
+    "z3": group_quantale,
+    "sum3": sum_chain,
+    "plus2xplus2": lambda: product_quantale(builtin("plus2"), builtin("plus2")),
+    "one": trivial_quantale,
+}
 
 
 @pytest.mark.parametrize(
-    "mname,qname,generic",
-    [("id", "2", False), ("ultra", "2", False), ("powerset", "2", True), ("id", "c3", True)],
+    "mname,qname,theorem",
+    [
+        ("id", "2", True),
+        ("ultra", "2", True),
+        ("id", "c3", True),
+        ("id", "plus3", True),
+        ("powerset", "2", False),
+        ("id", "pset2", False),
+        ("id", "zmod2", False),
+        ("id", "z3", False),
+        ("id", "sum3", False),
+        ("ultra", "plus2xplus2", False),
+        ("id", "one", False),
+    ],
 )
-def test_generic_walk_runs_only_off_the_bitmask_kernel(monkeypatch, ext_factory, mname, qname, generic):
-    calls = []
+def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quantales, mname, qname, theorem):
+    # The walk runs for no category over id/ultra and a join-irreducible
+    # top unit, and for every category elsewhere: a unit below top (zmod2,
+    # z3, sum3), a join-reducible top (pset2, and plus2 x plus2, integral
+    # but no frame), top = bottom (one) or the powerset monad.  Either way
+    # the pairs are the walk's.
+    walked = []
     walk = completeness._generic_pairs
-    monkeypatch.setattr(completeness, "_generic_pairs", lambda *args: calls.append(args) or walk(*args))
+    monkeypatch.setattr(completeness, "_generic_pairs", lambda *args: walked.append(args[0]) or walk(*args))
+    q = quantales[qname] if qname in quantales else THEOREM_CASES[qname]()
+    ext = LaxExtension(monads[mname], q)
+    pcat = unit_tvcategory(ext)
+    cats = [x for n in (0, 1, 2) for x in all_tvcategories(ext, n)]
+    for x in cats:
+        got = [p.key() for p in enumerate_adjoint_pairs(x)]
+        assert got == sorted(p.key() for p in walk(x, kleisli_table(x), pcat)), x.a.data
+    assert cats and walked == ([] if theorem else cats)
+    if qname == "one":
+        # the empty category has the empty pair, which no point represents
+        assert not decide_lawvere_complete(cats[0])["complete"]
+
+
+@pytest.mark.parametrize("mname,qname", [("id", "2"), ("ultra", "c3")])
+def test_theorem_path_runs_only_on_categories(monkeypatch, ext_factory, mname, qname):
+    walked = []
+    walk = completeness._generic_pairs
+    monkeypatch.setattr(completeness, "_generic_pairs", lambda *args: walked.append(args[0]) or walk(*args))
     ext = ext_factory(mname, qname)
-    for n in (1, 2):
-        for x in all_tvcategories(ext, n):
-            enumerate_adjoint_pairs(x)
-    assert bool(calls) == generic
+    structures = [x for n in (1, 2) for x in all_structures(ext, n)]
+    for x in structures:
+        enumerate_adjoint_pairs(x)
+    others = [x for x in structures if not check_tvcategory(ext, x.n, x.a)["ok"]]
+    assert others and walked == others

@@ -84,10 +84,12 @@ def test_random_lattice_full_stack(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
-def test_random_lattice_categories_complete(seed):
-    # categories over a meet-tensor quantale behave like generalized
-    # orders; on these carriers every pair found a representative so far,
-    # and the pruned and reference enumerations must keep agreeing
+def test_random_lattice_pruned_walk_matches_oracle(seed):
+    # The pruned enumeration against the oracle on a sample of the
+    # categories on 2 points.  Completeness is not asserted: a down-set
+    # lattice whose top is join-reducible has incomplete categories (on 2
+    # points, 24 of the 36 over each of seeds 0 and 5, and 9 of 16 over
+    # seed 1).
     from lawcat.completeness import enumerate_adjoint_pairs
 
     q = downset_quantale(seed)

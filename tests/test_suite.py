@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import lawcat.laxext
+from lawcat.errors import BudgetExceeded
 from lawcat.monad import PowersetMonad
 from lawcat.suite import _ext, item_hom_xi, item_xi_algebra
 
@@ -70,6 +71,27 @@ def test_determinism_reruns_the_quick_items_once(monkeypatch):
     report = suite.run_suite(only={"determinism"})
     assert [it["id"] for it in report["items"]] == ["determinism"] and report["ok"]
     assert len(calls) == 2
+
+
+def test_map_criterion_sweeps_run_once_per_run_items(monkeypatch):
+    import lawcat.suite as suite
+
+    swept = []
+    original = suite.left_adjoint_map_criterion
+    monkeypatch.setattr(
+        suite, "left_adjoint_map_criterion", lambda q, *args: swept.append(q.name) or original(q, *args)
+    )
+    assert [it["ok"] for it in suite.run_items(suite.SWEEP_ITEMS)] == [True, True]
+    assert swept == list(suite.ACCEPT_QUANTALES)
+    swept.clear()
+    assert suite.run_suite()["ok"]
+    # the main run, then the determinism rerun with a sweep of its own
+    assert swept == list(suite.ACCEPT_QUANTALES) * 2
+    # a refused sweep skips both items, each as it would alone
+    for item in suite.run_items(suite.SWEEP_ITEMS, 100):
+        with pytest.raises(BudgetExceeded) as err:
+            dict(suite.REGISTRY)[item["id"]](100)
+        assert item == {"id": item["id"], "ok": None, "skipped": True, "reason": str(err.value)}
 
 
 def test_report_json_matches_json_dumps():

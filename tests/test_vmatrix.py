@@ -27,6 +27,8 @@ from lawcat.vmatrix import (
     select_cols,
 )
 
+from support import group_quantale
+
 
 def check_adjunction(r, s):
     """Decide r -| s for r: X -|-> Y, s: Y -|-> X.
@@ -300,32 +302,6 @@ def reference_map_criterion(q, bound, max_enum=DEFAULT_MAX_ENUM):
         "non_map_witnesses": non_maps,
         "adjunctions": adjunctions,
     }
-
-
-def group_quantale():
-    """Z/3 with a bottom and a top adjoined, tensor the group sum.
-
-    g1 and g2 are inverse units, so the right adjoint of the row (g1) is
-    (g2): unlike over the built-ins, s is not the transpose of r.
-    """
-    labels = ("bot", "g0", "g1", "g2", "top")
-
-    def tens(a, b):
-        if "bot" in (a, b):
-            return "bot"
-        if "top" in (a, b):
-            return "top"
-        return f"g{(int(a[1]) + int(b[1])) % 3}"
-
-    q = parse_quantale_text(
-        "quantale z3\n"
-        f"elements: {' '.join(labels)}\n"
-        "order: bot<=g0 bot<=g1 bot<=g2 g0<=top g1<=top g2<=top\n"
-        "unit: g0\n"
-        f"tensor: {' '.join(f'{a}*{b}={tens(a, b)}' for a in labels for b in labels)}\n"
-    )
-    assert validate_quantale(q)["ok"]
-    return q
 
 
 def _sweep_cases():
