@@ -40,9 +40,9 @@ def _category_from_file(parsed, max_enum):
     return TVCategory(ext, n, matrix, name=parsed.name)
 
 
-def _space_extension(max_enum):
-    """The (ultrafilter, 2) extension a space is read over."""
-    return LaxExtension(builtin_monad("ultra"), builtin("2"), max_enum)
+def _two_valued(monad_name, max_enum):
+    """The (monad, 2) extension a space (ultra) or a quasi-uniformity's preorder (id) is read over."""
+    return LaxExtension(builtin_monad(monad_name), builtin("2"), max_enum)
 
 
 class InvalidObject(Exception):
@@ -130,7 +130,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(_space_extension(args.max_enum), FiniteSpace(order), args.oracle)
+        rep = sober_vs_lawvere(_two_valued("ultra", args.max_enum), FiniteSpace(order), args.oracle)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -138,7 +138,7 @@ def cmd_complete(args):
         verdict = validate_quniformity(uniformity)
         if not verdict["ok"]:
             raise InvalidObject(verdict)
-        rep = decide_lawvere_q(uniformity)
+        rep = decide_lawvere_q(_two_valued("id", args.max_enum), uniformity)
         out = {
             "kind": kind,
             "name": name,
@@ -163,7 +163,7 @@ def cmd_sober(args):
     name, labels, order = payload
     space = FiniteSpace(order)
     rep = weakly_sober(space)
-    lawvere = space_lawvere_complete(_space_extension(args.max_enum), space, args.oracle)
+    lawvere = space_lawvere_complete(_two_valued("ultra", args.max_enum), space, args.oracle)
     out = {
         "name": name,
         "weakly_sober": rep["weakly_sober"],
@@ -325,7 +325,7 @@ def cmd_complete_quniform(args):
     if not verdict["ok"]:
         _emit({"name": name, **verdict}, args.format, {"command": "quniform complete", "path": args.path})
         return 1
-    rep = decide_lawvere_q(uniformity)
+    rep = decide_lawvere_q(_two_valued("id", args.max_enum), uniformity)
     out = {
         "name": name,
         "lawvere": rep["lawvere"],

@@ -106,14 +106,23 @@ def _pruned_pairs(x, kc, pcat):
     - the counit gives psi(s) = psi(s) (x) phi(p) <= a(s, p), phi alike.
     Over a one-element V the empty category's empty pair is not
     represented; on a non-category a representable need not be a pair.
+
+    The pairs are read off the rows and columns of a, keeping the first
+    point of each, as representables(x) would index them: T1 = 1 and
+    e = id give point p the pair (a(p, -), a(-, p)), and reflexivity makes
+    every point a functor from the one-point category.
     """
     if not _pairs_are_representables(x):
         return _generic_pairs(x, kc, pcat)
     q = x.ext.q
     n = x.n
+    a = x.a.data
+    index = {}
+    for p in range(n):
+        index.setdefault((tuple([(row[p],) for row in a]), (a[p],)), p)
     return [
         AdjointPair(VMatrix.trusted(q, 1, n, phi), VMatrix.trusted(q, n, 1, psi), p)
-        for (psi, phi), p in representables(x).items()
+        for (psi, phi), p in index.items()
     ]
 
 

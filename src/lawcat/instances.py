@@ -105,10 +105,6 @@ class FiniteSpace:
         self.order = specialization
         self.n = specialization.n
 
-    def closed_sets(self):
-        """Down-sets of the specialization order, as sorted tuples."""
-        return [_points(mask) for mask in _closed_masks(_down_masks(self.order))]
-
 
 def _down_masks(order):
     """Bitmask of the points below x, for each point x."""
@@ -292,20 +288,17 @@ def companion_varset(cat, vs):
     return levels
 
 
-def is_irreducible_varset(cat, vs, positive_only=False):
+def is_irreducible_varset(cat, vs):
     """Each level meets its companion level.
 
     The infinite half-line quantifies this over strictly positive levels
     because the joint infimum may not be attained there; on a finite chain
     every infimum is a minimum, so the faithful reading includes level
-    zero (positive_only reproduces the literal form, which is strictly
-    weaker here and kept only for comparison).
+    zero.
     """
     q = cat.q
     comp = companion_varset(cat, vs)
     for u in range(q.n):
-        if positive_only and _num(q, u) == 0:
-            continue
         if not set(vs.levels[u]) & set(comp[u]):
             return False
     return True

@@ -96,20 +96,11 @@ class IdentityMonad(FiniteMonad):
 class UltrafilterMonad(IdentityMonad):
     """Ultrafilters on a finite set: all principal, indexed by their point.
 
-    Index arithmetic is that of the identity monad, but each element
-    carries its filter-family semantics through `family`, which returns
-    the up-closed, intersection-closed, prime collection of subsets.
+    Index arithmetic is that of the identity monad: the element i stands
+    for the principal ultrafilter of the subsets containing i.
     """
 
     name = "ultra"
-
-    def family(self, n, i):
-        """The principal ultrafilter at i as a frozenset of frozensets."""
-        members = []
-        for mask in range(1 << n):
-            if mask & (1 << i):
-                members.append(frozenset(b for b in range(n) if mask & (1 << b)))
-        return frozenset(members)
 
 
 class PowersetMonad(FiniteMonad):

@@ -4,11 +4,16 @@ Entourage filters on a finite carrier are principal: the up-closure of
 the intersection of the base.  Filters of subsets are principal too, so
 filter pairs are represented by their two minimum sets and all the
 Cauchy machinery becomes exact set arithmetic.  The bridge to modules
-works with filters of relations between the carrier and the point,
-again by their minima, with composition and reverse-inclusion order.
+reads filters of relations between the carrier and the point by their
+minima too: they are the module pairs of the (id, 2)-category on the
+base intersection, which the library's adjoint-pair enumeration finds.
 """
 
 from __future__ import annotations
+
+from .completeness import decide_lawvere_complete
+from .instances import enumerate_preorders
+from .tvcat import order_tvcategory
 
 
 def rel_compose(r, s):
@@ -17,14 +22,6 @@ def rel_compose(r, s):
     for (y, z) in s:
         by_src.setdefault(y, []).append(z)
     return frozenset((x, z) for (x, y) in r for z in by_src.get(y, ()))
-
-
-def rel_image(r, pts):
-    return frozenset(z for (y, z) in r if y in pts)
-
-
-def rel_preimage(r, pts):
-    return frozenset(y for (y, z) in r if z in pts)
 
 
 class QuasiUniformity:
@@ -37,17 +34,6 @@ class QuasiUniformity:
 
     def __repr__(self):
         return f"QuasiUniformity(n={self.n}, base={len(self.base)})"
-
-    def entourages(self):
-        """All relations containing the base intersection, canonical order."""
-        assert self.w is not None
-        allpairs = [(x, y) for x in range(self.n) for y in range(self.n)]
-        rest = [p for p in allpairs if p not in self.w]
-        out = []
-        for mask in range(1 << len(rest)):
-            extra = {rest[i] for i in range(len(rest)) if mask & (1 << i)}
-            out.append(self.w | extra)
-        return sorted(out, key=lambda r: sorted(r))
 
     def nbhd_left(self, x0):
         """Points reaching x0 through every entourage."""
@@ -92,7 +78,7 @@ def lax_algebra_bridge(u):
     since b.b grows with b, an entourage a has a square root b.b <= a
     among the entourages iff w.w <= a, so every entourage has one iff
     w.w <= w.  A failing law names the first failing entourage in the
-    canonical order of entourages().
+    canonical order of entourages, by their sorted pair lists.
     """
     assert u.w is not None
     w = u.w
@@ -112,7 +98,7 @@ def lax_algebra_bridge(u):
 
 
 def _first_entourage_missing(u, missing):
-    """The first entourage, in the order of entourages(), without some pair of missing.
+    """The first entourage, in the canonical order, without some pair of missing.
 
     That order compares sorted pair lists, where a list precedes its
     extensions.  So the first such entourage takes every pair up to the
@@ -228,58 +214,16 @@ def decide_cauchy_complete(u):
     }
 
 
-class RelFilterModule:
-    """Module pair candidate: principal filters of relations to and from the point.
-
-    phi_min is the minimum subset standing for the filter of relations
-    from the point into the carrier, psi_min the one towards the point.
-    """
-
-    def __init__(self, u, phi_min, psi_min):
-        self.u = u
-        self.phi = frozenset(phi_min)
-        self.psi = frozenset(psi_min)
-
-    def key(self):
-        return (tuple(sorted(self.psi)), tuple(sorted(self.phi)))
-
-    def is_phi_bimodule(self):
-        # composing with the structure filter keeps the minimum inside
-        return rel_image(self.u.w, self.phi) <= self.phi
-
-    def is_psi_bimodule(self):
-        return rel_preimage(self.u.w, self.psi) <= self.psi
-
-    def is_adjoint(self):
-        unit = bool(self.phi & self.psi)
-        counit = all((x, y) in self.u.w for x in self.psi for y in self.phi)
-        return unit and counit
-
-    def filter_pair(self):
-        return FilterPair(self.u.n, self.psi, self.phi)
-
-
-def adjoint_module_pairs(u):
-    """All adjoint bimodule pairs from and to the point, canonically ordered."""
-    out = []
-    for phi_mask in range(1, 1 << u.n):
-        phi = frozenset(x for x in range(u.n) if phi_mask & (1 << x))
-        for psi_mask in range(1, 1 << u.n):
-            psi = frozenset(x for x in range(u.n) if psi_mask & (1 << x))
-            cand = RelFilterModule(u, phi, psi)
-            if cand.is_phi_bimodule() and cand.is_psi_bimodule() and cand.is_adjoint():
-                out.append(cand)
-    out.sort(key=RelFilterModule.key)
-    return out
-
-
-def point_induced_module(u, x0):
-    """The pair cut out by the map picking x0: structure after and before it."""
-    return RelFilterModule(u, u.nbhd_right(x0), u.nbhd_left(x0))
-
-
-def decide_lawvere_q(u):
+def decide_lawvere_q(ext, u):
     """Point-representability of every adjoint module pair.
+
+    ext is the caller's (id, 2) extension.  A module pair of u is a pair of
+    principal filters of relations from and to the point, given by their
+    minima: an up-set phi and a down-set psi of w (the module laws) that
+    meet (the unit), with psi x phi inside w (the counit).  These are the
+    adjoint pairs of the (id, 2)-category on w, so decide_lawvere_complete
+    finds them.  A pair's key, (points where psi = top, points where
+    phi = top), is also the key of its filter pair (psi, phi).
 
     Returns the module-side verdict, the Cauchy-side verdict computed
     independently (with its minimal-pair form), and their agreement.  It
@@ -287,18 +231,26 @@ def decide_lawvere_q(u):
     every module pair's filter pair is minimal Cauchy; bijection, the
     module pairs give exactly the minimal Cauchy pairs.
     """
-    mods = adjoint_module_pairs(u)
-    induced = {point_induced_module(u, x0).key() for x0 in range(u.n)}
-    lawvere = all(m.key() in induced for m in mods)
+    n = u.n
+    leq_w = [[(x, y) in u.w for y in range(n)] for x in range(n)]
+    verdict = decide_lawvere_complete(order_tvcategory(ext, leq_w))
+    top = ext.q.top
+    from_mods = {
+        (
+            tuple(s for s, (v,) in enumerate(pair.psi.data) if v == top),
+            tuple(p for p, v in enumerate(pair.phi.data[0]) if v == top),
+        )
+        for pair in verdict["pairs"]
+    }
     cauchy = decide_cauchy_complete(u)
     minimal = set(cauchy["minimal_pairs"])
-    from_mods = {m.filter_pair().key() for m in mods}
     return {
-        "lawvere": lawvere,
+        "lawvere": verdict["complete"],
         "cauchy": cauchy["complete"],
         "minimal_are_neighbourhoods": cauchy["minimal_are_neighbourhoods"],
-        "agree": lawvere == cauchy["complete"],
-        "pair_count": len(mods),
+        "agree": verdict["complete"] == cauchy["complete"],
+        "pair_count": verdict["pair_count"],
+        "module_pairs": sorted(from_mods),
         "forward": from_mods <= minimal,
         "bijection": from_mods == minimal,
         "minimal_cauchy_pairs": len(minimal),
@@ -306,22 +258,24 @@ def decide_lawvere_q(u):
 
 
 def all_quniformities(n):
-    """Every quasi-uniformity generated from a base of reflexive relations."""
-    diag = frozenset((x, x) for x in range(n))
-    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
-    rels = []
-    for mask in range(1 << len(offdiag)):
-        extra = frozenset(offdiag[i] for i in range(len(offdiag)) if mask & (1 << i))
-        rels.append(diag | extra)
-    out = []
-    seen = set()
-    for r in range(1, 1 << len(rels)):
-        base = [rels[i] for i in range(len(rels)) if r & (1 << i)]
-        u = QuasiUniformity(n, base)
-        if validate_quniformity(u)["ok"] and u.w not in seen:
-            seen.add(u.w)
-            out.append(u)
-    return out
+    """Every quasi-uniformity on n points, one singleton base [w] per preorder w.
+
+    These are the distinct base intersections w of the walk over all bases
+    of reflexive relations, each kept with the first base that gives it,
+    in the walk's order.  A valid base makes w reflexive, and the
+    square-root law at w gives some v in the intersection closure with
+    v.v <= w; v contains w, so w.w <= v.v <= w: w is a preorder.  Every
+    preorder is a valid singleton base.  Relation i of the walk has the
+    i-th off-diagonal mask, and base mask r takes relation i when bit i
+    of r is set; the intersection of relations below index i has a mask
+    below i, so the walk first meets w at r = 1 << index(w), as the
+    singleton base [w].  So the walk lists the preorders in increasing
+    mask order, which is the order of enumerate_preorders.
+    """
+    return [
+        QuasiUniformity(n, [frozenset((x, y) for x in range(n) for y in range(n) if p.leq[x][y])])
+        for p in enumerate_preorders(n)
+    ]
 
 
 def curated_three_point():

@@ -277,6 +277,7 @@ def item_approach(max_enum=DEFAULT_MAX_ENUM):
 
 
 def item_quniform(max_enum=DEFAULT_MAX_ENUM):
+    ext = _ext("id", "2", max_enum)
     ok = True
     checked = 0
     uniformities = all_quniformities(2) + curated_three_point()
@@ -284,7 +285,7 @@ def item_quniform(max_enum=DEFAULT_MAX_ENUM):
         if not validate_quniformity(u)["ok"]:
             ok = False
             continue
-        rep = decide_lawvere_q(u)
+        rep = decide_lawvere_q(ext, u)
         if not (rep["agree"] and rep["bijection"] and rep["forward"]):
             ok = False
         for x0 in range(u.n):

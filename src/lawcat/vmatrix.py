@@ -89,12 +89,6 @@ class VMatrix:
         )
 
     @staticmethod
-    def identity(q, n):
-        return VMatrix(
-            q, n, n, tuple(tuple(q.unit if i == j else q.bottom for j in range(n)) for i in range(n))
-        )
-
-    @staticmethod
     def from_map(q, f, n_src, n_tgt):
         """Embed a function as a matrix: unit on the graph, bottom elsewhere."""
         f = tuple(f)
@@ -106,10 +100,6 @@ class VMatrix:
             n_tgt,
             tuple(tuple(q.unit if f[i] == j else q.bottom for j in range(n_tgt)) for i in range(n_src)),
         )
-
-    @staticmethod
-    def constant(q, rows, cols, value):
-        return VMatrix(q, rows, cols, tuple(tuple(value for _ in range(cols)) for _ in range(rows)))
 
     def is_map(self):
         """True when the matrix is the embedding of a function."""

@@ -8,9 +8,35 @@ checks that only the tests call, so they live here.  The
 import random
 
 from lawcat.fileio import parse_quantale_text
+from lawcat.instances import _closed_masks, _down_masks, _points
 from lawcat.quantale import validate_quantale
 from lawcat.tvcat import Exponential
 from lawcat.vmatrix import VMatrix, all_matrices, precompose_map, select_cols
+
+
+def identity_matrix(q, n):
+    """Unit on the diagonal, bottom elsewhere."""
+    return VMatrix(q, n, n, [[q.unit if i == j else q.bottom for j in range(n)] for i in range(n)])
+
+
+def constant_matrix(q, rows, cols, value):
+    return VMatrix(q, rows, cols, [[value] * cols for _ in range(rows)])
+
+
+def closed_sets(space):
+    """Down-sets of the specialization order, as sorted tuples, by the
+    bitmask scan that weakly_sober runs."""
+    return [_points(mask) for mask in _closed_masks(_down_masks(space.order))]
+
+
+def principal_ultrafilter(n, i):
+    """The ultrafilter at index i of the ultra monad's T(n): the subsets of
+    n containing i, as a frozenset of frozensets."""
+    members = []
+    for mask in range(1 << n):
+        if mask & (1 << i):
+            members.append(frozenset(b for b in range(n) if mask & (1 << b)))
+    return frozenset(members)
 
 
 def induced_modules(f, x, y):
@@ -82,7 +108,7 @@ def oracle_largest_structure(expo):
     q = x.q
     rows, cols = expo.structure.rows, expo.n
     x.ext.check_budget("largest-structure search", q.n ** (rows * cols))
-    best = VMatrix.constant(q, rows, cols, q.bottom)
+    best = constant_matrix(q, rows, cols, q.bottom)
     for cand_m in all_matrices(q, rows, cols, x.ext.max_enum):
         cand = Exponential(x, y, expo.carrier, cand_m, False)
         if check_evaluation_functor(cand)["ok"]:

@@ -149,6 +149,33 @@ def test_suite_sober_honours_the_budget(capsys):
     assert "SKIP sober" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["quniform", "complete"], ["complete"]])
+def test_quniform_module_side_refuses_exactly_above_needed(capsys, command):
+    # pre3.quniform has 3 points: the module side charges the psi space,
+    # 2^3 = 8, then extends the 3 x 3 structure, 9 cells
+    file = path("pre3.quniform")
+    assert main([*command, file, "--max-enum", "7"]) == 2
+    assert "error: psi space: needs 8 candidates, budget is 7" in capsys.readouterr().err
+    assert main([*command, file, "--max-enum", "8"]) == 2
+    assert "error: extended matrix size: needs 9 candidates, budget is 8" in capsys.readouterr().err
+    assert main([*command, file, "--max-enum", "9"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_quniform_check_builds_no_extension(capsys):
+    assert main(["quniform", "check", path("pre3.quniform"), "--max-enum", "1"]) == 0
+
+
+def test_suite_quniform_refuses_exactly_above_needed(capsys):
+    # the three-point spaces of the item need 9, as a file does
+    assert main(["suite", "--only", "quniform", "--max-enum", "8"]) == 0
+    assert "SKIP quniform" in capsys.readouterr().out
+    assert main(["suite", "--only", "quniform", "--max-enum", "8", "--strict"]) == 1
+    capsys.readouterr()
+    assert main(["suite", "--only", "quniform", "--max-enum", "9"]) == 0
+    assert "PASS quniform" in capsys.readouterr().out
+
+
 def test_powerset_monad_category_file(capsys):
     assert main(["check", path("pair2p.tvcat")]) == 0
     capsys.readouterr()

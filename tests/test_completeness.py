@@ -684,11 +684,16 @@ def two_element_quantale(name):
 def assert_theorem_path_matches(x):
     # enumerate_adjoint_pairs, on the theorem path wherever it applies,
     # against the walk, called directly, and against the oracle's
-    # independent crossing of both sides.
-    got = [p.key() for p in enumerate_adjoint_pairs(x)]
+    # independent crossing of both sides.  The theorem path reads its pairs
+    # and their representatives off the rows and columns of a: they are
+    # exactly the representables index.
+    pairs = enumerate_adjoint_pairs(x)
+    got = [p.key() for p in pairs]
     walk = _generic_pairs(x, kleisli_table(x), unit_tvcategory(x.ext))
     assert got == sorted(p.key() for p in walk), x.a.data
     assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+    if completeness._pairs_are_representables(x):
+        assert {p.key(): p.representative for p in pairs} == representables(x), x.a.data
     return len(got)
 
 
@@ -759,8 +764,7 @@ def test_theorem_path_matches_walk_on_every_small_category(ext_factory):
                     assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), pcat)), x.a.data
                     if n <= 2:
                         assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
-                    index = representables(x)
-                    assert [p.representative for p in pairs] == [index[key] for key in got]
+                    assert {p.key(): p.representative for p in pairs} == representables(x), x.a.data
                 count += len(cats)
     assert count == 5630
 

@@ -29,7 +29,7 @@ from lawcat.tvcat import (
 )
 from lawcat.vmatrix import VMatrix
 
-from support import check_evaluation_functor, induced_modules
+from support import check_evaluation_functor, identity_matrix, induced_modules
 
 
 def rand_matrix(rng, q, rows, cols):
@@ -68,7 +68,7 @@ def test_check_tvcategory_matches_direct_loop(ext_factory, name, max_n):
 @pytest.mark.parametrize("name", sorted(builtin_quantales()))
 def test_identity_matrix_is_a_category(ext_factory, name):
     q = builtin(name)
-    assert check_tvcategory(ext_factory("id", name), 3, VMatrix.identity(q, 3))["ok"]
+    assert check_tvcategory(ext_factory("id", name), 3, identity_matrix(q, 3))["ok"]
 
 
 @pytest.mark.parametrize("name", sorted(builtin_quantales()))

@@ -27,6 +27,8 @@ from lawcat.quantale import builtin
 from lawcat.tvcat import TVCategory, all_tvcategories
 from lawcat.vmatrix import VMatrix
 
+from support import closed_sets
+
 
 def is_valid(p):
     """Reflexivity and transitivity of a preorder's table, cell by cell."""
@@ -49,7 +51,7 @@ def closure(space, pts):
 
 def open_sets(space):
     full = set(range(space.n))
-    return [tuple(sorted(full - set(c))) for c in space.closed_sets()]
+    return [tuple(sorted(full - set(c))) for c in closed_sets(space)]
 
 
 def space_from_tvcategory(cat):
@@ -166,7 +168,7 @@ def test_bitmask_sobriety_matches_set_reference():
     ]
     for p in [p for n in range(5) for p in enumerate_preorders(n)] + seeded:
         space = FiniteSpace(p)
-        assert space.closed_sets() == reference_closed_sets(space)
+        assert closed_sets(space) == reference_closed_sets(space)
         assert weakly_sober(space) == reference_weakly_sober(space)
 
 
@@ -179,13 +181,13 @@ def test_preorder_closure():
 def test_discrete_preorder_gives_discrete_space():
     p = FinitePreorder.from_pairs(2, [])
     space = FiniteSpace(p)
-    assert len(space.closed_sets()) == 4
+    assert len(closed_sets(space)) == 4
 
 
 def test_two_chain_gives_sierpinski():
     p = FinitePreorder.from_pairs(2, [(0, 1)])
     space = FiniteSpace(p)
-    assert space.closed_sets() == [(), (0,), (0, 1)]
+    assert closed_sets(space) == [(), (0,), (0, 1)]
     assert len(open_sets(space)) == 3
 
 
@@ -260,6 +262,16 @@ def test_point_distance_is_minimum():
     assert point_distance(cat, [], 0) is None
 
 
+def positive_levels_meet_companions(cat, vs):
+    """The literal half-line form of irreducibility: only strictly positive
+    levels meet their companion levels.  Strictly weaker on a finite chain."""
+    q = cat.q
+    comp = companion_varset(cat, vs)
+    return all(
+        set(vs.levels[u]) & set(comp[u]) for u in range(q.n) if q.numeric[u] != 0
+    )
+
+
 def test_one_point_distance_one_profile_not_irreducible(ext_factory):
     # regression for the attained-infimum reading: over the real half-line
     # the positive-level form would fail at levels below one, which do not
@@ -271,7 +283,7 @@ def test_one_point_distance_one_profile_not_irreducible(ext_factory):
     row = (q.index("1"),)
     vs = variable_set_from_row(q, 1, row)
     assert is_closed_varset(cat, vs)
-    assert is_irreducible_varset(cat, vs, positive_only=True)
+    assert positive_levels_meet_companions(cat, vs)
     assert not is_irreducible_varset(cat, vs)
 
 

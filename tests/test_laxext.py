@@ -22,7 +22,7 @@ from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quant
 from lawcat.tvcat import hom_xi_category
 from lawcat.vmatrix import VMatrix
 
-from support import check_embeds_maps, oracle_largest_structure
+from support import check_embeds_maps, oracle_largest_structure, principal_ultrafilter
 
 PAIRS = [(m, q) for m in ("id", "powerset", "ultra") for q in ("2", "c3", "plus3", "pset2")]
 
@@ -66,7 +66,6 @@ def test_ultra_extension_on_principal_points(ext_factory):
     # the infimum-supremum description over filter members collapses to r
     ext = ext_factory("ultra", "c3")
     q = ext.q
-    monad = ext.monad
     rng = random.Random(4)
     for _ in range(20):
         r = rand_matrix(rng, q, 3, 2)
@@ -74,8 +73,8 @@ def test_ultra_extension_on_principal_points(ext_factory):
         for x in range(3):
             for y in range(2):
                 acc = q.top
-                for a in monad.family(3, x):
-                    for b in monad.family(2, y):
+                for a in principal_ultrafilter(3, x):
+                    for b in principal_ultrafilter(2, y):
                         best = q.bottom
                         for xx in a:
                             for yy in b:

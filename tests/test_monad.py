@@ -15,6 +15,8 @@ from lawcat.monad import (
     monad_capabilities,
 )
 
+from support import principal_ultrafilter
+
 
 def check_functor_laws(monad, max_n=3):
     """T(id) = id and T(g.f) = T(g).T(f) for all functions on small sets."""
@@ -148,15 +150,13 @@ def test_powerset_unit_is_singleton():
 def test_ultrafilters_on_three_points_are_exactly_principal():
     families = enumerate_filter_families(3)
     assert len(families) == 3
-    u = builtin_monad("ultra")
     assert sorted(families, key=sorted) == sorted(
-        (u.family(3, i) for i in range(3)), key=sorted
+        (principal_ultrafilter(3, i) for i in range(3)), key=sorted
     )
 
 
 def test_ultrafilter_family_properties():
-    u = builtin_monad("ultra")
-    fam = u.family(3, 1)
+    fam = principal_ultrafilter(3, 1)
     full = frozenset(range(3))
     for a in fam:
         for b in fam:

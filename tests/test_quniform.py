@@ -6,11 +6,14 @@ import pytest
 
 import lawcat.quniform
 from lawcat import suite
+from lawcat.errors import BudgetExceeded
 from lawcat.instances import FinitePreorder, enumerate_preorders
+from lawcat.laxext import LaxExtension
+from lawcat.monad import builtin_monad
+from lawcat.quantale import builtin
 from lawcat.quniform import (
     FilterPair,
     QuasiUniformity,
-    adjoint_module_pairs,
     all_filter_pairs,
     all_quniformities,
     cauchy_machinery,
@@ -21,7 +24,6 @@ from lawcat.quniform import (
     is_minimal_cauchy,
     lax_algebra_bridge,
     neighbourhood_pair,
-    point_induced_module,
     rel_compose,
     validate_quniformity,
 )
@@ -40,6 +42,90 @@ def preorder_quniformity(p):
         (x, y) for x in range(p.n) for y in range(p.n) if p.leq[x][y]
     )
     return QuasiUniformity(p.n, [pairs])
+
+
+def entourages(u):
+    """All relations containing the base intersection, in the canonical
+    order of their sorted pair lists."""
+    allpairs = [(x, y) for x in range(u.n) for y in range(u.n)]
+    rest = [p for p in allpairs if p not in u.w]
+    out = []
+    for mask in range(1 << len(rest)):
+        extra = {rest[i] for i in range(len(rest)) if mask & (1 << i)}
+        out.append(u.w | extra)
+    return sorted(out, key=lambda r: sorted(r))
+
+
+class RelFilterModule:
+    """Reference module pair candidate: principal filters of relations to and
+    from the point, by their minima, as frozensets.
+
+    phi_min is the minimum subset standing for the filter of relations
+    from the point into the carrier, psi_min the one towards the point.
+    """
+
+    def __init__(self, u, phi_min, psi_min):
+        self.u = u
+        self.phi = frozenset(phi_min)
+        self.psi = frozenset(psi_min)
+
+    def key(self):
+        return (tuple(sorted(self.psi)), tuple(sorted(self.phi)))
+
+    def is_phi_bimodule(self):
+        # composing with the structure filter keeps the minimum inside
+        return frozenset(z for (y, z) in self.u.w if y in self.phi) <= self.phi
+
+    def is_psi_bimodule(self):
+        return frozenset(y for (y, z) in self.u.w if z in self.psi) <= self.psi
+
+    def is_adjoint(self):
+        unit = bool(self.phi & self.psi)
+        counit = all((x, y) in self.u.w for x in self.psi for y in self.phi)
+        return unit and counit
+
+    def filter_pair(self):
+        return FilterPair(self.u.n, self.psi, self.phi)
+
+
+def adjoint_module_pairs(u):
+    """Reference: every adjoint bimodule pair from and to the point, over
+    all 4^n candidate pairs of minima, canonically ordered."""
+    out = []
+    for phi_mask in range(1, 1 << u.n):
+        phi = frozenset(x for x in range(u.n) if phi_mask & (1 << x))
+        for psi_mask in range(1, 1 << u.n):
+            psi = frozenset(x for x in range(u.n) if psi_mask & (1 << x))
+            cand = RelFilterModule(u, phi, psi)
+            if cand.is_phi_bimodule() and cand.is_psi_bimodule() and cand.is_adjoint():
+                out.append(cand)
+    out.sort(key=RelFilterModule.key)
+    return out
+
+
+def point_induced_module(u, x0):
+    """The pair cut out by the map picking x0: structure after and before it."""
+    return RelFilterModule(u, u.nbhd_right(x0), u.nbhd_left(x0))
+
+
+def walked_quniformities(n):
+    """Reference: the walk over all 2^(2^(n(n-1))) bases of reflexive
+    relations, keeping the first valid base for each base intersection."""
+    diag = frozenset((x, x) for x in range(n))
+    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+    rels = []
+    for mask in range(1 << len(offdiag)):
+        extra = frozenset(offdiag[i] for i in range(len(offdiag)) if mask & (1 << i))
+        rels.append(diag | extra)
+    out = []
+    seen = set()
+    for r in range(1, 1 << len(rels)):
+        base = [rels[i] for i in range(len(rels)) if r & (1 << i)]
+        u = QuasiUniformity(n, base)
+        if validate_quniformity(u)["ok"] and u.w not in seen:
+            seen.add(u.w)
+            out.append(u)
+    return out
 
 
 def check_uniform_continuity(f, u, v):
@@ -196,7 +282,7 @@ def test_lax_algebra_bridge_and_entourage_count():
 
 def materialised_bridge(u):
     """Reference bridge: both laws searched over every listed entourage."""
-    ents = u.entourages()
+    ents = entourages(u)
     for a in ents:
         for x in range(u.n):
             if (x, x) not in a:
@@ -331,10 +417,11 @@ def test_minimality_by_one_point_extension_matches_the_full_search():
     assert checked == 63588 and 0 < minimal < checked
 
 
-def test_decide_lawvere_q_reports_the_reference_bridge():
+def test_decide_lawvere_q_reports_the_reference_bridge(ext_factory):
+    ext = ext_factory("id", "2")
     bijections = set()
     for u in suite_uniformities() + preorder_bases(3):
-        rep = decide_lawvere_q(u)
+        rep = decide_lawvere_q(ext, u)
         bridge = reference_bridge(u)
         assert rep["pair_count"] == bridge["module_pairs"]
         for key in ("forward", "bijection", "minimal_cauchy_pairs"):
@@ -345,13 +432,13 @@ def test_decide_lawvere_q_reports_the_reference_bridge():
 
 def test_item_quniform_enumerates_module_pairs_once_per_uniformity(monkeypatch):
     calls = []
-    original = lawcat.quniform.adjoint_module_pairs
+    original = lawcat.quniform.decide_lawvere_complete
 
-    def counted(u):
-        calls.append(u)
-        return original(u)
+    def counted(x):
+        calls.append(x)
+        return original(x)
 
-    monkeypatch.setattr(lawcat.quniform, "adjoint_module_pairs", counted)
+    monkeypatch.setattr(lawcat.quniform, "decide_lawvere_complete", counted)
     assert suite.item_quniform() == {"ok": True, "uniformities": 13}
     assert len(calls) == 13
 
@@ -362,20 +449,20 @@ def test_complete_discrete_and_indiscrete():
         assert rep["complete"] and rep["minimal_are_neighbourhoods"]
 
 
-def test_all_two_point_uniformities_complete_and_bridge():
+def test_all_two_point_uniformities_complete_and_bridge(ext_factory):
     us = all_quniformities(2)
     assert len(us) == 4
     for u in us:
         assert decide_cauchy_complete(u)["complete"]
-        rep = decide_lawvere_q(u)
+        rep = decide_lawvere_q(ext_factory("id", "2"), u)
         assert rep["forward"] and rep["bijection"]
         assert rep["agree"] and rep["lawvere"]
 
 
-def test_curated_three_point_sweep():
+def test_curated_three_point_sweep(ext_factory):
     for u in curated_three_point():
         assert validate_quniformity(u)["ok"]
-        rep = decide_lawvere_q(u)
+        rep = decide_lawvere_q(ext_factory("id", "2"), u)
         assert rep["forward"] and rep["bijection"]
         assert rep["agree"]
 
@@ -388,9 +475,9 @@ def test_point_induced_pair_maps_to_neighbourhood_filter():
             assert mod.filter_pair() == neighbourhood_pair(u, x0)
 
 
-def test_filter_pair_count_matches_module_pairs():
+def test_filter_pair_count_matches_module_pairs(ext_factory):
     for u in all_quniformities(2) + curated_three_point():
-        rep = decide_lawvere_q(u)
+        rep = decide_lawvere_q(ext_factory("id", "2"), u)
         assert rep["pair_count"] == rep["minimal_cauchy_pairs"]
 
 
@@ -398,8 +485,6 @@ def test_adjunction_inequalities_decompose_into_filter_and_cauchy():
     # raw pairs: the unit says the two minima intersect, the counit says
     # their rectangle fits the entourage minimum; together they say the
     # induced pair is Cauchy, and adding the module laws says minimal
-    from lawcat.quniform import RelFilterModule
-
     for u in all_quniformities(2) + curated_three_point():
         n = u.n
         for fmask, gmask in itertools.product(range(1, 1 << n), repeat=2):
@@ -419,9 +504,9 @@ def test_adjunction_inequalities_decompose_into_filter_and_cauchy():
 
 def test_up_closure_idempotent():
     u = preorder_quniformity(FinitePreorder.from_pairs(3, [(0, 1)]))
-    again = QuasiUniformity(u.n, u.entourages())
+    again = QuasiUniformity(u.n, entourages(u))
     assert again.w == u.w
-    assert again.entourages() == u.entourages()
+    assert entourages(again) == entourages(u)
 
 
 def test_up_closure_independent_of_base_presentation():
@@ -430,4 +515,58 @@ def test_up_closure_independent_of_base_presentation():
     full = frozenset({(0, 0), (1, 1), (0, 1), (1, 0)})
     u1 = QuasiUniformity(2, [w])
     u2 = QuasiUniformity(2, [w, full])
-    assert u1.entourages() == u2.entourages()
+    assert entourages(u1) == entourages(u2)
+
+
+def test_module_pairs_match_the_frozenset_reference_on_every_small_space(ext_factory):
+    # Every quasi-uniformity on 1 to 4 points: the adjoint pairs of the
+    # (id, 2)-category on w are the reference's pairs of minima.
+    ext = ext_factory("id", "2")
+    spaces = [u for n in range(1, 5) for u in all_quniformities(n)]
+    assert len(spaces) == 389
+    for u in spaces:
+        rep = decide_lawvere_q(ext, u)
+        mods = adjoint_module_pairs(u)
+        induced = {point_induced_module(u, x0).key() for x0 in range(u.n)}
+        assert rep["module_pairs"] == [m.key() for m in mods], sorted(u.w)
+        assert rep["pair_count"] == len(mods)
+        assert rep["lawvere"] and all(m.key() in induced for m in mods)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_all_quniformities_matches_the_walk_over_bases(n):
+    walked = walked_quniformities(n)
+    listed = all_quniformities(n)
+    assert [(u.n, u.base) for u in listed] == [(u.n, u.base) for u in walked]
+    assert len(listed) == [1, 1, 4][n]
+
+
+def test_curated_spaces_are_among_the_three_point_preorders():
+    spaces = {u.w for u in all_quniformities(3)}
+    assert len(spaces) == 29
+    curated = curated_three_point()
+    assert len(curated) == 9
+    assert all(u.w in spaces for u in curated)
+
+
+@pytest.mark.parametrize(
+    "n,what,needed",
+    [(1, "psi space", 2), (2, "psi space", 4), (3, "extended matrix size", 9)],
+    ids=["n1", "n2", "n3"],
+)
+def test_module_side_refuses_exactly_above_needed(n, what, needed):
+    # max(2^n psi points, n^2 cells of the extended structure); on 3 points
+    # the psi space (8) refuses first below 8
+    u = all_quniformities(n)[-1]
+
+    def run(budget):
+        return decide_lawvere_q(LaxExtension(builtin_monad("id"), builtin("2"), budget), u)
+
+    with pytest.raises(BudgetExceeded) as info:
+        run(needed - 1)
+    assert (info.value.what, info.value.needed, info.value.budget) == (what, needed, needed - 1)
+    assert run(needed)["agree"]
+    if n == 3:
+        with pytest.raises(BudgetExceeded) as info:
+            run(7)
+        assert (info.value.what, info.value.needed) == ("psi space", 8)

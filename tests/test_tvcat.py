@@ -32,7 +32,7 @@ from lawcat.tvcat import (
 )
 from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
 
-from support import check_evaluation_functor, induced_modules, oracle_largest_structure
+from support import check_evaluation_functor, closed_sets, induced_modules, oracle_largest_structure
 
 
 def functor_module_equivalence(f, x, y):
@@ -442,7 +442,7 @@ def test_subset_indicators_as_modules_match_closedness(ext_factory):
         space = FiniteSpace(order)
         cat = tvcategory_from_space(ext, space)
         point = unit_tvcategory(ext)
-        closed = {tuple(sorted(c)) for c in space.closed_sets()}
+        closed = {tuple(sorted(c)) for c in closed_sets(space)}
         for mask in range(1 << 2):
             pts = tuple(sorted(x for x in range(2) if mask & (1 << x)))
             phi = VMatrix(q, 1, 2, (tuple(q.unit if x in pts else q.bottom for x in range(2)),))

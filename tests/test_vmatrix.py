@@ -27,7 +27,7 @@ from lawcat.vmatrix import (
     select_cols,
 )
 
-from support import group_quantale
+from support import constant_matrix, group_quantale, identity_matrix
 
 
 def check_adjunction(r, s):
@@ -48,7 +48,7 @@ def check_adjunction(r, s):
             unit_fail.append(x)
     counit_fail = []
     rs = mcompose(r, s)
-    eye = VMatrix.identity(q, r.cols)
+    eye = identity_matrix(q, r.cols)
     for y in range(r.cols):
         for y2 in range(r.cols):
             if not q.le(rs.data[y][y2], eye.data[y][y2]):
@@ -115,8 +115,8 @@ def test_identity_is_neutral_and_composition_associative():
         r = rand_matrix(rng, q, 2, 3)
         s = rand_matrix(rng, q, 3, 2)
         t = rand_matrix(rng, q, 2, 2)
-        assert mcompose(VMatrix.identity(q, 3), r) == r
-        assert mcompose(r, VMatrix.identity(q, 2)) == r
+        assert mcompose(identity_matrix(q, 3), r) == r
+        assert mcompose(r, identity_matrix(q, 2)) == r
         assert mcompose(t, mcompose(s, r)) == mcompose(mcompose(t, s), r)
 
 
@@ -128,7 +128,7 @@ def test_transpose_involution_and_antihomomorphism():
         s = rand_matrix(rng, q, 3, 2)
         assert r.transpose().transpose() == r
         assert mcompose(s, r).transpose() == mcompose(r.transpose(), s.transpose())
-    assert VMatrix.identity(q, 3).transpose() == VMatrix.identity(q, 3)
+    assert identity_matrix(q, 3).transpose() == identity_matrix(q, 3)
 
 
 def test_transpose_preserves_order():
@@ -143,7 +143,7 @@ def test_transpose_preserves_order():
 
 def test_from_map_identity_and_functoriality():
     q = builtin("2")
-    assert VMatrix.from_map(q, (0, 1), 2, 2) == VMatrix.identity(q, 2)
+    assert VMatrix.from_map(q, (0, 1), 2, 2) == identity_matrix(q, 2)
     f = (1, 0, 1)
     g = (0, 0)
     fg = tuple(g[f[x]] for x in range(3))
@@ -187,7 +187,7 @@ def test_singleton_valued_row_is_adjoint_but_not_map():
 
 def test_bottom_matrix_is_not_left_adjoint():
     q = builtin("2")
-    r = VMatrix.constant(q, 2, 2, q.bottom)
+    r = constant_matrix(q, 2, 2, q.bottom)
     verdict = check_adjunction(r, r.transpose())
     assert not verdict["is_adjoint"]
     assert verdict["unit_failures"]
@@ -396,12 +396,12 @@ def test_composition_monotone_in_both_arguments():
 def test_cross_quantale_and_shape_errors():
     q2 = builtin("2")
     q3 = builtin("c3")
-    a = VMatrix.identity(q2, 2)
-    b = VMatrix.identity(q3, 2)
+    a = identity_matrix(q2, 2)
+    b = identity_matrix(q3, 2)
     with pytest.raises(QuantaleMismatch):
         mcompose(a, b)
     with pytest.raises(DimensionMismatch):
-        mcompose(a, VMatrix.constant(q2, 2, 3, 0))
+        mcompose(a, constant_matrix(q2, 2, 3, 0))
 
 
 def test_validation_stays_at_the_boundary(monkeypatch):
