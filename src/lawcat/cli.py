@@ -16,9 +16,9 @@ from .fileio import load_file, matrix_lines
 from .instances import FiniteSpace, sober_vs_lawvere, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
-from .quantale import builtin, validate_quantale
+from .quantale import validate_quantale
 from .quniform import decide_lawvere_q, lax_algebra_bridge, validate_quniformity
-from .suite import DEFAULT_MAX_ENUM, ITEM_IDS, report_json, run_suite, suite_json
+from .suite import DEFAULT_MAX_ENUM, ITEM_IDS, _ext, report_json, run_suite, suite_json
 from .tvcat import TVCategory, check_tvcategory, dual_tvcategory, yoneda as tv_yoneda
 
 
@@ -38,11 +38,6 @@ def _category_from_file(parsed, max_enum):
     q, n, matrix = parsed.resolve()
     ext = LaxExtension(builtin_monad(parsed.monad_name), q, max_enum)
     return TVCategory(ext, n, matrix, name=parsed.name)
-
-
-def _two_valued(monad_name, max_enum):
-    """The (monad, 2) extension a space (ultra) or a quasi-uniformity's preorder (id) is read over."""
-    return LaxExtension(builtin_monad(monad_name), builtin("2"), max_enum)
 
 
 class InvalidObject(Exception):
@@ -100,7 +95,7 @@ def cmd_complete(args):
     if args.builtin:
         if args.builtin != "v-hom":
             raise ParseError("<args>", 0, f"unknown builtin target {args.builtin!r}")
-        ext = LaxExtension(builtin_monad(args.monad), builtin(args.quantale), args.max_enum)
+        ext = _ext(args.monad, args.quantale, args.max_enum)
         rep = certify_v_complete(ext, oracle=args.oracle)
         _emit(
             {"target": f"(V,hom_xi) over {args.quantale} monad {args.monad}", **rep},
@@ -130,7 +125,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(_two_valued("ultra", args.max_enum), FiniteSpace(order), args.oracle)
+        rep = sober_vs_lawvere(_ext("ultra", "2", args.max_enum), FiniteSpace(order), args.oracle)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -138,7 +133,7 @@ def cmd_complete(args):
         verdict = validate_quniformity(uniformity)
         if not verdict["ok"]:
             raise InvalidObject(verdict)
-        rep = decide_lawvere_q(_two_valued("id", args.max_enum), uniformity)
+        rep = decide_lawvere_q(_ext("id", "2", args.max_enum), uniformity, args.oracle)
         out = {
             "kind": kind,
             "name": name,
@@ -163,7 +158,7 @@ def cmd_sober(args):
     name, labels, order = payload
     space = FiniteSpace(order)
     rep = weakly_sober(space)
-    lawvere = space_lawvere_complete(_two_valued("ultra", args.max_enum), space, args.oracle)
+    lawvere = space_lawvere_complete(_ext("ultra", "2", args.max_enum), space, args.oracle)
     out = {
         "name": name,
         "weakly_sober": rep["weakly_sober"],
@@ -325,7 +320,7 @@ def cmd_complete_quniform(args):
     if not verdict["ok"]:
         _emit({"name": name, **verdict}, args.format, {"command": "quniform complete", "path": args.path})
         return 1
-    rep = decide_lawvere_q(_two_valued("id", args.max_enum), uniformity)
+    rep = decide_lawvere_q(_ext("id", "2", args.max_enum), uniformity, args.oracle)
     out = {
         "name": name,
         "lawvere": rep["lawvere"],

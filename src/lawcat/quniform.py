@@ -1,18 +1,21 @@
 """Quasi-uniform spaces as filters of reflexive relations, at finite scale.
 
 Entourage filters on a finite carrier are principal: the up-closure of
-the intersection of the base.  Filters of subsets are principal too, so
-filter pairs are represented by their two minimum sets and all the
-Cauchy machinery becomes exact set arithmetic.  The bridge to modules
-reads filters of relations between the carrier and the point by their
-minima too: they are the module pairs of the (id, 2)-category on the
-base intersection, which the library's adjoint-pair enumeration finds.
+the intersection w of the base, which is a preorder.  Filters of subsets
+are principal too, so a filter pair is its two minimum sets, as bitmasks,
+and the Cauchy machinery is read on w's down and up masks: Cauchy,
+convergence and neighbourhood pairs are mask inclusions, and a pair is
+minimal Cauchy iff each side is the meet of the other's masks
+(is_minimal_pair).  The bridge to modules reads filters of relations
+between the carrier and the point by their minima too: they are the
+module pairs of the (id, 2)-category on w, which the library's
+adjoint-pair enumeration finds.
 """
 
 from __future__ import annotations
 
 from .completeness import decide_lawvere_complete
-from .instances import enumerate_preorders
+from .instances import _points, enumerate_preorders
 from .tvcat import order_tvcategory
 
 
@@ -34,13 +37,6 @@ class QuasiUniformity:
 
     def __repr__(self):
         return f"QuasiUniformity(n={self.n}, base={len(self.base)})"
-
-    def nbhd_left(self, x0):
-        """Points reaching x0 through every entourage."""
-        return frozenset(x for x in range(self.n) if (x, x0) in self.w)
-
-    def nbhd_right(self, x0):
-        return frozenset(y for y in range(self.n) if (x0, y) in self.w)
 
 
 def validate_quniformity(u):
@@ -112,118 +108,86 @@ def _first_entourage_missing(u, missing):
     return frozenset(p for p in pairs if p <= top and p != last)
 
 
-class FilterPair:
-    """Pair of principal subset filters with pairwise intersection."""
-
-    def __init__(self, n, left_min, right_min):
-        self.n = n
-        self.left = frozenset(left_min)
-        self.right = frozenset(right_min)
-        if not self.left or not self.right:
-            raise ValueError("improper filter in pair")
-        if not self.left & self.right:
-            raise ValueError("filter pair members must intersect")
-
-    def key(self):
-        return (tuple(sorted(self.left)), tuple(sorted(self.right)))
-
-    def __eq__(self, other):
-        return isinstance(other, FilterPair) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"FilterPair({sorted(self.left)}, {sorted(self.right)})"
+def w_masks(u):
+    """w's masks: down[y] holds the points x, and up[x] the points y, with (x, y) in w."""
+    down, up = [0] * u.n, [0] * u.n
+    for x, y in u.w:
+        down[y] |= 1 << x
+        up[x] |= 1 << y
+    return down, up
 
 
-def is_cauchy(u, fp):
-    """Some member rectangle fits inside every entourage."""
-    return all((x, y) in u.w for x in fp.left for y in fp.right)
-
-
-def converges_to(u, fp):
-    """All points x0 with the pair inside the two neighbourhood filters."""
-    out = []
-    for x0 in range(u.n):
-        if fp.left <= u.nbhd_left(x0) and fp.right <= u.nbhd_right(x0):
-            out.append(x0)
+def meet(masks, points):
+    """The meet of masks[x] over the points x of the mask points."""
+    out = (1 << len(masks)) - 1
+    for x in _points(points):
+        out &= masks[x]
     return out
 
 
-def is_minimal_cauchy(u, fp):
-    """Cauchy, and no strictly coarser pair (larger minima) is Cauchy.
+def is_minimal_pair(down, up, left, right):
+    """A filter pair (left, right) is minimal Cauchy iff right = U(left) and left = D(right).
 
+    U(L) is the meet of up over L and D(R) the meet of down over R, so
+    L x R lies inside w iff R <= U(L), iff L <= D(R): that is Cauchy.
     Being Cauchy is inherited by finer pairs: a smaller rectangle inside w
-    stays inside w.  A coarser Cauchy pair (L, R) contains the one-point
-    extension of fp by any point of L or R outside fp's minima, which is
-    then Cauchy too.  So it suffices to try the pairs that add one point to
-    one side.
+    stays inside w.  A coarser Cauchy pair (L', R') contains the one-point
+    extension of (L, R) by any point of L' or R' outside L or R, which is
+    then Cauchy too.  So (L, R) is minimal iff it is Cauchy and no pair
+    that adds one point to one side is.  Adding y to R keeps it Cauchy iff
+    y is in U(L), and adding x to L iff x is in D(R); so no one-point
+    extension is Cauchy iff U(L) <= R and D(R) <= L, which with Cauchy
+    is R = U(L) and L = D(R).
     """
-    if not is_cauchy(u, fp):
-        return False
-    w = u.w
-    left_ext = (x for x in range(u.n) if x not in fp.left)
-    if any(all((x, y) in w for y in fp.right) for x in left_ext):
-        return False
-    right_ext = (y for y in range(u.n) if y not in fp.right)
-    return not any(all((x, y) in w for x in fp.left) for y in right_ext)
-
-
-def neighbourhood_pair(u, x0):
-    return FilterPair(u.n, u.nbhd_left(x0), u.nbhd_right(x0))
-
-
-def cauchy_machinery(u, fp):
-    return {
-        "is_cauchy": is_cauchy(u, fp),
-        "converges_to": converges_to(u, fp),
-        "is_minimal": is_minimal_cauchy(u, fp),
-    }
-
-
-def all_filter_pairs(n):
-    subsets = []
-    for mask in range(1, 1 << n):
-        subsets.append(frozenset(x for x in range(n) if mask & (1 << x)))
-    out = []
-    for left in subsets:
-        for right in subsets:
-            if left & right:
-                out.append(FilterPair(n, left, right))
-    return out
+    return right == meet(up, left) and left == meet(down, right)
 
 
 def decide_cauchy_complete(u):
     """Both forms of completeness, computed independently and compared.
 
     (i) every Cauchy filter pair converges; (ii) every minimal Cauchy
-    filter pair is a neighbourhood pair.
+    filter pair is a neighbourhood pair.  A filter pair is given by its two
+    minima, nonempty intersecting masks (L, R); it is Cauchy iff
+    R <= U(L), and it converges to x0 iff L <= down[x0] and R <= up[x0];
+    the neighbourhood pair of x0 is (down[x0], up[x0]); minimality is
+    is_minimal_pair, so the one candidate partner of L is U(L).  So
+    minimal_pairs lists the minimal pairs, as point tuples, in increasing
+    (L, R), the order of the frozenset enumeration it replaces.
     """
-    pairs = all_filter_pairs(u.n)
-    all_converge = all(converges_to(u, fp) for fp in pairs if is_cauchy(u, fp))
-    nbhd = {neighbourhood_pair(u, x0) for x0 in range(u.n)}
-    minimal = [fp for fp in pairs if is_minimal_cauchy(u, fp)]
-    minimal_are_nbhd = all(fp in nbhd for fp in minimal)
+    down, up = w_masks(u)
+    nbhd = list(zip(down, up))
+    all_converge = True
+    minimal = []
+    for left in range(1, 1 << u.n):
+        cauchy_right = meet(up, left)
+        for right in range(1, 1 << u.n):
+            if left & right and not right & ~cauchy_right:
+                if not any(not left & ~d and not right & ~r for d, r in nbhd):
+                    all_converge = False
+        if left & cauchy_right and is_minimal_pair(down, up, left, cauchy_right):
+            minimal.append((left, cauchy_right))
+    minimal_are_nbhd = all(pair in nbhd for pair in minimal)
     if all_converge != minimal_are_nbhd:
         raise AssertionError("the two completeness forms disagree; machinery bug")
     return {
         "complete": all_converge,
         "minimal_are_neighbourhoods": minimal_are_nbhd,
-        "minimal_pairs": [fp.key() for fp in minimal],
+        "minimal_pairs": [(_points(left), _points(right)) for left, right in minimal],
     }
 
 
-def decide_lawvere_q(ext, u):
+def decide_lawvere_q(ext, u, oracle=False):
     """Point-representability of every adjoint module pair.
 
-    ext is the caller's (id, 2) extension.  A module pair of u is a pair of
-    principal filters of relations from and to the point, given by their
-    minima: an up-set phi and a down-set psi of w (the module laws) that
-    meet (the unit), with psi x phi inside w (the counit).  These are the
-    adjoint pairs of the (id, 2)-category on w, so decide_lawvere_complete
-    finds them.  A pair's key, (points where psi = top, points where
-    phi = top), is also the key of its filter pair (psi, phi).
+    ext is the caller's (id, 2) extension; oracle=True asks
+    decide_lawvere_complete for its unpruned reference enumeration.  A
+    module pair of u is a pair of principal filters of relations from and
+    to the point, given by their minima: an up-set phi and a down-set psi
+    of w (the module laws) that meet (the unit), with psi x phi inside w
+    (the counit).  These are the adjoint pairs of the (id, 2)-category on
+    w, so decide_lawvere_complete finds them.  A pair's key, (points where
+    psi = top, points where phi = top), is also the key of its filter pair
+    (psi, phi).
 
     Returns the module-side verdict, the Cauchy-side verdict computed
     independently (with its minimal-pair form), and their agreement.  It
@@ -233,7 +197,7 @@ def decide_lawvere_q(ext, u):
     """
     n = u.n
     leq_w = [[(x, y) in u.w for y in range(n)] for x in range(n)]
-    verdict = decide_lawvere_complete(order_tvcategory(ext, leq_w))
+    verdict = decide_lawvere_complete(order_tvcategory(ext, leq_w), oracle)
     top = ext.q.top
     from_mods = {
         (

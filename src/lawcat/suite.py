@@ -22,11 +22,12 @@ from .monad import builtin_monads
 from .quantale import builtin, builtin_quantales, validate_quantale
 from .quniform import (
     all_quniformities,
-    cauchy_machinery,
     curated_three_point,
     decide_lawvere_q,
-    neighbourhood_pair,
+    is_minimal_pair,
+    meet,
     validate_quniformity,
+    w_masks,
 )
 from .tvcat import (
     all_tvcategories,
@@ -288,9 +289,10 @@ def item_quniform(max_enum=DEFAULT_MAX_ENUM):
         rep = decide_lawvere_q(ext, u)
         if not (rep["agree"] and rep["bijection"] and rep["forward"]):
             ok = False
-        for x0 in range(u.n):
-            machinery = cauchy_machinery(u, neighbourhood_pair(u, x0))
-            if not (machinery["is_cauchy"] and machinery["is_minimal"]):
+        down, up = w_masks(u)
+        for left, right in zip(down, up):
+            cauchy = not right & ~meet(up, left)
+            if not (cauchy and is_minimal_pair(down, up, left, right)):
                 ok = False
         checked += 1
     return {"ok": ok, "uniformities": checked}

@@ -196,14 +196,24 @@ def test_oracle_flag_reproduces_pruned_verdict(capsys):
 
 @pytest.mark.parametrize(
     "command,name",
-    [("complete", "chain2.vcat"), ("complete", "sierpinski.space"), ("sober", "sierpinski.space")],
+    [
+        ("complete", "chain2.vcat"),
+        ("complete", "sierpinski.space"),
+        ("sober", "sierpinski.space"),
+        ("quniform complete", "pre3.quniform"),
+        ("complete", "pre3.quniform"),
+    ],
 )
 def test_oracle_enumerates_the_pair_space(capsys, command, name):
     # On two points the oracle crosses 4 psi with 4 phi candidates; the
-    # pruned path needs only the 4 psi.
-    assert main([command, path(name), "--max-enum", "4"]) == 0
-    assert main([command, path(name), "--oracle", "--max-enum", "4"]) == 2
-    assert "pair space: needs 16 candidates, budget is 4" in capsys.readouterr().err
+    # pruned path needs only the 4 psi.  On the three points of a
+    # quasi-uniformity's preorder it crosses 8 with 8, where the pruned
+    # path needs the 9 cells of the extended structure.
+    budget, needed = ("9", 64) if name == "pre3.quniform" else ("4", 16)
+    argv = [*command.split(), path(name), "--max-enum", budget]
+    assert main(argv) == 0
+    assert main([*argv, "--oracle"]) == 2
+    assert f"pair space: needs {needed} candidates, budget is {budget}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sober", "complete"])

@@ -12,20 +12,16 @@ from lawcat.laxext import LaxExtension
 from lawcat.monad import builtin_monad
 from lawcat.quantale import builtin
 from lawcat.quniform import (
-    FilterPair,
     QuasiUniformity,
-    all_filter_pairs,
     all_quniformities,
-    cauchy_machinery,
     curated_three_point,
     decide_cauchy_complete,
     decide_lawvere_q,
-    is_cauchy,
-    is_minimal_cauchy,
+    is_minimal_pair,
     lax_algebra_bridge,
-    neighbourhood_pair,
     rel_compose,
     validate_quniformity,
+    w_masks,
 )
 
 
@@ -54,6 +50,111 @@ def entourages(u):
         extra = {rest[i] for i in range(len(rest)) if mask & (1 << i)}
         out.append(u.w | extra)
     return sorted(out, key=lambda r: sorted(r))
+
+
+def nbhd_left(u, x0):
+    """Points reaching x0 through every entourage."""
+    return frozenset(x for x in range(u.n) if (x, x0) in u.w)
+
+
+def nbhd_right(u, x0):
+    return frozenset(y for y in range(u.n) if (x0, y) in u.w)
+
+
+class FilterPair:
+    """Reference filter pair: principal subset filters with pairwise
+    intersection, by their minima, as frozensets."""
+
+    def __init__(self, n, left_min, right_min):
+        self.n = n
+        self.left = frozenset(left_min)
+        self.right = frozenset(right_min)
+        if not self.left or not self.right:
+            raise ValueError("improper filter in pair")
+        if not self.left & self.right:
+            raise ValueError("filter pair members must intersect")
+
+    def key(self):
+        return (tuple(sorted(self.left)), tuple(sorted(self.right)))
+
+    def __eq__(self, other):
+        return isinstance(other, FilterPair) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return f"FilterPair({sorted(self.left)}, {sorted(self.right)})"
+
+
+def is_cauchy(u, fp):
+    """Some member rectangle fits inside every entourage."""
+    return all((x, y) in u.w for x in fp.left for y in fp.right)
+
+
+def converges_to(u, fp):
+    """All points x0 with the pair inside the two neighbourhood filters."""
+    out = []
+    for x0 in range(u.n):
+        if fp.left <= nbhd_left(u, x0) and fp.right <= nbhd_right(u, x0):
+            out.append(x0)
+    return out
+
+
+def is_minimal_cauchy(u, fp):
+    """Cauchy, and no pair that adds one point to one side is Cauchy
+    (the proof that this suffices is in quniform.is_minimal_pair)."""
+    if not is_cauchy(u, fp):
+        return False
+    w = u.w
+    left_ext = (x for x in range(u.n) if x not in fp.left)
+    if any(all((x, y) in w for y in fp.right) for x in left_ext):
+        return False
+    right_ext = (y for y in range(u.n) if y not in fp.right)
+    return not any(all((x, y) in w for x in fp.left) for y in right_ext)
+
+
+def neighbourhood_pair(u, x0):
+    return FilterPair(u.n, nbhd_left(u, x0), nbhd_right(u, x0))
+
+
+def cauchy_machinery(u, fp):
+    return {
+        "is_cauchy": is_cauchy(u, fp),
+        "converges_to": converges_to(u, fp),
+        "is_minimal": is_minimal_cauchy(u, fp),
+    }
+
+
+def all_filter_pairs(n):
+    subsets = []
+    for mask in range(1, 1 << n):
+        subsets.append(frozenset(x for x in range(n) if mask & (1 << x)))
+    out = []
+    for left in subsets:
+        for right in subsets:
+            if left & right:
+                out.append(FilterPair(n, left, right))
+    return out
+
+
+def reference_cauchy_complete(u):
+    """decide_cauchy_complete over all 4^n frozenset filter pairs."""
+    pairs = all_filter_pairs(u.n)
+    all_converge = all(converges_to(u, fp) for fp in pairs if is_cauchy(u, fp))
+    nbhd = {neighbourhood_pair(u, x0) for x0 in range(u.n)}
+    minimal = [fp for fp in pairs if is_minimal_cauchy(u, fp)]
+    minimal_are_nbhd = all(fp in nbhd for fp in minimal)
+    assert all_converge == minimal_are_nbhd
+    return {
+        "complete": all_converge,
+        "minimal_are_neighbourhoods": minimal_are_nbhd,
+        "minimal_pairs": [fp.key() for fp in minimal],
+    }
+
+
+def mask(points):
+    return sum(1 << x for x in points)
 
 
 class RelFilterModule:
@@ -105,7 +206,7 @@ def adjoint_module_pairs(u):
 
 def point_induced_module(u, x0):
     """The pair cut out by the map picking x0: structure after and before it."""
-    return RelFilterModule(u, u.nbhd_right(x0), u.nbhd_left(x0))
+    return RelFilterModule(u, nbhd_right(u, x0), nbhd_left(u, x0))
 
 
 def walked_quniformities(n):
@@ -407,11 +508,15 @@ def preorder_bases(max_n):
 
 
 def test_minimality_by_one_point_extension_matches_the_full_search():
+    # both the one-point test on frozensets and the mask rule R = U(L),
+    # L = D(R)
     checked = minimal = 0
     for u in suite_uniformities() + preorder_bases(4):
+        down, up = w_masks(u)
         for fp in all_filter_pairs(u.n):
             expected = searched_minimal_cauchy(u, fp)
             assert is_minimal_cauchy(u, fp) == expected, (sorted(u.w), fp)
+            assert is_minimal_pair(down, up, mask(fp.left), mask(fp.right)) == expected
             checked += 1
             minimal += expected
     assert checked == 63588 and 0 < minimal < checked
@@ -434,13 +539,26 @@ def test_item_quniform_enumerates_module_pairs_once_per_uniformity(monkeypatch):
     calls = []
     original = lawcat.quniform.decide_lawvere_complete
 
-    def counted(x):
+    def counted(x, oracle=False):
         calls.append(x)
-        return original(x)
+        return original(x, oracle)
 
     monkeypatch.setattr(lawcat.quniform, "decide_lawvere_complete", counted)
     assert suite.item_quniform() == {"ok": True, "uniformities": 13}
     assert len(calls) == 13
+
+
+def test_mask_cauchy_side_matches_the_frozenset_reference():
+    # the whole report, minimal_pairs order included, on every
+    # quasi-uniformity on 1 to 4 points and the curated three-point ones
+    spaces = [u for n in range(1, 5) for u in all_quniformities(n)] + curated_three_point()
+    assert len(spaces) == 389 + 9
+    minimal = set()
+    for u in spaces:
+        rep = decide_cauchy_complete(u)
+        assert rep == reference_cauchy_complete(u), sorted(u.w)
+        minimal.add(len(rep["minimal_pairs"]))
+    assert minimal == {1, 2, 3, 4}
 
 
 def test_complete_discrete_and_indiscrete():

@@ -15,6 +15,7 @@ import pathlib
 import lawcat
 
 SRC = pathlib.Path(lawcat.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # (module, name, the paper result its docstring names)
 PAPER_API = ()
@@ -72,8 +73,8 @@ def test_every_definition_is_used_in_the_library_or_is_paper_api():
 def test_methods_are_covered():
     # the scan reaches methods: a known one is found, dunders are not
     names = {(module, qualname) for module, qualname, _ in _definitions()}
-    assert ("quniform", "FilterPair.key") in names
-    assert ("quniform", "FilterPair.__eq__") not in names
+    assert ("completeness", "AdjointPair.key") in names
+    assert ("completeness", "AdjointPair.__repr__") not in names
 
 
 def test_paper_api_docstrings_name_their_result():
@@ -82,3 +83,34 @@ def test_paper_api_docstrings_name_their_result():
         for part in name.split("."):
             obj = getattr(obj, part)
         assert result and result in (obj.__doc__ or ""), f"{module}.{name}"
+
+
+def _tracer_functions():
+    """perfbench/tracer.FUNCTIONS, read from the source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py assigns no FUNCTIONS")
+
+
+def test_traced_functions_resolve_in_the_library():
+    # a plain name is a module attribute; "Class.method" or "*.method" needs
+    # some class of the module (or that class) to define the method itself,
+    # as the tracer patches it
+    missing = []
+    for module_name, dotted in _tracer_functions():
+        module = importlib.import_module(f"lawcat.{module_name}")
+        if "." not in dotted:
+            found = hasattr(module, dotted)
+        else:
+            cls_name, method = dotted.split(".")
+            found = any(
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and cls_name in ("*", cls.__name__)
+                and method in vars(cls)
+                for cls in vars(module).values()
+            )
+        if not found:
+            missing.append(f"{module_name}.{dotted}")
+    assert missing == []
