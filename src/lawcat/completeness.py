@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 
 from .errors import GateUnavailable
-from .monad import IdentityMonad, monad_capabilities
+from .monad import IdentityMonad, PowersetMonad, monad_capabilities
 from .tvcat import (
     check_tv_adjunction,
     check_tvfunctor,
@@ -67,18 +67,20 @@ class AdjointPair:
         return f"AdjointPair(rep={self.representative})"
 
 
-def _pairs_are_representables(x):
-    """Whether the theorem of _pruned_pairs applies to x."""
-    q = x.ext.q
+def _join_prime_unit(q):
+    """Whether V is integral (k = top) and top is join-irreducible, tested as
+    "top is not the join of all other elements", which also excludes
+    top = bottom (the empty join)."""
     top = q.top
-    if not isinstance(x.ext.monad, IdentityMonad) or q.unit != top:
-        return False
-    # top is join-irreducible iff not the join of all others (none: top != bottom)
-    if q.join_all([u for u in range(q.n) if u != top]) == top:
-        return False
-    tens, leq = q.tensor, q.leq
+    return q.unit == top and q.join_all([u for u in range(q.n) if u != top]) != top
+
+
+def _is_category(x):
+    """Whether an identity-sized structure is reflexive, k = top <= a(p, p),
+    and transitive, a(p, r) (x) a(r, s) <= a(p, s): an O(n^3) scan."""
+    q = x.ext.q
+    top, tens, leq = q.top, q.tensor, q.leq
     a = x.a.data
-    # reflexive, k = top <= a(p, p), and transitive, a(p, r) (x) a(r, s) <= a(p, s)
     for p, row in enumerate(a):
         if row[p] != top:
             return False
@@ -90,30 +92,63 @@ def _pairs_are_representables(x):
     return True
 
 
-def _pruned_pairs(x, kc, pcat):
-    """The adjoint pairs of enumerate_adjoint_pairs, unsorted: by a theorem
-    where it applies, else by the walk of _generic_pairs.
+def _pruned_pairs(x):
+    """The adjoint pairs of enumerate_adjoint_pairs, unsorted.
 
-    The theorem.  Over an identity-sized monad (id, ultra: T1 = 1, kc = a)
-    and an integral V (k = top) whose top is join-irreducible and not
-    bottom, the pairs of a category are its representables, each with its
-    point; reflexivity and transitivity make (a(p, -), a(-, p)) a pair.
-    Conversely, for a pair (phi, psi):
-    - the unit top = k <= V_p phi(p) (x) psi(p) is a finite join, so some
-      phi(p) (x) psi(p) = top, and as u (x) w <= u (x) top = u,
-      phi(p) = psi(p) = top;
-    - the module laws give psi(s) >= a(s, p) (x) psi(p) = a(s, p), phi alike;
-    - the counit gives psi(s) = psi(s) (x) phi(p) <= a(s, p), phi alike.
-    Over a one-element V the empty category's empty pair is not
-    represented; on a non-category a representable need not be a pair.
+    Over an integral V (k = top) whose top is join-irreducible and not
+    bottom (_join_prime_unit), and over the identity, ultrafilter and
+    powerset monads, every pair's psi is a column kc(-, t) of the Kleisli
+    table with kc(t, t) = top (the theorem below).  There the pairs of an
+    id or ultra category are its representables (the shortcut, which
+    builds neither the Kleisli table nor the one-point category), and
+    every other structure checks its at most |T(n)| distinct candidate
+    columns (_kleisli_column_pairs).  Every other V, and any other monad,
+    takes the walk of _generic_pairs.
 
-    The pairs are read off the rows and columns of a, keeping the first
-    point of each, as representables(x) would index them: T1 = 1 and
-    e = id give point p the pair (a(p, -), a(-, p)), and reflexivity makes
-    every point a functor from the one-point category.
+    The theorem.  Let a be any T(n) x n matrix, (phi, psi) a pair, e1 the
+    unit point of T(1), and laws (b), (c), (d) those of
+    check_extension_laws.
+    - The unit top = k <= V_{Z in m^-1(e1)} V_t Tphi(Z, t) (x) psi(t) is
+      a finite join equal to the join-irreducible top, so some term is
+      top, and as u (x) w <= u (x) top = u: there are Z0 in m^-1(e1) and
+      t0 with Tphi(Z0, t0) = psi(t0) = top.
+    - The kc half of the psi-module law, kc(s, t) (x) psi(t) <= psi(s),
+      at t0 gives psi >= kc(-, t0).
+    - The counit reads phi.Tpsi <= a.m.  By laws (c) and (b), with
+      equality at the map m, Tphi.TTpsi <= T(phi.Tpsi) <= Ta.Tm, and at
+      (S, t0) the left side is at least TTpsi(S, Z0) (x) Tphi(Z0, t0).  So
+      TTpsi(S, Z0) <= Ta(Tm S, t0) <= kc(m.Tm S, t0).
+    - Some S has m.Tm S = s and TTpsi(S, Z0) >= psi(s), so psi <= kc(-, t0).
+      Over id and ultra (T is the identity on finite sets): S = s.  Over
+      powerset, Z0 is {{*}} or {0, {*}} (0 the empty set): for {{*}},
+      S = {{s}}, as law (d) twice gives psi(s) <= TTpsi({{s}}, {{*}});
+      for {0, {*}}, S = {0, {s}}, as Tpsi(0, 0) = top and
+      Tpsi({s}, {*}) >= psi(s) put both Egli-Milner pairs above psi(s).
+    So psi = kc(-, t0) and kc(t0, t0) = psi(t0) = top.
+
+    The shortcut.  Over id and ultra kc = a and T1 = 1.  On a category,
+    reflexivity and transitivity make each (a(p, -), a(-, p)) a pair.  By
+    the theorem every pair's psi is some a(-, p), and a pair is fixed by
+    its psi (adjoints are unique), so the pairs are the representables,
+    read off the rows and columns of a with the first point of each, as
+    representables(x) would index them (reflexivity makes every point a
+    functor from the one-point category).  Over a one-element V the empty
+    category's empty pair is not represented, hence top != bottom; on a
+    structure that is not a category a representable need not be a pair,
+    hence the scan.
     """
-    if not _pairs_are_representables(x):
-        return _generic_pairs(x, kc, pcat)
+    ext = x.ext
+    monad = ext.monad
+    if _join_prime_unit(ext.q) and isinstance(monad, (IdentityMonad, PowersetMonad)):
+        if isinstance(monad, IdentityMonad) and _is_category(x):
+            return _representable_pairs(x)
+        return _kleisli_column_pairs(x, kleisli_table(x), unit_tvcategory(ext))
+    return _generic_pairs(x, kleisli_table(x), unit_tvcategory(ext))
+
+
+def _representable_pairs(x):
+    """The pairs of an id or ultra category over a join-prime unit, each
+    with its point: the distinct (a(p, -), a(-, p)), first point first."""
     q = x.ext.q
     n = x.n
     a = x.a.data
@@ -126,9 +161,39 @@ def _pruned_pairs(x, kc, pcat):
     ]
 
 
+def _kleisli_column_pairs(x, kc, pcat):
+    """The pairs whose psi is a column kc(-, t) with kc(t, t) = top.
+
+    Each distinct such column is a candidate; it must pass the kc half of
+    the psi-module law, kc(s, r) (x) psi(r) <= psi(s), O(|T(n)|^2), and
+    then the exact check of _pair_check.  By the theorem of _pruned_pairs
+    these are all the pairs over a join-prime unit and the identity,
+    ultrafilter or powerset monad.
+    """
+    q = x.ext.q
+    top, tens, leq = q.top, q.tensor, q.leq
+    pair_at = _pair_check(x, pcat)
+    seen = set()
+    pairs = []
+    for t, diag in enumerate(kc):
+        if diag[t] != top:
+            continue
+        psi = tuple([row[t] for row in kc])
+        if psi in seen:
+            continue
+        seen.add(psi)
+        if all(leq[tens[u][w]][v] for row, v in zip(kc, psi) for u, w in zip(row, psi)):
+            pair = pair_at(psi)
+            if pair is not None:
+                pairs.append(pair)
+    return pairs
+
+
 def _generic_pairs(x, kc, pcat):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted: one psi walk
-    with phi carried, over every monad and every n.
+    with phi carried, for any monad and any n.  _pruned_pairs runs it where
+    the theorem of _pruned_pairs does not reach: where V has no
+    join-prime unit (k below top, a join-reducible top, or top = bottom).
 
     The walk assigns psi over T(n) coordinate by coordinate and rejects a
     value as soon as the kc half of the psi-module law,
@@ -302,12 +367,8 @@ def _pair_check(x, pcat):
     # a(m(big), p) for every p, as columns over T(T(n))
     a_mu = [tuple(a[s][p] for s in ext.mult_map(n)) for p in range(n)]
     # psi law, unit-category half: Tpsi[big][t] (x) c <= psi[s], big over m^-1(s)
-    psi_unit = [
-        (big, t, tuple(tens[u][c] for u in range(q.n)), s)
-        for s in range(tn)
-        for big in fib_n[s]
-        for t, c in pa
-    ]
+    tens_c = {c: tuple([tens[u][c] for u in range(q.n)]) for _, c in pa}
+    psi_unit = [(big, t, tens_c[c], s) for s in range(tn) for big in fib_n[s] for t, c in pa]
     # unit: c <= V_{big in m^-1(s)} V_t Tphi[big][t] (x) psi[t]
     phi_unit = [(leq[c], fib_1[s]) for s, c in pa]
     # phi law, a side: Tphi[big][t] (x) a[t] <= phi[s], big over m^-1(s)
@@ -360,26 +421,27 @@ def _pair_check(x, pcat):
 def enumerate_adjoint_pairs(x, oracle=False):
     """All adjoint module pairs from the one-point category into x.
 
-    The pruned path (_pruned_pairs) and, with oracle=True, the independent
-    crossing of both sides each first charge the psi space and extend the
-    structure, so that a budget refuses alike on both.  The enumeration is
-    meaningful with or without a reduction gate; the caller labels the
-    verdict by completeness_gate.
+    Both the pruned path (_pruned_pairs) and, with oracle=True, the
+    independent crossing of both sides first charge the psi space and then
+    the extension of the structure, T(T(n)) x T(n) cells, which
+    kleisli_table makes.  The charges come before any path is picked, and
+    each path builds only what it reads, so a budget refuses alike on
+    every path.  The enumeration is meaningful with or without a reduction
+    gate; the caller labels the verdict by completeness_gate.
     """
     ext = x.ext
     q = ext.q
     monad = ext.monad
     tn = monad.size(x.n)
-    t1 = monad.size(1)
-    pcat = unit_tvcategory(ext)
     psi_count = q.n ** tn
     ext.check_budget("psi space", psi_count)
-    # Built on both paths: its extension is the next budget check either way.
-    kc = kleisli_table(x)
+    ext.check_budget("extended matrix size", monad.size(tn) * tn)
 
     if not oracle:
-        pairs = _pruned_pairs(x, kc, pcat)
+        pairs = _pruned_pairs(x)
     else:
+        t1 = monad.size(1)
+        pcat = unit_tvcategory(ext)
         phi_count = q.n ** (t1 * x.n)
         ext.check_budget("pair space", phi_count * psi_count)
         psis = [psi for psi in all_matrices(q, tn, 1, ext.max_enum) if is_tvbimodule(psi, x, pcat)]
@@ -430,7 +492,7 @@ def decide_lawvere_complete(x, oracle=False):
     """
     gate = completeness_gate(x.ext)
     pairs = enumerate_adjoint_pairs(x, oracle)
-    # Pairs from the theorem path of _pruned_pairs carry their representative.
+    # Pairs from the shortcut of _pruned_pairs carry their representative.
     if any(pair.representative is None for pair in pairs):
         index = representables(x)
         for pair in pairs:

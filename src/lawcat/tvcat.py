@@ -217,19 +217,19 @@ def kleisli_compose(ext, b, a, n_src):
 def kleisli_table(x):
     """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x.
 
-    Row s joins the rows of Ta over the fibre of m at s; a one-element
-    fibre (every fibre over the identity monad) is that row itself.
+    Row s joins the rows of Ta over the fibre of m at s, which holds e(s)
+    and so is never empty; a one-element fibre (every fibre over the
+    identity monad) is that row itself.
     """
     ext = x.ext
-    q = ext.q
+    join_t = ext.q.join_t
     ta = ext.extend(x.a).data
-    tn = ext.monad.size(x.n)
     table = []
     for fiber in ext.mult_fibers(x.n):
-        if len(fiber) == 1:
-            table.append(ta[fiber[0]])
-        else:
-            table.append(tuple([q.join_all(ta[big][t] for big in fiber) for t in range(tn)]))
+        row = ta[fiber[0]]
+        for big in fiber[1:]:
+            row = tuple([join_t[u][w] for u, w in zip(row, ta[big])])
+        table.append(row)
     return table
 
 

@@ -8,6 +8,7 @@ from lawcat import completeness
 from lawcat.completeness import (
     AdjointPair,
     _generic_pairs,
+    _kleisli_column_pairs,
     _pair_check,
     certify_v_complete,
     decide_lawvere_complete,
@@ -539,12 +540,16 @@ def test_powerset_walk_on_every_c3_category(monads, quantales):
         assert len(calls) < len(kc_closed_psis(ext.q, kc, 4)), x.a.data
 
 
-@pytest.mark.parametrize("mname,qname,n", [("id", "plus3", 3), ("ultra", "2", 5)])
+@pytest.mark.parametrize("mname,qname,n", [("id", "pset2", 3), ("ultra", "pset2", 4), ("id", "plus3", 3), ("ultra", "2", 5)])
 def test_identity_walk_extends_only_the_structure(monads, quantales, mname, qname, n):
-    # The walk reads phi and psi as their own extensions: the one extend
-    # call is kleisli_table's, on the structure itself.
+    # Over a V without a join-prime unit the walk reads phi and psi as their
+    # own extensions: the one extend call is kleisli_table's, on the
+    # structure itself.  Over a join-prime unit the shortcut reads neither
+    # the Kleisli table nor the one-point category: it makes no extend call
+    # and builds no unit category.
     rng = random.Random(f"walk/{mname}/{qname}/{n}")
     q = quantales[qname]
+    walks = qname == "pset2"
     for _ in range(5):
         ext = LaxExtension(monads[mname], q)
         x = TVCategory(ext, n, VMatrix(q, n, n, closed_structure(rng, q, n)))
@@ -552,7 +557,8 @@ def test_identity_walk_extends_only_the_structure(monads, quantales, mname, qnam
         extend = ext.extend
         ext.extend = lambda m: calls.append(m) or extend(m)
         assert enumerate_adjoint_pairs(x)
-        assert calls == [x.a]
+        assert calls == ([x.a] if walks else [])
+        assert (("unit",) in ext.cache) == walks
 
 
 def test_unit_category_kleisli_table_is_k_on_the_diagonal():
@@ -651,8 +657,9 @@ def test_psi_budget_edge(ext_factory, mname, qname, n):
     assert (err.value.what, err.value.needed) == ("psi space", psi_count)
     # The same budget bounds the extension of the structure, T(T(n)) x T(n)
     # cells, which binds first where it outgrows the psi space; over powerset
-    # at 0 points the walk's first extension, of the T(1) x 0 bound on phi,
-    # T(T(1)) x T(0) cells, binds first.
+    # at 0 points the first extension inside the pair search binds first:
+    # of psi, T(T(0)) x T(1) cells, on the Kleisli columns, as of the
+    # T(1) x 0 bound on phi, T(T(1)) x T(0) cells, on the walk.
     cells = {
         ("id", "2", 3): 9,
         ("powerset", "2", 2): 64,
@@ -681,18 +688,28 @@ def two_element_quantale(name):
     return q
 
 
+def takes_shortcut(x):
+    """Whether _pruned_pairs reads x's pairs off its representables: an id
+    or ultra category over a join-prime unit."""
+    return (
+        x.ext.monad.size(1) == 1
+        and completeness._join_prime_unit(x.ext.q)
+        and completeness._is_category(x)
+    )
+
+
 def assert_theorem_path_matches(x):
-    # enumerate_adjoint_pairs, on the theorem path wherever it applies,
-    # against the walk, called directly, and against the oracle's
-    # independent crossing of both sides.  The theorem path reads its pairs
-    # and their representatives off the rows and columns of a: they are
-    # exactly the representables index.
+    # enumerate_adjoint_pairs, on the shortcut or the Kleisli-column path
+    # wherever one applies, against the walk, called directly, and against
+    # the oracle's independent crossing of both sides.  The shortcut reads
+    # its pairs and their representatives off the rows and columns of a:
+    # they are exactly the representables index.
     pairs = enumerate_adjoint_pairs(x)
     got = [p.key() for p in pairs]
     walk = _generic_pairs(x, kleisli_table(x), unit_tvcategory(x.ext))
     assert got == sorted(p.key() for p in walk), x.a.data
     assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
-    if completeness._pairs_are_representables(x):
+    if takes_shortcut(x):
         assert {p.key(): p.representative for p in pairs} == representables(x), x.a.data
     return len(got)
 
@@ -727,18 +744,20 @@ def test_theorem_path_matches_walk_on_spaces(ext_factory):
 JOIN_PRIME_UNITS = ("2", "c3", "c4", "plus2", "plus3", "pset1")
 
 
-def top_diagonal_categories(ext, n):
-    """The categories on n points over an identity-sized monad and a V with
-    k = top: the matrices with top on the diagonal (k <= a(p, p)) that
-    check_tvcategory accepts, |V|^(n(n-1)) candidates, not |V|^(n^2)."""
+def reflexive_categories(ext, n):
+    """The categories on n points over a V with k = top: the matrices with
+    top at every (e(p), p) (k <= a(e(p), p)) that check_tvcategory
+    accepts, |V|^(|T(n)| n - n) candidates, not |V|^(|T(n)| n)."""
     q = ext.q
-    off = [(p, r) for p in range(n) for r in range(n) if p != r]
+    tn = ext.monad.size(n)
+    e = ext.unit_map(n)
+    free = [(s, p) for s in range(tn) for p in range(n) if s != e[p]]
     cats = []
-    for flat in itertools.product(range(q.n), repeat=len(off)):
-        data = [[q.top] * n for _ in range(n)]
-        for (p, r), v in zip(off, flat):
-            data[p][r] = v
-        a = VMatrix(q, n, n, data)
+    for flat in itertools.product(range(q.n), repeat=len(free)):
+        data = [[q.top] * n for _ in range(tn)]
+        for (s, p), v in zip(free, flat):
+            data[s][p] = v
+        a = VMatrix(q, tn, n, data)
         if check_tvcategory(ext, n, a)["ok"]:
             cats.append(TVCategory(ext, n, a))
     return cats
@@ -754,11 +773,11 @@ def test_theorem_path_matches_walk_on_every_small_category(ext_factory):
             ext = ext_factory(mname, qname)
             pcat = unit_tvcategory(ext)
             for n in (1, 2, 3):
-                cats = top_diagonal_categories(ext, n)
+                cats = reflexive_categories(ext, n)
                 if n <= 2:
                     assert sorted(x.a.data for x in cats) == sorted(x.a.data for x in all_tvcategories(ext, n))
                 for x in cats:
-                    assert completeness._pairs_are_representables(x), (mname, qname, x.a.data)
+                    assert takes_shortcut(x), (mname, qname, x.a.data)
                     pairs = enumerate_adjoint_pairs(x)
                     got = [p.key() for p in pairs]
                     assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), pcat)), x.a.data
@@ -815,39 +834,60 @@ THEOREM_CASES = {
 }
 
 
+def record_paths(monkeypatch):
+    """Wrap the three pair paths of _pruned_pairs; each records the
+    structures it is called on, under its name."""
+    seen = {"shortcut": [], "columns": [], "walk": []}
+    for key, name in (
+        ("shortcut", "_representable_pairs"),
+        ("columns", "_kleisli_column_pairs"),
+        ("walk", "_generic_pairs"),
+    ):
+        path = getattr(completeness, name)
+        monkeypatch.setattr(completeness, name, lambda x, *rest, _f=path, _k=key: seen[_k].append(x) or _f(x, *rest))
+    return seen
+
+
 @pytest.mark.parametrize(
-    "mname,qname,theorem",
+    "mname,qname,join_prime",
     [
         ("id", "2", True),
         ("ultra", "2", True),
         ("id", "c3", True),
         ("id", "plus3", True),
-        ("powerset", "2", False),
+        ("powerset", "2", True),
+        ("powerset", "c3", True),
         ("id", "pset2", False),
+        ("powerset", "pset2", False),
         ("id", "zmod2", False),
         ("id", "z3", False),
         ("id", "sum3", False),
         ("ultra", "plus2xplus2", False),
+        ("powerset", "plus2xplus2", False),
         ("id", "one", False),
     ],
 )
-def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quantales, mname, qname, theorem):
-    # The walk runs for no category over id/ultra and a join-irreducible
-    # top unit, and for every category elsewhere: a unit below top (zmod2,
-    # z3, sum3), a join-reducible top (pset2, and plus2 x plus2, integral
-    # but no frame), top = bottom (one) or the powerset monad.  Either way
-    # the pairs are the walk's.
-    walked = []
+def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quantales, mname, qname, join_prime):
+    # The walk runs for no structure over a join-irreducible top unit, on
+    # every monad, and for every category elsewhere: a unit below top
+    # (zmod2, z3, sum3), a join-reducible top (pset2, and plus2 x plus2,
+    # integral but no frame) or top = bottom (one).  Over a join-prime
+    # unit id and ultra categories take the shortcut and powerset
+    # categories the Kleisli columns.  Either way the pairs are the walk's.
     walk = completeness._generic_pairs
-    monkeypatch.setattr(completeness, "_generic_pairs", lambda *args: walked.append(args[0]) or walk(*args))
+    seen = record_paths(monkeypatch)
     q = quantales[qname] if qname in quantales else THEOREM_CASES[qname]()
     ext = LaxExtension(monads[mname], q)
     pcat = unit_tvcategory(ext)
-    cats = [x for n in (0, 1, 2) for x in all_tvcategories(ext, n)]
+    sizes = (0, 1) if mname == "powerset" and not join_prime else (0, 1, 2)
+    cats = [x for n in sizes for x in all_tvcategories(ext, n)]
     for x in cats:
         got = [p.key() for p in enumerate_adjoint_pairs(x)]
         assert got == sorted(p.key() for p in walk(x, kleisli_table(x), pcat)), x.a.data
-    assert cats and walked == ([] if theorem else cats)
+    assert cats and seen["walk"] == ([] if join_prime else cats)
+    if join_prime:
+        path = "columns" if mname == "powerset" else "shortcut"
+        assert seen[path] == cats and sum(map(len, seen.values())) == len(cats)
     if qname == "one":
         # the empty category has the empty pair, which no point represents
         assert not decide_lawvere_complete(cats[0])["complete"]
@@ -855,12 +895,142 @@ def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quan
 
 @pytest.mark.parametrize("mname,qname", [("id", "2"), ("ultra", "c3")])
 def test_theorem_path_runs_only_on_categories(monkeypatch, ext_factory, mname, qname):
-    walked = []
-    walk = completeness._generic_pairs
-    monkeypatch.setattr(completeness, "_generic_pairs", lambda *args: walked.append(args[0]) or walk(*args))
+    # Over a join-prime unit the shortcut runs exactly on the categories;
+    # every other structure takes the Kleisli columns, and none walks.
+    seen = record_paths(monkeypatch)
     ext = ext_factory(mname, qname)
     structures = [x for n in (1, 2) for x in all_structures(ext, n)]
     for x in structures:
         enumerate_adjoint_pairs(x)
+    cats = [x for x in structures if check_tvcategory(ext, x.n, x.a)["ok"]]
     others = [x for x in structures if not check_tvcategory(ext, x.n, x.a)["ok"]]
-    assert others and walked == others
+    assert cats and others
+    assert seen == {"shortcut": cats, "columns": others, "walk": []}
+
+
+# (monad, V, points, oracle): every matrix on that many points.  The
+# powerset/2 matrices are crossed with the oracle, through
+# enumerate_adjoint_pairs, by test_pruned_kernel_matches_oracle_on_every_matrix.
+KLEISLI_COLUMN_SWEEPS = [("powerset", "2", n, False) for n in (0, 1, 2)] + [
+    ("powerset", "c3", 2, False),
+    ("powerset", "plus2", 2, False),
+    ("id", "2", 3, True),
+    ("id", "c3", 2, True),
+    ("ultra", "c3", 2, True),
+]
+
+
+@pytest.mark.parametrize("mname,qname,n,oracle", KLEISLI_COLUMN_SWEEPS)
+def test_kleisli_columns_match_walk_on_every_matrix(ext_factory, mname, qname, n, oracle):
+    # The Kleisli-column path, called directly on every structure,
+    # categories or not, against the walk and, where its pair space is
+    # small, the oracle: whole key lists.
+    ext = ext_factory(mname, qname)
+    pcat = unit_tvcategory(ext)
+    count = 0
+    for x in all_structures(ext, n):
+        kc = kleisli_table(x)
+        got = sorted(p.key() for p in _kleisli_column_pairs(x, kc, pcat))
+        assert got == sorted(p.key() for p in _generic_pairs(x, kc, pcat)), x.a.data
+        if oracle:
+            assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+        count += 1
+    assert count == ext.q.n ** (ext.monad.size(n) * n)
+
+
+@pytest.mark.parametrize("qname", JOIN_PRIME_UNITS)
+def test_kleisli_columns_match_walk_on_powerset_categories(ext_factory, qname):
+    # Every powerset category on 2 points: the Kleisli columns (through
+    # enumerate_adjoint_pairs) against the walk.
+    ext = ext_factory("powerset", qname)
+    pcat = unit_tvcategory(ext)
+    cats = reflexive_categories(ext, 2)
+    if qname in ("2", "c3"):
+        assert sorted(x.a.data for x in cats) == sorted(x.a.data for x in all_tvcategories(ext, 2))
+    for x in cats:
+        got = [p.key() for p in enumerate_adjoint_pairs(x)]
+        assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), pcat)), x.a.data
+    assert len(cats) == {"2": 21, "c3": 121, "c4": 422, "plus2": 162, "plus3": 746, "pset1": 21}[qname]
+
+
+@pytest.mark.parametrize("qname", ["2", "pset1", "c3", "plus2"])
+def test_v_over_powerset_has_the_walks_pairs(ext_factory, qname):
+    # V with its canonical structure over the powerset monad, where its psi
+    # space fits the default budget: the Kleisli columns give the walk's
+    # pairs, V is complete, and each pair is represented by the point
+    # psi(k) names.
+    ext = ext_factory("powerset", qname)
+    x = hom_xi_category(ext)
+    verdict = decide_lawvere_complete(x)
+    walk = _generic_pairs(x, kleisli_table(x), unit_tvcategory(ext))
+    assert [p.key() for p in verdict["pairs"]] == sorted(p.key() for p in walk)
+    assert verdict["complete"] and verdict["pair_count"] in (2, 3)
+    k_dot = ext.unit_map(ext.q.n)[ext.q.unit]
+    assert [p.representative for p in verdict["pairs"]] == [p.psi.data[k_dot][0] for p in verdict["pairs"]]
+
+
+@pytest.mark.parametrize("qname", ["c4", "plus3"])
+def test_v_over_powerset_beyond_the_default_budget(monads, quantales, qname):
+    # 4^16 psi points: refused at the default budget, complete with 4
+    # pairs, one per element of V, once the budget admits the psi space.
+    q = quantales[qname]
+    with pytest.raises(BudgetExceeded) as err:
+        decide_lawvere_complete(hom_xi_category(LaxExtension(monads["powerset"], q)))
+    assert (err.value.what, err.value.needed) == ("psi space", 4**16)
+    verdict = decide_lawvere_complete(hom_xi_category(LaxExtension(monads["powerset"], q, 4**16)))
+    assert verdict["complete"] and verdict["pair_count"] == 4
+    assert verdict["representatives"] == [0, 1, 2, 3]
+
+
+def walk_reference(x):
+    """enumerate_adjoint_pairs as it was with the walk on every powerset
+    structure: the psi space charged, kleisli_table built, then the walk."""
+    ext = x.ext
+    ext.check_budget("psi space", ext.q.n ** ext.monad.size(x.n))
+    return sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), unit_tvcategory(ext)))
+
+
+def outcome(run, x):
+    try:
+        return run(x)
+    except BudgetExceeded as err:
+        return (err.what, err.needed, err.budget)
+
+
+@pytest.mark.parametrize("qname,n", [("2", 0), ("2", 1), ("2", 2), ("c3", 0), ("c3", 1)])
+def test_kleisli_columns_refuse_where_the_walk_refuses(monads, quantales, qname, n):
+    # At every budget up to one above the largest charge, every powerset
+    # category refuses with the same check and count as the walk, or both
+    # give the same pairs.  At 0 points the walk's first inner charge is
+    # its bound on phi and the columns' the extension of psi, both
+    # T(T(1)) x T(0) = 4 cells, above the psi space and the structure's
+    # extension (2 cells each over 2).
+    q = quantales[qname]
+    largest = max(q.n ** (1 << n), (1 << (1 << n)) * (1 << n), 4 << n)
+    cats = all_tvcategories(LaxExtension(monads["powerset"], q), n)
+    refusals = 0
+    for budget in range(1, largest + 2):
+        for x in cats:
+            tight = TVCategory(LaxExtension(monads["powerset"], q, budget), n, x.a)
+            got = outcome(lambda y: [p.key() for p in enumerate_adjoint_pairs(y)], tight)
+            assert got == outcome(walk_reference, tight), (budget, x.a.data)
+            refusals += isinstance(got, tuple)
+    assert refusals
+
+
+def test_pset2_pairs_are_not_all_kleisli_columns(ext_factory):
+    # pset2's top is the join of its two atoms, and the theorem fails:
+    # of the 1,681 pairs of the 441 powerset categories on 2 points only
+    # 931 have a Kleisli column as psi, so these must keep the walk.
+    ext = ext_factory("powerset", "pset2")
+    pcat = unit_tvcategory(ext)
+    cats = reflexive_categories(ext, 2)
+    pairs = columns = 0
+    for x in cats:
+        kc = kleisli_table(x)
+        got = [p.key() for p in enumerate_adjoint_pairs(x)]
+        assert got == sorted(p.key() for p in _generic_pairs(x, kc, pcat)), x.a.data
+        kc_columns = {tuple([(row[t],) for row in kc]) for t in range(len(kc))}
+        pairs += len(got)
+        columns += sum(psi in kc_columns for psi, _ in got)
+    assert (len(cats), pairs, columns) == (441, 1681, 931)
