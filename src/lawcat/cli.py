@@ -19,7 +19,7 @@ from .monad import builtin_monad
 from .quantale import validate_quantale
 from .quniform import decide_lawvere_q, lax_algebra_bridge, validate_quniformity
 from .suite import DEFAULT_MAX_ENUM, ITEM_IDS, _ext, report_json, run_suite, suite_json
-from .tvcat import TVCategory, check_tvcategory, dual_tvcategory, yoneda as tv_yoneda
+from .tvcat import TVCategory, dual_tvcategory, yoneda as tv_yoneda
 
 
 def _emit(report, fmt, input_block):
@@ -48,7 +48,7 @@ class InvalidObject(Exception):
 
 def _validated_category(payload, max_enum):
     cat = _category_from_file(payload, max_enum)
-    verdict = check_tvcategory(cat.ext, cat.n, cat.a)
+    verdict = cat.verdict()
     if not verdict["ok"]:
         raise InvalidObject(verdict)
     return cat
@@ -63,7 +63,7 @@ def cmd_check(args):
         return 0 if verdict["ok"] else 1
     if kind in ("vcat", "tvcat"):
         cat = _category_from_file(payload, args.max_enum)
-        verdict = check_tvcategory(cat.ext, cat.n, cat.a)
+        verdict = cat.verdict()
         _emit({"kind": kind, "name": payload.name, **verdict}, args.format, input_block)
         return 0 if verdict["ok"] else 1
     if kind == "space":

@@ -9,10 +9,8 @@ are unique), with an unpruned reference enumeration kept for checking.
 
 from __future__ import annotations
 
-import weakref
-
 from .errors import GateUnavailable
-from .monad import IdentityMonad, PowersetMonad, monad_capabilities
+from .monad import IdentityMonad, PowersetMonad
 from .tvcat import (
     check_tv_adjunction,
     check_tvfunctor,
@@ -27,25 +25,16 @@ from .tvcat import kleisli_compose  # noqa: F401
 from .vmatrix import VMatrix, all_matrices
 
 
-# Keyed on the monad object (held weakly): two monads may share a name.
-_MONAD_CAPS = weakref.WeakKeyDictionary()
-
-
-def _caps(monad):
-    if monad not in _MONAD_CAPS:
-        _MONAD_CAPS[monad] = monad_capabilities(monad)
-    return _MONAD_CAPS[monad]
-
-
 def completeness_gate(ext):
     """Which hypothesis legitimizes the one-point reduction, if any.
 
     T1 = 1 is read off the monad exactly; only without it is the sampled
-    Beck-Chevalley sweep of monad_capabilities run.
+    Beck-Chevalley sweep of monad_capabilities run, once per monad object
+    (two monads may share a name).
     """
     if ext.monad.size(1) == 1:
         return "T1=1"
-    if _caps(ext.monad)["m_bc"]:
+    if ext.monad.capabilities()["m_bc"]:
         return "m-BC"
     return None
 
@@ -75,21 +64,20 @@ def _join_prime_unit(q):
     return q.unit == top and q.join_all([u for u in range(q.n) if u != top]) != top
 
 
-def _is_category(x):
-    """Whether an identity-sized structure is reflexive, k = top <= a(p, p),
-    and transitive, a(p, r) (x) a(r, s) <= a(p, s): an O(n^3) scan."""
-    q = x.ext.q
-    top, tens, leq = q.top, q.tensor, q.leq
-    a = x.a.data
-    for p, row in enumerate(a):
-        if row[p] != top:
-            return False
-        for u, mid in zip(row, a):
-            tens_u = tens[u]
-            for w, v in zip(mid, row):
-                if not leq[tens_u[w]][v]:
-                    return False
-    return True
+def _reach(x):
+    """Which way _pruned_pairs finds x's pairs.
+
+    "walk" where the theorem of _pruned_pairs does not reach; "category"
+    within it, on a structure whose verdict is ok; "columns" on the rest.
+    Over id and ultra the verdict is computed here if it is not carried
+    (an O(n^3) loop); over powerset only a carried verdict counts.
+    """
+    ext = x.ext
+    monad = ext.monad
+    if not (_join_prime_unit(ext.q) and isinstance(monad, (IdentityMonad, PowersetMonad))):
+        return "walk"
+    verdict = x.verdict() if isinstance(monad, IdentityMonad) else x.checked
+    return "category" if verdict is not None and verdict["ok"] else "columns"
 
 
 def _pruned_pairs(x):
@@ -98,12 +86,12 @@ def _pruned_pairs(x):
     Over an integral V (k = top) whose top is join-irreducible and not
     bottom (_join_prime_unit), and over the identity, ultrafilter and
     powerset monads, every pair's psi is a column kc(-, t) of the Kleisli
-    table with kc(t, t) = top (the theorem below).  There the pairs of an
-    id or ultra category are its representables (the shortcut, which
-    builds neither the Kleisli table nor the one-point category), and
-    every other structure checks its at most |T(n)| distinct candidate
-    columns (_kleisli_column_pairs).  Every other V, and any other monad,
-    takes the walk of _generic_pairs.
+    table with kc(t, t) = top (the theorem below), and
+    _kleisli_column_pairs checks those columns.  On a category (_reach)
+    the unit columns are read as the representable pairs instead
+    (_representable_pairs); over id and ultra every column is a unit
+    column, so that is all (the shortcut).  Every other V, and any other
+    monad, takes the walk of _generic_pairs.
 
     The theorem.  Let a be any T(n) x n matrix, (phi, psi) a pair, e1 the
     unit point of T(1), and laws (b), (c), (d) those of
@@ -126,70 +114,120 @@ def _pruned_pairs(x):
       Tpsi({s}, {*}) >= psi(s) put both Egli-Milner pairs above psi(s).
     So psi = kc(-, t0) and kc(t0, t0) = psi(t0) = top.
 
-    The shortcut.  Over id and ultra kc = a and T1 = 1.  On a category,
-    reflexivity and transitivity make each (a(p, -), a(-, p)) a pair.  By
-    the theorem every pair's psi is some a(-, p), and a pair is fixed by
-    its psi (adjoints are unique), so the pairs are the representables,
-    read off the rows and columns of a with the first point of each, as
-    representables(x) would index them (reflexivity makes every point a
-    functor from the one-point category).  Over a one-element V the empty
-    category's empty pair is not represented, hence top != bottom; on a
-    structure that is not a category a representable need not be a pair,
-    hence the scan.
+    Unit columns on a category.  Reflexivity with k = top gives
+    a(e(p), p) = top, and then kc(-, e(p)) = a(-, p), where
+    kc(s, t) = V_{S in m^-1(s)} Ta(S, t).  (>=) Law (d) at the point e(s)
+    of m^-1(s) gives Ta(e(s), e(p)) >= a(s, p).  (<=) Transitivity at
+    t = e(p) gives Ta(S, e(p)) = Ta(S, e(p)) (x) a(e(p), p) <= a(m(S), p)
+    for every S.  The pair of the point p, phi = a(Tp(-), -) and
+    psi = a(-, p), is the paper's f_* -| f^* at the functor f = p from the
+    one-point category (a functor by reflexivity): the unit is
+    reflexivity read through law (d), and the module laws and the counit
+    are transitivity of a with the lax functoriality of the extension,
+    law (b).  A pair is fixed by its psi (adjoints are unique), so each
+    distinct unit column is one pair, and its first point represents it,
+    as representables(x) would index it.  A column that is not a unit
+    column and survives the check then has a psi that no point induces:
+    its pair is not representable.
+
+    The empty column.  Over powerset at n >= 1, kc(-, 0) is never a pair.
+    Z0 above is not empty, as m(0) = 0 is not e1, and extend_relation puts
+    (Z, 0) in the extension of a relation only when Z is within the
+    predecessors of 0, which is empty: so Tphi(Z0, 0) = bottom and t0 is
+    not 0.  By the same reason Ta(S, 0) = bottom for every nonempty S, and
+    m^-1(s) holds only nonempty S when s is not 0, so kc(t0, 0) = bottom,
+    while a pair with psi = kc(-, 0) = kc(-, t0) has psi(t0) = top.  At
+    n = 0 this column is the only one, and it keeps the check, whose
+    extensions are the first charges the budget can refuse there; at
+    n >= 1 they are within the charges of enumerate_adjoint_pairs, so
+    skipping it, or a unit column, refuses nothing the check would.
+
+    Over a one-element V the empty category's empty pair is not
+    represented, hence top != bottom.  On a structure that is not a
+    category a unit column need not be a pair or its point's, hence the
+    verdict.
     """
-    ext = x.ext
-    monad = ext.monad
-    if _join_prime_unit(ext.q) and isinstance(monad, (IdentityMonad, PowersetMonad)):
-        if isinstance(monad, IdentityMonad) and _is_category(x):
-            return _representable_pairs(x)
-        return _kleisli_column_pairs(x, kleisli_table(x), unit_tvcategory(ext))
-    return _generic_pairs(x, kleisli_table(x), unit_tvcategory(ext))
+    reach = _reach(x)
+    if reach == "walk":
+        return _generic_pairs(x, kleisli_table(x))
+    if reach == "columns":
+        return _kleisli_column_pairs(x, [])
+    pairs = _representable_pairs(x)
+    if isinstance(x.ext.monad, IdentityMonad):
+        return pairs
+    return _kleisli_column_pairs(x, pairs)
 
 
 def _representable_pairs(x):
-    """The pairs of an id or ultra category over a join-prime unit, each
-    with its point: the distinct (a(p, -), a(-, p)), first point first."""
-    q = x.ext.q
+    """The pairs (a(Tp(-), -), a(-, p)) of the points p of a category over
+    a join-prime unit: one per distinct psi, with its first point.  Where
+    T1 = 1, Tp is e(p) on the one point of T(1) (naturality of e)."""
+    ext = x.ext
+    q = ext.q
+    monad = ext.monad
     n = x.n
     a = x.a.data
+    t1 = monad.size(1)
+    e = ext.unit_map(n)
     index = {}
     for p in range(n):
-        index.setdefault((tuple([(row[p],) for row in a]), (a[p],)), p)
+        psi = tuple([(row[p],) for row in a])
+        if psi not in index:
+            if t1 == 1:
+                index[psi] = ((a[e[p]],), p)
+            else:
+                index[psi] = (tuple([a[s] for s in monad.tmap((p,), 1, n)]), p)
     return [
-        AdjointPair(VMatrix.trusted(q, 1, n, phi), VMatrix.trusted(q, n, 1, psi), p)
-        for (psi, phi), p in index.items()
+        AdjointPair(VMatrix.trusted(q, t1, n, phi), VMatrix.trusted(q, len(a), 1, psi), p)
+        for psi, (phi, p) in index.items()
     ]
 
 
-def _kleisli_column_pairs(x, kc, pcat):
+def _kleisli_column_pairs(x, pairs):
     """The pairs whose psi is a column kc(-, t) with kc(t, t) = top.
 
-    Each distinct such column is a candidate; it must pass the kc half of
-    the psi-module law, kc(s, r) (x) psi(r) <= psi(s), O(|T(n)|^2), and
-    then the exact check of _pair_check.  By the theorem of _pruned_pairs
-    these are all the pairs over a join-prime unit and the identity,
-    ultrafilter or powerset monad.
+    pairs holds the representable pairs of a category, read off its unit
+    columns, or is empty.  Those columns are then not checked again; at
+    n >= 1 neither is the column of the empty set, T(0)'s image (the
+    proofs are in _pruned_pairs).  Each other distinct column is a
+    candidate; it must pass the kc half of the psi-module law,
+    kc(s, r) (x) psi(r) <= psi(s), O(|T(n)|^2), and then the exact check
+    of _pair_check, built on the first candidate.  The Kleisli table is
+    built only when a column is left to check.  By the theorem of
+    _pruned_pairs these are all the pairs over a join-prime unit and the
+    identity, ultrafilter or powerset monad.
     """
-    q = x.ext.q
+    ext = x.ext
+    q = ext.q
+    monad = ext.monad
+    n = x.n
+    seen = {tuple([v for (v,) in pair.psi.data]) for pair in pairs}
+    settled = set(ext.unit_map(n)) if pairs else set()
+    if n:
+        settled.update(monad.tmap((), 0, n))
+    rest = [t for t in range(monad.size(n)) if t not in settled]
+    if not rest:
+        return pairs
     top, tens, leq = q.top, q.tensor, q.leq
-    pair_at = _pair_check(x, pcat)
-    seen = set()
-    pairs = []
-    for t, diag in enumerate(kc):
-        if diag[t] != top:
+    kc = kleisli_table(x)
+    pair_at = None
+    for t in rest:
+        if kc[t][t] != top:
             continue
         psi = tuple([row[t] for row in kc])
         if psi in seen:
             continue
         seen.add(psi)
         if all(leq[tens[u][w]][v] for row, v in zip(kc, psi) for u, w in zip(row, psi)):
+            if pair_at is None:
+                pair_at = _pair_check(x)
             pair = pair_at(psi)
             if pair is not None:
                 pairs.append(pair)
     return pairs
 
 
-def _generic_pairs(x, kc, pcat):
+def _generic_pairs(x, kc):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted: one psi walk
     with phi carried, for any monad and any n.  _pruned_pairs runs it where
     the theorem of _pruned_pairs does not reach: where V has no
@@ -202,7 +240,7 @@ def _generic_pairs(x, kc, pcat):
     phi_E[p] = meet_{t<=i} hom(psi[t], a[t][p]).
 
     The cut.  Let e1 = e_1(0), the point of T(1) that the one-point category
-    pcat marks with c = k.  A pair's phi is the residual bound
+    marks with c = k.  A pair's phi is the residual bound
     phi[z][p] = meet_big hom(Tpsi[big][z], a[m(big)][p]), and the unit asks
     c <= V_{big in m^-1(e1)} V_t Tphi[big][t] (x) psi[t].  At big = e(t)
     the unit law of the extension (law (d)) gives psi[t] <= Tpsi[e(t)][e1],
@@ -220,11 +258,11 @@ def _generic_pairs(x, kc, pcat):
 
     At a leaf over the identity monad only the a side of the phi law,
     phi[t] (x) a[t][p] <= phi[p], is left to check: the unit-category
-    halves of both module laws read k (x) v <= v (pcat's Kleisli table is
-    (k)), the quantale unit law, which validate_quantale enforces.  Over
-    any other monad the leaf runs the exact per-psi check of _pair_check,
-    which proves the unit-category phi law away and says why it keeps the
-    unit-category psi law.
+    halves of both module laws read k (x) v <= v (the one-point
+    category's Kleisli table is (k)), the quantale unit law, which
+    validate_quantale enforces.  Over any other monad the leaf runs the
+    exact per-psi check of _pair_check, which proves the unit-category phi
+    law away and says why it keeps the unit-category psi law.
     """
     ext = x.ext
     q = ext.q
@@ -236,7 +274,7 @@ def _generic_pairs(x, kc, pcat):
     bot, top = q.bottom, q.top
     a = x.a.data
     e1 = ext.unit_map(1)[0]
-    leq_c = leq[pcat.a.data[e1][0]]
+    leq_c = leq[q.unit]
     values = range(q.n)
     tens_top = [tens[u][top] for u in values]
     # hom(v, a[t][p]) over p, for each coordinate t and value v
@@ -277,7 +315,7 @@ def _generic_pairs(x, kc, pcat):
                 rows = rows_by_phi[phi] = tuple([tphi[big] for big in bigs])
             return rows
 
-        pair_at = _pair_check(x, pcat)
+        pair_at = _pair_check(x)
 
         def leaf(phi):
             pair = pair_at(tuple(psi))
@@ -321,7 +359,7 @@ def _generic_pairs(x, kc, pcat):
     return pairs
 
 
-def _pair_check(x, pcat):
+def _pair_check(x):
     """The exact check of one psi over any monad: its pair, or None.
 
     The returned function takes psi as a tuple over T(n) that satisfies the
@@ -338,9 +376,9 @@ def _pair_check(x, pcat):
     hom(u, a[m(big)][z]), so the term is at most
     u (x) hom(u, a[m(big)][z]) <= a[m(big)][z].  The unit-category half of
     the phi law, kcp[s][t] (x) phi[t] <= phi[s] with kcp the Kleisli table
-    of pcat: pcat's structure is c = k.e_1°, and the constructor's gate
-    (k = top or T(empty) = empty) makes its threshold extension
-    Tc = k.(Te_1)°.  So kcp[s][t] = V_{m(big)=s} Tc[big][t] is k when
+    of the one-point category: its structure is c = k.e_1°, and the
+    constructor's gate (k = top or T(empty) = empty) makes its threshold
+    extension Tc = k.(Te_1)°.  So kcp[s][t] = V_{m(big)=s} Tc[big][t] is k when
     s = t (m.Te_1 = id) and bottom otherwise, and the law reads
     k (x) v <= v, the quantale's unit law.
 
@@ -359,9 +397,10 @@ def _pair_check(x, pcat):
     tens, leq, join_t, meet_t, hom_t = q.tensor, q.leq, q.join_t, q.meet_t, q.hom_t
     bot, top = q.bottom, q.top
     a = x.a.data
-    # The one-point category's structure is bottom off the image of e, and a
-    # term with a bottom factor is bottom: only these entries add to a join.
-    pa = [(t, row[0]) for t, row in enumerate(pcat.a.data) if row[0] != bot]
+    # The one-point category's structure is k at (e1, 0) and bottom
+    # elsewhere, and a term with a bottom factor is bottom: only its
+    # non-bottom entry adds to a join.
+    pa = [(ext.unit_map(1)[0], q.unit)] if q.unit != bot else []
     fib_n = ext.mult_fibers(n)
     fib_1 = ext.mult_fibers(1)
     # a(m(big), p) for every p, as columns over T(T(n))
@@ -478,9 +517,14 @@ def representables(x):
     return index
 
 
-def representative_for(x, pair):
-    """The point, if any, whose induced module pair reproduces this one exactly."""
-    return representables(x).get(pair.key())
+def representative_for(x, pair, index=None):
+    """The point, if any, whose induced module pair reproduces this one exactly.
+
+    index is representables(x), for a caller that asks about many pairs.
+    """
+    if index is None:
+        index = representables(x)
+    return index.get(pair.key())
 
 
 def decide_lawvere_complete(x, oracle=False):
@@ -492,8 +536,10 @@ def decide_lawvere_complete(x, oracle=False):
     """
     gate = completeness_gate(x.ext)
     pairs = enumerate_adjoint_pairs(x, oracle)
-    # Pairs from the shortcut of _pruned_pairs carry their representative.
-    if any(pair.representative is None for pair in pairs):
+    # Pairs read off a category carry their points, and every other pair
+    # found with them is one no point represents (_kleisli_column_pairs);
+    # pairs from anywhere else carry none.
+    if pairs and all(pair.representative is None for pair in pairs):
         index = representables(x)
         for pair in pairs:
             pair.representative = index.get(pair.key())
@@ -587,17 +633,18 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     q = ext.q
     kernel = [[f[p] == f[p2] for p2 in range(n_src)] for p in range(n_src)]
     x = order_tvcategory(ext, kernel, name="kernel")
+    pcat = unit_tvcategory(ext)
+    index = representables(x)
     g = []
     for y in range(n_tgt):
         phi = VMatrix(q, 1, n_src, (tuple(q.unit if f[p] == y else q.bottom for p in range(n_src)),))
         psi = VMatrix(q, n_src, 1, tuple((q.unit if f[p] == y else q.bottom,) for p in range(n_src)))
         pair = AdjointPair(phi, psi)
-        pcat = unit_tvcategory(ext)
         if not (is_tvbimodule(phi, pcat, x) and is_tvbimodule(psi, x, pcat)):
             raise AssertionError("fiber pair is not a module pair")
         if not check_tv_adjunction(ext, phi, psi, x, pcat)["is_adjoint"]:
             raise AssertionError("fiber pair is not adjoint")
-        rep = representative_for(x, pair)
+        rep = representative_for(x, pair, index)
         if rep is None:
             raise AssertionError("fiber pair has no representative")
         g.append(rep)

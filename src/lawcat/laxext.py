@@ -38,12 +38,15 @@ class LaxExtension:
     over one (T, V), each with an extension of its own: the suite, a
     library sweep, perfbench's loop over cli.main.  A one-file
     `lawcat complete FILE` starts with an empty memo and gains nothing.
-    Every other derived value (unit and multiplication tables, T of
-    product projections, xi, its compatibility report, capabilities,
-    derived categories) is kept in this instance's cache through
-    cached, since some of them hold the extension or were built under
-    its budget.  max_enum is the one budget of every enumeration
-    built on this extension, enforced by check_budget.
+    unit_map, mult_map and mult_fibers read the monad's own tables
+    (FiniteMonad.unit_table, mult_table, mult_fibers), which depend on
+    nothing else and are kept there within monad.TABLE_ENTRIES entries.
+    Every other derived value (T of product projections, xi, its
+    compatibility report, capabilities, derived categories) is kept in
+    this instance's cache through cached, since some of them hold the
+    extension or were built under its budget.  max_enum is the one
+    budget of every enumeration built on this extension, enforced by
+    check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -74,21 +77,14 @@ class LaxExtension:
             raise BudgetExceeded(what, needed, self.max_enum)
 
     def unit_map(self, n):
-        return self.cached(("unit_map", n), lambda: self.monad.unit_map(n))
+        return self.monad.unit_table(n)
 
     def mult_map(self, n):
-        return self.cached(("mult_map", n), lambda: self.monad.mult_map(n))
+        return self.monad.mult_table(n)
 
     def mult_fibers(self, n):
         """Preimage lists of the multiplication, indexed by T(n)."""
-
-        def build():
-            fibers = [[] for _ in range(self.monad.size(n))]
-            for big, small in enumerate(self.mult_map(n)):
-                fibers[small].append(big)
-            return tuple(tuple(f) for f in fibers)
-
-        return self.cached(("mult_fibers", n), build)
+        return self.monad.mult_fibers(n)
 
     def projections(self, nx, ny):
         """T of the two projections of the product carrier nx x ny.

@@ -9,16 +9,86 @@ set of size |T(n)|, which keeps the indexing uniform at every depth.
 from __future__ import annotations
 
 import itertools
+import threading
 
 from .errors import BudgetExceeded
 
 HARD_CARRIER_CAP = 1 << 20
 
+# Entries, summed over the tables, that one monad keeps of its unit and
+# multiplication tables and multiplication fibres.  A store past it evicts
+# the oldest tables first; a table larger than the whole bound is built on
+# every request and not kept.  It holds every powerset table up to 4
+# points (the multiplication table and its fibres at 4 points have 2^16
+# entries each).
+TABLE_ENTRIES = 1 << 17
+
 
 class FiniteMonad:
-    """Interface: size, functor action, unit, multiplication, labels."""
+    """Interface: size, functor action, unit, multiplication, labels.
+
+    unit_table, mult_table and mult_fibers are the unit and
+    multiplication index tables kept on the monad, since they depend on
+    nothing else: a process that decides many structures over one monad
+    builds each once, within TABLE_ENTRIES.  capabilities is
+    monad_capabilities, computed once.
+    """
 
     name = "?"
+
+    def __init__(self):
+        self._tables = {}
+        self._sizes = {}
+        self._entries = 0
+        self._lock = threading.Lock()
+        self._capabilities = None
+
+    def _keep(self, key, table, entries):
+        """table, kept under key with its number of entries within
+        TABLE_ENTRIES, the oldest tables evicted first."""
+        if entries <= TABLE_ENTRIES:
+            with self._lock:
+                if key not in self._tables:
+                    while self._entries + entries > TABLE_ENTRIES:
+                        old = next(iter(self._tables))
+                        del self._tables[old]
+                        self._entries -= self._sizes.pop(old)
+                    self._tables[key] = table
+                    self._sizes[key] = entries
+                    self._entries += entries
+        return table
+
+    def unit_table(self, n):
+        """unit_map(n), kept."""
+        table = self._tables.get(("unit", n))
+        if table is None:
+            table = self._keep(("unit", n), self.unit_map(n), n)
+        return table
+
+    def mult_table(self, n):
+        """mult_map(n), kept."""
+        table = self._tables.get(("mult", n))
+        if table is None:
+            table = self.mult_map(n)
+            self._keep(("mult", n), table, len(table))
+        return table
+
+    def mult_fibers(self, n):
+        """Preimage lists of the multiplication, indexed by T(n), kept."""
+        fibers = self._tables.get(("fibers", n))
+        if fibers is None:
+            mult = self.mult_table(n)
+            fibers = [[] for _ in range(self.size(n))]
+            for big, small in enumerate(mult):
+                fibers[small].append(big)
+            fibers = self._keep(("fibers", n), tuple(tuple(f) for f in fibers), len(mult))
+        return fibers
+
+    def capabilities(self):
+        """monad_capabilities(self), computed on the first call and kept."""
+        if self._capabilities is None:
+            self._capabilities = monad_capabilities(self)
+        return self._capabilities
 
     def size(self, n):
         raise NotImplementedError

@@ -13,19 +13,34 @@ import itertools
 
 from .errors import GateUnavailable
 from .laxext import _classes
+from .monad import IdentityMonad
 from .vmatrix import VMatrix, all_matrices, mcompose, postcompose_map, precompose_map, select_cols
 
 
 class TVCategory:
-    """Carrier set of size n with a structure matrix T(n) -|-> n."""
+    """Carrier set of size n with a structure matrix T(n) -|-> n.
 
-    def __init__(self, ext, n, a, name=""):
+    checked is check_tvcategory's verdict on the structure once it is
+    known: passed by a constructor that has just run the check
+    (tvcategory, all_tvcategories, the CLI), or kept by verdict().  None
+    means not yet checked; a category's (T, V) and matrix never change,
+    so neither does its verdict.
+    """
+
+    def __init__(self, ext, n, a, name="", checked=None):
         if a.rows != ext.monad.size(n) or a.cols != n:
             raise ValueError(f"structure must be {ext.monad.size(n)}x{n}, got {a.rows}x{a.cols}")
         self.ext = ext
         self.n = n
         self.a = a
         self.name = name
+        self.checked = checked
+
+    def verdict(self):
+        """check_tvcategory on this structure, run on the first call only."""
+        if self.checked is None:
+            self.checked = check_tvcategory(self.ext, self.n, self.a)
+        return self.checked
 
     @property
     def q(self):
@@ -63,19 +78,29 @@ def check_tvcategory(ext, n, a):
     (_first_failure).  A violated cell settles the verdict;
     _transitivity_scan, the s-ordered reference, then names the first
     failing (s, t, x).  Where T(n) x T(k) is no smaller than T(T(n)), as
-    over the identity monad or when the rows of a are distinct, the image
-    cannot be smaller than T(T(n)) and the scan runs alone.
+    when the rows of a are distinct, the image cannot be smaller than
+    T(T(n)) and the scan runs alone.  Over the identity monad (and so the
+    ultrafilter monad) Ta = a and m is the identity, so (T) reads
+    a(p, r) (x) a(r, s) <= a(p, s), an O(n^3) loop over the rows of a;
+    the scan runs only on a failure, to name the witness.  Reflexivity
+    is checked before the sweep is charged, so a budget below it still
+    reports a structure that is not reflexive.
     """
     q = ext.q
     monad = ext.monad
-    e = ext.unit_map(n)
-    for x in range(n):
-        if not q.le(q.unit, a.data[e[x]][x]):
+    data = a.data
+    leq_k = q.leq[q.unit]
+    for x, s in enumerate(ext.unit_map(n)):
+        if not leq_k[data[s][x]]:
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     tn = monad.size(n)
     ttn = monad.size(tn)
     ext.check_budget("associativity sweep", ttn * tn)
-    rows, rq = _classes(a.data)
+    if isinstance(monad, IdentityMonad):
+        if _transitive(q, data):
+            return {"ok": True}
+        return _transitivity_scan(ext, n, a)
+    rows, rq = _classes(data)
     if tn * monad.size(len(rows)) >= ttn:
         # The image has at most |T(n)| |T(k)| pairs, no fewer than the
         # rows the scan reads, and the scan also names the witness.
@@ -85,6 +110,18 @@ def check_tvcategory(ext, n, a):
     if _first_failure(q, a, tn, ((None, t, ta[r]) for t, r in image)) is None:
         return {"ok": True}
     return _transitivity_scan(ext, n, a)
+
+
+def _transitive(q, a):
+    """Whether a(p, r) (x) a(r, s) <= a(p, s) for all p, r, s of a square a."""
+    tens, leq = q.tensor, q.leq
+    for row in a:
+        for u, mid in zip(row, a):
+            tens_u = tens[u]
+            for w, v in zip(mid, row):
+                if not leq[tens_u[w]][v]:
+                    return False
+    return True
 
 
 def _transitivity_scan(ext, n, a):
@@ -129,7 +166,7 @@ def tvcategory(ext, n, a, name=""):
     verdict = check_tvcategory(ext, n, a)
     if not verdict["ok"]:
         raise ValueError(f"not a (T,V)-category: {verdict}")
-    return TVCategory(ext, n, a, name)
+    return TVCategory(ext, n, a, name, verdict)
 
 
 def order_tvcategory(ext, leq, name=""):
@@ -336,11 +373,12 @@ def all_tvcategories(ext, n):
     q = ext.q
     tn = ext.monad.size(n)
     ext.check_budget("structure space", q.n ** (tn * n))
-    return [
-        TVCategory(ext, n, a)
-        for a in all_matrices(q, tn, n, ext.max_enum)
-        if check_tvcategory(ext, n, a)["ok"]
-    ]
+    cats = []
+    for a in all_matrices(q, tn, n, ext.max_enum):
+        verdict = check_tvcategory(ext, n, a)
+        if verdict["ok"]:
+            cats.append(TVCategory(ext, n, a, checked=verdict))
+    return cats
 
 
 def exponentiable(x):

@@ -132,6 +132,24 @@ def check_embeds_maps(ext, samples=20, seed=1, size=3):
     return {"ok": True}
 
 
+def is_category(x):
+    """Whether an identity-sized structure over a V with k = top is
+    reflexive, top = a(p, p), and transitive, a(p, r) (x) a(r, s) <= a(p, s):
+    an O(n^3) scan, the reference for check_tvcategory's identity branch."""
+    q = x.ext.q
+    top, tens, leq = q.top, q.tensor, q.leq
+    a = x.a.data
+    for p, row in enumerate(a):
+        if row[p] != top:
+            return False
+        for u, mid in zip(row, a):
+            tens_u = tens[u]
+            for w, v in zip(mid, row):
+                if not leq[tens_u[w]][v]:
+                    return False
+    return True
+
+
 def group_quantale():
     """Z/3 with a bottom and a top adjoined, tensor the group sum.
 

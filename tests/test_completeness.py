@@ -10,6 +10,7 @@ from lawcat.completeness import (
     _generic_pairs,
     _kleisli_column_pairs,
     _pair_check,
+    _representable_pairs,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
@@ -42,7 +43,7 @@ from lawcat.tvcat import (
 )
 from lawcat.vmatrix import VMatrix
 
-from support import group_quantale
+from support import group_quantale, is_category
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -332,14 +333,14 @@ def test_bc_sweep_size_is_derived_from_the_monad_not_its_name():
 
 
 def test_t1_gate_runs_no_beck_chevalley_sweep():
-    from lawcat.completeness import _MONAD_CAPS
+    # The monad owns its capabilities, computed on the first request.
     from lawcat.monad import IdentityMonad
 
     monad = IdentityMonad()
     ext = LaxExtension(monad, builtin("2"))
     rep = decide_lawvere_complete(preorder_category(ext, [[1, 1], [0, 1]]))
     assert rep["gate"] == "T1=1" and rep["complete"]
-    assert monad not in _MONAD_CAPS
+    assert monad._capabilities is None
 
 
 # Every structure of each setting, small enough for the oracle's pair space.
@@ -473,10 +474,10 @@ def kc_closed_psis(q, kc, tn):
     ]
 
 
-def pairs_by_extension(x, kc, pcat):
+def pairs_by_extension(x, kc):
     """Reference for the pruned walk: the exact per-psi check on every
     kc-closed psi, so that it differs from the walk only in the cut."""
-    pair_at = _pair_check(x, pcat)
+    pair_at = _pair_check(x)
     found = [pair_at(psi) for psi in kc_closed_psis(x.ext.q, kc, x.ext.monad.size(x.n))]
     return [pair for pair in found if pair is not None]
 
@@ -506,11 +507,10 @@ def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname,
         ext = LaxExtension(builtin_monad(mname), cyclic_quantale(2))
     else:
         ext = ext_factory(mname, qname)
-    pcat = unit_tvcategory(ext)
     for x in all_structures(ext, n):
         pruned = [p.key() for p in enumerate_adjoint_pairs(x)]
         assert pruned == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
-        reference = sorted(p.key() for p in pairs_by_extension(x, kleisli_table(x), pcat))
+        reference = sorted(p.key() for p in pairs_by_extension(x, kleisli_table(x)))
         assert reference == pruned, x.a.data
 
 
@@ -518,7 +518,7 @@ def test_pruned_kernel_matches_oracle_on_every_matrix(ext_factory, mname, qname,
 def test_powerset_walk_matches_reference_on_hom_xi(ext_factory, qname):
     ext = ext_factory("powerset", qname)
     x = hom_xi_category(ext)
-    reference = sorted(p.key() for p in pairs_by_extension(x, kleisli_table(x), unit_tvcategory(ext)))
+    reference = sorted(p.key() for p in pairs_by_extension(x, kleisli_table(x)))
     assert [p.key() for p in enumerate_adjoint_pairs(x)] == reference
 
 
@@ -528,13 +528,12 @@ def test_powerset_walk_on_every_c3_category(monads, quantales):
     # extended, extends fewer one-column matrices than there are kc-closed
     # psis (the reference extends each).
     ext = LaxExtension(monads["powerset"], quantales["c3"])
-    pcat = unit_tvcategory(ext)
     calls = []
     extend = ext.extend
     ext.extend = lambda m: (m.cols == 1 and calls.append(m)) or extend(m)
     for x in all_tvcategories(ext, 2):
         kc = kleisli_table(x)
-        reference = sorted(p.key() for p in pairs_by_extension(x, kc, pcat))
+        reference = sorted(p.key() for p in pairs_by_extension(x, kc))
         del calls[:]
         assert [p.key() for p in enumerate_adjoint_pairs(x)] == reference, x.a.data
         assert len(calls) < len(kc_closed_psis(ext.q, kc, 4)), x.a.data
@@ -545,8 +544,8 @@ def test_identity_walk_extends_only_the_structure(monads, quantales, mname, qnam
     # Over a V without a join-prime unit the walk reads phi and psi as their
     # own extensions: the one extend call is kleisli_table's, on the
     # structure itself.  Over a join-prime unit the shortcut reads neither
-    # the Kleisli table nor the one-point category: it makes no extend call
-    # and builds no unit category.
+    # the Kleisli table nor the one-point category: it makes no extend call.
+    # Neither path builds the unit category.
     rng = random.Random(f"walk/{mname}/{qname}/{n}")
     q = quantales[qname]
     walks = qname == "pset2"
@@ -558,7 +557,7 @@ def test_identity_walk_extends_only_the_structure(monads, quantales, mname, qnam
         ext.extend = lambda m: calls.append(m) or extend(m)
         assert enumerate_adjoint_pairs(x)
         assert calls == ([x.a] if walks else [])
-        assert (("unit",) in ext.cache) == walks
+        assert ("unit",) not in ext.cache
 
 
 def test_unit_category_kleisli_table_is_k_on_the_diagonal():
@@ -694,7 +693,7 @@ def takes_shortcut(x):
     return (
         x.ext.monad.size(1) == 1
         and completeness._join_prime_unit(x.ext.q)
-        and completeness._is_category(x)
+        and is_category(x)
     )
 
 
@@ -706,7 +705,7 @@ def assert_theorem_path_matches(x):
     # they are exactly the representables index.
     pairs = enumerate_adjoint_pairs(x)
     got = [p.key() for p in pairs]
-    walk = _generic_pairs(x, kleisli_table(x), unit_tvcategory(x.ext))
+    walk = _generic_pairs(x, kleisli_table(x))
     assert got == sorted(p.key() for p in walk), x.a.data
     assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
     if takes_shortcut(x):
@@ -747,7 +746,8 @@ JOIN_PRIME_UNITS = ("2", "c3", "c4", "plus2", "plus3", "pset1")
 def reflexive_categories(ext, n):
     """The categories on n points over a V with k = top: the matrices with
     top at every (e(p), p) (k <= a(e(p), p)) that check_tvcategory
-    accepts, |V|^(|T(n)| n - n) candidates, not |V|^(|T(n)| n)."""
+    accepts, |V|^(|T(n)| n - n) candidates, not |V|^(|T(n)| n).  Each
+    carries its verdict."""
     q = ext.q
     tn = ext.monad.size(n)
     e = ext.unit_map(n)
@@ -758,8 +758,9 @@ def reflexive_categories(ext, n):
         for (s, p), v in zip(free, flat):
             data[s][p] = v
         a = VMatrix(q, tn, n, data)
-        if check_tvcategory(ext, n, a)["ok"]:
-            cats.append(TVCategory(ext, n, a))
+        verdict = check_tvcategory(ext, n, a)
+        if verdict["ok"]:
+            cats.append(TVCategory(ext, n, a, checked=verdict))
     return cats
 
 
@@ -771,7 +772,6 @@ def test_theorem_path_matches_walk_on_every_small_category(ext_factory):
     for mname in ("id", "ultra"):
         for qname in JOIN_PRIME_UNITS:
             ext = ext_factory(mname, qname)
-            pcat = unit_tvcategory(ext)
             for n in (1, 2, 3):
                 cats = reflexive_categories(ext, n)
                 if n <= 2:
@@ -780,7 +780,7 @@ def test_theorem_path_matches_walk_on_every_small_category(ext_factory):
                     assert takes_shortcut(x), (mname, qname, x.a.data)
                     pairs = enumerate_adjoint_pairs(x)
                     got = [p.key() for p in pairs]
-                    assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), pcat)), x.a.data
+                    assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x))), x.a.data
                     if n <= 2:
                         assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
                     assert {p.key(): p.representative for p in pairs} == representables(x), x.a.data
@@ -835,16 +835,27 @@ THEOREM_CASES = {
 
 
 def record_paths(monkeypatch):
-    """Wrap the three pair paths of _pruned_pairs; each records the
-    structures it is called on, under its name."""
-    seen = {"shortcut": [], "columns": [], "walk": []}
+    """Wrap the pair paths of _pruned_pairs; each records the structures it
+    is called on, under its name: "shortcut" the representable pairs read
+    off a category, "columns" the Kleisli columns, "walk" the walk.  "checked" records (structure, psi) for
+    each psi that _pair_check's check runs on, and "representables" each
+    structure whose representables index is built."""
+    seen = {"shortcut": [], "columns": [], "walk": [], "checked": [], "representables": []}
     for key, name in (
         ("shortcut", "_representable_pairs"),
         ("columns", "_kleisli_column_pairs"),
         ("walk", "_generic_pairs"),
+        ("representables", "representables"),
     ):
         path = getattr(completeness, name)
         monkeypatch.setattr(completeness, name, lambda x, *rest, _f=path, _k=key: seen[_k].append(x) or _f(x, *rest))
+    pair_check = completeness._pair_check
+
+    def recording_pair_check(x):
+        pair_at = pair_check(x)
+        return lambda psi: seen["checked"].append((x, psi)) or pair_at(psi)
+
+    monkeypatch.setattr(completeness, "_pair_check", recording_pair_check)
     return seen
 
 
@@ -872,22 +883,37 @@ def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quan
     # every monad, and for every category elsewhere: a unit below top
     # (zmod2, z3, sum3), a join-reducible top (pset2, and plus2 x plus2,
     # integral but no frame) or top = bottom (one).  Over a join-prime
-    # unit id and ultra categories take the shortcut and powerset
-    # categories the Kleisli columns.  Either way the pairs are the walk's.
+    # unit every category's representable pairs are read off its matrix,
+    # as all_tvcategories carries its verdict: id and ultra categories
+    # take only that shortcut, and powerset categories also the Kleisli
+    # columns, where _pair_check runs on no unit column and, at n >= 1, on
+    # no empty column; the decision builds no representables index.
+    # Either way the pairs are the walk's.
     walk = completeness._generic_pairs
     seen = record_paths(monkeypatch)
     q = quantales[qname] if qname in quantales else THEOREM_CASES[qname]()
     ext = LaxExtension(monads[mname], q)
-    pcat = unit_tvcategory(ext)
     sizes = (0, 1) if mname == "powerset" and not join_prime else (0, 1, 2)
     cats = [x for n in sizes for x in all_tvcategories(ext, n)]
-    for x in cats:
-        got = [p.key() for p in enumerate_adjoint_pairs(x)]
-        assert got == sorted(p.key() for p in walk(x, kleisli_table(x), pcat)), x.a.data
+    expected = [sorted(p.key() for p in walk(x, kleisli_table(x))) for x in cats]
+    for records in seen.values():
+        records.clear()
+    for x, keys in zip(cats, expected):
+        assert [p.key() for p in decide_lawvere_complete(x)["pairs"]] == keys, x.a.data
     assert cats and seen["walk"] == ([] if join_prime else cats)
     if join_prime:
-        path = "columns" if mname == "powerset" else "shortcut"
-        assert seen[path] == cats and sum(map(len, seen.values())) == len(cats)
+        assert seen["shortcut"] == cats
+        assert seen["columns"] == (cats if mname == "powerset" else [])
+        assert seen["representables"] == []
+        for x, psi in seen["checked"]:
+            kc = kleisli_table(x)
+            settled = list(ext.unit_map(x.n)) + ([0] if x.n else [])
+            assert psi not in [tuple([row[t] for row in kc]) for t in settled], x.a.data
+        # over powerset the column of the whole carrier is still checked
+        assert bool(seen["checked"]) == (mname == "powerset")
+    else:
+        assert seen["shortcut"] == seen["columns"] == []
+        assert seen["representables"] == [x for x, keys in zip(cats, expected) if keys]
     if qname == "one":
         # the empty category has the empty pair, which no point represents
         assert not decide_lawvere_complete(cats[0])["complete"]
@@ -895,8 +921,9 @@ def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quan
 
 @pytest.mark.parametrize("mname,qname", [("id", "2"), ("ultra", "c3")])
 def test_theorem_path_runs_only_on_categories(monkeypatch, ext_factory, mname, qname):
-    # Over a join-prime unit the shortcut runs exactly on the categories;
-    # every other structure takes the Kleisli columns, and none walks.
+    # Over a join-prime unit the shortcut runs exactly on the categories,
+    # whose verdict is computed here; every other structure takes the
+    # Kleisli columns, and none walks.
     seen = record_paths(monkeypatch)
     ext = ext_factory(mname, qname)
     structures = [x for n in (1, 2) for x in all_structures(ext, n)]
@@ -905,7 +932,7 @@ def test_theorem_path_runs_only_on_categories(monkeypatch, ext_factory, mname, q
     cats = [x for x in structures if check_tvcategory(ext, x.n, x.a)["ok"]]
     others = [x for x in structures if not check_tvcategory(ext, x.n, x.a)["ok"]]
     assert cats and others
-    assert seen == {"shortcut": cats, "columns": others, "walk": []}
+    assert (seen["shortcut"], seen["columns"], seen["walk"]) == (cats, others, [])
 
 
 # (monad, V, points, oracle): every matrix on that many points.  The
@@ -924,18 +951,60 @@ KLEISLI_COLUMN_SWEEPS = [("powerset", "2", n, False) for n in (0, 1, 2)] + [
 def test_kleisli_columns_match_walk_on_every_matrix(ext_factory, mname, qname, n, oracle):
     # The Kleisli-column path, called directly on every structure,
     # categories or not, against the walk and, where its pair space is
-    # small, the oracle: whole key lists.
+    # small, the oracle: whole key lists.  On a category it runs both
+    # reading the unit columns as representables and checking them.
     ext = ext_factory(mname, qname)
-    pcat = unit_tvcategory(ext)
     count = 0
     for x in all_structures(ext, n):
-        kc = kleisli_table(x)
-        got = sorted(p.key() for p in _kleisli_column_pairs(x, kc, pcat))
-        assert got == sorted(p.key() for p in _generic_pairs(x, kc, pcat)), x.a.data
+        walk = sorted(p.key() for p in _generic_pairs(x, kleisli_table(x)))
+        got = sorted(p.key() for p in _kleisli_column_pairs(x, []))
+        assert got == walk, x.a.data
+        if check_tvcategory(ext, n, x.a)["ok"]:
+            read = _kleisli_column_pairs(x, _representable_pairs(x))
+            assert sorted(p.key() for p in read) == walk, x.a.data
         if oracle:
             assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
         count += 1
     assert count == ext.q.n ** (ext.monad.size(n) * n)
+
+
+@pytest.mark.parametrize("qname", JOIN_PRIME_UNITS + ("pset2",))
+def test_checked_powerset_categories_decide_as_the_walk(ext_factory, qname):
+    # Every powerset category on up to 2 points, decided with its verdict
+    # carried (the unit columns read as representables) and without it
+    # (every column checked): the pairs, representatives and witnesses are
+    # those of the walk with representables(x), and the oracle's where its
+    # pair space is at most 256.
+    ext = ext_factory("powerset", qname)
+    q = ext.q
+    cats = incomplete = 0
+    for n in (0, 1, 2):
+        oracle = q.n ** (2 * n + (1 << n)) <= 256
+        for x in reflexive_categories(ext, n):
+            walk = sorted(p.key() for p in _generic_pairs(x, kleisli_table(x)))
+            index = representables(x)
+            reps = [index[key] for key in walk if key in index]
+            witnesses = [key for key in walk if key not in index]
+            if oracle:
+                assert walk == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
+            for y in (x, TVCategory(ext, n, x.a)):
+                verdict = decide_lawvere_complete(y)
+                assert [p.key() for p in verdict["pairs"]] == walk, x.a.data
+                assert verdict["representatives"] == reps, x.a.data
+                assert [p.key() for p in verdict["non_representable"]] == witnesses, x.a.data
+                assert verdict["complete"] == (not witnesses)
+            cats += 1
+            incomplete += bool(witnesses)
+    # 1,963 categories in all, 439 of them incomplete
+    assert (cats, incomplete) == {
+        "2": (24, 1),
+        "c3": (125, 7),
+        "c4": (427, 22),
+        "plus2": (166, 9),
+        "plus3": (751, 34),
+        "pset1": (24, 1),
+        "pset2": (446, 365),
+    }[qname]
 
 
 @pytest.mark.parametrize("qname", JOIN_PRIME_UNITS)
@@ -943,13 +1012,12 @@ def test_kleisli_columns_match_walk_on_powerset_categories(ext_factory, qname):
     # Every powerset category on 2 points: the Kleisli columns (through
     # enumerate_adjoint_pairs) against the walk.
     ext = ext_factory("powerset", qname)
-    pcat = unit_tvcategory(ext)
     cats = reflexive_categories(ext, 2)
     if qname in ("2", "c3"):
         assert sorted(x.a.data for x in cats) == sorted(x.a.data for x in all_tvcategories(ext, 2))
     for x in cats:
         got = [p.key() for p in enumerate_adjoint_pairs(x)]
-        assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), pcat)), x.a.data
+        assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x))), x.a.data
     assert len(cats) == {"2": 21, "c3": 121, "c4": 422, "plus2": 162, "plus3": 746, "pset1": 21}[qname]
 
 
@@ -962,7 +1030,7 @@ def test_v_over_powerset_has_the_walks_pairs(ext_factory, qname):
     ext = ext_factory("powerset", qname)
     x = hom_xi_category(ext)
     verdict = decide_lawvere_complete(x)
-    walk = _generic_pairs(x, kleisli_table(x), unit_tvcategory(ext))
+    walk = _generic_pairs(x, kleisli_table(x))
     assert [p.key() for p in verdict["pairs"]] == sorted(p.key() for p in walk)
     assert verdict["complete"] and verdict["pair_count"] in (2, 3)
     k_dot = ext.unit_map(ext.q.n)[ext.q.unit]
@@ -987,7 +1055,7 @@ def walk_reference(x):
     structure: the psi space charged, kleisli_table built, then the walk."""
     ext = x.ext
     ext.check_budget("psi space", ext.q.n ** ext.monad.size(x.n))
-    return sorted(p.key() for p in _generic_pairs(x, kleisli_table(x), unit_tvcategory(ext)))
+    return sorted(p.key() for p in _generic_pairs(x, kleisli_table(x)))
 
 
 def outcome(run, x):
@@ -1023,13 +1091,12 @@ def test_pset2_pairs_are_not_all_kleisli_columns(ext_factory):
     # of the 1,681 pairs of the 441 powerset categories on 2 points only
     # 931 have a Kleisli column as psi, so these must keep the walk.
     ext = ext_factory("powerset", "pset2")
-    pcat = unit_tvcategory(ext)
     cats = reflexive_categories(ext, 2)
     pairs = columns = 0
     for x in cats:
         kc = kleisli_table(x)
         got = [p.key() for p in enumerate_adjoint_pairs(x)]
-        assert got == sorted(p.key() for p in _generic_pairs(x, kc, pcat)), x.a.data
+        assert got == sorted(p.key() for p in _generic_pairs(x, kc)), x.a.data
         kc_columns = {tuple([(row[t],) for row in kc]) for t in range(len(kc))}
         pairs += len(got)
         columns += sum(psi in kc_columns for psi, _ in got)

@@ -335,3 +335,85 @@ def test_powerset_images_stay_small_where_the_tables_do_not():
     image = p.tmap_image(((pi1, 4), (pi2, 4)), 16)
     # (A, B) with A and B both empty or both nonempty
     assert len(image) == 1 + 15 * 15
+
+
+def test_tables_are_kept_on_the_monad_within_the_bound(monkeypatch):
+    from lawcat import monad as monad_module
+    from lawcat.completeness import decide_lawvere_complete
+    from lawcat.laxext import LaxExtension
+    from lawcat.quantale import builtin
+    from lawcat.tvcat import all_tvcategories
+
+    m = PowersetMonad()
+    assert m.unit_table(3) is m.unit_table(3) == m.unit_map(3)
+    assert m.mult_table(2) is m.mult_table(2) == m.mult_map(2)
+    fibers = m.mult_fibers(2)
+    assert fibers is m.mult_fibers(2)
+    mu = m.mult_map(2)
+    assert fibers == tuple(tuple(big for big in range(16) if mu[big] == s) for s in range(4))
+    # every extension of the monad reads the same tables and keeps none
+    first, second = LaxExtension(m, builtin("2")), LaxExtension(m, builtin("c3"))
+    assert first.mult_fibers(2) is second.mult_fibers(2) is fibers
+    assert first.unit_map(3) is m.unit_table(3) and first.mult_map(2) is m.mult_table(2)
+    for x in all_tvcategories(first, 2):
+        decide_lawvere_complete(x)
+    assert not any(key[0] in ("unit_map", "mult_map", "mult_fibers") for key in first.cache)
+    # past the bound the oldest tables go first; a larger table is not kept
+    monkeypatch.setattr(monad_module, "TABLE_ENTRIES", 20)
+    m = PowersetMonad()
+    m.mult_table(2)
+    m.unit_table(2)
+    assert (list(m._tables), m._entries) == ([("mult", 2), ("unit", 2)], 18)
+    m.mult_table(1)
+    assert (list(m._tables), m._entries) == ([("unit", 2), ("mult", 1)], 6)
+    assert m.mult_table(3) == m.mult_map(3) and m.mult_table(3) is not m.mult_table(3)
+    assert (list(m._tables), m._entries) == ([("unit", 2), ("mult", 1)], 6)
+    assert m._sizes == {("unit", 2): 2, ("mult", 1): 4}
+
+
+def test_capabilities_are_computed_once_per_monad_object():
+    m = PowersetMonad()
+    assert m._capabilities is None
+    caps = m.capabilities()
+    assert caps == monad_capabilities(m) and m.capabilities() is caps
+    assert PowersetMonad()._capabilities is None
+
+
+def test_threads_share_one_bounded_table_store(monkeypatch):
+    # threads asking one monad for tables under a small bound get exact
+    # tables, and the store's count of entries stays exact and within it
+    import sys
+    import threading
+
+    from lawcat import monad as monad_module
+
+    monkeypatch.setattr(monad_module, "TABLE_ENTRIES", 40)
+    m = PowersetMonad()
+    reference = {n: (PowersetMonad().unit_map(n), PowersetMonad().mult_map(n)) for n in range(4)}
+    errors, checked = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                n = rng.randrange(4)
+                assert (m.unit_table(n), m.mult_table(n)) == reference[n]
+                assert sum(map(len, m.mult_fibers(n))) == len(reference[n][1])
+                checked.append(1)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(f"tables/{i}",)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(checked) == 6 * 300
+    assert list(m._sizes) == list(m._tables)
+    assert m._entries == sum(m._sizes.values()) <= 40

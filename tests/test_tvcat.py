@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lawcat.errors import GateUnavailable
+from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import LaxExtension, _threshold_extend, check_extension_laws
 from lawcat.monad import PowersetMonad, builtin_monad, m_square_gap
 from lawcat.quantale import builtin
@@ -32,7 +32,7 @@ from lawcat.tvcat import (
 )
 from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
 
-from support import check_evaluation_functor, closed_sets, induced_modules, oracle_largest_structure
+from support import check_evaluation_functor, closed_sets, induced_modules, is_category, oracle_largest_structure
 
 
 def functor_module_equivalence(f, x, y):
@@ -236,6 +236,64 @@ def test_check_tvcategory_witness_matches_the_reference_scan(mname, qname, n):
         laws.append((verdict.get("law"), len(set(map(tuple, rows))) < tn))
     assert {None, "reflexivity", "transitivity"} <= {law for law, _ in laws}
     assert ("transitivity", True) in laws and (None, True) in laws
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra"])
+@pytest.mark.parametrize("qname", ["2", "c3"])
+def test_identity_branch_matches_the_reference_scan(mname, qname):
+    # Every matrix on up to 3 points: the identity branch's verdict is the
+    # reference's (is_category), and its witness is the first point that
+    # is not reflexive, or else _transitivity_scan's.
+    q = builtin(qname)
+    ext = LaxExtension(builtin_monad(mname), q)
+    laws = set()
+    for n in range(4):
+        for flat in itertools.product(range(q.n), repeat=n * n):
+            a = VMatrix(q, n, n, [flat[i * n : (i + 1) * n] for i in range(n)])
+            verdict = check_tvcategory(ext, n, a)
+            assert verdict["ok"] == is_category(TVCategory(ext, n, a)), flat
+            loop = next((p for p in range(n) if a.data[p][p] != q.top), None)
+            if loop is None:
+                assert verdict == _transitivity_scan(ext, n, a), flat
+            else:
+                assert verdict == {"ok": False, "law": "reflexivity", "witness": (loop,)}, flat
+            laws.add(verdict.get("law"))
+    assert laws == {None, "reflexivity", "transitivity"}
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+def test_reflexivity_is_reported_below_the_sweep_budget(mname):
+    # Reflexivity is checked before the associativity sweep is charged: a
+    # structure that is not reflexive is reported as such under a budget
+    # below the sweep, and a reflexive one is refused with the sweep.
+    q = builtin("2")
+    monad = builtin_monad(mname)
+    n = 2
+    tn = monad.size(n)
+    sweep = monad.size(tn) * tn
+    ext = LaxExtension(monad, q, sweep - 1)
+    e = monad.unit_map(n)
+    rows = [[q.top] * n for _ in range(tn)]
+    rows[e[1]][1] = q.bottom
+    x = TVCategory(ext, n, VMatrix(q, tn, n, rows))
+    assert x.verdict() == {"ok": False, "law": "reflexivity", "witness": (1,)}
+    assert x.checked is x.verdict()
+    with pytest.raises(BudgetExceeded) as err:
+        check_tvcategory(ext, n, VMatrix(q, tn, n, [[q.top] * n for _ in range(tn)]))
+    assert (err.value.what, err.value.needed) == ("associativity sweep", sweep)
+
+
+def test_constructors_carry_the_verdict(ext_factory):
+    # tvcategory and all_tvcategories keep the verdict of the check they
+    # ran; a bare TVCategory computes it once, on request.
+    ext = ext_factory("powerset", "2")
+    cats = all_tvcategories(ext, 1)
+    assert cats and all(x.checked == {"ok": True} for x in cats)
+    x = tvcategory(ext, 1, cats[0].a)
+    assert x.checked == {"ok": True}
+    bare = TVCategory(ext, 1, cats[0].a)
+    assert bare.checked is None
+    assert bare.verdict() is bare.verdict() is bare.checked
 
 
 @pytest.mark.parametrize("qname,sample", [("2", None), ("c3", 400)])
