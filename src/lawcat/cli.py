@@ -13,7 +13,7 @@ import sys
 from .completeness import certify_v_complete, decide_lawvere_complete
 from .errors import GateUnavailable, LawcatError, ParseError
 from .fileio import load_file, matrix_lines
-from .instances import FiniteSpace, sober_vs_lawvere, space_lawvere_complete, weakly_sober
+from .instances import sober_vs_lawvere, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
 from .quantale import validate_quantale
@@ -68,7 +68,7 @@ def cmd_check(args):
         return 0 if verdict["ok"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = weakly_sober(FiniteSpace(order))
+        rep = weakly_sober(order)
         verdict = {"kind": kind, "name": name, "ok": True, "weakly_sober": rep["weakly_sober"]}
         _emit(verdict, args.format, input_block)
         return 0
@@ -125,7 +125,7 @@ def cmd_complete(args):
         return 0 if rep["complete"] else 1
     if kind == "space":
         name, labels, order = payload
-        rep = sober_vs_lawvere(_ext("ultra", "2", args.max_enum), FiniteSpace(order), args.oracle)
+        rep = sober_vs_lawvere(_ext("ultra", "2", args.max_enum), order, args.oracle)
         _emit({"kind": kind, "name": name, **rep}, args.format, input_block)
         return 0 if rep["lawvere"] else 1
     if kind == "quniform":
@@ -156,9 +156,8 @@ def cmd_sober(args):
     if kind != "space":
         raise ParseError(args.path, 1, "sober expects a space file")
     name, labels, order = payload
-    space = FiniteSpace(order)
-    rep = weakly_sober(space)
-    lawvere = space_lawvere_complete(_ext("ultra", "2", args.max_enum), space, args.oracle)
+    rep = weakly_sober(order)
+    lawvere = space_lawvere_complete(_ext("ultra", "2", args.max_enum), order, args.oracle)
     out = {
         "name": name,
         "weakly_sober": rep["weakly_sober"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import GateUnavailable
 from .monad import IdentityMonad, PowersetMonad
 from .tvcat import (
+    FinitePreorder,
     check_tv_adjunction,
     check_tvfunctor,
     hom_xi_category,
@@ -631,7 +632,7 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     if image != set(range(n_tgt)):
         raise ValueError("map is not surjective")
     q = ext.q
-    kernel = [[f[p] == f[p2] for p2 in range(n_src)] for p in range(n_src)]
+    kernel = FinitePreorder(n_src, [[f[p] == f[p2] for p2 in range(n_src)] for p in range(n_src)])
     x = order_tvcategory(ext, kernel, name="kernel")
     pcat = unit_tvcategory(ext)
     index = representables(x)

@@ -1,8 +1,9 @@
 """Finite incarnations: orders, finite spaces, and the distance surrogate.
 
-Finite topological spaces are stored as their specialization preorder
-(x below y means x lies in the closure of y), so closed sets are the
-down-sets.  Convergence of the principal ultrafilter at x to y reads as
+Finite topological spaces are stored as their specialization preorder,
+a FinitePreorder (defined in tvcat and re-exported here): x below y
+means x lies in the closure of y, so closed sets are the down-sets.
+Convergence of the principal ultrafilter at x to y reads as
 y below x, which turns a space into a structure over the two-element
 quantale under the ultrafilter monad and back, losslessly.
 
@@ -18,6 +19,8 @@ import itertools
 from .completeness import decide_lawvere_complete
 from .errors import GateUnavailable
 from .tvcat import (
+    FinitePreorder,
+    _points,
     check_tvfunctor,
     hom_xi_category,
     is_tvbimodule,
@@ -25,41 +28,6 @@ from .tvcat import (
     unit_tvcategory,
 )
 from .vmatrix import VMatrix
-
-
-class FinitePreorder:
-    """Reflexive transitive relation on {0..n-1} as a boolean table."""
-
-    def __init__(self, n, leq):
-        self.n = n
-        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
-
-    def __eq__(self, other):
-        return isinstance(other, FinitePreorder) and self.leq == other.leq
-
-    def __hash__(self):
-        return hash(self.leq)
-
-    def __repr__(self):
-        return f"FinitePreorder({self.n})"
-
-    @staticmethod
-    def from_pairs(n, pairs):
-        """Reflexive-transitive closure of generating pairs."""
-        leq = [[x == y for y in range(n)] for x in range(n)]
-        for (x, y) in pairs:
-            leq[x][y] = True
-        changed = True
-        while changed:
-            changed = False
-            for x in range(n):
-                for y in range(n):
-                    if leq[x][y]:
-                        for z in range(n):
-                            if leq[y][z] and not leq[x][z]:
-                                leq[x][z] = True
-                                changed = True
-        return FinitePreorder(n, leq)
 
 
 def enumerate_preorders(n):
@@ -98,101 +66,59 @@ def enumerate_preorders(n):
     return out
 
 
-class FiniteSpace:
-    """A finite space presented by its specialization preorder."""
-
-    def __init__(self, specialization):
-        self.order = specialization
-        self.n = specialization.n
-
-
-def _down_masks(order):
-    """Bitmask of the points below x, for each point x."""
-    return [sum(1 << y for y in range(order.n) if order.leq[y][x]) for x in range(order.n)]
-
-
-def _closed_masks(down):
-    """Bitmasks of the down-sets, in increasing order.
-
-    A mask is closed when the down-set of each of its points stays inside
-    it; its set bits are walked from the lowest, stopping at the first
-    point whose down-set leaves the mask.
-    """
-    closed = []
-    for mask in range(1 << len(down)):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if down[low.bit_length() - 1] & ~mask:
-                break
-            rest ^= low
-        else:
-            closed.append(mask)
-    return closed
-
-
-def _points(mask):
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
-def tvcategory_from_space(ext, space):
-    """Convergence structure: the principal filter at x reaches y when y is below x."""
-    n = space.n
+def tvcategory_from_space(ext, order):
+    """Convergence structure of the space with specialization preorder order:
+    the principal filter at x reaches y when y is below x."""
+    n = order.n
     if ext.monad.size(n) != n:
         raise GateUnavailable("principal carriers", "space bridge needs TX = X")
-    leq = space.order.leq
-    return order_tvcategory(ext, [[leq[y][x] for y in range(n)] for x in range(n)], name="space")
+    return order_tvcategory(ext, FinitePreorder(n, zip(*order.leq)), name="space")
 
 
-def weakly_sober(space):
+def weakly_sober(order):
     """Irreducible closed sets and their generic points, plus the verdict.
 
-    A nonempty closed set is irreducible when it is not the union of two
-    proper closed subsets; a generic point is one whose closure is the
-    whole set.  The space is weakly sober when every irreducible closed
-    set has a generic point (not necessarily unique).  Closed sets are
-    bitmasks; the closure of x is the mask of the points below it.
+    order is the space's specialization preorder: the closed sets are its
+    down-sets, and the closure of x is down[x].  A nonempty closed set is
+    irreducible when it is not the union of two proper closed subsets, and
+    a generic point is one whose closure is the whole set.  The space is
+    weakly sober when every irreducible closed set has a generic point.
 
-    c is reducible exactly when the union of all its proper closed subsets
-    is c.  One way is clear.  For the other, take a fewest proper closed
-    subsets a1, ..., ak whose union is c: k >= 2, since each is proper, and
-    closed sets are closed under finite unions, so c = a1 | (a2 | ... | ak)
-    with the second set closed and, by minimality, proper.  The masks come
-    in increasing order, so the proper subsets of c come before it.
+    On a finite space the irreducible closed sets are the point closures
+    (cf. Monoidal Topology, ch. III).  A nonempty down-set c is the union
+    of the closures of its points, each inside c.  If none is all of c,
+    take fewest points x1, ..., xk whose closures cover c: k >= 2, and
+    c = down[x1] | (down[x2] | ... | down[xk]) splits c into two proper
+    closed sets.  Conversely, if down[x] = a | b with a, b closed, x lies
+    in one of them, which then holds down[x].  So the irreducible closed
+    sets are the distinct down[x], listed here in increasing mask order,
+    the generic points of down[x] are the y with down[y] = down[x], and
+    every finite space is weakly sober.
     """
-    down = _down_masks(space.order)
-    closed = _closed_masks(down)
-    details = []
-    sober = True
-    for i, c in enumerate(closed):
-        if not c:
-            continue
-        below = 0
-        for a in closed[:i]:
-            if a & ~c == 0:
-                below |= a
-        if below == c:
-            continue
-        generic = tuple(x for x in _points(c) if down[x] == c)
-        if not generic:
-            sober = False
-        details.append({"closed_set": _points(c), "generic_points": generic})
-    return {"weakly_sober": sober, "irreducible": details, "closed_count": len(closed)}
+    generic = {}
+    for x, mask in enumerate(order.down):
+        generic.setdefault(mask, []).append(x)
+    details = [
+        {"closed_set": _points(c), "generic_points": tuple(xs)} for c, xs in sorted(generic.items())
+    ]
+    return {"weakly_sober": True, "irreducible": details}
 
 
-def space_lawvere_complete(ext, space, oracle=False):
+def space_lawvere_complete(ext, order, oracle=False):
     """Lawvere completeness of the space read as an (ultrafilter, 2)-category.
 
-    ext is the caller's (ultrafilter, 2) extension, shared by its spaces.
+    order is the space's specialization preorder; ext is the caller's
+    (ultrafilter, 2) extension, shared by its spaces.
     """
-    cat = tvcategory_from_space(ext, space)
+    cat = tvcategory_from_space(ext, order)
     return decide_lawvere_complete(cat, oracle)["complete"]
 
 
-def sober_vs_lawvere(ext, space, oracle=False):
-    """Both sides of the space-level equivalence, computed independently."""
-    sober = weakly_sober(space)["weakly_sober"]
-    lawvere = space_lawvere_complete(ext, space, oracle)
+def sober_vs_lawvere(ext, order, oracle=False):
+    """Both sides of the space-level equivalence: weak sobriety by the
+    point closures (weakly_sober), completeness by the adjoint-pair search."""
+    sober = weakly_sober(order)["weakly_sober"]
+    lawvere = space_lawvere_complete(ext, order, oracle)
     return {"weakly_sober": sober, "lawvere": lawvere, "agree": sober == lawvere}
 
 

@@ -15,8 +15,8 @@ adjoint-pair enumeration finds.
 from __future__ import annotations
 
 from .completeness import decide_lawvere_complete
-from .instances import _points, enumerate_preorders
-from .tvcat import order_tvcategory
+from .instances import enumerate_preorders
+from .tvcat import FinitePreorder, _points, order_tvcategory
 
 
 def rel_compose(r, s):
@@ -108,13 +108,19 @@ def _first_entourage_missing(u, missing):
     return frozenset(p for p in pairs if p <= top and p != last)
 
 
-def w_masks(u):
-    """w's masks: down[y] holds the points x, and up[x] the points y, with (x, y) in w."""
-    down, up = [0] * u.n, [0] * u.n
-    for x, y in u.w:
-        down[y] |= 1 << x
-        up[x] |= 1 << y
-    return down, up
+def w_order(u):
+    """w as a FinitePreorder, whose down and up masks the Cauchy side reads.
+
+    For a nonempty base, the base is valid iff w is a preorder.
+    all_quniformities proves "only if".  For "if": a reflexive w makes every
+    base relation reflexive, and w is in the intersection closure with
+    w.w <= w <= r for every r there.  So an invalid base raises
+    FinitePreorder's ValueError, which names the first failing cell; an
+    empty base, which has no w, raises one too.
+    """
+    if u.w is None:
+        raise ValueError("empty base: w is undefined")
+    return FinitePreorder(u.n, [[(x, y) in u.w for y in range(u.n)] for x in range(u.n)])
 
 
 def meet(masks, points):
@@ -152,9 +158,10 @@ def decide_cauchy_complete(u):
     the neighbourhood pair of x0 is (down[x0], up[x0]); minimality is
     is_minimal_pair, so the one candidate partner of L is U(L).  So
     minimal_pairs lists the minimal pairs, as point tuples, in increasing
-    (L, R), the order of the frozenset enumeration it replaces.
+    (L, R), the order of the frozenset enumeration it replaces.  The masks are w_order's.
     """
-    down, up = w_masks(u)
+    order = w_order(u)
+    down, up = order.down, order.up
     nbhd = list(zip(down, up))
     all_converge = True
     minimal = []
@@ -193,11 +200,10 @@ def decide_lawvere_q(ext, u, oracle=False):
     independently (with its minimal-pair form), and their agreement.  It
     also reports the bimodule/filter bridge between the two sides: forward,
     every module pair's filter pair is minimal Cauchy; bijection, the
-    module pairs give exactly the minimal Cauchy pairs.
+    module pairs give exactly the minimal Cauchy pairs.  An invalid base
+    raises w_order's ValueError.
     """
-    n = u.n
-    leq_w = [[(x, y) in u.w for y in range(n)] for x in range(n)]
-    verdict = decide_lawvere_complete(order_tvcategory(ext, leq_w), oracle)
+    verdict = decide_lawvere_complete(order_tvcategory(ext, w_order(u)), oracle)
     top = ext.q.top
     from_mods = {
         (

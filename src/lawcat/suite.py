@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .completeness import certify_v_complete, decide_lawvere_complete, ord_section_extract
 from .enriched import all_vcategories
 from .errors import DEFAULT_MAX_ENUM, BudgetExceeded
-from .instances import FiniteSpace, approach_surrogate, enumerate_preorders, sober_vs_lawvere
+from .instances import approach_surrogate, enumerate_preorders, sober_vs_lawvere
 from .laxext import LaxExtension, _random_matrix, check_extension_laws, check_xi, check_xi_functor
 from .monad import builtin_monads
 from .quantale import builtin, builtin_quantales, validate_quantale
@@ -27,7 +27,7 @@ from .quniform import (
     is_minimal_pair,
     meet,
     validate_quniformity,
-    w_masks,
+    w_order,
 )
 from .tvcat import (
     all_tvcategories,
@@ -162,7 +162,7 @@ def item_ord_complete(max_enum=DEFAULT_MAX_ENUM):
     ext = _ext("id", "2", max_enum)
     all_complete = True
     for p in preorders:
-        if not decide_lawvere_complete(order_tvcategory(ext, p.leq))["complete"]:
+        if not decide_lawvere_complete(order_tvcategory(ext, p))["complete"]:
             all_complete = False
             break
     sections = 0
@@ -257,7 +257,7 @@ def item_sober(max_enum=DEFAULT_MAX_ENUM):
     ok = True
     for n in (1, 2, 3, 4):
         for p in enumerate_preorders(n):
-            rep = sober_vs_lawvere(ext, FiniteSpace(p))
+            rep = sober_vs_lawvere(ext, p)
             if not (rep["agree"] and rep["weakly_sober"] and rep["lawvere"]):
                 ok = False
             total += 1
@@ -289,7 +289,8 @@ def item_quniform(max_enum=DEFAULT_MAX_ENUM):
         rep = decide_lawvere_q(ext, u)
         if not (rep["agree"] and rep["bijection"] and rep["forward"]):
             ok = False
-        down, up = w_masks(u)
+        order = w_order(u)
+        down, up = order.down, order.up
         for left, right in zip(down, up):
             cauchy = not right & ~meet(up, left)
             if not (cauchy and is_minimal_pair(down, up, left, right)):

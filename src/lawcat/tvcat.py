@@ -1,6 +1,7 @@
 """Monad-enriched categories: structures a: TX -|-> X and their calculus.
 
-Covers the axiom checker, Kleisli composition, functors, bimodules with
+Covers the axiom checker, finite preorders and the categories they give,
+Kleisli composition, functors, bimodules with
 the double-functor characterization, duals, tensors, the canonical
 structure on the quantale, exponentials and the Yoneda morphism.
 Conditional constructions check their hypotheses instead of assuming
@@ -162,6 +163,59 @@ def _first_failure(q, a, tn, reads):
     return None
 
 
+class FinitePreorder:
+    """Reflexive transitive relation on {0..n-1} as a boolean table.
+
+    The constructor refuses a table that is not n x n, reflexive and
+    transitive, with a ValueError naming the first failing cell: row by
+    row, the diagonal first, then the least triple x <= y <= z without
+    x <= z.  up[x] is the mask of the points y with x <= y, and down[y] the
+    mask of the points x with x <= y; in a specialization order down[x] is
+    the closure of x.
+    """
+
+    def __init__(self, n, leq):
+        self.n = n
+        self.leq = rows = tuple([tuple(map(bool, row)) for row in leq])
+        if list(map(len, rows)) != [n] * n:
+            raise ValueError(f"not a {n}x{n} table")
+        bits = [1 << y for y in range(n)]
+        self.up = up = tuple([sum(itertools.compress(bits, row)) for row in rows])
+        self.down = tuple([sum(itertools.compress(bits, column)) for column in zip(*rows)])
+        for x, mask in enumerate(up):
+            if not mask >> x & 1:
+                raise ValueError(f"not reflexive: ({x}, {x}) is missing")
+            for y in itertools.compress(range(n), rows[x]):
+                if up[y] & ~mask:
+                    z = _points(up[y] & ~mask)[0]
+                    raise ValueError(f"not transitive: ({x}, {y}) and ({y}, {z}), not ({x}, {z})")
+
+    def __eq__(self, other):
+        return isinstance(other, FinitePreorder) and self.leq == other.leq
+
+    def __hash__(self):
+        return hash(self.leq)
+
+    def __repr__(self):
+        return f"FinitePreorder({self.n})"
+
+    @staticmethod
+    def from_pairs(n, pairs):
+        """Reflexive-transitive closure of generating pairs (Warshall, on masks)."""
+        up = [1 << x for x in range(n)]
+        for (x, y) in pairs:
+            up[x] |= 1 << y
+        for k in range(n):
+            for x in range(n):
+                if up[x] >> k & 1:
+                    up[x] |= up[k]
+        return FinitePreorder(n, [[up[x] >> y & 1 for y in range(n)] for x in range(n)])
+
+
+def _points(mask):
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
 def tvcategory(ext, n, a, name=""):
     verdict = check_tvcategory(ext, n, a)
     if not verdict["ok"]:
@@ -169,24 +223,29 @@ def tvcategory(ext, n, a, name=""):
     return TVCategory(ext, n, a, name, verdict)
 
 
-def order_tvcategory(ext, leq, name=""):
-    """A preorder as a structure: k at (e(x), y) when leq[x][y], bottom elsewhere."""
+def order_tvcategory(ext, order, name=""):
+    """A preorder as a structure: k at (e(x), y) when x <= y, bottom elsewhere.
+
+    order is a FinitePreorder, reflexive and transitive by
+    construction.  Over the identity and ultrafilter monads the structure
+    is then a category, so it carries check_tvcategory's verdict
+    {"ok": True}: a(x, x) = k, and a(p, r) (x) a(r, s) is k (x) k = k when
+    p <= r <= s, where p <= s, and bottom otherwise, as bottom absorbs.
+    Over powerset it carries nothing.
+    """
     q = ext.q
-    n = len(leq)
-    e = ext.unit_map(n)
-    tn = ext.monad.size(n)
-    data = [[q.bottom] * n for _ in range(tn)]
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y]:
-                data[e[x]][y] = q.unit
-    return TVCategory(ext, n, VMatrix(q, tn, n, data), name=name)
+    n = order.n
+    data = [(q.bottom,) * n] * ext.monad.size(n)
+    for s, row in zip(ext.unit_map(n), order.leq):
+        data[s] = tuple([q.unit if v else q.bottom for v in row])
+    checked = {"ok": True} if isinstance(ext.monad, IdentityMonad) else None
+    return TVCategory(ext, n, VMatrix.trusted(q, len(data), n, tuple(data)), name, checked)
 
 
 def discrete_tvcategory(ext, n):
     """Structure transpose of the unit: the free reflexive structure."""
-    leq = [[x == y for y in range(n)] for x in range(n)]
-    return order_tvcategory(ext, leq, name=f"discrete{n}")
+    discrete = FinitePreorder(n, [[x == y for y in range(n)] for x in range(n)])
+    return order_tvcategory(ext, discrete, name=f"discrete{n}")
 
 
 def em_algebra_category(ext, n):

@@ -8,7 +8,7 @@ checks that only the tests call, so they live here.  The
 import random
 
 from lawcat.fileio import parse_quantale_text
-from lawcat.instances import _closed_masks, _down_masks, _points
+from lawcat.instances import _points
 from lawcat.quantale import validate_quantale
 from lawcat.tvcat import Exponential
 from lawcat.vmatrix import VMatrix, all_matrices, precompose_map, select_cols
@@ -23,10 +23,62 @@ def constant_matrix(q, rows, cols, value):
     return VMatrix(q, rows, cols, [[value] * cols for _ in range(rows)])
 
 
-def closed_sets(space):
-    """Down-sets of the specialization order, as sorted tuples, by the
-    bitmask scan that weakly_sober runs."""
-    return [_points(mask) for mask in _closed_masks(_down_masks(space.order))]
+def closed_masks(down):
+    """Bitmasks of the down-sets, in increasing order, down[x] being the
+    mask of the points below x.
+
+    A mask is closed when the down-set of each of its points stays inside
+    it; its set bits are walked from the lowest, stopping at the first
+    point whose down-set leaves the mask.
+    """
+    closed = []
+    for mask in range(1 << len(down)):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if down[low.bit_length() - 1] & ~mask:
+                break
+            rest ^= low
+        else:
+            closed.append(mask)
+    return closed
+
+
+def closed_sets(order):
+    """Down-sets of a specialization preorder, as sorted tuples, by a walk
+    over all 2^n masks (closed_masks)."""
+    return [_points(mask) for mask in closed_masks(order.down)]
+
+
+def weakly_sober_by_closed_sets(order):
+    """weakly_sober's report by the reference search: every closed mask is
+    tested against the union of its proper closed subsets.
+
+    c is reducible exactly when the union of all its proper closed subsets
+    is c.  One way is clear.  For the other, take a fewest proper closed
+    subsets a1, ..., ak whose union is c: k >= 2, since each is proper, and
+    closed sets are closed under finite unions, so c = a1 | (a2 | ... | ak)
+    with the second set closed and, by minimality, proper.  The masks come
+    in increasing order, so the proper subsets of c come before it.
+    """
+    down = order.down
+    closed = closed_masks(down)
+    details = []
+    sober = True
+    for i, c in enumerate(closed):
+        if not c:
+            continue
+        below = 0
+        for a in closed[:i]:
+            if a & ~c == 0:
+                below |= a
+        if below == c:
+            continue
+        generic = tuple(x for x in _points(c) if down[x] == c)
+        if not generic:
+            sober = False
+        details.append({"closed_set": _points(c), "generic_points": generic})
+    return {"weakly_sober": sober, "irreducible": details}
 
 
 def principal_ultrafilter(n, i):

@@ -144,6 +144,26 @@ def test_space_commands_honour_the_budget(capsys, command):
     assert "psi space" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [20, 24])
+def test_sober_reaches_twenty_points(tmp_path, capsys, n):
+    # weak sobriety enumerates nothing; the Lawvere side charges 2^n psis
+    labels = [f"p{x}" for x in range(n)]
+    target = tmp_path / "discrete.space"
+    target.write_text(f"space discrete\nelements: {' '.join(labels)}\n")
+    out = main(["sober", str(target), "--format", "json"])
+    captured = capsys.readouterr()
+    if n == 20:
+        assert out == 0
+        rep = json.loads(captured.out)
+        assert rep["weakly_sober"] and rep["lawvere"] and rep["agree"]
+        assert rep["irreducible_closed_sets"] == [
+            {"closed_set": [lab], "generic_points": [lab]} for lab in labels
+        ]
+    else:
+        assert out == 2
+        assert "error: psi space: needs 16777216 candidates, budget is 10000000" in captured.err
+
+
 def test_suite_sober_honours_the_budget(capsys):
     assert main(["suite", "--only", "sober", "--max-enum", "1"]) == 0
     assert "SKIP sober" in capsys.readouterr().out

@@ -22,7 +22,6 @@ from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.fileio import parse_quantale_text
 from lawcat.instances import (
     FinitePreorder,
-    FiniteSpace,
     enumerate_preorders,
     tvcategory_from_space,
     weakly_sober,
@@ -150,10 +149,9 @@ def test_pair_count_equals_irreducible_closed_sets(ext_factory):
     ext = ext_factory("ultra", "2")
     for n in (1, 2, 3):
         for p in enumerate_preorders(n):
-            space = FiniteSpace(p)
-            cat = tvcategory_from_space(ext, space)
+            cat = tvcategory_from_space(ext, p)
             pairs = enumerate_adjoint_pairs(cat)
-            sober = weakly_sober(space)
+            sober = weakly_sober(p)
             assert len(pairs) == len(sober["irreducible"])
             # representatives are exactly the generic points
             by_phi = {
@@ -727,7 +725,7 @@ def test_theorem_path_matches_walk_on_preorders(ext_factory):
     preorders = enumerate_preorders(4)
     assert len(preorders) == 355
     for p in preorders:
-        assert assert_theorem_path_matches(order_tvcategory(ext, p.leq))
+        assert assert_theorem_path_matches(order_tvcategory(ext, p))
 
 
 def test_theorem_path_matches_walk_on_spaces(ext_factory):
@@ -735,8 +733,8 @@ def test_theorem_path_matches_walk_on_spaces(ext_factory):
     rng = random.Random("bitmask/spaces")
     for _ in range(200):
         pairs = [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(7))]
-        space = FiniteSpace(FinitePreorder.from_pairs(5, pairs))
-        assert assert_theorem_path_matches(tvcategory_from_space(ext, space))
+        order = FinitePreorder.from_pairs(5, pairs)
+        assert assert_theorem_path_matches(tvcategory_from_space(ext, order))
 
 
 # The built-ins whose unit is a join-irreducible top.

@@ -7,7 +7,6 @@ from lawcat.completeness import decide_lawvere_complete
 from lawcat.errors import GateUnavailable
 from lawcat.instances import (
     FinitePreorder,
-    FiniteSpace,
     VariableSet,
     approach_surrogate,
     companion_varset,
@@ -27,56 +26,53 @@ from lawcat.quantale import builtin
 from lawcat.tvcat import TVCategory, all_tvcategories
 from lawcat.vmatrix import VMatrix
 
-from support import closed_sets
+from support import closed_sets, weakly_sober_by_closed_sets
 
 
-def is_valid(p):
+def is_valid(leq):
     """Reflexivity and transitivity of a preorder's table, cell by cell."""
-    ok_refl = all(p.leq[x][x] for x in range(p.n))
+    n = len(leq)
+    ok_refl = all(leq[x][x] for x in range(n))
     ok_trans = all(
-        not (p.leq[x][y] and p.leq[y][z]) or p.leq[x][z]
-        for x in range(p.n)
-        for y in range(p.n)
-        for z in range(p.n)
+        not (leq[x][y] and leq[y][z]) or leq[x][z]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
     )
     return ok_refl and ok_trans
 
 
-def closure(space, pts):
+def closure(order, pts):
     """The points below some point of pts in the specialization order."""
-    return tuple(
-        sorted(y for y in range(space.n) if any(space.order.leq[y][x] for x in pts))
-    )
+    return tuple(sorted(y for y in range(order.n) if any(order.leq[y][x] for x in pts)))
 
 
-def open_sets(space):
-    full = set(range(space.n))
-    return [tuple(sorted(full - set(c))) for c in closed_sets(space)]
+def open_sets(order):
+    full = set(range(order.n))
+    return [tuple(sorted(full - set(c))) for c in closed_sets(order)]
 
 
 def space_from_tvcategory(cat):
     # rows index the converging point, columns the limit: u below v iff v -> u
     n = cat.n
     k = cat.q.unit
-    order = FinitePreorder(
+    return FinitePreorder(
         n, tuple(tuple(cat.a.data[v][u] == k for v in range(n)) for u in range(n))
     )
-    return FiniteSpace(order)
 
 
 def preorder_roundtrip(p):
     """Preorder -> space -> structure -> space -> preorder, with verdicts."""
     ultra = builtin_monad("ultra")
     ext = LaxExtension(ultra, builtin("2"))
-    space = FiniteSpace(p)
-    cat = tvcategory_from_space(ext, space)
+    cat = tvcategory_from_space(ext, p)
     back = space_from_tvcategory(cat)
     id_ext = LaxExtension(builtin_monad("id"), builtin("2"))
     as_order_cat = TVCategory(id_ext, p.n, VMatrix(id_ext.q, p.n, p.n, cat.a.data))
     ultra_verdict = decide_lawvere_complete(cat)["complete"]
     order_verdict = decide_lawvere_complete(as_order_cat)["complete"]
     return {
-        "roundtrip_identity": back.order == p,
+        "roundtrip_identity": back == p,
         "ultra_complete": ultra_verdict,
         "order_complete": order_verdict,
         "verdicts_agree": ultra_verdict == order_verdict,
@@ -105,7 +101,9 @@ def test_preorder_counts():
 
 
 def filter_preorders(n):
-    """Reference enumerator: every reflexive relation in mask order, filtered."""
+    """Reference enumerator: every reflexive relation in mask order, filtered
+    before it is built, since FinitePreorder refuses a table that is not a
+    preorder."""
     offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
     out = []
     for mask in range(1 << len(offdiag)):
@@ -113,9 +111,8 @@ def filter_preorders(n):
         for i, (x, y) in enumerate(offdiag):
             if mask & (1 << i):
                 leq[x][y] = True
-        p = FinitePreorder(n, leq)
-        if is_valid(p):
-            out.append(p)
+        if is_valid(leq):
+            out.append(FinitePreorder(n, leq))
     return out
 
 
@@ -128,22 +125,22 @@ def test_five_point_preorder_count():
     preorders = enumerate_preorders(5)
     assert len(preorders) == 6942
     assert len(set(preorders)) == 6942
-    assert all(is_valid(p) for p in preorders)
+    assert all(is_valid(p.leq) for p in preorders)
 
 
-def reference_closed_sets(space):
+def reference_closed_sets(order):
     """Down-sets as sorted tuples, by a membership test on each subset."""
     out = []
-    for mask in range(1 << space.n):
-        pts = [x for x in range(space.n) if mask & (1 << x)]
-        if all(not space.order.leq[y][x] or y in pts for x in pts for y in range(space.n)):
+    for mask in range(1 << order.n):
+        pts = [x for x in range(order.n) if mask & (1 << x)]
+        if all(not order.leq[y][x] or y in pts for x in pts for y in range(order.n)):
             out.append(tuple(pts))
     return out
 
 
-def reference_weakly_sober(space):
+def reference_weakly_sober(order):
     """Set algebra over every pair of closed sets."""
-    closed = reference_closed_sets(space)
+    closed = reference_closed_sets(order)
     closed_sets = [set(c) for c in closed]
     details = []
     sober = True
@@ -153,11 +150,11 @@ def reference_weakly_sober(space):
             continue
         if any(a < cs and b < cs and a | b == cs for a in closed_sets for b in closed_sets):
             continue
-        generic = tuple(x for x in c if set(closure(space, (x,))) == cs)
+        generic = tuple(x for x in c if set(closure(order, (x,))) == cs)
         if not generic:
             sober = False
         details.append({"closed_set": c, "generic_points": generic})
-    return {"weakly_sober": sober, "irreducible": details, "closed_count": len(closed)}
+    return {"weakly_sober": sober, "irreducible": details}
 
 
 def test_bitmask_sobriety_matches_set_reference():
@@ -167,28 +164,61 @@ def test_bitmask_sobriety_matches_set_reference():
         FinitePreorder.from_pairs(5, rng.sample(offdiag, rng.randrange(10))) for _ in range(200)
     ]
     for p in [p for n in range(5) for p in enumerate_preorders(n)] + seeded:
-        space = FiniteSpace(p)
-        assert closed_sets(space) == reference_closed_sets(space)
-        assert weakly_sober(space) == reference_weakly_sober(space)
+        assert closed_sets(p) == reference_closed_sets(p)
+        assert weakly_sober(p) == reference_weakly_sober(p)
+
+
+def test_point_closures_match_the_closed_set_search():
+    # weakly_sober reads the point closures; the reference walks all 2^n
+    # masks and tests each closed one against its proper closed subsets
+    rng = random.Random("sobriety/closures")
+    seeded = []
+    for n in (6, 7, 8):
+        offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for _ in range(300):
+            seeded.append(FinitePreorder.from_pairs(n, rng.sample(offdiag, rng.randrange(2 * n))))
+    every = [p for n in range(6) for p in enumerate_preorders(n)]
+    assert len(every) == 7332
+    for p in every + seeded:
+        assert weakly_sober(p) == weakly_sober_by_closed_sets(p), p.leq
+
+
+def test_weak_sobriety_reaches_twenty_points():
+    rep = weakly_sober(FinitePreorder.from_pairs(20, []))
+    assert rep["weakly_sober"]
+    assert rep["irreducible"] == [
+        {"closed_set": (x,), "generic_points": (x,)} for x in range(20)
+    ]
+
+
+def test_finite_preorder_refuses_a_non_reflexive_table():
+    with pytest.raises(ValueError, match=r"not reflexive: \(1, 1\) is missing"):
+        FinitePreorder(2, [[True, True], [False, False]])
+
+
+def test_finite_preorder_refuses_a_non_transitive_table():
+    leq = [[x == y or (x, y) in ((0, 1), (1, 2)) for y in range(3)] for x in range(3)]
+    with pytest.raises(ValueError, match=r"not transitive: \(0, 1\) and \(1, 2\), not \(0, 2\)"):
+        FinitePreorder(3, leq)
+    with pytest.raises(ValueError, match="not a 3x3 table"):
+        FinitePreorder(3, leq[:2])
 
 
 def test_preorder_closure():
     p = FinitePreorder.from_pairs(3, [(0, 1), (1, 2)])
     assert p.leq[0][2]
-    assert is_valid(p)
+    assert is_valid(p.leq)
 
 
 def test_discrete_preorder_gives_discrete_space():
     p = FinitePreorder.from_pairs(2, [])
-    space = FiniteSpace(p)
-    assert len(closed_sets(space)) == 4
+    assert len(closed_sets(p)) == 4
 
 
 def test_two_chain_gives_sierpinski():
     p = FinitePreorder.from_pairs(2, [(0, 1)])
-    space = FiniteSpace(p)
-    assert closed_sets(space) == [(), (0,), (0, 1)]
-    assert len(open_sets(space)) == 3
+    assert closed_sets(p) == [(), (0,), (0, 1)]
+    assert len(open_sets(p)) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -203,16 +233,14 @@ def test_roundtrip_bijective(n):
 
 
 def test_sierpinski_weakly_sober():
-    space = FiniteSpace(FinitePreorder.from_pairs(2, [(0, 1)]))
-    rep = weakly_sober(space)
+    rep = weakly_sober(FinitePreorder.from_pairs(2, [(0, 1)]))
     assert rep["weakly_sober"]
     assert len(rep["irreducible"]) == 2
     assert all(d["generic_points"] for d in rep["irreducible"])
 
 
 def test_indiscrete_has_non_unique_generic_point():
-    space = FiniteSpace(FinitePreorder.from_pairs(2, [(0, 1), (1, 0)]))
-    rep = weakly_sober(space)
+    rep = weakly_sober(FinitePreorder.from_pairs(2, [(0, 1), (1, 0)]))
     assert rep["weakly_sober"]
     assert rep["irreducible"][0]["generic_points"] == (0, 1)
 
@@ -221,16 +249,15 @@ def test_indiscrete_has_non_unique_generic_point():
 def test_sober_agrees_with_completeness(ext_factory, n):
     ext = ext_factory("ultra", "2")
     for p in enumerate_preorders(n):
-        rep = sober_vs_lawvere(ext, FiniteSpace(p))
+        rep = sober_vs_lawvere(ext, p)
         assert rep["agree"] and rep["weakly_sober"]
 
 
 def test_space_category_space_roundtrip(ext_factory):
     ext = ext_factory("ultra", "2")
     for p in enumerate_preorders(3)[:10]:
-        space = FiniteSpace(p)
-        cat = tvcategory_from_space(ext, space)
-        assert space_from_tvcategory(cat).order == p
+        cat = tvcategory_from_space(ext, p)
+        assert space_from_tvcategory(cat) == p
 
 
 def test_variable_set_bijection_with_rows():

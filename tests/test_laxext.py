@@ -513,9 +513,13 @@ def _budget_sites():
 
     run(budget) builds a fresh extension with that budget and makes the
     call; at needed - 1 the named check is the first to refuse, at needed
-    the whole call goes through.
+    the whole call goes through.  A site whose call makes more than one
+    charge lists them as ((what, needed), ...) in charge order, with needed
+    None: each refuses at its own needed - 1, and the last needed lets the
+    call through.
     """
     from lawcat.completeness import enumerate_adjoint_pairs
+    from lawcat.instances import FinitePreorder, space_lawvere_complete
     from lawcat.monad import builtin_monad
     from lawcat.tvcat import (
         TVCategory,
@@ -543,6 +547,9 @@ def _budget_sites():
         x = discrete_tvcategory(ext("id", budget), 2)
         return tensor_tvcat(x, x)
 
+    def space(budget):
+        return space_lawvere_complete(ext("ultra", budget), FinitePreorder.from_pairs(3, [(0, 1)]))
+
     def exponential(budget, x_rows, y_n):
         e = ext("id", budget)
         return exponential_tvcat(cat(e, x_rows), discrete_tvcategory(e, y_n))
@@ -561,17 +568,25 @@ def _budget_sites():
         ("largest-structure search", 16, lambda b: oracle_largest_structure(exponential(b, ((1,),), 2))),
         ("psi space", 4, lambda b: enumerate_adjoint_pairs(chain(b))),
         ("pair space", 16, lambda b: enumerate_adjoint_pairs(chain(b), oracle=True)),
+        # the space carries its verdict, so no associativity sweep follows
+        ((("psi space", 8), ("extended matrix size", 9)), None, space),
     ]
 
 
 BUDGET_SITES = _budget_sites()
 
 
-@pytest.mark.parametrize("what,needed,run", BUDGET_SITES, ids=[site[0] for site in BUDGET_SITES])
+def _site_id(what):
+    return what if isinstance(what, str) else " then ".join(w for w, _ in what)
+
+
+@pytest.mark.parametrize("what,needed,run", BUDGET_SITES, ids=[_site_id(s[0]) for s in BUDGET_SITES])
 def test_budget_refuses_exactly_above_needed(what, needed, run):
-    with pytest.raises(BudgetExceeded) as info:
-        run(needed - 1)
-    assert (info.value.what, info.value.needed, info.value.budget) == (what, needed, needed - 1)
+    charges = ((what, needed),) if isinstance(what, str) else what
+    for what, needed in charges:
+        with pytest.raises(BudgetExceeded) as info:
+            run(needed - 1)
+        assert (info.value.what, info.value.needed, info.value.budget) == (what, needed, needed - 1)
     run(needed)
 
 

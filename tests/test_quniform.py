@@ -21,7 +21,7 @@ from lawcat.quniform import (
     lax_algebra_bridge,
     rel_compose,
     validate_quniformity,
-    w_masks,
+    w_order,
 )
 
 
@@ -512,7 +512,8 @@ def test_minimality_by_one_point_extension_matches_the_full_search():
     # L = D(R)
     checked = minimal = 0
     for u in suite_uniformities() + preorder_bases(4):
-        down, up = w_masks(u)
+        order = w_order(u)
+        down, up = order.down, order.up
         for fp in all_filter_pairs(u.n):
             expected = searched_minimal_cauchy(u, fp)
             assert is_minimal_cauchy(u, fp) == expected, (sorted(u.w), fp)
@@ -559,6 +560,46 @@ def test_mask_cauchy_side_matches_the_frozenset_reference():
         assert rep == reference_cauchy_complete(u), sorted(u.w)
         minimal.add(len(rep["minimal_pairs"]))
     assert minimal == {1, 2, 3, 4}
+
+
+def test_an_invalid_base_is_refused_with_the_failing_cell(ext_factory):
+    diag = frozenset((x, x) for x in range(3))
+    u = QuasiUniformity(3, [diag | {(0, 1), (1, 2)}])
+    assert validate_quniformity(u)["law"] == "square-root"
+    message = r"not transitive: \(0, 1\) and \(1, 2\), not \(0, 2\)"
+    with pytest.raises(ValueError, match=message):
+        decide_lawvere_q(ext_factory("id", "2"), u)
+    with pytest.raises(ValueError, match=message):
+        decide_cauchy_complete(u)
+    with pytest.raises(ValueError, match=r"not reflexive: \(2, 2\) is missing"):
+        w_order(QuasiUniformity(3, [diag - {(2, 2)}]))
+    with pytest.raises(ValueError, match="empty base"):
+        w_order(QuasiUniformity(3, []))
+
+
+def test_a_nonempty_base_is_valid_iff_w_is_a_preorder():
+    # one and two relations on 2 points, and reflexive ones on 3 points
+    def relations(n, reflexive):
+        cells = [(x, y) for x in range(n) for y in range(n) if not (reflexive and x == y)]
+        fixed = {(x, x) for x in range(n)} if reflexive else set()
+        return [
+            frozenset(fixed | {c for i, c in enumerate(cells) if mask >> i & 1})
+            for mask in range(1 << len(cells))
+        ]
+
+    checked = 0
+    for n, reflexive in ((2, False), (3, True)):
+        rels = relations(n, reflexive)
+        for base in [[r] for r in rels] + [[r, t] for r in rels for t in rels]:
+            u = QuasiUniformity(n, base)
+            try:
+                w_order(u)
+                preorder = True
+            except ValueError:
+                preorder = False
+            assert validate_quniformity(u)["ok"] == preorder, base
+            checked += 1
+    assert checked == 16 + 256 + 64 + 4096
 
 
 def test_complete_discrete_and_indiscrete():

@@ -94,6 +94,37 @@ def test_map_criterion_sweeps_run_once_per_run_items(monkeypatch):
         assert item == {"id": item["id"], "ok": None, "skipped": True, "reason": str(err.value)}
 
 
+def test_one_run_checks_no_order_structure(monkeypatch):
+    # order_tvcategory's structures carry their verdict over id and ultra,
+    # and the suite builds none over powerset, so none is checked again
+    import lawcat.suite as suite
+    import lawcat.tvcat as tvcat
+
+    built, checked = [], []
+    order_tvcategory, check_tvcategory = tvcat.order_tvcategory, tvcat.check_tvcategory
+
+    def order(*args, **kwargs):
+        cat = order_tvcategory(*args, **kwargs)
+        built.append(cat.a)
+        return cat
+
+    def check(ext, n, a):
+        checked.append(a)
+        return check_tvcategory(ext, n, a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lawcat."):
+            if getattr(module, "order_tvcategory", None) is order_tvcategory:
+                monkeypatch.setattr(module, "order_tvcategory", order)
+            if getattr(module, "check_tvcategory", None) is check_tvcategory:
+                monkeypatch.setattr(module, "check_tvcategory", check)
+    assert suite.run_suite()["ok"]
+    assert len(checked) == 2172
+    assert len(built) > 1000
+    orders = {id(a) for a in built}
+    assert not [a for a in checked if id(a) in orders]
+
+
 def test_report_json_matches_json_dumps():
     from lawcat.suite import report_json, run_suite
 

@@ -492,15 +492,14 @@ def test_subset_indicators_as_modules_match_closedness(ext_factory):
     # point pick out their specialization-up-closed counterparts
     ext = ext_factory("ultra", "2")
     q = ext.q
-    from lawcat.instances import FinitePreorder, FiniteSpace, tvcategory_from_space
+    from lawcat.instances import FinitePreorder, tvcategory_from_space
     from lawcat.tvcat import is_tvbimodule
 
     for pairs in ([(0, 1)], [], [(0, 1), (1, 0)], [(1, 0)]):
         order = FinitePreorder.from_pairs(2, pairs)
-        space = FiniteSpace(order)
-        cat = tvcategory_from_space(ext, space)
+        cat = tvcategory_from_space(ext, order)
         point = unit_tvcategory(ext)
-        closed = {tuple(sorted(c)) for c in closed_sets(space)}
+        closed = {tuple(sorted(c)) for c in closed_sets(order)}
         for mask in range(1 << 2):
             pts = tuple(sorted(x for x in range(2) if mask & (1 << x)))
             phi = VMatrix(q, 1, 2, (tuple(q.unit if x in pts else q.bottom for x in range(2)),))
@@ -734,6 +733,22 @@ def test_square_bc_for_ultra_maps(ext_factory):
         assert m_square_gap(ext.monad, f, 3, 2) is None
 
 
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+@pytest.mark.parametrize("qname", ["2", "c3"])
+def test_order_structures_carry_the_checked_verdict(ext_factory, mname, qname):
+    from lawcat.instances import enumerate_preorders
+    from lawcat.tvcat import order_tvcategory
+
+    ext = ext_factory(mname, qname)
+    for n in range(5):
+        for p in enumerate_preorders(n):
+            cat = order_tvcategory(ext, p)
+            if mname == "powerset":
+                assert cat.checked is None
+            else:
+                assert cat.checked == check_tvcategory(ext, n, cat.a) == {"ok": True}
+
+
 # References: the four preorder-to-structure constructions as they were
 # written before order_tvcategory owned them.
 
@@ -786,7 +801,7 @@ def _same(cat, ref):
 @pytest.mark.parametrize("qname", ["2", "c3"])
 def test_order_tvcategory_matches_the_four_constructions(ext_factory, mname, qname):
     from lawcat.completeness import ord_section_extract
-    from lawcat.instances import FinitePreorder, FiniteSpace, enumerate_preorders, tvcategory_from_space
+    from lawcat.instances import FinitePreorder, enumerate_preorders, tvcategory_from_space
     from lawcat.tvcat import order_tvcategory
 
     ext = ext_factory(mname, qname)
@@ -799,18 +814,18 @@ def test_order_tvcategory_matches_the_four_constructions(ext_factory, mname, qna
             if all(leq[x][y] == leq[y][x] for x in range(n) for y in range(n)):
                 # an equivalence: the kernel of its class map
                 f = [next(c for c in range(n) if leq[x][c]) for x in range(n)]
-                assert _same(order_tvcategory(ext, leq, name="kernel"), _kernel_reference(ext, f, n))
+                assert _same(order_tvcategory(ext, p, name="kernel"), _kernel_reference(ext, f, n))
                 compared["kernel"] += 1
             transposed = [[leq[y][x] for y in range(n)] for x in range(n)]
-            space = FiniteSpace(FinitePreorder(n, transposed))
+            space = FinitePreorder(n, transposed)
             if ext.monad.size(n) != n:
                 with pytest.raises(GateUnavailable):
                     tvcategory_from_space(ext, space)
                 with pytest.raises(GateUnavailable):
-                    _space_reference(ext, space.order)
+                    _space_reference(ext, space)
                 continue
-            assert _same(tvcategory_from_space(ext, space), _space_reference(ext, space.order))
-            assert _same(order_tvcategory(ext, leq), _suite_reference(ext, p))
+            assert _same(tvcategory_from_space(ext, space), _space_reference(ext, space))
+            assert _same(order_tvcategory(ext, p), _suite_reference(ext, p))
             compared["space"] += 1
             compared["suite"] += 1
     assert compared["discrete"] == 4 and compared["kernel"] == 1 + 1 + 2 + 5
