@@ -16,7 +16,7 @@ from .fileio import load_file, matrix_lines
 from .instances import sober_vs_lawvere, space_lawvere_complete, weakly_sober
 from .laxext import LaxExtension
 from .monad import builtin_monad
-from .quantale import validate_quantale
+from .quantale import builtin_quantales, validate_quantale
 from .quniform import decide_lawvere_q, lax_algebra_bridge, validate_quniformity
 from .suite import DEFAULT_MAX_ENUM, ITEM_IDS, _ext, report_json, run_suite, suite_json
 from .tvcat import TVCategory, dual_tvcategory, yoneda as tv_yoneda
@@ -95,6 +95,11 @@ def cmd_complete(args):
     if args.builtin:
         if args.builtin != "v-hom":
             raise ParseError("<args>", 0, f"unknown builtin target {args.builtin!r}")
+        if args.path is not None:
+            raise ParseError("<args>", 0, "complete takes a file or --builtin, not both")
+        names = sorted(builtin_quantales())
+        if args.quantale not in names:
+            raise ParseError("<args>", 0, f"unknown quantale {args.quantale!r}; have {', '.join(names)}")
         ext = _ext(args.monad, args.quantale, args.max_enum)
         rep = certify_v_complete(ext, oracle=args.oracle)
         _emit(

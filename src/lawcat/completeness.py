@@ -14,7 +14,6 @@ from .monad import IdentityMonad, PowersetMonad
 from .tvcat import (
     FinitePreorder,
     check_tv_adjunction,
-    check_tvfunctor,
     hom_xi_category,
     is_tvbimodule,
     kleisli_table,
@@ -65,22 +64,6 @@ def _join_prime_unit(q):
     return q.unit == top and q.join_all([u for u in range(q.n) if u != top]) != top
 
 
-def _reach(x):
-    """Which way _pruned_pairs finds x's pairs.
-
-    "walk" where the theorem of _pruned_pairs does not reach; "category"
-    within it, on a structure whose verdict is ok; "columns" on the rest.
-    Over id and ultra the verdict is computed here if it is not carried
-    (an O(n^3) loop); over powerset only a carried verdict counts.
-    """
-    ext = x.ext
-    monad = ext.monad
-    if not (_join_prime_unit(ext.q) and isinstance(monad, (IdentityMonad, PowersetMonad))):
-        return "walk"
-    verdict = x.verdict() if isinstance(monad, IdentityMonad) else x.checked
-    return "category" if verdict is not None and verdict["ok"] else "columns"
-
-
 def _pruned_pairs(x):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted.
 
@@ -88,11 +71,13 @@ def _pruned_pairs(x):
     bottom (_join_prime_unit), and over the identity, ultrafilter and
     powerset monads, every pair's psi is a column kc(-, t) of the Kleisli
     table with kc(t, t) = top (the theorem below), and
-    _kleisli_column_pairs checks those columns.  On a category (_reach)
-    the unit columns are read as the representable pairs instead
-    (_representable_pairs); over id and ultra every column is a unit
-    column, so that is all (the shortcut).  Every other V, and any other
-    monad, takes the walk of _generic_pairs.
+    _kleisli_column_pairs checks those columns.  On a category, a
+    structure whose verdict is ok, the unit columns are the pairs of
+    representables(x) and are not checked again.  Over id and ultra the
+    verdict is computed here if it is not carried (an O(n^3) loop), and
+    every column is a unit column, so on a category those pairs are all;
+    over powerset only a carried verdict counts.  Every other V, and any
+    other monad, takes the walk of _generic_pairs.
 
     The theorem.  Let a be any T(n) x n matrix, (phi, psi) a pair, e1 the
     unit point of T(1), and laws (b), (c), (d) those of
@@ -126,10 +111,10 @@ def _pruned_pairs(x):
     reflexivity read through law (d), and the module laws and the counit
     are transitivity of a with the lax functoriality of the extension,
     law (b).  A pair is fixed by its psi (adjoints are unique), so each
-    distinct unit column is one pair, and its first point represents it,
-    as representables(x) would index it.  A column that is not a unit
-    column and survives the check then has a psi that no point induces:
-    its pair is not representable.
+    distinct unit column is one pair, one entry of representables(x),
+    with its first point.  A column that is not a unit column and
+    survives the check then has a psi that no point induces: its pair is
+    not representable.
 
     The empty column.  Over powerset at n >= 1, kc(-, 0) is never a pair.
     Z0 above is not empty, as m(0) = 0 is not e1, and extend_relation puts
@@ -148,55 +133,36 @@ def _pruned_pairs(x):
     category a unit column need not be a pair or its point's, hence the
     verdict.
     """
-    reach = _reach(x)
-    if reach == "walk":
-        return _generic_pairs(x, kleisli_table(x))
-    if reach == "columns":
-        return _kleisli_column_pairs(x, [])
-    pairs = _representable_pairs(x)
-    if isinstance(x.ext.monad, IdentityMonad):
-        return pairs
-    return _kleisli_column_pairs(x, pairs)
-
-
-def _representable_pairs(x):
-    """The pairs (a(Tp(-), -), a(-, p)) of the points p of a category over
-    a join-prime unit: one per distinct psi, with its first point.  Where
-    T1 = 1, Tp is e(p) on the one point of T(1) (naturality of e)."""
     ext = x.ext
     q = ext.q
     monad = ext.monad
-    n = x.n
-    a = x.a.data
-    t1 = monad.size(1)
-    e = ext.unit_map(n)
-    index = {}
-    for p in range(n):
-        psi = tuple([(row[p],) for row in a])
-        if psi not in index:
-            if t1 == 1:
-                index[psi] = ((a[e[p]],), p)
-            else:
-                index[psi] = (tuple([a[s] for s in monad.tmap((p,), 1, n)]), p)
-    return [
-        AdjointPair(VMatrix.trusted(q, t1, n, phi), VMatrix.trusted(q, len(a), 1, psi), p)
-        for psi, (phi, p) in index.items()
+    if not (_join_prime_unit(q) and isinstance(monad, (IdentityMonad, PowersetMonad))):
+        return _generic_pairs(x, kleisli_table(x))
+    identity = isinstance(monad, IdentityMonad)
+    verdict = x.verdict() if identity else x.checked
+    if verdict is None or not verdict["ok"]:
+        return _kleisli_column_pairs(x, [])
+    t1, tn = monad.size(1), monad.size(x.n)
+    pairs = [
+        AdjointPair(VMatrix.trusted(q, t1, x.n, phi), VMatrix.trusted(q, tn, 1, psi), p)
+        for (psi, phi), p in representables(x).items()
     ]
+    return pairs if identity else _kleisli_column_pairs(x, pairs)
 
 
 def _kleisli_column_pairs(x, pairs):
     """The pairs whose psi is a column kc(-, t) with kc(t, t) = top.
 
-    pairs holds the representable pairs of a category, read off its unit
-    columns, or is empty.  Those columns are then not checked again; at
-    n >= 1 neither is the column of the empty set, T(0)'s image (the
-    proofs are in _pruned_pairs).  Each other distinct column is a
-    candidate; it must pass the kc half of the psi-module law,
-    kc(s, r) (x) psi(r) <= psi(s), O(|T(n)|^2), and then the exact check
-    of _pair_check, built on the first candidate.  The Kleisli table is
-    built only when a column is left to check.  By the theorem of
-    _pruned_pairs these are all the pairs over a join-prime unit and the
-    identity, ultrafilter or powerset monad.
+    pairs holds a category's representable pairs, one per entry of
+    representables(x), or is empty.  Their unit columns are then not
+    checked again; at n >= 1 neither is the column of the empty set,
+    T(0)'s image (the proofs are in _pruned_pairs).  Each other distinct
+    column is a candidate; it must pass the kc half of the psi-module
+    law, kc(s, r) (x) psi(r) <= psi(s), O(|T(n)|^2), and then the exact
+    check of _pair_check, built on the first candidate.  The Kleisli
+    table is built only when a column is left to check.  By the theorem
+    of _pruned_pairs these are all the pairs over a join-prime unit and
+    the identity, ultrafilter or powerset monad.
     """
     ext = x.ext
     q = ext.q
@@ -499,22 +465,27 @@ def enumerate_adjoint_pairs(x, oracle=False):
 def representables(x):
     """The representing point of each representable pair, keyed as AdjointPair.key.
 
-    The points are taken in order.  Point p induces the pair with
-    psi = a(-, p) and phi = a(Tp(-), -); a key keeps the first p that
-    induces it and is a functor from the one-point category.
+    Point p induces the pair psi = a(-, p), phi = a(Tp(-), -); a key keeps
+    the first p, in order, that induces it and is a functor from the
+    one-point category.  That category's structure is k at (e1, 0) and
+    bottom elsewhere (unit_tvcategory), so the functor law
+    c(z, 0) <= a(Tp(z), p) asks something only at z = e1, where
+    Tp(e1) = e(p) by naturality of e: p is a functor exactly when
+    k <= a(e(p), p), and no one-point category is built.  Where T1 = 1,
+    T(1) is {e1} and phi is the row a(e(p), -); elsewhere Tp is tmap's.
     """
     ext = x.ext
     monad = ext.monad
+    n = x.n
     a = x.a.data
+    leq_k = ext.q.leq[ext.q.unit]
     t1 = monad.size(1)
-    tn = monad.size(x.n)
-    pcat = unit_tvcategory(ext)
     index = {}
-    for p in range(x.n):
-        tf = monad.tmap((p,), 1, x.n)
-        key = (tuple([(a[s][p],) for s in range(tn)]), tuple([tuple(a[tf[z]]) for z in range(t1)]))
-        if key not in index and check_tvfunctor((p,), pcat, x)["ok"]:
-            index[key] = p
+    for p, s in enumerate(ext.unit_map(n)):
+        if not leq_k[a[s][p]]:
+            continue
+        phi = (a[s],) if t1 == 1 else tuple([a[z] for z in monad.tmap((p,), 1, n)])
+        index.setdefault((tuple([(row[p],) for row in a]), phi), p)
     return index
 
 
@@ -537,9 +508,10 @@ def decide_lawvere_complete(x, oracle=False):
     """
     gate = completeness_gate(x.ext)
     pairs = enumerate_adjoint_pairs(x, oracle)
-    # Pairs read off a category carry their points, and every other pair
-    # found with them is one no point represents (_kleisli_column_pairs);
-    # pairs from anywhere else carry none.
+    # Pairs built from a category's representables(x) carry their points,
+    # and every other pair found with them is one no point represents
+    # (_kleisli_column_pairs); pairs from anywhere else carry none, and
+    # are looked up in representables(x) here.
     if pairs and all(pair.representative is None for pair in pairs):
         index = representables(x)
         for pair in pairs:
@@ -570,6 +542,9 @@ def certify_v_complete(ext, oracle=False):
     if monad.size(1) != 1:
         raise GateUnavailable("T1=1", f"monad {monad.name}")
     vcat = hom_xi_category(ext)
+    checked = vcat.verdict()
+    if not checked["ok"]:
+        raise ValueError(f"not a (T,V)-category: {checked}")
     xi = ext.xi()
     tn = monad.size(q.n)
     kc = kleisli_table(vcat)

@@ -262,7 +262,7 @@ def approach_surrogate(cat):
     verdict = decide_lawvere_complete(cat)
     adjoint_phis = {pair.phi.data[0] for pair in verdict["pairs"]}
     pcat = unit_tvcategory(ext)
-    vxi = hom_xi_category(ext, validate=False)
+    vxi = hom_xi_category(ext)
 
     psi_levels = {
         pair.phi.data[0]: variable_set_from_row(

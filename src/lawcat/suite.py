@@ -32,7 +32,6 @@ from .quniform import (
 from .tvcat import (
     all_tvcategories,
     check_tvbimodule,
-    check_tvcategory,
     hom_xi_category,
     order_tvcategory,
     yoneda,
@@ -228,8 +227,7 @@ def item_hom_xi(max_enum=DEFAULT_MAX_ENUM):
     for mname in ("id", "powerset", "ultra"):
         for qname in SMALL_QUANTALES:
             ext = _ext(mname, qname, max_enum)
-            cat = hom_xi_category(ext, validate=False)
-            verdict = check_tvcategory(ext, cat.n, cat.a)
+            verdict = hom_xi_category(ext).verdict()
             details[f"{mname}/{qname}"] = verdict["ok"]
             ok = ok and verdict["ok"]
     return {"ok": ok, "per_combo": details}

@@ -265,18 +265,21 @@ def unit_tvcategory(ext):
     return ext.cached(("unit",), lambda: discrete_tvcategory(ext, 1))
 
 
-def hom_xi_category(ext, validate=True):
-    """The quantale itself, structured by residuation after the algebra map."""
+def hom_xi_category(ext):
+    """The quantale itself, structured by residuation after the algebra map.
+
+    Built once per extension and not checked: its verdict() runs
+    check_tvcategory on the first call only.
+    """
 
     def build():
         q = ext.q
         xi = ext.xi()
         tn = ext.monad.size(q.n)
         data = tuple(tuple(q.hom(xi[s], v) for v in range(q.n)) for s in range(tn))
-        make = tvcategory if validate else TVCategory
-        return make(ext, q.n, VMatrix(q, tn, q.n, data), name="V-hom-xi")
+        return TVCategory(ext, q.n, VMatrix(q, tn, q.n, data), name="V-hom-xi")
 
-    return ext.cached(("homxi", validate), build)
+    return ext.cached(("homxi",), build)
 
 
 def kleisli_compose(ext, b, a, n_src):
@@ -398,7 +401,7 @@ def check_tvbimodule(psi, x, y):
     ext = x.ext
     monad = ext.monad
     direct = is_tvbimodule(psi, x, y)
-    v_cat = hom_xi_category(ext, validate=False)
+    v_cat = hom_xi_category(ext)
     xbar = em_algebra_category(ext, x.n)
     xop = dual_tvcategory(x)
     psi_map = tuple(
@@ -528,7 +531,7 @@ def yoneda(x):
     monad = ext.monad
     tn = monad.size(x.n)
     xbar = em_algebra_category(ext, x.n)
-    v_cat = hom_xi_category(ext, validate=False)
+    v_cat = hom_xi_category(ext)
     expo = exponential_tvcat(xbar, v_cat)
     index = {h: i for i, h in enumerate(expo.carrier)}
     y_map = []

@@ -16,6 +16,7 @@ from lawcat.fileio import (
     parse_quniform_text,
     parse_space_text,
 )
+from lawcat.quantale import builtin_quantales
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -128,6 +129,22 @@ def test_suite_only_needs_a_name(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --only: expected at least one argument" in captured.err
+
+
+def test_complete_refuses_an_unknown_builtin_quantale(capsys):
+    assert main(["complete", "--builtin", "v-hom", "--quantale", "foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    have = ", ".join(sorted(builtin_quantales()))
+    assert captured.err == f"error: <args>:0: unknown quantale 'foo'; have {have}\n"
+
+
+def test_complete_refuses_a_file_with_builtin(capsys):
+    # the file would be ignored, yet echoed in the input block
+    assert main(["complete", path("chain2.vcat"), "--builtin", "v-hom", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: <args>:0: complete takes a file or --builtin, not both\n"
 
 
 def test_suite_budget_skip_and_strict(capsys):

@@ -10,7 +10,6 @@ from lawcat.completeness import (
     _generic_pairs,
     _kleisli_column_pairs,
     _pair_check,
-    _representable_pairs,
     certify_v_complete,
     decide_lawvere_complete,
     enumerate_adjoint_pairs,
@@ -398,11 +397,14 @@ def test_representables_index_matches_point_scan(ext_factory, mname, qname, n):
     assert pairs
 
 
-@pytest.mark.parametrize("mname,qname,n", [("id", "2", 2), ("ultra", "c3", 2), ("powerset", "2", 1)])
+@pytest.mark.parametrize(
+    "mname,qname,n", [("id", "2", 2), ("ultra", "c3", 2), ("powerset", "2", 1), ("powerset", "c3", 1)]
+)
 def test_representables_index_skips_points_that_are_not_functors(ext_factory, mname, qname, n):
     # On every matrix, categories or not, each point's own induced pair is
-    # looked up; where the point fails check_tvfunctor (a(p, p) below k
-    # over id) the index and the scan must both answer None.
+    # looked up; where the point fails check_tvfunctor (a(e(p), p) below k)
+    # the index and the scan must both answer None.  powerset/c3 reads phi
+    # through tmap over a V that is not two-valued.
     ext = ext_factory(mname, qname)
     q = ext.q
     monad = ext.monad
@@ -698,16 +700,16 @@ def takes_shortcut(x):
 def assert_theorem_path_matches(x):
     # enumerate_adjoint_pairs, on the shortcut or the Kleisli-column path
     # wherever one applies, against the walk, called directly, and against
-    # the oracle's independent crossing of both sides.  The shortcut reads
-    # its pairs and their representatives off the rows and columns of a:
-    # they are exactly the representables index.
+    # the oracle's independent crossing of both sides.  The shortcut builds
+    # its pairs and their representatives from representables(x): each
+    # carried point is the one the scan over the points finds.
     pairs = enumerate_adjoint_pairs(x)
     got = [p.key() for p in pairs]
     walk = _generic_pairs(x, kleisli_table(x))
     assert got == sorted(p.key() for p in walk), x.a.data
     assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
     if takes_shortcut(x):
-        assert {p.key(): p.representative for p in pairs} == representables(x), x.a.data
+        assert [p.representative for p in pairs] == [representative_by_scan(x, p) for p in pairs], x.a.data
     return len(got)
 
 
@@ -781,7 +783,7 @@ def test_theorem_path_matches_walk_on_every_small_category(ext_factory):
                     assert got == sorted(p.key() for p in _generic_pairs(x, kleisli_table(x))), x.a.data
                     if n <= 2:
                         assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
-                    assert {p.key(): p.representative for p in pairs} == representables(x), x.a.data
+                    assert [p.representative for p in pairs] == [representative_by_scan(x, p) for p in pairs]
                 count += len(cats)
     assert count == 5630
 
@@ -834,19 +836,32 @@ THEOREM_CASES = {
 
 def record_paths(monkeypatch):
     """Wrap the pair paths of _pruned_pairs; each records the structures it
-    is called on, under its name: "shortcut" the representable pairs read
-    off a category, "columns" the Kleisli columns, "walk" the walk.  "checked" records (structure, psi) for
-    each psi that _pair_check's check runs on, and "representables" each
-    structure whose representables index is built."""
+    is called on, under its name: "shortcut" the representables index
+    built by _pruned_pairs on a category, "columns" the Kleisli columns,
+    "walk" the walk.  "checked" records (structure, psi) for each psi that
+    _pair_check's check runs on, and "representables" each structure whose
+    representables index is built outside _pruned_pairs."""
     seen = {"shortcut": [], "columns": [], "walk": [], "checked": [], "representables": []}
-    for key, name in (
-        ("shortcut", "_representable_pairs"),
-        ("columns", "_kleisli_column_pairs"),
-        ("walk", "_generic_pairs"),
-        ("representables", "representables"),
-    ):
+    for key, name in (("columns", "_kleisli_column_pairs"), ("walk", "_generic_pairs")):
         path = getattr(completeness, name)
         monkeypatch.setattr(completeness, name, lambda x, *rest, _f=path, _k=key: seen[_k].append(x) or _f(x, *rest))
+    pruned = completeness._pruned_pairs
+    index = completeness.representables
+    inside = []
+
+    def recording_pruned(x):
+        inside.append(x)
+        try:
+            return pruned(x)
+        finally:
+            inside.pop()
+
+    def recording_representables(x):
+        seen["shortcut" if inside else "representables"].append(x)
+        return index(x)
+
+    monkeypatch.setattr(completeness, "_pruned_pairs", recording_pruned)
+    monkeypatch.setattr(completeness, "representables", recording_representables)
     pair_check = completeness._pair_check
 
     def recording_pair_check(x):
@@ -881,12 +896,12 @@ def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quan
     # every monad, and for every category elsewhere: a unit below top
     # (zmod2, z3, sum3), a join-reducible top (pset2, and plus2 x plus2,
     # integral but no frame) or top = bottom (one).  Over a join-prime
-    # unit every category's representable pairs are read off its matrix,
+    # unit every category's representable pairs come from representables,
     # as all_tvcategories carries its verdict: id and ultra categories
     # take only that shortcut, and powerset categories also the Kleisli
     # columns, where _pair_check runs on no unit column and, at n >= 1, on
-    # no empty column; the decision builds no representables index.
-    # Either way the pairs are the walk's.
+    # no empty column; the representables index is built exactly once per
+    # category, by the theorem path.  Either way the pairs are the walk's.
     walk = completeness._generic_pairs
     seen = record_paths(monkeypatch)
     q = quantales[qname] if qname in quantales else THEOREM_CASES[qname]()
@@ -899,10 +914,11 @@ def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quan
     for x, keys in zip(cats, expected):
         assert [p.key() for p in decide_lawvere_complete(x)["pairs"]] == keys, x.a.data
     assert cats and seen["walk"] == ([] if join_prime else cats)
+    # representables, on either side, builds no one-point category
+    assert ("unit",) not in ext.cache
     if join_prime:
-        assert seen["shortcut"] == cats
+        assert seen["shortcut"] == cats and seen["representables"] == []
         assert seen["columns"] == (cats if mname == "powerset" else [])
-        assert seen["representables"] == []
         for x, psi in seen["checked"]:
             kc = kleisli_table(x)
             settled = list(ext.unit_map(x.n)) + ([0] if x.n else [])
@@ -958,7 +974,12 @@ def test_kleisli_columns_match_walk_on_every_matrix(ext_factory, mname, qname, n
         got = sorted(p.key() for p in _kleisli_column_pairs(x, []))
         assert got == walk, x.a.data
         if check_tvcategory(ext, n, x.a)["ok"]:
-            read = _kleisli_column_pairs(x, _representable_pairs(x))
+            t1, tn = ext.monad.size(1), ext.monad.size(n)
+            pairs = [
+                AdjointPair(VMatrix(ext.q, t1, n, phi), VMatrix(ext.q, tn, 1, psi), p)
+                for (psi, phi), p in representables(x).items()
+            ]
+            read = _kleisli_column_pairs(x, pairs)
             assert sorted(p.key() for p in read) == walk, x.a.data
         if oracle:
             assert got == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
@@ -971,18 +992,19 @@ def test_checked_powerset_categories_decide_as_the_walk(ext_factory, qname):
     # Every powerset category on up to 2 points, decided with its verdict
     # carried (the unit columns read as representables) and without it
     # (every column checked): the pairs, representatives and witnesses are
-    # those of the walk with representables(x), and the oracle's where its
-    # pair space is at most 256.
+    # those of the walk with the scan over the points, and the oracle's
+    # where its pair space is at most 256.
     ext = ext_factory("powerset", qname)
     q = ext.q
     cats = incomplete = 0
     for n in (0, 1, 2):
         oracle = q.n ** (2 * n + (1 << n)) <= 256
         for x in reflexive_categories(ext, n):
-            walk = sorted(p.key() for p in _generic_pairs(x, kleisli_table(x)))
-            index = representables(x)
-            reps = [index[key] for key in walk if key in index]
-            witnesses = [key for key in walk if key not in index]
+            walk_pairs = sorted(_generic_pairs(x, kleisli_table(x)), key=AdjointPair.key)
+            walk = [p.key() for p in walk_pairs]
+            scan = [representative_by_scan(x, p) for p in walk_pairs]
+            reps = [p for p in scan if p is not None]
+            witnesses = [key for key, p in zip(walk, scan) if p is None]
             if oracle:
                 assert walk == [p.key() for p in enumerate_adjoint_pairs(x, oracle=True)], x.a.data
             for y in (x, TVCategory(ext, n, x.a)):

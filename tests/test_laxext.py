@@ -340,7 +340,7 @@ def _warm_budget_sites():
     return [
         ("extended matrix size", 16, lambda e: e.extend(VMatrix(e.q, 2, 2, ((2, 0), (1, 2))))),
         ("psi space", 81, lambda e: enumerate_adjoint_pairs(discrete_tvcategory(e, 2))),
-        ("associativity sweep", 2048, lambda e: hom_xi_category(e, validate=True)),
+        ("associativity sweep", 2048, lambda e: hom_xi_category(e).verdict()),
         ("T of V x V", 512, lambda e: e.xi_compat()),
     ]
 
@@ -416,7 +416,7 @@ def test_reduced_extension_matches_threshold_loop(monads, quantales, mname, qnam
 def test_reduced_extension_of_hom_xi_structure(monads, quantales):
     monad, q = monads["powerset"], quantales["pset2"]
     ext = LaxExtension(monad, q)
-    a = hom_xi_category(ext, validate=False).a
+    a = hom_xi_category(ext).a
     assert (a.rows, a.cols) == (16, 4)
     ta = ext.extend(a)
     assert (ta.rows, ta.cols) == (65536, 16)
@@ -606,7 +606,6 @@ def test_derived_state_is_built_once_in_the_extension_cache():
         lambda: em_algebra_category(ext, 1),
         lambda: unit_tvcategory(ext),
         lambda: hom_xi_category(ext),
-        lambda: hom_xi_category(ext, validate=False),
         lambda: dual_tvcategory(x),
     ]
     for build in derived:

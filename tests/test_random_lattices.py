@@ -78,7 +78,7 @@ def test_random_lattice_full_stack(seed):
         compat = check_xi_compat(ext, samples=6)
         assert compat["unit_inequality"] and compat["tensor_inequality"]
         assert compat["tensor_strict"]  # meet tensors are always strict
-        hom_xi_category(ext)
+        assert hom_xi_category(ext).verdict()["ok"], (seed, mname)
     rep = certify_v_complete(LaxExtension(builtin_monad("id"), q))
     assert rep["certified"], (seed, rep)
 

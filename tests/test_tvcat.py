@@ -149,7 +149,7 @@ def yoneda0(x):
     if not pre_ok:
         return {"ok": None, "precondition": False}
     xop = dual_tvcategory(x)
-    v_cat = hom_xi_category(ext, validate=False)
+    v_cat = hom_xi_category(ext)
     expo = exponential_tvcat(xop, v_cat)
     index = {h: i for i, h in enumerate(expo.carrier)}
     cols = [tuple(x.a.data[s][p] for s in range(tn)) for p in range(x.n)]
@@ -542,7 +542,7 @@ def test_hom_xi_category_all_pairs(ext_factory):
     for mname in ("id", "powerset", "ultra"):
         for qname in ("2", "c3", "plus3", "pset2"):
             ext = ext_factory(mname, qname)
-            hom_xi_category(ext)
+            assert hom_xi_category(ext).verdict()["ok"], (mname, qname)
 
 
 def test_hom_xi_reduces_to_hom_for_identity_monad(ext_factory):
