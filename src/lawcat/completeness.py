@@ -607,7 +607,10 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     if image != set(range(n_tgt)):
         raise ValueError("map is not surjective")
     q = ext.q
-    kernel = FinitePreorder(n_src, [[f[p] == f[p2] for p2 in range(n_src)] for p in range(n_src)])
+    fiber = [0] * n_tgt
+    for p, y in enumerate(f):
+        fiber[y] |= 1 << p
+    kernel = FinitePreorder.from_up(n_src, [fiber[y] for y in f])
     x = order_tvcategory(ext, kernel, name="kernel")
     pcat = unit_tvcategory(ext)
     index = representables(x)

@@ -26,11 +26,14 @@ def _lines(text):
             yield i, line
 
 
+_RESERVED = frozenset(",[]{}=")
+
+
 def _check_labels(path, lineno, labels):
     if len(set(labels)) != len(labels):
         raise ParseError(path, lineno, "duplicate element labels")
     for lab in labels:
-        if any(ch in lab for ch in ",[]{}="):
+        if not _RESERVED.isdisjoint(lab):
             raise ParseError(path, lineno, f"label {lab!r} uses a reserved character")
 
 

@@ -34,45 +34,60 @@ def enumerate_preorders(n):
     """All preorders on n labeled points, in the order of their off-diagonal masks.
 
     Bit i of the mask is the i-th off-diagonal pair (x, y), x != y, in
-    row-major order.  The bits are assigned by backtracking from the
-    highest to the lowest, 0 before 1, so the preorders come out in
-    increasing mask order.  Each transitivity triple of distinct points,
-    leq(x, y) and leq(y, z) forcing leq(x, z), is checked when the lowest
-    of its three bits is assigned; triples with a repeated point hold by
-    reflexivity.  n = 5 gives 6,942 preorders out of 2^20 masks.
+    row-major order, so row x owns one block of bits, above the blocks of
+    the rows before it, and within the block the bits of up[x] other than
+    x keep their order.  Increasing mask order is therefore lexicographic
+    order on (up[n-1], ..., up[0]), each compared as an integer.  The rows
+    are filled by backtracking from the last point to the first, each
+    trying its masks that contain x in increasing order
+    (sub = (sub - rest) & rest walks the subsets of rest upward), so the
+    preorders come out in increasing mask order.
+
+    Up masks form a preorder iff each up[x] holds x and, for every pair of
+    points, y in up[x] forces up[y] inside up[x].  A candidate u for up[x]
+    is checked against every later row y, the pairs whose second row is
+    now known: y in u forces up[y] inside u, and x in up[y] forces u
+    inside up[y].  Each pair is checked once, so a full assignment that
+    passes is a preorder and every preorder passes.  n = 5 gives 6,942
+    preorders out of 2^20 masks.
     """
-    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
-    bit = {pair: i for i, pair in enumerate(offdiag)}
-    checks = [[] for _ in offdiag]
-    for x, y, z in itertools.permutations(range(n), 3):
-        a, b, c = bit[x, y], bit[y, z], bit[x, z]
-        checks[min(a, b, c)].append((a, b, c))
-    val = [False] * len(offdiag)
+    up = [0] * n
     out = []
 
-    def assign(i):
-        if i < 0:
-            leq = [[x == y for y in range(n)] for x in range(n)]
-            for (x, y), v in zip(offdiag, val):
-                leq[x][y] = v
-            out.append(FinitePreorder(n, leq))
+    def fill(x):
+        if x < 0:
+            out.append(FinitePreorder.from_up(n, up))
             return
-        for v in (False, True):
-            val[i] = v
-            if all(val[c] or not (val[a] and val[b]) for a, b, c in checks[i]):
-                assign(i - 1)
+        bit = 1 << x
+        rest = ((1 << n) - 1) ^ bit
+        later = [(1 << y, up[y]) for y in range(x + 1, n)]
+        sub = 0
+        while True:
+            u = sub | bit
+            if all(
+                (not u & ybit or not uy & ~u) and (not uy & bit or not u & ~uy)
+                for ybit, uy in later
+            ):
+                up[x] = u
+                fill(x - 1)
+            if sub == rest:
+                return
+            sub = (sub - rest) & rest
 
-    assign(len(offdiag) - 1)
+    fill(n - 1)
     return out
 
 
 def tvcategory_from_space(ext, order):
     """Convergence structure of the space with specialization preorder order:
-    the principal filter at x reaches y when y is below x."""
+    the principal filter at x reaches y when y is below x.
+
+    That is the converse preorder, whose up masks are order's down masks.
+    """
     n = order.n
     if ext.monad.size(n) != n:
         raise GateUnavailable("principal carriers", "space bridge needs TX = X")
-    return order_tvcategory(ext, FinitePreorder(n, zip(*order.leq)), name="space")
+    return order_tvcategory(ext, FinitePreorder.from_up(n, order.down), name="space")
 
 
 def weakly_sober(order):

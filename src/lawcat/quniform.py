@@ -14,6 +14,8 @@ adjoint-pair enumeration finds.
 
 from __future__ import annotations
 
+import functools
+
 from .completeness import decide_lawvere_complete
 from .instances import enumerate_preorders
 from .tvcat import FinitePreorder, _points, order_tvcategory
@@ -28,12 +30,26 @@ def rel_compose(r, s):
 
 
 class QuasiUniformity:
-    """Carrier size and a base of relations; entourages are derived."""
+    """Carrier size and a base of relations; entourages are derived.
+
+    w, the intersection of the base, is derived on construction, and
+    order, w as a FinitePreorder (see w_order), on its first read.
+    """
 
     def __init__(self, n, base):
         self.n = n
         self.base = [frozenset(r) for r in base]
         self.w = frozenset.intersection(*self.base) if self.base else None
+
+    @functools.cached_property
+    def order(self):
+        """w as a FinitePreorder, from its up masks; w_order says when it is one."""
+        if self.w is None:
+            raise ValueError("empty base: w is undefined")
+        up = [0] * self.n
+        for x, y in self.w:
+            up[x] |= 1 << y
+        return FinitePreorder.from_up(self.n, up)
 
     def __repr__(self):
         return f"QuasiUniformity(n={self.n}, base={len(self.base)})"
@@ -116,11 +132,11 @@ def w_order(u):
     base relation reflexive, and w is in the intersection closure with
     w.w <= w <= r for every r there.  So an invalid base raises
     FinitePreorder's ValueError, which names the first failing cell; an
-    empty base, which has no w, raises one too.
+    empty base, which has no w, raises one too.  The preorder is built
+    from w's up masks on the first call and kept as u.order, so every
+    reader of u shares one.
     """
-    if u.w is None:
-        raise ValueError("empty base: w is undefined")
-    return FinitePreorder(u.n, [[(x, y) in u.w for y in range(u.n)] for x in range(u.n)])
+    return u.order
 
 
 def meet(masks, points):
@@ -243,7 +259,7 @@ def all_quniformities(n):
     mask order, which is the order of enumerate_preorders.
     """
     return [
-        QuasiUniformity(n, [frozenset((x, y) for x in range(n) for y in range(n) if p.leq[x][y])])
+        QuasiUniformity(n, [frozenset((x, y) for x, up in enumerate(p.up) for y in _points(up))])
         for p in enumerate_preorders(n)
     ]
 

@@ -10,6 +10,7 @@ them.  Every budget is the extension's max_enum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import GateUnavailable
@@ -164,43 +165,41 @@ def _first_failure(q, a, tn, reads):
 
 
 class FinitePreorder:
-    """Reflexive transitive relation on {0..n-1} as a boolean table.
+    """Reflexive transitive relation on {0..n-1}, held as its up masks.
 
-    The constructor refuses a table that is not n x n, reflexive and
+    up[x] is the mask of the points y with x <= y.  It is the
+    representation: down[y], the mask of the points x with x <= y, is
+    computed from it (in a specialization order down[x] is the closure of
+    x), and leq, the n x n boolean table, is built on its first read.
+
+    One check, on the masks, refuses a relation that is not reflexive and
     transitive, with a ValueError naming the first failing cell: row by
-    row, the diagonal first, then the least triple x <= y <= z without
-    x <= z.  up[x] is the mask of the points y with x <= y, and down[y] the
-    mask of the points x with x <= y; in a specialization order down[x] is
-    the closure of x.
+    row, the diagonal first (bit x of up[x]), then the least y in up[x]
+    whose up[y] is not inside up[x], with the least z of up[y] outside it,
+    so x <= y <= z without x <= z.  FinitePreorder(n, leq) takes a table,
+    refuses one that is not n x n, and runs the check on its rows' masks;
+    from_up and from_pairs build from masks and run the same check.
     """
 
     def __init__(self, n, leq):
-        self.n = n
-        self.leq = rows = tuple([tuple(map(bool, row)) for row in leq])
+        rows = [tuple(row) for row in leq]
         if list(map(len, rows)) != [n] * n:
             raise ValueError(f"not a {n}x{n} table")
         bits = [1 << y for y in range(n)]
-        self.up = up = tuple([sum(itertools.compress(bits, row)) for row in rows])
-        self.down = tuple([sum(itertools.compress(bits, column)) for column in zip(*rows)])
-        for x, mask in enumerate(up):
-            if not mask >> x & 1:
-                raise ValueError(f"not reflexive: ({x}, {x}) is missing")
-            for y in itertools.compress(range(n), rows[x]):
-                if up[y] & ~mask:
-                    z = _points(up[y] & ~mask)[0]
-                    raise ValueError(f"not transitive: ({x}, {y}) and ({y}, {z}), not ({x}, {z})")
+        self._check(n, tuple([sum(itertools.compress(bits, row)) for row in rows]))
 
-    def __eq__(self, other):
-        return isinstance(other, FinitePreorder) and self.leq == other.leq
+    @classmethod
+    def from_up(cls, n, up):
+        """The preorder whose up masks are up, after the constructor's check."""
+        up = tuple(up)
+        if len(up) != n or any(mask >> n for mask in up):
+            raise ValueError(f"not {n} masks on {n} points")
+        order = cls.__new__(cls)
+        order._check(n, up)
+        return order
 
-    def __hash__(self):
-        return hash(self.leq)
-
-    def __repr__(self):
-        return f"FinitePreorder({self.n})"
-
-    @staticmethod
-    def from_pairs(n, pairs):
+    @classmethod
+    def from_pairs(cls, n, pairs):
         """Reflexive-transitive closure of generating pairs (Warshall, on masks)."""
         up = [1 << x for x in range(n)]
         for (x, y) in pairs:
@@ -209,7 +208,40 @@ class FinitePreorder:
             for x in range(n):
                 if up[x] >> k & 1:
                     up[x] |= up[k]
-        return FinitePreorder(n, [[up[x] >> y & 1 for y in range(n)] for x in range(n)])
+        return cls.from_up(n, up)
+
+    def _check(self, n, up):
+        """Keep n and up, and derive down while checking the masks row by row."""
+        self.n, self.up = n, up
+        down = [0] * n
+        for x, mask in enumerate(up):
+            if not mask >> x & 1:
+                raise ValueError(f"not reflexive: ({x}, {x}) is missing")
+            bit, rest = 1 << x, mask
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if up[y] & ~mask:
+                    z = _points(up[y] & ~mask)[0]
+                    raise ValueError(f"not transitive: ({x}, {y}) and ({y}, {z}), not ({x}, {z})")
+                down[y] |= bit
+                rest ^= low
+        self.down = tuple(down)
+
+    @functools.cached_property
+    def leq(self):
+        """The boolean table, leq[x][y] when x <= y, built on its first read."""
+        n = self.n
+        return tuple([tuple([bool(mask >> y & 1) for y in range(n)]) for mask in self.up])
+
+    def __eq__(self, other):
+        return isinstance(other, FinitePreorder) and self.up == other.up
+
+    def __hash__(self):
+        return hash(self.up)
+
+    def __repr__(self):
+        return f"FinitePreorder({self.n})"
 
 
 def _points(mask):
@@ -227,7 +259,7 @@ def order_tvcategory(ext, order, name=""):
     """A preorder as a structure: k at (e(x), y) when x <= y, bottom elsewhere.
 
     order is a FinitePreorder, reflexive and transitive by
-    construction.  Over the identity and ultrafilter monads the structure
+    construction; the row at e(x) is read off its up mask up[x].  Over the identity and ultrafilter monads the structure
     is then a category, so it carries check_tvcategory's verdict
     {"ok": True}: a(x, x) = k, and a(p, r) (x) a(r, s) is k (x) k = k when
     p <= r <= s, where p <= s, and bottom otherwise, as bottom absorbs.
@@ -235,16 +267,17 @@ def order_tvcategory(ext, order, name=""):
     """
     q = ext.q
     n = order.n
-    data = [(q.bottom,) * n] * ext.monad.size(n)
-    for s, row in zip(ext.unit_map(n), order.leq):
-        data[s] = tuple([q.unit if v else q.bottom for v in row])
+    unit, bottom = q.unit, q.bottom
+    data = [(bottom,) * n] * ext.monad.size(n)
+    for s, mask in zip(ext.unit_map(n), order.up):
+        data[s] = tuple([unit if mask >> y & 1 else bottom for y in range(n)])
     checked = {"ok": True} if isinstance(ext.monad, IdentityMonad) else None
     return TVCategory(ext, n, VMatrix.trusted(q, len(data), n, tuple(data)), name, checked)
 
 
 def discrete_tvcategory(ext, n):
     """Structure transpose of the unit: the free reflexive structure."""
-    discrete = FinitePreorder(n, [[x == y for y in range(n)] for x in range(n)])
+    discrete = FinitePreorder.from_up(n, [1 << x for x in range(n)])
     return order_tvcategory(ext, discrete, name=f"discrete{n}")
 
 

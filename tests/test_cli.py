@@ -297,6 +297,39 @@ def test_quniform_complete_decides_cauchy_completeness_once(monkeypatch, capsys)
     assert len(calls) == 1
 
 
+def test_sober_and_quniform_complete_never_read_the_table(tmp_path, monkeypatch, capsys):
+    from lawcat.tvcat import FinitePreorder
+
+    def refuse(order):
+        raise AssertionError("FinitePreorder.leq was read")
+
+    space = tmp_path / "five.space"
+    space.write_text("space five\nelements: a b c d e\norder: a<=b b<=c d<=e e<=d\n")
+    monkeypatch.setattr(FinitePreorder, "leq", property(refuse))
+    assert main(["sober", str(space)]) == 0
+    assert main(["quniform", "complete", path("pre3.quniform")]) == 0
+
+
+def test_w_order_is_built_once_per_uniformity(monkeypatch, capsys):
+    import lawcat.quniform
+    from lawcat.tvcat import FinitePreorder
+
+    built = []
+
+    class Counted:
+        @staticmethod
+        def from_up(n, up):
+            built.append(n)
+            return FinitePreorder.from_up(n, up)
+
+    monkeypatch.setattr(lawcat.quniform, "FinitePreorder", Counted)
+    assert main(["quniform", "complete", path("pre3.quniform")]) == 0
+    assert built == [3]
+    built.clear()
+    rep = suite.item_quniform()
+    assert rep["ok"] and len(built) == rep["uniformities"]
+
+
 def test_complete_refuses_invalid_object(capsys):
     assert main(["complete", path("notcat.vcat")]) == 1
     assert "invalid object" in capsys.readouterr().err

@@ -128,6 +128,95 @@ def test_five_point_preorder_count():
     assert all(is_valid(p.leq) for p in preorders)
 
 
+def test_preorders_come_out_in_increasing_off_diagonal_mask_order():
+    offdiag = [(x, y) for x in range(5) for y in range(5) if x != y]
+    masks = [
+        sum(1 << i for i, (x, y) in enumerate(offdiag) if p.up[x] >> y & 1)
+        for p in enumerate_preorders(5)
+    ]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def table_check(n, leq):
+    """The preorder check on a boolean table, as FinitePreorder ran it
+    before its up masks were the representation: (up, down, leq) of a
+    preorder, or its ValueError."""
+    rows = tuple([tuple(map(bool, row)) for row in leq])
+    if list(map(len, rows)) != [n] * n:
+        raise ValueError(f"not a {n}x{n} table")
+    bits = [1 << y for y in range(n)]
+    up = tuple([sum(itertools.compress(bits, row)) for row in rows])
+    down = tuple([sum(itertools.compress(bits, column)) for column in zip(*rows)])
+    for x, mask in enumerate(up):
+        if not mask >> x & 1:
+            raise ValueError(f"not reflexive: ({x}, {x}) is missing")
+        for y in itertools.compress(range(n), rows[x]):
+            if up[y] & ~mask:
+                z = min(z for z in range(n) if (up[y] & ~mask) >> z & 1)
+                raise ValueError(f"not transitive: ({x}, {y}) and ({y}, {z}), not ({x}, {z})")
+    return up, down, rows
+
+
+def outcome(build, *args):
+    """(up, down, leq) of what build returns, or the text of its ValueError."""
+    try:
+        p = build(*args)
+    except ValueError as err:
+        return str(err)
+    return (p.up, p.down, p.leq) if isinstance(p, FinitePreorder) else p
+
+
+def check_tables():
+    """Every 0/1 table on at most 3 points, then seeded tables on 4 and 5:
+    random ones, and preorders with one cell flipped."""
+    for n in range(4):
+        for cells in itertools.product((False, True), repeat=n * n):
+            yield n, [list(cells[x * n : (x + 1) * n]) for x in range(n)]
+    rng = random.Random("mask-check")
+    for n in (4, 5):
+        offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for _ in range(300):
+            density = rng.choice((0.2, 0.5, 0.8))
+            yield n, [[rng.random() < density or (x == y and rng.random() < 0.9)
+                       for y in range(n)] for x in range(n)]
+            order = FinitePreorder.from_pairs(n, rng.sample(offdiag, rng.randrange(2 * n)))
+            leq = [list(row) for row in order.leq]
+            x, y = rng.randrange(n), rng.randrange(n)
+            leq[x][y] = not leq[x][y]
+            yield n, leq
+
+
+def test_mask_check_agrees_with_the_table_check():
+    seen = set()
+    for n, leq in check_tables():
+        expected = outcome(table_check, n, leq)
+        assert outcome(FinitePreorder, n, leq) == expected, (n, leq)
+        masks = [sum(1 << y for y in range(n) if row[y]) for row in leq]
+        assert outcome(FinitePreorder.from_up, n, masks) == expected, (n, leq)
+        seen.add((n, expected.split(":")[0] if isinstance(expected, str) else "preorder"))
+    assert seen == {(0, "preorder")} | {
+        (n, kind) for n in range(1, 6) for kind in ("preorder", "not reflexive", "not transitive")
+    } - {(1, "not transitive"), (2, "not transitive")}
+
+
+def test_from_up_refuses_masks_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="not 2 masks on 2 points"):
+        FinitePreorder.from_up(2, [1])
+    with pytest.raises(ValueError, match="not 2 masks on 2 points"):
+        FinitePreorder.from_up(2, [1, 6])
+
+
+def test_the_converse_is_the_preorder_of_the_transposed_table():
+    for n in range(5):
+        for p in enumerate_preorders(n):
+            converse = FinitePreorder.from_up(n, p.down)
+            transposed = FinitePreorder(n, [[p.leq[y][x] for y in range(n)] for x in range(n)])
+            assert (converse.up, converse.down, converse.leq) == (
+                transposed.up, transposed.down, transposed.leq
+            )
+            assert converse.down == p.up
+
+
 def reference_closed_sets(order):
     """Down-sets as sorted tuples, by a membership test on each subset."""
     out = []
