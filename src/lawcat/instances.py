@@ -8,8 +8,11 @@ y below x, which turns a space into a structure over the two-element
 quantale under the ultrafilter monad and back, losslessly.
 
 The distance-style analysis converts modules from the point into
-level-set families over a truncated addition chain and replays the
-closedness, irreducibility and representability conditions.
+level-set families over a chain, such as a truncated addition chain,
+and replays the closedness, irreducibility and representability
+conditions.  A level set is a threshold of the chain's lattice order,
+kept as a bitmask of points (level_masks), and each condition is a
+mask test on the quantale's order, tensor and join tables.
 """
 
 from __future__ import annotations
@@ -137,126 +140,35 @@ def sober_vs_lawvere(ext, order, oracle=False):
     return {"weakly_sober": sober, "lawvere": lawvere, "agree": sober == lawvere}
 
 
-def _num(q, idx):
-    return q.numeric[idx]
+def level_masks(q, row):
+    """The level sets of a row over a chain, as masks: bit x of the mask at
+    v is set when v <= row[x] in the lattice order.
 
-
-def _num_le(a, b):
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return a <= b
-
-
-class VariableSet:
-    """Level-set family over a chain: one subset per chain element.
-
-    Families are monotone in the numeric order with the infinite level
-    equal to the whole carrier; on a finite chain this is exactly the
-    image of the level-set encoding of maps into the chain (the
-    intersection form of the constraint collapses at the top finite
-    level, so monotonicity is the faithful finite reading).
+    The level at bottom holds every point, and the levels shrink as v
+    grows.  On a chain the row is the largest v whose level holds x, so a
+    family of levels determines its row and the row its family.
     """
-
-    def __init__(self, q, n, levels):
-        self.q = q
-        self.n = n
-        self.levels = {v: frozenset(pts) for v, pts in levels.items()}
-        for v in range(q.n):
-            for u in range(q.n):
-                if _num_le(_num(q, v), _num(q, u)) and not self.levels[v] <= self.levels[u]:
-                    raise ValueError("family is not monotone")
-        if self.levels[q.bottom] != frozenset(range(n)):
-            raise ValueError("infinite level must be the whole carrier")
-
-    def __eq__(self, other):
-        return isinstance(other, VariableSet) and self.levels == other.levels
-
-    def __repr__(self):
-        return f"VariableSet({self.levels})"
+    leq = q.leq
+    return [sum(1 << x for x, w in enumerate(row) if leq[v][w]) for v in range(q.n)]
 
 
-def variable_set_from_row(q, n, row):
-    """Level sets A_v = points whose value is numerically at most v."""
-    levels = {
-        v: [x for x in range(n) if _num_le(_num(q, row[x]), _num(q, v))]
+def companion_masks(q, balls, levels):
+    """The candidate right-adjoint family of a level family, as masks.
+
+    balls[y] is level_masks of the point's row a(y, -), its balls: the
+    mask at w holds the points within distance w of y.  y lies in the
+    companion level at v when u (x) v <= a(y, x) for every u and every x
+    in the level at u: each level at u lies in y's ball at u (x) v.
+    """
+    tens = q.tensor
+    return [
+        sum(
+            1 << y
+            for y, ball in enumerate(balls)
+            if all(not level & ~ball[tens[u][v]] for u, level in enumerate(levels))
+        )
         for v in range(q.n)
-    }
-    return VariableSet(q, n, levels)
-
-
-def point_distance(cat, pts, x):
-    """Least structure value into x over principal filters on the subset."""
-    vals = [_num(cat.q, cat.a.data[y][x]) for y in pts]
-    finite = [v for v in vals if v is not None]
-    if finite:
-        return min(finite)
-    return None
-
-
-def is_closed_varset(cat, vs):
-    """d(A_u, x) <= v forces x into the level at u + v, for all u, v, x."""
-    q = cat.q
-    for u in range(q.n):
-        for x in range(cat.n):
-            d = point_distance(cat, vs.levels[u], x)
-            for v in range(q.n):
-                if _num_le(d, _num(q, v)) and x not in vs.levels[q.tens(u, v)]:
-                    return False
-    return True
-
-
-def companion_varset(cat, vs):
-    """The candidate right-adjoint family of a level-set family."""
-    q = cat.q
-    levels = {}
-    for v in range(q.n):
-        pts = []
-        for y in range(cat.n):
-            ok = True
-            for u in range(q.n):
-                uv = q.tens(u, v)
-                for x in vs.levels[u]:
-                    if not _num_le(_num(q, cat.a.data[y][x]), _num(q, uv)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                pts.append(y)
-        levels[v] = pts
-    return levels
-
-
-def is_irreducible_varset(cat, vs):
-    """Each level meets its companion level.
-
-    The infinite half-line quantifies this over strictly positive levels
-    because the joint infimum may not be attained there; on a finite chain
-    every infimum is a minimum, so the faithful reading includes level
-    zero.
-    """
-    q = cat.q
-    comp = companion_varset(cat, vs)
-    for u in range(q.n):
-        if not set(vs.levels[u]) & set(comp[u]):
-            return False
-    return True
-
-
-def representable_varset(cat, vs):
-    """Points whose structure row reproduces the family as distance balls."""
-    q = cat.q
-    reps = []
-    for x in range(cat.n):
-        if all(
-            set(vs.levels[v])
-            == {y for y in range(cat.n) if _num_le(_num(q, cat.a.data[x][y]), _num(q, v))}
-            for v in range(q.n)
-        ):
-            reps.append(x)
-    return reps
+    ]
 
 
 def approach_surrogate(cat):
@@ -264,27 +176,52 @@ def approach_surrogate(cat):
 
     For every row vector from the point: the module laws must agree with
     closedness of its family; existence of a right adjoint must agree
-    with irreducibility; the point-induced families are exactly the
-    distance profiles.  Returns the two completeness verdicts and the
-    per-row agreement record.
+    with irreducibility, and the adjoint's own family with the companion
+    family; a closed irreducible family must be a point's distance
+    profile.  Returns the two completeness verdicts and the per-row
+    agreement record.
+
+    V must be a chain: the "chain quantale" gate refuses a V with two
+    incomparable elements.  The distance reading of a chain sends bottom
+    to inf and any other element to the number of elements strictly
+    above it, which is what the labels of the built-in chains say (c4
+    reads inf, 2, 1, 0).  So "at most as distances" is the lattice order
+    reversed: a is at most b as distances iff b <= a.  The level
+    set of a row at v, the points at distance at most v, is therefore
+    the threshold mask level_masks(q, row)[v], and each test reads the
+    quantale's own tables:
+
+    - the distance d(A_u, x) from the level at u to x is the least
+      distance, the join of a(y, x) over y in A_u; the empty join is
+      bottom, an infinite distance;
+    - the family is closed when d(A_u, x) <= v puts x into the level at
+      u (x) v, for all u, v and x.  The levels shrink as v grows and the
+      tensor is monotone, so v = d(A_u, x) is the strongest instance:
+      closed iff x lies in the level at u (x) d(A_u, x);
+    - the companion family is companion_masks, and the family is
+      irreducible when each level meets its companion level.  Over the
+      half-line only strictly positive levels count, since an infimum
+      there need not be attained; on a finite chain every infimum is a
+      minimum, so level zero counts too;
+    - a point x represents the family when its distance profile has the
+      same levels, that is when a(x, -) is the row.
     """
     ext = cat.ext
     q = cat.q
-    if q.numeric is None:
+    leq, tens = q.leq, q.tensor
+    if not all(leq[u][v] or leq[v][u] for u in range(q.n) for v in range(u)):
         raise GateUnavailable("chain quantale", "level-set analysis needs numeric values")
     if ext.monad.size(cat.n) != cat.n or ext.monad.size(1) != 1:
         raise GateUnavailable("principal carriers", "analysis collapses filters to points")
     verdict = decide_lawvere_complete(cat)
-    adjoint_phis = {pair.phi.data[0] for pair in verdict["pairs"]}
-    pcat = unit_tvcategory(ext)
-    vxi = hom_xi_category(ext)
-
     psi_levels = {
-        pair.phi.data[0]: variable_set_from_row(
-            q, cat.n, tuple(r[0] for r in pair.psi.data)
-        ).levels
+        pair.phi.data[0]: level_masks(q, [r[0] for r in pair.psi.data])
         for pair in verdict["pairs"]
     }
+    pcat = unit_tvcategory(ext)
+    vxi = hom_xi_category(ext)
+    a = cat.a.data
+    balls = [level_masks(q, a[x]) for x in range(cat.n)]
 
     mismatches = []
     analysis_complete = True
@@ -292,23 +229,24 @@ def approach_surrogate(cat):
         phi = VMatrix(q, 1, cat.n, (row,))
         bim = is_tvbimodule(phi, pcat, cat)
         functor = check_tvfunctor(row, cat, vxi)["ok"]
-        vs = variable_set_from_row(q, cat.n, row)
-        closed = is_closed_varset(cat, vs)
+        levels = level_masks(q, row)
+        closed = all(
+            levels[tens[u][q.join_all(a[y][x] for y in _points(level))]] >> x & 1
+            for u, level in enumerate(levels)
+            for x in range(cat.n)
+        )
         if not (bim == functor == closed):
             mismatches.append({"row": row, "bimodule": bim, "functor": functor, "closed": closed})
         if bim:
-            has_adjoint = row in adjoint_phis
-            irr = is_irreducible_varset(cat, vs)
+            has_adjoint = row in psi_levels
+            companion = companion_masks(q, balls, levels)
+            irr = all(level & comp for level, comp in zip(levels, companion))
             if has_adjoint != irr:
                 mismatches.append({"row": row, "has_adjoint": has_adjoint, "irreducible": irr})
-            if has_adjoint:
-                comp = {v: frozenset(pts) for v, pts in companion_varset(cat, vs).items()}
-                if comp != psi_levels[row]:
-                    mismatches.append({"row": row, "companion_mismatch": True})
-            if closed and irr:
-                reps = representable_varset(cat, vs)
-                if not reps:
-                    analysis_complete = False
+            if has_adjoint and companion != psi_levels[row]:
+                mismatches.append({"row": row, "companion_mismatch": True})
+            if closed and irr and levels not in balls:
+                analysis_complete = False
     agree = not mismatches
     return {
         "mismatches": mismatches,

@@ -4,6 +4,11 @@ Elements are integer indices into a fixed carrier.  The lattice order,
 the tensor and its unit are given as explicit tables; joins, meets,
 lattice bounds and the residuation table are derived during validation.
 Everything is bit-exact: indices in, indices out, no floats anywhere.
+
+The chains stand in for distances: their labels read inf < ... < 1 < 0,
+so the order of distances is the lattice order reversed.  A chain
+carries no second table of distances; whatever reads it as one
+(instances.approach_surrogate) reads the lattice order.
 """
 
 from __future__ import annotations
@@ -18,16 +23,12 @@ class Quantale:
     u (x) v <= w  iff  v <= hom(u, w).
     """
 
-    def __init__(self, name, labels, leq, tensor, unit, numeric=None):
+    def __init__(self, name, labels, leq, tensor, unit):
         self.name = name
         self.labels = tuple(labels)
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
         self.tensor = tuple(tuple(row) for row in tensor)
         self.unit = unit
-        # Numeric readings for chain surrogates (None encodes infinity);
-        # indexed like the carrier, unused by the algebra itself.
-        self.numeric = tuple(numeric) if numeric is not None else None
-        self.validated = False
         self.join_t = None
         self.meet_t = None
         self.hom_t = None
@@ -179,7 +180,6 @@ def validate_quantale(q):
                 if q.leq[q.tensor[u][v]][w] != q.leq[v][hom_t[u][w]]:
                     return fail("hom-adjunction", u, v, w)
 
-    q.validated = True
     return {"ok": True}
 
 
@@ -234,7 +234,6 @@ def two_chain():
             ((True, True), (False, True)),
             ((0, 0), (0, 1)),
             unit=1,
-            numeric=(None, 0),
         )
     )
 
@@ -243,42 +242,41 @@ def meet_chain(size, name=None):
     """Chain of `size` elements, tensor = meet, unit = top.
 
     Models the max-tensor half-line at finite scale: the carrier reads
-    inf < size-2 < ... < 1 < 0 in the lattice order (numeric order is
-    reversed), and the top element 0 is the unit.
+    inf < size-2 < ... < 1 < 0 in the lattice order (the labels count
+    down as the order goes up), and the top element 0 is the unit.
     """
     labels = ["inf"] + [str(size - 1 - i) for i in range(1, size)]
-    numeric = [None] + [size - 1 - i for i in range(1, size)]
     leq = [[i <= j for j in range(size)] for i in range(size)]
     tensor = [[min(i, j) for j in range(size)] for i in range(size)]
     return _finish(
-        Quantale(name or f"c{size}", labels, leq, tensor, unit=size - 1, numeric=numeric)
+        Quantale(name or f"c{size}", labels, leq, tensor, unit=size - 1)
     )
 
 
 def plus_chain(finite_levels, name=None):
     """Truncated-addition chain {0..m, inf} with m = finite_levels - 1.
 
-    Tensor is numeric addition capped at inf (a+b if a+b <= m, else inf);
-    inf is absorbing; the unit is 0, which is the lattice top since the
-    lattice order is reversed numeric order.
+    Tensor is addition of the labels capped at inf (a+b if a+b <= m, else
+    inf); inf is absorbing; the unit is 0, which is the lattice top since
+    the lattice order reverses the order of the labels.  Index i > 0 is
+    the label size - 1 - i.
     """
     size = finite_levels + 1
     cap = finite_levels - 1
     labels = ["inf"] + [str(cap - i) for i in range(finite_levels)]
-    numeric = [None] + [cap - i for i in range(finite_levels)]
     leq = [[i <= j for j in range(size)] for i in range(size)]
 
     def tens(i, j):
         if i == 0 or j == 0:
             return 0
-        s = numeric[i] + numeric[j]
+        s = (size - 1 - i) + (size - 1 - j)
         if s > cap:
             return 0
         return size - 1 - s
 
     tensor = [[tens(i, j) for j in range(size)] for i in range(size)]
     return _finish(
-        Quantale(name or f"plus{finite_levels}", labels, leq, tensor, unit=size - 1, numeric=numeric)
+        Quantale(name or f"plus{finite_levels}", labels, leq, tensor, unit=size - 1)
     )
 
 

@@ -33,7 +33,7 @@ class QuasiUniformity:
     """Carrier size and a base of relations; entourages are derived.
 
     w, the intersection of the base, is derived on construction, and
-    order, w as a FinitePreorder (see w_order), on its first read.
+    order, w as a FinitePreorder, on its first read.
     """
 
     def __init__(self, n, base):
@@ -43,7 +43,17 @@ class QuasiUniformity:
 
     @functools.cached_property
     def order(self):
-        """w as a FinitePreorder, from its up masks; w_order says when it is one."""
+        """w as a FinitePreorder, whose down and up masks the Cauchy side reads.
+
+        For a nonempty base, the base is valid iff w is a preorder.
+        all_quniformities proves "only if".  For "if": a reflexive w makes
+        every base relation reflexive, and w is in the intersection
+        closure with w.w <= w <= r for every r there.  So an invalid base
+        raises FinitePreorder's ValueError, which names the first failing
+        cell; an empty base, which has no w, raises one too.  The preorder
+        is built from w's up masks on the first read and kept, so every
+        reader of u shares one.
+        """
         if self.w is None:
             raise ValueError("empty base: w is undefined")
         up = [0] * self.n
@@ -124,21 +134,6 @@ def _first_entourage_missing(u, missing):
     return frozenset(p for p in pairs if p <= top and p != last)
 
 
-def w_order(u):
-    """w as a FinitePreorder, whose down and up masks the Cauchy side reads.
-
-    For a nonempty base, the base is valid iff w is a preorder.
-    all_quniformities proves "only if".  For "if": a reflexive w makes every
-    base relation reflexive, and w is in the intersection closure with
-    w.w <= w <= r for every r there.  So an invalid base raises
-    FinitePreorder's ValueError, which names the first failing cell; an
-    empty base, which has no w, raises one too.  The preorder is built
-    from w's up masks on the first call and kept as u.order, so every
-    reader of u shares one.
-    """
-    return u.order
-
-
 def meet(masks, points):
     """The meet of masks[x] over the points x of the mask points."""
     out = (1 << len(masks)) - 1
@@ -174,9 +169,10 @@ def decide_cauchy_complete(u):
     the neighbourhood pair of x0 is (down[x0], up[x0]); minimality is
     is_minimal_pair, so the one candidate partner of L is U(L).  So
     minimal_pairs lists the minimal pairs, as point tuples, in increasing
-    (L, R), the order of the frozenset enumeration it replaces.  The masks are w_order's.
+    (L, R), the order of the frozenset enumeration it replaces.  The masks
+    are u.order's.
     """
-    order = w_order(u)
+    order = u.order
     down, up = order.down, order.up
     nbhd = list(zip(down, up))
     all_converge = True
@@ -217,9 +213,9 @@ def decide_lawvere_q(ext, u, oracle=False):
     also reports the bimodule/filter bridge between the two sides: forward,
     every module pair's filter pair is minimal Cauchy; bijection, the
     module pairs give exactly the minimal Cauchy pairs.  An invalid base
-    raises w_order's ValueError.
+    raises u.order's ValueError.
     """
-    verdict = decide_lawvere_complete(order_tvcategory(ext, w_order(u)), oracle)
+    verdict = decide_lawvere_complete(order_tvcategory(ext, u.order), oracle)
     top = ext.q.top
     from_mods = {
         (

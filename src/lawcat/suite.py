@@ -27,7 +27,6 @@ from .quniform import (
     is_minimal_pair,
     meet,
     validate_quniformity,
-    w_order,
 )
 from .tvcat import (
     all_tvcategories,
@@ -49,7 +48,7 @@ def _ext(monad_name, quantale_name, max_enum=DEFAULT_MAX_ENUM):
 def item_quantale_laws(max_enum=DEFAULT_MAX_ENUM):
     results = {}
     for name, q in sorted(builtin_quantales().items()):
-        fresh = type(q)(q.name, q.labels, q.leq, q.tensor, q.unit, q.numeric)
+        fresh = type(q)(q.name, q.labels, q.leq, q.tensor, q.unit)
         results[name] = validate_quantale(fresh)["ok"]
     return {"ok": all(results.values()), "validated": results}
 
@@ -287,7 +286,7 @@ def item_quniform(max_enum=DEFAULT_MAX_ENUM):
         rep = decide_lawvere_q(ext, u)
         if not (rep["agree"] and rep["bijection"] and rep["forward"]):
             ok = False
-        order = w_order(u)
+        order = u.order
         down, up = order.down, order.up
         for left, right in zip(down, up):
             cauchy = not right & ~meet(up, left)

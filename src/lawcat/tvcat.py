@@ -316,53 +316,55 @@ def hom_xi_category(ext):
 
 
 def kleisli_compose(ext, b, a, n_src):
-    """b * a = b . T(a) . m-transpose, for a: T(n_src) -|-> Y, b: T(Y) -|-> Z."""
+    """b * a = b . T(a) . m-transpose, for a: T(n_src) -|-> Y, b: T(Y) -|-> Z.
+
+    T(a) . m-transpose is _fibre_rows; composing b with those rows is
+    exact, since the tensor distributes over the joins they take.
+    """
     q = ext.q
     monad = ext.monad
-    ny = a.cols
-    if a.rows != monad.size(n_src) or b.rows != monad.size(ny):
+    if a.rows != monad.size(n_src) or b.rows != monad.size(a.cols):
         raise ValueError("kleisli shapes do not line up")
-    ta = ext.extend(a)
-    fibers = ext.mult_fibers(n_src)
-    tn = monad.size(n_src)
-    tny = monad.size(ny)
     bot = q.bottom
     tens, join_t = q.tensor, q.join_t
+    cols = range(b.cols)
     out = []
-    for s in range(tn):
+    for trow in _fibre_rows(ext, a, n_src):
         row = [bot] * b.cols
-        for big in fibers[s]:
-            trow = ta.data[big]
-            for t in range(tny):
-                u = trow[t]
-                if u == bot:
-                    continue
-                brow = b.data[t]
-                for z in range(b.cols):
-                    v = tens[u][brow[z]]
-                    if v != bot:
-                        row[z] = join_t[row[z]][v]
+        for t, u in enumerate(trow):
+            if u == bot:
+                continue
+            brow = b.data[t]
+            tens_u = tens[u]
+            for z in cols:
+                v = tens_u[brow[z]]
+                if v != bot:
+                    row[z] = join_t[row[z]][v]
         out.append(tuple(row))
-    return VMatrix.trusted(q, tn, b.cols, tuple(out))
+    return VMatrix.trusted(q, a.rows, b.cols, tuple(out))
 
 
-def kleisli_table(x):
-    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x.
+def _fibre_rows(ext, a, n_src):
+    """T(a) . m-transpose as plain rows, one per s in T(n_src).
 
-    Row s joins the rows of Ta over the fibre of m at s, which holds e(s)
-    and so is never empty; a one-element fibre (every fibre over the
+    Row s joins the rows of T(a) over the fibre of m at s, which holds
+    e(s) and so is never empty; a one-element fibre (every fibre over the
     identity monad) is that row itself.
     """
-    ext = x.ext
     join_t = ext.q.join_t
-    ta = ext.extend(x.a).data
-    table = []
-    for fiber in ext.mult_fibers(x.n):
+    ta = ext.extend(a).data
+    rows = []
+    for fiber in ext.mult_fibers(n_src):
         row = ta[fiber[0]]
         for big in fiber[1:]:
             row = tuple([join_t[u][w] for u, w in zip(row, ta[big])])
-        table.append(row)
-    return table
+        rows.append(row)
+    return rows
+
+
+def kleisli_table(x):
+    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x."""
+    return _fibre_rows(x.ext, x.a, x.n)
 
 
 def check_tvfunctor(f, x, y):

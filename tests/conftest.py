@@ -21,7 +21,7 @@ def validated_copy():
     memos of its own (empty), apart from every other extension's."""
 
     def copy(q):
-        fresh = type(q)(q.name, q.labels, q.leq, q.tensor, q.unit, q.numeric)
+        fresh = type(q)(q.name, q.labels, q.leq, q.tensor, q.unit)
         assert validate_quantale(fresh)["ok"]
         return fresh
 

@@ -5,12 +5,20 @@ checks that only the tests call, so they live here.  The
 `largest-structure search` budget site is `oracle_largest_structure`.
 """
 
+import itertools
 import random
 
+from lawcat.completeness import decide_lawvere_complete
 from lawcat.fileio import parse_quantale_text
 from lawcat.instances import _points
 from lawcat.quantale import validate_quantale
-from lawcat.tvcat import Exponential
+from lawcat.tvcat import (
+    Exponential,
+    check_tvfunctor,
+    hom_xi_category,
+    is_tvbimodule,
+    unit_tvcategory,
+)
 from lawcat.vmatrix import VMatrix, all_matrices, precompose_map, select_cols
 
 
@@ -226,3 +234,119 @@ def group_quantale():
     )
     assert validate_quantale(q)["ok"]
     return q
+
+
+def distance_readings(q):
+    """The distance each element of a chain stands for: None (inf) for
+    bottom, otherwise the number of elements strictly above it."""
+    return tuple(
+        None if u == q.bottom else sum(q.leq[u][v] for v in range(q.n)) - 1 for u in range(q.n)
+    )
+
+
+def _dist_le(a, b):
+    if b is None:
+        return True
+    if a is None:
+        return False
+    return a <= b
+
+
+def reference_levels(q, n, row):
+    """Level sets A_v: the points whose distance is at most v's."""
+    num = distance_readings(q)
+    return {v: frozenset(x for x in range(n) if _dist_le(num[row[x]], num[v])) for v in range(q.n)}
+
+
+def reference_point_distance(cat, pts, x):
+    """Least distance into x from the points of pts; None when there is none."""
+    num = distance_readings(cat.q)
+    finite = [num[cat.a.data[y][x]] for y in pts if num[cat.a.data[y][x]] is not None]
+    return min(finite) if finite else None
+
+
+def reference_closed(cat, levels):
+    """d(A_u, x) <= v forces x into the level at u + v, for all u, v, x."""
+    q = cat.q
+    num = distance_readings(q)
+    for u in range(q.n):
+        for x in range(cat.n):
+            d = reference_point_distance(cat, levels[u], x)
+            for v in range(q.n):
+                if _dist_le(d, num[v]) and x not in levels[q.tens(u, v)]:
+                    return False
+    return True
+
+
+def reference_companion(cat, levels):
+    """y is in the level at v when a(y, x) <= u + v for every x in A_u."""
+    q = cat.q
+    num = distance_readings(q)
+    return {
+        v: frozenset(
+            y
+            for y in range(cat.n)
+            if all(
+                _dist_le(num[cat.a.data[y][x]], num[q.tens(u, v)])
+                for u in range(q.n)
+                for x in levels[u]
+            )
+        )
+        for v in range(q.n)
+    }
+
+
+def reference_irreducible(cat, levels):
+    comp = reference_companion(cat, levels)
+    return all(levels[u] & comp[u] for u in range(cat.q.n))
+
+
+def reference_representable(cat, levels):
+    """Points whose distance profile has the family's level sets."""
+    return [
+        x
+        for x in range(cat.n)
+        if levels == reference_levels(cat.q, cat.n, cat.a.data[x])
+    ]
+
+
+def reference_approach_surrogate(cat):
+    """approach_surrogate's report by distances: each element of the chain
+    is read as distance_readings gives it, and the level sets, distances
+    from a set, companions and profiles are compared as numbers, with
+    None as inf.  Principal carriers are assumed."""
+    ext = cat.ext
+    q = cat.q
+    verdict = decide_lawvere_complete(cat)
+    psi_levels = {
+        pair.phi.data[0]: reference_levels(q, cat.n, tuple(r[0] for r in pair.psi.data))
+        for pair in verdict["pairs"]
+    }
+    pcat = unit_tvcategory(ext)
+    vxi = hom_xi_category(ext)
+    mismatches = []
+    analysis_complete = True
+    for row in itertools.product(range(q.n), repeat=cat.n):
+        phi = VMatrix(q, 1, cat.n, (row,))
+        bim = is_tvbimodule(phi, pcat, cat)
+        functor = check_tvfunctor(row, cat, vxi)["ok"]
+        levels = reference_levels(q, cat.n, row)
+        closed = reference_closed(cat, levels)
+        if not (bim == functor == closed):
+            mismatches.append({"row": row, "bimodule": bim, "functor": functor, "closed": closed})
+        if bim:
+            has_adjoint = row in psi_levels
+            irr = reference_irreducible(cat, levels)
+            if has_adjoint != irr:
+                mismatches.append({"row": row, "has_adjoint": has_adjoint, "irreducible": irr})
+            if has_adjoint and reference_companion(cat, levels) != psi_levels[row]:
+                mismatches.append({"row": row, "companion_mismatch": True})
+            if closed and irr and not reference_representable(cat, levels):
+                analysis_complete = False
+    agree = not mismatches
+    return {
+        "mismatches": mismatches,
+        "analysis_complete": analysis_complete,
+        "lawvere_complete": verdict["complete"],
+        "equivalence": agree and analysis_complete == verdict["complete"],
+    }

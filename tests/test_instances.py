@@ -7,26 +7,30 @@ from lawcat.completeness import decide_lawvere_complete
 from lawcat.errors import GateUnavailable
 from lawcat.instances import (
     FinitePreorder,
-    VariableSet,
     approach_surrogate,
-    companion_varset,
+    companion_masks,
     enumerate_preorders,
-    is_closed_varset,
-    is_irreducible_varset,
-    point_distance,
-    representable_varset,
+    level_masks,
     sober_vs_lawvere,
     tvcategory_from_space,
-    variable_set_from_row,
     weakly_sober,
 )
 from lawcat.laxext import LaxExtension
 from lawcat.monad import builtin_monad
 from lawcat.quantale import builtin
-from lawcat.tvcat import TVCategory, all_tvcategories
+from lawcat.tvcat import TVCategory, _points, all_tvcategories
 from lawcat.vmatrix import VMatrix
 
-from support import closed_sets, weakly_sober_by_closed_sets
+from support import (
+    closed_sets,
+    distance_readings,
+    reference_approach_surrogate,
+    reference_closed,
+    reference_companion,
+    reference_levels,
+    reference_point_distance,
+    weakly_sober_by_closed_sets,
+)
 
 
 def is_valid(leq):
@@ -79,19 +83,18 @@ def preorder_roundtrip(p):
     }
 
 
-def row_from_variable_set(vs):
-    """Numerically least level containing each point."""
-    q = vs.q
-    order = sorted(range(q.n), key=lambda v: (q.numeric[v] is None, q.numeric[v]))
+def row_from_levels(q, n, levels):
+    """The value of each point: the largest v whose level holds it."""
     row = []
-    for x in range(vs.n):
-        val = None
-        for v in order:
-            if x in vs.levels[v]:
-                val = v
-                break
-        row.append(val)
+    for x in range(n):
+        holding = [v for v in range(q.n) if levels[v] >> x & 1]
+        row.append(next(v for v in holding if all(q.leq[w][v] for w in holding)))
     return tuple(row)
+
+
+def point_levels(cat):
+    """level_masks of each point's row a(x, -): its distance profile."""
+    return [level_masks(cat.q, cat.a.data[x]) for x in range(cat.n)]
 
 
 def test_preorder_counts():
@@ -352,40 +355,53 @@ def test_space_category_space_roundtrip(ext_factory):
 def test_variable_set_bijection_with_rows():
     q = builtin("plus3")
     for row in itertools.product(range(q.n), repeat=2):
-        vs = variable_set_from_row(q, 2, row)
-        assert row_from_variable_set(vs) == row
-        assert vs.levels[q.bottom] == frozenset(range(2))
-
-
-def test_variable_set_rejects_non_monotone():
-    q = builtin("plus3")
-    with pytest.raises(ValueError):
-        VariableSet(q, 1, {0: {0}, 1: {0}, 2: set(), 3: {0}})
+        levels = level_masks(q, row)
+        assert row_from_levels(q, 2, levels) == row
+        assert levels[q.bottom] == 0b11
+        expected = reference_levels(q, 2, row)
+        assert [sum(1 << x for x in expected[v]) for v in range(q.n)] == levels
 
 
 def test_point_distance_is_minimum():
+    # the distance from a set is the join of the structure values into x,
+    # read as a distance: the least one, inf (bottom) for the empty set
     ext_q = builtin("plus3")
-    from lawcat.laxext import LaxExtension
-    from lawcat.monad import builtin_monad
-    from lawcat.tvcat import TVCategory
-
+    num = distance_readings(ext_q)
     ext = LaxExtension(builtin_monad("ultra"), ext_q)
+
+    def distance(cat, pts, x):
+        return num[ext_q.join_all(cat.a.data[y][x] for y in pts)]
+
     a = VMatrix(ext_q, 2, 2, ((3, 2), (0, 3)))
     cat = TVCategory(ext, 2, a)
-    assert point_distance(cat, [0, 1], 1) == 0
-    assert point_distance(cat, [0], 1) == 1
-    assert point_distance(cat, [1], 0) is None
-    assert point_distance(cat, [], 0) is None
+    assert distance(cat, [0, 1], 1) == 0
+    assert distance(cat, [0], 1) == 1
+    assert distance(cat, [1], 0) is None
+    assert distance(cat, [], 0) is None
+    for cells in itertools.product(range(ext_q.n), repeat=4):
+        cat = TVCategory(ext, 2, VMatrix(ext_q, 2, 2, (cells[:2], cells[2:])))
+        for pts in ((), (0,), (1,), (0, 1)):
+            for x in range(2):
+                assert distance(cat, pts, x) == reference_point_distance(cat, pts, x)
 
 
-def positive_levels_meet_companions(cat, vs):
+def closed_by_distances(cat, levels):
+    """The reference closedness test on a mask family."""
+    return reference_closed(cat, [frozenset(_points(mask)) for mask in levels])
+
+
+def irreducible(cat, levels):
+    companion = companion_masks(cat.q, point_levels(cat), levels)
+    return all(level & comp for level, comp in zip(levels, companion))
+
+
+def positive_levels_meet_companions(cat, levels):
     """The literal half-line form of irreducibility: only strictly positive
     levels meet their companion levels.  Strictly weaker on a finite chain."""
     q = cat.q
-    comp = companion_varset(cat, vs)
-    return all(
-        set(vs.levels[u]) & set(comp[u]) for u in range(q.n) if q.numeric[u] != 0
-    )
+    num = distance_readings(q)
+    companion = companion_masks(q, point_levels(cat), levels)
+    return all(levels[u] & companion[u] for u in range(q.n) if num[u] != 0)
 
 
 def test_one_point_distance_one_profile_not_irreducible(ext_factory):
@@ -397,24 +413,19 @@ def test_one_point_distance_one_profile_not_irreducible(ext_factory):
     cats = all_tvcategories(ext, 1)
     cat = cats[0]
     row = (q.index("1"),)
-    vs = variable_set_from_row(q, 1, row)
-    assert is_closed_varset(cat, vs)
-    assert positive_levels_meet_companions(cat, vs)
-    assert not is_irreducible_varset(cat, vs)
+    levels = level_masks(q, row)
+    assert closed_by_distances(cat, levels)
+    assert positive_levels_meet_companions(cat, levels)
+    assert not irreducible(cat, levels)
 
 
 def test_one_point_surrogate():
-    from lawcat.laxext import LaxExtension
-    from lawcat.monad import builtin_monad
-
     ext = LaxExtension(builtin_monad("ultra"), builtin("plus3"))
     for cat in all_tvcategories(ext, 1):
         rep = approach_surrogate(cat)
         assert rep["equivalence"]
-        reps = representable_varset(
-            cat, variable_set_from_row(cat.q, 1, tuple(cat.a.data[0]))
-        )
-        assert reps == [0]
+        profile = level_masks(cat.q, cat.a.data[0])
+        assert [x for x, ball in enumerate(point_levels(cat)) if ball == profile] == [0]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -436,31 +447,99 @@ def test_discrete_structure_profiles(ext_factory):
     cat = discrete_tvcategory(ext, 2)
     profiles = []
     for row in itertools.product(range(q.n), repeat=2):
-        vs = variable_set_from_row(q, 2, row)
-        if is_closed_varset(cat, vs) and is_irreducible_varset(cat, vs):
-            reps = representable_varset(cat, vs)
-            assert reps, row
+        levels = level_masks(q, row)
+        if closed_by_distances(cat, levels) and irreducible(cat, levels):
+            assert levels in point_levels(cat), row
             profiles.append(row)
     assert len(profiles) == 2
 
 
 def test_companion_matches_adjoint_levels(ext_factory):
     ext = ext_factory("ultra", "plus3")
-    from lawcat.completeness import decide_lawvere_complete
-
+    q = ext.q
     for cat in all_tvcategories(ext, 2)[:8]:
         verdict = decide_lawvere_complete(cat)
         for pair in verdict["pairs"]:
             row = pair.phi.data[0]
-            vs = variable_set_from_row(ext.q, 2, row)
-            comp = companion_varset(cat, vs)
+            levels = level_masks(q, row)
+            companion = companion_masks(q, point_levels(cat), levels)
             psi_row = tuple(r[0] for r in pair.psi.data)
-            psi_levels = variable_set_from_row(ext.q, 2, psi_row).levels
-            assert {v: frozenset(pts) for v, pts in comp.items()} == psi_levels
+            assert companion == level_masks(q, psi_row)
+            expected = reference_companion(cat, reference_levels(q, 2, row))
+            assert [sum(1 << y for y in expected[v]) for v in range(q.n)] == companion
 
 
 def test_surrogate_requires_chain(ext_factory):
     ext = ext_factory("ultra", "pset2")
     cat = all_tvcategories(ext, 1)[0]
-    with pytest.raises(GateUnavailable):
+    with pytest.raises(GateUnavailable, match="chain quantale"):
         approach_surrogate(cat)
+
+
+def test_surrogate_accepts_the_one_letter_powerset_chain(ext_factory):
+    # pset1 is the chain {} < {a}: the gate reads the order, not a table
+    # of distances, so it is analysed like 2
+    ext = ext_factory("ultra", "pset1")
+    for n in (1, 2):
+        for cat in all_tvcategories(ext, n):
+            rep = approach_surrogate(cat)
+            assert rep["equivalence"], (cat.a.data, rep["mismatches"][:2])
+            assert rep == reference_approach_surrogate(cat)
+
+
+CHAIN_DISTANCES = {
+    "2": (None, 0),
+    "c3": (None, 1, 0),
+    "c4": (None, 2, 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", ["2", "c3", "c4", "plus2", "plus3", "plus4"])
+def test_distance_readings_reverse_the_chain_order(name):
+    q = builtin(name)
+    num = distance_readings(q)
+    if name.startswith("plus"):
+        assert num == tuple(None if label == "inf" else int(label) for label in q.labels)
+    else:
+        assert num == CHAIN_DISTANCES[name]
+    for u, v in itertools.product(range(q.n), repeat=2):
+        at_most = num[v] is None or (num[u] is not None and num[u] <= num[v])
+        assert at_most == q.leq[v][u], (q.labels[u], q.labels[v])
+
+
+def test_surrogate_matches_the_distance_reference_on_small_matrices():
+    # every matrix on 1 and 2 points, categories or not
+    total = mismatched = 0
+    for mname in ("id", "ultra"):
+        for qname in ("2", "c3", "plus2", "plus3"):
+            ext = LaxExtension(builtin_monad(mname), builtin(qname))
+            q = ext.q
+            for n in (1, 2):
+                for cells in itertools.product(range(q.n), repeat=n * n):
+                    data = [cells[i * n : (i + 1) * n] for i in range(n)]
+                    cat = TVCategory(ext, n, VMatrix(q, n, n, data))
+                    rep = approach_surrogate(cat)
+                    assert rep == reference_approach_surrogate(cat), (mname, qname, data)
+                    total += 1
+                    mismatched += bool(rep["mismatches"])
+    assert (total, mismatched) == (892, 80)
+
+
+def test_surrogate_matches_the_distance_reference_on_closed_three_point_structures(ext_factory):
+    # seeded structures, closed under composition and given the unit on
+    # the diagonal, so each is a category
+    ext = ext_factory("ultra", "plus3")
+    q = ext.q
+    rng = random.Random("approach/three-point")
+    for _ in range(20):
+        a = [[q.unit if x == y else rng.randrange(q.n) for y in range(3)] for x in range(3)]
+        changed = True
+        while changed:
+            changed = False
+            for x, y, z in itertools.product(range(3), repeat=3):
+                v = q.join(a[x][z], q.tens(a[x][y], a[y][z]))
+                if v != a[x][z]:
+                    a[x][z], changed = v, True
+        cat = TVCategory(ext, 3, VMatrix(q, 3, 3, a))
+        assert cat.verdict()["ok"]
+        assert approach_surrogate(cat) == reference_approach_surrogate(cat), a

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -20,7 +21,7 @@ ALL_NAMES = sorted(builtin_quantales())
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_builtins_validate(name):
     q = builtin(name)
-    fresh = Quantale(q.name, q.labels, q.leq, q.tensor, q.unit, q.numeric)
+    fresh = Quantale(q.name, q.labels, q.leq, q.tensor, q.unit)
     assert validate_quantale(fresh)["ok"]
 
 
@@ -35,7 +36,7 @@ def test_two_chain_shape():
 def test_plus2_is_the_three_element_truncated_chain():
     q = plus_chain(2)
     assert q.labels == ("inf", "1", "0")
-    assert validate_quantale(Quantale(q.name, q.labels, q.leq, q.tensor, q.unit, q.numeric))["ok"]
+    assert validate_quantale(Quantale(q.name, q.labels, q.leq, q.tensor, q.unit))["ok"]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -58,12 +59,13 @@ def test_hom_unit_and_top_laws(name):
 
 def test_hom_on_plus_chain_is_surrogate_truncated_minus():
     # cap-aware truncated minus: the brute-force residual on the finite
-    # chain, computed independently from numeric values
+    # chain, computed independently from the distances the labels name
     q = plus_chain(2)
-    idx = {q.numeric[i]: i for i in range(q.n)}
+    num = [None if label == "inf" else int(label) for label in q.labels]
+    idx = {num[i]: i for i in range(q.n)}
 
     def expected(u, w):
-        nu, nw = q.numeric[u], q.numeric[w]
+        nu, nw = num[u], num[w]
         if nw is None:
             if nu is None:
                 return q.top
@@ -149,12 +151,21 @@ def test_group_algebra_quantale_has_unit_below_top():
 
 
 def test_meet_chain_numeric_metadata():
+    # the labels name the distances; no second table of them is kept
     q = meet_chain(4)
-    assert q.numeric == (None, 2, 1, 0)
+    assert q.labels == ("inf", "2", "1", "0")
     assert q.labels[q.unit] == "0"
+    assert not hasattr(q, "numeric")
 
 
 def test_powerset_quantale_order_is_inclusion():
     q = powerset_quantale(("a", "b"))
     assert q.le(q.index("{a}"), q.index("{a,b}"))
     assert not q.le(q.index("{a}"), q.index("{b}"))
+
+
+def test_a_quantale_is_its_tables():
+    # name, labels, order, tensor and unit; the rest is derived
+    assert list(inspect.signature(Quantale).parameters) == ["name", "labels", "leq", "tensor", "unit"]
+    q = builtin("c4")
+    assert not hasattr(q, "validated")

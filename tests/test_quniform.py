@@ -21,7 +21,6 @@ from lawcat.quniform import (
     lax_algebra_bridge,
     rel_compose,
     validate_quniformity,
-    w_order,
 )
 
 
@@ -512,7 +511,7 @@ def test_minimality_by_one_point_extension_matches_the_full_search():
     # L = D(R)
     checked = minimal = 0
     for u in suite_uniformities() + preorder_bases(4):
-        order = w_order(u)
+        order = u.order
         down, up = order.down, order.up
         for fp in all_filter_pairs(u.n):
             expected = searched_minimal_cauchy(u, fp)
@@ -572,9 +571,9 @@ def test_an_invalid_base_is_refused_with_the_failing_cell(ext_factory):
     with pytest.raises(ValueError, match=message):
         decide_cauchy_complete(u)
     with pytest.raises(ValueError, match=r"not reflexive: \(2, 2\) is missing"):
-        w_order(QuasiUniformity(3, [diag - {(2, 2)}]))
+        QuasiUniformity(3, [diag - {(2, 2)}]).order
     with pytest.raises(ValueError, match="empty base"):
-        w_order(QuasiUniformity(3, []))
+        QuasiUniformity(3, []).order
 
 
 def test_a_nonempty_base_is_valid_iff_w_is_a_preorder():
@@ -593,7 +592,7 @@ def test_a_nonempty_base_is_valid_iff_w_is_a_preorder():
         for base in [[r] for r in rels] + [[r, t] for r in rels for t in rels]:
             u = QuasiUniformity(n, base)
             try:
-                w_order(u)
+                u.order
                 preorder = True
             except ValueError:
                 preorder = False

@@ -373,6 +373,56 @@ def test_kleisli_associativity_both_bounds(ext_factory):
                 assert right.le(left)
 
 
+def fibre_loop_compose(ext, b, a, n_src):
+    """kleisli_compose as it joined Ta's rows over each m-fibre inside
+    its own loop, tensoring every row of the fibre with b."""
+    q = ext.q
+    monad = ext.monad
+    ta = ext.extend(a)
+    fibers = ext.mult_fibers(n_src)
+    tny = monad.size(a.cols)
+    bot = q.bottom
+    out = []
+    for s in range(monad.size(n_src)):
+        row = [bot] * b.cols
+        for big in fibers[s]:
+            trow = ta.data[big]
+            for t in range(tny):
+                u = trow[t]
+                if u == bot:
+                    continue
+                brow = b.data[t]
+                for z in range(b.cols):
+                    v = q.tensor[u][brow[z]]
+                    if v != bot:
+                        row[z] = q.join_t[row[z]][v]
+        out.append(tuple(row))
+    return VMatrix(q, monad.size(n_src), b.cols, out)
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+@pytest.mark.parametrize("qname", ["2", "c3", "plus3"])
+def test_kleisli_compose_matches_the_fibre_loop(ext_factory, mname, qname):
+    # composing b with the joined fibre rows is exact: the tensor
+    # distributes over joins
+    ext = ext_factory(mname, qname)
+    q = ext.q
+    monad = ext.monad
+    rng = random.Random(f"kleisli/{mname}/{qname}")
+
+    def rand(rows, cols):
+        return VMatrix(q, rows, cols, [[rng.randrange(q.n) for _ in range(cols)] for _ in range(rows)])
+
+    shapes = [(n_src, ny, nz) for n_src in (0, 1, 2) for ny in (0, 1, 2) for nz in (0, 1, 3)]
+    for n_src, ny, nz in shapes:
+        for _ in range(4):
+            a = rand(monad.size(n_src), ny)
+            b = rand(monad.size(ny), nz)
+            assert kleisli_compose(ext, b, a, n_src) == fibre_loop_compose(ext, b, a, n_src)
+    with pytest.raises(ValueError, match="kleisli shapes do not line up"):
+        kleisli_compose(ext, rand(monad.size(2) + 1, 1), rand(monad.size(1), 2), 1)
+
+
 @pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
 @pytest.mark.parametrize("qname", ["2", "c3"])
 def test_kleisli_table_matches_the_join_formula(ext_factory, mname, qname):
