@@ -258,55 +258,162 @@ def cmd_suite(args):
 
 
 def build_parser():
+    """The one definition of the command line.
+
+    As each subcommand's parser is built, its grammar (`_Grammar`) is
+    compiled from the actions declared for it and kept on it as `grammar`.
+    """
     parser = argparse.ArgumentParser(
         prog="lawcat",
         description="Exact finite-scale workbench for enriched categories and completeness",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM, dest="max_enum")
-    common.add_argument("--oracle", action="store_true")
-    common.add_argument("--strict", action="store_true")
+    shared = (
+        common.add_argument("--format", choices=("text", "json"), default="text"),
+        common.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM, dest="max_enum"),
+        common.add_argument("--oracle", action="store_true"),
+        common.add_argument("--strict", action="store_true"),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def compile_grammar(p, fn, *actions):
+        p.set_defaults(fn=fn)
+        p.grammar = _Grammar((*shared, *actions), fn=fn)
+
     p = sub.add_parser("check", parents=[common], help="validate an object file")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_check)
+    compile_grammar(p, cmd_check, p.add_argument("path"))
 
     p = sub.add_parser("complete", parents=[common], help="decide completeness")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--builtin", choices=("v-hom",))
-    p.add_argument("--quantale", default="2")
-    p.add_argument("--monad", default="id", choices=("id", "powerset", "ultra"))
-    p.set_defaults(fn=cmd_complete)
+    compile_grammar(
+        p,
+        cmd_complete,
+        p.add_argument("path", nargs="?"),
+        p.add_argument("--builtin", choices=("v-hom",)),
+        p.add_argument("--quantale", default="2"),
+        p.add_argument("--monad", default="id", choices=("id", "powerset", "ultra")),
+    )
 
     p = sub.add_parser("sober", parents=[common], help="weak sobriety of a finite space")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_sober)
+    compile_grammar(p, cmd_sober, p.add_argument("path"))
 
     p = sub.add_parser("yoneda", parents=[common], help="Yoneda checks for a category file")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_yoneda)
+    compile_grammar(p, cmd_yoneda, p.add_argument("path"))
 
     p = sub.add_parser("dual", parents=[common], help="print the dual structure")
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_dual)
+    compile_grammar(p, cmd_dual, p.add_argument("path"))
 
     p = sub.add_parser("extend", parents=[common], help="extend a structure along a monad")
-    p.add_argument("path")
-    p.add_argument("--monad", default="powerset", choices=("id", "powerset", "ultra"))
-    p.set_defaults(fn=cmd_extend)
+    compile_grammar(
+        p,
+        cmd_extend,
+        p.add_argument("path"),
+        p.add_argument("--monad", default="powerset", choices=("id", "powerset", "ultra")),
+    )
 
     p = sub.add_parser("quniform", parents=[common], help="quasi-uniform space commands")
-    p.add_argument("mode", choices=("check", "complete"))
-    p.add_argument("path")
-    p.set_defaults(fn=cmd_quniform)
+    compile_grammar(
+        p,
+        cmd_quniform,
+        p.add_argument("mode", choices=("check", "complete")),
+        p.add_argument("path"),
+    )
 
     p = sub.add_parser("suite", parents=[common], help="run the acceptance battery")
-    p.add_argument("--only", nargs="+")
-    p.set_defaults(fn=cmd_suite)
+    compile_grammar(p, cmd_suite, p.add_argument("--only", nargs="+"))
     parser.commands = sub.choices
     return parser
+
+
+class _Grammar:
+    """The well-formed command lines of one subcommand, by table lookup.
+
+    Compiled from the argparse actions declared for the subcommand and its
+    set_defaults values.  It holds every exact option string: a flag
+    (nargs=0) with its dest and const, a one-value option (nargs=None) with
+    its dest, type and choices.  It holds the positionals in order, with
+    their type and choices, and the defaults: every action's default but
+    SUPPRESS (a str default goes through type, as argparse does), then
+    set_defaults.
+
+    `read` accepts a command line when each token is an exact option string,
+    the value of a one-value option (not starting with "-", passing type and
+    choices), or a positional (not starting with "-", passing type and
+    choices), and the positionals fill every required slot without
+    overflowing.  It declines everything else; argparse reads that.  An
+    option with any other nargs (`suite --only`) is left out of the tables,
+    so a command line that uses it is declined.  The positionals must all
+    take one token, or be a single nargs="?" one: argparse can give a "?"
+    positional that follows another nothing when an option splits the run,
+    so a grammar with any other shape, or with a required option, declines
+    every command line.
+    """
+
+    def __init__(self, actions, **defaults):
+        self.flags = {}
+        self.options = {}
+        self.positionals = []
+        self.defaults = {}
+        for action in actions:
+            default = action.default
+            if default is not argparse.SUPPRESS:
+                if isinstance(default, str) and action.type is not None:
+                    default = action.type(default)
+                self.defaults.setdefault(action.dest, default)
+            spec = (action.dest, action.type, action.choices)
+            if not action.option_strings:
+                self.positionals.append(spec)
+            elif action.nargs == 0:
+                self.flags.update(dict.fromkeys(action.option_strings, (action.dest, action.const)))
+            elif action.nargs is None:
+                self.options.update(dict.fromkeys(action.option_strings, spec))
+        for dest, default in defaults.items():
+            self.defaults.setdefault(dest, default)
+        shapes = [action.nargs for action in actions if not action.option_strings]
+        self.required = shapes.count(None)
+        self.readable = (self.required == len(shapes) or shapes == ["?"]) and not any(
+            action.required for action in actions if action.option_strings
+        )
+
+    def read(self, tokens):
+        """The namespace of the subcommand's tokens, or None to decline them."""
+        if not self.readable:
+            return None
+        values = self.defaults.copy()
+        flags, options = self.flags, self.options
+        positionals = []
+        tokens = iter(tokens)
+        for token in tokens:
+            if token in flags:
+                dest, const = flags[token]
+                values[dest] = const
+            elif token in options:
+                value = next(tokens, "-")  # a missing value is declined too
+                if value[:1] == "-" or not _store(values, options[token], value):
+                    return None
+            elif token[:1] == "-":
+                return None
+            else:
+                positionals.append(token)
+        slots = self.positionals
+        if not self.required <= len(positionals) <= len(slots):
+            return None
+        for spec, token in zip(slots, positionals):
+            if not _store(values, spec, token):
+                return None
+        return argparse.Namespace(**values)
+
+
+def _store(values, spec, token):
+    """Store the token's value under its dest, if it passes type and choices."""
+    dest, convert, choices = spec
+    try:
+        value = token if convert is None else convert(token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return False
+    if choices is not None and value not in choices:
+        return False
+    values[dest] = value
+    return True
 
 
 def cmd_quniform(args):
@@ -340,24 +447,22 @@ _PARSER = None
 
 
 def _parse_args(argv):
-    """The namespace `_PARSER.parse_args(argv)` returns, parsed once.
+    """The namespace `_PARSER.parse_args(argv)` returns.
 
-    The top-level parser would parse the command line and then hand the
-    rest to the subcommand's parser, which parses it again.  When argv[0]
-    names a subcommand, its parser alone does the work.  Everything else it
-    cannot place (no command, an unknown one, a leading option, leftover
-    arguments) goes to the top-level parser, so its usage and error text
-    stay the same.
+    When argv[0] names a subcommand, its grammar (`_Grammar`, compiled by
+    `build_parser`) reads the rest by table lookup.  Whatever it declines
+    (no command or an unknown one, help, an abbreviated option, --opt=value,
+    --, a token starting with "-" it does not know, a bad value, a missing
+    or extra positional, suite --only) goes to argparse, the full two-stage
+    parse, so usage, help and error text are argparse's own.
     """
     # Built once per process and reused; parsing leaves it unchanged.
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     sub = _PARSER.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return _PARSER.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
+    args = sub.grammar.read(argv[1:]) if sub is not None else None
+    if args is None:
         return _PARSER.parse_args(argv)
     args.command = argv[0]
     return args

@@ -87,10 +87,9 @@ def tvcategory_from_space(ext, order):
 
     That is the converse preorder, whose up masks are order's down masks.
     """
-    n = order.n
-    if ext.monad.size(n) != n:
+    if ext.monad.size(order.n) != order.n:
         raise GateUnavailable("principal carriers", "space bridge needs TX = X")
-    return order_tvcategory(ext, FinitePreorder.from_up(n, order.down), name="space")
+    return order_tvcategory(ext, order.converse(), name="space")
 
 
 def weakly_sober(order):
@@ -210,7 +209,7 @@ def approach_surrogate(cat):
     q = cat.q
     leq, tens = q.leq, q.tensor
     if not all(leq[u][v] or leq[v][u] for u in range(q.n) for v in range(u)):
-        raise GateUnavailable("chain quantale", "level-set analysis needs numeric values")
+        raise GateUnavailable("chain quantale", "level-set analysis needs every two values comparable")
     if ext.monad.size(cat.n) != cat.n or ext.monad.size(1) != 1:
         raise GateUnavailable("principal carriers", "analysis collapses filters to points")
     verdict = decide_lawvere_complete(cat)

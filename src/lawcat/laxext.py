@@ -58,7 +58,11 @@ class LaxExtension:
         self.monad = monad
         self.q = q
         self.max_enum = max_enum
-        self._memo = q.extension_memos.setdefault(monad, _Memo())
+        memo = q.extension_memos.get(monad)
+        if memo is None:
+            # built only on a miss; setdefault keeps one memo if threads race
+            memo = q.extension_memos.setdefault(monad, _Memo())
+        self._memo = memo
         self.cache = {}
 
     def cached(self, key, build):

@@ -210,6 +210,18 @@ class FinitePreorder:
                     up[x] |= up[k]
         return cls.from_up(n, up)
 
+    def converse(self):
+        """The converse preorder, y <= x when x <= y, built without a check.
+
+        The converse of a preorder is a preorder: x <= x reads the same both
+        ways, and z >= y >= x gives z >= x by transitivity of the original.
+        Its up masks are this order's down masks and its down masks are
+        this order's up masks.
+        """
+        order = type(self).__new__(type(self))
+        order.n, order.up, order.down = self.n, self.down, self.up
+        return order
+
     def _check(self, n, up):
         """Keep n and up, and derive down while checking the masks row by row."""
         self.n, self.up = n, up

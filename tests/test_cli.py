@@ -579,6 +579,59 @@ def test_parse_args_matches_the_top_level_parser():
         assert cli._parse_args(list(argv)) == reference.parse_args(argv)
 
 
+def test_grammar_reads_what_argparse_reads():
+    # whatever the grammar accepts, argparse reads to the same namespace, so
+    # whatever argparse refuses (help included), the grammar declines
+    parser = cli.build_parser()
+    commands = sorted(parser.commands)
+    options = sorted({s for p in parser.commands.values() for a in p._actions for s in a.option_strings})
+    values = ["json", "text", "xml", "5", "-5", "08", "x", "bogus", "id", "ultra", "v-hom", "a.vcat"]
+    odd = ["", "-", "--", "-h", "--form", "--format=json", "-x"]
+    alphabet = commands + options + values + odd
+    tails = [[]] + [[a] for a in alphabet] + [[a, b] for a in alphabet for b in alphabet]
+    rng = random.Random(0)
+    argvs = [[command, *tail] for command in commands for tail in tails]
+    argvs += [
+        [rng.choice(commands), *rng.choices(alphabet, k=rng.randint(3, 6))] for _ in range(10000)
+    ]
+    accepted = dict.fromkeys(commands, 0)
+    for argv in argvs:
+        ours = parser.commands[argv[0]].grammar.read(argv[1:])
+        if ours is None:
+            continue
+        ours.command = argv[0]
+        try:
+            theirs = parser.parse_args(argv)
+        except SystemExit:
+            theirs = None
+        assert ours == theirs, argv
+        accepted[argv[0]] += 1
+    assert min(accepted.values()) >= 3, accepted
+    assert sum(accepted.values()) > 500
+
+
+def test_pinned_and_benchmark_forms_take_the_grammar(monkeypatch):
+    # an edit to build_parser that sends these forms to argparse fails here
+    forms = [
+        *_pinned_cli_jobs(),
+        ["complete", "work/c0001.vcat", "--format", "json"],
+        ["complete", "work/c0001.vcat", "--format", "json", "--oracle"],
+        ["sober", "work/s0001.space", "--format", "json"],
+        ["quniform", "complete", "work/u.quniform", "--format", "json"],
+        ["suite", "--format", "json"],
+    ]
+    reference = cli.build_parser()
+    expected = [reference.parse_args(argv) for argv in forms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed command line")
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [cli._parse_args(list(argv)) for argv in forms] == expected
+
+
 def test_cli_bytes_are_pinned(monkeypatch, capsys):
     # every JSON report is also checked against json.dumps, its reference
     written = []

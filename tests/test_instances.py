@@ -210,14 +210,16 @@ def test_from_up_refuses_masks_of_the_wrong_shape():
 
 
 def test_the_converse_is_the_preorder_of_the_transposed_table():
+    # converse() swaps the masks without a check; from_up checks them
     for n in range(5):
         for p in enumerate_preorders(n):
-            converse = FinitePreorder.from_up(n, p.down)
             transposed = FinitePreorder(n, [[p.leq[y][x] for y in range(n)] for x in range(n)])
-            assert (converse.up, converse.down, converse.leq) == (
-                transposed.up, transposed.down, transposed.leq
-            )
-            assert converse.down == p.up
+            for converse in (p.converse(), FinitePreorder.from_up(n, p.down)):
+                assert (converse.n, converse.up, converse.down, converse.leq) == (
+                    transposed.n, transposed.up, transposed.down, transposed.leq
+                )
+                assert converse.down == p.up
+            assert p.converse().converse() == p
 
 
 def reference_closed_sets(order):

@@ -236,6 +236,24 @@ def test_extensions_of_one_pair_share_the_memo(monads, quantales, validated_copy
     assert not q.extension_memos[monads["ultra"]]
 
 
+def test_an_extend_memo_is_built_only_when_missing(monads, quantales, validated_copy, monkeypatch):
+    import lawcat.laxext
+
+    built = []
+
+    class Counted(lawcat.laxext._Memo):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(lawcat.laxext, "_Memo", Counted)
+    powerset = monads["powerset"]
+    q = validated_copy(quantales["c3"])
+    first, second = LaxExtension(powerset, q), LaxExtension(powerset, q)
+    assert len(built) == 1
+    assert first._memo is second._memo is built[0]
+
+
 def test_a_validated_copy_has_a_memo_of_its_own(monads, quantales, validated_copy):
     powerset = monads["powerset"]
     q = quantales["c3"]
