@@ -36,7 +36,7 @@ def _emit(report, fmt, input_block):
 
 def _category_from_file(parsed, max_enum):
     q, n, matrix = parsed.resolve()
-    ext = LaxExtension(builtin_monad(parsed.monad_name), q, max_enum)
+    ext = LaxExtension(parsed.monad, q, max_enum)
     return TVCategory(ext, n, matrix, name=parsed.name)
 
 
@@ -257,6 +257,18 @@ def cmd_suite(args):
     return 0
 
 
+def _budget(text):
+    """The type of --max-enum: an integer of at least 1.  A value that is not
+    an integer gets the error argparse gives `type=int`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid budget: {text!r} (must be at least 1)")
+    return value
+
+
 def build_parser():
     """The one definition of the command line.
 
@@ -270,7 +282,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     shared = (
         common.add_argument("--format", choices=("text", "json"), default="text"),
-        common.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM, dest="max_enum"),
+        common.add_argument("--max-enum", type=_budget, default=DEFAULT_MAX_ENUM, dest="max_enum"),
         common.add_argument("--oracle", action="store_true"),
         common.add_argument("--strict", action="store_true"),
     )

@@ -5,6 +5,13 @@ One object per file, hand-authorable, diffable.  The first word of the
 first non-comment line names the kind: quantale, vcat, tvcat, space or
 quniform.  Errors carry the offending line number; a definition given
 twice with different values is an error at the later line.
+
+A file is read in one pass: `load_file` reads its bytes once, splits the
+text into numbered lines once (`_lines`), and hands that list to the
+reader of its kind.  A category's entries are resolved when the category
+is (`ParsedCategory.resolve`): each value label is looked up in the
+quantale's label table (`Quantale.label_index`), and each entry is written
+straight into its row.
 """
 
 from __future__ import annotations
@@ -13,28 +20,35 @@ import os
 
 from .errors import LawcatError, ParseError
 from .instances import FinitePreorder
-from .monad import builtin_monad, builtin_monads
+from .monad import builtin_monads
 from .quantale import Quantale, builtin_quantales, validate_quantale
 from .quniform import QuasiUniformity
 from .vmatrix import VMatrix
 
 
 def _lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+    """The numbered lines of a text that hold something once their comment
+    is cut and their ends are stripped, as (lineno, line) pairs."""
+    return [
+        (i, line)
+        for i, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.partition("#")[0].strip())
+    ]
 
 
 _RESERVED = frozenset(",[]{}=")
 
 
-def _check_labels(path, lineno, labels):
-    if len(set(labels)) != len(labels):
+def _elements(path, lineno, line, labels):
+    """The labels of an `elements:` line, which must not differ from the
+    `labels` of an earlier one."""
+    new = tuple(line[len("elements:") :].split())
+    if len(set(new)) != len(new):
         raise ParseError(path, lineno, "duplicate element labels")
-    for lab in labels:
+    for lab in new:
         if not _RESERVED.isdisjoint(lab):
             raise ParseError(path, lineno, f"label {lab!r} uses a reserved character")
+    return _define(path, lineno, "'elements:' lines", labels, new)
 
 
 def _define(path, lineno, what, old, new):
@@ -44,78 +58,54 @@ def _define(path, lineno, what, old, new):
     return new
 
 
-def _named(kind):
-    """The header reader of a `<kind> <name>` file."""
+def _name(path, lines, kind):
+    """The name on the `<kind> <name>` first line; None for no lines."""
+    if not lines:
+        return None
+    lineno, line = lines[0]
+    words = line.split()
+    if len(words) != 2 or words[0] != kind:
+        raise ParseError(path, lineno, f"expected header '{kind} <name>'")
+    return words[1]
 
-    def header(path, lineno, words):
-        if len(words) != 2 or words[0] != kind:
-            raise ParseError(path, lineno, f"expected header '{kind} <name>'")
-        return words[1]
 
-    return header
+# Each reader takes a file's `_lines` and walks them in order, raising each
+# line's errors before reading the next; what a line names (a label, a
+# pair) is checked after the walk.
 
 
-def _read_lines(text, path, header, handlers, empty=None, others=None):
-    """Walk one file's lines in order, raising each line's errors before
-    reading the next; returns (header, labels).
-
-    The first line goes to `header(path, lineno, words)`, `elements:` lines
-    give the labels, and any other line goes to the handler of the first
-    prefix in `handlers` it starts with, with the rest of the line.  A line
-    no handler takes is appended to `others`, if given, or is unrecognized.
-    `empty`, if given, is the error for a file without lines.
-    """
-    head = labels = None
-    for lineno, line in _lines(text):
-        if head is None:
-            head = header(path, lineno, line.split())
-        elif line.startswith("elements:"):
-            new = tuple(line[len("elements:") :].split())
-            _check_labels(path, lineno, new)
-            labels = _define(path, lineno, "'elements:' lines", labels, new)
+def _read_quantale(lines, path):
+    if not lines:
+        raise ParseError(path, 1, "empty quantale file")
+    name = _name(path, lines, "quantale")
+    labels = unit_label = None
+    order_pairs = []
+    tensor_entries = {}
+    for lineno, line in lines[1:]:
+        if line.startswith("elements:"):
+            labels = _elements(path, lineno, line, labels)
+        elif line.startswith("order:"):
+            for tok in line[len("order:") :].split():
+                a, sep, b = tok.partition("<=")
+                if not sep:
+                    raise ParseError(path, lineno, f"bad order pair {tok!r}, want a<=b")
+                order_pairs.append((lineno, a, b))
+        elif line.startswith("unit:"):
+            unit = line[len("unit:") :].strip()
+            unit_label = _define(path, lineno, "'unit:' lines", unit_label, unit)
+        elif line.startswith("tensor:"):
+            for tok in line[len("tensor:") :].split():
+                lhs, eq, c = tok.partition("=")
+                a, star, b = lhs.partition("*")
+                if not (eq and star):
+                    raise ParseError(path, lineno, f"bad tensor entry {tok!r}, want a*b=c")
+                old = tensor_entries.get((a, b), (None, None))[1]
+                c = _define(path, lineno, f"tensor entries for {a}*{b}", old, c)
+                tensor_entries[(a, b)] = (lineno, c)
         else:
-            for prefix, handle in handlers.items():
-                if line.startswith(prefix):
-                    handle(lineno, line[len(prefix) :])
-                    break
-            else:
-                if others is None:
-                    raise ParseError(path, lineno, f"unrecognized line {line!r}")
-                others.append((lineno, line))
-    if head is None and empty:
-        raise ParseError(path, 1, empty)
+            raise ParseError(path, lineno, f"unrecognized line {line!r}")
     if labels is None:
         raise ParseError(path, 1, "missing 'elements:' line")
-    return head, labels
-
-
-def parse_quantale_text(text, path="<string>"):
-    order_pairs = []
-    unit_label = None
-    tensor_entries = {}
-
-    def read_order(lineno, rest):
-        for tok in rest.split():
-            if "<=" not in tok:
-                raise ParseError(path, lineno, f"bad order pair {tok!r}, want a<=b")
-            order_pairs.append((lineno, *tok.split("<=", 1)))
-
-    def read_unit(lineno, rest):
-        nonlocal unit_label
-        unit_label = _define(path, lineno, "'unit:' lines", unit_label, rest.strip())
-
-    def read_tensor(lineno, rest):
-        for tok in rest.split():
-            if "*" not in tok or "=" not in tok:
-                raise ParseError(path, lineno, f"bad tensor entry {tok!r}, want a*b=c")
-            lhs, c = tok.split("=", 1)
-            a, b = lhs.split("*", 1)
-            old = tensor_entries.get((a, b), (None, None))[1]
-            c = _define(path, lineno, f"tensor entries for {a}*{b}", old, c)
-            tensor_entries[(a, b)] = (lineno, c)
-
-    handlers = {"order:": read_order, "unit:": read_unit, "tensor:": read_tensor}
-    name, labels = _read_lines(text, path, _named("quantale"), handlers, "empty quantale file")
     if unit_label is None:
         raise ParseError(path, 1, "missing 'unit:' line")
     index = {lab: i for i, lab in enumerate(labels)}
@@ -146,35 +136,9 @@ def parse_quantale_text(text, path="<string>"):
     return Quantale(name, labels, leq, tensor, index[unit_label])
 
 
-def _parse_matrix_lines(path, items, row_index, col_index, q):
-    entries = {}
-    for lineno, line in items:
-        if not (line.startswith("m[") and "=" in line):
-            raise ParseError(path, lineno, f"expected 'm[r,c] = v', got {line!r}")
-        lhs, val = line.split("=", 1)
-        inner = lhs.strip()[2:].rstrip()
-        if not inner.endswith("]"):
-            raise ParseError(path, lineno, "missing closing bracket in matrix entry")
-        inner = inner[:-1]
-        if inner.count(",") < 1:
-            raise ParseError(path, lineno, "matrix entry needs two labels")
-        r, c = [part.strip() for part in inner.rsplit(",", 1)]
-        val = val.strip()
-        if r not in row_index:
-            raise ParseError(path, lineno, f"undefined row label {r!r}")
-        if c not in col_index:
-            raise ParseError(path, lineno, f"undefined column label {c!r}")
-        if val not in q.labels:
-            raise ParseError(path, lineno, f"undefined value label {val!r}")
-        v = q.labels.index(val)
-        if entries.setdefault((row_index[r], col_index[c]), v) != v:
-            raise ParseError(path, lineno, f"conflicting matrix entries for m[{r},{c}]")
-    return entries
-
-
 def matrix_lines(matrix, row_labels, col_labels):
     """The `m[r,c] = v` lines of a matrix's entries above bottom, row by row:
-    what `_parse_matrix_lines` reads back."""
+    what `ParsedCategory.resolve` reads back."""
     q = matrix.q
     return [
         f"m[{row_labels[r]},{col_labels[c]}] = {q.labels[v]}"
@@ -185,72 +149,132 @@ def matrix_lines(matrix, row_labels, col_labels):
 
 
 class ParsedCategory:
-    def __init__(self, name, quantale_name, monad_name, labels, items, path):
+    """A category file read up to its entries, which `resolve` reads."""
+
+    def __init__(self, name, quantale_name, monad, labels, items, path):
         self.name = name
         self.quantale_name = quantale_name
-        self.monad_name = monad_name
+        self.monad = monad
+        self.monad_name = monad.name
         self.labels = labels
-        self.items = items
+        self.items = items  # the (lineno, line) pairs of the entry lines
         self.path = path
 
-    def resolve(self):
-        """Build the structure matrix over the quantale and monad it names.
-
-        The quantale is a built-in, or else the validated sibling
-        `<name>.quantale` in the file's directory.
-        """
+    def quantale(self):
+        """The quantale the file names: a built-in, or else the validated
+        sibling `<name>.quantale` in the file's directory."""
         name = self.quantale_name
         q = builtin_quantales().get(name)
-        if q is None:
-            sibling = os.path.join(os.path.dirname(os.path.abspath(self.path)), name + ".quantale")
-            if not os.path.exists(sibling):
-                raise ParseError(self.path, 1, f"unknown quantale {name!r}")
-            q = parse_quantale_text(_read_text(sibling), sibling)
-            verdict = validate_quantale(q)
-            if not verdict["ok"]:
-                raise ParseError(sibling, 1, f"quantale fails validation: {verdict}")
-        n = len(self.labels)
-        col_index = {lab: i for i, lab in enumerate(self.labels)}
-        monad = builtin_monad(self.monad_name)
-        row_index = {lab: i for i, lab in enumerate(monad.labels(n, self.labels))}
-        rows = monad.size(n)
-        entries = _parse_matrix_lines(self.path, self.items, row_index, col_index, q)
-        data = [[q.bottom] * n for _ in range(rows)]
-        for (r, c), v in entries.items():
-            data[r][c] = v
-        return q, n, VMatrix(q, rows, n, data)
+        if q is not None:
+            return q
+        sibling = os.path.join(os.path.dirname(os.path.abspath(self.path)), name + ".quantale")
+        if not os.path.exists(sibling):
+            raise ParseError(self.path, 1, f"unknown quantale {name!r}")
+        q = parse_quantale_text(_read_text(sibling), sibling)
+        verdict = validate_quantale(q)
+        if not verdict["ok"]:
+            raise ParseError(sibling, 1, f"quantale fails validation: {verdict}")
+        return q
+
+    def resolve(self):
+        """(q, n, the structure matrix) over the quantale and monad it names.
+
+        Each `m[r,c] = v` entry, in file order, is written into row r; an
+        entry not given is bottom.
+        """
+        q = self.quantale()
+        path, labels = self.path, self.labels
+        n = len(labels)
+        size = self.monad.size(n)
+        col_index = {lab: i for i, lab in enumerate(labels)}
+        row_labels = self.monad.labels(n, labels)
+        if row_labels == labels:
+            row_index = col_index
+        else:
+            row_index = {lab: i for i, lab in enumerate(row_labels)}
+        values = q.label_index
+        rows = [[None] * n for _ in range(size)]
+        for lineno, line in self.items:
+            lhs, eq, val = line.partition("=")
+            if not (eq and line.startswith("m[")):
+                raise ParseError(path, lineno, f"expected 'm[r,c] = v', got {line!r}")
+            inner = lhs[2:].rstrip()
+            if not inner.endswith("]"):
+                raise ParseError(path, lineno, "missing closing bracket in matrix entry")
+            r, comma, c = inner[:-1].rpartition(",")
+            if not comma:
+                raise ParseError(path, lineno, "matrix entry needs two labels")
+            r, c, val = r.strip(), c.strip(), val.strip()
+            i = row_index.get(r)
+            if i is None:
+                raise ParseError(path, lineno, f"undefined row label {r!r}")
+            j = col_index.get(c)
+            if j is None:
+                raise ParseError(path, lineno, f"undefined column label {c!r}")
+            v = values.get(val)
+            if v is None:
+                raise ParseError(path, lineno, f"undefined value label {val!r}")
+            row = rows[i]
+            if row[j] is None:
+                row[j] = v
+            elif row[j] != v:
+                raise ParseError(path, lineno, f"conflicting matrix entries for m[{r},{c}]")
+        bottom = q.bottom
+        data = [[bottom if v is None else v for v in row] for row in rows]
+        return q, n, VMatrix(q, size, n, data)
 
 
 def _category_header(path, lineno, words):
+    """(name, quantale name, monad) of a vcat or tvcat header."""
     if words[0] == "vcat":
         if len(words) != 4 or words[2] != "over":
             raise ParseError(path, lineno, "expected 'vcat <name> over <quantale>'")
-        return words[1], words[3], "id"
+        return words[1], words[3], builtin_monads()["id"]
     if words[0] == "tvcat":
         if len(words) != 6 or words[2] != "over" or words[4] != "monad":
             raise ParseError(path, lineno, "expected 'tvcat <name> over <quantale> monad <name>'")
-        if words[5] not in builtin_monads():
+        monad = builtin_monads().get(words[5])
+        if monad is None:
             raise ParseError(path, lineno, f"unknown monad {words[5]!r}")
-        return words[1], words[3], words[5]
+        return words[1], words[3], monad
     raise ParseError(path, lineno, f"unknown header {words[0]!r}")
 
 
-def parse_category_text(text, path="<string>"):
-    items = []  # the matrix entry lines, read when the category is resolved
-    header, labels = _read_lines(text, path, _category_header, {}, "empty category file", items)
+def _read_category(lines, path):
+    """The header and labels; the entry lines are kept for `resolve`."""
+    if not lines:
+        raise ParseError(path, 1, "empty category file")
+    lineno, line = lines[0]
+    header = _category_header(path, lineno, line.split())
+    labels = None
+    items = []
+    for item in lines[1:]:
+        if item[1].startswith("elements:"):
+            labels = _elements(path, *item, labels)
+        else:
+            items.append(item)
+    if labels is None:
+        raise ParseError(path, 1, "missing 'elements:' line")
     return ParsedCategory(*header, labels, items, path)
 
 
-def parse_space_text(text, path="<string>"):
+def _read_space(lines, path):
+    name = _name(path, lines, "space")
+    labels = None
     pairs = []
-
-    def read_order(lineno, rest):
-        for tok in rest.split():
-            if "<=" not in tok:
-                raise ParseError(path, lineno, f"bad specialization pair {tok!r}")
-            pairs.append((lineno, *tok.split("<=", 1)))
-
-    name, labels = _read_lines(text, path, _named("space"), {"order:": read_order})
+    for lineno, line in lines[1:]:
+        if line.startswith("elements:"):
+            labels = _elements(path, lineno, line, labels)
+        elif line.startswith("order:"):
+            for tok in line[len("order:") :].split():
+                a, sep, b = tok.partition("<=")
+                if not sep:
+                    raise ParseError(path, lineno, f"bad specialization pair {tok!r}")
+                pairs.append((lineno, a, b))
+        else:
+            raise ParseError(path, lineno, f"unrecognized line {line!r}")
+    if labels is None:
+        raise ParseError(path, 1, "missing 'elements:' line")
     index = {lab: i for i, lab in enumerate(labels)}
     resolved = []
     for lineno, a, b in pairs:
@@ -260,10 +284,19 @@ def parse_space_text(text, path="<string>"):
     return name, labels, FinitePreorder.from_pairs(len(labels), resolved)
 
 
-def parse_quniform_text(text, path="<string>"):
+def _read_quniform(lines, path):
+    name = _name(path, lines, "quniform")
+    labels = None
     rels = []
-    handlers = {"rel:": lambda lineno, rest: rels.append((lineno, rest.split()))}
-    name, labels = _read_lines(text, path, _named("quniform"), handlers)
+    for lineno, line in lines[1:]:
+        if line.startswith("elements:"):
+            labels = _elements(path, lineno, line, labels)
+        elif line.startswith("rel:"):
+            rels.append((lineno, line[len("rel:") :].split()))
+        else:
+            raise ParseError(path, lineno, f"unrecognized line {line!r}")
+    if labels is None:
+        raise ParseError(path, 1, "missing 'elements:' line")
     if not rels:
         raise ParseError(path, 1, "missing 'rel:' lines")
     index = {lab: i for i, lab in enumerate(labels)}
@@ -271,9 +304,9 @@ def parse_quniform_text(text, path="<string>"):
     for lineno, toks in rels:
         rel = set()
         for tok in toks:
-            if "->" not in tok:
+            a, sep, b = tok.partition("->")
+            if not sep:
                 raise ParseError(path, lineno, f"bad pair {tok!r}, want a->b")
-            a, b = tok.split("->", 1)
             if a not in index or b not in index:
                 raise ParseError(path, lineno, f"undefined element in pair {tok!r}")
             rel.add((index[a], index[b]))
@@ -281,24 +314,51 @@ def parse_quniform_text(text, path="<string>"):
     return name, labels, QuasiUniformity(len(labels), base)
 
 
+def _text_reader(read):
+    """The reader of a whole text, for a reader of its `_lines`."""
+
+    def parse(text, path="<string>"):
+        return read(_lines(text), path)
+
+    return parse
+
+
+parse_quantale_text = _text_reader(_read_quantale)
+parse_category_text = _text_reader(_read_category)
+parse_space_text = _text_reader(_read_space)
+parse_quniform_text = _text_reader(_read_quniform)
+
+
 READERS = {
-    "quantale": parse_quantale_text,
-    "vcat": parse_category_text,
-    "tvcat": parse_category_text,
-    "space": parse_space_text,
-    "quniform": parse_quniform_text,
+    "quantale": _read_quantale,
+    "vcat": _read_category,
+    "tvcat": _read_category,
+    "space": _read_space,
+    "quniform": _read_quniform,
 }
 
 
+_CHUNK = 1 << 16
+
+
 def _read_text(path):
-    """The text of a UTF-8 file.  A path that cannot be read (missing, a
-    directory) is a LawcatError with the OSError's text, which names the
-    path; bytes that are not UTF-8 are a ParseError at their line."""
+    """The text of a UTF-8 file, read with one open and plain reads.  A path
+    that cannot be read (missing, a directory) is a LawcatError with the
+    OSError's text, which names the path as open() does; bytes that are not
+    UTF-8 are a ParseError at their line."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
+        if exc.filename is None:  # a read error names no file
+            exc.filename = path
         raise LawcatError(str(exc)) from exc
+    data = b"".join(chunks)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -308,10 +368,12 @@ def _read_text(path):
 
 def load_file(path):
     """Parse one file into (kind, payload); categories stay unresolved."""
-    text = _read_text(path)
-    for lineno, line in _lines(text):
-        kind = line.split()[0]
-        if kind not in READERS:
-            raise ParseError(path, lineno, f"unknown object kind {kind!r}")
-        return kind, READERS[kind](text, path)
-    raise ParseError(path, 1, "empty file")
+    lines = _lines(_read_text(path))
+    if not lines:
+        raise ParseError(path, 1, "empty file")
+    lineno, line = lines[0]
+    kind = line.split()[0]
+    reader = READERS.get(kind)
+    if reader is None:
+        raise ParseError(path, lineno, f"unknown object kind {kind!r}")
+    return kind, reader(lines, path)

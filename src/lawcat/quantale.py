@@ -26,6 +26,10 @@ class Quantale:
     def __init__(self, name, labels, leq, tensor, unit):
         self.name = name
         self.labels = tuple(labels)
+        # label -> index, the first index of a repeated label, as tuple.index
+        self.label_index = {}
+        for i, label in enumerate(self.labels):
+            self.label_index.setdefault(label, i)
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
         self.tensor = tuple(tuple(row) for row in tensor)
         self.unit = unit
@@ -46,7 +50,10 @@ class Quantale:
         return f"Quantale({self.name!r}, {self.n} elements)"
 
     def index(self, label):
-        return self.labels.index(label)
+        try:
+            return self.label_index[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not an element of {self.name}") from None
 
     def le(self, u, v):
         return self.leq[u][v]

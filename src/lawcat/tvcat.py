@@ -361,15 +361,22 @@ def _fibre_rows(ext, a, n_src):
 
     Row s joins the rows of T(a) over the fibre of m at s, which holds
     e(s) and so is never empty; a one-element fibre (every fibre over the
-    identity monad) is that row itself.
+    identity monad) is that row itself.  The join skips the bottom entries
+    of the later rows, which leave it unchanged.
     """
     join_t = ext.q.join_t
+    bot = ext.q.bottom
     ta = ext.extend(a).data
     rows = []
     for fiber in ext.mult_fibers(n_src):
         row = ta[fiber[0]]
-        for big in fiber[1:]:
-            row = tuple([join_t[u][w] for u, w in zip(row, ta[big])])
+        if len(fiber) > 1:
+            row = list(row)
+            for big in fiber[1:]:
+                for t, w in enumerate(ta[big]):
+                    if w != bot:
+                        row[t] = join_t[row[t]][w]
+            row = tuple(row)
         rows.append(row)
     return rows
 

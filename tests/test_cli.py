@@ -351,6 +351,24 @@ def test_usage_error_exit_code():
     assert main(["complete"]) == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_enum_below_one_is_a_usage_error(capsys, value):
+    # refused by argparse before the (missing) file is read
+    assert main(["complete", "nosuch.vcat", "--max-enum", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lawcat complete")
+    assert err.endswith(
+        f"lawcat complete: error: argument --max-enum: invalid budget: '{value}' (must be at least 1)\n"
+    )
+    assert "nosuch" not in err
+
+
+def test_max_enum_of_one_parses():
+    args = cli._parse_args(["complete", "nosuch.vcat", "--max-enum", "1"])
+    assert args.max_enum == 1
+    assert cli.build_parser().parse_args(["check", "x", "--max-enum", "1"]).max_enum == 1
+
+
 def test_unknown_file(capsys):
     assert main(["check", path("missing.quantale")]) == 2
 

@@ -25,6 +25,17 @@ def test_builtins_validate(name):
     assert validate_quantale(fresh)["ok"]
 
 
+def test_index_reads_the_label_table():
+    for q in builtin_quantales().values():
+        assert q.label_index == {label: i for i, label in enumerate(q.labels)}
+        assert [q.index(label) for label in q.labels] == list(range(q.n))
+    with pytest.raises(ValueError):
+        q.index("nosuch")
+    # a repeated label reads as its first index, as tuple.index reads it
+    twice = Quantale("r", ("a", "a"), [[1, 1], [0, 1]], [[0, 0], [0, 1]], 1)
+    assert twice.index("a") == 0
+
+
 def test_two_chain_shape():
     q = two_chain()
     assert q.n == 2
