@@ -122,8 +122,8 @@ def cmd_complete(args):
             "gate": rep["gate"],
             "pair_count": rep["pair_count"],
             "witnesses": [
-                {"phi": _labeled(cat.q, p.phi), "psi": _labeled(cat.q, p.psi)}
-                for p in rep["non_representable"][:3]
+                {"phi": _labeled(cat.q, phi), "psi": _labeled(cat.q, psi)}
+                for psi, phi in (p.tables for p in rep["non_representable"][:3])
             ],
         }
         _emit(out, args.format, input_block)
@@ -152,8 +152,8 @@ def cmd_complete(args):
     raise ParseError(args.path, 1, f"cannot run completeness on a {kind} file")
 
 
-def _labeled(q, matrix):
-    return [[q.labels[v] for v in row] for row in matrix.data]
+def _labeled(q, rows):
+    return [[q.labels[v] for v in row] for row in rows]
 
 
 def cmd_sober(args):

@@ -9,6 +9,8 @@ are unique), with an unpruned reference enumeration kept for checking.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import GateUnavailable
 from .monad import IdentityMonad, PowersetMonad
 from .tvcat import (
@@ -40,44 +42,52 @@ def completeness_gate(ext):
 
 
 class AdjointPair:
-    """A candidate pair with cached verdicts and an optional representative."""
+    """A pair held as its two index tables, with an optional representative.
 
-    __slots__ = ("phi", "psi", "representative")
+    tables is (psi, phi): psi the column over T(n) as 1-tuples, phi the
+    T(1) rows over the n points, the data of the two matrices.  The
+    matrices themselves are views, built on each read of .psi or .phi.
+    """
 
-    def __init__(self, phi, psi, representative=None):
-        self.phi = phi
-        self.psi = psi
+    __slots__ = ("q", "tables", "representative")
+
+    def __init__(self, q, tables, representative=None):
+        self.q = q
+        self.tables = tables
         self.representative = representative
 
     def key(self):
-        return (self.psi.data, self.phi.data)
+        return self.tables
+
+    @property
+    def psi(self):
+        psi = self.tables[0]
+        return VMatrix.trusted(self.q, len(psi), 1, psi)
+
+    @property
+    def phi(self):
+        phi = self.tables[1]
+        return VMatrix.trusted(self.q, len(phi), len(phi[0]), phi)
 
     def __repr__(self):
         return f"AdjointPair(rep={self.representative})"
-
-
-def _join_prime_unit(q):
-    """Whether V is integral (k = top) and top is join-irreducible, tested as
-    "top is not the join of all other elements", which also excludes
-    top = bottom (the empty join)."""
-    top = q.top
-    return q.unit == top and q.join_all([u for u in range(q.n) if u != top]) != top
 
 
 def _pruned_pairs(x):
     """The adjoint pairs of enumerate_adjoint_pairs, unsorted.
 
     Over an integral V (k = top) whose top is join-irreducible and not
-    bottom (_join_prime_unit), and over the identity, ultrafilter and
-    powerset monads, every pair's psi is a column kc(-, t) of the Kleisli
-    table with kc(t, t) = top (the theorem below), and
+    bottom (Quantale.join_prime_unit), and over the identity, ultrafilter
+    and powerset monads, every pair's psi is a column kc(-, t) of the
+    Kleisli table with kc(t, t) = top (the theorem below), and
     _kleisli_column_pairs checks those columns.  On a category, a
     structure whose verdict is ok, the unit columns are the pairs of
-    representables(x) and are not checked again.  Over id and ultra the
-    verdict is computed here if it is not carried (an O(n^3) loop), and
-    every column is a unit column, so on a category those pairs are all;
-    over powerset only a carried verdict counts.  Every other V, and any
-    other monad, takes the walk of _generic_pairs.
+    representables(x), each built on its index entry's tables, and are
+    not checked again.  Over id and ultra the verdict is computed here if
+    it is not carried (an O(n^3) loop), and every column is a unit column,
+    so on a category those pairs are all; over powerset only a carried
+    verdict counts.  Every other V, and any other monad, takes the walk
+    of _generic_pairs.
 
     The theorem.  Let a be any T(n) x n matrix, (phi, psi) a pair, e1 the
     unit point of T(1), and laws (b), (c), (d) those of
@@ -136,17 +146,13 @@ def _pruned_pairs(x):
     ext = x.ext
     q = ext.q
     monad = ext.monad
-    if not (_join_prime_unit(q) and isinstance(monad, (IdentityMonad, PowersetMonad))):
+    if not (q.join_prime_unit and isinstance(monad, (IdentityMonad, PowersetMonad))):
         return _generic_pairs(x, kleisli_table(x))
     identity = isinstance(monad, IdentityMonad)
     verdict = x.verdict() if identity else x.checked
     if verdict is None or not verdict["ok"]:
         return _kleisli_column_pairs(x, [])
-    t1, tn = monad.size(1), monad.size(x.n)
-    pairs = [
-        AdjointPair(VMatrix.trusted(q, t1, x.n, phi), VMatrix.trusted(q, tn, 1, psi), p)
-        for (psi, phi), p in representables(x).items()
-    ]
+    pairs = [AdjointPair(q, tables, p) for tables, p in representables(x).items()]
     return pairs if identity else _kleisli_column_pairs(x, pairs)
 
 
@@ -168,7 +174,7 @@ def _kleisli_column_pairs(x, pairs):
     q = ext.q
     monad = ext.monad
     n = x.n
-    seen = {tuple([v for (v,) in pair.psi.data]) for pair in pairs}
+    seen = {tuple([v for (v,) in pair.tables[0]]) for pair in pairs}
     settled = set(ext.unit_map(n)) if pairs else set()
     if n:
         settled.update(monad.tmap((), 0, n))
@@ -262,12 +268,7 @@ def _generic_pairs(x, kc):
                 for w, v in zip(a[t], phi):
                     if not leq[tens_u[w]][v]:
                         return
-            pairs.append(
-                AdjointPair(
-                    VMatrix.trusted(q, 1, n, (phi,)),
-                    VMatrix.trusted(q, n, 1, tuple([(v,) for v in psi])),
-                )
-            )
+            pairs.append(AdjointPair(q, (tuple([(v,) for v in psi]), (phi,))))
 
     else:
         bigs = ext.mult_fibers(1)[e1]
@@ -381,8 +382,8 @@ def _pair_check(x):
     phi_a = [(s, big) for s in range(t1) for big in fib_1[s]]
 
     def pair_at(flat):
-        psi = VMatrix.trusted(q, tn, 1, tuple([(v,) for v in flat]))
-        tpsi = ext.extend(psi).data
+        psi = tuple([(v,) for v in flat])
+        tpsi = ext.extend(VMatrix.trusted(q, tn, 1, psi)).data
         for big, t, tens_c, s in psi_unit:
             if not leq[tens_c[tpsi[big][t]]][flat[s]]:
                 return None
@@ -396,8 +397,8 @@ def _pair_check(x):
                     acc = meet_t[acc][hom_t[u][w]]
                 row.append(acc)
             phi_rows.append(tuple(row))
-        phi = VMatrix.trusted(q, t1, n, tuple(phi_rows))
-        tphi = ext.extend(phi).data
+        phi = tuple(phi_rows)
+        tphi = ext.extend(VMatrix.trusted(q, t1, n, phi)).data
         for leq_c, bigs in phi_unit:
             acc = bot
             for big in bigs:
@@ -419,7 +420,7 @@ def _pair_check(x):
                 for w, v in zip(a[t], phi_s):
                     if not leq[tens_u[w]][v]:
                         return None
-        return AdjointPair(phi, psi)
+        return AdjointPair(q, (psi, phi))
 
     return pair_at
 
@@ -453,12 +454,12 @@ def enumerate_adjoint_pairs(x, oracle=False):
         psis = [psi for psi in all_matrices(q, tn, 1, ext.max_enum) if is_tvbimodule(psi, x, pcat)]
         phis = [phi for phi in all_matrices(q, t1, x.n, ext.max_enum) if is_tvbimodule(phi, pcat, x)]
         pairs = [
-            AdjointPair(phi, psi)
+            AdjointPair(q, (psi.data, phi.data))
             for psi in psis
             for phi in phis
             if check_tv_adjunction(ext, phi, psi, x, pcat)["is_adjoint"]
         ]
-    pairs.sort(key=AdjointPair.key)
+    pairs.sort(key=attrgetter("tables"))
     return pairs
 
 
@@ -496,7 +497,7 @@ def representative_for(x, pair, index=None):
     """
     if index is None:
         index = representables(x)
-    return index.get(pair.key())
+    return index.get(pair.tables)
 
 
 def decide_lawvere_complete(x, oracle=False):
@@ -512,12 +513,22 @@ def decide_lawvere_complete(x, oracle=False):
     # and every other pair found with them is one no point represents
     # (_kleisli_column_pairs); pairs from anywhere else carry none, and
     # are looked up in representables(x) here.
-    if pairs and all(pair.representative is None for pair in pairs):
+    reps = []
+    non_rep = []
+    for pair in pairs:
+        if pair.representative is None:
+            non_rep.append(pair)
+        else:
+            reps.append(pair.representative)
+    if pairs and not reps:
         index = representables(x)
+        non_rep = []
         for pair in pairs:
-            pair.representative = index.get(pair.key())
-    non_rep = [pair for pair in pairs if pair.representative is None]
-    reps = [pair.representative for pair in pairs if pair.representative is not None]
+            p = pair.representative = index.get(pair.tables)
+            if p is None:
+                non_rep.append(pair)
+            else:
+                reps.append(p)
     return {
         "complete": not non_rep,
         "gate": gate,
@@ -560,7 +571,7 @@ def certify_v_complete(ext, oracle=False):
     identities_ok = True
     id_witness = None
     for pair in verdict["pairs"]:
-        psi = [row[0] for row in pair.psi.data]
+        psi = [v for (v,) in pair.tables[0]]
         if pair.representative != psi[k_dot]:
             identities_ok = False
             id_witness = ("representative", pair.key())
@@ -607,6 +618,7 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     if image != set(range(n_tgt)):
         raise ValueError("map is not surjective")
     q = ext.q
+    k, bot = q.unit, q.bottom
     fiber = [0] * n_tgt
     for p, y in enumerate(f):
         fiber[y] |= 1 << p
@@ -616,9 +628,9 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     index = representables(x)
     g = []
     for y in range(n_tgt):
-        phi = VMatrix(q, 1, n_src, (tuple(q.unit if f[p] == y else q.bottom for p in range(n_src)),))
-        psi = VMatrix(q, n_src, 1, tuple((q.unit if f[p] == y else q.bottom,) for p in range(n_src)))
-        pair = AdjointPair(phi, psi)
+        row = tuple([k if f[p] == y else bot for p in range(n_src)])
+        pair = AdjointPair(q, (tuple([(v,) for v in row]), (row,)))
+        phi, psi = pair.phi, pair.psi
         if not (is_tvbimodule(phi, pcat, x) and is_tvbimodule(psi, x, pcat)):
             raise AssertionError("fiber pair is not a module pair")
         if not check_tv_adjunction(ext, phi, psi, x, pcat)["is_adjoint"]:

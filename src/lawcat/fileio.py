@@ -186,12 +186,7 @@ class ParsedCategory:
         path, labels = self.path, self.labels
         n = len(labels)
         size = self.monad.size(n)
-        col_index = {lab: i for i, lab in enumerate(labels)}
-        row_labels = self.monad.labels(n, labels)
-        if row_labels == labels:
-            row_index = col_index
-        else:
-            row_index = {lab: i for i, lab in enumerate(row_labels)}
+        row_index, col_index = self.monad.label_indexes(labels)
         values = q.label_index
         rows = [[None] * n for _ in range(size)]
         for lineno, line in self.items:

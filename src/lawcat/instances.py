@@ -214,8 +214,8 @@ def approach_surrogate(cat):
         raise GateUnavailable("principal carriers", "analysis collapses filters to points")
     verdict = decide_lawvere_complete(cat)
     psi_levels = {
-        pair.phi.data[0]: level_masks(q, [r[0] for r in pair.psi.data])
-        for pair in verdict["pairs"]
+        phi[0]: level_masks(q, [v for (v,) in psi])
+        for psi, phi in (pair.tables for pair in verdict["pairs"])
     }
     pcat = unit_tvcategory(ext)
     vxi = hom_xi_category(ext)

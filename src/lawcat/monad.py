@@ -30,8 +30,9 @@ class FiniteMonad:
     unit_table, mult_table and mult_fibers are the unit and
     multiplication index tables kept on the monad, since they depend on
     nothing else: a process that decides many structures over one monad
-    builds each once, within TABLE_ENTRIES.  capabilities is
-    monad_capabilities, computed once.
+    builds each once, within TABLE_ENTRIES.  label_indexes, the label
+    lookups of a file's entries, are kept in the same store.  capabilities
+    is monad_capabilities, computed once.
     """
 
     name = "?"
@@ -83,6 +84,20 @@ class FiniteMonad:
                 fibers[small].append(big)
             fibers = self._keep(("fibers", n), tuple(tuple(f) for f in fibers), len(mult))
         return fibers
+
+    def label_indexes(self, base):
+        """(row index, column index) over the element labels base: each of
+        labels(n, base), and each of base, to its position; kept, and one
+        dict where the two label lists agree.  Callers only read them."""
+        key = ("labels", base)
+        indexes = self._tables.get(key)
+        if indexes is None:
+            n = len(base)
+            cols = {lab: i for i, lab in enumerate(base)}
+            row_labels = self.labels(n, base)
+            rows = cols if row_labels == base else {lab: i for i, lab in enumerate(row_labels)}
+            indexes = self._keep(key, (rows, cols), len(row_labels) + n)
+        return indexes
 
     def capabilities(self):
         """monad_capabilities(self), computed on the first call and kept."""

@@ -13,6 +13,8 @@ carries no second table of distances; whatever reads it as one
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import QuantaleMismatch
 
 
@@ -83,6 +85,15 @@ class Quantale:
 
     def hom(self, u, v):
         return self.hom_t[u][v]
+
+    @cached_property
+    def join_prime_unit(self):
+        """Whether V is integral (k = top) and top is join-irreducible,
+        tested as "top is not the join of all other elements", which also
+        excludes top = bottom (the empty join).  Read after validation, on
+        the first read only."""
+        top = self.top
+        return self.unit == top and self.join_all([u for u in range(self.n) if u != top]) != top
 
     def is_meet_tensor(self):
         """True when the tensor coincides with the lattice meet."""

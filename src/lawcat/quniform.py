@@ -219,10 +219,10 @@ def decide_lawvere_q(ext, u, oracle=False):
     top = ext.q.top
     from_mods = {
         (
-            tuple(s for s, (v,) in enumerate(pair.psi.data) if v == top),
-            tuple(p for p, v in enumerate(pair.phi.data[0]) if v == top),
+            tuple(s for s, (v,) in enumerate(psi) if v == top),
+            tuple(p for p, v in enumerate(phi[0]) if v == top),
         )
-        for pair in verdict["pairs"]
+        for psi, phi in (pair.tables for pair in verdict["pairs"])
     }
     cauchy = decide_cauchy_complete(u)
     minimal = set(cauchy["minimal_pairs"])

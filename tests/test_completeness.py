@@ -397,6 +397,58 @@ def test_representables_index_matches_point_scan(ext_factory, mname, qname, n):
     assert pairs
 
 
+def assert_pairs_are_views(x, pairs):
+    """Each pair's .psi and .phi are the T(n) x 1 and T(1) x n matrices on
+    its tables, read without a copy, and its key is their data."""
+    q = x.ext.q
+    t1, tn = x.ext.monad.size(1), x.ext.monad.size(x.n)
+    for pair in pairs:
+        psi, phi = pair.psi, pair.phi
+        assert psi == VMatrix(q, tn, 1, pair.tables[0]) and phi == VMatrix(q, t1, x.n, pair.tables[1])
+        assert psi.data is pair.tables[0] and phi.data is pair.tables[1]
+        assert pair.key() == (psi.data, phi.data)
+
+
+@pytest.mark.parametrize("mname,qname,n", ORACLE_SETTINGS)
+def test_pair_matrices_are_views_of_their_tables(ext_factory, mname, qname, n):
+    # Every path's pairs (the representables, the Kleisli columns, the
+    # walk and the oracle crossing, which builds its pairs from the
+    # matrices it enumerates) read as the same matrices.
+    ext = ext_factory(mname, qname)
+    for cat in all_tvcategories(ext, n):
+        pruned = decide_lawvere_complete(cat)["pairs"]
+        reference = decide_lawvere_complete(cat, oracle=True)["pairs"]
+        assert_pairs_are_views(cat, pruned)
+        assert_pairs_are_views(cat, reference)
+        assert [(p.psi, p.phi) for p in pruned] == [(p.psi, p.phi) for p in reference], cat.a.data
+
+
+@pytest.mark.parametrize("mname,qname,n", [("id", "2", 2), ("ultra", "plus3", 1), ("powerset", "2", 1)])
+def test_pair_matrices_are_views_on_every_matrix(ext_factory, mname, qname, n):
+    ext = ext_factory(mname, qname)
+    for x in all_structures(ext, n):
+        pruned = enumerate_adjoint_pairs(x)
+        assert_pairs_are_views(x, pruned)
+        assert [(p.psi, p.phi) for p in pruned] == [
+            (p.psi, p.phi) for p in enumerate_adjoint_pairs(x, oracle=True)
+        ], x.a.data
+
+
+@pytest.mark.parametrize("mname,qname,n", [("id", "2", 3), ("id", "plus3", 2), ("id", "c4", 2), ("ultra", "c3", 2)])
+def test_theorem_path_builds_no_matrix(monkeypatch, ext_factory, mname, qname, n):
+    # An id or ultra category over a join-prime unit is decided from its
+    # representables index alone: no VMatrix.trusted call, with the
+    # verdict carried or computed on the way.
+    ext = ext_factory(mname, qname)
+    cats = all_tvcategories(ext, n)
+    fresh = [TVCategory(ext, n, x.a) for x in cats]
+    calls = []
+    trusted = VMatrix.trusted.__func__
+    monkeypatch.setattr(VMatrix, "trusted", classmethod(lambda cls, *args: calls.append(args) or trusted(cls, *args)))
+    verdicts = [decide_lawvere_complete(x) for x in cats + fresh]
+    assert calls == [] and all(v["pair_count"] for v in verdicts)
+
+
 @pytest.mark.parametrize(
     "mname,qname,n", [("id", "2", 2), ("ultra", "c3", 2), ("powerset", "2", 1), ("powerset", "c3", 1)]
 )
@@ -418,7 +470,7 @@ def test_representables_index_skips_points_that_are_not_functors(ext_factory, mn
             tf = monad.tmap((p,), 1, n)
             phi = VMatrix(q, monad.size(1), n, [x.a.data[tf[z]] for z in range(monad.size(1))])
             psi = VMatrix(q, tn, 1, [(x.a.data[s][p],) for s in range(tn)])
-            pair = AdjointPair(phi, psi)
+            pair = AdjointPair(q, (psi.data, phi.data))
             assert index.get(pair.key()) == representative_by_scan(x, pair), flat
             failing += not check_tvfunctor((p,), pcat, x)["ok"]
     assert failing
@@ -692,7 +744,7 @@ def takes_shortcut(x):
     or ultra category over a join-prime unit."""
     return (
         x.ext.monad.size(1) == 1
-        and completeness._join_prime_unit(x.ext.q)
+        and x.ext.q.join_prime_unit
         and is_category(x)
     )
 
@@ -974,11 +1026,7 @@ def test_kleisli_columns_match_walk_on_every_matrix(ext_factory, mname, qname, n
         got = sorted(p.key() for p in _kleisli_column_pairs(x, []))
         assert got == walk, x.a.data
         if check_tvcategory(ext, n, x.a)["ok"]:
-            t1, tn = ext.monad.size(1), ext.monad.size(n)
-            pairs = [
-                AdjointPair(VMatrix(ext.q, t1, n, phi), VMatrix(ext.q, tn, 1, psi), p)
-                for (psi, phi), p in representables(x).items()
-            ]
+            pairs = [AdjointPair(ext.q, tables, p) for tables, p in representables(x).items()]
             read = _kleisli_column_pairs(x, pairs)
             assert sorted(p.key() for p in read) == walk, x.a.data
         if oracle:
