@@ -41,6 +41,9 @@ def completeness_gate(ext):
     return None
 
 
+_BY_TABLES = attrgetter("tables")
+
+
 class AdjointPair:
     """A pair held as its two index tables, with an optional representative.
 
@@ -57,6 +60,7 @@ class AdjointPair:
         self.representative = representative
 
     def key(self):
+        """The pair's sort and lookup key: its tables, by their public name."""
         return self.tables
 
     @property
@@ -459,7 +463,7 @@ def enumerate_adjoint_pairs(x, oracle=False):
             for phi in phis
             if check_tv_adjunction(ext, phi, psi, x, pcat)["is_adjoint"]
         ]
-    pairs.sort(key=attrgetter("tables"))
+    pairs.sort(key=_BY_TABLES)
     return pairs
 
 
@@ -574,22 +578,22 @@ def certify_v_complete(ext, oracle=False):
         psi = [v for (v,) in pair.tables[0]]
         if pair.representative != psi[k_dot]:
             identities_ok = False
-            id_witness = ("representative", pair.key())
+            id_witness = ("representative", pair.tables)
             break
         first = q.join_all(q.tens(psi[u], xi[u]) for u in range(tn))
         if psi[k_dot] != first:
             identities_ok = False
-            id_witness = ("first", pair.key())
+            id_witness = ("first", pair.tables)
             break
         for v in range(tn):
             rhs = q.join_all(q.tens(q.hom(xi[v], xi[u]), psi[u]) for u in range(tn))
             if q.hom(xi[v], psi[k_dot]) != rhs:
                 identities_ok = False
-                id_witness = ("second", pair.key(), v)
+                id_witness = ("second", pair.tables, v)
                 break
             if psi[v] != rhs:
                 identities_ok = False
-                id_witness = ("third", pair.key(), v)
+                id_witness = ("third", pair.tables, v)
                 break
         if not identities_ok:
             break

@@ -186,7 +186,8 @@ class ParsedCategory:
         path, labels = self.path, self.labels
         n = len(labels)
         size = self.monad.size(n)
-        row_index, col_index = self.monad.label_indexes(labels)
+        col_index = {lab: i for i, lab in enumerate(labels)}
+        row_of = self.monad.row_lookup(col_index)
         values = q.label_index
         rows = [[None] * n for _ in range(size)]
         for lineno, line in self.items:
@@ -200,7 +201,7 @@ class ParsedCategory:
             if not comma:
                 raise ParseError(path, lineno, "matrix entry needs two labels")
             r, c, val = r.strip(), c.strip(), val.strip()
-            i = row_index.get(r)
+            i = row_of(r)
             if i is None:
                 raise ParseError(path, lineno, f"undefined row label {r!r}")
             j = col_index.get(c)

@@ -30,9 +30,8 @@ class FiniteMonad:
     unit_table, mult_table and mult_fibers are the unit and
     multiplication index tables kept on the monad, since they depend on
     nothing else: a process that decides many structures over one monad
-    builds each once, within TABLE_ENTRIES.  label_indexes, the label
-    lookups of a file's entries, are kept in the same store.  capabilities
-    is monad_capabilities, computed once.
+    builds each once, within TABLE_ENTRIES.  capabilities is
+    monad_capabilities, computed once.
     """
 
     name = "?"
@@ -85,20 +84,6 @@ class FiniteMonad:
             fibers = self._keep(("fibers", n), tuple(tuple(f) for f in fibers), len(mult))
         return fibers
 
-    def label_indexes(self, base):
-        """(row index, column index) over the element labels base: each of
-        labels(n, base), and each of base, to its position; kept, and one
-        dict where the two label lists agree.  Callers only read them."""
-        key = ("labels", base)
-        indexes = self._tables.get(key)
-        if indexes is None:
-            n = len(base)
-            cols = {lab: i for i, lab in enumerate(base)}
-            row_labels = self.labels(n, base)
-            rows = cols if row_labels == base else {lab: i for i, lab in enumerate(row_labels)}
-            indexes = self._keep(key, (rows, cols), len(row_labels) + n)
-        return indexes
-
     def capabilities(self):
         """monad_capabilities(self), computed on the first call and kept."""
         if self._capabilities is None:
@@ -120,6 +105,14 @@ class FiniteMonad:
 
     def labels(self, n, base):
         raise NotImplementedError
+
+    def row_lookup(self, col_index):
+        """The reader of a file's row labels: a function from a label to
+        its index in T(n), or None if no element of T(n) has that label,
+        where col_index maps each of the n element labels to its position.
+        This default lists labels()."""
+        rows = self.labels(len(col_index), tuple(col_index))
+        return {lab: i for i, lab in enumerate(rows)}.get
 
     def mult_image(self, g, n, k):
         """The distinct pairs (m_n(s), T(g)(s)) for s in T(T(n)), g: T(n) -> k.
@@ -176,6 +169,9 @@ class IdentityMonad(FiniteMonad):
 
     def labels(self, n, base):
         return tuple(base)
+
+    def row_lookup(self, col_index):
+        return col_index.get
 
 
 class UltrafilterMonad(IdentityMonad):
@@ -254,6 +250,23 @@ class PowersetMonad(FiniteMonad):
             "{" + ",".join(base[b] for b in range(n) if mask & (1 << b)) + "}"
             for mask in range(1 << n)
         )
+
+    def row_lookup(self, col_index):
+        # A subset's label names its points in increasing order, so it is
+        # read back point by point instead of listing the 2^n labels.
+        def mask_of(label):
+            if not (label[:1] == "{" and label[-1:] == "}"):
+                return None
+            mask = 0
+            if label != "{}":
+                for part in label[1:-1].split(","):
+                    b = col_index.get(part)
+                    if b is None or mask >> b:  # unknown, repeated or out of order
+                        return None
+                    mask |= 1 << b
+            return mask
+
+        return mask_of
 
     def extend_relation(self, pairs, nx, ny):
         # Subsets of the graph project exactly to the pairs (A, B) where

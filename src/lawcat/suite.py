@@ -372,9 +372,8 @@ def report_json(obj, indent="\n"):
     None, of exactly those types; anything else raises TypeError.
     json.dumps takes its pure-Python encoder whenever it indents, so this
     one join is the faster of the two; strings, keys included, go through
-    the C escaper json itself uses.  A dict's str, bool and None values are
-    written in place, without a call each.  `indent` is the newline plus
-    the indentation of `obj`'s own line.
+    the C escaper json itself uses.  `indent` is the newline plus the
+    indentation of `obj`'s own line.
     """
     kind = type(obj)
     if kind is str:
@@ -383,18 +382,10 @@ def report_json(obj, indent="\n"):
     if kind is dict:
         if not obj:
             return "{}"
-        items = []
-        for key, value in sorted(obj.items()):
-            kind = type(value)
-            if kind is str:
-                text = _quote(value)
-            elif kind is bool:
-                text = "true" if value else "false"
-            elif value is None:
-                text = "null"
-            else:
-                text = report_json(value, inner)
-            items.append(_quote(key) + ": " + text)
+        items = [
+            _quote(key) + ": " + (_quote(value) if type(value) is str else report_json(value, inner))
+            for key, value in sorted(obj.items())
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not obj:

@@ -371,25 +371,21 @@ def test_tables_are_kept_on_the_monad_within_the_bound(monkeypatch):
     assert m._sizes == {("unit", 2): 2, ("mult", 1): 4}
 
 
-def test_label_indexes_are_kept_within_the_bound(monkeypatch):
-    # A file's row and column lookups, built once per element labels and
-    # kept in the monad's table store, which bounds and evicts them.
-    from lawcat import monad as monad_module
-
-    base = ("a", "b")
-    m = PowersetMonad()
-    rows, cols = m.label_indexes(base)
-    assert rows == {lab: i for i, lab in enumerate(m.labels(2, base))}
-    assert cols == {"a": 0, "b": 1}
-    assert m.label_indexes(base)[0] is rows and m.label_indexes(("a", "c"))[0] is not rows
-    rows, cols = builtin_monad("id").label_indexes(base)
-    assert rows is cols == {"a": 0, "b": 1}
-    monkeypatch.setattr(monad_module, "TABLE_ENTRIES", 8)
-    m = PowersetMonad()
-    m.label_indexes(base)
-    assert (list(m._tables), m._entries) == ([("labels", base)], 6)
-    m.label_indexes(("c",))
-    assert (list(m._tables), m._entries) == ([("labels", ("c",))], 3)
+def test_row_lookup_reads_exactly_the_row_labels():
+    # Each monad's reader agrees with the default, which lists labels():
+    # every row label reads as its index, and any other text as None.
+    base = ("a", "b", "c")
+    bad = ["", "a", "{", "}", "{}}", "{{}", "{a", "a}", "{a,}", "{,a}", "{,}", "{b,a}", "{a,a}",
+           "{a, b}", "{ a}", "{d}", "{a,b,c,a}", "{a}{b}", "x{a}", "xa}", "{ax"]
+    for m in (builtin_monad("id"), builtin_monad("ultra"), PowersetMonad()):
+        for n in range(len(base) + 1):
+            col_index = {lab: i for i, lab in enumerate(base[:n])}
+            rows = m.labels(n, base[:n])
+            reference = FiniteMonad.row_lookup(m, col_index)
+            row_of = m.row_lookup(col_index)
+            assert [row_of(lab) for lab in rows] == list(range(m.size(n)))
+            for lab in bad + list(PowersetMonad().labels(n, base[:n])) + list(base):
+                assert row_of(lab) == reference(lab), (m.name, n, lab)
 
 
 def test_capabilities_are_computed_once_per_monad_object():
