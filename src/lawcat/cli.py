@@ -412,7 +412,9 @@ class _Grammar:
         for spec, token in zip(slots, positionals):
             if not _store(values, spec, token):
                 return None
-        return argparse.Namespace(**values)
+        ns = argparse.Namespace()
+        vars(ns).update(values)
+        return ns
 
 
 def _store(values, spec, token):

@@ -561,10 +561,15 @@ def certify_v_complete(ext, oracle=False):
     if not checked["ok"]:
         raise ValueError(f"not a (T,V)-category: {checked}")
     xi = ext.xi()
-    tn = monad.size(q.n)
+    tens, join_t, hom_t, bot = q.tensor, q.join_t, q.hom_t, q.bottom
     kc = kleisli_table(vcat)
     witness = next(
-        ((s, t) for s in range(tn) for t in range(tn) if kc[s][t] != q.hom(xi[s], xi[t])),
+        (
+            (s, t)
+            for s, (row, u) in enumerate(zip(kc, xi))
+            for t, (w, v) in enumerate(zip(row, xi))
+            if w != hom_t[u][v]
+        ),
         None,
     )
     if witness is not None:
@@ -580,14 +585,19 @@ def certify_v_complete(ext, oracle=False):
             identities_ok = False
             id_witness = ("representative", pair.tables)
             break
-        first = q.join_all(q.tens(psi[u], xi[u]) for u in range(tn))
+        first = bot
+        for u, w in zip(psi, xi):
+            first = join_t[first][tens[u][w]]
         if psi[k_dot] != first:
             identities_ok = False
             id_witness = ("first", pair.tables)
             break
-        for v in range(tn):
-            rhs = q.join_all(q.tens(q.hom(xi[v], xi[u]), psi[u]) for u in range(tn))
-            if q.hom(xi[v], psi[k_dot]) != rhs:
+        for v, xv in enumerate(xi):
+            hom_v = hom_t[xv]
+            rhs = bot
+            for u, w in zip(psi, xi):
+                rhs = join_t[rhs][tens[hom_v[w]][u]]
+            if hom_v[psi[k_dot]] != rhs:
                 identities_ok = False
                 id_witness = ("second", pair.tables, v)
                 break

@@ -207,7 +207,7 @@ def approach_surrogate(cat):
     """
     ext = cat.ext
     q = cat.q
-    leq, tens = q.leq, q.tensor
+    leq, tens, join_t = q.leq, q.tensor, q.join_t
     if not all(leq[u][v] or leq[v][u] for u in range(q.n) for v in range(u)):
         raise GateUnavailable("chain quantale", "level-set analysis needs every two values comparable")
     if ext.monad.size(cat.n) != cat.n or ext.monad.size(1) != 1:
@@ -222,17 +222,24 @@ def approach_surrogate(cat):
     a = cat.a.data
     balls = [level_masks(q, a[x]) for x in range(cat.n)]
 
+    # dist[mask][x] = d(A, x) for the points A of mask: the join of the
+    # rows a(y, -) over y in A, the empty join bottom
+    dist = [(q.bottom,) * cat.n]
+    for mask in range(1, 1 << cat.n):
+        low = mask & -mask
+        dist.append(tuple([join_t[u][v] for u, v in zip(dist[mask ^ low], a[low.bit_length() - 1])]))
+
     mismatches = []
     analysis_complete = True
     for row in itertools.product(range(q.n), repeat=cat.n):
-        phi = VMatrix(q, 1, cat.n, (row,))
+        phi = VMatrix.trusted(q, 1, cat.n, (row,))
         bim = is_tvbimodule(phi, pcat, cat)
         functor = check_tvfunctor(row, cat, vxi)["ok"]
         levels = level_masks(q, row)
         closed = all(
-            levels[tens[u][q.join_all(a[y][x] for y in _points(level))]] >> x & 1
+            levels[tens[u][d]] >> x & 1
             for u, level in enumerate(levels)
-            for x in range(cat.n)
+            for x, d in enumerate(dist[level])
         )
         if not (bim == functor == closed):
             mismatches.append({"row": row, "bimodule": bim, "functor": functor, "closed": closed})

@@ -269,8 +269,8 @@ def check_xi(ext):
     xi = ext.xi()
     n = q.n
     tn = monad.size(n)
-    for u in range(n):
-        if xi[ext.unit_map(n)[u]] != u:
+    for u, s in enumerate(ext.unit_map(n)):
+        if xi[s] != u:
             return {"ok": False, "law": "xi-unit", "witness": q.labels[u]}
     ttn = monad.size(tn)
     ext.check_budget("T^2 of quantale carrier", ttn)
@@ -281,14 +281,13 @@ def check_xi(ext):
             if xi[mu[big]] != xi[txi[big]]:
                 return {"ok": False, "law": "xi-mult", "witness": big}
 
-    i_mat = VMatrix(q, 1, n, (tuple(range(n)),))
-    ti = ext.extend(i_mat)
-    tq_map = monad.tmap((0,) * n, n, 1)
-    for y in range(tn):
-        if ti.data[tq_map[y]][y] != xi[y]:
+    ti = ext.extend(VMatrix.trusted(q, 1, n, (tuple(range(n)),))).data
+    leq = q.leq
+    for y, (tq, v) in enumerate(zip(monad.tmap((0,) * n, n, 1), xi)):
+        if ti[tq][y] != v:
             return {"ok": False, "law": "xi-Ti-link", "witness": y}
-        for x in range(monad.size(1)):
-            if not q.le(ti.data[x][y], xi[y]):
+        for x, row in enumerate(ti):
+            if not leq[row[y]][v]:
                 return {"ok": False, "law": "xi-Ti-bound", "witness": (x, y)}
     return {"ok": True}
 
@@ -296,15 +295,14 @@ def check_xi(ext):
 def check_xi_functor(ext):
     """xi as a structure-preserving map: T hom(x,y) <= hom(xi x, xi y)."""
     q = ext.q
-    hom_mat = VMatrix(q, q.n, q.n, q.hom_t)
-    thom = ext.extend(hom_mat)
+    leq, hom_t = q.leq, q.hom_t
+    thom = ext.extend(VMatrix.trusted(q, q.n, q.n, hom_t))
     xi = ext.xi()
-    tn = ext.monad.size(q.n)
     bad = [
         (x, y)
-        for x in range(tn)
-        for y in range(tn)
-        if not q.le(thom.data[x][y], q.hom(xi[x], xi[y]))
+        for x, (row, u) in enumerate(zip(thom.data, xi))
+        for y, (w, v) in enumerate(zip(row, xi))
+        if not leq[w][hom_t[u][v]]
     ]
     return {"ok": not bad, "failures": bad}
 
@@ -326,9 +324,8 @@ def check_xi_compat(ext, samples=20, seed=0):
     n = q.n
     report = {}
 
-    t1 = monad.size(1)
-    k_map = monad.tmap((q.unit,), 1, n)
-    report["unit_inequality"] = all(q.le(q.unit, xi[k_map[z]]) for z in range(t1))
+    above_k = q.leq[q.unit]
+    report["unit_inequality"] = all(above_k[xi[s]] for s in monad.tmap((q.unit,), 1, n))
 
     nn = n * n
     tnn = monad.size(nn)
@@ -344,18 +341,15 @@ def check_xi_compat(ext, samples=20, seed=0):
 
     hom_sup = {}
     hom_xi_ineq = {}
-    tn = monad.size(n)
-    for u in range(n):
-        hom_sup[q.labels[u]] = all(
-            q.hom(u, q.join(v, w)) == q.join(q.hom(u, v), q.hom(u, w))
-            for v in range(n)
+    join_t = q.join_t
+    for label, hom_u in zip(q.labels, q.hom_t):
+        hom_sup[label] = all(
+            hom_u[join_v[w]] == join_t[hom_u[v]][hom_u[w]]
+            for v, join_v in enumerate(join_t)
             for w in range(n)
         )
-        hom_u = tuple(q.hom_t[u])
         thom_u = monad.tmap(hom_u, n, n)
-        hom_xi_ineq[q.labels[u]] = all(
-            q.le(xi[thom_u[s]], q.hom(u, xi[s])) for s in range(tn)
-        )
+        hom_xi_ineq[label] = all(leq[xi[t]][hom_u[v]] for t, v in zip(thom_u, xi))
     report["hom_preserves_nonempty_sups"] = hom_sup
     report["hom_xi_inequality"] = hom_xi_ineq
 
@@ -371,10 +365,9 @@ def check_xi_compat(ext, samples=20, seed=0):
         tpix, tpiy = ext.projections(nx, ny)
         tor = monad.tmap(r_map, nx * ny, n)
         joined = [[q.bottom] * tr.cols for _ in range(tr.rows)]
-        for w in range(monad.size(nx * ny)):
-            a, b = tpix[w], tpiy[w]
-            joined[a][b] = q.join(joined[a][b], xi[tor[w]])
-        if tuple(tuple(row) for row in joined) != tr.data:
+        for a, b, t in zip(tpix, tpiy, tor):
+            joined[a][b] = join_t[joined[a][b]][xi[t]]
+        if tuple(map(tuple, joined)) != tr.data:
             diagram_ok = False
             witness = r.data
             break
@@ -384,8 +377,10 @@ def check_xi_compat(ext, samples=20, seed=0):
 
 
 def _random_matrix(rng, q, rows, cols):
-    return VMatrix(
-        q, rows, cols, tuple(tuple(rng.randrange(q.n) for _ in range(cols)) for _ in range(rows))
+    """rows x cols entries drawn row by row from rng."""
+    draw, n = rng.randrange, q.n
+    return VMatrix.trusted(
+        q, rows, cols, tuple(tuple([draw(n) for _ in range(cols)]) for _ in range(rows))
     )
 
 

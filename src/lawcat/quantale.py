@@ -76,16 +76,6 @@ class Quantale:
             acc = self.join_t[acc][e]
         return acc
 
-    def meet_all(self, elems):
-        """Meet of an iterable of elements; the empty meet is top."""
-        acc = self.top
-        for e in elems:
-            acc = self.meet_t[acc][e]
-        return acc
-
-    def hom(self, u, v):
-        return self.hom_t[u][v]
-
     @cached_property
     def join_prime_unit(self):
         """Whether V is integral (k = top) and top is join-irreducible,

@@ -372,8 +372,9 @@ def report_json(obj, indent="\n"):
     None, of exactly those types; anything else raises TypeError.
     json.dumps takes its pure-Python encoder whenever it indents, so this
     one join is the faster of the two; strings, keys included, go through
-    the C escaper json itself uses.  `indent` is the newline plus the
-    indentation of `obj`'s own line.
+    the C escaper json itself uses.  A container writes its str, bool,
+    None and int values in its own loop, without a call for each.
+    `indent` is the newline plus the indentation of `obj`'s own line.
     """
     kind = type(obj)
     if kind is str:
@@ -382,15 +383,38 @@ def report_json(obj, indent="\n"):
     if kind is dict:
         if not obj:
             return "{}"
-        items = [
-            _quote(key) + ": " + (_quote(value) if type(value) is str else report_json(value, inner))
-            for key, value in sorted(obj.items())
-        ]
+        items = []
+        for key, value in sorted(obj.items()):
+            kind = type(value)
+            if kind is str:
+                text = _quote(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            elif value is None:
+                text = "null"
+            elif kind is int:
+                text = repr(value)
+            else:
+                text = report_json(value, inner)
+            items.append(_quote(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        items = [_quote(value) if type(value) is str else report_json(value, inner) for value in obj]
+        items = []
+        for value in obj:
+            kind = type(value)
+            if kind is str:
+                text = _quote(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            elif value is None:
+                text = "null"
+            elif kind is int:
+                text = repr(value)
+            else:
+                text = report_json(value, inner)
+            items.append(text)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is bool:
         return "true" if obj else "false"

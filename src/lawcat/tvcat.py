@@ -257,7 +257,13 @@ class FinitePreorder:
 
 
 def _points(mask):
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+    """The set bits of mask, lowest first."""
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(points)
 
 
 def tvcategory(ext, n, a, name=""):
@@ -279,10 +285,10 @@ def order_tvcategory(ext, order, name=""):
     """
     q = ext.q
     n = order.n
-    unit, bottom = q.unit, q.bottom
-    data = [(bottom,) * n] * ext.monad.size(n)
+    pick = (q.bottom, q.unit)
+    data = [(q.bottom,) * n] * ext.monad.size(n)
     for s, mask in zip(ext.unit_map(n), order.up):
-        data[s] = tuple([unit if mask >> y & 1 else bottom for y in range(n)])
+        data[s] = tuple([pick[mask >> y & 1] for y in range(n)])
     checked = {"ok": True} if isinstance(ext.monad, IdentityMonad) else None
     return TVCategory(ext, n, VMatrix.trusted(q, len(data), n, tuple(data)), name, checked)
 
@@ -321,8 +327,8 @@ def hom_xi_category(ext):
         q = ext.q
         xi = ext.xi()
         tn = ext.monad.size(q.n)
-        data = tuple(tuple(q.hom(xi[s], v) for v in range(q.n)) for s in range(tn))
-        return TVCategory(ext, q.n, VMatrix(q, tn, q.n, data), name="V-hom-xi")
+        data = tuple(q.hom_t[u] for u in xi)
+        return TVCategory(ext, q.n, VMatrix.trusted(q, tn, q.n, data), name="V-hom-xi")
 
     return ext.cached(("homxi",), build)
 
@@ -330,8 +336,10 @@ def hom_xi_category(ext):
 def kleisli_compose(ext, b, a, n_src):
     """b * a = b . T(a) . m-transpose, for a: T(n_src) -|-> Y, b: T(Y) -|-> Z.
 
-    T(a) . m-transpose is _fibre_rows; composing b with those rows is
-    exact, since the tensor distributes over the joins they take.
+    Row s of T(a) . m-transpose joins the rows of T(a) over the fibre of
+    m at s (_fibre_row); a one-element fibre, every fibre over the
+    identity monad, is read as that row in place.  Composing b with the
+    joined rows is exact, since the tensor distributes over the joins.
     """
     q = ext.q
     monad = ext.monad
@@ -339,14 +347,16 @@ def kleisli_compose(ext, b, a, n_src):
         raise ValueError("kleisli shapes do not line up")
     bot = q.bottom
     tens, join_t = q.tensor, q.join_t
-    cols = range(b.cols)
+    ta = ext.extend(a).data
+    bdata, cols = b.data, range(b.cols)
     out = []
-    for trow in _fibre_rows(ext, a, n_src):
+    for fiber in ext.mult_fibers(n_src):
+        trow = ta[fiber[0]] if len(fiber) == 1 else _fibre_row(q, ta, fiber)
         row = [bot] * b.cols
         for t, u in enumerate(trow):
             if u == bot:
                 continue
-            brow = b.data[t]
+            brow = bdata[t]
             tens_u = tens[u]
             for z in cols:
                 v = tens_u[brow[z]]
@@ -356,29 +366,29 @@ def kleisli_compose(ext, b, a, n_src):
     return VMatrix.trusted(q, a.rows, b.cols, tuple(out))
 
 
-def _fibre_rows(ext, a, n_src):
-    """T(a) . m-transpose as plain rows, one per s in T(n_src).
+def _fibre_row(q, ta, fiber):
+    """The join of the rows of T(a) over a fibre of m, which holds e(s) and
+    so is never empty.  The join skips the bottom entries of the later
+    rows, which leave it unchanged."""
+    join_t, bot = q.join_t, q.bottom
+    row = list(ta[fiber[0]])
+    for big in fiber[1:]:
+        for t, w in enumerate(ta[big]):
+            if w != bot:
+                row[t] = join_t[row[t]][w]
+    return tuple(row)
 
-    Row s joins the rows of T(a) over the fibre of m at s, which holds
-    e(s) and so is never empty; a one-element fibre (every fibre over the
-    identity monad) is that row itself.  The join skips the bottom entries
-    of the later rows, which leave it unchanged.
-    """
-    join_t = ext.q.join_t
-    bot = ext.q.bottom
+
+def _fibre_rows(ext, a, n_src):
+    """T(a) . m-transpose as plain rows, one per s in T(n_src): row s is
+    _fibre_row over the fibre of m at s, or T(a)'s row itself for a
+    one-element fibre."""
+    q = ext.q
     ta = ext.extend(a).data
-    rows = []
-    for fiber in ext.mult_fibers(n_src):
-        row = ta[fiber[0]]
-        if len(fiber) > 1:
-            row = list(row)
-            for big in fiber[1:]:
-                for t, w in enumerate(ta[big]):
-                    if w != bot:
-                        row[t] = join_t[row[t]][w]
-            row = tuple(row)
-        rows.append(row)
-    return rows
+    return [
+        ta[fiber[0]] if len(fiber) == 1 else _fibre_row(q, ta, fiber)
+        for fiber in ext.mult_fibers(n_src)
+    ]
 
 
 def kleisli_table(x):
@@ -389,10 +399,12 @@ def kleisli_table(x):
 def check_tvfunctor(f, x, y):
     """a(s, p) <= b(Tf(s), f(p)) for all s in TX and p in X."""
     ext = x.ext
-    tf = ext.monad.tmap(f, x.n, y.n)
-    for s in range(ext.monad.size(x.n)):
-        for p in range(x.n):
-            if not ext.q.le(x.a.data[s][p], y.a.data[tf[s]][f[p]]):
+    leq = ext.q.leq
+    ydata, points = y.a.data, range(x.n)
+    for s, (row, t) in enumerate(zip(x.a.data, ext.monad.tmap(f, x.n, y.n))):
+        brow = ydata[t]
+        for p in points:
+            if not leq[row[p]][brow[f[p]]]:
                 return {"ok": False, "witness": (s, p)}
     return {"ok": True}
 
@@ -431,15 +443,12 @@ def tensor_tvcat(x, y):
     n = x.n * y.n
     ext.check_budget("tensor carrier", monad.size(n) * n)
     tpix, tpiy = ext.projections(x.n, y.n)
+    tens, xdata, ydata = q.tensor, x.a.data, y.a.data
     data = tuple(
-        tuple(
-            q.tens(x.a.data[tpix[w]][p], y.a.data[tpiy[w]][u])
-            for p in range(x.n)
-            for u in range(y.n)
-        )
-        for w in range(monad.size(n))
+        tuple([tens_u[v] for tens_u in map(tens.__getitem__, xdata[r]) for v in ydata[c]])
+        for r, c in zip(tpix, tpiy)
     )
-    return TVCategory(ext, n, VMatrix(q, monad.size(n), n, data), name=f"{x.name}(x){y.name}")
+    return TVCategory(ext, n, VMatrix.trusted(q, len(data), n, data), name=f"{x.name}(x){y.name}")
 
 
 def check_tvbimodule(psi, x, y):
@@ -553,20 +562,20 @@ def exponential_tvcat(x, y):
     ev = tuple(funcs[i][p] for p in range(x.n) for i in range(nf))
     tev = monad.tmap(ev, npair, y.n)
     rows = monad.size(nf)
+    meet_t, hom_t = q.meet_t, q.hom_t
     bound = [[q.top] * nf for _ in range(rows)]
     seen = [False] * rows
-    for w in range(monad.size(npair)):
-        fiber_row = tpif[w]
+    for fiber_row, r, t in zip(tpif, tpix, tev):
         seen[fiber_row] = True
-        arow = x.a.data[tpix[w]]
-        brow = y.a.data[tev[w]]
+        homs = [hom_t[u] for u in x.a.data[r]]
+        brow = y.a.data[t]
         cell = bound[fiber_row]
         for i, h in enumerate(funcs):
             acc = cell[i]
-            for p in range(x.n):
-                acc = q.meet(acc, q.hom(arow[p], brow[h[p]]))
+            for hom_u, p in zip(homs, h):
+                acc = meet_t[acc][hom_u[brow[p]]]
             cell[i] = acc
-    structure = VMatrix(q, rows, nf, tuple(tuple(r) for r in bound))
+    structure = VMatrix.trusted(q, rows, nf, tuple(map(tuple, bound)))
     return Exponential(x, y, funcs, structure, not all(seen))
 
 
@@ -600,25 +609,29 @@ def yoneda(x):
 
     kc = kleisli_table(x)
 
+    leq, tens, meet_t, hom_t = q.leq, q.tensor, q.meet_t, q.hom_t
+    ty_rows = [expo.structure.data[t] for t in ty]
     bound_ok = True
     oracle_ok = True
-    for s in range(tn):
-        row = expo.structure.data[ty[s]]
-        for i, phi in enumerate(expo.carrier):
-            if not q.le(row[i], phi[s]):
+    for s, row in enumerate(ty_rows):
+        homs = [hom_t[kc_t[s]] for kc_t in kc]
+        for v, phi in zip(row, expo.carrier):
+            if not leq[v][phi[s]]:
                 bound_ok = False
-            expected = q.meet_all(q.hom(kc[t][s], phi[t]) for t in range(tn))
-            if row[i] != expected:
+            expected = q.top
+            for hom_u, w in zip(homs, phi):
+                expected = meet_t[expected][hom_u[w]]
+            if v != expected:
                 oracle_ok = False
 
     xop = dual_tvcategory(x)
     equivalence_ok = True
     hat = []
     for i, phi in enumerate(expo.carrier):
-        reverse = all(q.le(phi[s], expo.structure.data[ty[s]][i]) for s in range(tn))
+        reverse = all(leq[u][row[i]] for u, row in zip(phi, ty_rows))
         functor_dual = check_tvfunctor(phi, xop, v_cat)["ok"]
         vfunctor_oracle = all(
-            q.le(q.tens(kc[t][s], phi[s]), phi[t]) for s in range(tn) for t in range(tn)
+            leq[tens[kc_t[s]][u]][w] for s, u in enumerate(phi) for kc_t, w in zip(kc, phi)
         )
         if reverse != functor_dual or reverse != vfunctor_oracle:
             equivalence_ok = False

@@ -54,12 +54,8 @@ class VMatrix:
         return f"VMatrix({self.rows}x{self.cols} over {self.q.name})"
 
     def transpose(self):
-        return VMatrix(
-            self.q,
-            self.cols,
-            self.rows,
-            tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return VMatrix.trusted(self.q, self.cols, self.rows, data)
 
     def le(self, other):
         """Pointwise order."""
@@ -67,11 +63,11 @@ class VMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("order compares equal shapes only")
         leq = self.q.leq
-        return all(
-            leq[self.data[i][j]][other.data[i][j]]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        for row, other_row in zip(self.data, other.data):
+            for u, v in zip(row, other_row):
+                if not leq[u][v]:
+                    return False
+        return True
 
     def join(self, other):
         same_quantale(self.q, other.q)
@@ -83,8 +79,8 @@ class VMatrix:
             self.rows,
             self.cols,
             tuple(
-                tuple(jt[self.data[i][j]][other.data[i][j]] for j in range(self.cols))
-                for i in range(self.rows)
+                tuple([jt[u][v] for u, v in zip(row, other_row)])
+                for row, other_row in zip(self.data, other.data)
             ),
         )
 
@@ -94,11 +90,9 @@ class VMatrix:
         f = tuple(f)
         if len(f) != n_src or any(not (0 <= y < n_tgt) for y in f):
             raise DimensionMismatch("map table does not match declared sets")
-        return VMatrix(
-            q,
-            n_src,
-            n_tgt,
-            tuple(tuple(q.unit if f[i] == j else q.bottom for j in range(n_tgt)) for i in range(n_src)),
+        blank = (q.bottom,) * n_tgt
+        return VMatrix.trusted(
+            q, n_src, n_tgt, tuple(blank[:y] + (q.unit,) + blank[y + 1 :] for y in f)
         )
 
     def is_map(self):
@@ -121,18 +115,20 @@ def mcompose(outer, inner):
         )
     q = inner.q
     tens, join_t, bot = q.tensor, q.join_t, q.bottom
-    mid = inner.cols
+    odata, cols = outer.data, range(outer.cols)
     out = []
-    for x in range(inner.rows):
-        rin = inner.data[x]
-        row = []
-        for z in range(outer.cols):
-            acc = bot
-            for y in range(mid):
-                t = tens[rin[y]][outer.data[y][z]]
+    for rin in inner.data:
+        row = [bot] * outer.cols
+        # a bottom entry tensors every entry of its outer row to bottom
+        for y, u in enumerate(rin):
+            if u == bot:
+                continue
+            orow = odata[y]
+            tens_u = tens[u]
+            for z in cols:
+                t = tens_u[orow[z]]
                 if t != bot:
-                    acc = join_t[acc][t]
-            row.append(acc)
+                    row[z] = join_t[row[z]][t]
         out.append(tuple(row))
     return VMatrix.trusted(q, inner.rows, outer.cols, tuple(out))
 
@@ -147,24 +143,17 @@ def postcompose_map(g, n_tgt, m):
     q = m.q
     join_t, bot = q.join_t, q.bottom
     out = []
-    for x in range(m.rows):
+    for rdat in m.data:
         row = [bot] * n_tgt
-        rdat = m.data[x]
-        for y in range(m.cols):
-            z = g[y]
-            row[z] = join_t[row[z]][rdat[y]]
+        for z, v in zip(g, rdat):
+            row[z] = join_t[row[z]][v]
         out.append(tuple(row))
     return VMatrix.trusted(q, m.rows, n_tgt, tuple(out))
 
 
 def select_cols(m, f):
     """m restricted along a function into its column set: (x,z) -> m(x,f(z))."""
-    return VMatrix.trusted(
-        m.q,
-        m.rows,
-        len(f),
-        tuple(tuple(m.data[x][f[z]] for z in range(len(f))) for x in range(m.rows)),
-    )
+    return VMatrix.trusted(m.q, m.rows, len(f), tuple(tuple([row[y] for y in f]) for row in m.data))
 
 
 def right_adjoint_candidate(r):

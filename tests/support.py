@@ -18,6 +18,7 @@ from lawcat.quantale import Quantale, builtin_quantales, validate_quantale
 from lawcat.quniform import QuasiUniformity
 from lawcat.tvcat import (
     Exponential,
+    TVCategory,
     check_tvfunctor,
     hom_xi_category,
     is_tvbimodule,
@@ -178,6 +179,39 @@ def oracle_largest_structure(expo):
         if check_evaluation_functor(cand)["ok"]:
             best = best.join(cand_m)
     return best
+
+
+def reference_check_tvfunctor(f, x, y):
+    """check_tvfunctor as the library wrote it before it read the order
+    table: a(s, p) <= b(Tf(s), f(p)) cell by cell through q.le, s-major."""
+    ext = x.ext
+    tf = ext.monad.tmap(f, x.n, y.n)
+    for s in range(ext.monad.size(x.n)):
+        for p in range(x.n):
+            if not ext.q.le(x.a.data[s][p], y.a.data[tf[s]][f[p]]):
+                return {"ok": False, "witness": (s, p)}
+    return {"ok": True}
+
+
+def reference_tensor_tvcat(x, y):
+    """tensor_tvcat as the library wrote it before it read the tensor
+    table: entry (w, (p, u)) is a(T pi_x w, p) (x) b(T pi_y w, u) through
+    q.tens, validated by VMatrix()."""
+    ext = x.ext
+    q = ext.q
+    monad = ext.monad
+    n = x.n * y.n
+    ext.check_budget("tensor carrier", monad.size(n) * n)
+    tpix, tpiy = ext.projections(x.n, y.n)
+    data = tuple(
+        tuple(
+            q.tens(x.a.data[tpix[w]][p], y.a.data[tpiy[w]][u])
+            for p in range(x.n)
+            for u in range(y.n)
+        )
+        for w in range(monad.size(n))
+    )
+    return TVCategory(ext, n, VMatrix(q, monad.size(n), n, data), name=f"{x.name}(x){y.name}")
 
 
 def check_embeds_maps(ext, samples=20, seed=1, size=3):

@@ -118,10 +118,10 @@ def test_xi_powerset_is_meet(ext_factory):
     xi = ext.xi()
     for mask in range(1 << q.n):
         members = [v for v in range(q.n) if mask & (1 << v)]
-        if members:
-            assert xi[mask] == q.meet_all(members)
-        else:
-            assert xi[mask] == q.top
+        meet = q.top
+        for v in members:
+            meet = q.meet_t[meet][v]
+        assert xi[mask] == meet
 
 
 def test_xi_ultra_is_principal_point(ext_factory):
@@ -137,6 +137,64 @@ def test_xi_em_laws_and_element_matrix_link(ext_factory, mname, qname):
 @pytest.mark.parametrize("mname,qname", PAIRS)
 def test_xi_is_structure_preserving(ext_factory, mname, qname):
     assert check_xi_functor(ext_factory(mname, qname))["ok"]
+
+
+def reference_check_xi(ext):
+    """check_xi as the library wrote it cell by cell through q.le, with
+    the multiplication law scanned over all of T^2(V)."""
+    q, monad, xi = ext.q, ext.monad, ext.xi()
+    n = q.n
+    tn = monad.size(n)
+    for u in range(n):
+        if xi[ext.unit_map(n)[u]] != u:
+            return {"ok": False, "law": "xi-unit", "witness": q.labels[u]}
+    mu = ext.mult_map(n)
+    txi = monad.tmap(xi, tn, n)
+    for big in range(monad.size(tn)):
+        if xi[mu[big]] != xi[txi[big]]:
+            return {"ok": False, "law": "xi-mult", "witness": big}
+    ti = ext.extend(VMatrix(q, 1, n, (tuple(range(n)),)))
+    tq_map = monad.tmap((0,) * n, n, 1)
+    for y in range(tn):
+        if ti.data[tq_map[y]][y] != xi[y]:
+            return {"ok": False, "law": "xi-Ti-link", "witness": y}
+        for x in range(monad.size(1)):
+            if not q.le(ti.data[x][y], xi[y]):
+                return {"ok": False, "law": "xi-Ti-bound", "witness": (x, y)}
+    return {"ok": True}
+
+
+def reference_xi_functor_failures(ext):
+    """check_xi_functor's failures, cell by cell through q.le and the hom table."""
+    q, xi = ext.q, ext.xi()
+    thom = ext.extend(VMatrix(q, q.n, q.n, q.hom_t))
+    tn = ext.monad.size(q.n)
+    return [
+        (x, y)
+        for x in range(tn)
+        for y in range(tn)
+        if not q.le(thom.data[x][y], q.hom_t[xi[x]][xi[y]])
+    ]
+
+
+@pytest.mark.parametrize("mname,qname", PAIRS)
+def test_xi_checks_match_their_references_on_altered_tables(monads, quantales, mname, qname):
+    # the algebra table as built, changed at one entry, and drawn at random
+    monad, q = monads[mname], quantales[qname]
+    good = LaxExtension(monad, q).xi()
+    rng = random.Random(f"xi/{mname}/{qname}")
+    tables = [good]
+    for _ in range(6):
+        bad = list(good)
+        bad[rng.randrange(len(bad))] = rng.randrange(q.n)
+        tables.append(tuple(bad))
+    tables += [tuple(rng.randrange(q.n) for _ in good) for _ in range(3)]
+    for xi in tables:
+        ext = LaxExtension(monad, q)
+        ext.cache[("xi",)] = xi
+        assert check_xi(ext) == reference_check_xi(ext)
+        failures = reference_xi_functor_failures(ext)
+        assert check_xi_functor(ext) == {"ok": not failures, "failures": failures}
 
 
 @pytest.mark.parametrize("mname,qname", PAIRS)

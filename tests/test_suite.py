@@ -147,8 +147,23 @@ def test_report_json_matches_json_dumps():
         assert report_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+class _Label(str):
+    pass
+
+
 @pytest.mark.parametrize(
-    "value", [1.5, {1, 2}, object(), [0.0], {"k": {"s": frozenset()}}, {1: "a"}, {("a",): 1}]
+    "value",
+    [
+        1.5,
+        {1, 2},
+        object(),
+        [0.0],
+        {"k": {"s": frozenset()}},
+        {1: "a"},
+        {("a",): 1},
+        ["a", _Label("b"), "c"],
+        {"k": _Label("v")},
+    ],
 )
 def test_report_json_refuses_other_types(value):
     from lawcat.suite import report_json

@@ -28,11 +28,20 @@ from lawcat.tvcat import (
     unit_tvcategory,
     yoneda,
     TVCategory,
+    _points,
     _transitivity_scan,
 )
 from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
 
-from support import check_evaluation_functor, closed_sets, induced_modules, is_category, oracle_largest_structure
+from support import (
+    check_evaluation_functor,
+    closed_sets,
+    induced_modules,
+    is_category,
+    oracle_largest_structure,
+    reference_check_tvfunctor,
+    reference_tensor_tvcat,
+)
 
 
 def functor_module_equivalence(f, x, y):
@@ -421,6 +430,39 @@ def test_kleisli_compose_matches_the_fibre_loop(ext_factory, mname, qname):
             assert kleisli_compose(ext, b, a, n_src) == fibre_loop_compose(ext, b, a, n_src)
     with pytest.raises(ValueError, match="kleisli shapes do not line up"):
         kleisli_compose(ext, rand(monad.size(2) + 1, 1), rand(monad.size(1), 2), 1)
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+@pytest.mark.parametrize("qname", ["2", "c3", "plus3"])
+def test_functor_and_tensor_match_their_cell_by_cell_references(ext_factory, mname, qname):
+    # check_tvfunctor and tensor_tvcat read the tables; the references read
+    # V through q.le and q.tens.  Random structures fail early and late,
+    # an all-top target and the identity into the structure itself pass.
+    ext = ext_factory(mname, qname)
+    q = ext.q
+    monad = ext.monad
+    rng = random.Random(f"functor/{mname}/{qname}")
+
+    def structure(n, value=None):
+        tn = monad.size(n)
+        rows = [[rng.randrange(q.n) if value is None else value for _ in range(n)] for _ in range(tn)]
+        return TVCategory(ext, n, VMatrix(q, tn, n, rows))
+
+    for nx, ny in itertools.product((0, 1, 2), repeat=2):
+        for _ in range(4):
+            x = structure(nx)
+            for y in (structure(ny), structure(ny, q.top)) + ((x,) if nx == ny else ()):
+                for f in itertools.product(range(ny), repeat=nx):
+                    assert check_tvfunctor(f, x, y) == reference_check_tvfunctor(f, x, y)
+                built, reference = tensor_tvcat(x, y), reference_tensor_tvcat(x, y)
+                assert (built.n, built.name, built.a) == (reference.n, reference.name, reference.a)
+                assert type(built.a.data) is tuple and all(type(row) is tuple for row in built.a.data)
+        assert check_tvfunctor(tuple(range(nx)), x, x) == {"ok": True}
+
+
+def test_points_reads_the_set_bits_lowest_first():
+    for mask in range(1 << 10):
+        assert _points(mask) == tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 @pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])

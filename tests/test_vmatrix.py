@@ -209,7 +209,7 @@ def test_right_adjoint_candidate_matches_full_scan():
 
 
 def reference_right_adjoint(r):
-    """Largest s with r.s <= 1_Y, through the quantale's method calls."""
+    """Largest s with r.s <= 1_Y, cell by cell from the meet and hom of q."""
     q = r.q
     data = []
     for y in range(r.cols):
@@ -217,7 +217,7 @@ def reference_right_adjoint(r):
         for x in range(r.rows):
             acc = q.top
             for z in range(r.cols):
-                acc = q.meet(acc, q.hom(r.data[x][z], q.unit if y == z else q.bottom))
+                acc = q.meet(acc, q.hom_t[r.data[x][z]][q.unit if y == z else q.bottom])
             row.append(acc)
         data.append(row)
     return VMatrix(q, r.cols, r.rows, data)
@@ -259,6 +259,19 @@ def test_trusted_builders_return_valid_matrices():
         for m, shape in built:
             assert (m.rows, m.cols) == shape
             assert m == VMatrix(q, m.rows, m.cols, m.data)
+            assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+    # transpose and from_map, at every shape up to 3 x 3 with 0 rows or 0
+    # columns included, against the cell-by-cell formulas
+    for nx, ny in itertools.product(range(4), repeat=2):
+        r = rand_matrix(rng, q, nx, ny)
+        built = [(r.transpose(), (ny, nx), [[r.data[x][y] for x in range(nx)] for y in range(ny)])]
+        if ny or not nx:
+            f = tuple(rng.randrange(ny) for _ in range(nx))
+            graph = [[q.unit if f[x] == y else q.bottom for y in range(ny)] for x in range(nx)]
+            built.append((VMatrix.from_map(q, f, nx, ny), (nx, ny), graph))
+        for m, shape, cells in built:
+            assert (m.rows, m.cols) == shape
+            assert m == VMatrix(q, m.rows, m.cols, cells)
             assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
 
 
