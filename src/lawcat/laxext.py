@@ -10,11 +10,10 @@ algebra structure xi on the quantale carrier, xi(s) = V{v | s in T(up v)}.
 from __future__ import annotations
 
 import random
-import threading
 import zlib
 
 from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
-from .monad import IdentityMonad
+from .monad import BoundedStore, IdentityMonad
 from .vmatrix import VMatrix, mcompose, postcompose_map, precompose_map
 
 # Cells (rows x columns, summed over the entries) one extend memo may hold.
@@ -24,29 +23,27 @@ MEMO_CELLS = 1 << 15
 
 
 class LaxExtension:
-    """A monad/quantale pair and the one owner of everything derived from it.
+    """A monad/quantale pair, its extension of V-matrices, and what derives from the pair alone.
 
     Construction refuses inadmissible combinations: the threshold-span
     formula only defines an extension when the unit is the top element
-    or T of the empty set is empty.  extend memoizes, over a monad other
-    than the identity, the extension of each matrix's quotient and of
-    each matrix with two or more columns.  That memo is the quantale's
-    q.extension_memos[monad]: T(m) depends only on the monad, the
-    quantale's tables and m, so every extension of the same pair shares
-    it, it holds at most MEMO_CELLS cells, and it is freed with the
-    quantale.  Sharing pays in a process that decides many structures
-    over one (T, V), each with an extension of its own: the suite, a
-    library sweep, perfbench's loop over cli.main.  A one-file
-    `lawcat complete FILE` starts with an empty memo and gains nothing.
-    unit_map, mult_map and mult_fibers read the monad's own tables
-    (FiniteMonad.unit_table, mult_table, mult_fibers), which depend on
-    nothing else and are kept there within monad.TABLE_ENTRIES entries.
-    Every other derived value (T of product projections, xi, its
-    compatibility report, capabilities, derived categories) is kept in
-    this instance's cache through cached, since some of them hold the
-    extension or were built under its budget.  max_enum is the one
-    budget of every enumeration built on this extension, enforced by
-    check_budget.
+    or T of the empty set is empty.  Each kept value lives with what it
+    depends on.  extend memoizes, over a monad other than the identity,
+    the extension of each matrix's quotient and of each matrix with two
+    or more columns in the quantale's q.extension_memos[monad], a
+    BoundedStore of MEMO_CELLS cells: T(m) depends only on the monad, the
+    quantale's tables and m, so every extension of the pair shares it,
+    and it is freed with the quantale.  Sharing pays in a process that
+    decides many structures over one (T, V), each with an extension of
+    its own: the suite, a library sweep, perfbench's loop over cli.main.
+    The unit and multiplication tables, their fibres and T of product
+    projections are read from the monad (FiniteMonad.unit_table, ...),
+    and a category keeps its own verdict and dual.  This instance's
+    cache, filled through cached, holds xi, its compatibility report,
+    the capabilities and the categories derived from the pair, since
+    some of them hold the extension or were built under its budget.
+    max_enum is the one budget of every enumeration built on this
+    extension, enforced by check_budget.
     """
 
     def __init__(self, monad, q, max_enum=DEFAULT_MAX_ENUM):
@@ -61,7 +58,7 @@ class LaxExtension:
         memo = q.extension_memos.get(monad)
         if memo is None:
             # built only on a miss; setdefault keeps one memo if threads race
-            memo = q.extension_memos.setdefault(monad, _Memo())
+            memo = q.extension_memos.setdefault(monad, BoundedStore(MEMO_CELLS, _cells))
         self._memo = memo
         self.cache = {}
 
@@ -79,30 +76,6 @@ class LaxExtension:
         """Refuse an enumeration of needed candidates above the budget."""
         if needed > self.max_enum:
             raise BudgetExceeded(what, needed, self.max_enum)
-
-    def unit_map(self, n):
-        return self.monad.unit_table(n)
-
-    def mult_map(self, n):
-        return self.monad.mult_table(n)
-
-    def mult_fibers(self, n):
-        """Preimage lists of the multiplication, indexed by T(n)."""
-        return self.monad.mult_fibers(n)
-
-    def projections(self, nx, ny):
-        """T of the two projections of the product carrier nx x ny.
-
-        The product is indexed row-major, (x, y) at x * ny + y.
-        """
-
-        def build():
-            pix = tuple(x for x in range(nx) for _ in range(ny))
-            piy = tuple(y for _ in range(nx) for y in range(ny))
-            monad = self.monad
-            return monad.tmap(pix, nx * ny, nx), monad.tmap(piy, nx * ny, ny)
-
-        return self.cached(("projections", nx, ny), build)
 
     def extend(self, m):
         """Extension T(m): T(rows) -|-> T(cols) of a matrix m.
@@ -217,30 +190,9 @@ def _threshold_extend(monad, q, m):
     return VMatrix.trusted(q, trows, tcols, tuple(map(tuple, out)))
 
 
-class _Memo(dict):
-    """An extend memo: extensions by key, with the cells they hold.
-
-    Lookups are plain dict reads; stores go through remember, which keeps
-    cells within MEMO_CELLS under its lock.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.cells = 0
-        self.lock = threading.Lock()
-
-    def remember(self, key, value):
-        size = value.rows * value.cols
-        if size > MEMO_CELLS:
-            return
-        with self.lock:
-            if key in self:
-                return
-            while self.cells + size > MEMO_CELLS:
-                old = self.pop(next(iter(self)))
-                self.cells -= old.rows * old.cols
-            self[key] = value
-            self.cells += size
+def _cells(m):
+    """The measure of an extend memo entry: its rows x columns."""
+    return m.rows * m.cols
 
 
 def _classes(vectors):
@@ -269,13 +221,13 @@ def check_xi(ext):
     xi = ext.xi()
     n = q.n
     tn = monad.size(n)
-    for u, s in enumerate(ext.unit_map(n)):
+    for u, s in enumerate(monad.unit_table(n)):
         if xi[s] != u:
             return {"ok": False, "law": "xi-unit", "witness": q.labels[u]}
     ttn = monad.size(tn)
     ext.check_budget("T^2 of quantale carrier", ttn)
     if any(xi[t] != xi[u] for t, u in monad.mult_image(xi, n, n)):
-        mu = ext.mult_map(n)
+        mu = monad.mult_table(n)
         txi = monad.tmap(xi, tn, n)
         for big in range(ttn):
             if xi[mu[big]] != xi[txi[big]]:
@@ -362,7 +314,7 @@ def check_xi_compat(ext, samples=20, seed=0):
         r = _random_matrix(rng, q, nx, ny)
         tr = ext.extend(r)
         r_map = tuple(r.data[x][y] for x in range(nx) for y in range(ny))
-        tpix, tpiy = ext.projections(nx, ny)
+        tpix, tpiy = monad.projections(nx, ny)
         tor = monad.tmap(r_map, nx * ny, n)
         joined = [[q.bottom] * tr.cols for _ in range(tr.rows)]
         for a, b, t in zip(tpix, tpiy, tor):
@@ -429,16 +381,16 @@ def check_extension_laws(ext, samples=25, seed=None, size=2):
         a2 = a.join(_random_matrix(rng, q, nx, ny))
         note("c", ta.le(ext.extend(a2)), (a.data, a2.data))
 
-        e_x = ext.unit_map(nx)
-        e_y = ext.unit_map(ny)
+        e_x = monad.unit_table(nx)
+        e_y = monad.unit_table(ny)
         lhs_d = postcompose_map(e_y, monad.size(ny), a)
         rhs_d = precompose_map(ta, e_x, nx)
         note("d", lhs_d.le(rhs_d), a.data)
 
         try:
             t2a = ext.extend(ta)
-            mu_y = ext.mult_map(ny)
-            mu_x = ext.mult_map(nx)
+            mu_y = monad.mult_table(ny)
+            mu_x = monad.mult_table(nx)
             lhs_e = postcompose_map(mu_y, monad.size(ny), t2a)
             rhs_e = precompose_map(ta, mu_x, monad.size(monad.size(nx)))
             note("e", lhs_e.le(rhs_e), a.data)

@@ -15,74 +15,103 @@ from .errors import BudgetExceeded
 
 HARD_CARRIER_CAP = 1 << 20
 
-# Entries, summed over the tables, that one monad keeps of its unit and
-# multiplication tables and multiplication fibres.  A store past it evicts
-# the oldest tables first; a table larger than the whole bound is built on
-# every request and not kept.  It holds every powerset table up to 4
-# points (the multiplication table and its fibres at 4 points have 2^16
-# entries each).
+# Ints held, summed over the kept values, that one monad's table store may
+# hold: its unit and multiplication tables, multiplication fibres and T of
+# product projections.  It holds every powerset table up to 4 points (the
+# multiplication table and its fibres at 4 points hold 2^16 ints each).
 TABLE_ENTRIES = 1 << 17
+
+
+class BoundedStore(dict):
+    """A dict of kept values whose measures sum to at most limit.
+
+    Lookups are plain dict reads.  remember(key, value) stores under one
+    lock, evicting the oldest entries first, and returns value; a value
+    whose measure exceeds limit is returned without being stored.  size is
+    the sum of the measures of the stored values.
+    """
+
+    def __init__(self, limit, measure):
+        super().__init__()
+        self.limit = limit
+        self.measure = measure
+        self.size = 0
+        self._lock = threading.Lock()
+
+    def remember(self, key, value):
+        size = self.measure(value)
+        if size <= self.limit:
+            with self._lock:
+                if key not in self:
+                    while self.size + size > self.limit:
+                        self.size -= self.measure(self.pop(next(iter(self))))
+                    self[key] = value
+                    self.size += size
+        return value
+
+
+def _ints_held(table):
+    """The ints in an index table, or in a tuple of index tables."""
+    if table and isinstance(table[0], tuple):
+        return sum(map(len, table))
+    return len(table)
 
 
 class FiniteMonad:
     """Interface: size, functor action, unit, multiplication, labels.
 
-    unit_table, mult_table and mult_fibers are the unit and
-    multiplication index tables kept on the monad, since they depend on
-    nothing else: a process that decides many structures over one monad
-    builds each once, within TABLE_ENTRIES.  capabilities is
+    unit_map and mult_map build the unit and multiplication tables;
+    unit_table, mult_table, mult_fibers and projections are the tables
+    every construction reads, kept in the monad's own BoundedStore of
+    TABLE_ENTRIES ints, since they depend on nothing but the monad: a
+    process that decides many structures over one monad builds each
+    once, and every extension of the monad shares them.  capabilities is
     monad_capabilities, computed once.
     """
 
     name = "?"
 
     def __init__(self):
-        self._tables = {}
-        self._sizes = {}
-        self._entries = 0
-        self._lock = threading.Lock()
+        self._tables = BoundedStore(TABLE_ENTRIES, _ints_held)
         self._capabilities = None
-
-    def _keep(self, key, table, entries):
-        """table, kept under key with its number of entries within
-        TABLE_ENTRIES, the oldest tables evicted first."""
-        if entries <= TABLE_ENTRIES:
-            with self._lock:
-                if key not in self._tables:
-                    while self._entries + entries > TABLE_ENTRIES:
-                        old = next(iter(self._tables))
-                        del self._tables[old]
-                        self._entries -= self._sizes.pop(old)
-                    self._tables[key] = table
-                    self._sizes[key] = entries
-                    self._entries += entries
-        return table
 
     def unit_table(self, n):
         """unit_map(n), kept."""
         table = self._tables.get(("unit", n))
         if table is None:
-            table = self._keep(("unit", n), self.unit_map(n), n)
+            table = self._tables.remember(("unit", n), self.unit_map(n))
         return table
 
     def mult_table(self, n):
         """mult_map(n), kept."""
         table = self._tables.get(("mult", n))
         if table is None:
-            table = self.mult_map(n)
-            self._keep(("mult", n), table, len(table))
+            table = self._tables.remember(("mult", n), self.mult_map(n))
         return table
 
     def mult_fibers(self, n):
         """Preimage lists of the multiplication, indexed by T(n), kept."""
         fibers = self._tables.get(("fibers", n))
         if fibers is None:
-            mult = self.mult_table(n)
             fibers = [[] for _ in range(self.size(n))]
-            for big, small in enumerate(mult):
+            for big, small in enumerate(self.mult_table(n)):
                 fibers[small].append(big)
-            fibers = self._keep(("fibers", n), tuple(tuple(f) for f in fibers), len(mult))
+            fibers = self._tables.remember(("fibers", n), tuple(map(tuple, fibers)))
         return fibers
+
+    def projections(self, nx, ny):
+        """T of the two projections of the product carrier nx x ny, kept.
+
+        The product is indexed row-major, (x, y) at x * ny + y.
+        """
+        key = ("projections", nx, ny)
+        pair = self._tables.get(key)
+        if pair is None:
+            pix = tuple(x for x in range(nx) for _ in range(ny))
+            piy = tuple(y for _ in range(nx) for y in range(ny))
+            pair = (self.tmap(pix, nx * ny, nx), self.tmap(piy, nx * ny, ny))
+            pair = self._tables.remember(key, pair)
+        return pair
 
     def capabilities(self):
         """monad_capabilities(self), computed on the first call and kept."""
@@ -121,7 +150,7 @@ class FiniteMonad:
         on this set.  This default zips the two full tables; it is the
         reference that every override must equal as a set.
         """
-        return frozenset(zip(self.mult_map(n), self.tmap(g, self.size(n), k)))
+        return frozenset(zip(self.mult_table(n), self.tmap(g, self.size(n), k)))
 
     def tmap_image(self, maps, n):
         """The distinct tuples (T(f)(w) for (f, k) in maps) for w in T(n).
@@ -246,10 +275,7 @@ class PowersetMonad(FiniteMonad):
         return frozenset(tuple(p >> off & mask for off, mask in fields) for p in packed)
 
     def labels(self, n, base):
-        return tuple(
-            "{" + ",".join(base[b] for b in range(n) if mask & (1 << b)) + "}"
-            for mask in range(1 << n)
-        )
+        return subset_labels(base[:n])
 
     def row_lookup(self, col_index):
         # A subset's label names its points in increasing order, so it is
@@ -293,6 +319,15 @@ class PowersetMonad(FiniteMonad):
                 if (a & ~pre_of[b]) == 0 and (b & ~sa) == 0:
                     out.append((a, b))
         return frozenset(out)
+
+
+def subset_labels(base):
+    """The label of each subset of base, indexed by its bitmask: its points
+    in increasing order, "{a,b}", as PowersetMonad.row_lookup reads back."""
+    return tuple(
+        "{" + ",".join(label for b, label in enumerate(base) if mask >> b & 1) + "}"
+        for mask in range(1 << len(base))
+    )
 
 
 def _union_closure(gens):
@@ -352,7 +387,7 @@ def m_square_gap(monad, f, nx, ny):
     """
     tf = monad.tmap(f, nx, ny)
     ttf = monad.tmap(tf, monad.size(nx), monad.size(ny))
-    mu_x, mu_y = monad.mult_map(nx), monad.mult_map(ny)
+    mu_x, mu_y = monad.mult_table(nx), monad.mult_table(ny)
     achieved = {(ttf[s], mu_x[s]) for s in range(monad.size(monad.size(nx)))}
     for alpha in range(monad.size(monad.size(ny))):
         for beta in range(monad.size(nx)):

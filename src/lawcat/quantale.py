@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import QuantaleMismatch
+from .monad import subset_labels
 
 
 class Quantale:
@@ -292,11 +293,7 @@ def powerset_quantale(base_labels, name=None):
     """Powerset of a finite set with tensor = intersection, unit = whole set."""
     k = len(base_labels)
     n = 1 << k
-
-    def label(mask):
-        return "{" + ",".join(base_labels[b] for b in range(k) if mask & (1 << b)) + "}"
-
-    labels = [label(m) for m in range(n)]
+    labels = subset_labels(base_labels)
     leq = [[(i & j) == i for j in range(n)] for i in range(n)]
     tensor = [[i & j for j in range(n)] for i in range(n)]
     return _finish(Quantale(name or f"pset{k}", labels, leq, tensor, unit=n - 1))

@@ -26,7 +26,8 @@ class TVCategory:
     known: passed by a constructor that has just run the check
     (tvcategory, all_tvcategories, the CLI), or kept by verdict().  None
     means not yet checked; a category's (T, V) and matrix never change,
-    so neither does its verdict.
+    so neither does its verdict, nor its dual, which dual_tvcategory
+    builds on the first call and keeps here.
     """
 
     def __init__(self, ext, n, a, name="", checked=None):
@@ -37,6 +38,7 @@ class TVCategory:
         self.a = a
         self.name = name
         self.checked = checked
+        self._dual = None
 
     def verdict(self):
         """check_tvcategory on this structure, run on the first call only."""
@@ -92,7 +94,7 @@ def check_tvcategory(ext, n, a):
     monad = ext.monad
     data = a.data
     leq_k = q.leq[q.unit]
-    for x, s in enumerate(ext.unit_map(n)):
+    for x, s in enumerate(monad.unit_table(n)):
         if not leq_k[data[s][x]]:
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     tn = monad.size(n)
@@ -128,7 +130,7 @@ def _transitive(q, a):
 
 def _transitivity_scan(ext, n, a):
     """(T) over every s in T(T(n)) in order: the reference and witness finder."""
-    mu = ext.mult_map(n)
+    mu = ext.monad.mult_table(n)
     reads = zip(range(len(mu)), mu, ext.extend(a).data)
     failure = _first_failure(ext.q, a, ext.monad.size(n), reads)
     if failure is None:
@@ -287,7 +289,7 @@ def order_tvcategory(ext, order, name=""):
     n = order.n
     pick = (q.bottom, q.unit)
     data = [(q.bottom,) * n] * ext.monad.size(n)
-    for s, mask in zip(ext.unit_map(n), order.up):
+    for s, mask in zip(ext.monad.unit_table(n), order.up):
         data[s] = tuple([pick[mask >> y & 1] for y in range(n)])
     checked = {"ok": True} if isinstance(ext.monad, IdentityMonad) else None
     return TVCategory(ext, n, VMatrix.trusted(q, len(data), n, tuple(data)), name, checked)
@@ -305,7 +307,7 @@ def em_algebra_category(ext, n):
     def build():
         tn = ext.monad.size(n)
         ttn = ext.monad.size(tn)
-        m_emb = VMatrix.from_map(ext.q, ext.mult_map(n), ttn, tn)
+        m_emb = VMatrix.from_map(ext.q, ext.monad.mult_table(n), ttn, tn)
         return tvcategory(ext, tn, m_emb, name=f"|{n}|")
 
     return ext.cached(("em", n), build)
@@ -350,7 +352,7 @@ def kleisli_compose(ext, b, a, n_src):
     ta = ext.extend(a).data
     bdata, cols = b.data, range(b.cols)
     out = []
-    for fiber in ext.mult_fibers(n_src):
+    for fiber in monad.mult_fibers(n_src):
         trow = ta[fiber[0]] if len(fiber) == 1 else _fibre_row(q, ta, fiber)
         row = [bot] * b.cols
         for t, u in enumerate(trow):
@@ -379,21 +381,18 @@ def _fibre_row(q, ta, fiber):
     return tuple(row)
 
 
-def _fibre_rows(ext, a, n_src):
-    """T(a) . m-transpose as plain rows, one per s in T(n_src): row s is
-    _fibre_row over the fibre of m at s, or T(a)'s row itself for a
-    one-element fibre."""
-    q = ext.q
-    ta = ext.extend(a).data
-    return [
-        ta[fiber[0]] if len(fiber) == 1 else _fibre_row(q, ta, fiber)
-        for fiber in ext.mult_fibers(n_src)
-    ]
-
-
 def kleisli_table(x):
-    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x."""
-    return _fibre_rows(x.ext, x.a, x.n)
+    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x.
+
+    Row s is _fibre_row over the fibre of m at s, or Ta's row itself for a
+    one-element fibre.
+    """
+    ext = x.ext
+    ta = ext.extend(x.a).data
+    return [
+        ta[fiber[0]] if len(fiber) == 1 else _fibre_row(ext.q, ta, fiber)
+        for fiber in ext.monad.mult_fibers(x.n)
+    ]
 
 
 def check_tvfunctor(f, x, y):
@@ -418,17 +417,17 @@ def is_tvbimodule(psi, x, y):
 
 
 def dual_tvcategory(x):
-    """Dual category on carrier TX via the algebra and forgetful round trip."""
-    ext = x.ext
-
-    def build():
-        tn = ext.monad.size(x.n)
+    """Dual category on carrier TX via the algebra and forgetful round trip,
+    built on the first call and kept on x."""
+    if x._dual is None:
+        ext = x.ext
+        monad = ext.monad
+        tn = monad.size(x.n)
         ta = ext.extend(x.a)
-        c = postcompose_map(ext.mult_map(x.n), tn, ta.transpose())
-        a_op = select_cols(ext.extend(c), ext.unit_map(tn))
-        return TVCategory(ext, tn, a_op, name=f"{x.name or x.n}^op")
-
-    return ext.cached(("dual", x.n, x.a.data), build)
+        c = postcompose_map(monad.mult_table(x.n), tn, ta.transpose())
+        a_op = select_cols(ext.extend(c), monad.unit_table(tn))
+        x._dual = TVCategory(ext, tn, a_op, name=f"{x.name or x.n}^op")
+    return x._dual
 
 
 def tensor_tvcat(x, y):
@@ -442,7 +441,7 @@ def tensor_tvcat(x, y):
     monad = ext.monad
     n = x.n * y.n
     ext.check_budget("tensor carrier", monad.size(n) * n)
-    tpix, tpiy = ext.projections(x.n, y.n)
+    tpix, tpiy = monad.projections(x.n, y.n)
     tens, xdata, ydata = q.tensor, x.a.data, y.a.data
     data = tuple(
         tuple([tens_u[v] for tens_u in map(tens.__getitem__, xdata[r]) for v in ydata[c]])
@@ -511,7 +510,8 @@ def exponentiable(x):
     ext = x.ext
     ta = ext.extend(x.a)
     lhs = mcompose(x.a, ta)
-    rhs = precompose_map(x.a, ext.mult_map(x.n), ext.monad.size(ext.monad.size(x.n)))
+    monad = ext.monad
+    rhs = precompose_map(x.a, monad.mult_table(x.n), monad.size(monad.size(x.n)))
     return lhs == rhs
 
 
@@ -558,7 +558,7 @@ def exponential_tvcat(x, y):
     nf = len(funcs)
     npair = x.n * nf
     ext.check_budget("exponential structure sweep", monad.size(npair) * nf)
-    tpix, tpif = ext.projections(x.n, nf)
+    tpix, tpif = monad.projections(x.n, nf)
     ev = tuple(funcs[i][p] for p in range(x.n) for i in range(nf))
     tev = monad.tmap(ev, npair, y.n)
     rows = monad.size(nf)

@@ -151,7 +151,7 @@ def _evaluation_cells(expo):
     q = ext.q
     nf = expo.n
     npair = x.n * nf
-    tpix, tpif = ext.projections(x.n, nf)
+    tpix, tpif = ext.monad.projections(x.n, nf)
     ev = tuple(expo.carrier[i][p] for p in range(x.n) for i in range(nf))
     tev = ext.monad.tmap(ev, npair, y.n)
     admits = [[(True,) * q.n for _ in range(nf)] for _ in range(ext.monad.size(nf))]
@@ -202,7 +202,7 @@ def reference_tensor_tvcat(x, y):
     monad = ext.monad
     n = x.n * y.n
     ext.check_budget("tensor carrier", monad.size(n) * n)
-    tpix, tpiy = ext.projections(x.n, y.n)
+    tpix, tpiy = ext.monad.projections(x.n, y.n)
     data = tuple(
         tuple(
             q.tens(x.a.data[tpix[w]][p], y.a.data[tpiy[w]][u])

@@ -802,7 +802,7 @@ def reflexive_categories(ext, n):
     carries its verdict."""
     q = ext.q
     tn = ext.monad.size(n)
-    e = ext.unit_map(n)
+    e = ext.monad.unit_table(n)
     free = [(s, p) for s in range(tn) for p in range(n) if s != e[p]]
     cats = []
     for flat in itertools.product(range(q.n), repeat=len(free)):
@@ -973,7 +973,7 @@ def test_theorem_path_runs_only_over_a_join_prime_unit(monkeypatch, monads, quan
         assert seen["columns"] == (cats if mname == "powerset" else [])
         for x, psi in seen["checked"]:
             kc = kleisli_table(x)
-            settled = list(ext.unit_map(x.n)) + ([0] if x.n else [])
+            settled = list(ext.monad.unit_table(x.n)) + ([0] if x.n else [])
             assert psi not in [tuple([row[t] for row in kc]) for t in settled], x.a.data
         # over powerset the column of the whole carrier is still checked
         assert bool(seen["checked"]) == (mname == "powerset")
@@ -1101,7 +1101,7 @@ def test_v_over_powerset_has_the_walks_pairs(ext_factory, qname):
     walk = _generic_pairs(x, kleisli_table(x))
     assert [p.key() for p in verdict["pairs"]] == sorted(p.key() for p in walk)
     assert verdict["complete"] and verdict["pair_count"] in (2, 3)
-    k_dot = ext.unit_map(ext.q.n)[ext.q.unit]
+    k_dot = ext.monad.unit_table(ext.q.n)[ext.q.unit]
     assert [p.representative for p in verdict["pairs"]] == [p.psi.data[k_dot][0] for p in verdict["pairs"]]
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import itertools
@@ -146,9 +147,9 @@ def reference_check_xi(ext):
     n = q.n
     tn = monad.size(n)
     for u in range(n):
-        if xi[ext.unit_map(n)[u]] != u:
+        if xi[monad.unit_map(n)[u]] != u:
             return {"ok": False, "law": "xi-unit", "witness": q.labels[u]}
-    mu = ext.mult_map(n)
+    mu = monad.mult_map(n)
     txi = monad.tmap(xi, tn, n)
     for big in range(monad.size(tn)):
         if xi[mu[big]] != xi[txi[big]]:
@@ -195,6 +196,65 @@ def test_xi_checks_match_their_references_on_altered_tables(monads, quantales, m
         assert check_xi(ext) == reference_check_xi(ext)
         failures = reference_xi_functor_failures(ext)
         assert check_xi_functor(ext) == {"ok": not failures, "failures": failures}
+
+
+class AlteredTi(LaxExtension):
+    """An extension whose T(i), the extension of the 1 x n matrix
+    (0, ..., n-1), has each cell of changes set to its value."""
+
+    def __init__(self, monad, q, changes):
+        super().__init__(monad, q)
+        self.changes = changes
+
+    def extend(self, m):
+        out = super().extend(m)
+        if m.rows == 1 and m.data == (tuple(range(self.q.n)),):
+            rows = [list(row) for row in out.data]
+            for (x, y), v in self.changes.items():
+                rows[x][y] = v
+            out = VMatrix(self.q, out.rows, out.cols, rows)
+        return out
+
+
+@pytest.mark.parametrize("mname", ["powerset", "id"])
+@pytest.mark.parametrize("qname", ["2", "c3", "plus3", "pset2"])
+def test_xi_ti_checks_match_the_reference_on_altered_extensions(monads, quantales, mname, qname):
+    # one or two cells of T(i) changed at random; over the identity monad
+    # T(1) has one row, the link row, so only the link law can fail there
+    monad, q = monads[mname], quantales[qname]
+    ti = LaxExtension(monad, q).extend(VMatrix(q, 1, q.n, (tuple(range(q.n)),))).data
+    cells = list(itertools.product(range(len(ti)), range(len(ti[0]))))
+    rng = random.Random(f"ti/{mname}/{qname}")
+    laws = []
+    for _ in range(40):
+        changes = {cell: rng.randrange(q.n) for cell in rng.sample(cells, rng.randint(1, 2))}
+        ext = AlteredTi(monad, q, changes)
+        verdict = check_xi(ext)
+        assert verdict == reference_check_xi(ext), changes
+        laws.append(verdict.get("law"))
+    assert set(laws) == ({None, "xi-Ti-link", "xi-Ti-bound"} if mname == "powerset" else {None, "xi-Ti-link"})
+
+
+@pytest.mark.parametrize("qname", ["2", "c3", "plus3", "pset2"])
+def test_xi_ti_bound_is_checked_at_the_empty_set(monads, quantales, qname):
+    # The join of each subset is an algebra for the powerset monad too, with
+    # xi(empty) = bottom where the built xi has top.  T(i) set to it on the
+    # link cells passes; raised to top at ({0}, empty) it fails the bound
+    # there and nowhere else.
+    monad, q = monads["powerset"], quantales[qname]
+    join_xi = tuple(
+        functools.reduce(lambda u, b: q.join_t[u][b], (b for b in range(q.n) if s >> b & 1), q.bottom)
+        for s in range(monad.size(q.n))
+    )
+    tq = monad.tmap((0,) * q.n, q.n, 1)
+    link = {(t, y): v for y, (t, v) in enumerate(zip(tq, join_xi))}
+    for changes, expected in (
+        (link, {"ok": True}),
+        ({**link, (1, 0): q.top}, {"ok": False, "law": "xi-Ti-bound", "witness": (1, 0)}),
+    ):
+        ext = AlteredTi(monad, q, changes)
+        ext.cache[("xi",)] = join_xi
+        assert check_xi(ext) == reference_check_xi(ext) == expected
 
 
 @pytest.mark.parametrize("mname,qname", PAIRS)
@@ -299,12 +359,12 @@ def test_an_extend_memo_is_built_only_when_missing(monads, quantales, validated_
 
     built = []
 
-    class Counted(lawcat.laxext._Memo):
-        def __init__(self):
-            super().__init__()
+    class Counted(lawcat.laxext.BoundedStore):
+        def __init__(self, limit, measure):
+            super().__init__(limit, measure)
             built.append(self)
 
-    monkeypatch.setattr(lawcat.laxext, "_Memo", Counted)
+    monkeypatch.setattr(lawcat.laxext, "BoundedStore", Counted)
     powerset = monads["powerset"]
     q = validated_copy(quantales["c3"])
     first, second = LaxExtension(powerset, q), LaxExtension(powerset, q)
@@ -352,7 +412,7 @@ def test_the_memo_is_bounded_in_cells(monads, quantales, validated_copy, monkeyp
         m = rand_matrix(rng, q, rng.randrange(1, 5), rng.randrange(1, 4))
         before = list(ext._memo)
         assert ext.extend(m) == _threshold_extend(monad, q, m), m.data
-        assert ext._memo.cells == _memo_cells(ext._memo) <= 200
+        assert ext._memo.size == _memo_cells(ext._memo) <= 200
         stored += [key for key in ext._memo if key not in before]
     # the oldest entries went first: what is left is the last stored
     assert len(stored) > len(ext._memo) and list(ext._memo) == stored[-len(ext._memo):]
@@ -371,7 +431,7 @@ def test_large_extensions_stay_out_of_a_builtin_memo(monads, quantales):
     for rows, cols in ((9, 7), (8, 7), (6, 6), (7, 6), (6, 7), (8, 6), (6, 8)):
         m = rand_matrix(rng, q, rows, cols)
         assert ext.extend(m) == _threshold_extend(monad, q, m)
-        assert memo.cells == _memo_cells(memo) <= laxext.MEMO_CELLS
+        assert memo.size == _memo_cells(memo) <= laxext.MEMO_CELLS
     # the largest was never stored, and the one that filled the budget was
     # evicted by the later ones
     assert max(value.rows * value.cols for value in memo.values()) < laxext.MEMO_CELLS
@@ -404,7 +464,7 @@ def test_threads_share_one_bounded_memo(monads, quantales, validated_copy, monke
     assert not any(t.is_alive() for t in threads)
     assert not errors and len(checked) == 4 * 500
     memo = q.extension_memos[monad]
-    assert memo.cells == _memo_cells(memo) <= 100
+    assert memo.size == _memo_cells(memo) <= 100
 
 
 def _warm_budget_sites():
@@ -673,9 +733,9 @@ def test_derived_state_is_built_once_in_the_extension_cache():
     ext = LaxExtension(PowersetMonad(), builtin("2"))
     x = discrete_tvcategory(ext, 2)
     derived = [
-        lambda: ext.unit_map(2),
-        lambda: ext.mult_map(2),
-        lambda: ext.mult_fibers(2),
+        lambda: ext.monad.unit_table(2),
+        lambda: ext.monad.mult_table(2),
+        lambda: ext.monad.mult_fibers(2),
         ext.xi,
         ext.capabilities,
         lambda: ext.extend(x.a),
@@ -691,7 +751,7 @@ def test_derived_state_is_built_once_in_the_extension_cache():
 
 def _site_projections(monad, nx, ny):
     """Reference: pix and piy as tensor_tvcat, exponential_tvcat and
-    check_xi_compat each built them before they read ext.projections."""
+    check_xi_compat each built them before they read monad.projections."""
     pix = tuple(p for p in range(nx) for _ in range(ny))
     piy = tuple(u for _ in range(nx) for u in range(ny))
     return monad.tmap(pix, nx * ny, nx), monad.tmap(piy, nx * ny, ny)
@@ -702,10 +762,11 @@ def test_projections_match_the_per_site_tables(monads, quantales, mname):
     ext = LaxExtension(monads[mname], quantales["2"])
     shapes = list(itertools.product(range(4), repeat=2))
     for nx, ny in shapes:
-        assert ext.projections(nx, ny) == _site_projections(ext.monad, nx, ny)
-        assert ext.projections(nx, ny) is ext.projections(nx, ny)
-    keys = [key for key in ext.cache if key[0] == "projections"]
-    assert sorted(keys) == [("projections", nx, ny) for nx, ny in shapes]
+        assert ext.monad.projections(nx, ny) == _site_projections(ext.monad, nx, ny)
+        assert ext.monad.projections(nx, ny) is ext.monad.projections(nx, ny)
+    # kept in the monad's table store, not in the extension's cache
+    assert all(("projections", nx, ny) in ext.monad._tables for nx, ny in shapes)
+    assert not any(key[0] == "projections" for key in ext.cache)
 
 
 @pytest.mark.parametrize("qname", ["2", "c3", "c4", "plus3"])
@@ -738,7 +799,7 @@ def reference_tensor_flags(ext):
     n = q.n
     xi = ext.xi()
     tens_map = tuple(q.tensor[u][v] for u in range(n) for v in range(n))
-    tpi1, tpi2 = ext.projections(n, n)
+    tpi1, tpi2 = ext.monad.projections(n, n)
     ttens = ext.monad.tmap(tens_map, n * n, n)
     sides = [(q.tensor[xi[s1]][xi[s2]], xi[st]) for s1, s2, st in zip(tpi1, tpi2, ttens)]
     return {

@@ -6,14 +6,18 @@ import pytest
 from lawcat.errors import BudgetExceeded
 from lawcat.monad import (
     HARD_CARRIER_CAP,
+    BoundedStore,
     FiniteMonad,
     PowersetMonad,
     _all_functions,
+    _ints_held,
     builtin_monad,
     builtin_monads,
     check_bc,
     monad_capabilities,
 )
+
+from lawcat.vmatrix import VMatrix
 
 from support import principal_ultrafilter
 
@@ -351,24 +355,89 @@ def test_tables_are_kept_on_the_monad_within_the_bound(monkeypatch):
     assert fibers is m.mult_fibers(2)
     mu = m.mult_map(2)
     assert fibers == tuple(tuple(big for big in range(16) if mu[big] == s) for s in range(4))
-    # every extension of the monad reads the same tables and keeps none
+    # every extension of the monad reads the monad's tables and keeps none
+    kept = ("unit_map", "mult_map", "mult_fibers", "projections")
+    assert not any(hasattr(LaxExtension, name) for name in kept)
     first, second = LaxExtension(m, builtin("2")), LaxExtension(m, builtin("c3"))
-    assert first.mult_fibers(2) is second.mult_fibers(2) is fibers
-    assert first.unit_map(3) is m.unit_table(3) and first.mult_map(2) is m.mult_table(2)
     for x in all_tvcategories(first, 2):
         decide_lawvere_complete(x)
-    assert not any(key[0] in ("unit_map", "mult_map", "mult_fibers") for key in first.cache)
+    assert first.monad.mult_fibers(2) is second.monad.mult_fibers(2) is fibers
+    assert not any(key[0] in kept for key in first.cache)
     # past the bound the oldest tables go first; a larger table is not kept
     monkeypatch.setattr(monad_module, "TABLE_ENTRIES", 20)
     m = PowersetMonad()
     m.mult_table(2)
     m.unit_table(2)
-    assert (list(m._tables), m._entries) == ([("mult", 2), ("unit", 2)], 18)
+    assert (list(m._tables), m._tables.size) == ([("mult", 2), ("unit", 2)], 18)
     m.mult_table(1)
-    assert (list(m._tables), m._entries) == ([("unit", 2), ("mult", 1)], 6)
+    assert (list(m._tables), m._tables.size) == ([("unit", 2), ("mult", 1)], 6)
     assert m.mult_table(3) == m.mult_map(3) and m.mult_table(3) is not m.mult_table(3)
-    assert (list(m._tables), m._entries) == ([("unit", 2), ("mult", 1)], 6)
-    assert m._sizes == {("unit", 2): 2, ("mult", 1): 4}
+    assert (list(m._tables), m._tables.size) == ([("unit", 2), ("mult", 1)], 6)
+    assert {key: m._tables.measure(t) for key, t in m._tables.items()} == {("unit", 2): 2, ("mult", 1): 4}
+
+
+def reference_store(limit, measure, stores):
+    """The (key, value) pairs a BoundedStore keeps after stores, oldest
+    first: a value over limit or under a kept key is dropped, and the
+    oldest pairs go until the new one fits."""
+    kept = []
+    for key, value in stores:
+        size = measure(value)
+        if size > limit or any(k == key for k, _ in kept):
+            continue
+        while sum(measure(v) for _, v in kept) + size > limit:
+            kept.pop(0)
+        kept.append((key, value))
+    return kept
+
+
+def test_a_bounded_store_keeps_the_newest_values_within_its_limit():
+    from lawcat.laxext import _cells
+    from lawcat.quantale import builtin
+
+    # measure "ints held": index tables, and tuples of them (fibres,
+    # projection pairs)
+    store = BoundedStore(10, _ints_held)
+    fibers = ((0, 1), (2,), ())
+    assert store.remember("unit", (0, 1, 2)) == (0, 1, 2)
+    assert store.remember("fibers", fibers) is fibers
+    assert (list(store), store.size) == (["unit", "fibers"], 6)
+    big = tuple(range(11))
+    assert store.remember("big", big) is big and "big" not in store
+    store.remember("mult", (5,) * 5)
+    assert (list(store), store.size) == (["fibers", "mult"], 8)
+    store.remember("fibers", (9,))
+    assert store["fibers"] is fibers and store.size == 8
+    # measure rows x cols: extend memo entries
+    q = builtin("c3")
+    memo = BoundedStore(12, _cells)
+    shapes = ((2, 3), (3, 2), (1, 1), (4, 4), (2, 2), (2, 5), (3, 3))
+    matrices = [VMatrix(q, r, c, [[0] * c for _ in range(r)]) for r, c in shapes]
+    for i, m in enumerate(matrices[:5]):
+        memo.remember(i, m)
+    # 6 + 6 cells, then 1 evicts the first 6, 16 is too large, 4 fits
+    assert (list(memo), memo.size) == ([1, 2, 4], 6 + 1 + 4)
+    # random stores against the reference, for both measures
+    rng = random.Random("bounded-store")
+    for limit, measure, draw in (
+        (40, _ints_held, lambda: tuple(range(rng.randrange(12)))),
+        (40, _ints_held, lambda: tuple(tuple(range(rng.randrange(4))) for _ in range(rng.randrange(1, 5)))),
+        (30, _cells, lambda: matrices[rng.randrange(len(matrices))]),
+    ):
+        store = BoundedStore(limit, measure)
+        stores = [(rng.randrange(20), draw()) for _ in range(300)]
+        for key, value in stores:
+            assert store.remember(key, value) is value
+            assert store.size == sum(map(measure, store.values())) <= limit
+        assert list(store.items()) == reference_store(limit, measure, stores)
+
+
+def test_powerset_quantales_are_labelled_as_the_powerset_monad_labels_rows():
+    from lawcat.quantale import builtin
+
+    for k in (1, 2, 3):
+        base = ("a", "b", "c")[:k]
+        assert builtin(f"pset{k}").labels == PowersetMonad().labels(k, base)
 
 
 def test_row_lookup_reads_exactly_the_row_labels():
@@ -432,5 +501,5 @@ def test_threads_share_one_bounded_table_store(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors and len(checked) == 6 * 300
-    assert list(m._sizes) == list(m._tables)
-    assert m._entries == sum(m._sizes.values()) <= 40
+    assert all(key[0] in ("unit", "mult", "fibers") and key[1] < 4 for key in m._tables)
+    assert m._tables.size == sum(map(m._tables.measure, m._tables.values())) <= 40

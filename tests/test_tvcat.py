@@ -67,8 +67,8 @@ def algebra_compose(ext, a0, alpha, n):
     """
     q = ext.q
     monad = ext.monad
-    e = ext.unit_map(n)
-    mu = ext.mult_map(n)
+    e = ext.monad.unit_table(n)
+    mu = ext.monad.mult_table(n)
     if any(alpha[e[p]] != p for p in range(n)):
         raise ValueError("alpha is not unital")
     talpha = monad.tmap(alpha, monad.size(n), n)
@@ -146,10 +146,10 @@ def yoneda0(x):
     q = ext.q
     monad = ext.monad
     tn = monad.size(x.n)
-    e = ext.unit_map(x.n)
-    e_t = ext.unit_map(tn)
+    e = ext.monad.unit_table(x.n)
+    e_t = ext.monad.unit_table(tn)
     te = monad.tmap(e, x.n, tn)
-    mu = ext.mult_map(x.n)
+    mu = ext.monad.mult_table(x.n)
     pre_ok = all(
         (mu[big] == e[p]) == (te[e[p]] == big)
         for p in range(x.n)
@@ -193,12 +193,12 @@ def yoneda0(x):
 def direct_tvcategory_verdict(ext, n, a):
     """Both axioms cell by cell, on the unreduced extension (no shared rows)."""
     q = ext.q
-    e = ext.unit_map(n)
+    e = ext.monad.unit_table(n)
     for x in range(n):
         if not q.le(q.unit, a.data[e[x]][x]):
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     ta = _threshold_extend(ext.monad, q, a)
-    mu = ext.mult_map(n)
+    mu = ext.monad.mult_table(n)
     for s in range(ta.rows):
         for t in range(ta.cols):
             for x in range(n):
@@ -388,7 +388,7 @@ def fibre_loop_compose(ext, b, a, n_src):
     q = ext.q
     monad = ext.monad
     ta = ext.extend(a)
-    fibers = ext.mult_fibers(n_src)
+    fibers = ext.monad.mult_fibers(n_src)
     tny = monad.size(a.cols)
     bot = q.bottom
     out = []
@@ -472,7 +472,7 @@ def test_kleisli_table_matches_the_join_formula(ext_factory, mname, qname):
     q = ext.q
     for n in (0, 1, 2):
         tn = ext.monad.size(n)
-        fibers = [[big for big, s in enumerate(ext.mult_map(n)) if s == small] for small in range(tn)]
+        fibers = [[big for big, s in enumerate(ext.monad.mult_table(n)) if s == small] for small in range(tn)]
         for x in all_tvcategories(ext, n):
             ta = ext.extend(x.a).data
             joined = [[q.join_all(ta[big][t] for big in fibers[s]) for t in range(tn)] for s in range(tn)]
@@ -530,7 +530,7 @@ def test_constant_map_into_reflexive_point(ext_factory):
         for p in range(2):
             f = (p,)
             assert check_tvfunctor(f, point, y)["ok"] == bool(
-                ext.q.le(ext.q.unit, y.a.data[ext.unit_map(2)[p]][p])
+                ext.q.le(ext.q.unit, y.a.data[ext.monad.unit_table(2)[p]][p])
             )
 
 
@@ -618,9 +618,9 @@ def test_dual_agrees_with_double_extension_route(ext_factory):
         for cat in all_tvcategories(ext, n)[:6]:
             ta = ext.extend(cat.a)
             t2a_t = ext.extend(ta.transpose())
-            tm = monad.tmap(ext.mult_map(n), monad.size(monad.size(n)), monad.size(n))
+            tm = monad.tmap(ext.monad.mult_table(n), monad.size(monad.size(n)), monad.size(n))
             step = postcompose_map(tm, monad.size(monad.size(n)), t2a_t)
-            oracle = select_cols(step, ext.unit_map(monad.size(n)))
+            oracle = select_cols(step, ext.monad.unit_table(monad.size(n)))
             assert dual_tvcategory(cat).a == oracle
 
 
@@ -662,7 +662,7 @@ def test_algebras_embed_as_categories(ext_factory):
     cat = tvcategory(ext, 2, VMatrix.from_map(ext.q, alpha, ext.monad.size(2), 2))
     assert check_tvcategory(ext, 2, cat.a)["ok"]
     em = em_algebra_category(ext, 2)
-    mult = VMatrix.from_map(ext.q, ext.mult_map(2), ext.monad.size(em.n), em.n)
+    mult = VMatrix.from_map(ext.q, ext.monad.mult_table(2), ext.monad.size(em.n), em.n)
     assert tvcategory(ext, em.n, mult).a == em.a
 
 
@@ -847,7 +847,7 @@ def test_order_structures_carry_the_checked_verdict(ext_factory, mname, qname):
 
 def _discrete_reference(ext, n):
     q = ext.q
-    e = ext.unit_map(n)
+    e = ext.monad.unit_table(n)
     tn = ext.monad.size(n)
     data = tuple(
         tuple(q.unit if e[x] == s else q.bottom for x in range(n)) for s in range(tn)
@@ -858,7 +858,7 @@ def _discrete_reference(ext, n):
 def _kernel_reference(ext, f, n_src):
     q = ext.q
     tn = ext.monad.size(n_src)
-    e = ext.unit_map(n_src)
+    e = ext.monad.unit_table(n_src)
     data = [[q.bottom] * n_src for _ in range(tn)]
     for p in range(n_src):
         for p2 in range(n_src):
@@ -924,3 +924,20 @@ def test_order_tvcategory_matches_the_four_constructions(ext_factory, mname, qna
     assert compared["space"] == (0 if mname == "powerset" else 1 + 1 + 4 + 29)
     if mname == "id":
         assert ord_section_extract(ext, (0, 1, 1, 0), 4, 2) == (0, 1)
+
+
+def test_each_kept_value_lives_with_the_object_it_depends_on():
+    # Yoneda data and both bimodule routes for every (id, 2)-category on at
+    # most 2 points, through one extension: its cache holds only values of
+    # the pair itself, while each category keeps its own dual and the
+    # monad its tables and projections.
+    ext = LaxExtension(builtin_monad("id"), builtin("2"))
+    cats = [x for n in range(3) for x in all_tvcategories(ext, n)]
+    for x in cats:
+        yoneda(x)
+        check_tvbimodule(x.a, x, x)
+        assert dual_tvcategory(x) is dual_tvcategory(x)
+    ext.capabilities()
+    pair = {("xi",), ("xi_compat", 8), ("capabilities",), ("unit",), ("homxi",)}
+    assert set(ext.cache) == pair | {("em", n) for n in range(3)}
+    assert ("projections", 2, 2) in ext.monad._tables
