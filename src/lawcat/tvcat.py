@@ -16,7 +16,15 @@ import itertools
 from .errors import GateUnavailable
 from .laxext import _classes
 from .monad import IdentityMonad
-from .vmatrix import VMatrix, all_matrices, mcompose, postcompose_map, precompose_map, select_cols
+from .vmatrix import (
+    VMatrix,
+    all_matrices,
+    compose_rows,
+    mcompose,
+    postcompose_map,
+    precompose_map,
+    select_cols,
+)
 
 
 class TVCategory:
@@ -338,61 +346,42 @@ def hom_xi_category(ext):
 def kleisli_compose(ext, b, a, n_src):
     """b * a = b . T(a) . m-transpose, for a: T(n_src) -|-> Y, b: T(Y) -|-> Z.
 
-    Row s of T(a) . m-transpose joins the rows of T(a) over the fibre of
-    m at s (_fibre_row); a one-element fibre, every fibre over the
-    identity monad, is read as that row in place.  Composing b with the
-    joined rows is exact, since the tensor distributes over the joins.
+    b is composed with the rows of T(a) . m-transpose (_kleisli_rows),
+    which is exact, since the tensor distributes over their joins.
     """
-    q = ext.q
-    monad = ext.monad
-    if a.rows != monad.size(n_src) or b.rows != monad.size(a.cols):
+    if a.rows != ext.monad.size(n_src) or b.rows != ext.monad.size(a.cols):
         raise ValueError("kleisli shapes do not line up")
-    bot = q.bottom
-    tens, join_t = q.tensor, q.join_t
-    ta = ext.extend(a).data
-    bdata, cols = b.data, range(b.cols)
-    out = []
-    for fiber in monad.mult_fibers(n_src):
-        trow = ta[fiber[0]] if len(fiber) == 1 else _fibre_row(q, ta, fiber)
-        row = [bot] * b.cols
-        for t, u in enumerate(trow):
-            if u == bot:
-                continue
-            brow = bdata[t]
-            tens_u = tens[u]
-            for z in cols:
-                v = tens_u[brow[z]]
-                if v != bot:
-                    row[z] = join_t[row[z]][v]
-        out.append(tuple(row))
-    return VMatrix.trusted(q, a.rows, b.cols, tuple(out))
+    q = ext.q
+    rows = _kleisli_rows(ext, ext.extend(a).data, n_src)
+    return VMatrix.trusted(q, a.rows, b.cols, compose_rows(q, rows, b.data, b.cols))
 
 
-def _fibre_row(q, ta, fiber):
-    """The join of the rows of T(a) over a fibre of m, which holds e(s) and
-    so is never empty.  The join skips the bottom entries of the later
-    rows, which leave it unchanged."""
-    join_t, bot = q.join_t, q.bottom
-    row = list(ta[fiber[0]])
-    for big in fiber[1:]:
-        for t, w in enumerate(ta[big]):
-            if w != bot:
-                row[t] = join_t[row[t]][w]
-    return tuple(row)
+def _kleisli_rows(ext, ta, n):
+    """The rows of Ta . m-transpose, for Ta with T(T(n)) rows.
+
+    Row s joins the rows of Ta over the fibre of m at s, which holds e(s)
+    and so is never empty.  A one-element fibre, every fibre over the
+    identity monad, is Ta's row itself; the join skips the bottom entries
+    of the later rows, which leave it unchanged.
+    """
+    join_t, bot = ext.q.join_t, ext.q.bottom
+    rows = []
+    for fiber in ext.monad.mult_fibers(n):
+        row = ta[fiber[0]]
+        if len(fiber) > 1:
+            row = list(row)
+            for big in fiber[1:]:
+                for t, w in enumerate(ta[big]):
+                    if w != bot:
+                        row[t] = join_t[row[t]][w]
+            row = tuple(row)
+        rows.append(row)
+    return rows
 
 
 def kleisli_table(x):
-    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x.
-
-    Row s is _fibre_row over the fibre of m at s, or Ta's row itself for a
-    one-element fibre.
-    """
-    ext = x.ext
-    ta = ext.extend(x.a).data
-    return [
-        ta[fiber[0]] if len(fiber) == 1 else _fibre_row(ext.q, ta, fiber)
-        for fiber in ext.monad.mult_fibers(x.n)
-    ]
+    """Ta . m-transpose as a plain T(X) x T(X) table: the Kleisli hom of x."""
+    return _kleisli_rows(x.ext, x.ext.extend(x.a).data, x.n)
 
 
 def check_tvfunctor(f, x, y):

@@ -114,11 +114,17 @@ def mcompose(outer, inner):
             f"cannot compose {outer.rows}x{outer.cols} after {inner.rows}x{inner.cols}"
         )
     q = inner.q
+    out = compose_rows(q, inner.data, outer.data, outer.cols)
+    return VMatrix.trusted(q, inner.rows, outer.cols, out)
+
+
+def compose_rows(q, rows, odata, ncols):
+    """The rows of outer.inner, from the rows of inner and outer's data, ncols wide."""
     tens, join_t, bot = q.tensor, q.join_t, q.bottom
-    odata, cols = outer.data, range(outer.cols)
+    cols = range(ncols)
     out = []
-    for rin in inner.data:
-        row = [bot] * outer.cols
+    for rin in rows:
+        row = [bot] * ncols
         # a bottom entry tensors every entry of its outer row to bottom
         for y, u in enumerate(rin):
             if u == bot:
@@ -130,7 +136,7 @@ def mcompose(outer, inner):
                 if t != bot:
                     row[z] = join_t[row[z]][t]
         out.append(tuple(row))
-    return VMatrix.trusted(q, inner.rows, outer.cols, tuple(out))
+    return tuple(out)
 
 
 def precompose_map(m, f, n_src):

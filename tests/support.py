@@ -15,7 +15,7 @@ from lawcat.fileio import parse_quantale_text
 from lawcat.instances import FinitePreorder, _points
 from lawcat.monad import builtin_monad, builtin_monads
 from lawcat.quantale import Quantale, builtin_quantales, validate_quantale
-from lawcat.quniform import QuasiUniformity
+from lawcat.quniform import QuasiUniformity, is_minimal_pair, meet
 from lawcat.tvcat import (
     Exponential,
     TVCategory,
@@ -92,6 +92,44 @@ def weakly_sober_by_closed_sets(order):
             sober = False
         details.append({"closed_set": _points(c), "generic_points": generic})
     return {"weakly_sober": sober, "irreducible": details}
+
+
+def reference_cauchy_by_masks(u):
+    """decide_cauchy_complete's report by the walk over all 4^n pairs of
+    point masks, both forms of completeness computed independently and
+    compared.
+
+    (i) every Cauchy filter pair converges; (ii) every minimal Cauchy
+    filter pair is a neighbourhood pair.  A filter pair is given by its two
+    minima, nonempty intersecting masks (L, R); it is Cauchy iff
+    R <= U(L), and it converges to x0 iff L <= down[x0] and R <= up[x0];
+    the neighbourhood pair of x0 is (down[x0], up[x0]); minimality is
+    is_minimal_pair, so the one candidate partner of L is U(L).  So
+    minimal_pairs lists the minimal pairs, as point tuples, in increasing
+    (L, R), the order of the frozenset enumeration.  The masks are
+    u.order's.
+    """
+    order = u.order
+    down, up = order.down, order.up
+    nbhd = list(zip(down, up))
+    all_converge = True
+    minimal = []
+    for left in range(1, 1 << u.n):
+        cauchy_right = meet(up, left)
+        for right in range(1, 1 << u.n):
+            if left & right and not right & ~cauchy_right:
+                if not any(not left & ~d and not right & ~r for d, r in nbhd):
+                    all_converge = False
+        if left & cauchy_right and is_minimal_pair(down, up, left, cauchy_right):
+            minimal.append((left, cauchy_right))
+    minimal_are_nbhd = all(pair in nbhd for pair in minimal)
+    if all_converge != minimal_are_nbhd:
+        raise AssertionError("the two completeness forms disagree; machinery bug")
+    return {
+        "complete": all_converge,
+        "minimal_are_neighbourhoods": minimal_are_nbhd,
+        "minimal_pairs": [(_points(left), _points(right)) for left, right in minimal],
+    }
 
 
 def principal_ultrafilter(n, i):

@@ -181,6 +181,27 @@ def test_sober_reaches_twenty_points(tmp_path, capsys, n):
         assert "error: psi space: needs 16777216 candidates, budget is 10000000" in captured.err
 
 
+@pytest.mark.parametrize("n", [20, 24])
+def test_quniform_commands_reach_twenty_points(tmp_path, capsys, n):
+    # the Cauchy side and the laws read w; the module side charges 2^n psis
+    labels = [f"p{x}" for x in range(n)]
+    pairs = " ".join(f"{labels[x]}->{labels[y]}" for x in range(n) for y in range(x, n))
+    target = tmp_path / "chain.quniform"
+    target.write_text(f"quniform chain\nelements: {' '.join(labels)}\nrel: {pairs}\n")
+    for command in (["quniform", "complete"], ["complete"]):
+        code = main([*command, str(target), "--format", "json"])
+        captured = capsys.readouterr()
+        if n == 20:
+            assert code == 0
+            rep = json.loads(captured.out)
+            assert rep["cauchy"] and rep["lawvere"] and rep["agree"]
+        else:
+            assert code == 2
+            assert "error: psi space: needs 16777216 candidates, budget is 10000000" in captured.err
+    assert main(["quniform", "check", str(target), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 def test_suite_sober_honours_the_budget(capsys):
     assert main(["suite", "--only", "sober", "--max-enum", "1"]) == 0
     assert "SKIP sober" in capsys.readouterr().out

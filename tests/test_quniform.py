@@ -22,6 +22,7 @@ from lawcat.quniform import (
     rel_compose,
     validate_quniformity,
 )
+from support import reference_cauchy_by_masks
 
 
 def discrete_quniformity(n):
@@ -559,6 +560,28 @@ def test_mask_cauchy_side_matches_the_frozenset_reference():
         assert rep == reference_cauchy_complete(u), sorted(u.w)
         minimal.add(len(rep["minimal_pairs"]))
     assert minimal == {1, 2, 3, 4}
+
+
+def test_cauchy_side_matches_the_mask_walk_up_to_five_points():
+    # the walk over all 4^n pairs of point masks that the neighbourhood
+    # pairs replace: the whole report, on every quasi-uniformity on 1 to
+    # 5 points and the curated three-point ones
+    spaces = [u for n in range(1, 6) for u in all_quniformities(n)] + curated_three_point()
+    assert len(spaces) == 7331 + 9
+    for u in spaces:
+        assert decide_cauchy_complete(u) == reference_cauchy_by_masks(u), sorted(u.w)
+
+
+def test_a_valid_base_is_decided_on_w():
+    # the full relation on 5 points without one off-diagonal pair, 15
+    # times, and the diagonal: the closure walk meets 2^15 intersections
+    n = 5
+    full = frozenset((x, y) for x in range(n) for y in range(n))
+    offdiag = sorted(p for p in full if p[0] != p[1])
+    base = [full - {p} for p in offdiag[:15]] + [frozenset((x, x) for x in range(n))]
+    start = time.perf_counter()
+    assert validate_quniformity(QuasiUniformity(n, base)) == {"ok": True}
+    assert time.perf_counter() - start < 0.5
 
 
 def test_an_invalid_base_is_refused_with_the_failing_cell(ext_factory):
