@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 for a passing verdict, 1 for a failing one, 2 for usage,
-parse or input errors.  JSON output is deterministic (sorted keys, no
-timing; one writer, `suite.report_json`) so reports can be diffed and re-run.
+parse or input errors, 141 when the reader closed stdout.  JSON output
+is deterministic (sorted keys, no timing; one writer, `suite.report_json`)
+so reports can be diffed and re-run.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .completeness import certify_v_complete, decide_lawvere_complete
@@ -488,7 +490,16 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: send what is still buffered to the null
+        # device, and exit as a shell reports a writer cut off by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,9 +30,9 @@ from .vmatrix import VMatrix, all_matrices
 def completeness_gate(ext):
     """Which hypothesis legitimizes the one-point reduction, if any.
 
-    T1 = 1 is read off the monad exactly; only without it is the sampled
-    Beck-Chevalley sweep of monad_capabilities run, once per monad object
-    (two monads may share a name).
+    T1 = 1 is read off the monad exactly; only without it is the m-BC
+    sweep of monad_capabilities run, once per monad object (two monads
+    may share a name).  With neither, the verdict is point-completeness.
     """
     if ext.monad.size(1) == 1:
         return "T1=1"

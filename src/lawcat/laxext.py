@@ -141,8 +141,8 @@ class LaxExtension:
         return self.cached(("capabilities",), self._build_capabilities)
 
     def xi_compat(self):
-        """check_xi_compat at 8 samples, the report the capabilities read."""
-        return self.cached(("xi_compat", 8), lambda: check_xi_compat(self, samples=8))
+        """check_xi_compat(self), the report the capabilities read, computed once."""
+        return self.cached(("xi_compat",), lambda: check_xi_compat(self))
 
     def _build_capabilities(self):
         return {
@@ -259,73 +259,36 @@ def check_xi_functor(ext):
     return {"ok": not bad, "failures": bad}
 
 
-def check_xi_compat(ext, samples=20, seed=0):
-    """Compatibility of xi with the tensor, the unit and the extension.
+def check_xi_compat(ext):
+    """Compatibility of xi with the unit and the tensor.
 
-    Checks, with witnesses: xi(T k) dominates k on T1; the tensor-algebra
-    inequality xi(T pi1 w) (x) xi(T pi2 w) <= xi(T tensor (w)) together with
-    the strictness flag, both decided on monad.tmap_image of (pi1, pi2,
+    Checks that xi(T k) dominates k on T1, and the tensor-algebra
+    inequality xi(T pi1 w) (x) xi(T pi2 w) <= xi(T tensor (w)) with its
+    strictness flag, both decided on monad.tmap_image of (pi1, pi2,
     tensor), the distinct triples over T(V x V), since they read w only
-    through it and carry no witness; per-element preservation of binary joins by
-    hom(u,-) and the induced inequality xi . T(hom(u,-)) <= hom(u,-) . xi;
-    and the span/algebra factorization of the extension on sampled matrices.
+    through it and carry no witness.
     """
     q = ext.q
     monad = ext.monad
     xi = ext.xi()
     n = q.n
-    report = {}
 
     above_k = q.leq[q.unit]
-    report["unit_inequality"] = all(above_k[xi[s]] for s in monad.tmap((q.unit,), 1, n))
+    unit_ok = all(above_k[xi[s]] for s in monad.tmap((q.unit,), 1, n))
 
     nn = n * n
-    tnn = monad.size(nn)
-    ext.check_budget("T of V x V", tnn)
+    ext.check_budget("T of V x V", monad.size(nn))
     pi1 = tuple(u for u in range(n) for _ in range(n))
     pi2 = tuple(v for _ in range(n) for v in range(n))
     tens_map = tuple(q.tensor[u][v] for u in range(n) for v in range(n))
     image = monad.tmap_image(((pi1, n), (pi2, n), (tens_map, n)), nn)
     tens, leq = q.tensor, q.leq
     sides = {(tens[xi[s1]][xi[s2]], xi[st]) for s1, s2, st in image}
-    report["tensor_inequality"] = all(leq[lhs][rhs] for lhs, rhs in sides)
-    report["tensor_strict"] = all(lhs == rhs for lhs, rhs in sides)
-
-    hom_sup = {}
-    hom_xi_ineq = {}
-    join_t = q.join_t
-    for label, hom_u in zip(q.labels, q.hom_t):
-        hom_sup[label] = all(
-            hom_u[join_v[w]] == join_t[hom_u[v]][hom_u[w]]
-            for v, join_v in enumerate(join_t)
-            for w in range(n)
-        )
-        thom_u = monad.tmap(hom_u, n, n)
-        hom_xi_ineq[label] = all(leq[xi[t]][hom_u[v]] for t, v in zip(thom_u, xi))
-    report["hom_preserves_nonempty_sups"] = hom_sup
-    report["hom_xi_inequality"] = hom_xi_ineq
-
-    rng = random.Random(seed)
-    diagram_ok = True
-    witness = None
-    for _ in range(samples):
-        nx = rng.randrange(1, 3)
-        ny = rng.randrange(1, 3)
-        r = _random_matrix(rng, q, nx, ny)
-        tr = ext.extend(r)
-        r_map = tuple(r.data[x][y] for x in range(nx) for y in range(ny))
-        tpix, tpiy = monad.projections(nx, ny)
-        tor = monad.tmap(r_map, nx * ny, n)
-        joined = [[q.bottom] * tr.cols for _ in range(tr.rows)]
-        for a, b, t in zip(tpix, tpiy, tor):
-            joined[a][b] = join_t[joined[a][b]][xi[t]]
-        if tuple(map(tuple, joined)) != tr.data:
-            diagram_ok = False
-            witness = r.data
-            break
-    report["span_algebra_diagram"] = diagram_ok
-    report["span_algebra_witness"] = witness
-    return report
+    return {
+        "unit_inequality": unit_ok,
+        "tensor_inequality": all(leq[lhs][rhs] for lhs, rhs in sides),
+        "tensor_strict": all(lhs == rhs for lhs, rhs in sides),
+    }
 
 
 def _random_matrix(rng, q, rows, cols):

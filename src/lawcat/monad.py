@@ -66,7 +66,8 @@ class FiniteMonad:
     TABLE_ENTRIES ints, since they depend on nothing but the monad: a
     process that decides many structures over one monad builds each
     once, and every extension of the monad shares them.  capabilities is
-    monad_capabilities, computed once.
+    monad_capabilities, computed once: T1 and T0 read off the sizes, and
+    the m-BC sweep of check_bc that completeness_gate reads.
     """
 
     name = "?"
@@ -361,24 +362,6 @@ def _all_functions(n_src, n_tgt):
     return itertools.product(range(n_tgt), repeat=n_src)
 
 
-def _weak_pullback_cover(monad, f, g, nx, ny, nz):
-    """Does T send the pullback of (f, g) to a weak pullback?
-
-    The achievable pairs (T pi1, T pi2) over T(pullback) are exactly the
-    span extension of the pullback relation, so the check reduces to: every
-    (u, v) with Tf(u) = Tg(v) lies in that extension.
-    """
-    rel = [(x, y) for x in range(nx) for y in range(ny) if f[x] == g[y]]
-    achievable = monad.extend_relation(rel, nx, ny)
-    tf = monad.tmap(f, nx, nz)
-    tg = monad.tmap(g, ny, nz)
-    for u in range(monad.size(nx)):
-        for v in range(monad.size(ny)):
-            if tf[u] == tg[v] and (u, v) not in achievable:
-                return (u, v)
-    return None
-
-
 def m_square_gap(monad, f, nx, ny):
     """Where the naturality square of m at f fails to be a weak pullback.
 
@@ -397,44 +380,15 @@ def m_square_gap(monad, f, nx, ny):
 
 
 def check_bc(monad, max_n=3):
-    """Empirical Beck-Chevalley report for the functor and for m.
-
-    Functor: every pullback square of functions between sets of size
-    <= max_n maps to a weak pullback.  m: every naturality square of the
-    multiplication is a weak pullback.  Verdicts are reported as found.
-    """
-    functor_ok = True
-    functor_witness = None
-    for nx, ny, nz in itertools.product(range(max_n + 1), repeat=3):
-        for f in _all_functions(nx, nz):
-            for g in _all_functions(ny, nz):
-                w = _weak_pullback_cover(monad, f, g, nx, ny, nz)
-                if w is not None:
-                    functor_ok = False
-                    functor_witness = (nx, ny, nz, f, g, w)
-                    break
-            if not functor_ok:
-                break
-        if not functor_ok:
-            break
-
-    m_witness = None
+    """Beck-Chevalley for m, swept: every naturality square of m at a
+    function between sets of size <= max_n is a weak pullback, or
+    m_witness is (nx, ny, f, alpha, beta) for the first that is not."""
     for nx, ny in itertools.product(range(max_n + 1), repeat=2):
         for f in _all_functions(nx, ny):
             gap = m_square_gap(monad, f, nx, ny)
             if gap is not None:
-                m_witness = (nx, ny, f, *gap)
-                break
-        if m_witness is not None:
-            break
-
-    return {
-        "functor_bc": functor_ok,
-        "functor_witness": functor_witness,
-        "m_bc": m_witness is None,
-        "m_witness": m_witness,
-        "max_n": max_n,
-    }
+                return {"m_bc": False, "m_witness": (nx, ny, f, *gap), "max_n": max_n}
+    return {"m_bc": True, "m_witness": None, "max_n": max_n}
 
 
 def monad_capabilities(monad):
@@ -446,7 +400,6 @@ def monad_capabilities(monad):
     return {
         "t1_is_one": monad.size(1) == 1,
         "t_empty_is_empty": monad.size(0) == 0,
-        "functor_bc": bc["functor_bc"],
         "m_bc": bc["m_bc"],
         "bc_max_n": bc_max_n,
     }

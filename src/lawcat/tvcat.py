@@ -507,12 +507,11 @@ def exponentiable(x):
 class Exponential:
     """Function space Y^X: functor carrier plus the largest structure."""
 
-    def __init__(self, base, target, carrier, structure, empty_fiber_seen):
+    def __init__(self, base, target, carrier, structure):
         self.base = base
         self.target = target
         self.carrier = carrier
         self.structure = structure
-        self.empty_fiber_seen = empty_fiber_seen
 
     @property
     def n(self):
@@ -529,7 +528,7 @@ def exponential_tvcat(x, y):
     entry at (p, h) is the largest v such that tensoring v onto the base
     structure keeps evaluation below the target structure, computed as a
     meet of residuals over the fiber of p.  Empty fibers produce the empty
-    meet (top) and are flagged, since that convention is a choice.
+    meet (top).
     """
     ext = x.ext
     q = ext.q
@@ -553,9 +552,7 @@ def exponential_tvcat(x, y):
     rows = monad.size(nf)
     meet_t, hom_t = q.meet_t, q.hom_t
     bound = [[q.top] * nf for _ in range(rows)]
-    seen = [False] * rows
     for fiber_row, r, t in zip(tpif, tpix, tev):
-        seen[fiber_row] = True
         homs = [hom_t[u] for u in x.a.data[r]]
         brow = y.a.data[t]
         cell = bound[fiber_row]
@@ -565,7 +562,7 @@ def exponential_tvcat(x, y):
                 acc = meet_t[acc][hom_u[brow[p]]]
             cell[i] = acc
     structure = VMatrix.trusted(q, rows, nf, tuple(map(tuple, bound)))
-    return Exponential(x, y, funcs, structure, not all(seen))
+    return Exponential(x, y, funcs, structure)
 
 
 def yoneda(x):
@@ -643,5 +640,4 @@ def yoneda(x):
         "hat_carrier": hat,
         "presheaf_count": expo.n,
         "fully_faithful": ff_ok,
-        "empty_fiber_seen": expo.empty_fiber_seen,
     }

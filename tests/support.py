@@ -1,8 +1,10 @@
 """Reference checks that more than one test module uses.
 
 The library keeps what its commands run; these are oracles and law
-checks that only the tests call, so they live here.  The
-`largest-structure search` budget site is `oracle_largest_structure`.
+checks that only the tests call, so they live here: among them the
+hom laws and the span/algebra diagram of xi, and the functor's
+Beck-Chevalley sweep.  The `largest-structure search` budget site is
+`oracle_largest_structure`.
 """
 
 import itertools
@@ -13,7 +15,8 @@ from lawcat.completeness import decide_lawvere_complete
 from lawcat.errors import LawcatError, ParseError
 from lawcat.fileio import parse_quantale_text
 from lawcat.instances import FinitePreorder, _points
-from lawcat.monad import builtin_monad, builtin_monads
+from lawcat.laxext import _random_matrix
+from lawcat.monad import _all_functions, builtin_monad, builtin_monads
 from lawcat.quantale import Quantale, builtin_quantales, validate_quantale
 from lawcat.quniform import QuasiUniformity, is_minimal_pair, meet
 from lawcat.tvcat import (
@@ -213,7 +216,7 @@ def oracle_largest_structure(expo):
     x.ext.check_budget("largest-structure search", q.n ** (rows * cols))
     best = constant_matrix(q, rows, cols, q.bottom)
     for cand_m in all_matrices(q, rows, cols, x.ext.max_enum):
-        cand = Exponential(x, y, expo.carrier, cand_m, False)
+        cand = Exponential(x, y, expo.carrier, cand_m)
         if check_evaluation_functor(cand)["ok"]:
             best = best.join(cand_m)
     return best
@@ -266,6 +269,99 @@ def check_embeds_maps(ext, samples=20, seed=1, size=3):
         if lhs != rhs:
             return {"ok": False, "witness": f}
     return {"ok": True}
+
+
+def reference_hom_laws(ext):
+    """Per element u: hom(u,-) preserves binary joins, and the induced
+    inequality xi . T(hom(u,-)) <= hom(u,-) . xi, each by element label."""
+    q = ext.q
+    monad = ext.monad
+    xi = ext.xi()
+    n = q.n
+    leq = q.leq
+    hom_sup = {}
+    hom_xi_ineq = {}
+    join_t = q.join_t
+    for label, hom_u in zip(q.labels, q.hom_t):
+        hom_sup[label] = all(
+            hom_u[join_v[w]] == join_t[hom_u[v]][hom_u[w]]
+            for v, join_v in enumerate(join_t)
+            for w in range(n)
+        )
+        thom_u = monad.tmap(hom_u, n, n)
+        hom_xi_ineq[label] = all(leq[xi[t]][hom_u[v]] for t, v in zip(thom_u, xi))
+    return {"hom_preserves_nonempty_sups": hom_sup, "hom_xi_inequality": hom_xi_ineq}
+
+
+def reference_span_algebra_diagram(ext, samples, seed=0):
+    """The span/algebra factorization of the extension on sampled matrices:
+    T(r) is the join of xi(T r(z)) at (T pi_x(z), T pi_y(z)) over z in
+    T(nx x ny).  The matrices, of at most 2 x 2, are drawn through
+    laxext._random_matrix from random.Random(seed); the witness is the
+    data of the first that fails."""
+    q = ext.q
+    monad = ext.monad
+    xi = ext.xi()
+    n = q.n
+    join_t = q.join_t
+    rng = random.Random(seed)
+    diagram_ok = True
+    witness = None
+    for _ in range(samples):
+        nx = rng.randrange(1, 3)
+        ny = rng.randrange(1, 3)
+        r = _random_matrix(rng, q, nx, ny)
+        tr = ext.extend(r)
+        r_map = tuple(r.data[x][y] for x in range(nx) for y in range(ny))
+        tpix, tpiy = monad.projections(nx, ny)
+        tor = monad.tmap(r_map, nx * ny, n)
+        joined = [[q.bottom] * tr.cols for _ in range(tr.rows)]
+        for a, b, t in zip(tpix, tpiy, tor):
+            joined[a][b] = join_t[joined[a][b]][xi[t]]
+        if tuple(map(tuple, joined)) != tr.data:
+            diagram_ok = False
+            witness = r.data
+            break
+    return {"span_algebra_diagram": diagram_ok, "span_algebra_witness": witness}
+
+
+def _weak_pullback_cover(monad, f, g, nx, ny, nz):
+    """Does T send the pullback of (f, g) to a weak pullback?
+
+    The achievable pairs (T pi1, T pi2) over T(pullback) are exactly the
+    span extension of the pullback relation, so the check reduces to: every
+    (u, v) with Tf(u) = Tg(v) lies in that extension.
+    """
+    rel = [(x, y) for x in range(nx) for y in range(ny) if f[x] == g[y]]
+    achievable = monad.extend_relation(rel, nx, ny)
+    tf = monad.tmap(f, nx, nz)
+    tg = monad.tmap(g, ny, nz)
+    for u in range(monad.size(nx)):
+        for v in range(monad.size(ny)):
+            if tf[u] == tg[v] and (u, v) not in achievable:
+                return (u, v)
+    return None
+
+
+def reference_functor_bc(monad, max_n):
+    """Functor Beck-Chevalley: every pullback square of functions between
+    sets of size <= max_n maps to a weak pullback, or the first that does
+    not, as (nx, ny, nz, f, g, (u, v))."""
+    functor_ok = True
+    functor_witness = None
+    for nx, ny, nz in itertools.product(range(max_n + 1), repeat=3):
+        for f in _all_functions(nx, nz):
+            for g in _all_functions(ny, nz):
+                w = _weak_pullback_cover(monad, f, g, nx, ny, nz)
+                if w is not None:
+                    functor_ok = False
+                    functor_witness = (nx, ny, nz, f, g, w)
+                    break
+            if not functor_ok:
+                break
+        if not functor_ok:
+            break
+    return {"functor_bc": functor_ok, "functor_witness": functor_witness}
 
 
 def is_category(x):

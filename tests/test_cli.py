@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -726,3 +728,33 @@ def test_usage_bytes_are_pinned(monkeypatch, capsys):
             code, out, err = _run(argv, capsys, fresh)
             digest.update(f"{argv}\n{code}\n{out}\n{err}\n".encode())
     assert digest.hexdigest() == USAGE_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", path("chain2.vcat"), "--format", "json"],
+        ["check", path("chain2.vcat")],
+        ["suite", "--only", "quantale-laws", "--format", "json"],
+    ],
+    ids=["json", "text", "suite"],
+)
+def test_a_closed_stdout_exits_141_in_silence(argv):
+    # the read end is closed before the child starts, so every write to
+    # stdout fails: the exit code says so, and stderr stays empty
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lawcat.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

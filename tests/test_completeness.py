@@ -320,6 +320,28 @@ def test_gate_is_keyed_on_the_monad_not_its_name(ext_factory):
     assert completeness_gate(LaxExtension(fake, builtin("2"))) == "m-BC"
 
 
+def test_without_a_gate_the_verdict_is_point_completeness(monkeypatch):
+    # the same decision over powerset, labelled by the gate the monad's
+    # capabilities grant: m-BC, or none when m_bc is False
+    from lawcat.monad import PowersetMonad, monad_capabilities
+
+    def decide(monad):
+        return decide_lawvere_complete(discrete_tvcategory(LaxExtension(monad, builtin("2")), 2))
+
+    monad = PowersetMonad()
+    gated = decide(monad)
+    monkeypatch.setattr(monad, "capabilities", lambda: {**monad_capabilities(monad), "m_bc": False})
+    ungated = decide(monad)
+    assert (gated["gate"], gated["notion"]) == ("m-BC", "Lawvere completeness")
+    point = "point-completeness (sufficient test only)"
+    assert (ungated["gate"], ungated["notion"]) == (None, point)
+    for rep in (gated, ungated):
+        rep["pairs"] = [pair.key() for pair in rep.pop("pairs")]
+        rep["non_representable"] = [pair.key() for pair in rep.pop("non_representable")]
+        del rep["gate"], rep["notion"]
+    assert gated == ungated and gated["complete"]
+
+
 def test_bc_sweep_size_is_derived_from_the_monad_not_its_name():
     from lawcat.monad import PowersetMonad, monad_capabilities
 

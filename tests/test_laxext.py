@@ -18,12 +18,19 @@ from lawcat.laxext import (
     check_xi_compat,
     check_xi_functor,
 )
-from lawcat.monad import PowersetMonad
+from lawcat.monad import PowersetMonad, builtin_monad, monad_capabilities
 from lawcat.quantale import Quantale, builtin, builtin_quantales, validate_quantale
 from lawcat.tvcat import hom_xi_category
 from lawcat.vmatrix import VMatrix
 
-from support import check_embeds_maps, oracle_largest_structure, principal_ultrafilter
+from support import (
+    check_embeds_maps,
+    oracle_largest_structure,
+    principal_ultrafilter,
+    reference_functor_bc,
+    reference_hom_laws,
+    reference_span_algebra_diagram,
+)
 
 PAIRS = [(m, q) for m in ("id", "powerset", "ultra") for q in ("2", "c3", "plus3", "pset2")]
 
@@ -259,12 +266,14 @@ def test_xi_ti_bound_is_checked_at_the_empty_set(monads, quantales, qname):
 
 @pytest.mark.parametrize("mname,qname", PAIRS)
 def test_xi_compat_report(ext_factory, mname, qname):
-    rep = check_xi_compat(ext_factory(mname, qname), samples=12)
+    ext = ext_factory(mname, qname)
+    rep = check_xi_compat(ext)
     assert rep["unit_inequality"]
     assert rep["tensor_inequality"]
-    assert rep["span_algebra_diagram"]
-    assert all(rep["hom_preserves_nonempty_sups"].values())
-    assert all(rep["hom_xi_inequality"].values())
+    assert reference_span_algebra_diagram(ext, samples=12)["span_algebra_diagram"]
+    hom = reference_hom_laws(ext)
+    assert all(hom["hom_preserves_nonempty_sups"].values())
+    assert all(hom["hom_xi_inequality"].values())
 
 
 def _tensor_flags_by_scan(ext):
@@ -281,7 +290,7 @@ def _tensor_flags_by_scan(ext):
 @pytest.mark.parametrize("mname,qname", PAIRS)
 def test_xi_compat_tensor_flags_match_full_scan(monads, quantales, mname, qname):
     ext = LaxExtension(monads[mname], quantales[qname])
-    report = check_xi_compat(ext, samples=1)
+    report = check_xi_compat(ext)
     assert (report["tensor_inequality"], report["tensor_strict"]) == _tensor_flags_by_scan(ext)
 
 
@@ -291,7 +300,7 @@ def test_xi_compat_tensor_flags_after_an_early_stop(monads, quantales):
     q = quantales["pset2"]
     broken = LaxExtension(monads["id"], q)
     broken.cache[("xi",)] = tuple(q.bottom if v == q.bottom else q.top for v in range(q.n))
-    report = check_xi_compat(broken, samples=1)
+    report = check_xi_compat(broken)
     assert (report["tensor_inequality"], report["tensor_strict"]) == _tensor_flags_by_scan(broken)
     assert not report["tensor_inequality"]
 
@@ -299,11 +308,48 @@ def test_xi_compat_tensor_flags_after_an_early_stop(monads, quantales):
 def test_tensor_strictness_fails_exactly_for_powerset_plus_chain(ext_factory):
     flags = {}
     for mname, qname in PAIRS:
-        flags[(mname, qname)] = check_xi_compat(ext_factory(mname, qname), samples=4)[
-            "tensor_strict"
-        ]
+        flags[(mname, qname)] = check_xi_compat(ext_factory(mname, qname))["tensor_strict"]
     for key, flag in flags.items():
         assert flag == (key != ("powerset", "plus3")), (key, flag)
+
+
+def test_xi_compat_extends_no_matrix(monkeypatch):
+    # the report reads xi and the monad's tables; the span/algebra diagram,
+    # which extends sampled matrices, is checked by the tests only
+    from lawcat.suite import SMALL_QUANTALES
+
+    def refuse(self, m):
+        raise AssertionError("extend called")
+
+    monkeypatch.setattr(LaxExtension, "extend", refuse)
+    for mname in ("id", "powerset", "ultra"):
+        for qname in SMALL_QUANTALES:
+            ext = LaxExtension(builtin_monad(mname), builtin(qname))
+            assert check_xi_compat(ext)["tensor_inequality"]
+
+
+def test_the_laws_only_the_tests_read_hold_where_the_suite_checked_them():
+    # every combo of the xi-algebra item: the span/algebra diagram at the
+    # 8 samples from seed 0 and the hom laws that check_xi_compat reported
+    # there, and the functor's Beck-Chevalley sweep at the size
+    # monad_capabilities sweeps m to, and over powerset one size up
+    from lawcat.suite import SMALL_QUANTALES
+
+    for mname in ("id", "powerset", "ultra"):
+        monad = builtin_monad(mname)
+        for qname in SMALL_QUANTALES:
+            ext = LaxExtension(monad, builtin(qname))
+            diagram = reference_span_algebra_diagram(ext, samples=8, seed=0)
+            assert diagram == {"span_algebra_diagram": True, "span_algebra_witness": None}
+            hom = reference_hom_laws(ext)
+            assert all(hom["hom_preserves_nonempty_sups"].values()), (mname, qname)
+            assert all(hom["hom_xi_inequality"].values()), (mname, qname)
+        sizes = {monad_capabilities(monad)["bc_max_n"]}
+        if mname == "powerset":
+            sizes.add(3)
+        for max_n in sizes:
+            functor = reference_functor_bc(monad, max_n)
+            assert functor == {"functor_bc": True, "functor_witness": None}, (mname, max_n)
 
 
 def _zmod2_quantale():
@@ -477,7 +523,8 @@ def _warm_budget_sites():
         ("extended matrix size", 16, lambda e: e.extend(VMatrix(e.q, 2, 2, ((2, 0), (1, 2))))),
         ("psi space", 81, lambda e: enumerate_adjoint_pairs(discrete_tvcategory(e, 2))),
         ("associativity sweep", 2048, lambda e: hom_xi_category(e).verdict()),
-        ("T of V x V", 512, lambda e: e.xi_compat()),
+        # xi_compat extends no matrix, so an extension warms the memo first
+        ("T of V x V", 512, lambda e: (e.extend(VMatrix(e.q, 1, 2, ((2, 0),))), e.xi_compat())),
     ]
 
 
@@ -827,7 +874,7 @@ def test_tensor_flags_match_the_full_tables(monads, mname):
                     if s not in singletons and rng.random() < 0.3:
                         bad[s] = rng.randrange(q.n)
                 ext.cache[("xi",)] = tuple(bad)
-            report = check_xi_compat(ext, samples=0)
+            report = check_xi_compat(ext)
             expected = reference_tensor_flags(ext)
             assert {key: report[key] for key in expected} == expected, (qname, ext.xi())
             flags.add(tuple(expected.values()))

@@ -19,7 +19,7 @@ from lawcat.monad import (
 
 from lawcat.vmatrix import VMatrix
 
-from support import principal_ultrafilter
+from support import principal_ultrafilter, reference_functor_bc
 
 
 def check_functor_laws(monad, max_n=3):
@@ -224,7 +224,42 @@ def test_corrupted_mult_fails_with_witness():
 @pytest.mark.parametrize("name,max_n", [("id", 3), ("ultra", 3), ("powerset", 3)])
 def test_bc_reports(name, max_n):
     rep = check_bc(builtin_monad(name), max_n)
-    assert rep["functor_bc"] and rep["m_bc"], rep
+    assert rep["m_bc"], rep
+    functor = reference_functor_bc(builtin_monad(name), max_n)
+    assert functor["functor_bc"], functor
+
+
+class CollapsedMult(PowersetMonad):
+    """Powerset with a multiplication that sends everything to the empty set."""
+
+    def mult_map(self, n):
+        return (0,) * self.size(self.size(n))
+
+
+def test_bc_report_names_the_first_square_that_is_not_a_weak_pullback():
+    from lawcat.completeness import completeness_gate
+    from lawcat.laxext import LaxExtension
+    from lawcat.quantale import builtin
+
+    # the first square is m at f: 0 -> 1, where m(alpha) = Tf(empty) for
+    # every alpha in TT(1), but TT(f) reaches only alpha 0 and 1 (the
+    # empty set and {empty}); the first gap is alpha = 2, {{x}}
+    rep = check_bc(CollapsedMult(), 2)
+    assert rep == {"m_bc": False, "m_witness": (0, 1, (), 2, 0), "max_n": 2}
+    assert not monad_capabilities(CollapsedMult())["m_bc"]
+    assert completeness_gate(LaxExtension(CollapsedMult(), builtin("2"))) is None
+
+
+def test_capabilities_extend_no_relation(monkeypatch):
+    # m-BC reads the multiplication tables; the functor's pullback
+    # squares, which extend relations, are swept by the tests only
+    def refuse(*args):
+        raise AssertionError("extend_relation called")
+
+    monkeypatch.setattr(FiniteMonad, "extend_relation", refuse)
+    monkeypatch.setattr(PowersetMonad, "extend_relation", refuse)
+    caps = monad_capabilities(PowersetMonad())
+    assert caps["m_bc"] and caps["bc_max_n"] == 2
 
 
 def test_capability_flags():

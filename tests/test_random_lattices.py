@@ -25,7 +25,7 @@ from lawcat.monad import builtin_monad
 from lawcat.quantale import Quantale, validate_quantale
 from lawcat.tvcat import check_tvcategory, hom_xi_category
 
-from support import check_embeds_maps
+from support import check_embeds_maps, reference_span_algebra_diagram
 
 
 def downset_quantale(seed):
@@ -75,9 +75,10 @@ def test_random_lattice_full_stack(seed):
         assert check_embeds_maps(ext, samples=10)["ok"]
         assert check_xi(ext)["ok"]
         assert check_xi_functor(ext)["ok"]
-        compat = check_xi_compat(ext, samples=6)
+        compat = check_xi_compat(ext)
         assert compat["unit_inequality"] and compat["tensor_inequality"]
         assert compat["tensor_strict"]  # meet tensors are always strict
+        assert reference_span_algebra_diagram(ext, samples=6)["span_algebra_diagram"]
         assert hom_xi_category(ext).verdict()["ok"], (seed, mname)
     rep = certify_v_complete(LaxExtension(builtin_monad("id"), q))
     assert rep["certified"], (seed, rep)
