@@ -9,6 +9,7 @@ so reports can be diffed and re-run.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -271,24 +272,47 @@ def _budget(text):
     return value
 
 
+class _Help(argparse.Action):
+    """-h and --help: the parser's help on stdout, then exit 0.
+
+    argparse's own help action writes through a method that swallows an
+    OSError, so help sent to a closed stdout was lost with exit 0, or
+    failed at exit with status 120.  This write lets the BrokenPipeError
+    through, and main exits 141, as for every command.
+    """
+
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(parser.format_help())
+        parser.exit()
+
+
 def build_parser():
     """The one definition of the command line.
 
     As each subcommand's parser is built, its grammar (`_Grammar`) is
     compiled from the actions declared for it and kept on it as `grammar`.
     """
+    # Every parser takes -h first, as argparse's add_help would place it,
+    # but with _Help as its action: the subcommands take it from common.
     parser = argparse.ArgumentParser(
         prog="lawcat",
         description="Exact finite-scale workbench for enriched categories and completeness",
+        add_help=False,
     )
     common = argparse.ArgumentParser(add_help=False)
+    for p in (parser, common):
+        p.add_argument("-h", "--help", action=_Help, help="show this help message and exit")
     shared = (
         common.add_argument("--format", choices=("text", "json"), default="text"),
         common.add_argument("--max-enum", type=_budget, default=DEFAULT_MAX_ENUM, dest="max_enum"),
         common.add_argument("--oracle", action="store_true"),
         common.add_argument("--strict", action="store_true"),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparser = functools.partial(argparse.ArgumentParser, add_help=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     def compile_grammar(p, fn, *actions):
         p.set_defaults(fn=fn)
@@ -486,11 +510,13 @@ def _parse_args(argv):
 
 def main(argv=None):
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        code = args.fn(args)
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        except SystemExit as exc:
+            # argparse has written the help, the usage or the error
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

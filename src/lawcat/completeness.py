@@ -636,7 +636,7 @@ def ord_section_extract(ext, f, n_src, n_tgt):
     fiber = [0] * n_tgt
     for p, y in enumerate(f):
         fiber[y] |= 1 << p
-    kernel = FinitePreorder.from_up(n_src, [fiber[y] for y in f])
+    kernel = FinitePreorder.trusted(n_src, [fiber[y] for y in f])
     x = order_tvcategory(ext, kernel, name="kernel")
     pcat = unit_tvcategory(ext)
     index = representables(x)

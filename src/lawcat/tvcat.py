@@ -31,8 +31,9 @@ class TVCategory:
     """Carrier set of size n with a structure matrix T(n) -|-> n.
 
     checked is check_tvcategory's verdict on the structure once it is
-    known: passed by a constructor that has just run the check
-    (tvcategory, all_tvcategories, the CLI), or kept by verdict().  None
+    known: passed by a constructor that has just run the check or built
+    a category by construction (tvcategory, all_tvcategories,
+    order_tvcategory, the CLI), or kept by verdict().  None
     means not yet checked; a category's (T, V) and matrix never change,
     so neither does its verdict, nor its dual, which dual_tvcategory
     builds on the first call and keeps here.
@@ -188,7 +189,11 @@ class FinitePreorder:
     whose up[y] is not inside up[x], with the least z of up[y] outside it,
     so x <= y <= z without x <= z.  FinitePreorder(n, leq) takes a table,
     refuses one that is not n x n, and runs the check on its rows' masks;
-    from_up and from_pairs build from masks and run the same check.
+    from_up builds from masks that come from outside and runs the same
+    check.  trusted builds from masks that are a preorder by construction
+    (enumerate_preorders, from_pairs' closure, a kernel, the discrete
+    order) and runs none; a test compares it with from_up on every
+    preorder on at most 5 points.
     """
 
     def __init__(self, n, leq):
@@ -196,7 +201,9 @@ class FinitePreorder:
         if list(map(len, rows)) != [n] * n:
             raise ValueError(f"not a {n}x{n} table")
         bits = [1 << y for y in range(n)]
-        self._check(n, tuple([sum(itertools.compress(bits, row)) for row in rows]))
+        up = tuple([sum(itertools.compress(bits, row)) for row in rows])
+        _check_preorder(up)
+        self._keep(n, up)
 
     @classmethod
     def from_up(cls, n, up):
@@ -204,21 +211,35 @@ class FinitePreorder:
         up = tuple(up)
         if len(up) != n or any(mask >> n for mask in up):
             raise ValueError(f"not {n} masks on {n} points")
+        _check_preorder(up)
+        return cls.trusted(n, up)
+
+    @classmethod
+    def trusted(cls, n, up):
+        """The preorder whose up masks are up, n masks on n points that the
+        caller knows to be reflexive and transitive: down is derived, and
+        nothing is checked."""
         order = cls.__new__(cls)
-        order._check(n, up)
+        order._keep(n, tuple(up))
         return order
 
     @classmethod
     def from_pairs(cls, n, pairs):
-        """Reflexive-transitive closure of generating pairs (Warshall, on masks)."""
+        """Reflexive-transitive closure of generating pairs (Warshall, on masks).
+
+        The closure is a preorder, so it is built trusted; a pair with a
+        point outside 0..n-1 is refused with a ValueError.
+        """
         up = [1 << x for x in range(n)]
         for (x, y) in pairs:
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x}, {y}) is not on {n} points")
             up[x] |= 1 << y
         for k in range(n):
             for x in range(n):
                 if up[x] >> k & 1:
                     up[x] |= up[k]
-        return cls.from_up(n, up)
+        return cls.trusted(n, up)
 
     def converse(self):
         """The converse preorder, y <= x when x <= y, built without a check.
@@ -232,22 +253,16 @@ class FinitePreorder:
         order.n, order.up, order.down = self.n, self.down, self.up
         return order
 
-    def _check(self, n, up):
-        """Keep n and up, and derive down while checking the masks row by row."""
+    def _keep(self, n, up):
+        """Keep n and the tuple up, and derive down from it."""
         self.n, self.up = n, up
         down = [0] * n
         for x, mask in enumerate(up):
-            if not mask >> x & 1:
-                raise ValueError(f"not reflexive: ({x}, {x}) is missing")
-            bit, rest = 1 << x, mask
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                if up[y] & ~mask:
-                    z = _points(up[y] & ~mask)[0]
-                    raise ValueError(f"not transitive: ({x}, {y}) and ({y}, {z}), not ({x}, {z})")
-                down[y] |= bit
-                rest ^= low
+            bit = 1 << x
+            while mask:
+                low = mask & -mask
+                down[low.bit_length() - 1] |= bit
+                mask ^= low
         self.down = tuple(down)
 
     @functools.cached_property
@@ -264,6 +279,21 @@ class FinitePreorder:
 
     def __repr__(self):
         return f"FinitePreorder({self.n})"
+
+
+def _check_preorder(up):
+    """Refuse up masks that are not reflexive and transitive, row by row."""
+    for x, mask in enumerate(up):
+        if not mask >> x & 1:
+            raise ValueError(f"not reflexive: ({x}, {x}) is missing")
+        rest = mask
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            if up[y] & ~mask:
+                z = _points(up[y] & ~mask)[0]
+                raise ValueError(f"not transitive: ({x}, {y}) and ({y}, {z}), not ({x}, {z})")
+            rest ^= low
 
 
 def _points(mask):
@@ -305,7 +335,7 @@ def order_tvcategory(ext, order, name=""):
 
 def discrete_tvcategory(ext, n):
     """Structure transpose of the unit: the free reflexive structure."""
-    discrete = FinitePreorder.from_up(n, [1 << x for x in range(n)])
+    discrete = FinitePreorder.trusted(n, [1 << x for x in range(n)])
     return order_tvcategory(ext, discrete, name=f"discrete{n}")
 
 
@@ -482,16 +512,61 @@ def check_tv_adjunction(ext, phi, psi, x, y):
 
 
 def all_tvcategories(ext, n):
-    """Every structure on an n-point carrier passing both axioms."""
+    """Every structure on an n-point carrier passing both axioms, in the
+    lexicographic entry order of all_matrices, each carrying its verdict.
+
+    Over the identity monad (and so the ultrafilter monad) the structures
+    are listed by _square_categories' backtracking; over powerset every
+    matrix is filtered through check_tvcategory.  The "structure space"
+    charge, |V|^(|T(n)| n), comes first either way.
+    """
     q = ext.q
     tn = ext.monad.size(n)
     ext.check_budget("structure space", q.n ** (tn * n))
+    if isinstance(ext.monad, IdentityMonad):
+        return [TVCategory(ext, n, a, checked={"ok": True}) for a in _square_categories(q, n)]
     cats = []
     for a in all_matrices(q, tn, n, ext.max_enum):
         verdict = check_tvcategory(ext, n, a)
         if verdict["ok"]:
             cats.append(TVCategory(ext, n, a, checked=verdict))
     return cats
+
+
+def _square_categories(q, n):
+    """Every n x n matrix a over q with k <= a(x, x) and
+    a(p, r) (x) a(r, s) <= a(p, s), in lexicographic entry order.
+
+    The n * n cells are assigned by backtracking in row-major order, each
+    trying its values in increasing order, so the matrices come out in
+    the order all_matrices yields them.  A diagonal cell tries only the
+    values above k.  Each triple (p, r, s) is checked once, when the last
+    of its three cells in row-major order is assigned, so a full
+    assignment is a category exactly when it passes every check.
+    """
+    size = n * n
+    above_k = [v for v in range(q.n) if q.leq[q.unit][v]]
+    values = [above_k if c % (n + 1) == 0 else range(q.n) for c in range(size)]
+    last = [[] for _ in range(size)]
+    for p, r, s in itertools.product(range(n), repeat=3):
+        cells = (p * n + r, r * n + s, p * n + s)
+        last[max(cells)].append(cells)
+    tens, leq = q.tensor, q.leq
+    a = [0] * size
+    out = []
+
+    def fill(c):
+        if c == size:
+            rows = tuple([tuple(a[i * n : i * n + n]) for i in range(n)])
+            out.append(VMatrix.trusted(q, n, n, rows))
+            return
+        for v in values[c]:
+            a[c] = v
+            if all(leq[tens[a[pr]][a[rs]]][a[ps]] for pr, rs, ps in last[c]):
+                fill(c + 1)
+
+    fill(0)
+    return out
 
 
 def exponentiable(x):
@@ -574,14 +649,19 @@ def yoneda(x):
     presheaf carrier; and full-and-faithfulness onto it when T1 = 1.
     An independent residual formula for the structure on the image of the
     Yoneda map is compared entrywise as an oracle.
+
+    V^{|X|} depends only on the extension and the size of X, so it is
+    built once per extension and size and kept under ("presheaves", n).
     """
     ext = x.ext
     q = ext.q
     monad = ext.monad
     tn = monad.size(x.n)
-    xbar = em_algebra_category(ext, x.n)
+    expo = ext.cached(
+        ("presheaves", x.n),
+        lambda: exponential_tvcat(em_algebra_category(ext, x.n), hom_xi_category(ext)),
+    )
     v_cat = hom_xi_category(ext)
-    expo = exponential_tvcat(xbar, v_cat)
     index = {h: i for i, h in enumerate(expo.carrier)}
     y_map = []
     for p in range(x.n):

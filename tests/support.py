@@ -3,7 +3,8 @@
 The library keeps what its commands run; these are oracles and law
 checks that only the tests call, so they live here: among them the
 hom laws and the span/algebra diagram of xi, and the functor's
-Beck-Chevalley sweep.  The `largest-structure search` budget site is
+Beck-Chevalley sweep, and the enumerators the library's backtracking
+replaced.  The `largest-structure search` budget site is
 `oracle_largest_structure`.
 """
 
@@ -22,6 +23,7 @@ from lawcat.quniform import QuasiUniformity, is_minimal_pair, meet
 from lawcat.tvcat import (
     Exponential,
     TVCategory,
+    check_tvcategory,
     check_tvfunctor,
     hom_xi_category,
     is_tvbimodule,
@@ -133,6 +135,51 @@ def reference_cauchy_by_masks(u):
         "minimal_are_neighbourhoods": minimal_are_nbhd,
         "minimal_pairs": [(_points(left), _points(right)) for left, right in minimal],
     }
+
+
+def reference_enumerate_preorders(n):
+    """enumerate_preorders as it was before its rows walked only the
+    subsets of their bound: every mask that holds x is tried for row x,
+    against both conditions of every later row, and each leaf is built
+    through the checked FinitePreorder.from_up."""
+    up = [0] * n
+    out = []
+
+    def fill(x):
+        if x < 0:
+            out.append(FinitePreorder.from_up(n, up))
+            return
+        bit = 1 << x
+        rest = ((1 << n) - 1) ^ bit
+        later = [(1 << y, up[y]) for y in range(x + 1, n)]
+        sub = 0
+        while True:
+            u = sub | bit
+            if all(
+                (not u & ybit or not uy & ~u) and (not uy & bit or not u & ~uy)
+                for ybit, uy in later
+            ):
+                up[x] = u
+                fill(x - 1)
+            if sub == rest:
+                return
+            sub = (sub - rest) & rest
+
+    fill(n - 1)
+    return out
+
+
+def reference_all_tvcategories(ext, n):
+    """all_tvcategories as a filter: every matrix through check_tvcategory."""
+    q = ext.q
+    tn = ext.monad.size(n)
+    ext.check_budget("structure space", q.n ** (tn * n))
+    cats = []
+    for a in all_matrices(q, tn, n, ext.max_enum):
+        verdict = check_tvcategory(ext, n, a)
+        if verdict["ok"]:
+            cats.append(TVCategory(ext, n, a, checked=verdict))
+    return cats
 
 
 def principal_ultrafilter(n, i):

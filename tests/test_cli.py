@@ -731,20 +731,29 @@ def test_usage_bytes_are_pinned(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unbuffered",
     [
-        ["check", path("chain2.vcat"), "--format", "json"],
-        ["check", path("chain2.vcat")],
-        ["suite", "--only", "quantale-laws", "--format", "json"],
+        pytest.param(["check", path("chain2.vcat"), "--format", "json"], False, id="json"),
+        pytest.param(["check", path("chain2.vcat")], False, id="text"),
+        pytest.param(["check", path("chain2.vcat")], True, id="text-unbuffered"),
+        pytest.param(["suite", "--only", "quantale-laws", "--format", "json"], False, id="suite"),
+        pytest.param(["--help"], False, id="help"),
+        pytest.param(["--help"], True, id="help-unbuffered"),
+        pytest.param(["check", "--help"], False, id="check-help"),
+        pytest.param(["check", "--help"], True, id="check-help-unbuffered"),
     ],
-    ids=["json", "text", "suite"],
 )
-def test_a_closed_stdout_exits_141_in_silence(argv):
+def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
     # the read end is closed before the child starts, so every write to
-    # stdout fails: the exit code says so, and stderr stays empty
+    # stdout fails: the exit code says so, and stderr stays empty, whether
+    # the failed write is the one that fills the buffer, the flush at the
+    # end, or an unbuffered write, help included
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

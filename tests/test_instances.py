@@ -28,6 +28,7 @@ from support import (
     reference_closed,
     reference_companion,
     reference_levels,
+    reference_enumerate_preorders,
     reference_point_distance,
     weakly_sober_by_closed_sets,
 )
@@ -122,6 +123,61 @@ def filter_preorders(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_backtracking_preorders_match_the_filter(n):
     assert enumerate_preorders(n) == filter_preorders(n)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumerate_preorders_matches_the_walk_it_replaced(n):
+    # each row walks only the subsets of its bound and each leaf is built
+    # trusted: the same preorders as the reference walk, in its order,
+    # with the same up and down masks
+    expected = reference_enumerate_preorders(n)
+    got = enumerate_preorders(n)
+    assert [(p.n, p.up, p.down) for p in got] == [(p.n, p.up, p.down) for p in expected]
+    assert len(got) == (1, 1, 4, 29, 355, 6942)[n]
+
+
+def closure_table(n, pairs):
+    """The reflexive-transitive closure of pairs as a boolean table, by
+    adding x <= z for x <= y <= z until nothing changes."""
+    leq = [[x == y for y in range(n)] for x in range(n)]
+    for x, y in pairs:
+        leq[x][y] = True
+    changed = True
+    while changed:
+        changed = False
+        for x, y, z in itertools.product(range(n), repeat=3):
+            if leq[x][y] and leq[y][z] and not leq[x][z]:
+                leq[x][z] = changed = True
+    return leq
+
+
+def test_trusted_preorders_match_the_checked_constructor():
+    # every preorder on at most 5 points, then seeded closures of pairs on
+    # up to 7: trusted keeps the masks from_up accepts and derives the same
+    # down masks; from_pairs' closure is the table's closure
+    rng = random.Random("trusted/from_up")
+    seeded = []
+    for n in range(1, 8):
+        offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for _ in range(60):
+            pairs = rng.sample(offdiag, rng.randrange(min(2 * n, len(offdiag)) + 1))
+            order = FinitePreorder.from_pairs(n, pairs)
+            assert order == FinitePreorder(n, closure_table(n, pairs))
+            seeded.append(order)
+    every = [p for n in range(6) for p in enumerate_preorders(n)]
+    for p in every + seeded:
+        checked = FinitePreorder.from_up(p.n, p.up)
+        trusted = FinitePreorder.trusted(p.n, list(p.up))
+        assert (trusted.n, trusted.up, trusted.down, trusted.leq) == (
+            checked.n, checked.up, checked.down, checked.leq
+        )
+        assert (p.down, p.leq) == (checked.down, checked.leq)
+
+
+@pytest.mark.parametrize("pair", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_from_pairs_refuses_a_point_off_the_carrier(pair):
+    with pytest.raises(ValueError, match=r"is not on 2 points"):
+        FinitePreorder.from_pairs(2, [pair])
 
 
 def test_five_point_preorder_count():

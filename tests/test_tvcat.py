@@ -6,7 +6,7 @@ import pytest
 from lawcat.errors import BudgetExceeded, GateUnavailable
 from lawcat.laxext import LaxExtension, _threshold_extend, check_extension_laws
 from lawcat.monad import PowersetMonad, builtin_monad, m_square_gap
-from lawcat.quantale import builtin
+from lawcat.quantale import builtin, builtin_quantales
 from lawcat.tvcat import (
     Exponential,
     all_tvcategories,
@@ -36,9 +36,11 @@ from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
 from support import (
     check_evaluation_functor,
     closed_sets,
+    group_quantale,
     induced_modules,
     is_category,
     oracle_largest_structure,
+    reference_all_tvcategories,
     reference_check_tvfunctor,
     reference_tensor_tvcat,
 )
@@ -939,5 +941,47 @@ def test_each_kept_value_lives_with_the_object_it_depends_on():
         assert dual_tvcategory(x) is dual_tvcategory(x)
     ext.capabilities()
     pair = {("xi",), ("xi_compat",), ("capabilities",), ("unit",), ("homxi",)}
-    assert set(ext.cache) == pair | {("em", n) for n in range(3)}
+    sized = {(key, n) for key in ("em", "presheaves") for n in range(3)}
+    assert set(ext.cache) == pair | sized
     assert ("projections", 2, 2) in ext.monad._tables
+
+
+@pytest.mark.parametrize("qname", [*sorted(builtin_quantales()), "z3"])
+@pytest.mark.parametrize("mname", ["id", "ultra"])
+def test_backtracked_categories_match_the_filter(mname, qname):
+    # all_tvcategories backtracks over id and ultra; the filter runs every
+    # matrix through check_tvcategory: same structures, same order, same
+    # verdicts, on up to 2 points, and on 3 where |V|^9 is at most 3 10^5.
+    # z3's unit is below its top, so a(p, p) (x) a(p, s) <= a(p, s) is not
+    # implied by reflexivity there, as it is over every built-in V.
+    q = group_quantale() if qname == "z3" else builtin(qname)
+    for n in range(4 if q.n**9 <= 300_000 else 3):
+        ext = LaxExtension(builtin_monad(mname), q)
+        got = [(x.ext, x.n, x.a, x.name, x.checked) for x in all_tvcategories(ext, n)]
+        expected = [(x.ext, x.n, x.a, x.name, x.checked) for x in reference_all_tvcategories(ext, n)]
+        assert got == expected, (n, len(got), len(expected))
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+def test_the_structure_space_refusal_keeps_its_text(mname):
+    q = builtin("c3")
+    monad = builtin_monad(mname)
+    for n in (1, 2):
+        count = q.n ** (monad.size(n) * n)
+        with pytest.raises(BudgetExceeded) as err:
+            all_tvcategories(LaxExtension(monad, q, count - 1), n)
+        assert str(err.value) == f"structure space: needs {count} candidates, budget is {count - 1}"
+        ext = LaxExtension(monad, q, count)
+        assert len(all_tvcategories(ext, n)) == len(reference_all_tvcategories(ext, n))
+
+
+@pytest.mark.parametrize("mname, qname", [("id", "2"), ("id", "c3"), ("ultra", "2")])
+def test_one_presheaf_space_per_extension_gives_what_a_fresh_one_gives(mname, qname):
+    # yoneda keeps V^{|X|} under ("presheaves", n): through one extension
+    # every category reads the same report as on an extension of its own
+    shared = LaxExtension(builtin_monad(mname), builtin(qname))
+    for n in range(3):
+        for x in all_tvcategories(shared, n):
+            alone = TVCategory(LaxExtension(builtin_monad(mname), builtin(qname)), n, x.a)
+            assert yoneda(x) == yoneda(alone)
+        assert ("presheaves", n) in shared.cache
