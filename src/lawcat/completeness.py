@@ -9,8 +9,6 @@ are unique), with an unpruned reference enumeration kept for checking.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from .errors import GateUnavailable
 from .monad import IdentityMonad, PowersetMonad
 from .tvcat import (
@@ -39,9 +37,6 @@ def completeness_gate(ext):
     if ext.monad.capabilities()["m_bc"]:
         return "m-BC"
     return None
-
-
-_BY_TABLES = attrgetter("tables")
 
 
 class AdjointPair:
@@ -437,8 +432,11 @@ def enumerate_adjoint_pairs(x, oracle=False):
     the extension of the structure, T(T(n)) x T(n) cells, which
     kleisli_table makes.  The charges come before any path is picked, and
     each path builds only what it reads, so a budget refuses alike on
-    every path.  The enumeration is meaningful with or without a reduction
-    gate; the caller labels the verdict by completeness_gate.
+    every path.  The oracle then charges the pair space, phi count times
+    psi count, which covers each of its two all_matrices sweeps, so the
+    sweeps charge nothing more.  The pairs come out sorted by
+    AdjointPair.key.  The enumeration is meaningful with or without a
+    reduction gate; the caller labels the verdict by completeness_gate.
     """
     ext = x.ext
     q = ext.q
@@ -455,15 +453,15 @@ def enumerate_adjoint_pairs(x, oracle=False):
         pcat = unit_tvcategory(ext)
         phi_count = q.n ** (t1 * x.n)
         ext.check_budget("pair space", phi_count * psi_count)
-        psis = [psi for psi in all_matrices(q, tn, 1, ext.max_enum) if is_tvbimodule(psi, x, pcat)]
-        phis = [phi for phi in all_matrices(q, t1, x.n, ext.max_enum) if is_tvbimodule(phi, pcat, x)]
+        psis = [psi for psi in all_matrices(q, tn, 1) if is_tvbimodule(psi, x, pcat)]
+        phis = [phi for phi in all_matrices(q, t1, x.n) if is_tvbimodule(phi, pcat, x)]
         pairs = [
             AdjointPair(q, (psi.data, phi.data))
             for psi in psis
             for phi in phis
             if check_tv_adjunction(ext, phi, psi, x, pcat)["is_adjoint"]
         ]
-    pairs.sort(key=_BY_TABLES)
+    pairs.sort(key=AdjointPair.key)
     return pairs
 
 

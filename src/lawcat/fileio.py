@@ -216,8 +216,9 @@ class ParsedCategory:
             elif row[j] != v:
                 raise ParseError(path, lineno, f"conflicting matrix entries for m[{r},{c}]")
         bottom = q.bottom
-        data = [[bottom if v is None else v for v in row] for row in rows]
-        return q, n, VMatrix(q, size, n, data)
+        # every value came from q.label_index and every row is n wide
+        data = tuple([tuple([bottom if v is None else v for v in row]) for row in rows])
+        return q, n, VMatrix.trusted(q, size, n, data)
 
 
 def _category_header(path, lineno, words):

@@ -52,39 +52,18 @@ class Quantale:
     def __repr__(self):
         return f"Quantale({self.name!r}, {self.n} elements)"
 
-    def index(self, label):
-        try:
-            return self.label_index[label]
-        except KeyError:
-            raise ValueError(f"{label!r} is not an element of {self.name}") from None
-
-    def le(self, u, v):
-        return self.leq[u][v]
-
-    def tens(self, u, v):
-        return self.tensor[u][v]
-
-    def join(self, u, v):
-        return self.join_t[u][v]
-
-    def meet(self, u, v):
-        return self.meet_t[u][v]
-
-    def join_all(self, elems):
-        """Join of an iterable of elements; the empty join is bottom."""
-        acc = self.bottom
-        for e in elems:
-            acc = self.join_t[acc][e]
-        return acc
-
     @cached_property
     def join_prime_unit(self):
         """Whether V is integral (k = top) and top is join-irreducible,
         tested as "top is not the join of all other elements", which also
         excludes top = bottom (the empty join).  Read after validation, on
         the first read only."""
-        top = self.top
-        return self.unit == top and self.join_all([u for u in range(self.n) if u != top]) != top
+        top, join_t = self.top, self.join_t
+        acc = self.bottom
+        for u in range(self.n):
+            if u != top:
+                acc = join_t[acc][u]
+        return self.unit == top and acc != top
 
     def is_meet_tensor(self):
         """True when the tensor coincides with the lattice meet."""
@@ -199,21 +178,22 @@ def tensor_complement_scan(q):
     Reports all such pairs, whether k and bottom are the only complemented
     elements, and whether u (x) v = k forces u = k = v.
     """
+    join_t, tensor = q.join_t, q.tensor
     pairs = []
     complemented = set()
     for u in range(q.n):
         for v in range(q.n):
-            if q.join(u, v) == q.unit and q.tens(u, v) == q.bottom:
+            if join_t[u][v] == q.unit and tensor[u][v] == q.bottom:
                 pairs.append((u, v))
                 complemented.add(u)
                 complemented.add(v)
     only_trivial = complemented <= {q.unit, q.bottom}
     unit_forces = all(
-        not (q.tens(u, v) == q.unit) or (u == q.unit and v == q.unit)
+        not (tensor[u][v] == q.unit) or (u == q.unit and v == q.unit)
         for u in range(q.n)
         for v in range(q.n)
     )
-    idempotent_ok = all(q.tens(u, u) == u for u in complemented)
+    idempotent_ok = all(tensor[u][u] == u for u in complemented)
     at_most_one = all(
         len([v for (u2, v) in pairs if u2 == u]) <= 1 for u in range(q.n)
     )

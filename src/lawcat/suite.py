@@ -57,7 +57,7 @@ def _map_criterion_sweeps(max_enum):
     sweeps = {}
     for name in ACCEPT_QUANTALES:
         bound = 3 if name == "2" else 2
-        sweeps[name] = left_adjoint_map_criterion(builtin(name), bound, max_enum)
+        sweeps[name] = left_adjoint_map_criterion(_ext("id", name, max_enum), bound)
     return sweeps
 
 

@@ -518,7 +518,8 @@ def all_tvcategories(ext, n):
     Over the identity monad (and so the ultrafilter monad) the structures
     are listed by _square_categories' backtracking; over powerset every
     matrix is filtered through check_tvcategory.  The "structure space"
-    charge, |V|^(|T(n)| n), comes first either way.
+    charge, |V|^(|T(n)| n), comes first either way, and is the only one:
+    it is the count all_matrices lists, so the filter charges nothing more.
     """
     q = ext.q
     tn = ext.monad.size(n)
@@ -526,7 +527,7 @@ def all_tvcategories(ext, n):
     if isinstance(ext.monad, IdentityMonad):
         return [TVCategory(ext, n, a, checked={"ok": True}) for a in _square_categories(q, n)]
     cats = []
-    for a in all_matrices(q, tn, n, ext.max_enum):
+    for a in all_matrices(q, tn, n):
         verdict = check_tvcategory(ext, n, a)
         if verdict["ok"]:
             cats.append(TVCategory(ext, n, a, checked=verdict))

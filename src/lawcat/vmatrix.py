@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DEFAULT_MAX_ENUM, BudgetExceeded, DimensionMismatch
+from .errors import DimensionMismatch
 from .quantale import same_quantale, tensor_complement_scan
 
 
@@ -23,6 +23,11 @@ class VMatrix:
         self.data = tuple(tuple(row) for row in data)
         if len(self.data) != rows or any(len(r) != cols for r in self.data):
             raise DimensionMismatch(f"declared {rows}x{cols}, got ragged data")
+        n = q.n
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if not (isinstance(v, int) and 0 <= v < n):
+                    raise DimensionMismatch(f"entry ({i}, {j}) is {v!r}, not an element of {q.name}")
 
     @classmethod
     def trusted(cls, q, rows, cols, data):
@@ -199,16 +204,15 @@ def is_left_adjoint(r):
     return s
 
 
-def _charge_matrix_space(q, rows, cols, max_enum):
-    """Refuse a sweep of all rows x cols matrices over q above the budget."""
-    count = q.n ** (rows * cols)
-    if count > max_enum:
-        raise BudgetExceeded(f"matrix space {rows}x{cols} over {q.name}", count, max_enum)
+def all_matrices(q, rows, cols):
+    """Yield every rows x cols matrix over q, in lexicographic entry order.
 
-
-def all_matrices(q, rows, cols, max_enum=DEFAULT_MAX_ENUM):
-    """Yield every rows x cols matrix over q, in lexicographic entry order."""
-    _charge_matrix_space(q, rows, cols, max_enum)
+    Nothing is charged here: each caller has already charged at least
+    q.n^(rows * cols) on its extension.  tvcat.all_tvcategories charges
+    the "structure space", which is that count, and the oracle of
+    completeness.enumerate_adjoint_pairs the "pair space", which is at
+    least each of its two sweeps.
+    """
     for flat in itertools.product(range(q.n), repeat=rows * cols):
         yield VMatrix.trusted(
             q, rows, cols, tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
@@ -225,7 +229,7 @@ def _left_adjoint_rows(q, ny):
     return good
 
 
-def left_adjoint_map_criterion(q, bound=2, max_enum=DEFAULT_MAX_ENUM):
+def left_adjoint_map_criterion(ext, bound=2):
     """Compare the algebraic map criterion with every left adjoint matrix.
 
     (a) evaluates the two hypotheses via the complement scan; (b) finds all
@@ -241,9 +245,11 @@ def left_adjoint_map_criterion(q, bound=2, max_enum=DEFAULT_MAX_ENUM):
     a 1 x ny matrix, and column x of its right adjoint is that row's.  The
     left adjoints of a shape are then the products of left adjoint rows,
     which row-major lexicographic order lists in `all_matrices` order.
-    Each shape still charges its whole matrix space, q.n^(nx*ny), against
-    max_enum before it is listed.
+    Each shape still charges its whole matrix space, q.n^(nx*ny), on ext
+    before it is listed.  The sweep is the (id, V) case of a (T, V) one,
+    so ext holds V and the budget and is extended nowhere.
     """
+    q = ext.q
     hypotheses = tensor_complement_scan(q)["hypotheses_hold"]
     non_maps = []
     adjunctions = []
@@ -251,7 +257,7 @@ def left_adjoint_map_criterion(q, bound=2, max_enum=DEFAULT_MAX_ENUM):
     rows_of_width = {}
     for nx in range(1, bound + 1):
         for ny in range(1, bound + 1):
-            _charge_matrix_space(q, nx, ny, max_enum)
+            ext.check_budget(f"matrix space {nx}x{ny} over {q.name}", q.n ** (nx * ny))
             if ny not in rows_of_width:
                 rows_of_width[ny] = _left_adjoint_rows(q, ny)
             shape_adj = []

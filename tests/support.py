@@ -41,6 +41,14 @@ def constant_matrix(q, rows, cols, value):
     return VMatrix(q, rows, cols, [[value] * cols for _ in range(rows)])
 
 
+def join_all(q, elems):
+    """Join of an iterable of elements of q; the empty join is bottom."""
+    acc = q.bottom
+    for e in elems:
+        acc = q.join_t[acc][e]
+    return acc
+
+
 def closed_masks(down):
     """Bitmasks of the down-sets, in increasing order, down[x] being the
     mask of the points below x.
@@ -175,7 +183,7 @@ def reference_all_tvcategories(ext, n):
     tn = ext.monad.size(n)
     ext.check_budget("structure space", q.n ** (tn * n))
     cats = []
-    for a in all_matrices(q, tn, n, ext.max_enum):
+    for a in all_matrices(q, tn, n):
         verdict = check_tvcategory(ext, n, a)
         if verdict["ok"]:
             cats.append(TVCategory(ext, n, a, checked=verdict))
@@ -262,7 +270,7 @@ def oracle_largest_structure(expo):
     rows, cols = expo.structure.rows, expo.n
     x.ext.check_budget("largest-structure search", q.n ** (rows * cols))
     best = constant_matrix(q, rows, cols, q.bottom)
-    for cand_m in all_matrices(q, rows, cols, x.ext.max_enum):
+    for cand_m in all_matrices(q, rows, cols):
         cand = Exponential(x, y, expo.carrier, cand_m)
         if check_evaluation_functor(cand)["ok"]:
             best = best.join(cand_m)
@@ -276,7 +284,7 @@ def reference_check_tvfunctor(f, x, y):
     tf = ext.monad.tmap(f, x.n, y.n)
     for s in range(ext.monad.size(x.n)):
         for p in range(x.n):
-            if not ext.q.le(x.a.data[s][p], y.a.data[tf[s]][f[p]]):
+            if not ext.q.leq[x.a.data[s][p]][y.a.data[tf[s]][f[p]]]:
                 return {"ok": False, "witness": (s, p)}
     return {"ok": True}
 
@@ -293,7 +301,7 @@ def reference_tensor_tvcat(x, y):
     tpix, tpiy = ext.monad.projections(x.n, y.n)
     data = tuple(
         tuple(
-            q.tens(x.a.data[tpix[w]][p], y.a.data[tpiy[w]][u])
+            q.tensor[x.a.data[tpix[w]][p]][y.a.data[tpiy[w]][u]]
             for p in range(x.n)
             for u in range(y.n)
         )
@@ -492,7 +500,7 @@ def reference_closed(cat, levels):
         for x in range(cat.n):
             d = reference_point_distance(cat, levels[u], x)
             for v in range(q.n):
-                if _dist_le(d, num[v]) and x not in levels[q.tens(u, v)]:
+                if _dist_le(d, num[v]) and x not in levels[q.tensor[u][v]]:
                     return False
     return True
 
@@ -506,7 +514,7 @@ def reference_companion(cat, levels):
             y
             for y in range(cat.n)
             if all(
-                _dist_le(num[cat.a.data[y][x]], num[q.tens(u, v)])
+                _dist_le(num[cat.a.data[y][x]], num[q.tensor[u][v]])
                 for u in range(q.n)
                 for x in levels[u]
             )

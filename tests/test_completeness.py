@@ -670,7 +670,7 @@ def closed_structure(rng, q, n):
     while changed:
         changed = False
         for x, y, z in itertools.product(range(n), repeat=3):
-            v = q.join(a[x][z], q.tens(a[x][y], a[y][z]))
+            v = q.join_t[a[x][z]][q.tensor[a[x][y]][a[y][z]]]
             if v != a[x][z]:
                 a[x][z] = v
                 changed = True

@@ -39,10 +39,10 @@ def rand_matrix(rng, q, rows, cols):
 def direct_vcategory_verdict(q, a):
     """Reflexivity and transitivity of a square matrix, read off directly."""
     for x in range(a.rows):
-        if not q.le(q.unit, a.data[x][x]):
+        if not q.leq[q.unit][a.data[x][x]]:
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     for x, y, z in itertools.product(range(a.rows), repeat=3):
-        if not q.le(q.tens(a.data[x][y], a.data[y][z]), a.data[x][z]):
+        if not q.leq[q.tensor[a.data[x][y]][a.data[y][z]]][a.data[x][z]]:
             return {"ok": False, "law": "transitivity", "witness": (x, y, z)}
     return {"ok": True}
 
@@ -216,7 +216,7 @@ def test_yoneda_eval_exhaustive_small(name):
                 h
                 for h in itertools.product(range(q.n), repeat=n)
                 if all(
-                    q.le(q.tens(cat.a.data[x][y], h[y]), h[x])
+                    q.leq[q.tensor[cat.a.data[x][y]][h[y]]][h[x]]
                     for x in range(n)
                     for y in range(n)
                 )

@@ -24,6 +24,7 @@ from lawcat.vmatrix import VMatrix
 from support import (
     closed_sets,
     distance_readings,
+    join_all,
     reference_approach_surrogate,
     reference_closed,
     reference_companion,
@@ -428,7 +429,7 @@ def test_point_distance_is_minimum():
     ext = LaxExtension(builtin_monad("ultra"), ext_q)
 
     def distance(cat, pts, x):
-        return num[ext_q.join_all(cat.a.data[y][x] for y in pts)]
+        return num[join_all(ext_q, (cat.a.data[y][x] for y in pts))]
 
     a = VMatrix(ext_q, 2, 2, ((3, 2), (0, 3)))
     cat = TVCategory(ext, 2, a)
@@ -470,7 +471,7 @@ def test_one_point_distance_one_profile_not_irreducible(ext_factory):
     q = ext.q
     cats = all_tvcategories(ext, 1)
     cat = cats[0]
-    row = (q.index("1"),)
+    row = (q.label_index["1"],)
     levels = level_masks(q, row)
     assert closed_by_distances(cat, levels)
     assert positive_levels_meet_companions(cat, levels)
@@ -595,7 +596,7 @@ def test_surrogate_matches_the_distance_reference_on_closed_three_point_structur
         while changed:
             changed = False
             for x, y, z in itertools.product(range(3), repeat=3):
-                v = q.join(a[x][z], q.tens(a[x][y], a[y][z]))
+                v = q.join_t[a[x][z]][q.tensor[a[x][y]][a[y][z]]]
                 if v != a[x][z]:
                     a[x][z], changed = v, True
         cat = TVCategory(ext, 3, VMatrix(q, 3, 3, a))

@@ -1,7 +1,10 @@
+import ast
 import functools
 import gc
+import importlib
 import inspect
 import itertools
+import pathlib
 import random
 import threading
 import weakref
@@ -86,8 +89,8 @@ def test_ultra_extension_on_principal_points(ext_factory):
                         best = q.bottom
                         for xx in a:
                             for yy in b:
-                                best = q.join(best, r.data[xx][yy])
-                        acc = q.meet(acc, best)
+                                best = q.join_t[best][r.data[xx][yy]]
+                        acc = q.meet_t[acc][best]
                 assert tr.data[x][y] == r.data[x][y] == acc
 
 
@@ -167,7 +170,7 @@ def reference_check_xi(ext):
         if ti.data[tq_map[y]][y] != xi[y]:
             return {"ok": False, "law": "xi-Ti-link", "witness": y}
         for x in range(monad.size(1)):
-            if not q.le(ti.data[x][y], xi[y]):
+            if not q.leq[ti.data[x][y]][xi[y]]:
                 return {"ok": False, "law": "xi-Ti-bound", "witness": (x, y)}
     return {"ok": True}
 
@@ -181,7 +184,7 @@ def reference_xi_functor_failures(ext):
         (x, y)
         for x in range(tn)
         for y in range(tn)
-        if not q.le(thom.data[x][y], q.hom_t[xi[x]][xi[y]])
+        if not q.leq[thom.data[x][y]][q.hom_t[xi[x]][xi[y]]]
     ]
 
 
@@ -282,9 +285,9 @@ def _tensor_flags_by_scan(ext):
     n = q.n
     tpi1 = monad.tmap(tuple(u for u in range(n) for _ in range(n)), n * n, n)
     tpi2 = monad.tmap(tuple(v for _ in range(n) for v in range(n)), n * n, n)
-    ttens = monad.tmap(tuple(q.tens(u, v) for u in range(n) for v in range(n)), n * n, n)
-    pairs = [(q.tens(xi[tpi1[w]], xi[tpi2[w]]), xi[ttens[w]]) for w in range(monad.size(n * n))]
-    return all(q.le(lhs, rhs) for lhs, rhs in pairs), all(lhs == rhs for lhs, rhs in pairs)
+    ttens = monad.tmap(tuple(q.tensor[u][v] for u in range(n) for v in range(n)), n * n, n)
+    pairs = [(q.tensor[xi[tpi1[w]]][xi[tpi2[w]]], xi[ttens[w]]) for w in range(monad.size(n * n))]
+    return all(q.leq[lhs][rhs] for lhs, rhs in pairs), all(lhs == rhs for lhs, rhs in pairs)
 
 
 @pytest.mark.parametrize("mname,qname", PAIRS)
@@ -669,15 +672,16 @@ def test_identity_extension_returns_the_matrix(monads, quantales, mname, qname):
         tight.extend(rand_matrix(rng, q, 7, 1))
 
 
-def test_the_extension_is_the_only_budget_holder():
-    # Every (T,V) check reads ext.max_enum; a second budget parameter could
-    # disagree with the one the extension enforces in extend.
-    import lawcat.completeness
-    import lawcat.laxext
-    import lawcat.tvcat
+# The library modules below the entry points; cli, suite and enriched set
+# the budget on the extensions they build.
+LIBRARY_MODULES = ("completeness", "fileio", "instances", "laxext", "monad", "quantale", "quniform", "tvcat", "vmatrix")
 
+
+def test_the_extension_is_the_only_budget_holder():
+    # Every enumeration is charged on its extension; a second budget
+    # parameter could disagree with the one the extension enforces.
     holders = []
-    for module in (lawcat.tvcat, lawcat.completeness, lawcat.laxext):
+    for module in (importlib.import_module(f"lawcat.{name}") for name in LIBRARY_MODULES):
         for name, obj in vars(module).items():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
@@ -689,6 +693,25 @@ def test_the_extension_is_the_only_budget_holder():
                 if inspect.isfunction(fn) and "max_enum" in inspect.signature(fn).parameters:
                     holders.append(f"{module.__name__}.{label}")
     assert holders == ["lawcat.laxext.LaxExtension.__init__"]
+
+
+def test_only_check_budget_reads_the_budget():
+    # a library function that read ext.max_enum could charge past check_budget
+    readers = set()
+    for module in LIBRARY_MODULES:
+        body = ast.parse(pathlib.Path(laxext.__file__).with_name(f"{module}.py").read_text()).body
+        units = [
+            (f"{node.name}.{getattr(member, 'name', '')}", member)
+            for node in body
+            if isinstance(node, ast.ClassDef)
+            for member in node.body
+        ]
+        units += [(getattr(node, "name", ""), node) for node in body if not isinstance(node, ast.ClassDef)]
+        for qualname, unit in units:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Attribute) and node.attr == "max_enum" and isinstance(node.ctx, ast.Load):
+                    readers.add(f"{module}.{qualname}")
+    assert readers == {"laxext.LaxExtension.check_budget"}
 
 
 def _budget_sites():
@@ -712,6 +735,7 @@ def _budget_sites():
         exponential_tvcat,
         tensor_tvcat,
     )
+    from lawcat.vmatrix import left_adjoint_map_criterion
 
     def ext(mname, budget):
         return LaxExtension(builtin_monad(mname), builtin("2"), budget)
@@ -751,6 +775,8 @@ def _budget_sites():
         ("largest-structure search", 16, lambda b: oracle_largest_structure(exponential(b, ((1,),), 2))),
         ("psi space", 4, lambda b: enumerate_adjoint_pairs(chain(b))),
         ("pair space", 16, lambda b: enumerate_adjoint_pairs(chain(b), oracle=True)),
+        # a V-matrix sweep is the (id, V) case: its budget is the extension's
+        ("matrix space 1x1 over 2", 2, lambda b: left_adjoint_map_criterion(ext("id", b), 1)),
         # the space carries its verdict, so no associativity sweep follows
         ((("psi space", 8), ("extended matrix size", 9)), None, space),
     ]
@@ -771,6 +797,61 @@ def test_budget_refuses_exactly_above_needed(what, needed, run):
             run(needed - 1)
         assert (info.value.what, info.value.needed, info.value.budget) == (what, needed, needed - 1)
     run(needed)
+
+
+PARITY_BUDGETS = (*range(1, 70), 80, 81, 255, 256, 6560, 6561, 65536, 10_000_000)
+
+
+@pytest.mark.parametrize("mname", ["id", "ultra", "powerset"])
+def test_each_matrix_sweep_is_charged_once_by_its_caller(monkeypatch, mname):
+    # all_matrices charges nothing; its callers charge at least its count
+    # first.  Put its old charge back, matrix space rows x cols against the
+    # same budget on the first draw, and no outcome moves: every refusal
+    # keeps its (what, needed, budget) and every run its count.
+    import lawcat.completeness
+    import lawcat.tvcat
+    from lawcat.completeness import enumerate_adjoint_pairs
+    from lawcat.monad import builtin_monad
+    from lawcat.tvcat import all_tvcategories, discrete_tvcategory
+    from lawcat.vmatrix import all_matrices
+
+    def outcome(run, budget):
+        try:
+            return len(run(budget))
+        except BudgetExceeded as err:
+            return (err.what, err.needed, err.budget)
+
+    def charged(budget):
+        def sweep(q, rows, cols):
+            count = q.n ** (rows * cols)
+            if count > budget:
+                raise BudgetExceeded(f"matrix space {rows}x{cols} over {q.name}", count, budget)
+            yield from all_matrices(q, rows, cols)
+
+        return sweep
+
+    outcomes = []
+    for qname in ("2", "c3"):
+        for n in range(3):
+
+            def ext(budget):
+                return LaxExtension(builtin_monad(mname), builtin(qname), budget)
+
+            runs = (
+                lambda b: all_tvcategories(ext(b), n),
+                lambda b: enumerate_adjoint_pairs(discrete_tvcategory(ext(b), n), oracle=True),
+            )
+            for run in runs:
+                for budget in PARITY_BUDGETS:
+                    got = outcome(run, budget)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(lawcat.tvcat, "all_matrices", charged(budget))
+                        patch.setattr(lawcat.completeness, "all_matrices", charged(budget))
+                        assert outcome(run, budget) == got, (qname, n, budget)
+                    outcomes.append(got)
+    assert len(outcomes) == 2 * 3 * 2 * len(PARITY_BUDGETS)
+    # both refusals and runs are compared
+    assert {type(got) for got in outcomes} == {int, tuple}
 
 
 def test_derived_state_is_built_once_in_the_extension_cache():

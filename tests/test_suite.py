@@ -79,7 +79,7 @@ def test_map_criterion_sweeps_run_once_per_run_items(monkeypatch):
     swept = []
     original = suite.left_adjoint_map_criterion
     monkeypatch.setattr(
-        suite, "left_adjoint_map_criterion", lambda q, *args: swept.append(q.name) or original(q, *args)
+        suite, "left_adjoint_map_criterion", lambda ext, *args: swept.append(ext.q.name) or original(ext, *args)
     )
     assert [it["ok"] for it in suite.run_items(suite.SWEEP_ITEMS)] == [True, True]
     assert swept == list(suite.ACCEPT_QUANTALES)

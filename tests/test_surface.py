@@ -1,7 +1,9 @@
 """The library holds what lawcat runs.
 
 Every top-level function and class in `src/lawcat`, and every method
-other than a dunder, is used somewhere else in `src/lawcat`, or it is
+other than a dunder, is used somewhere else in `src/lawcat` (a method
+through an attribute read, `.name`, so that a variable of the same name
+does not count), or it is
 library API for a named result of the source
 paper (Clementino-Hofmann, Lawvere completeness in topology): then it is
 listed in PAPER_API, and its docstring names that result.  Oracles,
@@ -32,6 +34,13 @@ def _used_names(node):
     return names
 
 
+def _read_attributes(node):
+    """Attribute names a statement reads, as in `obj.name`."""
+    return {
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
@@ -39,23 +48,25 @@ def _is_dunder(name):
 def _definitions():
     """(module, qualified name, the name sets of the statements that may use it).
 
-    A top-level function or class may be used by any other top-level
-    statement; a method other than a dunder also by the other members of
-    its class.
+    A top-level function or class may be used, by name or as an
+    attribute, by any other top-level statement; a method other than a
+    dunder only through an attribute read, by any other top-level
+    statement or member of its class.
     """
     modules = [(path.stem, ast.parse(path.read_text()).body) for path in sorted(SRC.glob("*.py"))]
     statements = [node for _, body in modules for node in body]
     uses = {node: _used_names(node) for node in statements}
+    reads = {node: _read_attributes(node) for node in statements}
     for module, body in modules:
         for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            others = [uses[other] for other in statements if other is not node]
-            yield module, node.name, others
+            yield module, node.name, [uses[other] for other in statements if other is not node]
             if isinstance(node, ast.ClassDef):
+                others = [reads[other] for other in statements if other is not node]
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
-                        siblings = [_used_names(other) for other in node.body if other is not member]
+                        siblings = [_read_attributes(other) for other in node.body if other is not member]
                         yield module, f"{node.name}.{member.name}", others + siblings
 
 

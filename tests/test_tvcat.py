@@ -39,6 +39,7 @@ from support import (
     group_quantale,
     induced_modules,
     is_category,
+    join_all,
     oracle_largest_structure,
     reference_all_tvcategories,
     reference_check_tvfunctor,
@@ -80,7 +81,7 @@ def algebra_compose(ext, a0, alpha, n):
     is_structure = check_tvcategory(ext, n, composite)["ok"]
     ta0 = ext.extend(a0)
     alpha_functor = all(
-        q.le(ta0.data[s][t], a0.data[alpha[s]][alpha[t]])
+        q.leq[ta0.data[s][t]][a0.data[alpha[s]][alpha[t]]]
         for s in range(monad.size(n))
         for t in range(monad.size(n))
     )
@@ -126,7 +127,7 @@ def check_exponential_maximality(expo):
         for i in range(expo.n):
             cur = base_data[s][i]
             for v in range(q.n):
-                if v != cur and q.le(cur, v):
+                if v != cur and q.leq[cur][v]:
                     bumped = [list(r) for r in base_data]
                     bumped[s][i] = v
                     cand = Exponential(
@@ -175,12 +176,12 @@ def yoneda0(x):
     for s in range(tn):
         row = expo.structure.data[ty0[s]]
         for i, phi in enumerate(expo.carrier):
-            if not q.le(phi[s], row[i]):
+            if not q.leq[phi[s]][row[i]]:
                 lower_ok = False
-        if q.le(q.unit, ta.data[e_t[s]][s]):
+        if q.leq[q.unit][ta.data[e_t[s]][s]]:
             gated += 1
             for i, phi in enumerate(expo.carrier):
-                if not q.le(row[i], phi[s]):
+                if not q.leq[row[i]][phi[s]]:
                     upper_ok = False
     return {
         "ok": lower_ok and upper_ok,
@@ -197,14 +198,14 @@ def direct_tvcategory_verdict(ext, n, a):
     q = ext.q
     e = ext.monad.unit_table(n)
     for x in range(n):
-        if not q.le(q.unit, a.data[e[x]][x]):
+        if not q.leq[q.unit][a.data[e[x]][x]]:
             return {"ok": False, "law": "reflexivity", "witness": (x,)}
     ta = _threshold_extend(ext.monad, q, a)
     mu = ext.monad.mult_table(n)
     for s in range(ta.rows):
         for t in range(ta.cols):
             for x in range(n):
-                if not q.le(q.tens(ta.data[s][t], a.data[t][x]), a.data[mu[s]][x]):
+                if not q.leq[q.tensor[ta.data[s][t]][a.data[t][x]]][a.data[mu[s]][x]]:
                     return {"ok": False, "law": "transitivity", "witness": (s, t, x)}
     return {"ok": True}
 
@@ -477,7 +478,7 @@ def test_kleisli_table_matches_the_join_formula(ext_factory, mname, qname):
         fibers = [[big for big, s in enumerate(ext.monad.mult_table(n)) if s == small] for small in range(tn)]
         for x in all_tvcategories(ext, n):
             ta = ext.extend(x.a).data
-            joined = [[q.join_all(ta[big][t] for big in fibers[s]) for t in range(tn)] for s in range(tn)]
+            joined = [[join_all(q, (ta[big][t] for big in fibers[s])) for t in range(tn)] for s in range(tn)]
             assert [list(row) for row in kleisli_table(x)] == joined, x.a.data
 
 
@@ -532,7 +533,7 @@ def test_constant_map_into_reflexive_point(ext_factory):
         for p in range(2):
             f = (p,)
             assert check_tvfunctor(f, point, y)["ok"] == bool(
-                ext.q.le(ext.q.unit, y.a.data[ext.monad.unit_table(2)[p]][p])
+                ext.q.leq[ext.q.unit][y.a.data[ext.monad.unit_table(2)[p]][p]]
             )
 
 
@@ -742,7 +743,7 @@ def test_exponential_pointwise_for_free_algebra_point(ext_factory):
     q = ext.q
     for i, f in enumerate(expo.carrier):
         for j, g in enumerate(expo.carrier):
-            assert (expo.structure.data[i][j] == q.unit) == q.le(f[0], g[0])
+            assert (expo.structure.data[i][j] == q.unit) == q.leq[f[0]][g[0]]
 
 
 def test_exponential_requires_precondition(ext_factory):
@@ -788,7 +789,7 @@ def test_yoneda_hat_carrier_is_downsets_for_chain(ext_factory):
         phi
         for phi in itertools.product(range(2), repeat=2)
         if all(
-            not (chain.a.data[x][y] == q.unit) or q.le(phi[y], phi[x])
+            not (chain.a.data[x][y] == q.unit) or q.leq[phi[y]][phi[x]]
             for x in range(2)
             for y in range(2)
         )

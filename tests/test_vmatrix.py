@@ -6,6 +6,8 @@ import pytest
 
 from lawcat.errors import DEFAULT_MAX_ENUM, BudgetExceeded, DimensionMismatch, QuantaleMismatch
 from lawcat.fileio import parse_quantale_text
+from lawcat.laxext import LaxExtension
+from lawcat.monad import builtin_monad
 from lawcat.quantale import (
     builtin,
     builtin_quantales,
@@ -27,7 +29,12 @@ from lawcat.vmatrix import (
     select_cols,
 )
 
-from support import constant_matrix, group_quantale, identity_matrix
+from support import constant_matrix, group_quantale, identity_matrix, join_all
+
+
+def id_ext(q, max_enum=DEFAULT_MAX_ENUM):
+    """The (id, V) extension a V-matrix sweep holds its budget on."""
+    return LaxExtension(builtin_monad("id"), q, max_enum)
 
 
 def check_adjunction(r, s):
@@ -44,14 +51,14 @@ def check_adjunction(r, s):
     unit_fail = []
     sr = mcompose(s, r)
     for x in range(r.rows):
-        if not q.le(q.unit, sr.data[x][x]):
+        if not q.leq[q.unit][sr.data[x][x]]:
             unit_fail.append(x)
     counit_fail = []
     rs = mcompose(r, s)
     eye = identity_matrix(q, r.cols)
     for y in range(r.cols):
         for y2 in range(r.cols):
-            if not q.le(rs.data[y][y2], eye.data[y][y2]):
+            if not q.leq[rs.data[y][y2]][eye.data[y][y2]]:
                 counit_fail.append((y, y2))
     ok = not unit_fail and not counit_fail
 
@@ -59,12 +66,12 @@ def check_adjunction(r, s):
     for x in range(r.rows):
         acc = q.bottom
         for y in range(r.cols):
-            acc = q.join(acc, q.tens(r.data[x][y], s.data[y][x]))
+            acc = q.join_t[acc][q.tensor[r.data[x][y]][s.data[y][x]]]
         if acc != q.unit:
             pointwise_ok = False
         for y in range(r.cols):
             for y2 in range(r.cols):
-                if y != y2 and q.tens(s.data[y][x], r.data[x][y2]) != q.bottom:
+                if y != y2 and q.tensor[s.data[y][x]][r.data[x][y2]] != q.bottom:
                     pointwise_ok = False
     if pointwise_ok != ok:
         raise AssertionError("adjunction characterizations disagree; composition bug")
@@ -80,7 +87,7 @@ def naive_compose(outer, inner):
         for z in range(outer.cols):
             acc = q.bottom
             for y in range(inner.cols):
-                acc = q.join(acc, q.tens(inner.data[x][y], outer.data[y][z]))
+                acc = q.join_t[acc][q.tensor[inner.data[x][y]][outer.data[y][z]]]
             row.append(acc)
         data.append(tuple(row))
     return VMatrix(q, inner.rows, outer.cols, data)
@@ -167,7 +174,7 @@ def test_map_composition_shortcuts():
         rhs = mcompose(VMatrix.from_map(q, g, 3, 2), r)
         for x in range(2):
             for z in range(2):
-                expect = q.join_all(r.data[x][y] for y in range(3) if g[y] == z)
+                expect = join_all(q, (r.data[x][y] for y in range(3) if g[y] == z))
                 assert rhs.data[x][z] == expect
 
 
@@ -180,7 +187,7 @@ def test_every_map_is_left_adjoint_to_its_transpose():
 
 def test_singleton_valued_row_is_adjoint_but_not_map():
     q = builtin("pset2")
-    r = VMatrix(q, 1, 2, ((q.index("{a}"), q.index("{b}")),))
+    r = VMatrix(q, 1, 2, ((q.label_index["{a}"], q.label_index["{b}"]),))
     assert check_adjunction(r, r.transpose())["is_adjoint"]
     assert not r.is_map()
 
@@ -217,7 +224,7 @@ def reference_right_adjoint(r):
         for x in range(r.rows):
             acc = q.top
             for z in range(r.cols):
-                acc = q.meet(acc, q.hom_t[r.data[x][z]][q.unit if y == z else q.bottom])
+                acc = q.meet_t[acc][q.hom_t[r.data[x][z]][q.unit if y == z else q.bottom]]
             row.append(acc)
         data.append(row)
     return VMatrix(q, r.cols, r.rows, data)
@@ -226,7 +233,7 @@ def reference_right_adjoint(r):
 def reference_is_left_adjoint(r):
     s = reference_right_adjoint(r)
     sr = mcompose(s, r)
-    return s if all(r.q.le(r.q.unit, sr.data[x][x]) for x in range(r.rows)) else None
+    return s if all(r.q.leq[r.q.unit][sr.data[x][x]] for x in range(r.rows)) else None
 
 
 @pytest.mark.parametrize("name", ACCEPT_QUANTALES)
@@ -281,7 +288,7 @@ def test_trusted_builders_return_valid_matrices():
 )
 def test_left_adjoint_map_criterion(name, expect_hyp):
     q = builtin(name)
-    report = left_adjoint_map_criterion(q, bound=2)
+    report = left_adjoint_map_criterion(id_ext(q), bound=2)
     assert report["hypotheses_hold"] == expect_hyp
     assert report["equivalence_holds"]
     if name == "pset2":
@@ -293,15 +300,21 @@ def test_left_adjoint_map_criterion(name, expect_hyp):
         assert ["{a}", "{b}"] in rows
 
 
-def reference_map_criterion(q, bound, max_enum=DEFAULT_MAX_ENUM):
-    """The sweep as a filter: every matrix of each shape through is_left_adjoint."""
+def reference_map_criterion(ext, bound):
+    """The sweep as a filter: every matrix of each shape through is_left_adjoint.
+
+    Each shape charges its matrix space here, before it is listed."""
+    q = ext.q
     non_maps = []
     adjunctions = []
     total_left = 0
     for nx in range(1, bound + 1):
         for ny in range(1, bound + 1):
+            count = q.n ** (nx * ny)
+            if count > ext.max_enum:
+                raise BudgetExceeded(f"matrix space {nx}x{ny} over {q.name}", count, ext.max_enum)
             shape_adj = []
-            for r in all_matrices(q, nx, ny, max_enum):
+            for r in all_matrices(q, nx, ny):
                 s = is_left_adjoint(r)
                 if s is not None:
                     shape_adj.append((r, s))
@@ -336,8 +349,8 @@ def _assert_tuples(matrix):
 
 @pytest.mark.parametrize("q,bound", SWEEP_CASES, ids=SWEEP_IDS)
 def test_row_sweep_matches_the_filter(q, bound):
-    report = left_adjoint_map_criterion(q, bound)
-    expected = reference_map_criterion(q, bound)
+    report = left_adjoint_map_criterion(id_ext(q), bound)
+    expected = reference_map_criterion(id_ext(q), bound)
     for key in ("hypotheses_hold", "left_adjoint_count", "non_map_witnesses", "adjunctions"):
         assert report[key] == expected[key], key
     for _, pairs in report["adjunctions"]:
@@ -361,7 +374,7 @@ def test_left_adjointness_is_row_local(name):
 
 def _sweep_outcome(sweep, q, bound, max_enum):
     try:
-        report = sweep(q, bound, max_enum)
+        report = sweep(id_ext(q, max_enum), bound)
     except BudgetExceeded as err:
         return ("refused", str(err))
     return ("ran", report["left_adjoint_count"], report["adjunctions"])
@@ -379,14 +392,13 @@ def test_row_sweep_charges_the_budget_like_the_filter(q, bound):
 
 def test_order_reversal_on_generated_adjunctions():
     for name in ("2", "c3", "pset2"):
-        report = left_adjoint_map_criterion(builtin(name), bound=2)
+        report = left_adjoint_map_criterion(id_ext(builtin(name)), bound=2)
         assert check_order_reversal(report["adjunctions"])["ok"]
 
 
 def test_adjoint_pair_order_reversal_forces_equality():
     # r <= r' and s <= s' for adjoint pairs forces both equalities
-    q = builtin("c3")
-    report = left_adjoint_map_criterion(q, bound=2)
+    report = left_adjoint_map_criterion(id_ext(builtin("c3")), bound=2)
     for _, pairs in report["adjunctions"]:
         for (r, s) in pairs:
             for (r2, s2) in pairs:
@@ -417,7 +429,7 @@ def test_cross_quantale_and_shape_errors():
         mcompose(a, constant_matrix(q2, 2, 3, 0))
 
 
-def test_validation_stays_at_the_boundary(monkeypatch):
+def test_validation_stays_at_the_boundary():
     import os
 
     from lawcat.errors import ParseError
@@ -432,17 +444,34 @@ def test_validation_stays_at_the_boundary(monkeypatch):
     data = ((0, 1), (1, 2))
     m = VMatrix.trusted(q, 2, 2, data)
     assert m.data is data and m == VMatrix(q, 2, 2, [[0, 1], [1, 2]])
-
-    def refuse(cls, *args):
-        raise AssertionError("trusted constructor used at the file boundary")
-
-    monkeypatch.setattr(VMatrix, "trusted", classmethod(refuse))
+    # a file's values are checked against the quantale's label table, so
+    # resolve builds trusted rows that the checked constructor accepts
     data_dir = os.path.join(os.path.dirname(__file__), "data")
     for name in ("chain2.vcat", "disc2pset.vcat", "notcat.vcat", "chain2u.tvcat", "pair2p.tvcat"):
         kind, parsed = load_file(os.path.join(data_dir, name))
-        _, n, matrix = parsed.resolve()
-        assert matrix.cols == n
+        fq, n, matrix = parsed.resolve()
+        _assert_tuples(matrix)
+        assert matrix.cols == n and matrix == VMatrix(fq, matrix.rows, n, matrix.data)
     for entry in ("m[a] = 1", "m[a,zz] = 1", "m[a,b] = 7"):
         parsed = parse_category_text(f"vcat bad over 2\nelements: a b\n{entry}\n")
         with pytest.raises(ParseError):
             parsed.resolve()
+
+
+@pytest.mark.parametrize("name", ["2", "c3", "pset2"])
+def test_an_entry_off_the_carrier_is_refused(name):
+    # -1 would read the last table row, as top; q.n and 1.0 would fail on
+    # a later read
+    q = builtin(name)
+    for bad in (-1, q.n, 1.0):
+        rows = [[q.bottom] * 3 for _ in range(2)]
+        rows[1][2] = bad
+        with pytest.raises(DimensionMismatch, match=rf"^entry \(1, 2\) is {bad}, not an element of {name}$"):
+            VMatrix(q, 2, 3, rows)
+        # the first bad cell in row-major order is named
+        rows[0][1] = bad
+        with pytest.raises(DimensionMismatch, match=r"^entry \(0, 1\)"):
+            VMatrix(q, 2, 3, rows)
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        VMatrix(q, 2, 3, [[q.bottom] * 3, [q.bottom] * 2])
+    assert VMatrix(q, 1, 2, ((0, q.n - 1),)).data == ((0, q.n - 1),)
