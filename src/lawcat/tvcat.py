@@ -16,9 +16,11 @@ import itertools
 from .errors import GateUnavailable
 from .laxext import _classes
 from .monad import IdentityMonad
+from .quantale import same_quantale
 from .vmatrix import (
     VMatrix,
     all_matrices,
+    composite_le,
     compose_rows,
     mcompose,
     postcompose_map,
@@ -379,11 +381,18 @@ def kleisli_compose(ext, b, a, n_src):
     b is composed with the rows of T(a) . m-transpose (_kleisli_rows),
     which is exact, since the tensor distributes over their joins.
     """
+    q = ext.q
+    rows = _kleisli_inner(ext, b, a, n_src)
+    return VMatrix.trusted(q, a.rows, b.cols, compose_rows(q, rows, b.data, b.cols))
+
+
+def _kleisli_inner(ext, b, a, n_src):
+    """The rows of T(a) . m-transpose that b * a composes b with, after
+    kleisli_compose's shape check.  A law b * a <= c is then
+    composite_le(ext.q, rows, b.data, c.data), with no composite built."""
     if a.rows != ext.monad.size(n_src) or b.rows != ext.monad.size(a.cols):
         raise ValueError("kleisli shapes do not line up")
-    q = ext.q
-    rows = _kleisli_rows(ext, ext.extend(a).data, n_src)
-    return VMatrix.trusted(q, a.rows, b.cols, compose_rows(q, rows, b.data, b.cols))
+    return _kleisli_rows(ext, ext.extend(a).data, n_src)
 
 
 def _kleisli_rows(ext, ta, n):
@@ -428,11 +437,20 @@ def check_tvfunctor(f, x, y):
 
 
 def is_tvbimodule(psi, x, y):
-    """Direct laws: psi * a <= psi and b * psi <= psi."""
+    """Direct laws: psi * a <= psi and b * psi <= psi.
+
+    Each left side is a join of tensors, below psi exactly when every
+    term is, so both are compared term by term (composite_le) and no
+    composite is built.  Both shapes are checked and both extensions made
+    before either law is compared, as when the composites were built.
+    """
     ext = x.ext
-    left = kleisli_compose(ext, psi, x.a, x.n)
-    right = kleisli_compose(ext, y.a, psi, x.n)
-    return left.le(psi) and right.le(psi)
+    q = ext.q
+    left = _kleisli_inner(ext, psi, x.a, x.n)
+    right = _kleisli_inner(ext, y.a, psi, x.n)
+    same_quantale(q, psi.q)
+    bound = psi.data
+    return composite_le(q, left, bound, bound) and composite_le(q, right, y.a.data, bound)
 
 
 def dual_tvcategory(x):
@@ -472,10 +490,12 @@ def tensor_tvcat(x, y):
 def check_tvbimodule(psi, x, y):
     """Direct module laws against the double-functor characterization.
 
-    The direct verdict uses Kleisli composition.  The second route reads
-    psi as a map on T(X) x Y and asks for functoriality both out of the
+    The direct verdict is is_tvbimodule's.  The second route reads psi as
+    a map on T(X) x Y and asks for functoriality both out of the
     free-algebra tensor and out of the dual tensor, into the canonical
-    structure on the quantale.  Agreement is recorded, not enforced: the
+    structure on the quantale (_tensor_functor, which builds neither
+    product category).  Each source charges the "tensor carrier" that
+    tensor_tvcat would.  Agreement is recorded, not enforced: the
     characterization holds when the multiplication is natural, the equality
     case of law (e) that check_extension_laws samples as m_natural.
     """
@@ -485,14 +505,11 @@ def check_tvbimodule(psi, x, y):
     v_cat = hom_xi_category(ext)
     xbar = em_algebra_category(ext, x.n)
     xop = dual_tvcategory(x)
-    psi_map = tuple(
-        psi.data[s][yy] for s in range(monad.size(x.n)) for yy in range(y.n)
-    )
     via = True
     for source in (xbar, xop):
-        prod = tensor_tvcat(source, y)
-        if not check_tvfunctor(psi_map, prod, v_cat)["ok"]:
-            via = False
+        n = source.n * y.n
+        ext.check_budget("tensor carrier", monad.size(n) * n)
+        via = via and _tensor_functor(psi, source, y, v_cat)
     return {
         "direct": direct,
         "via_functors": via,
@@ -501,13 +518,41 @@ def check_tvbimodule(psi, x, y):
     }
 
 
+def _tensor_functor(psi, source, y, v_cat):
+    """check_tvfunctor(psi, tensor_tvcat(source, y), v_cat)["ok"], with psi
+    read as a map on source x y, row-major, and no category built.
+
+    The cell of the tensor at (w, (p, u)) is
+    source(T pi_x w, p) (x) y(T pi_y w, u), so it is read off the two
+    structures through monad.projections where it is compared with
+    v_cat(T psi w, psi(p, u)).
+    """
+    ext = y.ext
+    q = ext.q
+    tens, leq = q.tensor, q.leq
+    flat = tuple([v for row in psi.data for v in row])
+    tpix, tpiy = ext.monad.projections(source.n, y.n)
+    tpsi = ext.monad.tmap(flat, len(flat), q.n)
+    sdata, ydata, vdata = source.a.data, y.a.data, v_cat.a.data
+    for r, c, t in zip(tpix, tpiy, tpsi):
+        yrow, vrow = ydata[c], vdata[t]
+        for u, prow in zip(sdata[r], psi.data):
+            tens_u = tens[u]
+            for w, v in zip(yrow, prow):
+                if not leq[tens_u[w]][vrow[v]]:
+                    return False
+    return True
+
+
 def check_tv_adjunction(ext, phi, psi, x, y):
     """phi -| psi for phi: (Y) -|-> X and psi: (X) -|-> Y between categories.
 
-    Unit: b <= psi * phi on Y; counit: phi * psi <= a on X.
+    Unit: b <= psi * phi on Y; counit: phi * psi <= a on X.  The counit
+    is an upper bound on a join, so it is compared term by term
+    (composite_le); the unit is a lower bound and needs the composite.
     """
     unit = y.a.le(kleisli_compose(ext, psi, phi, y.n))
-    counit = kleisli_compose(ext, phi, psi, x.n).le(x.a)
+    counit = composite_le(ext.q, _kleisli_inner(ext, phi, psi, x.n), phi.data, x.a.data)
     return {"unit": unit, "counit": counit, "is_adjoint": unit and counit}
 
 

@@ -67,12 +67,7 @@ class VMatrix:
         same_quantale(self.q, other.q)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("order compares equal shapes only")
-        leq = self.q.leq
-        for row, other_row in zip(self.data, other.data):
-            for u, v in zip(row, other_row):
-                if not leq[u][v]:
-                    return False
-        return True
+        return rows_le(self.q, self.data, other.data)
 
     def join(self, other):
         same_quantale(self.q, other.q)
@@ -123,6 +118,39 @@ def mcompose(outer, inner):
     return VMatrix.trusted(q, inner.rows, outer.cols, out)
 
 
+def rows_le(q, rows, bound):
+    """Whether rows <= bound pointwise, for two tables of one shape."""
+    leq = q.leq
+    for row, bound_row in zip(rows, bound):
+        for u, v in zip(row, bound_row):
+            if not leq[u][v]:
+                return False
+    return True
+
+
+def composite_le(q, rows, odata, bound):
+    """Whether rows.odata <= bound, with no composite built.
+
+    rows are the rows of an inner matrix, odata the data of an outer one
+    and bound a table of the composite's shape.  A cell of the composite
+    is the join over y of rows[x][y] (x) odata[y][z], and a join is below
+    bound[x][z] exactly when every one of its terms is.  So each term is
+    compared with its bound, a bottom entry of rows (whose terms are all
+    bottom) is skipped, and the loop stops at the first term that is not
+    below its bound.
+    """
+    tens, leq, bot = q.tensor, q.leq, q.bottom
+    for rin, brow in zip(rows, bound):
+        for u, orow in zip(rin, odata):
+            if u == bot:
+                continue
+            tens_u = tens[u]
+            for w, v in zip(orow, brow):
+                if not leq[tens_u[w]][v]:
+                    return False
+    return True
+
+
 def compose_rows(q, rows, odata, ncols):
     """The rows of outer.inner, from the rows of inner and outer's data, ncols wide."""
     tens, join_t, bot = q.tensor, q.join_t, q.bottom
@@ -151,15 +179,19 @@ def precompose_map(m, f, n_src):
 
 def postcompose_map(g, n_tgt, m):
     """g.m for a function g on the codomain: column joins over fibers."""
-    q = m.q
+    return VMatrix.trusted(m.q, m.rows, n_tgt, postcompose_rows(m.q, g, n_tgt, m.data))
+
+
+def postcompose_rows(q, g, n_tgt, rows):
+    """The rows of g.m from the rows of m: row[z] joins the entries over g's fibre at z."""
     join_t, bot = q.join_t, q.bottom
     out = []
-    for rdat in m.data:
+    for rdat in rows:
         row = [bot] * n_tgt
         for z, v in zip(g, rdat):
             row[z] = join_t[row[z]][v]
         out.append(tuple(row))
-    return VMatrix.trusted(q, m.rows, n_tgt, tuple(out))
+    return tuple(out)
 
 
 def select_cols(m, f):

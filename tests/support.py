@@ -3,17 +3,19 @@
 The library keeps what its commands run; these are oracles and law
 checks that only the tests call, so they live here: among them the
 hom laws and the span/algebra diagram of xi, and the functor's
-Beck-Chevalley sweep, and the enumerators the library's backtracking
-replaced.  The `largest-structure search` budget site is
+Beck-Chevalley sweep, the enumerators the library's backtracking
+replaced, and the module, adjunction and extension-law checks as they
+were when they built every composite.  The `largest-structure search` budget site is
 `oracle_largest_structure`.
 """
 
 import itertools
 import os
 import random
+import zlib
 
 from lawcat.completeness import decide_lawvere_complete
-from lawcat.errors import LawcatError, ParseError
+from lawcat.errors import BudgetExceeded, LawcatError, ParseError
 from lawcat.fileio import parse_quantale_text
 from lawcat.instances import FinitePreorder, _points
 from lawcat.laxext import _random_matrix
@@ -25,11 +27,22 @@ from lawcat.tvcat import (
     TVCategory,
     check_tvcategory,
     check_tvfunctor,
+    dual_tvcategory,
+    em_algebra_category,
     hom_xi_category,
     is_tvbimodule,
+    kleisli_compose,
+    tensor_tvcat,
     unit_tvcategory,
 )
-from lawcat.vmatrix import VMatrix, all_matrices, precompose_map, select_cols
+from lawcat.vmatrix import (
+    VMatrix,
+    all_matrices,
+    mcompose,
+    postcompose_map,
+    precompose_map,
+    select_cols,
+)
 
 
 def identity_matrix(q, n):
@@ -308,6 +321,127 @@ def reference_tensor_tvcat(x, y):
         for w in range(monad.size(n))
     )
     return TVCategory(ext, n, VMatrix(q, monad.size(n), n, data), name=f"{x.name}(x){y.name}")
+
+
+def reference_is_tvbimodule(psi, x, y):
+    """is_tvbimodule as the library wrote it before it compared term by
+    term: both Kleisli composites built, then compared with VMatrix.le."""
+    ext = x.ext
+    left = kleisli_compose(ext, psi, x.a, x.n)
+    right = kleisli_compose(ext, y.a, psi, x.n)
+    return left.le(psi) and right.le(psi)
+
+
+def reference_check_tv_adjunction(ext, phi, psi, x, y):
+    """check_tv_adjunction as the library wrote it before its counit
+    compared term by term: both composites built."""
+    unit = y.a.le(kleisli_compose(ext, psi, phi, y.n))
+    counit = kleisli_compose(ext, phi, psi, x.n).le(x.a)
+    return {"unit": unit, "counit": counit, "is_adjoint": unit and counit}
+
+
+def reference_check_tvbimodule(psi, x, y):
+    """check_tvbimodule as the library wrote it before its functor route
+    read the tensor cells in place: the direct laws through
+    reference_is_tvbimodule, and each product category built by
+    tensor_tvcat and checked with check_tvfunctor on psi as a map."""
+    ext = x.ext
+    monad = ext.monad
+    direct = reference_is_tvbimodule(psi, x, y)
+    v_cat = hom_xi_category(ext)
+    xbar = em_algebra_category(ext, x.n)
+    xop = dual_tvcategory(x)
+    psi_map = tuple(
+        psi.data[s][yy] for s in range(monad.size(x.n)) for yy in range(y.n)
+    )
+    via = True
+    for source in (xbar, xop):
+        prod = tensor_tvcat(source, y)
+        if not check_tvfunctor(psi_map, prod, v_cat)["ok"]:
+            via = False
+    return {
+        "direct": direct,
+        "via_functors": via,
+        "agree": direct == via,
+        "ok": direct,
+    }
+
+
+def reference_check_extension_laws(ext, samples=25, seed=None, size=2):
+    """check_extension_laws as the library wrote it before it worked on
+    row tuples: every composite and side built as a VMatrix."""
+    q = ext.q
+    monad = ext.monad
+    if seed is None:
+        seed = zlib.crc32(f"{monad.name}/{q.name}".encode())
+    rng = random.Random(seed)
+    laws = {key: {"ok": True, "checked": 0, "witness": None} for key in "abcdefg"}
+    laws["f"]["applicable"] = q.is_meet_tensor()
+    laws["e"]["skipped"] = 0
+    m_natural = True
+
+    def note(law, ok, witness):
+        laws[law]["checked"] += 1
+        if not ok and laws[law]["ok"]:
+            laws[law]["ok"] = False
+            laws[law]["witness"] = witness
+
+    for _ in range(samples):
+        nx = rng.randrange(1, size + 1)
+        ny = rng.randrange(1, size + 1)
+        nz = rng.randrange(1, size + 1)
+        a = _random_matrix(rng, q, nx, ny)
+        b = _random_matrix(rng, q, ny, nz)
+        ta = ext.extend(a)
+        tb = ext.extend(b)
+
+        note("a", ext.extend(a.transpose()) == ta.transpose(), a.data)
+
+        comp = mcompose(b, a)
+        tcomp = ext.extend(comp)
+        note("b", mcompose(tb, ta).le(tcomp), (a.data, b.data))
+
+        a2 = a.join(_random_matrix(rng, q, nx, ny))
+        note("c", ta.le(ext.extend(a2)), (a.data, a2.data))
+
+        e_x = monad.unit_table(nx)
+        e_y = monad.unit_table(ny)
+        lhs_d = postcompose_map(e_y, monad.size(ny), a)
+        rhs_d = precompose_map(ta, e_x, nx)
+        note("d", lhs_d.le(rhs_d), a.data)
+
+        try:
+            t2a = ext.extend(ta)
+            mu_y = monad.mult_table(ny)
+            mu_x = monad.mult_table(nx)
+            lhs_e = postcompose_map(mu_y, monad.size(ny), t2a)
+            rhs_e = precompose_map(ta, mu_x, monad.size(monad.size(nx)))
+            note("e", lhs_e.le(rhs_e), a.data)
+            if lhs_e != rhs_e:
+                m_natural = False
+        except BudgetExceeded:
+            laws["e"]["skipped"] += 1
+
+        if laws["f"]["applicable"]:
+            note("f", mcompose(tb, ta) == tcomp, (a.data, b.data))
+
+        g = tuple(rng.randrange(nz) for _ in range(ny))
+        g_mat = VMatrix.from_map(q, g, ny, nz)
+        tg = monad.tmap(g, ny, nz)
+        lhs_g = ext.extend(mcompose(g_mat, a))
+        rhs_g = postcompose_map(tg, monad.size(nz), ta)
+        note("g", lhs_g == rhs_g, (a.data, g))
+
+        f = tuple(rng.randrange(ny) for _ in range(nx))
+        f_mat = VMatrix.from_map(q, f, nx, ny)
+        comp_bf = mcompose(b, f_mat)
+        tf_mat = VMatrix.from_map(q, monad.tmap(f, nx, ny), monad.size(nx), monad.size(ny))
+        note("b", ext.extend(comp_bf) == mcompose(tb, tf_mat), (f, b.data))
+
+    # A sample the budget skipped was not checked, so it grants nothing.
+    laws["m_natural"] = m_natural and laws["e"]["skipped"] == 0
+    laws["ok"] = all(laws[key]["ok"] for key in "abcdefg")
+    return laws
 
 
 def check_embeds_maps(ext, samples=20, seed=1, size=3):

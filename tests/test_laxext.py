@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from lawcat import laxext
-from lawcat.errors import BudgetExceeded, GateUnavailable
+from lawcat.errors import DEFAULT_MAX_ENUM, BudgetExceeded, GateUnavailable
 from lawcat.laxext import (
     LaxExtension,
     _threshold_extend,
@@ -32,6 +32,7 @@ from support import (
     principal_ultrafilter,
     reference_functor_bc,
     reference_hom_laws,
+    reference_check_extension_laws,
     reference_span_algebra_diagram,
 )
 
@@ -110,6 +111,42 @@ def test_law_e_budget_skips_withhold_m_natural(monads, quantales):
     assert laws["e"]["checked"] == 28
     assert laws["e"]["skipped"] == 6
     assert not laws["m_natural"]
+
+
+class _OneCellOff(LaxExtension):
+    """An extension whose every result has cell (0, last column) moved to
+    top, or to bottom where it is top: a wrong extension on which each of
+    the seven laws fails somewhere."""
+
+    def extend(self, m):
+        t = super().extend(m)
+        q = self.q
+        data = [list(row) for row in t.data]
+        v = data[0][-1]
+        data[0][-1] = q.bottom if v == q.top else q.top
+        return VMatrix.trusted(q, t.rows, t.cols, tuple(map(tuple, data)))
+
+
+def test_extension_laws_match_the_composing_reference(monads, quantales):
+    """check_extension_laws, on row tuples, returns the report of the
+    reference in tests/support.py, which builds every side as a VMatrix:
+    the same counts, verdicts, witnesses, skips and m-naturality flag, on
+    the true extension and on _OneCellOff, where every witness path runs,
+    and with law (e) skipping under a budget of 100."""
+    cases = [(m, q, DEFAULT_MAX_ENUM) for m, q in PAIRS] + [("powerset", "c3", 100)]
+    failed = set()
+    for (mname, qname, max_enum), cls in itertools.product(cases, (LaxExtension, _OneCellOff)):
+        reports = [
+            check(cls(monads[mname], quantales[qname], max_enum), samples=25)
+            for check in (check_extension_laws, reference_check_extension_laws)
+        ]
+        assert reports[0] == reports[1], (mname, qname, max_enum, cls.__name__)
+        assert (reports[0]["e"]["skipped"] > 0) == (max_enum == 100)
+        if cls is _OneCellOff:
+            failed.update(key for key in "abcdefg" if not reports[0][key]["ok"])
+        else:
+            assert reports[0]["ok"]
+    assert failed == set("abcdefg")
 
 
 @pytest.mark.parametrize("mname,qname", PAIRS)

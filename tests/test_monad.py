@@ -292,6 +292,18 @@ def test_powerset_budget_guard():
         builtin_monad("powerset").mult_map(5)
 
 
+def test_powerset_carrier_is_refused_exactly_above_the_cap():
+    monad = PowersetMonad()
+    assert monad.size(20) == HARD_CARRIER_CAP == 2**20
+    with pytest.raises(BudgetExceeded) as info:
+        monad.size(21)
+    assert (info.value.what, info.value.needed, info.value.budget) == ("powerset carrier", 2**21, 2**20)
+    # mult_map(5) would build 2^32 entries; T(T(5)) is refused as a carrier
+    with pytest.raises(BudgetExceeded) as info:
+        monad.mult_map(5)
+    assert (info.value.what, info.value.needed, info.value.budget) == ("powerset carrier", 2**32, 2**20)
+
+
 def _tmap_per_bit(f, n_src):
     out = []
     for mask in range(1 << n_src):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -31,7 +32,7 @@ from lawcat.tvcat import (
     _points,
     _transitivity_scan,
 )
-from lawcat.vmatrix import VMatrix, mcompose, precompose_map, select_cols
+from lawcat.vmatrix import VMatrix, all_matrices, mcompose, precompose_map, select_cols
 
 from support import (
     check_evaluation_functor,
@@ -42,7 +43,10 @@ from support import (
     join_all,
     oracle_largest_structure,
     reference_all_tvcategories,
+    reference_check_tv_adjunction,
+    reference_check_tvbimodule,
     reference_check_tvfunctor,
+    reference_is_tvbimodule,
     reference_tensor_tvcat,
 )
 
@@ -580,6 +584,68 @@ def test_bimodule_double_functor_characterization(ext_factory):
             rep = check_tvbimodule(psi, x, y)
             if m_natural:
                 assert rep["agree"], (mname, qname, x.a.data, y.a.data, psi.data)
+
+
+MODULE_SWEEPS = [
+    ("id", "2", (1, 2)),
+    ("id", "c3", (1,)),
+    ("ultra", "plus3", (1,)),
+    ("powerset", "2", (1,)),
+    ("powerset", "c3", (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "mname,qname,sizes", MODULE_SWEEPS, ids=[f"{m}/{q}" for m, q, _ in MODULE_SWEEPS]
+)
+def test_module_checks_match_the_composing_references(mname, qname, sizes):
+    """is_tvbimodule, check_tvbimodule and check_tv_adjunction, which
+    compare term by term, equal the references in tests/support.py, which
+    build every composite: on every matrix psi: T(X) -|-> Y and phi:
+    T(Y) -|-> X between every pair of categories on the given sizes."""
+    ext = LaxExtension(builtin_monad(mname), builtin(qname))
+    q, monad = ext.q, ext.monad
+    cats = [x for n in sizes for x in all_tvcategories(ext, n)]
+    seen = collections.Counter()
+    for x, y in itertools.product(cats, repeat=2):
+        psis = list(all_matrices(q, monad.size(x.n), y.n))
+        for psi in psis:
+            rep = check_tvbimodule(psi, x, y)
+            assert rep == reference_check_tvbimodule(psi, x, y), (x.a.data, y.a.data, psi.data)
+            assert is_tvbimodule(psi, x, y) == reference_is_tvbimodule(psi, x, y)
+            seen[rep["direct"], rep["via_functors"]] += 1
+        for phi in all_matrices(q, monad.size(y.n), x.n):
+            for psi in psis:
+                adj = check_tv_adjunction(ext, phi, psi, x, y)
+                assert adj == reference_check_tv_adjunction(ext, phi, psi, x, y)
+                seen["counit", adj["counit"]] += 1
+    assert seen[True, True]
+    if len(cats) > 1:
+        # non-modules, whose functor route fails too, and both counits
+        assert seen[False, False] and seen["counit", True] and seen["counit", False]
+
+
+def test_module_checks_build_no_matrix(monkeypatch):
+    """is_tvbimodule and check_tvbimodule's functor route compare in place:
+    once the categories they read are built, they build no VMatrix."""
+    ext = LaxExtension(builtin_monad("id"), builtin("c3"))
+    cats = all_tvcategories(ext, 2)
+    x, y = cats[0], cats[-1]
+    psis = list(all_matrices(ext.q, 2, 2))
+    for psi in psis:
+        check_tvbimodule(psi, x, y)
+    built = []
+    trusted = VMatrix.trusted.__func__
+
+    def counted(cls, *args):
+        built.append(args[1:3])
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(VMatrix, "trusted", classmethod(counted))
+    verdicts = [check_tvbimodule(psi, x, y)["via_functors"] for psi in psis]
+    assert [is_tvbimodule(psi, x, y) for psi in psis] == verdicts
+    assert True in verdicts and False in verdicts
+    assert built == []
 
 
 def test_subset_indicators_as_modules_match_closedness(ext_factory):

@@ -20,6 +20,7 @@ from lawcat.vmatrix import (
     VMatrix,
     all_matrices,
     check_order_reversal,
+    composite_le,
     is_left_adjoint,
     left_adjoint_map_criterion,
     mcompose,
@@ -244,6 +245,56 @@ def test_adjoint_kernel_matches_mcompose_reference(name):
             assert r == VMatrix(q, rows, cols, r.data)
             assert right_adjoint_candidate(r) == reference_right_adjoint(r)
             assert is_left_adjoint(r) == reference_is_left_adjoint(r)
+
+
+def _one_cell_changes(m):
+    """m, then every matrix that differs from m in exactly one cell."""
+    yield m
+    for x, row in enumerate(m.data):
+        for z, old in enumerate(row):
+            for v in range(m.q.n):
+                if v != old:
+                    data = [list(r) for r in m.data]
+                    data[x][z] = v
+                    yield VMatrix(m.q, m.rows, m.cols, data)
+
+
+@pytest.mark.parametrize("name", [*ACCEPT_QUANTALES, "plus2"])
+def test_composite_le_matches_the_built_composite(name):
+    """composite_le(q, r, s, b) is mcompose(s, r).le(b).  Every matrix up to
+    2 x 2 is tried as the inner factor, the outer factor and the bound, the
+    other two drawn from bottom, top and a random matrix; a factor's
+    composite is compared with itself and with every one-cell change of it,
+    so each cell is tried just below, at and above its value."""
+    q = builtin(name)
+    rng = random.Random(name)
+
+    def partners(rows, cols):
+        return (
+            constant_matrix(q, rows, cols, q.bottom),
+            constant_matrix(q, rows, cols, q.top),
+            rand_matrix(rng, q, rows, cols),
+        )
+
+    outcomes = []
+
+    def agree(r, s, bounds):
+        c = mcompose(s, r)
+        for b in bounds:
+            got = composite_le(q, r.data, s.data, b.data)
+            assert got == c.le(b), (r.data, s.data, b.data)
+            outcomes.append(got)
+
+    for rows, cols in itertools.product((1, 2), repeat=2):
+        for m in all_matrices(q, rows, cols):
+            for n in (1, 2):
+                for p in partners(cols, n):
+                    agree(m, p, _one_cell_changes(mcompose(p, m)))
+                for p in partners(n, rows):
+                    agree(p, m, _one_cell_changes(mcompose(m, p)))
+                for r, s in itertools.product(partners(rows, n), partners(n, cols)):
+                    agree(r, s, (m,))
+    assert True in outcomes and False in outcomes
 
 
 def test_trusted_builders_return_valid_matrices():
